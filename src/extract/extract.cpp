@@ -1,43 +1,19 @@
 #include "extract/extract.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <array>
+#include <utility>
 
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace bisram::extract {
 
 using geom::Layer;
 using geom::LayoutDB;
 using geom::Rect;
-using geom::TileIndex;
 
 namespace {
-
-/// Union-find over shape ids.
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), std::size_t{0});
-  }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
-struct Piece {
-  Layer layer;
-  Rect rect;
-  std::uint32_t path = 0;  ///< LayoutDB path node of the source shape
-};
 
 /// True when `poly` fully crosses `diff` (a transistor gate).
 bool crosses(const Rect& poly, const Rect& diff) {
@@ -49,6 +25,29 @@ bool crosses(const Rect& poly, const Rect& diff) {
 }
 
 }  // namespace
+
+std::vector<Rect> split_diffusion(const Rect& diff, std::vector<Rect>& gates) {
+  if (gates.empty()) return {diff};
+  const bool split_x = gates[0].lo.y <= diff.lo.y;  // vertical gates
+  std::sort(gates.begin(), gates.end(), [&](const Rect& a, const Rect& b) {
+    return split_x ? a.lo.x < b.lo.x : a.lo.y < b.lo.y;
+  });
+  auto segment = [&](geom::Coord from, geom::Coord to) {
+    return split_x ? Rect::ltrb(from, diff.lo.y, to, diff.hi.y)
+                   : Rect::ltrb(diff.lo.x, from, diff.hi.x, to);
+  };
+  const geom::Coord end = split_x ? diff.hi.x : diff.hi.y;
+  geom::Coord pos = split_x ? diff.lo.x : diff.lo.y;
+  std::vector<Rect> segs;
+  segs.reserve(gates.size() + 1);
+  for (const Rect& g : gates) {
+    const geom::Coord cut = std::clamp(split_x ? g.lo.x : g.lo.y, pos, end);
+    segs.push_back(segment(pos, cut));
+    pos = std::clamp(split_x ? g.hi.x : g.hi.y, pos, end);
+  }
+  segs.push_back(segment(pos, end));
+  return segs;
+}
 
 std::vector<Device> Extracted::gated_by(int net) const {
   std::vector<Device> out;
@@ -71,221 +70,41 @@ bool Extracted::channel_between(int a, int b) const {
   return false;
 }
 
-// Bit-identity note: net numbers are assigned in net_of() call order, and
-// every step below visits pieces in the same order the pre-LayoutDB
-// flatten-and-scan extractor did — diffusion splits in flatten order,
-// gates per diffusion in poly id order (TileIndex queries report ids in
-// increasing order, the order a linear scan saw them), "first piece
-// matching" lookups as minimum-id query hits. Hence the extracted
-// netlist is bit-identical to the historical code.
-Extracted extract(const geom::LayoutDB& db, const tech::Tech& tech) {
-  // --- 1. split diffusion at gate crossings; collect device sites -------
-  struct Site {
-    bool pmos;
-    Rect gate_poly;
-    Rect channel;       // poly-diff intersection
-    std::size_t left;   // piece ids filled after pieces are final
-    std::size_t right;
-    std::uint32_t path; // diffusion shape's provenance
-  };
-  std::vector<Piece> pieces;
-  std::vector<Site> sites;
-
-  const auto& polys = db.rects(Layer::Poly);
-  const auto& poly_index = db.index(Layer::Poly);
-  for (Layer dl : {Layer::NDiff, Layer::PDiff}) {
-    const auto& diff_shapes = db.shapes(dl);
-    for (const geom::DbShape& ds : diff_shapes) {
-      const Rect& diff = ds.rect;
-      // Gates crossing this diffusion, sorted along the stripe axis.
-      std::vector<Rect> gates;
-      poly_index.for_each_in(diff, [&](std::uint32_t pid) {
-        if (crosses(polys[pid], diff)) gates.push_back(polys[pid]);
-      });
-      if (gates.empty()) {
-        pieces.push_back({dl, diff, ds.path});
-        continue;
-      }
-      const bool split_x = gates[0].lo.y <= diff.lo.y;  // vertical gates
-      std::sort(gates.begin(), gates.end(), [&](const Rect& a, const Rect& b) {
-        return split_x ? a.lo.x < b.lo.x : a.lo.y < b.lo.y;
-      });
-      geom::Coord pos = split_x ? diff.lo.x : diff.lo.y;
-      std::vector<std::size_t> segment_ids;
-      for (const Rect& g : gates) {
-        const Rect seg = split_x
-                             ? Rect::ltrb(pos, diff.lo.y, g.lo.x, diff.hi.y)
-                             : Rect::ltrb(diff.lo.x, pos, diff.hi.x, g.lo.y);
-        segment_ids.push_back(pieces.size());
-        pieces.push_back({dl, seg, ds.path});
-        pos = split_x ? g.hi.x : g.hi.y;
-      }
-      const Rect last = split_x
-                            ? Rect::ltrb(pos, diff.lo.y, diff.hi.x, diff.hi.y)
-                            : Rect::ltrb(diff.lo.x, pos, diff.hi.x, diff.hi.y);
-      segment_ids.push_back(pieces.size());
-      pieces.push_back({dl, last, ds.path});
-
-      for (std::size_t g = 0; g < gates.size(); ++g) {
-        Site site;
-        site.pmos = dl == Layer::PDiff;
-        site.gate_poly = gates[g];
-        site.channel = gates[g].intersection(diff);
-        site.left = segment_ids[g];
-        site.right = segment_ids[g + 1];
-        site.path = ds.path;
-        sites.push_back(site);
-      }
-    }
-  }
-
-  // --- 2. other conducting layers as-is ------------------------------------
-  for (Layer l : {Layer::Poly, Layer::Metal1, Layer::Metal2, Layer::Metal3,
-                  Layer::Contact, Layer::Via1, Layer::Via2})
-    for (const geom::DbShape& s : db.shapes(l))
-      pieces.push_back({l, s.rect, s.path});
-
-  // --- 3. connectivity ------------------------------------------------------
-  // One tile index over every piece; each piece unites with its
-  // overlapping electrical neighbors found by an indexed window query
-  // (the j > i filter visits each unordered pair once).
-  std::vector<Rect> piece_rects;
-  piece_rects.reserve(pieces.size());
-  for (const Piece& p : pieces) piece_rects.push_back(p.rect);
-  const TileIndex piece_index(piece_rects, db.tile_size());
-
-  UnionFind uf(pieces.size());
-  auto connects = [&](Layer a, Layer b) {
-    // Same-layer shapes merge on touch; vias merge with their adjacent
-    // layers; poly never merges with diffusion (that is a gate).
-    if (a == b) return a != Layer::Contact && a != Layer::Via1 && a != Layer::Via2;
-    auto pair_is = [&](Layer x, Layer y) {
-      return (a == x && b == y) || (a == y && b == x);
-    };
-    if (pair_is(Layer::Contact, Layer::Metal1)) return true;
-    if (pair_is(Layer::Contact, Layer::Poly)) return true;
-    if (pair_is(Layer::Contact, Layer::NDiff)) return true;
-    if (pair_is(Layer::Contact, Layer::PDiff)) return true;
-    if (pair_is(Layer::Via1, Layer::Metal1)) return true;
-    if (pair_is(Layer::Via1, Layer::Metal2)) return true;
-    if (pair_is(Layer::Via2, Layer::Metal2)) return true;
-    if (pair_is(Layer::Via2, Layer::Metal3)) return true;
-    return false;
-  };
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    const Piece& pi = pieces[i];
-    piece_index.for_each_in(pi.rect, [&](std::uint32_t j) {
-      if (j <= i) return;
-      const Piece& pj = pieces[j];
-      if (connects(pi.layer, pj.layer)) uf.unite(i, j);
-    });
-  }
-
-  // --- 4. net numbering ------------------------------------------------------
-  Extracted out;
-  std::map<std::size_t, int> root_to_net;
-  auto net_of = [&](std::size_t piece) {
-    const std::size_t root = uf.find(piece);
-    auto it = root_to_net.find(root);
-    if (it != root_to_net.end()) return it->second;
-    const int id = out.net_count++;
-    root_to_net[root] = id;
-    return id;
-  };
-
-  /// Lowest-id piece on `layer` intersecting `window` (the piece a
-  /// linear scan would have found first), or pieces.size() when none.
-  auto first_piece_on = [&](Layer layer, const Rect& window) {
-    std::size_t found = pieces.size();
-    piece_index.for_each_in(window, [&](std::uint32_t j) {
-      if (found != pieces.size()) return;  // ids arrive in increasing order
-      if (pieces[j].layer == layer && pieces[j].rect.intersects(window))
-        found = j;
-    });
-    return found;
-  };
-
-  // --- 5. devices -------------------------------------------------------------
-  auto poly_piece_net = [&](const Rect& gate) {
-    const std::size_t i = first_piece_on(Layer::Poly, gate);
-    if (i == pieces.size())
-      throw InternalError("extract: gate poly piece not found");
-    return net_of(i);
-  };
-  const double um_per_dbu = tech.lambda_um / 10.0;
-  for (const Site& s : sites) {
-    Device d;
-    d.type = s.pmos ? spice::MosType::Pmos : spice::MosType::Nmos;
-    d.gate = poly_piece_net(s.gate_poly);
-    d.source = net_of(s.left);
-    d.drain = net_of(s.right);
-    const bool split_x = s.gate_poly.lo.y <= s.channel.lo.y;
-    const geom::Coord w = split_x ? s.channel.height() : s.channel.width();
-    const geom::Coord l = split_x ? s.channel.width() : s.channel.height();
-    d.w_um = static_cast<double>(w) * um_per_dbu;
-    d.l_um = static_cast<double>(l) * um_per_dbu;
-    d.path = db.path_name(s.path);
-    out.devices.push_back(d);
-  }
-
-  // --- 6. ports ---------------------------------------------------------------
-  for (const auto& port : db.ports()) {
-    const std::size_t i = first_piece_on(port.layer, port.rect);
-    require(i != pieces.size(), "extract: port '" + port.name +
-                                    "' touches no geometry on its layer");
-    out.port_net[port.name] = net_of(i);
-  }
-
-  // --- 7. parasitic capacitance -------------------------------------------------
-  out.net_cap_f.assign(static_cast<std::size_t>(out.net_count), 0.0);
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    const Piece& p = pieces[i];
-    if (geom::is_via(p.layer)) continue;
-    const auto& wp = tech.elec.wire[static_cast<std::size_t>(p.layer)];
-    if (wp.cap_area_f_um2 == 0.0 && wp.cap_fringe_f_um == 0.0) continue;
-    const double w = static_cast<double>(p.rect.width()) * um_per_dbu;
-    const double h = static_cast<double>(p.rect.height()) * um_per_dbu;
-    const int net = net_of(i);
-    // net_of may mint a net here for a component no device or port
-    // reached (isolated fill); grow the table rather than write past it.
-    if (static_cast<std::size_t>(net) >= out.net_cap_f.size())
-      out.net_cap_f.resize(static_cast<std::size_t>(net) + 1, 0.0);
-    out.net_cap_f[static_cast<std::size_t>(net)] +=
-        w * h * wp.cap_area_f_um2 + 2.0 * (w + h) * wp.cap_fringe_f_um;
-  }
-  return out;
-}
-
-Extracted extract(const geom::Cell& top, const tech::Tech& tech) {
-  return extract(geom::LayoutDB(top), tech);
-}
-
-// --- incremental extraction --------------------------------------------------
+// --- the extraction core ------------------------------------------------------
 //
-// Piece-id space (identical to extract()'s): diffusion split segments
-// first — every NDiff shape's segments in shape order, then every
-// PDiff shape's — then the step-2 layers' shapes verbatim, in the same
-// {Poly, M1, M2, M3, Contact, Via1, Via2} order. The caches below are
-// keyed so that after an edit the surviving pieces renumber by pure
-// prefix arithmetic: per-shape segment lists for the diffusion blocks,
-// the LayoutDB's own shape ids for the step-2 blocks.
+// Pieces are the conducting rects nets are built from: every diffusion
+// shape's split segments — NDiff shapes in shape order, then PDiff —
+// followed by the shapes of the plain layers {Poly, M1, M2, M3, Contact,
+// Via1, Via2}, in that order. A piece id is its position in this
+// sequence, so after an edit the surviving pieces renumber by prefix
+// arithmetic: per-shape segment lists for the diffusion blocks, the
+// LayoutDB's own shape ids for the plain blocks.
+//
+// Three phases: split every diffusion shape (parallel, one entry per
+// shape), discover the electrical adjacency edges (parallel over
+// fixed-size piece-id chunks, concatenated in chunk order), then union
+// the edges and mint net ids in visit order (serial). Union-find
+// components do not depend on the order of the unions, and each chunk
+// lists its edges in piece order, so the netlist is bit-identical at any
+// thread count and the historical numbering is kept.
 
 namespace {
 
-/// Step-2 piece layers, in extract()'s concatenation order.
-constexpr Layer kStep2[] = {Layer::Poly,    Layer::Metal1, Layer::Metal2,
+/// Layers whose shapes are pieces as they stand, in piece-id order.
+constexpr Layer kPlain[] = {Layer::Poly,    Layer::Metal1, Layer::Metal2,
                             Layer::Metal3,  Layer::Contact, Layer::Via1,
                             Layer::Via2};
-constexpr std::size_t kStep2Count = sizeof(kStep2) / sizeof(kStep2[0]);
+constexpr std::size_t kPlainCount = sizeof(kPlain) / sizeof(kPlain[0]);
 
-int step2_slot(Layer l) {
-  for (std::size_t t = 0; t < kStep2Count; ++t)
-    if (kStep2[t] == l) return static_cast<int>(t);
+int plain_slot(Layer l) {
+  for (std::size_t t = 0; t < kPlainCount; ++t)
+    if (kPlain[t] == l) return static_cast<int>(t);
   return -1;
 }
 
-/// Layers a piece on `l` electrically merges with (the connects()
-/// relation above, as adjacency lists for targeted index queries).
+/// Layers a piece on `l` electrically merges with: same-layer shapes on
+/// touch, vias and contacts with their adjacent layers; poly never with
+/// diffusion (that is a gate). Each list is in piece-id block order.
 const std::vector<Layer>& connect_targets(Layer l) {
   static const std::vector<Layer> none;
   static const std::vector<Layer> table[] = {
@@ -295,7 +114,7 @@ const std::vector<Layer>& connect_targets(Layer l) {
       /*Metal1*/ {Layer::Metal1, Layer::Contact, Layer::Via1},
       /*Metal2*/ {Layer::Metal2, Layer::Via1, Layer::Via2},
       /*Metal3*/ {Layer::Metal3, Layer::Via2},
-      /*Contact*/ {Layer::Metal1, Layer::Poly, Layer::NDiff, Layer::PDiff},
+      /*Contact*/ {Layer::NDiff, Layer::PDiff, Layer::Poly, Layer::Metal1},
       /*Via1*/ {Layer::Metal1, Layer::Metal2},
       /*Via2*/ {Layer::Metal2, Layer::Metal3},
   };
@@ -315,9 +134,15 @@ const std::vector<Layer>& connect_targets(Layer l) {
 
 constexpr std::uint32_t kNoPiece = 0xffffffffu;
 
-}  // namespace
+/// Work per pool chunk of the two parallel phases. Fixed, so the chunk
+/// layout depends on the layout alone; a leaf cell fits in one chunk
+/// and runs serially without touching the pool.
+constexpr std::int64_t kSplitChunk = 1024;  // diffusion shapes
+constexpr std::int64_t kEdgeChunk = 8192;   // pieces
 
-struct IncrementalExtract::Impl {
+/// The extraction pipeline over one LayoutDB. A one-shot extract() runs
+/// it once; IncrementalExtract keeps it and feeds it edits.
+struct Extractor {
   /// One device site of a diffusion shape's split, in local segment
   /// coordinates. gate_pid is the Poly *shape id* of the crossing gate
   /// (renumbered through poly splices); any shape of the gate's merged
@@ -326,10 +151,10 @@ struct IncrementalExtract::Impl {
     Rect gate_poly;
     Rect channel;
     std::uint32_t gate_pid;
-    std::uint32_t left;   // local segment index
+    std::uint32_t left;  // local segment index
     std::uint32_t right;
   };
-  /// The cached split of one diffusion shape.
+  /// The split of one diffusion shape.
   struct Entry {
     std::vector<Rect> segs;
     std::vector<LocalSite> sites;
@@ -337,12 +162,21 @@ struct IncrementalExtract::Impl {
   /// Piece-id layout of the current state (prefix sums).
   struct Blocks {
     std::array<std::vector<std::uint32_t>, 2> entry_start;  // per-shape, n+1
-    std::array<std::uint32_t, kStep2Count> step2_start;
+    std::array<std::uint32_t, kPlainCount> plain_start;
     std::uint32_t total = 0;
   };
 
+  Extractor(const LayoutDB& layout, const tech::Tech& tech)
+      : db(&layout), um_per_dbu(tech.lambda_um / 10.0), wire(tech.elec.wire) {
+    split_all();
+    const Blocks b = blocks();
+    discover_all(b);
+    rebuild_result(b);
+  }
+
   const LayoutDB* db;
-  tech::Tech tech;
+  double um_per_dbu;
+  std::array<tech::WireParams, geom::kLayerCount> wire;
   std::array<std::vector<Entry>, 2> entries;  // [0]=NDiff, [1]=PDiff
   std::vector<std::uint64_t> edges;           // packed (i<<32)|j, i<j
   Extracted out;
@@ -354,9 +188,9 @@ struct IncrementalExtract::Impl {
     return (static_cast<std::uint64_t>(i) << 32) | j;
   }
 
-  /// Splits one diffusion rect exactly as extract() step 1 does: the
-  /// gate rects are collected in poly-id order and sorted with the
-  /// same comparator, so segment boundaries match bit-for-bit.
+  /// Splits one diffusion rect at the gates crossing it. The gates are
+  /// collected in poly-id order before split_diffusion sorts them, so
+  /// segment boundaries and site order match the historical extractor.
   Entry compute_entry(const Rect& diff) const {
     Entry e;
     const auto& polys = db->rects(Layer::Poly);
@@ -368,23 +202,7 @@ struct IncrementalExtract::Impl {
         gates.push_back(polys[pid]);
       }
     });
-    if (gates.empty()) {
-      e.segs.push_back(diff);
-      return e;
-    }
-    const bool split_x = gates[0].lo.y <= diff.lo.y;  // vertical gates
-    std::sort(gates.begin(), gates.end(), [&](const Rect& a, const Rect& b) {
-      return split_x ? a.lo.x < b.lo.x : a.lo.y < b.lo.y;
-    });
-    geom::Coord pos = split_x ? diff.lo.x : diff.lo.y;
-    for (const Rect& g : gates) {
-      e.segs.push_back(split_x ? Rect::ltrb(pos, diff.lo.y, g.lo.x, diff.hi.y)
-                               : Rect::ltrb(diff.lo.x, pos, diff.hi.x, g.lo.y));
-      pos = split_x ? g.hi.x : g.hi.y;
-    }
-    e.segs.push_back(split_x
-                         ? Rect::ltrb(pos, diff.lo.y, diff.hi.x, diff.hi.y)
-                         : Rect::ltrb(diff.lo.x, pos, diff.hi.x, diff.hi.y));
+    e.segs = split_diffusion(diff, gates);
     for (std::uint32_t g = 0; g < gates.size(); ++g) {
       LocalSite s;
       s.gate_poly = gates[g];
@@ -402,6 +220,19 @@ struct IncrementalExtract::Impl {
     return e;
   }
 
+  /// Phase 1: every diffusion shape's split, each in its own entry.
+  void split_all() {
+    entries[0].resize(db->rects(Layer::NDiff).size());
+    entries[1].resize(db->rects(Layer::PDiff).size());
+    const auto n0 = static_cast<std::int64_t>(entries[0].size());
+    const auto n1 = static_cast<std::int64_t>(entries[1].size());
+    parallel_for(n0 + n1, kSplitChunk, [&](std::int64_t i) {
+      const int dl_i = i < n0 ? 0 : 1;
+      const auto k = static_cast<std::size_t>(dl_i == 0 ? i : i - n0);
+      entries[dl_i][k] = compute_entry(db->rects(diff_layer(dl_i))[k]);
+    });
+  }
+
   Blocks blocks() const {
     Blocks b;
     std::uint32_t acc = 0;
@@ -414,17 +245,95 @@ struct IncrementalExtract::Impl {
       }
       b.entry_start[dl_i][es.size()] = acc;
     }
-    for (std::size_t t = 0; t < kStep2Count; ++t) {
-      b.step2_start[t] = acc;
-      acc += static_cast<std::uint32_t>(db->rects(kStep2[t]).size());
+    for (std::size_t t = 0; t < kPlainCount; ++t) {
+      b.plain_start[t] = acc;
+      acc += static_cast<std::uint32_t>(db->rects(kPlain[t]).size());
     }
     b.total = acc;
     return b;
   }
 
-  /// extract()'s first_piece_on, answered from the per-layer LayoutDB
-  /// indexes and the cached splits instead of a global piece index:
-  /// the lowest piece id on `layer` intersecting `window`.
+  /// fn(id, layer, rect) for every piece with id in [lo, hi), in order.
+  template <typename Fn>
+  void for_each_piece(const Blocks& b, std::uint32_t lo, std::uint32_t hi,
+                      Fn&& fn) const {
+    std::uint32_t g = lo;
+    for (int dl_i = 0; dl_i < 2 && g < hi; ++dl_i) {
+      const auto& start = b.entry_start[dl_i];
+      if (g >= start.back()) continue;
+      // Every entry has at least one segment, so starts strictly rise.
+      auto s = static_cast<std::size_t>(
+          std::upper_bound(start.begin(), start.end(), g) - start.begin() - 1);
+      for (; g < hi && s + 1 < start.size(); ++s) {
+        const auto& segs = entries[dl_i][s].segs;
+        for (std::uint32_t t = g - start[s]; t < segs.size() && g < hi; ++t)
+          fn(g++, diff_layer(dl_i), segs[t]);
+      }
+    }
+    for (std::size_t t = 0; t < kPlainCount && g < hi; ++t) {
+      const auto& rects = db->rects(kPlain[t]);
+      for (std::uint32_t k = g - b.plain_start[t]; k < rects.size() && g < hi;
+           ++k)
+        fn(g++, kPlain[t], rects[k]);
+    }
+  }
+
+  /// fn(h) for every piece h that conducts to a piece on `from` covering
+  /// `r` (r's own piece included), answered from the per-layer LayoutDB
+  /// indexes and the splits. Diffusion segments lie inside their shape,
+  /// so the shape index finds every segment that touches `r`. Ids rise
+  /// within each target layer, and the targets are in block order.
+  /// Target layers whose pieces all lie below `min_id` are not queried.
+  template <typename Fn>
+  void for_each_neighbor(Layer from, const Rect& r, const Blocks& b,
+                         std::uint32_t min_id, Fn&& fn) const {
+    for (Layer m : connect_targets(from)) {
+      if (m == Layer::NDiff || m == Layer::PDiff) {
+        const int mi = m == Layer::NDiff ? 0 : 1;
+        if (b.entry_start[mi].back() <= min_id) continue;
+        db->index(m).for_each_in(r, [&](std::uint32_t s) {
+          const auto& segs = entries[mi][s].segs;
+          const std::uint32_t base = b.entry_start[mi][s];
+          for (std::uint32_t t = 0; t < segs.size(); ++t)
+            if (segs[t].intersects(r)) fn(base + t);
+        });
+      } else {
+        const std::uint32_t base = b.plain_start[plain_slot(m)];
+        if (base + db->rects(m).size() <= min_id) continue;
+        db->index(m).for_each_in(r, [&](std::uint32_t s) { fn(base + s); });
+      }
+    }
+  }
+
+  /// Phase 2: every adjacency edge (i, j), i < j, found from piece i.
+  /// Chunks list their edges in piece order and are concatenated in
+  /// chunk order, so `edges` is the serial list at any thread count.
+  void discover_all(const Blocks& b) {
+    const std::int64_t chunks = (b.total + kEdgeChunk - 1) / kEdgeChunk;
+    std::vector<std::vector<std::uint64_t>> found(
+        static_cast<std::size_t>(chunks));
+    parallel_for(chunks, 1, [&](std::int64_t c) {
+      auto& list = found[static_cast<std::size_t>(c)];
+      const auto lo = static_cast<std::uint32_t>(c * kEdgeChunk);
+      const auto hi = static_cast<std::uint32_t>(
+          std::min<std::int64_t>(b.total, (c + 1) * kEdgeChunk));
+      for_each_piece(b, lo, hi, [&](std::uint32_t g, Layer l, const Rect& r) {
+        for_each_neighbor(l, r, b, g + 1, [&](std::uint32_t h) {
+          if (h > g) list.push_back(pack(g, h));
+        });
+      });
+    });
+    std::size_t n = 0;
+    for (const auto& list : found) n += list.size();
+    edges.reserve(n);
+    for (auto& list : found) {
+      edges.insert(edges.end(), list.begin(), list.end());
+      std::vector<std::uint64_t>().swap(list);
+    }
+  }
+
+  /// The lowest piece id on `layer` intersecting `window` (the piece a
+  /// linear scan would find first), or kNoPiece.
   std::uint32_t first_piece(Layer layer, const Rect& window,
                             const Blocks& b) const {
     std::uint32_t found = kNoPiece;
@@ -441,19 +350,18 @@ struct IncrementalExtract::Impl {
       });
       return found;
     }
-    const int slot = step2_slot(layer);
+    const int slot = plain_slot(layer);
     if (slot < 0) return kNoPiece;  // no pieces live on this layer
     db->index(layer).for_each_in(window, [&](std::uint32_t s) {
-      if (found == kNoPiece) found = b.step2_start[slot] + s;
+      if (found == kNoPiece) found = b.plain_start[slot] + s;
     });
     return found;
   }
 
-  /// Steps 4-7 of extract(), re-run over the cached pieces: net ids are
-  /// minted in global visit order, so every edit renumbers them and the
-  /// numbering passes must be linear re-passes. Bit-identical to
-  /// extract() by visiting in the same order (devices, then ports, then
-  /// capacitance in piece order).
+  /// Phase 3: union the edges, then mint net ids in visit order —
+  /// devices, then ports, then capacitance in piece order. Serial, and
+  /// a linear re-pass after every edit, because an edit shifts net ids
+  /// globally.
   void rebuild_result(const Blocks& b) {
     std::vector<std::uint32_t> parent(b.total);
     for (std::uint32_t i = 0; i < b.total; ++i) parent[i] = i;
@@ -489,11 +397,9 @@ struct IncrementalExtract::Impl {
       return path_memo[node];
     };
 
-    const double um_per_dbu = tech.lambda_um / 10.0;
-    const std::uint32_t poly_start = b.step2_start[0];
+    const std::uint32_t poly_start = b.plain_start[0];
     for (int dl_i = 0; dl_i < 2; ++dl_i) {
-      const Layer dl = diff_layer(dl_i);
-      const auto& shapes = db->shapes(dl);
+      const auto& shapes = db->shapes(diff_layer(dl_i));
       for (std::size_t s = 0; s < entries[dl_i].size(); ++s) {
         const std::uint32_t base = b.entry_start[dl_i][s];
         for (const LocalSite& site : entries[dl_i][s].sites) {
@@ -510,7 +416,7 @@ struct IncrementalExtract::Impl {
           d.w_um = static_cast<double>(w) * um_per_dbu;
           d.l_um = static_cast<double>(l) * um_per_dbu;
           d.path = path_of(shapes[s].path);
-          out.devices.push_back(d);
+          out.devices.push_back(std::move(d));
         }
       }
     }
@@ -523,67 +429,21 @@ struct IncrementalExtract::Impl {
     }
 
     out.net_cap_f.assign(static_cast<std::size_t>(out.net_count), 0.0);
-    auto add_cap = [&](std::uint32_t i, Layer layer, const Rect& r) {
+    for_each_piece(b, 0, b.total,
+                   [&](std::uint32_t i, Layer layer, const Rect& r) {
       if (geom::is_via(layer)) return;
-      const auto& wp = tech.elec.wire[static_cast<std::size_t>(layer)];
+      const auto& wp = wire[static_cast<std::size_t>(layer)];
       if (wp.cap_area_f_um2 == 0.0 && wp.cap_fringe_f_um == 0.0) return;
       const double w = static_cast<double>(r.width()) * um_per_dbu;
       const double h = static_cast<double>(r.height()) * um_per_dbu;
       const int net = net_of(i);
+      // net_of may mint a net here for a component no device or port
+      // reached (isolated fill); grow the table rather than write past it.
       if (static_cast<std::size_t>(net) >= out.net_cap_f.size())
         out.net_cap_f.resize(static_cast<std::size_t>(net) + 1, 0.0);
       out.net_cap_f[static_cast<std::size_t>(net)] +=
           w * h * wp.cap_area_f_um2 + 2.0 * (w + h) * wp.cap_fringe_f_um;
-    };
-    std::uint32_t gid = 0;
-    for (int dl_i = 0; dl_i < 2; ++dl_i)
-      for (const Entry& e : entries[dl_i])
-        for (const Rect& seg : e.segs) add_cap(gid++, diff_layer(dl_i), seg);
-    for (std::size_t t = 0; t < kStep2Count; ++t)
-      for (const Rect& r : db->rects(kStep2[t])) add_cap(gid++, kStep2[t], r);
-  }
-
-  void init() {
-    for (int dl_i = 0; dl_i < 2; ++dl_i) {
-      const auto& rects = db->rects(diff_layer(dl_i));
-      entries[dl_i].reserve(rects.size());
-      for (const Rect& r : rects) entries[dl_i].push_back(compute_entry(r));
-    }
-    const Blocks b = blocks();
-
-    // One transient global piece index, queried exactly like extract()
-    // step 3; the surviving edge list is what update() splices.
-    std::vector<Rect> piece_rects;
-    std::vector<std::uint8_t> piece_layer;
-    piece_rects.reserve(b.total);
-    piece_layer.reserve(b.total);
-    for (int dl_i = 0; dl_i < 2; ++dl_i)
-      for (const Entry& e : entries[dl_i])
-        for (const Rect& seg : e.segs) {
-          piece_rects.push_back(seg);
-          piece_layer.push_back(static_cast<std::uint8_t>(diff_layer(dl_i)));
-        }
-    for (std::size_t t = 0; t < kStep2Count; ++t)
-      for (const Rect& r : db->rects(kStep2[t])) {
-        piece_rects.push_back(r);
-        piece_layer.push_back(static_cast<std::uint8_t>(kStep2[t]));
-      }
-    const TileIndex piece_index(piece_rects, db->tile_size());
-    auto connects = [](Layer a, Layer bb) {
-      if (a == bb)
-        return a != Layer::Contact && a != Layer::Via1 && a != Layer::Via2;
-      for (Layer m : connect_targets(a))
-        if (m == bb) return true;
-      return false;
-    };
-    for (std::uint32_t i = 0; i < b.total; ++i)
-      piece_index.for_each_in(piece_rects[i], [&](std::uint32_t j) {
-        if (j <= i) return;
-        if (connects(static_cast<Layer>(piece_layer[i]),
-                     static_cast<Layer>(piece_layer[j])))
-          edges.push_back(pack(i, j));
-      });
-    rebuild_result(b);
+    });
   }
 
   void update(const geom::EditResult& edit) {
@@ -604,11 +464,11 @@ struct IncrementalExtract::Impl {
       for (const Entry& e : entries[dl_i])
         old_lens[dl_i].push_back(static_cast<std::uint32_t>(e.segs.size()));
     }
-    std::array<std::uint32_t, kStep2Count> old_step2_count;
-    for (std::size_t t = 0; t < kStep2Count; ++t)
-      old_step2_count[t] = static_cast<std::uint32_t>(
-          static_cast<std::int64_t>(db->rects(kStep2[t]).size()) -
-          edit.splice_of(kStep2[t]).delta());
+    std::array<std::uint32_t, kPlainCount> old_plain_count;
+    for (std::size_t t = 0; t < kPlainCount; ++t)
+      old_plain_count[t] = static_cast<std::uint32_t>(
+          static_cast<std::int64_t>(db->rects(kPlain[t]).size()) -
+          edit.splice_of(kPlain[t]).delta());
 
     // Refresh the diffusion splits: inserted shapes get fresh entries;
     // surviving shapes whose rect intersects the dirty poly region are
@@ -658,13 +518,13 @@ struct IncrementalExtract::Impl {
     std::uint32_t old_total = 0;
     for (int dl_i = 0; dl_i < 2; ++dl_i)
       for (std::uint32_t len : old_lens[dl_i]) old_total += len;
-    // Old step-2 blocks start after all old diffusion pieces.
-    std::array<std::uint32_t, kStep2Count> old_step2_start;
+    // Old plain blocks start after all old diffusion pieces.
+    std::array<std::uint32_t, kPlainCount> old_plain_start;
     {
       std::uint32_t acc = old_total;
-      for (std::size_t t = 0; t < kStep2Count; ++t) {
-        old_step2_start[t] = acc;
-        acc += old_step2_count[t];
+      for (std::size_t t = 0; t < kPlainCount; ++t) {
+        old_plain_start[t] = acc;
+        acc += old_plain_count[t];
       }
       old_total = acc;
     }
@@ -682,12 +542,12 @@ struct IncrementalExtract::Impl {
           o += len;
         }
       }
-      for (std::size_t t = 0; t < kStep2Count; ++t) {
-        const auto& sp = edit.splice_of(kStep2[t]);
-        for (std::uint32_t s = 0; s < old_step2_count[t]; ++s) {
+      for (std::size_t t = 0; t < kPlainCount; ++t) {
+        const auto& sp = edit.splice_of(kPlain[t]);
+        for (std::uint32_t s = 0; s < old_plain_count[t]; ++s) {
           const std::uint32_t r = sp.remap(s);
           if (r != geom::ShapeSplice::kRemoved)
-            pmap[old_step2_start[t] + s] = nb.step2_start[t] + r;
+            pmap[old_plain_start[t] + s] = nb.plain_start[t] + r;
         }
       }
     }
@@ -699,16 +559,15 @@ struct IncrementalExtract::Impl {
         if (fresh[dl_i][k])
           for (std::uint32_t t = 0; t < entries[dl_i][k].segs.size(); ++t)
             is_new[nb.entry_start[dl_i][k] + t] = 1;
-    for (std::size_t t = 0; t < kStep2Count; ++t) {
-      const auto& sp = edit.splice_of(kStep2[t]);
+    for (std::size_t t = 0; t < kPlainCount; ++t) {
+      const auto& sp = edit.splice_of(kPlain[t]);
       for (std::uint32_t s = sp.begin; s < sp.new_end; ++s)
-        is_new[nb.step2_start[t] + s] = 1;
+        is_new[nb.plain_start[t] + s] = 1;
     }
 
-    // Splice the surviving edges, then discover the new pieces' edges
-    // through the per-layer indexes (and the cached splits, for
-    // diffusion targets). A pair of two new pieces is kept from its
-    // lower member's visit only.
+    // Splice the surviving edges, then discover the new pieces' edges.
+    // A pair of two new pieces is kept from its lower member's visit
+    // only.
     std::vector<std::uint64_t> kept;
     kept.reserve(edges.size());
     for (std::uint64_t e : edges) {
@@ -719,55 +578,46 @@ struct IncrementalExtract::Impl {
     }
     edges = std::move(kept);
     auto discover = [&](Layer from, const Rect& r, std::uint32_t g) {
-      for (Layer m : connect_targets(from)) {
-        if (m == Layer::NDiff || m == Layer::PDiff) {
-          const int mi = m == Layer::NDiff ? 0 : 1;
-          db->index(m).for_each_in(r, [&](std::uint32_t s) {
-            const auto& segs = entries[mi][s].segs;
-            const std::uint32_t base = nb.entry_start[mi][s];
-            for (std::uint32_t t = 0; t < segs.size(); ++t) {
-              if (!segs[t].intersects(r)) continue;
-              const std::uint32_t h = base + t;
-              if (h == g || (is_new[h] && h < g)) continue;
-              edges.push_back(pack(std::min(g, h), std::max(g, h)));
-            }
-          });
-        } else {
-          const int slot = step2_slot(m);
-          db->index(m).for_each_in(r, [&](std::uint32_t s) {
-            const std::uint32_t h = nb.step2_start[slot] + s;
-            if (h == g || (is_new[h] && h < g)) return;
-            edges.push_back(pack(std::min(g, h), std::max(g, h)));
-          });
-        }
-      }
+      for_each_neighbor(from, r, nb, 0, [&](std::uint32_t h) {
+        if (h == g || (is_new[h] && h < g)) return;
+        edges.push_back(pack(std::min(g, h), std::max(g, h)));
+      });
     };
     for (int dl_i = 0; dl_i < 2; ++dl_i)
       for (std::size_t k = 0; k < entries[dl_i].size(); ++k) {
         if (!fresh[dl_i][k]) continue;
         const auto& segs = entries[dl_i][k].segs;
         for (std::uint32_t t = 0; t < segs.size(); ++t)
-          discover(diff_layer(dl_i), segs[t],
-                   nb.entry_start[dl_i][k] + t);
+          discover(diff_layer(dl_i), segs[t], nb.entry_start[dl_i][k] + t);
       }
-    for (std::size_t t = 0; t < kStep2Count; ++t) {
-      const auto& sp = edit.splice_of(kStep2[t]);
-      const auto& rects = db->rects(kStep2[t]);
+    for (std::size_t t = 0; t < kPlainCount; ++t) {
+      const auto& sp = edit.splice_of(kPlain[t]);
+      const auto& rects = db->rects(kPlain[t]);
       for (std::uint32_t s = sp.begin; s < sp.new_end; ++s)
-        discover(kStep2[t], rects[s], nb.step2_start[t] + s);
+        discover(kPlain[t], rects[s], nb.plain_start[t] + s);
     }
 
     rebuild_result(nb);
   }
 };
 
+}  // namespace
+
+Extracted extract(const geom::LayoutDB& db, const tech::Tech& tech) {
+  return Extractor(db, tech).out;
+}
+
+Extracted extract(const geom::Cell& top, const tech::Tech& tech) {
+  return extract(geom::LayoutDB(top), tech);
+}
+
+struct IncrementalExtract::Impl : Extractor {
+  using Extractor::Extractor;
+};
+
 IncrementalExtract::IncrementalExtract(const geom::LayoutDB& db,
                                        const tech::Tech& tech)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->db = &db;
-  impl_->tech = tech;
-  impl_->init();
-}
+    : impl_(std::make_unique<Impl>(db, tech)) {}
 
 IncrementalExtract::~IncrementalExtract() = default;
 

@@ -50,13 +50,32 @@ struct Extracted {
 
 /// Extracts a prebuilt layout database (the signoff path: one LayoutDB
 /// shared with DRC and the writers). Ports come from db.ports().
-/// Device recognition and connectivity use the database's tile indexes;
-/// net numbering is bit-identical to the historical flatten-and-scan
-/// extractor by construction (see the per-step notes in extract.cpp).
+///
+/// One core serves this call and IncrementalExtract, in three phases:
+/// split every diffusion shape at its gates, discover the electrical
+/// adjacency edges between pieces through the database's per-layer tile
+/// indexes, then union the edges and number the nets. The first two run
+/// on util/parallel in fixed-size chunks (a leaf cell is one chunk and
+/// stays on the calling thread); each shape's split lands in its own
+/// slot and each chunk's edges are concatenated in chunk order.
+/// Numbering stays serial: union-find components do not depend on the
+/// order of the unions, and net ids are minted afterwards in a fixed
+/// visit order (devices, ports, then capacitance in piece order). So the
+/// netlist is bit-identical at any BISRAM_THREADS and keeps the
+/// historical flatten-and-scan numbering.
 Extracted extract(const geom::LayoutDB& db, const tech::Tech& tech);
 
 /// Convenience: flattens `top` into a LayoutDB and extracts it.
 Extracted extract(const geom::Cell& top, const tech::Tech& tech);
+
+/// Splits diffusion `diff` at `gates`, the poly rects crossing it, as
+/// extraction does: sorts `gates` along the stripe axis in place and
+/// returns the gates.size() + 1 source/drain segments, segment k on the
+/// near side of gates[k]. Each cut is clamped to [previous cut, end of
+/// the diffusion], so every segment lies inside `diff`; a gate
+/// overhanging the diffusion's end leaves a zero-length end segment.
+std::vector<geom::Rect> split_diffusion(const geom::Rect& diff,
+                                        std::vector<geom::Rect>& gates);
 
 /// Incremental extraction over an edited LayoutDB. Construct it once
 /// (a full extraction that additionally caches the expensive geometric
@@ -64,17 +83,19 @@ Extracted extract(const geom::Cell& top, const tech::Tech& tech);
 /// EditResult to update(); result() is bit-identical to
 /// extract::extract(db, tech) on the database's current contents.
 ///
+/// Construction runs extract()'s core once, with its parallel split
+/// and edge-discovery phases, and keeps the core's intermediates.
 /// What is cached and what is recomputed: the diffusion split (gate
 /// recognition + segment pieces + device sites) is kept per diffusion
 /// shape and recomputed only for shapes the edit inserted or whose
 /// rect intersects the edit's dirty poly region; the electrical
 /// adjacency edges are kept globally and spliced across the piece-id
 /// renumbering, with fresh edges discovered only around inserted
-/// pieces via the database's per-layer tile indexes. Net numbering,
-/// devices, ports and capacitance are then linear re-passes over the
-/// cached pieces — they must be, because net ids are minted in global
-/// visit order and an edit shifts them globally — which is still far
-/// cheaper than the quadratic-ish window queries they replace.
+/// pieces by the same per-layer index queries. Union-find and net
+/// numbering (devices, ports and capacitance) are then the core's
+/// serial linear re-pass over the cached pieces — it must be, because
+/// net ids are minted in global visit order and an edit shifts them
+/// globally.
 ///
 /// The database must outlive the extractor, and every apply() on it
 /// must be fed to update() (once, in order). Deterministic and

@@ -196,6 +196,77 @@ TEST(LayoutIncremental, EditSequenceMatchesOraclesAtCoarseTile) {
   replay_at_tile(4 * drc::tile_size_for(small_macro().tech));
 }
 
+TEST(LayoutIncremental, AddOverAnExistingGateMatchesFullExtract) {
+  // A CAM cell added so that its first NDiff stripe starts at x = 93,
+  // under an old gate poly spanning x 90-110: the gate overhangs the new
+  // diffusion's left end. The split once turned that cut into a sliver
+  // at x 90-93, outside the diffusion, which the full extract saw and
+  // the incremental engine's per-shape queries missed (one net more).
+  // The sliver also touched the old transistor's diffusion left of the
+  // gate and merged the two nets; clamped, the cut leaves a zero-length
+  // segment inside the gate and the nets stay apart.
+  const Macro& m = small_macro();
+  LayoutDB db(*m.top, drc::tile_size_for(m.tech));
+  extract::IncrementalExtract inc(db, m.tech);
+  geom::Library lib;
+  CellEdit e;
+  e.kind = CellEdit::Kind::Add;
+  e.path = "";
+  e.name = "camOverGate";
+  e.cell = cells::cam_cell(lib, m.tech);
+  e.transform = geom::Transform::translate(78, 20);
+  const geom::EditResult res = db.apply(e);
+
+  // The case needs an old gate crossing a new diffusion over its end.
+  bool overhang = false;
+  const geom::ShapeSplice& sp = res.splice_of(geom::Layer::NDiff);
+  for (std::uint32_t k = sp.begin; k < sp.new_end; ++k) {
+    const geom::Rect& d = db.rects(geom::Layer::NDiff)[k];
+    for (std::uint32_t p : db.index(geom::Layer::Poly).ids_in(d)) {
+      const geom::Rect& g = db.rects(geom::Layer::Poly)[p];
+      overhang = overhang || (g.lo.x < d.lo.x && g.hi.x > d.lo.x &&
+                              g.lo.y <= d.lo.y && g.hi.y >= d.hi.y);
+    }
+  }
+  ASSERT_TRUE(overhang);
+
+  inc.update(res);
+  expect_same_extraction(inc.result(), extract::extract(db, m.tech),
+                         "CAM cell over a gate");
+  EXPECT_EQ(inc.result().net_count, 3243);  // 3242 with the sliver
+}
+
+TEST(SplitDiffusion, SegmentsStayInsideTheDiffusion) {
+  // Vertical gates, out of order: one over the left end, one inside, one
+  // overlapping that, one past the right end.
+  const geom::Rect diff = geom::Rect::ltrb(100, 0, 200, 40);
+  std::vector<geom::Rect> gates = {
+      geom::Rect::ltrb(190, -10, 210, 50), geom::Rect::ltrb(140, -10, 150, 50),
+      geom::Rect::ltrb(90, -10, 103, 50), geom::Rect::ltrb(145, -10, 160, 50)};
+  const std::vector<geom::Rect> segs = extract::split_diffusion(diff, gates);
+  ASSERT_EQ(segs.size(), gates.size() + 1);
+  for (const geom::Rect& s : segs) EXPECT_TRUE(contains_rect(diff, s));
+  const geom::Coord xs[][2] = {
+      {100, 100}, {103, 140}, {150, 150}, {160, 190}, {200, 200}};
+  for (std::size_t k = 0; k < segs.size(); ++k) {
+    EXPECT_EQ(segs[k].lo.x, xs[k][0]) << k;
+    EXPECT_EQ(segs[k].hi.x, xs[k][1]) << k;
+  }
+  EXPECT_EQ(gates[0].lo.x, 90);  // sorted along the stripe in place
+
+  // A horizontal gate over the top end splits along y.
+  const geom::Rect tall = geom::Rect::ltrb(0, 100, 40, 200);
+  std::vector<geom::Rect> top = {geom::Rect::ltrb(-10, 190, 50, 205)};
+  const std::vector<geom::Rect> ys = extract::split_diffusion(tall, top);
+  ASSERT_EQ(ys.size(), 2u);
+  EXPECT_TRUE(ys[0] == geom::Rect::ltrb(0, 100, 40, 190));
+  EXPECT_TRUE(ys[1] == geom::Rect::ltrb(0, 200, 40, 200));
+
+  std::vector<geom::Rect> none;
+  EXPECT_EQ(extract::split_diffusion(diff, none),
+            std::vector<geom::Rect>{diff});
+}
+
 TEST(LayoutIncremental, ApplyRejectsBadEdits) {
   const Macro& m = small_macro();
   LayoutDB db(*m.top);

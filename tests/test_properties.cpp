@@ -147,10 +147,20 @@ TEST(TlbFuzz, MatchesReferenceMapUnderRandomOps) {
 
 // --- BIST engine equivalence across the march library -------------------------
 
-class BistEquivalence : public ::testing::TestWithParam<const march::MarchTest*> {};
+// gtest lists each case with its parameter's printed value, and a bare
+// pointer prints as an address that moves with every run (ASLR), so the
+// case prints as its march test's name instead.
+struct MarchCase {
+  const march::MarchTest* test;
+  friend void PrintTo(const MarchCase& c, std::ostream* os) {
+    *os << c.test->name();
+  }
+};
+
+class BistEquivalence : public ::testing::TestWithParam<MarchCase> {};
 
 TEST_P(BistEquivalence, BehaviouralEqualsMicrocoded) {
-  const march::MarchTest& test = *GetParam();
+  const march::MarchTest& test = *GetParam().test;
   sim::RamGeometry g;
   g.words = 32;
   g.bpw = 4;
@@ -179,11 +189,13 @@ TEST_P(BistEquivalence, BehaviouralEqualsMicrocoded) {
 
 INSTANTIATE_TEST_SUITE_P(
     MarchLibrary, BistEquivalence,
-    ::testing::Values(&march::ifa9(), &march::ifa13(), &march::mats_plus(),
-                      &march::march_c_minus(), &march::march_x(),
-                      &march::march_y()),
-    [](const ::testing::TestParamInfo<const march::MarchTest*>& info) {
-      std::string name = info.param->name();
+    ::testing::Values(MarchCase{&march::ifa9()}, MarchCase{&march::ifa13()},
+                      MarchCase{&march::mats_plus()},
+                      MarchCase{&march::march_c_minus()},
+                      MarchCase{&march::march_x()},
+                      MarchCase{&march::march_y()}),
+    [](const ::testing::TestParamInfo<MarchCase>& info) {
+      std::string name = info.param.test->name();
       for (char& c : name)
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       return name;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -153,6 +154,68 @@ TEST(SignoffEquivalence, ExtractedNetlistIdenticalAcrossPathsAndTiles) {
   EXPECT_EQ(via_cell.net_count, via_db.net_count);
   EXPECT_EQ(via_cell.port_net, via_db.port_net);
   EXPECT_EQ(via_cell.net_cap_f, via_db.net_cap_f);  // bitwise
+}
+
+/// FNV-1a over everything an extraction reports: the net count, every
+/// Device field, the port map and the capacitance bits.
+std::uint64_t digest(const extract::Extracted& ex) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&](const void* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= static_cast<const unsigned char*>(p)[i];
+      h *= 0x100000001b3ull;
+    }
+  };
+  auto mix_str = [&](const std::string& s) {
+    const std::uint64_t n = s.size();
+    mix(&n, sizeof n);
+    mix(s.data(), s.size());
+  };
+  mix(&ex.net_count, sizeof ex.net_count);
+  for (const extract::Device& d : ex.devices) {
+    const int type = static_cast<int>(d.type);
+    mix(&type, sizeof type);
+    mix(&d.gate, sizeof d.gate);
+    mix(&d.source, sizeof d.source);
+    mix(&d.drain, sizeof d.drain);
+    mix(&d.w_um, sizeof d.w_um);
+    mix(&d.l_um, sizeof d.l_um);
+    mix_str(d.path);
+  }
+  for (const auto& [name, net] : ex.port_net) {
+    mix_str(name);
+    mix(&net, sizeof net);
+  }
+  for (double c : ex.net_cap_f) mix(&c, sizeof c);
+  return h;
+}
+
+TEST(SignoffEquivalence, ExtractIsThreadCountInvariant) {
+  // Digests pinned from the serial extractor; the quickstart macro spans
+  // several split and edge-discovery chunks, so the pooled path runs.
+  const struct {
+    const char* name;
+    const core::Generated& g;
+    tech::Tech t;
+    std::uint64_t want;
+  } cases[] = {
+      {"small", small_macro(), small_spec().resolved_technology(),
+       0xd5261ac249063b87ull},
+      {"quickstart", quickstart_macro(),
+       quickstart_spec().resolved_technology(), 0x73c628f84d36e8dcull},
+  };
+  for (const char* threads : {"1", "2", "8"}) {
+    ASSERT_EQ(setenv("BISRAM_THREADS", threads, 1), 0);
+    for (const auto& c : cases) {
+      const std::string tag =
+          std::string(c.name) + " BISRAM_THREADS=" + threads;
+      const geom::LayoutDB db(*c.g.top, drc::tile_size_for(c.t));
+      EXPECT_EQ(digest(extract::extract(db, c.t)), c.want) << tag;
+      const extract::IncrementalExtract inc(db, c.t);
+      EXPECT_EQ(digest(inc.result()), c.want) << tag << " incremental";
+    }
+  }
+  ASSERT_EQ(unsetenv("BISRAM_THREADS"), 0);
 }
 
 TEST(SignoffEquivalence, LvsVerdictsStableAcrossTileSizes) {
