@@ -1,12 +1,9 @@
 // Static timing signoff on the Fig. 6 module (4 K words x 128 bits,
 // 8 bits per column, 64 KB): build the macro access-path RC graph once,
-// then run the full per-endpoint analysis (arrival/slew propagation,
-// required times, K worst paths with provenance) across a worker-thread
-// sweep. The engine's determinism contract says the report is
-// bit-identical at every point of the sweep — only the wall clock moves
-// — and this harness verifies that on every run.
+// then time the full per-endpoint analysis (arrival/slew propagation,
+// required times, K worst paths with provenance).
 //
-// `--json [FILE]` emits the signoff and the thread-scaling table as a
+// `--json [FILE]` emits the signoff and the analysis time as a
 // machine-readable document instead of running the Google benchmarks;
 // CI regenerates the committed BENCH_timing.json from it.
 
@@ -20,8 +17,6 @@
 #include "sta/access_path.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
-#include "util/strings.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -52,11 +47,10 @@ const sta::TimingGraph& fig6_graph() {
   return g;
 }
 
-sta::AnalyzeOptions fig6_options(int threads) {
+sta::AnalyzeOptions fig6_options() {
   sta::AnalyzeOptions opt;
   opt.clock_period_s = fig6_spec().resolved_technology().timing.clock_period_s;
   opt.k_paths = 4;
-  opt.threads = threads;
   return opt;
 }
 
@@ -74,22 +68,19 @@ void write_doc(const char* prog, const JsonWriter& j, const std::string& path) {
   std::fclose(f);
 }
 
-/// One timed analysis at `threads`, repeated to damp scheduler noise;
-/// returns the best wall time and the rendered report for the
-/// bit-identity check.
-std::pair<double, std::string> timed_analysis(int threads, int repeats = 5) {
+/// The analysis wall time in ms, best of `repeats` to damp scheduler
+/// noise.
+double timed_analysis(int repeats = 5) {
   const sta::TimingGraph& g = fig6_graph();
-  const sta::AnalyzeOptions opt = fig6_options(threads);
+  const sta::AnalyzeOptions opt = fig6_options();
   double best_ms = 0;
-  std::string render;
   for (int i = 0; i < repeats; ++i) {
     const auto t0 = Clock::now();
-    const sta::StaReport rep = g.analyze(opt);
+    benchmark::DoNotOptimize(g.analyze(opt).wns_s);
     const double ms = ms_since(t0);
     if (i == 0 || ms < best_ms) best_ms = ms;
-    if (i == 0) render = rep.render();
   }
-  return {best_ms, render};
+  return best_ms;
 }
 
 void timing_json(const std::string& path) {
@@ -101,7 +92,7 @@ void timing_json(const std::string& path) {
 
   const sta::AccessTiming at =
       sta::analyze_access_path(t, fig6_spec().geometry(), 2.0,
-                               fig6_options(0));
+                               fig6_options());
 
   JsonWriter j;
   j.begin_object();
@@ -132,30 +123,12 @@ void timing_json(const std::string& path) {
   j.key("setup_clean").value(at.report.setup_clean());
   j.end_object();
 
-  const auto [ms1, render1] = timed_analysis(1);
-  j.key("threads").begin_array();
-  for (int threads : {1, 2, 4, 8}) {
-    const auto [ms, render] = threads == 1
-                                  ? std::pair<double, std::string>{ms1, render1}
-                                  : timed_analysis(threads);
-    j.begin_object();
-    j.key("threads").value(threads);
-    j.key("ms").value(ms);
-    j.key("endpoints_per_s")
-        .value(static_cast<double>(at.report.endpoint_count) / (ms * 1e-3));
-    j.key("speedup_vs_1").value(ms1 / ms);
-    const bool identical = render == render1;
-    j.key("report_identical").value(identical);
-    j.end_object();
-    if (render != render1) {
-      std::fprintf(stderr,
-                   "bench_timing: report at %d threads differs from the "
-                   "single-threaded report (determinism contract broken)\n",
-                   threads);
-      std::exit(1);
-    }
-  }
-  j.end_array();
+  const double ms = timed_analysis();
+  j.key("analysis").begin_object();
+  j.key("ms").value(ms);
+  j.key("endpoints_per_s")
+      .value(static_cast<double>(at.report.endpoint_count) / (ms * 1e-3));
+  j.end_object();
   j.end_object();
   write_doc("bench_timing", j, path);
 }
@@ -164,7 +137,7 @@ void print_timing() {
   const tech::Tech& t = fig6_spec().resolved_technology();
   const sta::AccessTiming at =
       sta::analyze_access_path(t, fig6_spec().geometry(), 2.0,
-                               fig6_options(0));
+                               fig6_options());
   std::printf("\n=== STA signoff: Fig. 6 module (4 K x 128, 64 KB) ===\n");
   std::printf("%s", at.report.render().c_str());
   std::printf(
@@ -174,21 +147,9 @@ void print_timing() {
       at.bitline_s * 1e9, at.senseamp_s * 1e9, at.write_s * 1e9,
       t.timing.clock_period_s * 1e9);
 
-  std::printf("\nthread scaling (bit-identical reports, best of 5):\n");
-  TextTable tab;
-  tab.header({"threads", "ms", "endpoints/s", "speedup", "identical"});
-  const auto [ms1, render1] = timed_analysis(1);
-  for (int threads : {1, 2, 4, 8}) {
-    const auto [ms, render] = threads == 1
-                                  ? std::pair<double, std::string>{ms1, render1}
-                                  : timed_analysis(threads);
-    tab.row({std::to_string(threads), strfmt("%.2f", ms),
-             strfmt("%.0f",
-                    static_cast<double>(at.report.endpoint_count) /
-                        (ms * 1e-3)),
-             strfmt("%.2fx", ms1 / ms), render == render1 ? "yes" : "NO"});
-  }
-  std::printf("%s", tab.render().c_str());
+  const double ms = timed_analysis();
+  std::printf("analysis %.2f ms (best of 5), %.0f endpoints/s\n", ms,
+              static_cast<double>(at.report.endpoint_count) / (ms * 1e-3));
 }
 
 void BM_BuildAccessGraph(benchmark::State& state) {
@@ -201,17 +162,10 @@ BENCHMARK(BM_BuildAccessGraph)->Unit(benchmark::kMillisecond);
 
 void BM_Analyze(benchmark::State& state) {
   const sta::TimingGraph& g = fig6_graph();
-  const sta::AnalyzeOptions opt =
-      fig6_options(static_cast<int>(state.range(0)));
+  const sta::AnalyzeOptions opt = fig6_options();
   for (auto _ : state) benchmark::DoNotOptimize(g.analyze(opt).wns_s);
 }
-BENCHMARK(BM_Analyze)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_Analyze)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
@@ -219,9 +173,9 @@ int main(int argc, char** argv) {
   bool json = false;
   std::string json_path;
   Cli cli("bench_timing",
-          "STA signoff and thread scaling on the Fig. 6 64 KB module.");
+          "STA signoff and analysis time on the Fig. 6 64 KB module.");
   cli.optional_value("--json", &json, &json_path,
-                     "emit the signoff and scaling table as JSON (to FILE "
+                     "emit the signoff and analysis time as JSON (to FILE "
                      "or stdout) and skip the benchmarks")
       .passthrough_prefix("--benchmark_");
   cli.parse(&argc, argv);

@@ -100,12 +100,10 @@ std::vector<SamplingRow> run_sampling_comparison(const CampaignSpec& spec,
 }
 
 /// One measured row of the kernel-throughput sweep: the same plain-MC
-/// yield campaign on the scalar reference model, the one-die packed
-/// kernel, and the SIMD die-batched packed engine.
+/// yield campaign on the scalar reference model and the packed kernel.
 struct ThroughputRow {
   const char* name;
   sim::SimKernel kernel;
-  int batch;
   std::int64_t die_sims;
   double seconds;
   double dies_per_sec() const {
@@ -125,12 +123,10 @@ std::vector<ThroughputRow> run_kernel_throughput(const CampaignSpec& spec) {
   struct Config {
     const char* name;
     sim::SimKernel kernel;
-    int batch;
   };
   const Config configs[] = {
-      {"scalar", sim::SimKernel::Scalar, 1},
-      {"packed", sim::SimKernel::Packed, 1},
-      {"simd_batched", sim::SimKernel::Packed, 64},
+      {"scalar", sim::SimKernel::Scalar},
+      {"packed", sim::SimKernel::Packed},
   };
   std::vector<ThroughputRow> rows;
   for (const Config& c : configs) {
@@ -144,13 +140,12 @@ std::vector<ThroughputRow> run_kernel_throughput(const CampaignSpec& spec) {
       s.trials = spec.trials > 400 ? spec.trials : 400;
     }
     s.kernel = c.kernel;
-    s.batch = c.batch;
     s.sampling.mode = sim::SamplingMode::Plain;
     const auto t0 = std::chrono::steady_clock::now();
     const auto r =
         models::bisr_yield_mc_with_bist(geo, 3.0, kIsAlpha, kIsGrowth, s);
-    rows.push_back(ThroughputRow{c.name, c.kernel, c.batch, r.value.die_sims,
-                                 seconds_since(t0)});
+    rows.push_back(
+        ThroughputRow{c.name, c.kernel, r.value.die_sims, seconds_since(t0)});
   }
   return rows;
 }
@@ -257,9 +252,9 @@ void print_sampling_sections(const CampaignSpec& spec, int wafer_dies,
       "===\n",
       simd_level_name(active_simd_level()));
   TextTable kt;
-  kt.header({"config", "kernel", "batch", "die sims", "seconds", "dies/sec"});
+  kt.header({"config", "kernel", "die sims", "seconds", "dies/sec"});
   for (const ThroughputRow& r : run_kernel_throughput(spec))
-    kt.row({r.name, sim::kernel_name(r.kernel), std::to_string(r.batch),
+    kt.row({r.name, sim::kernel_name(r.kernel),
             strfmt("%lld", static_cast<long long>(r.die_sims)),
             strfmt("%.3f", r.seconds), strfmt("%.0f", r.dies_per_sec())});
   std::printf("%s", kt.render().c_str());
@@ -420,8 +415,6 @@ void print_fig4_json(const CampaignSpec& spec, int wafer_dies,
     j.key("trials").value(mc.provenance.trials);
     j.key("packed_trials").value(mc.provenance.packed_trials);
     j.key("scalar_trials").value(mc.provenance.scalar_trials);
-    j.key("batch").value(mc.provenance.batch);
-    j.key("batched_trials").value(mc.provenance.batched_trials);
     j.key("strata").value(mc.provenance.strata);
     j.end_object();
     j.end_object();
@@ -459,8 +452,7 @@ void print_fig4_json(const CampaignSpec& spec, int wafer_dies,
     j.end_array();
     j.end_object();
   }
-  // Scalar vs packed vs SIMD-batched kernel throughput on the same
-  // plain-MC campaign — the batched engine's whole point is this row.
+  // Scalar vs packed kernel throughput on the same plain-MC campaign.
   {
     j.key("kernel_throughput").begin_object();
     j.key("simd_level").value(simd_level_name(active_simd_level()));
@@ -469,7 +461,6 @@ void print_fig4_json(const CampaignSpec& spec, int wafer_dies,
       j.begin_object();
       j.key("config").value(r.name);
       j.key("kernel").value(sim::kernel_name(r.kernel));
-      j.key("batch").value(r.batch);
       j.key("die_sims").value(r.die_sims);
       j.key("seconds").value(r.seconds);
       j.key("dies_per_sec").value(r.dies_per_sec());
@@ -604,8 +595,6 @@ int main(int argc, char** argv) {
       .value("--threads", &spec.threads,
              "worker threads (0 = BISRAM_THREADS or hardware)")
       .value("--kernel", &kernel, "simulation kernel: auto|packed|scalar", "K")
-      .value("--batch", &spec.batch,
-             "SIMD die-batch width for the MC campaigns (1 = unbatched)")
       .value("--wafer-dies", &wafer_dies,
              "dies for the wafer-scale streaming campaign (0 = skip)")
       .value("--deadline-ms", &wafer_opts.deadline_ms,

@@ -81,12 +81,8 @@ int main(int argc, char** argv) {
              "product-model address space")
       .value("--abstract-bpw", &options.micro.bpw, "product-model data width")
       .value("--threads", &threads,
-             "worker threads for the analyses (0 = BISRAM_THREADS or "
+             "worker threads for --microfaults (0 = BISRAM_THREADS or "
              "hardware)")
-      .value("--layout-cache", &options.layout_cache_dir,
-             "persist/reuse flattened-layout snapshots for the DRC stage "
-             "in this directory",
-             "DIR")
       .optional_value("--json", &want_json, &json_path,
                       "emit the unified JSON report (stdout or FILE)");
   cli.parse(&argc, argv);

@@ -2,32 +2,13 @@
 
 #include <utility>
 
+#include "geom/layout_db.hpp"
 #include "macro/macros.hpp"
-#include "util/checkpoint.hpp"
 #include "util/error.hpp"
 #include "util/math.hpp"
 #include "util/strings.hpp"
 
 namespace bisram::core {
-
-std::uint64_t layout_fingerprint(const RamSpec& spec, const tech::Tech& t) {
-  Fingerprint fp;
-  fp.mix_str("layout-db");  // domain separation from other cache keys
-  fp.mix(geom::kSnapshotVersion);
-  fp.mix(tech::fingerprint(t));
-  fp.mix(spec.words);
-  fp.mix_i64(spec.bpw);
-  fp.mix_i64(spec.bpc);
-  fp.mix_i64(spec.spare_rows);
-  fp.mix_f64(spec.gate_size);
-  fp.mix_i64(spec.strap_interval);
-  fp.mix_f64(spec.strap_width_lambda);
-  fp.mix_str(spec.test->name());
-  fp.mix_i64(spec.max_passes);
-  fp.mix(spec.johnson_backgrounds ? 1 : 0);
-  fp.mix_i64(drc::tile_size_for(t));
-  return fp.value();
-}
 
 // --- CompileCache -----------------------------------------------------------
 
@@ -194,30 +175,12 @@ Datasheet Compiler::datasheet(const RamSpec& spec, const tech::Tech& t,
   ds.rectangularity = a.plan.rectangularity;
 
   if (spec.run_drc) {
-    // One shared flatten for signoff-grade checks on the finished top —
-    // or, with a layout cache attached, the persisted snapshot of that
-    // exact flatten (the fingerprint covers every knob the flatten
-    // depends on, and the loader verifies the content hash).
-    std::unique_ptr<geom::LayoutDB> db;
-    if (layout_cache_ && layout_cache_->persistent()) {
-      const std::uint64_t key = layout_fingerprint(spec, t);
-      db = layout_cache_->load(key);
-      if (!db) {
-        db = std::make_unique<geom::LayoutDB>(*a.top, drc::tile_size_for(t));
-        layout_cache_->store(key, *db);
-      }
-    } else {
-      db = std::make_unique<geom::LayoutDB>(*a.top, drc::tile_size_for(t));
-    }
+    // One shared flatten for signoff-grade checks on the finished top.
+    const geom::LayoutDB db(*a.top, drc::tile_size_for(t));
     drc::DrcOptions drc_opt;
-    ds.drc_violations = drc::check(*db, t, drc_opt).size();
+    ds.drc_violations = drc::check(db, t, drc_opt).size();
   }
   return ds;
-}
-
-void Compiler::set_layout_cache(const std::string& dir) {
-  layout_cache_ =
-      dir.empty() ? nullptr : std::make_unique<geom::SnapshotCache>(dir);
 }
 
 Generated Compiler::run(const RamSpec& spec) {

@@ -38,24 +38,10 @@
 
 #include "core/bisramgen.hpp"
 #include "core/spec.hpp"
-#include "geom/layout_snapshot.hpp"
 #include "sta/leaf.hpp"
 #include "tech/tech.hpp"
 
 namespace bisram::core {
-
-/// The snapshot-cache key for a spec's flattened top-level layout: a
-/// fingerprint of everything the flatten is a deterministic function of
-/// — the resolved deck (by tech::fingerprint, never by name), every
-/// geometry-shaping spec knob (words/bpw/bpc/spares, gate size, strap
-/// plan, test program and pass budget, which size the TRPLA and STREG
-/// macros), the DRC tile size the database is built with, and the
-/// snapshot format version (bumping geom::kSnapshotVersion orphans
-/// stale entries wholesale). Specs that cannot produce byte-identical
-/// databases cannot collide except by hash accident, which the loader's
-/// content-hash check turns into a rejected (re-flattened) entry rather
-/// than wrong geometry.
-std::uint64_t layout_fingerprint(const RamSpec& spec, const tech::Tech& t);
 
 /// Thread-safe cache of deck-pure intermediates, shared between any
 /// number of concurrent Compiler sessions. Keys are deck *fingerprints*
@@ -150,21 +136,9 @@ class Compiler {
 
   /// Stage 4: the datasheet for an assembled module — areas from the
   /// assembly, timing through the shared leaf library, power and test
-  /// length; runs DRC when spec.run_drc is set. With a layout cache
-  /// attached, the DRC-grade flatten is served from (and published to)
-  /// the snapshot directory, keyed by layout_fingerprint().
+  /// length; runs DRC when spec.run_drc is set.
   Datasheet datasheet(const RamSpec& spec, const tech::Tech& t,
                       const Assembled& a);
-
-  /// Attaches a persistent snapshot directory for the DRC-grade layout
-  /// databases datasheet() builds. A warm entry skips the hierarchy
-  /// flatten entirely; a missing/stale/corrupt entry is re-flattened
-  /// and re-stored. Empty dir detaches.
-  void set_layout_cache(const std::string& dir);
-  /// The attached cache (null when none): stats for sweep reporting.
-  const geom::SnapshotCache* layout_cache() const {
-    return layout_cache_.get();
-  }
 
   /// All four stages: exactly what core::generate(spec) has always
   /// returned, but sharing this session's cache and deck ownership.
@@ -173,7 +147,6 @@ class Compiler {
  private:
   std::shared_ptr<CompileCache> cache_;
   std::vector<std::shared_ptr<const tech::Tech>> owned_decks_;
-  std::unique_ptr<geom::SnapshotCache> layout_cache_;
 };
 
 }  // namespace bisram::core

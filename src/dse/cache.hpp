@@ -7,8 +7,9 @@
 // measure.
 //
 // The format and its failure behavior are inherited wholesale from
-// util/checkpoint.hpp: entries are written atomically (tmp + fsync +
-// rename) and validated on load (magic, version, CRC32, fingerprint).
+// util/checkpoint.hpp: entries are written atomically (publish_atomic:
+// unique temp file + fsync + rename) and validated on load (magic,
+// version, CRC32, fingerprint).
 // A corrupt, truncated, version-skewed or wrong-fingerprint entry is a
 // *miss*, never an error: load() swallows the reader's typed exception,
 // counts a rejection, and the engine recomputes and rewrites the entry.
@@ -24,9 +25,13 @@
 
 namespace bisram::dse {
 
-/// A directory of per-point result entries. Thread-safe: load() and
-/// store() on distinct fingerprints are independent files, and the
-/// engine never issues two stores of the same fingerprint in one run.
+/// A directory of per-point result entries. Thread-safe, and safe
+/// across processes sharing one directory: load() and store() on
+/// distinct fingerprints are independent files, and concurrent stores
+/// of one fingerprint — equal lattice points in one sweep, or two
+/// sweeps over one directory — each publish a whole entry through
+/// their own temp file, so the last rename wins and a load never sees
+/// a torn one.
 class ResultCache {
  public:
   /// Opens (and creates, including one parent level) the cache

@@ -5,7 +5,6 @@
 
 #include "core/compiler.hpp"
 #include "dse/cache.hpp"
-#include "geom/layout_snapshot.hpp"
 #include "dse/pareto.hpp"
 #include "sta/leaf.hpp"
 #include "util/error.hpp"
@@ -70,8 +69,6 @@ SweepResult run_sweep(const SweepSpec& sweep, const RunOptions& opt) {
   auto compile_cache = std::make_shared<core::CompileCache>();
   std::atomic<std::uint64_t> full_compiles{0};
   std::atomic<std::uint64_t> invalid{0};
-  std::atomic<std::uint64_t> layout_hits{0};
-  std::atomic<std::uint64_t> layout_stores{0};
   const std::uint64_t chars_before = sta::characterization_count();
 
   // chunk = 1: a lattice point is a full compile — coarse enough that
@@ -101,17 +98,10 @@ SweepResult run_sweep(const SweepSpec& sweep, const RunOptions& opt) {
         }
         try {
           core::Compiler session(compile_cache);
-          if (!opt.cache_dir.empty())
-            session.set_layout_cache(opt.cache_dir + "/layouts");
           const tech::Tech& t = session.resolve_tech(pr.spec);
           const core::Assembled a = session.assemble(pr.spec, t);
           const core::Datasheet ds = session.datasheet(pr.spec, t, a);
           full_compiles.fetch_add(1, std::memory_order_relaxed);
-          if (const geom::SnapshotCache* sc = session.layout_cache()) {
-            const geom::SnapshotCache::Stats ss = sc->stats();
-            layout_hits.fetch_add(ss.hits, std::memory_order_relaxed);
-            layout_stores.fetch_add(ss.stores, std::memory_order_relaxed);
-          }
           pr.metrics = models::evaluate_design(eval_inputs(ds), sweep.eval);
         } catch (const Error& e) {
           // A corner that passes validate() but trips the generator or
@@ -146,8 +136,6 @@ SweepResult run_sweep(const SweepSpec& sweep, const RunOptions& opt) {
   res.stats.cache_misses = cs.misses;
   res.stats.cache_rejected = cs.rejected;
   res.stats.full_compiles = full_compiles.load();
-  res.stats.layout_snapshot_hits = layout_hits.load();
-  res.stats.layout_snapshot_stores = layout_stores.load();
   res.stats.characterizations = sta::characterization_count() - chars_before;
   const core::CompileCache::Stats ls = compile_cache->stats();
   res.stats.leaf_lookups = ls.leaf_lookups;
@@ -185,8 +173,6 @@ std::string SweepResult::json(bool include_all_points) const {
   j.key("characterizations").value(stats.characterizations);
   j.key("leaf_lookups").value(stats.leaf_lookups);
   j.key("leaf_misses").value(stats.leaf_misses);
-  j.key("layout_snapshot_hits").value(stats.layout_snapshot_hits);
-  j.key("layout_snapshot_stores").value(stats.layout_snapshot_stores);
   j.end_object();
   j.key("frontier").begin_array();
   for (std::size_t i : frontier) point_json(j, points[i]);

@@ -60,12 +60,6 @@ struct SweepStats {
   std::uint64_t characterizations = 0;  ///< sta characterization runs
   std::uint64_t leaf_lookups = 0;    ///< CompileCache leaf requests
   std::uint64_t leaf_misses = 0;
-  /// LayoutDB snapshot-cache traffic (only non-zero when the sweep's
-  /// base spec has run_drc set and a cache_dir is configured): hits are
-  /// DRC-grade flattens served from disk, stores are cold flattens
-  /// published for the next run.
-  std::uint64_t layout_snapshot_hits = 0;
-  std::uint64_t layout_snapshot_stores = 0;
   Termination termination = Termination::Completed;
 };
 
@@ -88,10 +82,8 @@ struct SweepResult {
 };
 
 struct RunOptions {
-  /// Persistent cache root; empty = in-memory only. Holds the
-  /// DesignMetrics ResultCache entries, plus (under `<dir>/layouts`)
-  /// the LayoutDB snapshot cache that serves DRC-grade flattens for
-  /// sweeps whose base spec enables run_drc.
+  /// Persistent cache root holding the DesignMetrics ResultCache
+  /// entries; empty = in-memory only.
   std::string cache_dir;
   int threads = 0;        ///< 0 = BISRAM_THREADS / hardware
   const CancelToken* cancel = nullptr;

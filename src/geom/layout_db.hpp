@@ -25,10 +25,8 @@
 //     the incremental DRC / extraction re-verification.
 //   * save_snapshot()/load_snapshot() persist the flattened database as
 //     a compact, versioned, CRC-protected binary file (format in
-//     layout_snapshot.cpp), so a warm run loads the flatten instead of
-//     recomputing it. geom::SnapshotCache (layout_snapshot.hpp) keys
-//     snapshot files by content-hash fingerprints for the compiler, the
-//     DSE engine and bisram_lint.
+//     layout_snapshot.hpp), so an edit session reopens the flatten
+//     instead of rebuilding the hierarchy.
 //
 // Contracts:
 //   * Shape order. Per layer, shapes are stored in the exact order the
@@ -306,13 +304,13 @@ class LayoutDB {
 
   /// Content fingerprint over everything the database stores (shapes,
   /// provenance tree, ports, tile size). Equal databases hash equal;
-  /// SnapshotCache and the save/load round-trip tests key on this.
+  /// the snapshot loader and the save/load round-trip tests key on this.
   std::uint64_t content_hash() const;
 
-  // --- snapshots (format + cache in layout_snapshot.{hpp,cpp}) --------------
+  // --- snapshots (format in layout_snapshot.{hpp,cpp}) ----------------------
   /// Writes the versioned, CRC-protected binary snapshot atomically
-  /// (tmp + fsync + rename, the util/checkpoint discipline). Throws
-  /// bisram::Error on I/O failure.
+  /// (util/checkpoint's publish_atomic). Throws bisram::Error on I/O
+  /// failure.
   void save_snapshot(const std::string& path) const;
 
   /// Loads a snapshot without re-flattening any hierarchy. Follows the

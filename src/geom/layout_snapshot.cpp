@@ -1,10 +1,5 @@
 #include "geom/layout_snapshot.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -331,47 +326,9 @@ void LayoutDB::save_snapshot(const std::string& path) const {
   doc += payload;
   put_u32(doc, crc32(doc.data(), doc.size()));
 
-  // Atomic, durable publish — same discipline as util/checkpoint: a
-  // crash at any instant leaves the previous snapshot or the new one,
+  // A crash at any instant leaves the previous snapshot or the new one,
   // never a torn file.
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0)
-    throw Error(strfmt("layout snapshot: cannot create '%s': %s", tmp.c_str(),
-                       std::strerror(errno)));
-  std::size_t off = 0;
-  bool ok = true;
-  while (ok && off < doc.size()) {
-    const ssize_t wrote = ::write(fd, doc.data() + off, doc.size() - off);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      ok = false;
-    } else {
-      off += static_cast<std::size_t>(wrote);
-    }
-  }
-  if (ok && ::fsync(fd) != 0) ok = false;
-  const int saved_errno = errno;
-  ::close(fd);
-  if (!ok) {
-    ::unlink(tmp.c_str());
-    throw Error(strfmt("layout snapshot: cannot write '%s': %s", tmp.c_str(),
-                       std::strerror(saved_errno)));
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int e = errno;
-    ::unlink(tmp.c_str());
-    throw Error(strfmt("layout snapshot: cannot publish '%s': %s",
-                       path.c_str(), std::strerror(e)));
-  }
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? std::string(".") : path.substr(0, slash + 1);
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
+  publish_atomic(path, doc, "layout snapshot");
 }
 
 namespace {
@@ -448,69 +405,6 @@ std::unique_ptr<LayoutDB> LayoutDB::load_snapshot(const std::string& path,
   auto db = load_snapshot_impl(path, local);
   if (!db) local.throw_if_errors();
   return db;
-}
-
-// --- SnapshotCache -----------------------------------------------------------
-
-namespace {
-
-/// mkdir -p for the (at most two-level) cache path; EEXIST is success.
-void ensure_dir(const std::string& dir) {
-  const std::size_t slash = dir.find_last_of('/');
-  if (slash != std::string::npos && slash > 0)
-    ::mkdir(dir.substr(0, slash).c_str(), 0755);
-  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST)
-    throw Error(strfmt("layout cache: cannot create '%s': %s", dir.c_str(),
-                       std::strerror(errno)));
-}
-
-}  // namespace
-
-SnapshotCache::SnapshotCache(std::string dir) : dir_(std::move(dir)) {
-  if (!dir_.empty()) ensure_dir(dir_);
-}
-
-std::string SnapshotCache::entry_path(std::uint64_t key) const {
-  return strfmt("%s/layout-%016llx.snap", dir_.c_str(),
-                static_cast<unsigned long long>(key));
-}
-
-std::unique_ptr<LayoutDB> SnapshotCache::load(std::uint64_t key) const {
-  if (dir_.empty()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  const std::string path = entry_path(key);
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  // A present-but-invalid entry is a miss, never an error: the caller
-  // re-flattens and store() repairs the entry.
-  DiagEngine diag(path);
-  auto db = LayoutDB::load_snapshot(path, &diag);
-  if (!db) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return db;
-}
-
-void SnapshotCache::store(std::uint64_t key, const LayoutDB& db) const {
-  if (dir_.empty()) return;
-  db.save_snapshot(entry_path(key));
-  stores_.fetch_add(1, std::memory_order_relaxed);
-}
-
-SnapshotCache::Stats SnapshotCache::stats() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.stores = stores_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace bisram::geom

@@ -1,8 +1,8 @@
 #pragma once
 // LayoutDB binary snapshots: the persistence layer behind
-// LayoutDB::save_snapshot / load_snapshot, plus the content-hash-keyed
-// SnapshotCache directory that the compiler, the DSE engine and
-// bisram_lint use to skip the hierarchy flatten on warm runs.
+// LayoutDB::save_snapshot / load_snapshot. The edit -> re-signoff flow
+// reopens a flattened macro from one of these files instead of
+// rebuilding the hierarchy.
 //
 // File format (all integers little-endian; framing follows
 // util/checkpoint.hpp):
@@ -12,7 +12,7 @@
 //   8       4     format version (u32, currently 1)
 //   12      4     reserved (0)
 //   16      8     content hash (u64) — LayoutDB::content_hash() of the
-//                 serialized database; doubles as the cache key
+//                 serialized database
 //   24      8     payload byte count (u64)
 //   32      n     payload (below)
 //   32+n    4     CRC32 (polynomial 0xEDB88320) over bytes [0, 32+n)
@@ -67,10 +67,7 @@
 // through the fuzz harness; the loader must reject every one without
 // crashing (ASan-clean).
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <string>
 
 #include "geom/layout_db.hpp"
 
@@ -78,46 +75,5 @@ namespace bisram::geom {
 
 /// Current snapshot format version (header field at offset 8).
 inline constexpr std::uint32_t kSnapshotVersion = 1;
-
-/// A directory of LayoutDB snapshots keyed by u64 fingerprints
-/// (typically a hash of everything the flatten depends on — see
-/// core::Compiler's layout fingerprint). Same contract as
-/// dse::ResultCache: load() never throws — a missing, corrupt,
-/// truncated or version-skewed entry is a miss (counted in
-/// stats().rejected when a file was present) and the caller re-flattens
-/// and re-stores. An empty directory path disables persistence.
-class SnapshotCache {
- public:
-  explicit SnapshotCache(std::string dir);
-
-  bool persistent() const { return !dir_.empty(); }
-  const std::string& dir() const { return dir_; }
-
-  /// The snapshot for `key`, or null on miss/rejection.
-  std::unique_ptr<LayoutDB> load(std::uint64_t key) const;
-
-  /// Atomically publishes `db` as the entry for `key`. I/O failures
-  /// propagate (bisram::Error) — an unwritable cache directory is an
-  /// environment problem, unlike a stale entry.
-  void store(std::uint64_t key, const LayoutDB& db) const;
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;    ///< no entry on disk
-    std::uint64_t rejected = 0;  ///< entry present but failed validation
-    std::uint64_t stores = 0;
-  };
-  Stats stats() const;
-
-  /// The entry path for a key (tests corrupt entries in place).
-  std::string entry_path(std::uint64_t key) const;
-
- private:
-  std::string dir_;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  mutable std::atomic<std::uint64_t> rejected_{0};
-  mutable std::atomic<std::uint64_t> stores_{0};
-};
 
 }  // namespace bisram::geom

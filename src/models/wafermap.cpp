@@ -273,7 +273,7 @@ StreamCounts get_counts(CheckpointReader& r) {
 }
 
 /// Everything the wafer campaign's bit-exact result depends on. Thread
-/// count, kernel/batch (unused by die trials) and checkpoint cadence are
+/// count, kernel (unused by die trials) and checkpoint cadence are
 /// deliberately excluded: results are invariant to all of them, so a
 /// checkpoint written at one cadence/thread count resumes under another.
 std::uint64_t wafer_fingerprint(const WaferSpec& spec,
@@ -317,7 +317,6 @@ sim::CampaignResult<WaferCampaignStats> wafer_yield_campaign(
   out.provenance.threads = sim::resolve_campaign_threads(campaign);
   out.provenance.kernel = campaign.kernel;
   out.provenance.sampling = campaign.sampling.mode;
-  out.provenance.batch = campaign.batch;
   out.value.dies = campaign.trials;
   out.value.dies_per_wafer = usable_dies(spec);
 

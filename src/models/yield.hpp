@@ -91,12 +91,11 @@ struct BisrYieldMc {
   std::int64_t die_sims = 0;
 };
 
-/// Unified-campaign form: trials, seed, threads, simulation kernel,
-/// SIMD die-batch width and defect-count sampling mode all come from
-/// `spec`. Every sampled fault is a stuck-at cell fault, so under
-/// SimKernel::Auto all trials run on the bit-plane packed kernel
-/// (sim/packed_ram.hpp); results are bit-identical to the scalar path
-/// for every kernel, thread count and batch width.
+/// Unified-campaign form: trials, seed, threads, simulation kernel and
+/// defect-count sampling mode all come from `spec`. Every sampled fault
+/// is a stuck-at cell fault, so under SimKernel::Auto all trials run on
+/// the bit-plane packed kernel (sim/packed_ram.hpp); results are
+/// bit-identical to the scalar path for every kernel and thread count.
 ///
 /// Sampling modes (sim/importance.hpp): Plain draws K ~ NegBin per trial
 /// and simulates every die; Stratified resolves the K = 0 stratum

@@ -67,10 +67,6 @@ const std::uint64_t* PackedPatternTable::pattern(int ones,
 }
 
 PackedRam::PackedRam(const RamGeometry& geo, const std::vector<Fault>& faults)
-    : PackedRam(geo, faults, nullptr) {}
-
-PackedRam::PackedRam(const RamGeometry& geo, const std::vector<Fault>& faults,
-                     const PackedPatternTable* patterns)
     : geo_([&] {
         geo.validate();
         return geo;
@@ -80,12 +76,9 @@ PackedRam::PackedRam(const RamGeometry& geo, const std::vector<Fault>& faults,
                   static_cast<std::size_t>(pw_),
               0),
       write_mask_(planes_.size(), 0),
-      owned_patterns_(patterns ? nullptr : new PackedPatternTable(geo_)),
-      patterns_(patterns ? patterns : owned_patterns_.get()),
+      patterns_(geo_),
       faults_(faults),
       tlb_(std::max(1, geo_.spare_words())) {
-  require(patterns_->words_per_die() == planes_.size(),
-          "PackedRam: pattern table geometry mismatch");
   const int rows = geo_.rows();
   const int total_rows = geo_.total_rows();
   const int cols = geo_.cols();
@@ -158,13 +151,13 @@ void PackedRam::kernel_write(int ones, bool complemented) {
   // One masked stream assign over the whole plane buffer; the SIMD
   // dispatch (util/simd.hpp) is bit-identical to the historical
   // per-column scalar splat loop.
-  simd::masked_assign(planes_.data(), patterns_->pattern(ones, complemented),
+  simd::masked_assign(planes_.data(), patterns_.pattern(ones, complemented),
                       write_mask_.data(), planes_.size());
 }
 
 bool PackedRam::kernel_read_clean(int ones, bool complemented) const {
   return simd::masked_diff(planes_.data(),
-                           patterns_->pattern(ones, complemented),
+                           patterns_.pattern(ones, complemented),
                            write_mask_.data(), planes_.size()) == 0;
 }
 
@@ -382,172 +375,6 @@ BistResult run_bist(const RamGeometry& geo, const std::vector<Fault>& faults,
   for (const Fault& f : faults) ram.array().inject(f);
   if (kernel_used) *kernel_used = SimKernel::Scalar;
   return BistEngine(ram, config).run();
-}
-
-namespace {
-
-/// The lockstep core of run_bist_batch: mirrors PackedBistEngine pass
-/// for pass, but advances every live die through each march op before
-/// moving on, so the bulk kernels stream all dies' plane segments back
-/// to back. Per-die ordering is untouched (dies are independent), which
-/// is why each die's outcome is bit-identical to its single-die run.
-class BatchBistEngine {
- public:
-  BatchBistEngine(std::vector<PackedRam>& dies, const BistConfig& config)
-      : dies_(dies), config_(config) {
-    require(config_.test != nullptr, "BatchBistEngine: null march test");
-    require(config_.max_passes >= 2,
-            "BatchBistEngine: needs at least two passes");
-    results_.resize(dies_.size());
-    done_.assign(dies_.size(), 0);
-    aborted_.assign(dies_.size(), 0);
-  }
-
-  /// Runs the flow; aborted()[i] marks dies that must rerun scalar.
-  void run() {
-    for (int pass = 1; pass <= config_.max_passes; ++pass) {
-      if (!live_dies()) break;
-      run_pass(pass);
-      for (std::size_t i = 0; i < dies_.size(); ++i) {
-        if (done_[i] || aborted_[i]) continue;
-        BistResult& r = results_[i];
-        ++r.passes_run;
-        if (pass == 1) r.pass1_clean = clean_[i] != 0;
-        r.spares_used = dies_[i].tlb().used();
-        if (clean_[i]) {
-          r.repair_successful = true;
-          done_[i] = 1;
-        } else if (r.tlb_overflow) {
-          done_[i] = 1;
-        }
-      }
-    }
-    for (PackedRam& die : dies_) die.set_repair_enabled(true);
-  }
-
-  const std::vector<BistResult>& results() const { return results_; }
-  const std::vector<std::uint8_t>& aborted() const { return aborted_; }
-
- private:
-  bool live_dies() const {
-    for (std::size_t i = 0; i < dies_.size(); ++i)
-      if (!done_[i] && !aborted_[i]) return true;
-    return false;
-  }
-
-  void run_pass(int pass) {
-    const march::MarchTest& test = *config_.test;
-    const RamGeometry& geo = dies_.front().geometry();
-    clean_.assign(dies_.size(), 1);
-    for (std::size_t i = 0; i < dies_.size(); ++i)
-      if (!done_[i] && !aborted_[i]) dies_[i].set_repair_enabled(pass >= 2);
-
-    int ones = 0;
-    const int backgrounds = config_.johnson_backgrounds ? geo.bpw + 1 : 1;
-    for (int bg = 0; bg < backgrounds; ++bg) {
-      for (const auto& element : test.elements()) {
-        if (element.is_delay) continue;
-
-        // Bulk cells, op-major across the whole batch: every live die's
-        // masked splat/compare for this op runs before the next op.
-        for (march::Op op : element.ops) {
-          const bool v = march::op_value(op);
-          for (std::size_t i = 0; i < dies_.size(); ++i) {
-            if (done_[i] || aborted_[i]) continue;
-            results_[i].cycles += geo.words;
-            if (!march::is_read(op)) {
-              dies_[i].kernel_write(ones, v);
-            } else if (!dies_[i].kernel_read_clean(ones, v)) {
-              aborted_[i] = 1;  // bulk invariant broke: rerun scalar
-            }
-          }
-        }
-
-        // Special addresses, die-major: each die's cell-exact sweep in
-        // the exact order of the single-die engine.
-        for (std::size_t i = 0; i < dies_.size(); ++i) {
-          if (done_[i] || aborted_[i]) continue;
-          PackedRam& die = dies_[i];
-          const auto& specials = die.special_addresses();
-          const std::size_t n = specials.size();
-          const bool up = march::ascending(element.order);
-          for (std::size_t s = 0; s < n; ++s) {
-            const std::uint32_t addr = specials[up ? s : n - 1 - s];
-            for (march::Op op : element.ops) {
-              const bool v = march::op_value(op);
-              if (!march::is_read(op)) {
-                die.write_word_exact(addr, ones, v);
-                continue;
-              }
-              if (die.read_word_matches(addr, ones, v)) continue;
-              clean_[i] = 0;
-              const auto spare =
-                  die.tlb().record(addr, /*force_new=*/pass >= 2);
-              if (!spare) results_[i].tlb_overflow = true;
-            }
-          }
-        }
-      }
-      if (config_.johnson_backgrounds && ones < geo.bpw) ++ones;
-    }
-  }
-
-  std::vector<PackedRam>& dies_;
-  BistConfig config_;
-  std::vector<BistResult> results_;
-  std::vector<std::uint8_t> done_, aborted_;
-  std::vector<std::uint8_t> clean_;
-};
-
-}  // namespace
-
-std::vector<BistResult> run_bist_batch(
-    const RamGeometry& geo, const std::vector<std::vector<Fault>>& fault_lists,
-    const BistConfig& config, SimKernel kernel,
-    std::vector<SimKernel>* kernels_used) {
-  std::vector<BistResult> results(fault_lists.size());
-  std::vector<SimKernel> used(fault_lists.size(), SimKernel::Scalar);
-  if (fault_lists.empty()) {
-    if (kernels_used) kernels_used->clear();
-    return results;
-  }
-
-  // Partition the batch: overlay-expressible dies run lockstep on the
-  // bit-plane engine, the rest go straight to the scalar model.
-  std::vector<std::size_t> batched;
-  for (std::size_t i = 0; i < fault_lists.size(); ++i) {
-    const bool expressible = packed_supported(fault_lists[i]);
-    if (kernel == SimKernel::Packed)
-      require(expressible,
-              "run_bist_batch: fault list contains kinds the packed kernel "
-              "cannot express as overlays (StuckOpen/Retention) — use Auto "
-              "or Scalar");
-    if (kernel != SimKernel::Scalar && expressible) batched.push_back(i);
-  }
-
-  if (!batched.empty()) {
-    const PackedPatternTable patterns(geo);
-    std::vector<PackedRam> dies;
-    dies.reserve(batched.size());
-    for (std::size_t i : batched)
-      dies.emplace_back(geo, fault_lists[i], &patterns);
-    BatchBistEngine engine(dies, config);
-    engine.run();
-    for (std::size_t b = 0; b < batched.size(); ++b) {
-      if (engine.aborted()[b]) continue;  // falls through to the scalar rerun
-      results[batched[b]] = engine.results()[b];
-      used[batched[b]] = SimKernel::Packed;
-    }
-  }
-
-  for (std::size_t i = 0; i < fault_lists.size(); ++i) {
-    if (used[i] == SimKernel::Packed) continue;
-    RamModel ram(geo);
-    for (const Fault& f : fault_lists[i]) ram.array().inject(f);
-    results[i] = BistEngine(ram, config).run();
-  }
-  if (kernels_used) *kernels_used = std::move(used);
-  return results;
 }
 
 }  // namespace bisram::sim

@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "util/parallel.hpp"
 #include "util/strings.hpp"
 
 namespace bisram::sta {
@@ -274,90 +273,66 @@ StaReport TimingGraph::analyze(const AnalyzeOptions& options) const {
   report.endpoint_count = endpoints.size();
   report.max_arrival_s = max_arrival;
 
-  // Per-endpoint slack rows, each written into its own pre-allocated
-  // slot — the canonical sort below fixes the order regardless of which
-  // thread filled which slot.
-  report.endpoints.resize(endpoints.size());
-  parallel_for(
-      static_cast<std::int64_t>(endpoints.size()), 16,
-      [&](std::int64_t i) {
-        const int e = endpoints[static_cast<std::size_t>(i)];
-        const std::size_t se = static_cast<std::size_t>(e);
-        EndpointSlack& row = report.endpoints[static_cast<std::size_t>(i)];
-        row.name = nodes_[se].name;
-        row.arrival_s = arrival[se];
-        row.slew_s = slew[se];
-        row.required_s = req_at_endpoint;
-        row.slack_s = req_at_endpoint - arrival[se];
-      },
-      options.threads);
-  std::sort(report.endpoints.begin(), report.endpoints.end(),
-            [](const EndpointSlack& a, const EndpointSlack& b) {
-              if (a.slack_s != b.slack_s) return a.slack_s < b.slack_s;
-              return a.name < b.name;
-            });
+  // Endpoints in canonical (slack, name) order; the slack rows and the
+  // worst-path traces are both built from these sorted ids.
+  std::sort(endpoints.begin(), endpoints.end(), [&](int a, int b) {
+    const double sa = req_at_endpoint - arrival[static_cast<std::size_t>(a)];
+    const double sb = req_at_endpoint - arrival[static_cast<std::size_t>(b)];
+    if (sa != sb) return sa < sb;
+    const std::string& na = nodes_[static_cast<std::size_t>(a)].name;
+    const std::string& nb = nodes_[static_cast<std::size_t>(b)].name;
+    if (na != nb) return na < nb;
+    return a < b;
+  });
+  report.endpoints.reserve(endpoints.size());
+  for (const int e : endpoints) {
+    const std::size_t se = static_cast<std::size_t>(e);
+    EndpointSlack row;
+    row.name = nodes_[se].name;
+    row.arrival_s = arrival[se];
+    row.slew_s = slew[se];
+    row.required_s = req_at_endpoint;
+    row.slack_s = req_at_endpoint - arrival[se];
+    report.endpoints.push_back(std::move(row));
+  }
 
-  // Serial, canonical-order accumulation: bit-identical at any thread
-  // count.
   report.wns_s = report.endpoints.front().slack_s;
   for (const EndpointSlack& row : report.endpoints)
     if (row.slack_s < 0) report.tns_s += row.slack_s;
 
   // K worst paths: trace the predecessor chain of the K worst endpoints.
-  // Each trace writes its own slot; endpoint ids are looked up from the
-  // already-sorted rows, so the set and order are canonical.
   const std::size_t k = std::min<std::size_t>(
       options.k_paths < 0 ? 0 : static_cast<std::size_t>(options.k_paths),
       report.endpoints.size());
-  std::vector<int> id_by_name(n);
-  for (std::size_t i = 0; i < n; ++i) id_by_name[i] = static_cast<int>(i);
-  std::sort(id_by_name.begin(), id_by_name.end(), [&](int a, int b) {
-    return nodes_[static_cast<std::size_t>(a)].name <
-           nodes_[static_cast<std::size_t>(b)].name;
-  });
-  auto node_by_name = [&](const std::string& name) {
-    auto it = std::lower_bound(
-        id_by_name.begin(), id_by_name.end(), name, [&](int a, const std::string& s) {
-          return nodes_[static_cast<std::size_t>(a)].name < s;
-        });
-    ensure(it != id_by_name.end() &&
-               nodes_[static_cast<std::size_t>(*it)].name == name,
-           "sta: endpoint lookup failed");
-    return *it;
-  };
   report.worst_paths.resize(k);
-  parallel_for(
-      static_cast<std::int64_t>(k), 1,
-      [&](std::int64_t i) {
-        const EndpointSlack& row = report.endpoints[static_cast<std::size_t>(i)];
-        const int e = node_by_name(row.name);
-        CriticalPath& path = report.worst_paths[static_cast<std::size_t>(i)];
-        path.endpoint = row.name;
-        path.arrival_s = row.arrival_s;
-        path.required_s = row.required_s;
-        path.slack_s = row.slack_s;
-        // Walk the predecessor chain back to the launch node, then
-        // reverse into source-to-endpoint order.
-        std::vector<PathStep> rev;
-        int u = e;
-        while (true) {
-          const std::size_t su = static_cast<std::size_t>(u);
-          PathStep step;
-          step.node = nodes_[su].name;
-          step.arrival_s = arrival[su];
-          if (pred[su] < 0) {
-            rev.push_back(std::move(step));
-            break;
-          }
-          const Arc& a = arcs_[static_cast<std::size_t>(pred[su])];
-          step.tag = a.tag;
-          step.incr_s = arc_delay[static_cast<std::size_t>(pred[su])];
-          rev.push_back(std::move(step));
-          u = a.from;
-        }
-        path.steps.assign(rev.rbegin(), rev.rend());
-      },
-      options.threads);
+  for (std::size_t i = 0; i < k; ++i) {
+    const EndpointSlack& row = report.endpoints[i];
+    CriticalPath& path = report.worst_paths[i];
+    path.endpoint = row.name;
+    path.arrival_s = row.arrival_s;
+    path.required_s = row.required_s;
+    path.slack_s = row.slack_s;
+    // Walk the predecessor chain back to the launch node, then reverse
+    // into source-to-endpoint order.
+    std::vector<PathStep> rev;
+    int u = endpoints[i];
+    while (true) {
+      const std::size_t su = static_cast<std::size_t>(u);
+      PathStep step;
+      step.node = nodes_[su].name;
+      step.arrival_s = arrival[su];
+      if (pred[su] < 0) {
+        rev.push_back(std::move(step));
+        break;
+      }
+      const Arc& a = arcs_[static_cast<std::size_t>(pred[su])];
+      step.tag = a.tag;
+      step.incr_s = arc_delay[static_cast<std::size_t>(pred[su])];
+      rev.push_back(std::move(step));
+      u = a.from;
+    }
+    path.steps.assign(rev.rbegin(), rev.rend());
+  }
 
   return report;
 }

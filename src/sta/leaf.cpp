@@ -79,7 +79,6 @@ double cell_sta_delay(const geom::Cell& cell, const tech::Tech& t,
   NetlistGraph built = from_extracted(ex, t, inputs, outputs);
   AnalyzeOptions opt;
   opt.k_paths = 1;
-  opt.threads = 1;  // leaf graphs are tiny; skip the pool
   return built.graph.analyze(opt).max_arrival_s;
 }
 

@@ -1,12 +1,14 @@
 #include "util/checkpoint.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -105,6 +107,49 @@ Fingerprint& Fingerprint::mix_str(const std::string& s) {
   return *this;
 }
 
+void publish_atomic(const std::string& path, const std::string& bytes,
+                    const char* what) {
+  // A unique temp name per call: a fixed "<path>.tmp" lets two writers
+  // of one path truncate each other's file and lose the second rename.
+  std::string tmp = path + ".XXXXXX";
+  const int fd = ::mkstemp(tmp.data());
+  if (fd < 0)
+    throw Error(strfmt("%s: cannot create '%s': %s", what, tmp.c_str(),
+                       std::strerror(errno)));
+  std::size_t off = 0;
+  bool ok = ::fchmod(fd, 0644) == 0;
+  while (ok && off < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ok = false;
+    } else {
+      off += static_cast<std::size_t>(n);
+    }
+  }
+  if (ok && ::fsync(fd) != 0) ok = false;
+  const int saved_errno = errno;
+  ::close(fd);
+  if (!ok) {
+    ::unlink(tmp.c_str());
+    throw Error(strfmt("%s: cannot write '%s': %s", what, tmp.c_str(),
+                       std::strerror(saved_errno)));
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int e = errno;
+    ::unlink(tmp.c_str());
+    throw Error(strfmt("%s: cannot publish '%s': %s", what, path.c_str(),
+                       std::strerror(e)));
+  }
+  // Durability of the rename itself; failure here is not fatal to
+  // correctness (the file content is valid either way).
+  const int dfd = ::open(dir_of(path).c_str(), O_RDONLY | O_DIRECTORY);
+  if (dfd >= 0) {
+    ::fsync(dfd);
+    ::close(dfd);
+  }
+}
+
 CheckpointWriter& CheckpointWriter::u64(std::uint64_t v) {
   put_u64(payload_, v);
   return *this;
@@ -130,46 +175,7 @@ void CheckpointWriter::save(const std::string& path) const {
   doc += payload_;
   put_u32(doc, crc32(doc.data(), doc.size()));
 
-  // Write-temp + fsync + rename + fsync(dir): atomic against crashes at
-  // any instant, and the temp name is per-target so concurrent campaigns
-  // checkpointing to different paths never collide.
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0)
-    throw Error(strfmt("checkpoint: cannot create '%s': %s", tmp.c_str(),
-                       std::strerror(errno)));
-  std::size_t off = 0;
-  bool ok = true;
-  while (ok && off < doc.size()) {
-    const ssize_t n = ::write(fd, doc.data() + off, doc.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ok = false;
-    } else {
-      off += static_cast<std::size_t>(n);
-    }
-  }
-  if (ok && ::fsync(fd) != 0) ok = false;
-  const int saved_errno = errno;
-  ::close(fd);
-  if (!ok) {
-    ::unlink(tmp.c_str());
-    throw Error(strfmt("checkpoint: cannot write '%s': %s", tmp.c_str(),
-                       std::strerror(saved_errno)));
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int e = errno;
-    ::unlink(tmp.c_str());
-    throw Error(strfmt("checkpoint: cannot publish '%s': %s", path.c_str(),
-                       std::strerror(e)));
-  }
-  // Durability of the rename itself; failure here is not fatal to
-  // correctness (the file content is valid either way).
-  const int dfd = ::open(dir_of(path).c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
+  publish_atomic(path, doc, "checkpoint");
 }
 
 CheckpointReader::CheckpointReader(const std::string& path,

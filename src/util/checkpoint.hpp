@@ -20,10 +20,10 @@
 //                 (f64 stored as IEEE-754 bit patterns — exact)
 //   32+n    4     CRC32 (polynomial 0xEDB88320) over bytes [0, 32+n)
 //
-// Writes are atomic and durable: the file is written to "<path>.tmp" in
-// the same directory, fsync'ed, renamed over <path>, and the directory
-// entry fsync'ed — a crash at any instant leaves either the previous
-// checkpoint or the new one, never a torn file. Readers validate magic,
+// Writes go through publish_atomic(): atomic and durable, so a crash at
+// any instant leaves either the previous checkpoint or the new one,
+// never a torn file, and writers racing on one path each publish a
+// whole file. Readers validate magic,
 // version, size, CRC and fingerprint before handing out a single payload
 // word, and every failure is a typed SpecError naming the file and the
 // exact reason (tests/test_checkpoint_resume.cpp exercises corrupted,
@@ -53,6 +53,18 @@ class Fingerprint {
   std::uint64_t h_ = 0x42495352414d4b50ULL;  // "BISRAMKP"
 };
 
+/// Atomic, durable publish of `bytes` to `path`. The bytes go to a
+/// unique temp file in the same directory (mkstemp "<path>.XXXXXX",
+/// mode 0644), which is fsync'ed, renamed over `path`, and then the
+/// directory entry is fsync'ed. Any number of writers, threads or
+/// processes, may publish the same path at once: each has its own temp
+/// file and rename is atomic, so `path` always holds one writer's
+/// complete bytes. Throws bisram::Error prefixed with `what` on any I/O
+/// failure; the temp file is unlinked on every error path and the
+/// previous file at `path` is never damaged.
+void publish_atomic(const std::string& path, const std::string& bytes,
+                    const char* what);
+
 /// Accumulates a payload, then publishes it atomically.
 class CheckpointWriter {
  public:
@@ -63,7 +75,7 @@ class CheckpointWriter {
   CheckpointWriter& i64(std::int64_t v);
   CheckpointWriter& f64(double v);
 
-  /// Atomic, durable publish to `path` (see header comment). Throws
+  /// Atomic, durable publish to `path` through publish_atomic(). Throws
   /// bisram::Error on any I/O failure; the previous checkpoint at `path`
   /// is never damaged.
   void save(const std::string& path) const;

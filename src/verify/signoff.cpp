@@ -5,7 +5,6 @@
 #include "cells/leaf_cells.hpp"
 #include "core/compiler.hpp"
 #include "drc/drc.hpp"
-#include "geom/layout_snapshot.hpp"
 #include "extract/erc.hpp"
 #include "extract/extract.hpp"
 #include "extract/lvs.hpp"
@@ -89,26 +88,9 @@ SignoffReport run_signoff(const core::RamSpec& spec,
   if (options.run_drc) {
     rep.drc_ran = true;
     // One flatten into the shared layout database; the checker runs its
-    // per-tile passes in parallel over it. With a snapshot directory
-    // configured, a warm entry for this spec's layout fingerprint
-    // replaces the flatten (the loader validates framing, CRC and
-    // content hash, so a stale or damaged entry degrades to a cold
-    // flatten, never to wrong geometry).
-    const geom::SnapshotCache snap_cache(options.layout_cache_dir);
-    std::unique_ptr<geom::LayoutDB> db;
-    if (snap_cache.persistent()) {
-      const std::uint64_t key = core::layout_fingerprint(spec, tech);
-      db = snap_cache.load(key);
-      rep.layout_from_snapshot = db != nullptr;
-      if (!db) {
-        db = std::make_unique<geom::LayoutDB>(*g.top,
-                                              drc::tile_size_for(tech));
-        snap_cache.store(key, *db);
-      }
-    } else {
-      db = std::make_unique<geom::LayoutDB>(*g.top, drc::tile_size_for(tech));
-    }
-    const auto violations = drc::check(*db, tech);
+    // per-tile passes in parallel over it.
+    const geom::LayoutDB db(*g.top, drc::tile_size_for(tech));
+    const auto violations = drc::check(db, tech);
     rep.drc_violations = violations.size();
     for (std::size_t i = 0;
          i < std::min(violations.size(), options.max_drc_details); ++i)
@@ -123,7 +105,6 @@ SignoffReport run_signoff(const core::RamSpec& spec,
     sta::AnalyzeOptions aopt;
     aopt.clock_period_s = tech.timing.clock_period_s;
     aopt.k_paths = options.timing_paths;
-    aopt.threads = options.threads;
     const sta::AccessTiming at =
         sta::analyze_access_path(tech, spec.geometry(), spec.gate_size, aopt);
     rep.timing = at.report;
@@ -161,8 +142,7 @@ std::string SignoffReport::render() const {
         static_cast<unsigned long long>(static_faults.max_worst_case_cycles));
   }
   if (drc_ran) {
-    s += strfmt("  DRC: %zu violation(s)%s\n", drc_violations,
-                layout_from_snapshot ? " (layout from snapshot cache)" : "");
+    s += strfmt("  DRC: %zu violation(s)\n", drc_violations);
     for (const auto& d : drc_details) s += "    " + d + "\n";
   } else {
     s += "  DRC: skipped\n";
@@ -271,7 +251,6 @@ std::string SignoffReport::json() const {
   j.key("ran").value(drc_ran);
   if (drc_ran) {
     j.key("violations").value(static_cast<std::int64_t>(drc_violations));
-    j.key("layout_from_snapshot").value(layout_from_snapshot);
     j.key("details").begin_array();
     for (const auto& d : drc_details) j.value(d);
     j.end_array();

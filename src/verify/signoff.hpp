@@ -40,12 +40,7 @@ struct SignoffOptions {
   int timing_paths = 4;
   /// DRC violation descriptions kept in the report (the count is exact).
   std::size_t max_drc_details = 10;
-  int threads = 0;  ///< fault_mode / timing; <= 0 means campaign_threads()
-  /// Persistent LayoutDB snapshot directory (geom::SnapshotCache).
-  /// When set, the DRC-grade flatten is loaded from the cache when a
-  /// valid entry exists for the spec's layout fingerprint and stored
-  /// after a cold flatten; empty disables persistence.
-  std::string layout_cache_dir;
+  int threads = 0;  ///< fault_mode; <= 0 means campaign_threads()
 };
 
 struct SignoffReport {
@@ -67,8 +62,6 @@ struct SignoffReport {
   bool drc_ran = false;
   std::size_t drc_violations = 0;
   std::vector<std::string> drc_details;
-  /// The checked layout came from the snapshot cache (no re-flatten).
-  bool layout_from_snapshot = false;
 
   bool erc_lvs_ran = false;
   std::vector<std::string> erc_lvs_details;  ///< empty when clean

@@ -8,17 +8,22 @@
 // on disk. The rejection half of the suite proves damaged checkpoint
 // files (truncated, bit-flipped, wrong version, wrong campaign, wrong
 // spec) are refused with a clean SpecError instead of resuming from
-// garbage.
+// garbage, and concurrent writers of one path each publish a whole
+// file.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "models/wafermap.hpp"
 #include "models/yield.hpp"
+#include "util/checkpoint.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -323,15 +328,45 @@ TEST(CheckpointRejection, WrongSpecOrCampaignFingerprint) {
   EXPECT_THROW(models::wafer_yield_campaign(wafer, missing), SpecError);
 }
 
-TEST(CheckpointRejection, BatchedEngineRefusesCheckpointing) {
-  // The SIMD die-batched engine has no chunk-aligned fold boundaries;
-  // asking it to checkpoint must fail loudly up front.
-  sim::CampaignSpec s{.trials = 2000, .seed = 7};
-  s.batch = 64;
-  s.checkpoint.path = scratch_path("batched");
-  EXPECT_THROW(
-      models::bisr_yield_mc_with_bist(small_geo(), 3.0, 2.0, 1.05, s),
-      SpecError);
+TEST(CheckpointPublish, ConcurrentWritersOfOnePathAllSucceed) {
+  // Equal DSE points, or two sweeps sharing a cache directory, publish
+  // one entry path at the same instant. Every publish must succeed, the
+  // file must always hold one writer's complete checkpoint, and no temp
+  // file may be left behind.
+  FileJanitor file(scratch_path("concurrent_publish"));
+  constexpr std::uint64_t kFingerprint = 0xC0FFEEULL;
+  constexpr int kWriters = 8;
+  constexpr int kRounds = 25;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w)
+    writers.emplace_back([&, w] {
+      for (int r = 0; r < kRounds; ++r) {
+        CheckpointWriter ck(kFingerprint);
+        ck.i64(w).i64(r);
+        try {
+          ck.save(file.path());
+        } catch (const Error&) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  CheckpointReader back(file.path(), kFingerprint);
+  const std::int64_t w = back.i64();
+  const std::int64_t r = back.i64();
+  EXPECT_TRUE(w >= 0 && w < kWriters) << w;
+  EXPECT_TRUE(r >= 0 && r < kRounds) << r;
+  EXPECT_EQ(back.remaining(), 0u);
+
+  const std::filesystem::path target(file.path());
+  const std::string temp_prefix = target.filename().string() + ".";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path()))
+    EXPECT_NE(entry.path().filename().string().rfind(temp_prefix, 0), 0u)
+        << "leftover temp file " << entry.path();
 }
 
 }  // namespace

@@ -230,6 +230,32 @@ TEST(DseEngine, WidenedSweepReusesEveryOldPoint) {
   EXPECT_EQ(widened.stats.full_compiles, 3u);
 }
 
+TEST(DseEngine, RepeatedAxisValueSharesOneCacheEntry) {
+  // Equal lattice points have equal fingerprints, so parallel workers
+  // finish the same compile together and store one cache entry at the
+  // same instant. Every store must publish: the sweep completes, and
+  // its warm rerun is all hits. The race window is short, so each round
+  // sweeps into a fresh directory for another chance to collide.
+  SweepSpec sweep;
+  sweep.base.words = 256;
+  sweep.base.bpw = 16;
+  sweep.base.bpc = 8;
+  sweep.base.strap_interval = 16;
+  sweep.spare_rows = std::vector<int>(16, 4);
+  for (int round = 0; round < 4; ++round) {
+    RunOptions opt;
+    opt.threads = 4;
+    opt.cache_dir = temp_dir() + "/cache";
+    const SweepResult cold = run_sweep(sweep, opt);
+    EXPECT_EQ(cold.stats.evaluated, sweep.size());
+    EXPECT_EQ(cold.stats.invalid, 0u);
+    const SweepResult warm = run_sweep(sweep, opt);
+    EXPECT_EQ(warm.stats.cache_hits, sweep.size());
+    EXPECT_EQ(warm.stats.full_compiles, 0u);
+    EXPECT_EQ(warm.frontier_json(), cold.frontier_json());
+  }
+}
+
 TEST(DseEngine, ThreadCountInvariantFrontier) {
   const SweepSpec sweep = small_sweep();
   auto frontier_at = [&](int threads) {

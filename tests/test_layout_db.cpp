@@ -210,11 +210,14 @@ TEST(LayoutDB, FlattenRefusesPathologicallyDeepHierarchies) {
 
 TEST(LayoutDB, FlattenRefusesSelfReferentialHierarchies) {
   // A cell instantiating itself recurses forever without the guard; the
-  // depth cap turns it into the same stable refusal.
+  // depth cap turns it into the same stable refusal. The self-instance
+  // holds a non-owning aliasing pointer: an owning one would be a
+  // shared_ptr cycle that keeps the cell alive past the library.
   Library lib;
   auto c = lib.create("ouroboros");
   c->add_shape(Layer::Metal1, Rect::ltrb(0, 0, 2, 2));
-  c->add_instance("self", c, Transform::translate(4, 4));
+  c->add_instance("self", CellPtr(CellPtr(), c.get()),
+                  Transform::translate(4, 4));
   try {
     const LayoutDB db(*c);
     FAIL() << "expected DiagError";

@@ -1,8 +1,7 @@
 // LayoutDB snapshot persistence: byte-exact round-trips, stable
 // rejection codes for every corruption class (the same classes the
-// committed tests/fuzz_inputs/snap_* corpus replays), the no-engine
-// throwing convention, and the fingerprint-keyed SnapshotCache the
-// compiler / DSE / signoff integration builds on.
+// committed tests/fuzz_inputs/snap_* corpus replays) and the no-engine
+// throwing convention.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include <string>
 
 #include "core/bisramgen.hpp"
-#include "core/compiler.hpp"
 #include "drc/drc.hpp"
 #include "geom/layout_db.hpp"
 #include "geom/layout_snapshot.hpp"
@@ -177,67 +175,6 @@ TEST(LayoutSnapshot, WithoutEngineLoaderThrowsDiagError) {
     ASSERT_FALSE(e.diagnostics().empty());
     EXPECT_EQ(e.diagnostics()[0].code, "snapshot-truncated");
   }
-}
-
-TEST(SnapshotCacheTest, MissStoreHitAndStats) {
-  const geom::LayoutDB& db = small_db();
-  geom::SnapshotCache cache(temp_dir());
-  ASSERT_TRUE(cache.persistent());
-  const std::uint64_t key = db.content_hash();
-
-  EXPECT_EQ(cache.load(key), nullptr);
-  cache.store(key, db);
-  const auto hit = cache.load(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->content_hash(), db.content_hash());
-
-  const auto st = cache.stats();
-  EXPECT_EQ(st.misses, 1u);
-  EXPECT_EQ(st.stores, 1u);
-  EXPECT_EQ(st.hits, 1u);
-  EXPECT_EQ(st.rejected, 0u);
-}
-
-TEST(SnapshotCacheTest, CorruptEntryIsRejectedNotServed) {
-  const geom::LayoutDB& db = small_db();
-  geom::SnapshotCache cache(temp_dir());
-  const std::uint64_t key = db.content_hash();
-  cache.store(key, db);
-
-  // Tear the entry in place; the next load must degrade to a miss.
-  std::string bytes = slurp(cache.entry_path(key));
-  bytes[bytes.size() - 3] ^= 0x10;
-  spit(cache.entry_path(key), bytes);
-
-  EXPECT_EQ(cache.load(key), nullptr);
-  EXPECT_EQ(cache.stats().rejected, 1u);
-}
-
-TEST(SnapshotCacheTest, EmptyDirDisablesPersistence) {
-  geom::SnapshotCache cache("");
-  EXPECT_FALSE(cache.persistent());
-  EXPECT_EQ(cache.load(123), nullptr);
-  cache.store(123, small_db());  // no-op, must not throw
-  EXPECT_EQ(cache.stats().stores, 0u);
-}
-
-TEST(LayoutFingerprint, SeparatesSpecsAndDecks) {
-  const core::RamSpec spec = small_spec();
-  const tech::Tech& t = spec.resolved_technology();
-  const std::uint64_t base = core::layout_fingerprint(spec, t);
-  EXPECT_EQ(core::layout_fingerprint(spec, t), base);  // deterministic
-
-  core::RamSpec other = spec;
-  other.words = 128;
-  EXPECT_NE(core::layout_fingerprint(other, t), base);
-  other = spec;
-  other.gate_size = 4.0;
-  EXPECT_NE(core::layout_fingerprint(other, t), base);
-  other = spec;
-  other.max_passes = 4;  // sizes the TRPLA macro
-  EXPECT_NE(core::layout_fingerprint(other, t), base);
-  EXPECT_NE(core::layout_fingerprint(spec, tech::technology("cda.5u3m1p")),
-            base);
 }
 
 }  // namespace

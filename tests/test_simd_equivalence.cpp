@@ -1,10 +1,9 @@
 // Bit-identity contract of the runtime-dispatched SIMD layer
-// (util/simd.hpp) and the SIMD-batched multi-die engine
-// (sim/packed_ram.hpp run_bist_batch): the AVX2 lanes, the scalar
-// fallback and the historical one-die-at-a-time packed path must agree
-// bit for bit, for every batch width and every thread count. The SIMD
-// primitives are pure integer transforms, so any divergence is a bug —
-// there is no tolerance anywhere in this file.
+// (util/simd.hpp) under the packed BIST kernel (sim/packed_ram.hpp):
+// the AVX2 lanes and the scalar fallback must agree bit for bit, on the
+// primitives, on every die and on whole campaigns. The SIMD primitives
+// are pure integer transforms, so any divergence is a bug — there is no
+// tolerance anywhere in this file.
 
 #include <gtest/gtest.h>
 
@@ -140,131 +139,30 @@ void expect_same_result(const BistResult& want, const BistResult& got,
   EXPECT_EQ(got.hung, want.hung) << what << " die " << die;
 }
 
-TEST(BatchEquivalence, BatchMatchesSingleDieForEveryWidth) {
-  const RamGeometry geometries[] = {
-      {64, 4, 4, 4},   // single plane word
-      {512, 4, 4, 4},  // plane-word seam inside the regular array
-      {96, 3, 2, 1},   // odd bpw, minimal spares
-  };
-  Rng rng(0xBA7C4ULL);
-  for (const RamGeometry& geo : geometries) {
-    // 64 dies, heterogeneous fault lists (some clean, some with coupling
-    // faults that force TLB activity).
-    std::vector<std::vector<Fault>> lists;
-    for (int i = 0; i < 64; ++i) lists.push_back(random_fault_list(rng, geo));
-
-    std::vector<BistResult> want;
-    for (const auto& faults : lists)
-      want.push_back(sim::run_bist(geo, faults, BistConfig{}));
-
-    for (std::size_t width : {std::size_t{1}, std::size_t{3}, std::size_t{8},
-                              std::size_t{64}}) {
-      std::vector<BistResult> got;
-      std::vector<SimKernel> used;
-      for (std::size_t begin = 0; begin < lists.size(); begin += width) {
-        const std::size_t end =
-            begin + width < lists.size() ? begin + width : lists.size();
-        std::vector<std::vector<Fault>> group(lists.begin() + begin,
-                                              lists.begin() + end);
-        std::vector<SimKernel> group_used;
-        auto results =
-            sim::run_bist_batch(geo, group, BistConfig{}, SimKernel::Auto,
-                                &group_used);
-        got.insert(got.end(), results.begin(), results.end());
-        used.insert(used.end(), group_used.begin(), group_used.end());
-      }
-      ASSERT_EQ(got.size(), want.size()) << "width " << width;
-      for (std::size_t i = 0; i < want.size(); ++i)
-        expect_same_result(want[i], got[i],
-                           ("width " + std::to_string(width)).c_str(), i);
-    }
-  }
-}
-
 TEST(BatchEquivalence, ForcedScalarFallbackIdenticalToSimd) {
-  // The whole batched flow forced through the scalar SIMD fallback must
-  // reproduce the default dispatch bit for bit.
+  // The one-die packed flow forced through the scalar SIMD fallback must
+  // reproduce the default dispatch bit for bit, die by die.
   const RamGeometry geo{256, 2, 4, 2};
   Rng rng(0xFA11BACULL);
   std::vector<std::vector<Fault>> lists;
   for (int i = 0; i < 24; ++i) lists.push_back(random_fault_list(rng, geo));
 
-  const auto native = sim::run_bist_batch(geo, lists);
+  auto run_all = [&] {
+    std::vector<BistResult> results;
+    for (const auto& faults : lists) {
+      SimKernel used = SimKernel::Scalar;
+      results.push_back(
+          sim::run_bist(geo, faults, BistConfig{}, SimKernel::Auto, &used));
+      EXPECT_EQ(used, SimKernel::Packed);
+    }
+    return results;
+  };
+  const auto native = run_all();
   ScopedSimdLevel forced(SimdLevel::Scalar);
-  const auto fallback = sim::run_bist_batch(geo, lists);
+  const auto fallback = run_all();
   ASSERT_EQ(native.size(), fallback.size());
   for (std::size_t i = 0; i < native.size(); ++i)
     expect_same_result(native[i], fallback[i], "forced scalar", i);
-}
-
-TEST(BatchEquivalence, ForcedPackedThrowsOnInexpressibleDie) {
-  const RamGeometry geo{64, 4, 4, 4};
-  Fault stuck_open;
-  stuck_open.kind = FaultKind::StuckOpen;
-  stuck_open.victim = {1, 1};
-  std::vector<std::vector<Fault>> lists = {{}, {stuck_open}};
-  EXPECT_THROW(
-      sim::run_bist_batch(geo, lists, BistConfig{}, SimKernel::Packed),
-      SpecError);
-  // Auto reruns the inexpressible die on the scalar engine instead.
-  std::vector<SimKernel> used;
-  const auto results =
-      sim::run_bist_batch(geo, lists, BistConfig{}, SimKernel::Auto, &used);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(used[0], SimKernel::Packed);
-  EXPECT_EQ(used[1], SimKernel::Scalar);
-}
-
-TEST(CampaignEquivalence, YieldIdenticalAcrossBatchWidthsAndThreads) {
-  // The full campaign stack: same spec, every (batch width, thread
-  // count) pair must produce the same counts — and therefore the same
-  // yields, SEs and provenance splits — bit for bit.
-  const RamGeometry geo{64, 4, 4, 4};
-  models::BisrYieldMc ref{};
-  bool have_ref = false;
-  for (int batch : {1, 3, 8, 64}) {
-    for (int threads : {1, 2, 8}) {
-      sim::CampaignSpec spec;
-      spec.trials = 300;
-      spec.seed = 1234;
-      spec.threads = threads;
-      spec.batch = batch;
-      const auto got =
-          models::bisr_yield_mc_with_bist(geo, 0.8, 2.0, 1.0, spec);
-      EXPECT_EQ(got.provenance.batch, batch);
-      EXPECT_EQ(got.provenance.batched_trials, batch > 1 ? 300 : 0);
-      EXPECT_EQ(got.provenance.packed_trials + got.provenance.scalar_trials,
-                300);
-      if (!have_ref) {
-        ref = got.value;
-        have_ref = true;
-        continue;
-      }
-      EXPECT_EQ(got.value.bist_repaired, ref.bist_repaired)
-          << "batch " << batch << ", threads " << threads;
-      EXPECT_EQ(got.value.strict_good, ref.strict_good)
-          << "batch " << batch << ", threads " << threads;
-      EXPECT_EQ(got.value.strict_good_se, ref.strict_good_se)
-          << "batch " << batch << ", threads " << threads;
-    }
-  }
-}
-
-TEST(CampaignEquivalence, StratifiedBatchedMatchesStratifiedUnbatched) {
-  const RamGeometry geo{64, 4, 4, 4};
-  sim::CampaignSpec spec;
-  spec.trials = 2000;
-  spec.seed = 777;
-  spec.sampling.mode = sim::SamplingMode::Stratified;
-  const auto unbatched = models::bisr_yield_mc_with_bist(geo, 0.1, 2.0, 1.0,
-                                                         spec);
-  spec.batch = 8;
-  const auto batched = models::bisr_yield_mc_with_bist(geo, 0.1, 2.0, 1.0,
-                                                       spec);
-  EXPECT_EQ(batched.value.strict_good, unbatched.value.strict_good);
-  EXPECT_EQ(batched.value.strict_good_se, unbatched.value.strict_good_se);
-  EXPECT_EQ(batched.value.die_sims, unbatched.value.die_sims);
-  EXPECT_EQ(batched.provenance.strata, unbatched.provenance.strata);
 }
 
 TEST(CampaignEquivalence, ForcedScalarSimdIdenticalCampaign) {
@@ -272,12 +170,13 @@ TEST(CampaignEquivalence, ForcedScalarSimdIdenticalCampaign) {
   sim::CampaignSpec spec;
   spec.trials = 200;
   spec.seed = 555;
-  spec.batch = 8;
   const auto native = models::bisr_yield_mc_with_bist(geo, 0.8, 2.0, 1.0,
                                                       spec);
   ScopedSimdLevel forced(SimdLevel::Scalar);
   const auto fallback = models::bisr_yield_mc_with_bist(geo, 0.8, 2.0, 1.0,
                                                         spec);
+  EXPECT_EQ(native.provenance.packed_trials, 200);
+  EXPECT_EQ(fallback.provenance.packed_trials, 200);
   EXPECT_EQ(native.value.bist_repaired, fallback.value.bist_repaired);
   EXPECT_EQ(native.value.strict_good, fallback.value.strict_good);
 }

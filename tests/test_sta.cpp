@@ -353,54 +353,5 @@ TEST(StaTechDeck, TimingBudgetsRoundTripThroughDeckText) {
   EXPECT_DOUBLE_EQ(user.timing.clock_period_s, 6e-9);
 }
 
-// ---------------------------------------------------------------------
-// Determinism: bit-identical reports at any thread count.
-
-void expect_reports_identical(const sta::StaReport& a, const sta::StaReport& b) {
-  ASSERT_EQ(a.endpoints.size(), b.endpoints.size());
-  EXPECT_EQ(a.wns_s, b.wns_s);
-  EXPECT_EQ(a.tns_s, b.tns_s);
-  EXPECT_EQ(a.max_arrival_s, b.max_arrival_s);
-  for (std::size_t i = 0; i < a.endpoints.size(); ++i) {
-    EXPECT_EQ(a.endpoints[i].name, b.endpoints[i].name);
-    EXPECT_EQ(a.endpoints[i].arrival_s, b.endpoints[i].arrival_s);
-    EXPECT_EQ(a.endpoints[i].slew_s, b.endpoints[i].slew_s);
-    EXPECT_EQ(a.endpoints[i].slack_s, b.endpoints[i].slack_s);
-  }
-  ASSERT_EQ(a.worst_paths.size(), b.worst_paths.size());
-  for (std::size_t i = 0; i < a.worst_paths.size(); ++i) {
-    EXPECT_EQ(a.worst_paths[i].endpoint, b.worst_paths[i].endpoint);
-    ASSERT_EQ(a.worst_paths[i].steps.size(), b.worst_paths[i].steps.size());
-    for (std::size_t k = 0; k < a.worst_paths[i].steps.size(); ++k) {
-      EXPECT_EQ(a.worst_paths[i].steps[k].node, b.worst_paths[i].steps[k].node);
-      EXPECT_EQ(a.worst_paths[i].steps[k].arrival_s,
-                b.worst_paths[i].steps[k].arrival_s);
-    }
-  }
-  EXPECT_EQ(a.render(), b.render());
-}
-
-TEST(StaDeterminism, ReportBitIdenticalAcrossThreadCounts) {
-  core::RamSpec spec;
-  spec.words = 1024;
-  spec.bpw = 16;
-  spec.bpc = 4;
-  const tech::Tech& t = spec.resolved_technology();
-  const sta::TimingGraph g =
-      sta::build_access_graph(t, spec.geometry(), 2.0);
-
-  sta::AnalyzeOptions opt;
-  opt.clock_period_s = t.timing.clock_period_s;
-  opt.k_paths = 6;
-  opt.threads = 1;
-  const sta::StaReport r1 = g.analyze(opt);
-  opt.threads = 2;
-  const sta::StaReport r2 = g.analyze(opt);
-  opt.threads = 8;
-  const sta::StaReport r8 = g.analyze(opt);
-  expect_reports_identical(r1, r2);
-  expect_reports_identical(r1, r8);
-}
-
 }  // namespace
 }  // namespace bisram
