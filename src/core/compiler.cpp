@@ -177,8 +177,7 @@ Datasheet Compiler::datasheet(const RamSpec& spec, const tech::Tech& t,
   if (spec.run_drc) {
     // One shared flatten for signoff-grade checks on the finished top.
     const geom::LayoutDB db(*a.top, drc::tile_size_for(t));
-    drc::DrcOptions drc_opt;
-    ds.drc_violations = drc::check(db, t, drc_opt).size();
+    ds.drc_violations = drc::check(db, t).size();
   }
   return ds;
 }

@@ -60,13 +60,6 @@ TimingReport estimate_timing(const tech::Tech& t, const sim::RamGeometry& geo,
 TimingReport estimate_timing(const tech::Tech& t, const sim::RamGeometry& geo,
                              double gate_size, const sta::LeafTiming& lt);
 
-/// The historical closed-form lumped-RC model, kept as a cross-check
-/// oracle: same physics as the STA graph with every path collapsed to
-/// one term, so the two must agree to first order (tests pin the ratio).
-TimingReport estimate_timing_reference(const tech::Tech& t,
-                                       const sim::RamGeometry& geo,
-                                       double gate_size);
-
 /// TLB penalty only (used by the spare-count sweep benchmark).
 double tlb_penalty_s(const tech::Tech& t, const sim::RamGeometry& geo);
 

@@ -1,10 +1,9 @@
 #include "drc/drc.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <tuple>
-#include <unordered_map>
 
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
@@ -20,34 +19,30 @@ using geom::TileIndex;
 
 namespace {
 
-// Fixed fold granularity for the per-tile passes. parallel_reduce's
-// result is a pure function of (trials, chunk), so keeping the chunk
-// constant makes the violation list bit-identical for any thread count.
-constexpr std::int64_t kTileChunk = 8;
+/// Shape ids per pool chunk of the full scan's parallel phases. Fixed,
+/// so the chunk layout depends on the layout alone; a leaf cell fits in
+/// one chunk and runs serially without touching the pool.
+constexpr std::int64_t kScanChunk = 1024;
 
-using VioList = std::vector<Violation>;
-
-VioList append(VioList acc, VioList part) {
-  acc.insert(acc.end(), std::make_move_iterator(part.begin()),
-             std::make_move_iterator(part.end()));
-  return acc;
-}
-
-/// Runs per_tile(tx, ty, out) over every tile of `idx` on the
-/// deterministic engine, folding per-tile violation lists in strict
-/// row-major tile order.
-template <typename PerTile>
-VioList tiled(const TileIndex& idx, int threads, PerTile&& per_tile) {
-  const auto cols = static_cast<std::int64_t>(idx.tile_cols());
-  const auto ntiles = cols * static_cast<std::int64_t>(idx.tile_rows());
-  return parallel_reduce<VioList>(
-      ntiles, kTileChunk, {},
-      [&](std::int64_t t) {
-        VioList part;
-        per_tile(static_cast<int>(t % cols), static_cast<int>(t / cols), part);
-        return part;
-      },
-      append, threads);
+/// Runs scan(i, part) for every shape id i in [0, n) on util/parallel,
+/// in fixed kScanChunk-sized chunks, and appends the per-chunk lists to
+/// `out` in chunk order: the list one ascending serial scan would build,
+/// at any thread count.
+template <typename T, typename Scan>
+void scan_ids(std::size_t n, std::vector<T>& out, Scan&& scan) {
+  const auto total = static_cast<std::int64_t>(n);
+  const std::int64_t chunks = (total + kScanChunk - 1) / kScanChunk;
+  std::vector<std::vector<T>> parts(static_cast<std::size_t>(chunks));
+  parallel_for(chunks, 1, [&](std::int64_t c) {
+    auto& part = parts[static_cast<std::size_t>(c)];
+    const auto lo = static_cast<std::uint32_t>(c * kScanChunk);
+    const auto hi =
+        static_cast<std::uint32_t>(std::min(total, (c + 1) * kScanChunk));
+    for (std::uint32_t i = lo; i < hi; ++i) scan(i, part);
+  });
+  for (auto& part : parts)
+    out.insert(out.end(), std::make_move_iterator(part.begin()),
+               std::make_move_iterator(part.end()));
 }
 
 int kind_rank(RuleKind k) {
@@ -61,10 +56,6 @@ int kind_rank(RuleKind k) {
 }
 
 /// Canonical report order: rule phase, then layer, then coordinates.
-/// A stable sort on this key makes the final list independent of the
-/// database's tile geometry as well (equal-key entries keep the
-/// deterministic tile-order sequence, e.g. a via's lower-enclosure
-/// violation before its upper one).
 bool canon_less(const Violation& x, const Violation& y) {
   const auto key = [](const Violation& v) {
     return std::make_tuple(kind_rank(v.kind), static_cast<int>(v.layer),
@@ -74,18 +65,9 @@ bool canon_less(const Violation& x, const Violation& y) {
   return key(x) < key(y);
 }
 
-bool enclosed_by_any(const Rect& need, const std::vector<Rect>& candidates) {
-  for (const Rect& c : candidates) {
-    if (c.lo.x <= need.lo.x && c.lo.y <= need.lo.y && c.hi.x >= need.hi.x &&
-        c.hi.y >= need.hi.y)
-      return true;
-  }
-  return false;
-}
-
-/// Indexed variant: true when some rect of `idx` encloses `need`. An
-/// enclosing rect necessarily intersects `need`, so querying the window
-/// `need` sees every candidate.
+/// True when some rect of `idx` encloses `need`. An enclosing rect
+/// necessarily intersects `need`, so querying the window `need` sees
+/// every candidate.
 bool enclosed_by_any(const Rect& need, const TileIndex& idx,
                      const std::vector<Rect>& rects) {
   bool found = false;
@@ -125,195 +107,42 @@ std::vector<ViaRule> via_rules_for(const tech::Tech& tech) {
   };
 }
 
-}  // namespace
-
-geom::Coord max_interaction_distance(const tech::Tech& tech) {
-  Coord d = 1;
-  for (Layer layer : geom::all_layers())
-    d = std::max(d, tech.rule(layer).min_space);
-  for (Coord e : {tech.contact_encl_diff, tech.contact_encl_poly,
-                  tech.contact_encl_m1, tech.via1_encl, tech.via2_encl,
-                  tech.well_encl_diff, tech.well_space})
-    d = std::max(d, e);
-  return d;
-}
-
-geom::Coord tile_size_for(const tech::Tech& tech) {
-  // 8x the reach keeps bucket fan-out low (the seed hash used the same
-  // multiple) while every rule still only consults adjacent tiles.
-  return max_interaction_distance(tech) * 8;
-}
-
-std::vector<Violation> check(const geom::LayoutDB& db, const tech::Tech& tech,
-                             const DrcOptions& options) {
-  std::vector<Violation> out;
-  const int threads = options.threads;
-
-  // --- width and spacing per layer ------------------------------------------
-  for (Layer layer : geom::all_layers()) {
-    const auto& rule = tech.rule(layer);
-    const auto& shapes = db.shapes(layer);
-    const auto& rects = db.rects(layer);
-    const auto& idx = db.index(layer);
-    if (rects.empty()) continue;
-
-    if (rule.min_width > 0) {
-      out = append(std::move(out),
-                   tiled(idx, threads, [&](int tx, int ty, VioList& part) {
-                     for (std::uint32_t i : idx.homed_in(tx, ty)) {
-                       const Rect& r = rects[i];
-                       if (std::min(r.width(), r.height()) < rule.min_width)
-                         part.push_back({RuleKind::MinWidth, layer, r, {}, "",
-                                         db.path_name(shapes[i].path)});
-                     }
-                   }));
-    }
-
-    if (rule.min_space > 0) {
-      // Merge touching rects into components first: two rectangles of the
-      // same merged polygon may legitimately sit close (e.g. a contact
-      // pad bridged to a gate by a stub). Note this also skips true
-      // same-polygon notches — an accepted approximation documented in
-      // drc.hpp. The union-find runs serially; the parallel phase below
-      // only reads the fully-collapsed root table.
-      std::vector<std::uint32_t> comp(rects.size());
-      for (std::uint32_t i = 0; i < comp.size(); ++i) comp[i] = i;
-      std::function<std::uint32_t(std::uint32_t)> find =
-          [&](std::uint32_t x) -> std::uint32_t {
-        while (comp[x] != x) {
-          comp[x] = comp[comp[x]];
-          x = comp[x];
-        }
-        return x;
-      };
-      for (std::uint32_t i = 0; i < rects.size(); ++i) {
-        idx.for_each_in(rects[i], [&](std::uint32_t j) {
-          if (j > i && rects[i].intersects(rects[j])) comp[find(i)] = find(j);
-        });
-      }
-      std::vector<std::uint32_t> root(rects.size());
-      for (std::uint32_t i = 0; i < root.size(); ++i) root[i] = find(i);
-
-      out = append(
-          std::move(out),
-          tiled(idx, threads, [&](int tx, int ty, VioList& part) {
-            for (std::uint32_t i : idx.homed_in(tx, ty)) {
-              const Rect& a = rects[i];
-              idx.for_each_in(a.expanded(rule.min_space),
-                              [&](std::uint32_t j) {
-                                if (j <= i) return;
-                                if (root[i] == root[j]) return;
-                                const Rect& b = rects[j];
-                                const Coord gap = geom::rect_gap(a, b);
-                                if (gap < rule.min_space)
-                                  part.push_back(
-                                      {RuleKind::MinSpace, layer, a, b,
-                                       space_note(gap, rule.min_space),
-                                       db.path_name(shapes[i].path),
-                                       db.path_name(shapes[j].path)});
-                              });
-            }
-          }));
-    }
-  }
-
-  // --- via enclosures -------------------------------------------------------
-  for (const auto& vr : via_rules_for(tech)) {
-    const auto& vias = db.rects(vr.via);
-    const auto& via_shapes = db.shapes(vr.via);
-    const auto& via_idx = db.index(vr.via);
-    if (vias.empty()) continue;
-    out = append(
-        std::move(out),
-        tiled(via_idx, threads, [&](int tx, int ty, VioList& part) {
-          for (std::uint32_t i : via_idx.homed_in(tx, ty)) {
-            const Rect& via = vias[i];
-            bool landed = false;
-            for (Layer lower : vr.lower)
-              if (enclosed_by_any(via.expanded(vr.encl_lower), db.index(lower),
-                                  db.rects(lower)))
-                landed = true;
-            if (!landed)
-              part.push_back({RuleKind::ViaEnclosure, vr.via, via, {},
-                              "missing lower-layer enclosure",
-                              db.path_name(via_shapes[i].path)});
-            if (!enclosed_by_any(via.expanded(vr.encl_upper),
-                                 db.index(vr.upper), db.rects(vr.upper)))
-              part.push_back({RuleKind::ViaEnclosure, vr.via, via, {},
-                              "missing upper-layer enclosure",
-                              db.path_name(via_shapes[i].path)});
-          }
-        }));
-  }
-
-  // --- wells must enclose p-diffusion ---------------------------------------
-  {
-    const auto& pdiffs = db.rects(Layer::PDiff);
-    const auto& pdiff_shapes = db.shapes(Layer::PDiff);
-    const auto& pdiff_idx = db.index(Layer::PDiff);
-    if (!pdiffs.empty()) {
-      out = append(
-          std::move(out),
-          tiled(pdiff_idx, threads, [&](int tx, int ty, VioList& part) {
-            for (std::uint32_t i : pdiff_idx.homed_in(tx, ty)) {
-              const Rect& pd = pdiffs[i];
-              if (!enclosed_by_any(pd.expanded(tech.well_encl_diff),
-                                   db.index(Layer::NWell),
-                                   db.rects(Layer::NWell)))
-                part.push_back({RuleKind::WellCoverage, Layer::PDiff, pd, {},
-                                "pdiff not enclosed by nwell",
-                                db.path_name(pdiff_shapes[i].path)});
-            }
-          }));
-    }
-  }
-
-  std::stable_sort(out.begin(), out.end(), canon_less);
-  if (out.size() > options.max_violations) out.resize(options.max_violations);
-  return out;
-}
-
-std::vector<Violation> check(const geom::Cell& top, const tech::Tech& tech,
-                             const DrcOptions& options) {
-  return check(geom::LayoutDB(top, tile_size_for(tech)), tech, options);
-}
-
-// --- incremental checker -----------------------------------------------------
+// --- the checker core --------------------------------------------------------
 //
-// Strategy: keep every violation check() would have found (untruncated)
-// tagged with (phase, emitter, seq), where
+// Every violation is kept (untruncated) as a record tagged with
+// (phase, emitter, seq), where
 //
-//   * phase is the scan that produced it — width of layer l is 2l,
+//   * phase is the rule scan that produced it: width of layer l is 2l,
 //     spacing of layer l is 2l+1, via rule vi is 2*kLayerCount+vi, well
-//     coverage comes last. This is exactly the order check()
-//     concatenates its per-rule lists in.
-//   * emitter is the shape id the homed per-tile pass emitted it from,
-//     and seq orders a single emitter's reports (the spacing partner
-//     id; 0 = lower / 1 = upper for via enclosure).
+//     coverage comes last;
+//   * emitter is the shape id the record was found from, and seq orders
+//     one emitter's records (the spacing partner id; 0 = lower /
+//     1 = upper for via enclosure).
 //
-// check()'s final stable_sort only has to break ties between
-// violations with EQUAL canonical keys. An equal key pins the rule
-// phase (kind + layer, and for the three via phases the layer is the
-// via layer) and rect a's lo corner — i.e. the emitter's home tile. So
-// within an equal-key group check()'s pre-sort sequence is just the
-// per-tile emission order: ascending emitter, then seq. Sorting the
-// records by (phase, emitter, seq) before the same stable canonical
-// sort therefore reproduces check()'s output bit-for-bit, without ever
-// replaying the full tile sweep.
+// The triple is unique per record. report() sorts by it and then
+// stable-sorts by the canonical (rule phase, layer, coordinates) key, so
+// records with equal canonical keys keep (phase, emitter, seq) order and
+// the report is a function of the database's contents alone: the same
+// at any thread count, chunk size and tile size.
 //
-// An edit then only has to (a) drop/renumber records through the
-// shape-id splice and (b) re-emit records for shapes whose predicate
-// could have changed; everything else provably still holds (surviving
-// shapes keep their rects, and their instance paths are unaffected by
-// an edit in a disjoint subtree).
+// The full scan runs the per-shape work (touching pairs, width and
+// spacing records, via enclosure, well coverage) on util/parallel in
+// fixed chunks of shape ids, joined in chunk order; the union-find and
+// the component labels are serial. An edit then only has to (a)
+// drop/renumber records through the shape-id splice and (b) re-emit
+// records for shapes whose predicate could have changed, through the
+// same per-shape functions; everything else provably still holds
+// (surviving shapes keep their rects, and their instance paths are
+// unaffected by an edit in a disjoint subtree).
 
-struct IncrementalDrc::Impl {
+struct Checker {
   struct Rec {
     int phase;
     std::uint32_t emitter;
     std::uint32_t seq;
     Violation v;
   };
+  using Recs = std::vector<Rec>;
   /// Spacing state for one layer: the touching pairs (i < j, packed
   /// i<<32|j) the component merge is built from, and each shape's
   /// canonical component label — the smallest member id of its
@@ -331,8 +160,13 @@ struct IncrementalDrc::Impl {
   tech::Tech tech;
   DrcOptions opt;
   std::vector<ViaRule> via_rules;
-  std::vector<Rec> recs;
+  Recs recs;
   std::array<SpaceCache, geom::kLayerCount> space;
+
+  Checker(const LayoutDB& layout, const tech::Tech& t, const DrcOptions& o)
+      : db(&layout), tech(t), opt(o), via_rules(via_rules_for(t)) {
+    full_scan();
+  }
 
   static std::uint64_t pack(std::uint32_t i, std::uint32_t j) {
     return (static_cast<std::uint64_t>(i) << 32) | j;
@@ -347,9 +181,9 @@ struct IncrementalDrc::Impl {
     return 2 * geom::kLayerCount + static_cast<int>(via_rules.size());
   }
 
-  /// Collapsed root table from an edge list (the same partition
-  /// check()'s serial union-find produces; root identities differ but
-  /// only same-root comparisons and per-component minima are used).
+  /// Collapsed root table from an edge list. Root identities depend on
+  /// the union order, but only same-root comparisons and per-component
+  /// minima are used, and those do not.
   static std::vector<std::uint32_t> roots_of(
       std::size_t n, const std::vector<std::uint64_t>& edges) {
     std::vector<std::uint32_t> parent(n);
@@ -382,24 +216,55 @@ struct IncrementalDrc::Impl {
     return label;
   }
 
-  void emit_width(Layer layer, std::uint32_t i) {
-    const auto& r = db->rects(layer)[i];
-    recs.push_back({width_phase(layer), i, 0,
-                    {RuleKind::MinWidth, layer, r, {}, "",
-                     db->path_name(db->shapes(layer)[i].path)}});
+  // --- per-shape rules -------------------------------------------------------
+  // `rescanned(j)` tells a pair rule whether partner j is visited by the
+  // same pass; such a pair is found from both ends and kept from the
+  // lower id's visit only.
+
+  void scan_width(Layer layer, std::uint32_t k, Recs& out) const {
+    const Rect& r = db->rects(layer)[k];
+    if (std::min(r.width(), r.height()) < tech.rule(layer).min_width)
+      out.push_back({width_phase(layer), k, 0,
+                     {RuleKind::MinWidth, layer, r, {}, "",
+                      db->shape_path(layer, k), {}}});
   }
 
-  void emit_space(Layer layer, std::uint32_t i, std::uint32_t j, Coord gap,
-                  Coord min_space) {
-    const auto& shapes = db->shapes(layer);
+  /// Touching pairs (the component-merge edges) of shape k.
+  template <typename Rescanned>
+  void scan_touching(Layer layer, std::uint32_t k, Rescanned&& rescanned,
+                     std::vector<std::uint64_t>& out) const {
+    db->index(layer).for_each_in(db->rects(layer)[k], [&](std::uint32_t j) {
+      if (j == k || (j < k && rescanned(j))) return;
+      out.push_back(pack(std::min(j, k), std::max(j, k)));
+    });
+  }
+
+  /// Spacing records between shape k and every closer-than-min_space
+  /// shape of another merged polygon (`root` is the component table).
+  /// Merging touching rects first lets two rects of one polygon sit
+  /// close (a contact pad bridged to a gate by a stub); it also skips
+  /// true same-polygon notches, the approximation drc.hpp documents.
+  template <typename Rescanned>
+  void scan_space(Layer layer, std::uint32_t k,
+                  const std::vector<std::uint32_t>& root,
+                  Rescanned&& rescanned, Recs& out) const {
+    const Coord min_space = tech.rule(layer).min_space;
     const auto& rects = db->rects(layer);
-    recs.push_back({space_phase(layer), i, j,
-                    {RuleKind::MinSpace, layer, rects[i], rects[j],
-                     space_note(gap, min_space), db->path_name(shapes[i].path),
-                     db->path_name(shapes[j].path)}});
+    db->index(layer).for_each_in(
+        rects[k].expanded(min_space), [&](std::uint32_t j) {
+          if (j == k || root[j] == root[k] || (j < k && rescanned(j))) return;
+          const Coord gap = geom::rect_gap(rects[k], rects[j]);
+          if (gap >= min_space) return;
+          const std::uint32_t lo = std::min(j, k), hi = std::max(j, k);
+          out.push_back({space_phase(layer), lo, hi,
+                         {RuleKind::MinSpace, layer, rects[lo], rects[hi],
+                          space_note(gap, min_space),
+                          db->shape_path(layer, lo),
+                          db->shape_path(layer, hi)}});
+        });
   }
 
-  void scan_via(std::size_t vi, std::uint32_t i) {
+  void scan_via(std::size_t vi, std::uint32_t i, Recs& out) const {
     const ViaRule& vr = via_rules[vi];
     const Rect& via = db->rects(vr.via)[i];
     bool landed = false;
@@ -408,65 +273,61 @@ struct IncrementalDrc::Impl {
                           db->rects(lower)))
         landed = true;
     if (!landed)
-      recs.push_back({via_phase(vi), i, 0,
-                      {RuleKind::ViaEnclosure, vr.via, via, {},
-                       "missing lower-layer enclosure",
-                       db->path_name(db->shapes(vr.via)[i].path)}});
+      out.push_back({via_phase(vi), i, 0,
+                     {RuleKind::ViaEnclosure, vr.via, via, {},
+                      "missing lower-layer enclosure",
+                      db->shape_path(vr.via, i), {}}});
     if (!enclosed_by_any(via.expanded(vr.encl_upper), db->index(vr.upper),
                          db->rects(vr.upper)))
-      recs.push_back({via_phase(vi), i, 1,
-                      {RuleKind::ViaEnclosure, vr.via, via, {},
-                       "missing upper-layer enclosure",
-                       db->path_name(db->shapes(vr.via)[i].path)}});
+      out.push_back({via_phase(vi), i, 1,
+                     {RuleKind::ViaEnclosure, vr.via, via, {},
+                      "missing upper-layer enclosure",
+                      db->shape_path(vr.via, i), {}}});
   }
 
-  void scan_well(std::uint32_t i) {
+  void scan_well(std::uint32_t i, Recs& out) const {
     const Rect& pd = db->rects(Layer::PDiff)[i];
     if (!enclosed_by_any(pd.expanded(tech.well_encl_diff),
                          db->index(Layer::NWell), db->rects(Layer::NWell)))
-      recs.push_back({well_phase(), i, 0,
-                      {RuleKind::WellCoverage, Layer::PDiff, pd, {},
-                       "pdiff not enclosed by nwell",
-                       db->path_name(db->shapes(Layer::PDiff)[i].path)}});
+      out.push_back({well_phase(), i, 0,
+                     {RuleKind::WellCoverage, Layer::PDiff, pd, {},
+                      "pdiff not enclosed by nwell",
+                      db->shape_path(Layer::PDiff, i), {}}});
   }
 
+  // --- full scan -------------------------------------------------------------
+
   void full_scan() {
+    const auto every = [](std::uint32_t) { return true; };
     for (Layer layer : geom::all_layers()) {
       const auto& rule = tech.rule(layer);
-      const auto& rects = db->rects(layer);
-      const auto& idx = db->index(layer);
-      if (rects.empty()) continue;
-
-      if (rule.min_width > 0) {
-        for (std::uint32_t i = 0; i < rects.size(); ++i)
-          if (std::min(rects[i].width(), rects[i].height()) < rule.min_width)
-            emit_width(layer, i);
-      }
+      const std::size_t n = db->rects(layer).size();
+      if (n == 0) continue;
+      if (rule.min_width > 0)
+        scan_ids(n, recs, [&](std::uint32_t i, Recs& out) {
+          scan_width(layer, i, out);
+        });
       if (rule.min_space > 0) {
         auto& sc = space[static_cast<std::size_t>(layer)];
-        sc.edges.clear();
-        for (std::uint32_t i = 0; i < rects.size(); ++i)
-          idx.for_each_in(rects[i], [&](std::uint32_t j) {
-            if (j > i) sc.edges.push_back(pack(i, j));
-          });
-        const auto root = roots_of(rects.size(), sc.edges);
+        scan_ids(n, sc.edges,
+                 [&](std::uint32_t i, std::vector<std::uint64_t>& out) {
+                   scan_touching(layer, i, every, out);
+                 });
+        const auto root = roots_of(n, sc.edges);
         sc.label = labels_of(root);
-        for (std::uint32_t i = 0; i < rects.size(); ++i)
-          idx.for_each_in(rects[i].expanded(rule.min_space),
-                          [&](std::uint32_t j) {
-                            if (j <= i || root[i] == root[j]) return;
-                            const Coord gap = geom::rect_gap(rects[i], rects[j]);
-                            if (gap < rule.min_space)
-                              emit_space(layer, i, j, gap, rule.min_space);
-                          });
+        scan_ids(n, recs, [&](std::uint32_t i, Recs& out) {
+          scan_space(layer, i, root, every, out);
+        });
       }
     }
     for (std::size_t vi = 0; vi < via_rules.size(); ++vi)
-      for (std::uint32_t i = 0; i < db->rects(via_rules[vi].via).size(); ++i)
-        scan_via(vi, i);
-    for (std::uint32_t i = 0; i < db->rects(Layer::PDiff).size(); ++i)
-      scan_well(i);
+      scan_ids(db->rects(via_rules[vi].via).size(), recs,
+               [&](std::uint32_t i, Recs& out) { scan_via(vi, i, out); });
+    scan_ids(db->rects(Layer::PDiff).size(), recs,
+             [&](std::uint32_t i, Recs& out) { scan_well(i, out); });
   }
+
+  // --- incremental update ----------------------------------------------------
 
   /// Drops phase-`phase` records whose emitter (and, when
   /// `remap_seq`, partner) was removed or is in `affected`, renumbering
@@ -494,15 +355,13 @@ struct IncrementalDrc::Impl {
   void update_layer(Layer layer, const geom::EditResult& edit) {
     const auto& rule = tech.rule(layer);
     const ShapeSplice& sp = edit.splice_of(layer);
-    const auto& rects = db->rects(layer);
-    const auto& idx = db->index(layer);
-    const std::vector<char> none(rects.size() + 1, 0);
+    const std::size_t n = db->rects(layer).size();
+    const std::vector<char> none(n + 1, 0);
 
     if (rule.min_width > 0) {
       filter_phase(width_phase(layer), sp, none, false);
       for (std::uint32_t k = sp.begin; k < sp.new_end; ++k)
-        if (std::min(rects[k].width(), rects[k].height()) < rule.min_width)
-          emit_width(layer, k);
+        scan_width(layer, k, recs);
     }
     if (rule.min_space == 0) return;
 
@@ -518,47 +377,34 @@ struct IncrementalDrc::Impl {
       if (a == ShapeSplice::kRemoved || b == ShapeSplice::kRemoved) continue;
       edges.push_back(pack(a, b));
     }
-    // 2. Discover the inserted shapes' edges. A pair of two inserted
-    //    shapes is found from both ends; keep the lower end's visit.
-    auto is_new = [&](std::uint32_t id) {
+    // 2. Discover the inserted shapes' edges.
+    const auto is_new = [&](std::uint32_t id) {
       return id >= sp.begin && id < sp.new_end;
     };
     for (std::uint32_t k = sp.begin; k < sp.new_end; ++k)
-      idx.for_each_in(rects[k], [&](std::uint32_t j) {
-        if (j == k || (is_new(j) && j < k)) return;
-        edges.push_back(pack(std::min(j, k), std::max(j, k)));
-      });
+      scan_touching(layer, k, is_new, edges);
 
     // 3. Rebuild the partition and labels; a shape is affected when it
     //    is new or its component label changed (exactly the shapes
     //    whose same-component predicate can have flipped).
-    const auto root = roots_of(rects.size(), edges);
+    const auto root = roots_of(n, edges);
     auto label = labels_of(root);
-    std::vector<char> affected(rects.size() + 1, 0);
+    std::vector<char> affected(n + 1, 0);
     for (std::uint32_t k = sp.begin; k < sp.new_end; ++k) affected[k] = 1;
     for (std::uint32_t o = 0; o < sc.label.size(); ++o) {
-      const std::uint32_t n = sp.remap(o);
-      if (n == ShapeSplice::kRemoved) continue;
-      if (sp.remap(sc.label[o]) != label[n]) affected[n] = 1;
+      const std::uint32_t m = sp.remap(o);
+      if (m == ShapeSplice::kRemoved) continue;
+      if (sp.remap(sc.label[o]) != label[m]) affected[m] = 1;
     }
     sc.edges = std::move(edges);
     sc.label = std::move(label);
 
     // 4. Splice the surviving spacing records and rescan the affected
-    //    shapes. Scanning ascending, a pair of two affected shapes is
-    //    emitted from its lower member's visit.
+    //    shapes.
     filter_phase(space_phase(layer), sp, affected, true);
-    for (std::uint32_t k = 0; k < rects.size(); ++k) {
-      if (!affected[k]) continue;
-      idx.for_each_in(rects[k].expanded(rule.min_space), [&](std::uint32_t j) {
-        if (j == k || root[j] == root[k]) return;
-        if (affected[j] && j < k) return;
-        const Coord gap = geom::rect_gap(rects[k], rects[j]);
-        if (gap < rule.min_space)
-          emit_space(layer, std::min(j, k), std::max(j, k), gap,
-                     rule.min_space);
-      });
-    }
+    const auto is_affected = [&](std::uint32_t id) { return affected[id] != 0; };
+    for (std::uint32_t k = 0; k < n; ++k)
+      if (affected[k]) scan_space(layer, k, root, is_affected, recs);
   }
 
   /// Ids of `idx` whose rect intersects any dirty rect expanded by
@@ -592,7 +438,7 @@ struct IncrementalDrc::Impl {
 
       filter_phase(via_phase(vi), sp, affected, false);
       for (std::uint32_t i = 0; i < db->rects(vr.via).size(); ++i)
-        if (affected[i]) scan_via(vi, i);
+        if (affected[i]) scan_via(vi, i, recs);
     }
 
     {
@@ -605,7 +451,7 @@ struct IncrementalDrc::Impl {
         mark_dirty(pdiff_idx, nwell_dirty, tech.well_encl_diff, affected);
         filter_phase(well_phase(), sp, affected, false);
         for (std::uint32_t i = 0; i < db->rects(Layer::PDiff).size(); ++i)
-          if (affected[i]) scan_well(i);
+          if (affected[i]) scan_well(i, recs);
       }
     }
   }
@@ -627,15 +473,44 @@ struct IncrementalDrc::Impl {
   }
 };
 
+}  // namespace
+
+geom::Coord max_interaction_distance(const tech::Tech& tech) {
+  Coord d = 1;
+  for (Layer layer : geom::all_layers())
+    d = std::max(d, tech.rule(layer).min_space);
+  for (Coord e : {tech.contact_encl_diff, tech.contact_encl_poly,
+                  tech.contact_encl_m1, tech.via1_encl, tech.via2_encl,
+                  tech.well_encl_diff, tech.well_space})
+    d = std::max(d, e);
+  return d;
+}
+
+geom::Coord tile_size_for(const tech::Tech& tech) {
+  // 8x the reach keeps bucket fan-out low (the seed hash used the same
+  // multiple) while every rule still only consults adjacent tiles.
+  return max_interaction_distance(tech) * 8;
+}
+
+std::vector<Violation> check(const geom::LayoutDB& db, const tech::Tech& tech,
+                             const DrcOptions& options) {
+  return Checker(db, tech, options).report();
+}
+
+std::vector<Violation> check(const geom::Cell& top, const tech::Tech& tech,
+                             const DrcOptions& options) {
+  return check(geom::LayoutDB(top, tile_size_for(tech)), tech, options);
+}
+
+// --- incremental checker -----------------------------------------------------
+
+struct IncrementalDrc::Impl : Checker {
+  using Checker::Checker;
+};
+
 IncrementalDrc::IncrementalDrc(const geom::LayoutDB& db, const tech::Tech& tech,
                                const DrcOptions& options)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->db = &db;
-  impl_->tech = tech;
-  impl_->opt = options;
-  impl_->via_rules = via_rules_for(tech);
-  impl_->full_scan();
-}
+    : impl_(std::make_unique<Impl>(db, tech, options)) {}
 
 IncrementalDrc::~IncrementalDrc() = default;
 
@@ -644,140 +519,6 @@ void IncrementalDrc::update(const geom::EditResult& edit) {
 }
 
 std::vector<Violation> IncrementalDrc::report() const { return impl_->report(); }
-
-// --- reference checker (pre-LayoutDB seed implementation) --------------------
-
-namespace {
-
-// Spatial hash over rect lists so spacing checks stay near-linear.
-class Buckets {
- public:
-  Buckets(const std::vector<Rect>& rects, Coord cell_size)
-      : rects_(rects), size_(std::max<Coord>(cell_size, 1)) {
-    for (std::size_t i = 0; i < rects.size(); ++i) insert(i);
-  }
-
-  template <typename Fn>
-  void neighbors(std::size_t i, Coord margin, Fn&& fn) const {
-    const Rect r = rects_[i].expanded(margin);
-    for (Coord gx = floor_div(r.lo.x); gx <= floor_div(r.hi.x); ++gx) {
-      for (Coord gy = floor_div(r.lo.y); gy <= floor_div(r.hi.y); ++gy) {
-        auto it = grid_.find(key(gx, gy));
-        if (it == grid_.end()) continue;
-        for (std::size_t j : it->second)
-          if (j > i) fn(j);
-      }
-    }
-  }
-
- private:
-  Coord floor_div(Coord v) const {
-    return v >= 0 ? v / size_ : -((-v + size_ - 1) / size_);
-  }
-  static std::uint64_t key(Coord x, Coord y) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(x)) << 32) |
-           static_cast<std::uint32_t>(y);
-  }
-  void insert(std::size_t i) {
-    const Rect& r = rects_[i];
-    for (Coord gx = floor_div(r.lo.x); gx <= floor_div(r.hi.x); ++gx)
-      for (Coord gy = floor_div(r.lo.y); gy <= floor_div(r.hi.y); ++gy)
-        grid_[key(gx, gy)].push_back(i);
-  }
-
-  const std::vector<Rect>& rects_;
-  Coord size_;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> grid_;
-};
-
-}  // namespace
-
-std::vector<Violation> check_reference(const geom::Cell& top,
-                                       const tech::Tech& tech,
-                                       const DrcOptions& options) {
-  std::vector<Violation> out;
-  const auto by_layer = top.flatten_by_layer();
-  auto layer_rects = [&](Layer l) -> const std::vector<Rect>& {
-    return by_layer[static_cast<std::size_t>(l)];
-  };
-  auto full = [&] { return out.size() >= options.max_violations; };
-
-  // --- width and spacing per layer ----------------------------------------
-  for (Layer layer : geom::all_layers()) {
-    const auto& rule = tech.rule(layer);
-    const auto& rects = layer_rects(layer);
-    if (rects.empty()) continue;
-
-    if (rule.min_width > 0) {
-      for (const Rect& r : rects) {
-        if (std::min(r.width(), r.height()) < rule.min_width) {
-          out.push_back({RuleKind::MinWidth, layer, r, {}, ""});
-          if (full()) return out;
-        }
-      }
-    }
-
-    if (rule.min_space > 0) {
-      Buckets buckets(rects, rule.min_space * 8);
-      std::vector<std::size_t> comp(rects.size());
-      for (std::size_t i = 0; i < comp.size(); ++i) comp[i] = i;
-      std::function<std::size_t(std::size_t)> find =
-          [&](std::size_t x) -> std::size_t {
-        while (comp[x] != x) {
-          comp[x] = comp[comp[x]];
-          x = comp[x];
-        }
-        return x;
-      };
-      for (std::size_t i = 0; i < rects.size(); ++i) {
-        buckets.neighbors(i, 0, [&](std::size_t j) {
-          if (rects[i].intersects(rects[j])) comp[find(i)] = find(j);
-        });
-      }
-      for (std::size_t i = 0; i < rects.size(); ++i) {
-        buckets.neighbors(i, rule.min_space, [&](std::size_t j) {
-          if (full()) return;
-          if (find(i) == find(j)) return;  // same merged polygon
-          const Rect& a = rects[i];
-          const Rect& b = rects[j];
-          const Coord gap = geom::rect_gap(a, b);
-          if (gap < rule.min_space)
-            out.push_back({RuleKind::MinSpace, layer, a, b,
-                           space_note(gap, rule.min_space)});
-        });
-        if (full()) return out;
-      }
-    }
-  }
-
-  // --- via enclosures -------------------------------------------------------
-  for (const auto& vr : via_rules_for(tech)) {
-    for (const Rect& via : layer_rects(vr.via)) {
-      if (full()) return out;
-      bool landed = false;
-      for (Layer lower : vr.lower)
-        if (enclosed_by_any(via.expanded(vr.encl_lower), layer_rects(lower)))
-          landed = true;
-      if (!landed)
-        out.push_back({RuleKind::ViaEnclosure, vr.via, via, {},
-                       "missing lower-layer enclosure"});
-      if (!enclosed_by_any(via.expanded(vr.encl_upper), layer_rects(vr.upper)))
-        out.push_back({RuleKind::ViaEnclosure, vr.via, via, {},
-                       "missing upper-layer enclosure"});
-    }
-  }
-
-  // --- wells must enclose p-diffusion ---------------------------------------
-  for (const Rect& pd : layer_rects(Layer::PDiff)) {
-    if (full()) return out;
-    if (!enclosed_by_any(pd.expanded(tech.well_encl_diff),
-                         layer_rects(Layer::NWell)))
-      out.push_back({RuleKind::WellCoverage, Layer::PDiff, pd, {},
-                     "pdiff not enclosed by nwell"});
-  }
-
-  return out;
-}
 
 std::string describe(const Violation& v) {
   const char* kind = "?";

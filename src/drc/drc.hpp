@@ -6,14 +6,14 @@
 // actually satisfies the deck it was generated from.
 //
 // The checker runs on geom::LayoutDB (one flatten, per-layer tile
-// index) and checks tiles in parallel on util/parallel's deterministic
-// chunked engine. Each shape belongs to exactly one *home tile* (the
-// tile holding its lo corner), so the tile grid partitions the work
-// without duplicate reports; per-tile findings are folded in strict
-// tile order and the merged list is finally put into canonical
-// (rule phase, layer, coordinates) order. The result is bit-identical
-// for any BISRAM_THREADS / DrcOptions::threads value, and independent
-// of the database's tile size.
+// index). Each rule is written once, as a per-shape scan; a full check
+// runs those scans on util/parallel's deterministic engine in fixed
+// chunks of shape ids, joined in chunk order, and IncrementalDrc reruns
+// them only for the shapes an edit can affect. Every finding is tagged
+// with (rule phase, emitting shape, sequence), which is unique, and the
+// report is sorted by that tag and then stably into canonical (rule
+// phase, layer, coordinates) order. The result is bit-identical for any
+// BISRAM_THREADS value and independent of the database's tile size.
 //
 // Known approximation (inherited from the seed checker): same-layer
 // spacing merges touching rectangles into connected components first,
@@ -46,8 +46,7 @@ struct Violation {
   std::string note;
   /// Instance provenance from the LayoutDB: the hierarchical path of
   /// the cell instance that produced rect a (and b, for pair rules).
-  /// Empty for shapes owned by the top cell, and for the reference
-  /// checker (which has no provenance to report).
+  /// Empty for shapes owned by the top cell.
   std::string path_a;
   std::string path_b;
 };
@@ -55,10 +54,6 @@ struct Violation {
 struct DrcOptions {
   /// Stop after this many violations (keeps pathological runs bounded).
   std::size_t max_violations = 1000;
-  /// Worker threads for the per-tile passes; <= 0 means the
-  /// BISRAM_THREADS / campaign_threads() default. The violation list is
-  /// bit-identical for every value.
-  int threads = 0;
 };
 
 /// The technology's maximum interaction distance: the largest spacing /
@@ -83,20 +78,12 @@ std::vector<Violation> check(const geom::LayoutDB& db, const tech::Tech& tech,
 std::vector<Violation> check(const geom::Cell& top, const tech::Tech& tech,
                              const DrcOptions& options = {});
 
-/// The pre-LayoutDB serial checker (flatten per call, private spatial
-/// hash, first-found violation order). Kept as the oracle the
-/// equivalence tests and the bench_layouts signoff benchmark compare
-/// the tiled parallel path against; not for production use.
-std::vector<Violation> check_reference(const geom::Cell& top,
-                                       const tech::Tech& tech,
-                                       const DrcOptions& options = {});
-
-/// Incremental re-check over an edited LayoutDB. Construct it once from
-/// a full scan, then after every LayoutDB::apply feed the returned
-/// EditResult to update(); report() is bit-identical to running
+/// Incremental re-check over an edited LayoutDB. Construct it once (it
+/// runs check()'s full scan), then after every LayoutDB::apply feed the
+/// returned EditResult to update(); report() is bit-identical to running
 /// drc::check(db, tech, options) from scratch on the database's current
-/// contents, but update() only re-verifies shapes the edit could have
-/// affected:
+/// contents, but update() only re-runs the per-shape rules for shapes
+/// the edit could have affected:
 ///
 ///   * min-width: only the inserted shapes (a surviving rect's width
 ///     cannot change).
@@ -111,10 +98,10 @@ std::vector<Violation> check_reference(const geom::Cell& top,
 ///     window query.
 ///
 /// The database must outlive the checker, and every apply() on it must
-/// be fed to update() before the next report(). update()/report() are
-/// single-threaded and deterministic, so the report is bit-identical
-/// for any BISRAM_THREADS value (DrcOptions::threads only shapes the
-/// initial full scan's reduction, which is deterministic too).
+/// be fed to update() before the next report(). The constructor's full
+/// scan runs on the campaign pool; update() and report() are serial.
+/// All three are deterministic, so the report is bit-identical for any
+/// BISRAM_THREADS value.
 class IncrementalDrc {
  public:
   IncrementalDrc(const geom::LayoutDB& db, const tech::Tech& tech,

@@ -1,18 +1,9 @@
 #include "geom/cell.hpp"
 
 #include "geom/layout_db.hpp"
-#include "util/diag.hpp"
 #include "util/error.hpp"
 
 namespace bisram::geom {
-
-namespace {
-[[noreturn]] void flatten_fail(const std::string& cell, std::string code,
-                               std::string message) {
-  throw DiagError({{Severity::Error, std::move(code), std::move(message),
-                    cell, 0, 0}});
-}
-}  // namespace
 
 void Cell::add_shape(Layer layer, const Rect& rect) {
   ensure(!rect.empty(), "Cell::add_shape: empty rect in cell " + name_);
@@ -53,55 +44,6 @@ std::size_t Cell::flat_shape_count() const {
   std::size_t n = shapes_.size();
   for (const auto& inst : instances_) n += inst.cell->flat_shape_count();
   return n;
-}
-
-void Cell::flatten_into(
-    const Transform& t,
-    const std::function<void(Layer, const Rect&)>& visit, int depth,
-    std::size_t& instances) const {
-  if (depth > kMaxFlattenDepth)
-    flatten_fail(name_, "layout-flatten-too-deep",
-                 "hierarchy nested deeper than " +
-                     std::to_string(kMaxFlattenDepth) +
-                     " levels (instance cycle?) at cell '" + name_ + "'");
-  for (const auto& s : shapes_) visit(s.layer, t.apply(s.rect));
-  for (const auto& inst : instances_) {
-    if (++instances > kMaxFlattenInstances)
-      flatten_fail(name_, "layout-flatten-too-many-instances",
-                   "flatten exceeds " + std::to_string(kMaxFlattenInstances) +
-                       " instances at cell '" + name_ + "'");
-    inst.cell->flatten_into(t.compose(inst.transform), visit, depth + 1,
-                            instances);
-  }
-}
-
-void Cell::flatten(const std::function<void(Layer, const Rect&)>& visit) const {
-  std::size_t instances = 0;
-  flatten_into(Transform{}, visit, 0, instances);
-}
-
-std::vector<std::vector<Rect>> Cell::flatten_by_layer() const {
-  std::vector<std::vector<Rect>> out(kLayerCount);
-  flatten([&](Layer layer, const Rect& r) {
-    out[static_cast<std::size_t>(layer)].push_back(r);
-  });
-  return out;
-}
-
-double Cell::layer_area(Layer layer) const {
-  double area = 0.0;
-  flatten([&](Layer l, const Rect& r) {
-    if (l == layer) area += r.area();
-  });
-  return area;
-}
-
-double Cell::layer_union_area(Layer layer) const {
-  std::vector<Rect> rects;
-  flatten([&](Layer l, const Rect& r) {
-    if (l == layer) rects.push_back(r);
-  });
-  return union_area(rects);
 }
 
 std::size_t Cell::transistor_census() const {

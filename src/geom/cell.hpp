@@ -5,7 +5,6 @@
 // paper describes ("no routing is necessary and the signals in adjacent
 // modules are perfectly aligned and connected by abutments").
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -17,9 +16,9 @@
 
 namespace bisram::geom {
 
-/// Flatten-recursion depth cap shared by Cell::flatten and
-/// LayoutDB: a hierarchy nested deeper than this (or one with an
-/// instance cycle, which recurses forever) aborts with a
+/// Flatten-recursion depth cap of LayoutDB's flattener (the library's
+/// one flatten path): a hierarchy nested deeper than this (or one with
+/// an instance cycle, which recurses forever) aborts with a
 /// "layout-flatten-too-deep" DiagError instead of overflowing the
 /// stack — the same bounded-recursion policy as the JSON parser's
 /// depth cap. Generated macros are ~6 levels deep; 64 is headroom,
@@ -84,32 +83,12 @@ class Cell {
   /// Total shape count in the fully flattened cell.
   std::size_t flat_shape_count() const;
 
-  /// Visits every shape of the flattened hierarchy with its absolute
-  /// rect. Refuses hierarchies deeper than kMaxFlattenDepth or larger
-  /// than kMaxFlattenInstances with a DiagError ("layout-flatten-*"
-  /// codes) instead of overflowing the stack.
-  void flatten(const std::function<void(Layer, const Rect&)>& visit) const;
-
-  /// Flattened shapes collected per layer (convenience over flatten()).
-  std::vector<std::vector<Rect>> flatten_by_layer() const;
-
-  /// Sum of flattened shape areas on `layer`, in DBU^2 (overlapping
-  /// rectangles counted multiply — cheap; see layer_union_area).
-  double layer_area(Layer layer) const;
-
-  /// Exact merged area of `layer` in DBU^2 (overlaps counted once).
-  double layer_union_area(Layer layer) const;
-
   /// Number of transistors implied by poly-over-diffusion crossings in the
   /// flattened layout (cheap structural census; full recognition lives in
   /// src/extract).
   std::size_t transistor_census() const;
 
  private:
-  void flatten_into(const Transform& t,
-                    const std::function<void(Layer, const Rect&)>& visit,
-                    int depth, std::size_t& instances) const;
-
   std::string name_;
   std::vector<Shape> shapes_;
   std::vector<Port> ports_;

@@ -60,15 +60,6 @@ const std::vector<std::uint32_t>& TileIndex::bucket(int tx, int ty) const {
                   static_cast<std::size_t>(tx)];
 }
 
-std::vector<std::uint32_t> TileIndex::homed_in(int tx, int ty) const {
-  std::vector<std::uint32_t> out;
-  for (std::uint32_t id : bucket(tx, ty)) {
-    const Rect& r = (*rects_)[id];
-    if (tx_of(r.lo.x) == tx && ty_of(r.lo.y) == ty) out.push_back(id);
-  }
-  return out;
-}
-
 void TileIndex::for_each_in(
     const Rect& window, const std::function<void(std::uint32_t)>& fn) const {
   if (count_ == 0 || !window.intersects(bounds_)) return;
@@ -139,6 +130,50 @@ std::size_t path_lower_bound(const std::vector<DbShape>& sv,
       sv.begin());
 }
 
+/// The one recursive flattener. Visits a cell's own shapes first, then
+/// each instance depth-first — the order every consumer's output
+/// depends on — appending one path node per instance, numbered from
+/// `base` (the id the first node of `parent` gets), and tagging each
+/// shape with its node. The constructor runs it over the whole
+/// hierarchy with base 0; apply() runs it over an edited subtree in the
+/// post-edit numbering. Hierarchies deeper than kMaxFlattenDepth or
+/// with more than `budget` nodes are refused with stable DiagError
+/// codes instead of overflowing the stack.
+struct Flattener {
+  const std::string& top;
+  std::uint32_t base;
+  std::size_t budget;
+  std::vector<std::uint32_t>& parent;
+  std::vector<std::string>& name;
+  std::vector<Transform>& local;
+  std::array<std::vector<DbShape>, kLayerCount>& shapes;
+
+  void run(const Cell& cell, const Transform& t, std::uint32_t node,
+           int depth) {
+    if (depth > kMaxFlattenDepth)
+      flatten_fail(top, "layout-flatten-too-deep",
+                   "hierarchy nested deeper than " +
+                       std::to_string(kMaxFlattenDepth) +
+                       " levels (instance cycle?) at cell '" + cell.name() +
+                       "'");
+    for (const auto& s : cell.shapes())
+      shapes[static_cast<std::size_t>(s.layer)].push_back(
+          {t.apply(s.rect), node});
+    for (const auto& inst : cell.instances()) {
+      if (parent.size() >= budget)
+        flatten_fail(top, "layout-flatten-too-many-instances",
+                     "flatten exceeds " +
+                         std::to_string(kMaxFlattenInstances) +
+                         " instances at cell '" + cell.name() + "'");
+      const auto child = base + static_cast<std::uint32_t>(parent.size());
+      parent.push_back(node);
+      name.push_back(inst.name);
+      local.push_back(inst.transform);
+      run(*inst.cell, t.compose(inst.transform), child, depth + 1);
+    }
+  }
+};
+
 }  // namespace
 
 LayoutDB::LayoutDB(const Cell& top, Coord tile_size)
@@ -148,36 +183,12 @@ LayoutDB::LayoutDB(const Cell& top, Coord tile_size)
   path_parent_.push_back(0);
   path_name_.emplace_back();  // node 0: the top cell, empty path
   path_local_.emplace_back();
-  flatten_cell(top, Transform{}, 0, 0);
+  Flattener flat{top_name_, 0, kMaxFlattenInstances, path_parent_,
+                 path_name_, path_local_, shapes_};
+  flat.run(top, Transform{}, 0, 0);
   rebuild_sub_ends();
   for (int l = 0; l < kLayerCount; ++l) reindex_layer(static_cast<std::size_t>(l));
   rebuild_bbox();
-}
-
-void LayoutDB::flatten_cell(const Cell& cell, const Transform& t,
-                            std::uint32_t path, int depth) {
-  if (depth > kMaxFlattenDepth)
-    flatten_fail(top_name_, "layout-flatten-too-deep",
-                 "hierarchy nested deeper than " +
-                     std::to_string(kMaxFlattenDepth) +
-                     " levels (instance cycle?) at cell '" + cell.name() +
-                     "'");
-  // Same visit order as Cell::flatten(): own shapes first, then each
-  // instance depth-first — the order every consumer's output depends on.
-  for (const auto& s : cell.shapes())
-    shapes_[static_cast<std::size_t>(s.layer)].push_back(
-        {t.apply(s.rect), path});
-  for (const auto& inst : cell.instances()) {
-    if (path_parent_.size() >= kMaxFlattenInstances)
-      flatten_fail(top_name_, "layout-flatten-too-many-instances",
-                   "flatten exceeds " + std::to_string(kMaxFlattenInstances) +
-                       " instances at cell '" + cell.name() + "'");
-    const auto node = static_cast<std::uint32_t>(path_parent_.size());
-    path_parent_.push_back(path);
-    path_name_.push_back(inst.name);
-    path_local_.push_back(inst.transform);
-    flatten_cell(*inst.cell, t.compose(inst.transform), node, depth + 1);
-  }
 }
 
 void LayoutDB::reindex_layer(std::size_t l) {
@@ -231,15 +242,6 @@ void LayoutDB::for_each_in(
     Layer layer, const Rect& window,
     const std::function<void(std::uint32_t)>& fn) const {
   index(layer).for_each_in(window, fn);
-}
-
-void LayoutDB::neighbors_within(
-    Layer layer, const Rect& rect, Coord d,
-    const std::function<void(std::uint32_t)>& fn) const {
-  const auto& rv = rects(layer);
-  index(layer).for_each_in(rect.expanded(d), [&](std::uint32_t id) {
-    if (rect_gap(rect, rv[id]) <= d) fn(id);
-  });
 }
 
 double LayoutDB::layer_area(Layer layer) const {
@@ -367,42 +369,6 @@ EditResult LayoutDB::apply(const CellEdit& e) {
   std::vector<Transform> new_local;
   std::array<std::vector<DbShape>, kLayerCount> new_shapes;
 
-  struct SubFlattener {
-    const std::string& top;
-    std::uint32_t base;
-    std::size_t budget;  // max new nodes before the instance cap trips
-    std::vector<std::uint32_t>& parent;
-    std::vector<std::string>& name;
-    std::vector<Transform>& local;
-    std::array<std::vector<DbShape>, kLayerCount>& shapes;
-
-    void run(const Cell& cell, const Transform& t, std::uint32_t node,
-             int depth) {
-      if (depth > kMaxFlattenDepth)
-        flatten_fail(top, "layout-flatten-too-deep",
-                     "hierarchy nested deeper than " +
-                         std::to_string(kMaxFlattenDepth) +
-                         " levels (instance cycle?) at cell '" + cell.name() +
-                         "'");
-      for (const auto& s : cell.shapes())
-        shapes[static_cast<std::size_t>(s.layer)].push_back(
-            {t.apply(s.rect), node});
-      for (const auto& inst : cell.instances()) {
-        if (parent.size() >= budget)
-          flatten_fail(top, "layout-flatten-too-many-instances",
-                       "flatten exceeds " +
-                           std::to_string(kMaxFlattenInstances) +
-                           " instances at cell '" + cell.name() + "'");
-        const auto child =
-            base + static_cast<std::uint32_t>(parent.size());
-        parent.push_back(node);
-        name.push_back(inst.name);
-        local.push_back(inst.transform);
-        run(*inst.cell, t.compose(inst.transform), child, depth + 1);
-      }
-    }
-  };
-
   switch (e.kind) {
     case CellEdit::Kind::Replace: {
       const std::uint32_t n = node_of(e.path);
@@ -415,8 +381,8 @@ EditResult LayoutDB::apply(const CellEdit& e) {
       new_local.push_back(path_local_[n]);
       const std::size_t kept =
           path_parent_.size() - (rm_end - rm_begin);
-      SubFlattener sub{top_name_, rm_begin, kMaxFlattenInstances - kept,
-                       new_parent, new_name, new_local, new_shapes};
+      Flattener sub{top_name_, rm_begin, kMaxFlattenInstances - kept,
+                    new_parent, new_name, new_local, new_shapes};
       sub.run(*e.cell, abs_transform(path_parent_[n]).compose(path_local_[n]),
               rm_begin, depth_of(n));
       break;
@@ -432,9 +398,9 @@ EditResult LayoutDB::apply(const CellEdit& e) {
       new_parent.push_back(p);
       new_name.push_back(e.name);
       new_local.push_back(e.transform);
-      SubFlattener sub{top_name_, rm_begin,
-                       kMaxFlattenInstances - path_parent_.size(),
-                       new_parent, new_name, new_local, new_shapes};
+      Flattener sub{top_name_, rm_begin,
+                    kMaxFlattenInstances - path_parent_.size(),
+                    new_parent, new_name, new_local, new_shapes};
       sub.run(*e.cell, abs_transform(p).compose(e.transform), rm_begin,
               depth_of(p) + 1);
       break;
@@ -552,56 +518,6 @@ std::uint64_t LayoutDB::content_hash() const {
     }
   }
   return fp.value();
-}
-
-std::shared_ptr<Cell> edited_cell(const Cell& top, const CellEdit& e) {
-  std::vector<std::string> segs;
-  if (!e.path.empty()) {
-    std::size_t pos = 0;
-    for (;;) {
-      const std::size_t slash = e.path.find('/', pos);
-      const std::size_t end =
-          slash == std::string::npos ? e.path.size() : slash;
-      segs.emplace_back(e.path, pos, end - pos);
-      if (slash == std::string::npos) break;
-      pos = slash + 1;
-    }
-  }
-  const bool add = e.kind == CellEdit::Kind::Add;
-  require(add || !segs.empty(),
-          "edited_cell: cannot edit the top cell itself");
-  // Depth of the cell that owns the edited Instance entry.
-  const std::size_t limit = add ? segs.size() : segs.size() - 1;
-
-  const std::function<std::shared_ptr<Cell>(const Cell&, std::size_t)> clone =
-      [&](const Cell& cell, std::size_t d) -> std::shared_ptr<Cell> {
-    auto out = std::make_shared<Cell>(cell.name());
-    for (const auto& s : cell.shapes()) out->add_shape(s.layer, s.rect);
-    for (const auto& p : cell.ports()) out->add_port(p.name, p.layer, p.rect);
-    bool hit = false;
-    for (const auto& inst : cell.instances()) {
-      if (!hit && d < limit && inst.name == segs[d]) {
-        hit = true;
-        out->add_instance(inst.name, clone(*inst.cell, d + 1), inst.transform);
-      } else if (!hit && d == limit && !add && inst.name == segs[d]) {
-        hit = true;
-        if (e.kind == CellEdit::Kind::Replace)
-          out->add_instance(inst.name, e.cell, inst.transform);
-        else if (e.kind == CellEdit::Kind::Move)
-          out->add_instance(inst.name, inst.cell, e.transform);
-        // Remove: drop the instance.
-      } else {
-        out->add_instance(inst.name, inst.cell, inst.transform);
-      }
-    }
-    if (d == limit && add)
-      out->add_instance(e.name, e.cell, e.transform);
-    else
-      require(hit, "edited_cell: no instance '" + segs[d] + "' on path '" +
-                       e.path + "'");
-    return out;
-  };
-  return clone(top, 0);
 }
 
 }  // namespace bisram::geom

@@ -2,13 +2,12 @@
 // The shared, spatially-indexed flat layout database.
 //
 // Before this existed, every geometry consumer — DRC, extraction, the
-// SVG writer, the area reports — independently called
-// Cell::flatten_by_layer() and rebuilt its own ad-hoc per-layer rect
-// vectors (DRC even kept a private spatial hash), so a full-macro
-// signoff flattened the hierarchy three-plus times and ran its scans
-// effectively pairwise. LayoutDB flattens the hierarchy exactly once
-// into a per-layer, tile-bucketed spatial index and becomes the one
-// artifact the whole signoff flow shares:
+// SVG writer, the area reports — flattened the hierarchy on its own
+// into ad-hoc per-layer rect vectors (DRC even kept a private spatial
+// hash), so a full-macro signoff flattened the hierarchy three-plus
+// times and ran its scans effectively pairwise. LayoutDB flattens the
+// hierarchy exactly once into a per-layer, tile-bucketed spatial index
+// and becomes the one artifact the whole signoff flow shares:
 //
 //     cells --(flatten once)--> LayoutDB --> { DRC, extract, LVS,
 //                                              writers, pnr checks }
@@ -29,14 +28,13 @@
 //     instead of rebuilding the hierarchy.
 //
 // Contracts:
-//   * Shape order. Per layer, shapes are stored in the exact order the
-//     depth-first Cell::flatten() visit produces them — the same order
-//     flatten_by_layer() historically returned. Extraction's net
-//     numbering and the SVG writer's paint order are functions of that
-//     order, so their outputs are bit-identical to the pre-LayoutDB
-//     code by construction. apply() preserves this: after an edit the
-//     shape order equals what a fresh flatten of the edited hierarchy
-//     would produce.
+//   * Shape order. Per layer, shapes are stored in depth-first flatten
+//     order: a cell's own shapes in insertion order, then each
+//     instance's subtree in instance order. Extraction's net numbering
+//     and the SVG writer's paint order are functions of that order.
+//     One recursive flattener produces it, for the constructor and for
+//     apply() alike, so after an edit the shape order equals what a
+//     fresh flatten of the edited hierarchy would produce.
 //   * Tiling. Each layer with shapes gets a uniform tile grid over the
 //     layer's bounding box. The tile edge is the caller's choice — DRC
 //     sizes it from the technology's maximum interaction distance (the
@@ -46,7 +44,7 @@
 //     every tile it touches; queries deduplicate by shape id.
 //   * Determinism. Queries report shape ids in strictly increasing id
 //     order, independent of tile geometry, so everything built on top
-//     (parallel DRC included) is reproducible bit-for-bit.
+//     (DRC and extraction included) is reproducible bit-for-bit.
 //   * Provenance. Every shape carries the instance path that produced
 //     it ("ROWDEC/dec3/inv" style, segments joined with '/'; shapes
 //     owned by the top cell itself have an empty path). Paths are kept
@@ -98,12 +96,6 @@ class TileIndex {
   /// Shape ids bucketed into tile (tx, ty), in insertion (= id) order,
   /// each id possibly present in several tiles.
   const std::vector<std::uint32_t>& bucket(int tx, int ty) const;
-
-  /// Ids of rects whose *home tile* — the tile containing the rect's lo
-  /// corner — is (tx, ty). Each rect has exactly one home tile, which
-  /// gives parallel per-tile passes a duplicate-free partition of the
-  /// rect set.
-  std::vector<std::uint32_t> homed_in(int tx, int ty) const;
 
   /// Calls fn(id) for every rect intersecting `window` (edge-touching
   /// counts, as Rect::intersects), in strictly increasing id order,
@@ -215,10 +207,9 @@ class LayoutDB {
   /// geometry-only users need not consult a Tech.
   static constexpr Coord kDefaultTile = 160;
 
-  /// Flatten guards shared with Cell::flatten (see cell.hpp): deeper or
-  /// larger hierarchies abort with "layout-flatten-too-deep" /
-  /// "layout-flatten-too-many-instances" DiagErrors instead of
-  /// overflowing the stack.
+  /// Flatten guards (see cell.hpp): deeper or larger hierarchies abort
+  /// with "layout-flatten-too-deep" / "layout-flatten-too-many-instances"
+  /// DiagErrors instead of overflowing the stack.
   static constexpr int kMaxFlattenDepth = geom::kMaxFlattenDepth;
   static constexpr std::size_t kMaxFlattenInstances =
       geom::kMaxFlattenInstances;
@@ -235,8 +226,7 @@ class LayoutDB {
   const std::vector<DbShape>& shapes(Layer layer) const {
     return shapes_[static_cast<std::size_t>(layer)];
   }
-  /// Just the rects of `layer` (parallel to shapes(layer)); this is the
-  /// exact vector Cell::flatten_by_layer() used to produce.
+  /// Just the rects of `layer` (parallel to shapes(layer)).
   const std::vector<Rect>& rects(Layer layer) const {
     return rects_[static_cast<std::size_t>(layer)];
   }
@@ -252,13 +242,6 @@ class LayoutDB {
   /// strictly increasing id order, each exactly once.
   void for_each_in(Layer layer, const Rect& window,
                    const std::function<void(std::uint32_t)>& fn) const;
-
-  /// fn(id) for every shape of `layer` within Manhattan distance `d` of
-  /// `rect` (rect_gap <= d), excluding `rect` itself only if the caller
-  /// filters — all candidates produced by the expanded-window query are
-  /// gap-checked before fn is called.
-  void neighbors_within(Layer layer, const Rect& rect, Coord d,
-                        const std::function<void(std::uint32_t)>& fn) const;
 
   /// Bounding box over every layer (empty Rect when no shapes).
   Rect bbox() const { return bbox_; }
@@ -325,8 +308,6 @@ class LayoutDB {
   LayoutDB() = default;  // snapshot loader fills the fields directly
   friend class SnapshotCodec;
 
-  void flatten_cell(const Cell& cell, const Transform& t, std::uint32_t path,
-                    int depth);
   /// Rebuilds rects_[l] + index_[l] from shapes_[l] and refreshes bbox_.
   void reindex_layer(std::size_t l);
   void rebuild_bbox();
@@ -353,13 +334,5 @@ class LayoutDB {
   std::vector<Transform> path_local_;
   std::vector<std::uint32_t> path_sub_end_;
 };
-
-/// Rebuilds a cell hierarchy with `edit` applied: clones the ancestor
-/// chain from `top` down to the edited instance and swaps in the edit.
-/// This is the full-rebuild oracle the incremental tests and the
-/// layoutdb bench flatten from scratch to prove LayoutDB::apply
-/// bit-identical; it is also the convenient way to keep a Cell tree in
-/// sync with an edited database.
-std::shared_ptr<Cell> edited_cell(const Cell& top, const CellEdit& edit);
 
 }  // namespace bisram::geom

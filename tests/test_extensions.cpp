@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "geom/cell.hpp"
+#include "geom/layout_db.hpp"
 #include "march/analysis.hpp"
 #include "models/cost.hpp"
 #include "models/yield.hpp"
@@ -69,8 +70,9 @@ TEST(UnionArea, CellLayerUnionBelowRawSum) {
   geom::Cell c("overlapping");
   c.add_shape(geom::Layer::Metal1, Rect::ltrb(0, 0, 100, 30));
   c.add_shape(geom::Layer::Metal1, Rect::ltrb(50, 0, 150, 30));
-  EXPECT_DOUBLE_EQ(c.layer_area(geom::Layer::Metal1), 100 * 30 + 100 * 30);
-  EXPECT_DOUBLE_EQ(c.layer_union_area(geom::Layer::Metal1), 150 * 30);
+  const geom::LayoutDB db(c);
+  EXPECT_DOUBLE_EQ(db.layer_area(geom::Layer::Metal1), 100 * 30 + 100 * 30);
+  EXPECT_DOUBLE_EQ(db.layer_union_area(geom::Layer::Metal1), 150 * 30);
 }
 
 TEST(SpareAllocation, PicksSmallestSufficientCount) {

@@ -4,6 +4,7 @@
 
 #include "geom/cell.hpp"
 #include "geom/geometry.hpp"
+#include "geom/layout_db.hpp"
 #include "geom/writers.hpp"
 #include "util/error.hpp"
 
@@ -121,17 +122,11 @@ TEST(Cell, HierarchicalFlatten) {
   top.add_instance("i2", leaf, Transform(Orient::R90, {30, 0}));
 
   EXPECT_EQ(top.flat_shape_count(), 3u);
-  int count = 0;
-  Rect box{};
-  top.flatten([&](Layer l, const Rect& r) {
-    EXPECT_EQ(l, Layer::Metal1);
-    box = box.united(r);
-    ++count;
-  });
-  EXPECT_EQ(count, 3);
+  const LayoutDB db(top);
+  EXPECT_EQ(db.rects(Layer::Metal1).size(), 3u);  // every shape, on metal1
   // i2 rotated: rect (0,0,4,2) under R90 -> (-2,0,0,4) then +30 x.
-  EXPECT_EQ(box, Rect::ltrb(0, 0, 30, 4));
-  EXPECT_EQ(top.bbox(), box);
+  EXPECT_EQ(db.layer_bbox(Layer::Metal1), Rect::ltrb(0, 0, 30, 4));
+  EXPECT_EQ(top.bbox(), db.bbox());
 }
 
 TEST(Cell, LayerAreaSumsFlattened) {
@@ -141,8 +136,9 @@ TEST(Cell, LayerAreaSumsFlattened) {
   for (int i = 0; i < 4; ++i)
     top.add_instance("i" + std::to_string(i), leaf,
                      Transform::translate(i * 10, 0));
-  EXPECT_DOUBLE_EQ(top.layer_area(Layer::Metal2), 40.0);
-  EXPECT_DOUBLE_EQ(top.layer_area(Layer::Metal1), 0.0);
+  const LayoutDB db(top);
+  EXPECT_DOUBLE_EQ(db.layer_area(Layer::Metal2), 40.0);
+  EXPECT_DOUBLE_EQ(db.layer_area(Layer::Metal1), 0.0);
 }
 
 TEST(Cell, TransistorCensusCountsGates) {

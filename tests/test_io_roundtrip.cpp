@@ -10,6 +10,7 @@
 #include "drc/drc.hpp"
 #include "extract/spice_deck.hpp"
 #include "geom/cif_reader.hpp"
+#include "geom/layout_db.hpp"
 #include "geom/writers.hpp"
 #include "util/error.hpp"
 
@@ -40,11 +41,11 @@ TEST(CifRoundTrip, HierarchyShapesAndTransformsSurvive) {
   EXPECT_EQ(back.top->bbox(), top.bbox());
   EXPECT_EQ(back.top->flat_shape_count(), top.flat_shape_count());
   // Per-layer flattened geometry identical.
-  const auto a = top.flatten_by_layer();
-  const auto b = back.top->flatten_by_layer();
+  const geom::LayoutDB a(top);
+  const geom::LayoutDB b(*back.top);
   for (Layer l : geom::all_layers()) {
-    auto sa = a[static_cast<std::size_t>(l)];
-    auto sb = b[static_cast<std::size_t>(l)];
+    auto sa = a.rects(l);
+    auto sb = b.rects(l);
     auto key = [](const Rect& r) {
       return std::make_tuple(r.lo.x, r.lo.y, r.hi.x, r.hi.y);
     };

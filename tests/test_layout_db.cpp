@@ -1,15 +1,17 @@
 // Tests for the shared spatial layout database (geom/layout_db.hpp):
-// the TileIndex bucketing/query contracts (id order, dedup, home-tile
-// partition), the flatten-order and provenance guarantees of LayoutDB,
-// and the derived geometry queries (areas, bbox, transistor census).
+// the TileIndex bucketing/query contracts (id order, dedup), the
+// flatten-order (against the test-side flatten oracle) and provenance
+// guarantees of LayoutDB, and the derived geometry queries (areas,
+// bbox, transistor census).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
+#include <string>
+#include <vector>
 
 #include "cells/leaf_cells.hpp"
 #include "geom/layout_db.hpp"
+#include "oracle_flatten.hpp"
 #include "tech/tech.hpp"
 #include "util/diag.hpp"
 
@@ -46,19 +48,6 @@ TEST(TileIndex, StraddlingRectLandsInEveryTileItTouches) {
   // Queries dedup the straddler back to one visit.
   EXPECT_EQ(idx.ids_in(Rect::ltrb(0, 0, 30, 20)),
             (std::vector<std::uint32_t>{0, 1}));
-}
-
-TEST(TileIndex, HomeTilesPartitionTheRectSet) {
-  const auto rects = lcg_rects(200, 11);
-  const TileIndex idx(rects, 64);
-  std::vector<int> seen(rects.size(), 0);
-  for (int ty = 0; ty < idx.tile_rows(); ++ty)
-    for (int tx = 0; tx < idx.tile_cols(); ++tx)
-      for (std::uint32_t id : idx.homed_in(tx, ty)) ++seen[id];
-  // Every rect has exactly one home tile — the duplicate-free partition
-  // the parallel DRC passes rely on.
-  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
-            static_cast<std::ptrdiff_t>(rects.size()));
 }
 
 TEST(TileIndex, QueriesMatchLinearScanInIdOrder) {
@@ -113,12 +102,6 @@ TEST(TileIndex, RectsExactlyOnTileBoundaries) {
   // The grid-corner point window likewise.
   EXPECT_EQ(idx.ids_in(Rect::ltrb(10, 10, 10, 10)),
             (std::vector<std::uint32_t>{0, 1, 2, 3}));
-  // Home tiles remain a partition even with boundary rects.
-  std::vector<int> seen(rects.size(), 0);
-  for (int ty = 0; ty < idx.tile_rows(); ++ty)
-    for (int tx = 0; tx < idx.tile_cols(); ++tx)
-      for (std::uint32_t id : idx.homed_in(tx, ty)) ++seen[id];
-  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), 4);
 }
 
 TEST(TileIndex, WindowsStraddlingAndOutsideTheIndexBbox) {
@@ -251,7 +234,7 @@ struct Hier {
 TEST(LayoutDB, FlattenOrderMatchesFlattenByLayer) {
   const Hier h;
   const LayoutDB db(*h.top);
-  const auto by_layer = h.top->flatten_by_layer();
+  const auto by_layer = oracle::flatten_by_layer(*h.top);
   std::size_t total = 0;
   for (std::size_t l = 0; l < by_layer.size(); ++l) {
     const auto layer = static_cast<Layer>(l);
@@ -301,20 +284,6 @@ TEST(LayoutDB, AreasAndBbox) {
   EXPECT_EQ(db.layer_bbox(Layer::Metal1), Rect::ltrb(0, 0, 15, 10));
   EXPECT_EQ(db.bbox(), Rect::ltrb(0, 0, 110, 110));
   EXPECT_DOUBLE_EQ(db.layer_area(Layer::Metal3), 0.0);
-}
-
-TEST(LayoutDB, NeighborsWithinUsesManhattanGap) {
-  Library lib;
-  auto c = lib.create("gaps");
-  c->add_shape(Layer::Metal1, Rect::ltrb(0, 0, 10, 10));    // the probe
-  c->add_shape(Layer::Metal1, Rect::ltrb(13, 0, 20, 10));   // gap 3
-  c->add_shape(Layer::Metal1, Rect::ltrb(0, 16, 10, 20));   // gap 6
-  const LayoutDB db(*c);
-  std::set<std::uint32_t> near;
-  db.neighbors_within(Layer::Metal1, Rect::ltrb(0, 0, 10, 10), 3,
-                      [&](std::uint32_t id) { near.insert(id); });
-  EXPECT_TRUE(near.count(1));
-  EXPECT_FALSE(near.count(2));
 }
 
 TEST(LayoutDB, TransistorCensusMatchesCellOnRealLeafCells) {

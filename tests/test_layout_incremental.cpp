@@ -3,18 +3,19 @@
 // Replace, Add) and across tile sizes,
 //
 //   * LayoutDB::apply is bit-identical (shapes, ids, provenance,
-//     content hash) to flattening geom::edited_cell from scratch;
+//     content hash) to flattening edited_cell (below) from scratch;
 //   * drc::IncrementalDrc::report equals drc::check on the fresh
 //     flatten;
 //   * extract::IncrementalExtract::result equals extract::extract.
 //
 // The CI sanitizer legs run this suite at BISRAM_THREADS 1/2/8: the
-// incremental engines are single-threaded by contract, but the full
-// drc::check they are compared against runs its tiled passes on the
-// campaign pool, so the equality also pins thread-invariance.
+// full scans (drc::check, extract::extract and the incremental engines'
+// initial scans) run their per-shape phases on the campaign pool, while
+// the updates are serial, so the equality also pins thread-invariance.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "drc/drc.hpp"
 #include "extract/extract.hpp"
 #include "geom/layout_db.hpp"
+#include "util/error.hpp"
 
 namespace bisram {
 namespace {
@@ -53,6 +55,63 @@ const Macro& small_macro() {
     return new Macro{g.top, spec.resolved_technology()};
   }();
   return *m;
+}
+
+/// The full-rebuild oracle: the hierarchy `top` with `edit` applied,
+/// built by cloning the ancestor chain down to the edited instance and
+/// swapping in the edit. A fresh LayoutDB of it is what apply() must
+/// reproduce bit for bit.
+std::shared_ptr<geom::Cell> edited_cell(const geom::Cell& top,
+                                        const CellEdit& e) {
+  std::vector<std::string> segs;
+  if (!e.path.empty()) {
+    std::size_t pos = 0;
+    for (;;) {
+      const std::size_t slash = e.path.find('/', pos);
+      const std::size_t end =
+          slash == std::string::npos ? e.path.size() : slash;
+      segs.emplace_back(e.path, pos, end - pos);
+      if (slash == std::string::npos) break;
+      pos = slash + 1;
+    }
+  }
+  const bool add = e.kind == CellEdit::Kind::Add;
+  require(add || !segs.empty(),
+          "edited_cell: cannot edit the top cell itself");
+  // Depth of the cell that owns the edited Instance entry.
+  const std::size_t limit = add ? segs.size() : segs.size() - 1;
+
+  const std::function<std::shared_ptr<geom::Cell>(const geom::Cell&,
+                                                  std::size_t)>
+      clone = [&](const geom::Cell& cell,
+                  std::size_t d) -> std::shared_ptr<geom::Cell> {
+    auto out = std::make_shared<geom::Cell>(cell.name());
+    for (const auto& s : cell.shapes()) out->add_shape(s.layer, s.rect);
+    for (const auto& p : cell.ports()) out->add_port(p.name, p.layer, p.rect);
+    bool hit = false;
+    for (const auto& inst : cell.instances()) {
+      if (!hit && d < limit && inst.name == segs[d]) {
+        hit = true;
+        out->add_instance(inst.name, clone(*inst.cell, d + 1), inst.transform);
+      } else if (!hit && d == limit && !add && inst.name == segs[d]) {
+        hit = true;
+        if (e.kind == CellEdit::Kind::Replace)
+          out->add_instance(inst.name, e.cell, inst.transform);
+        else if (e.kind == CellEdit::Kind::Move)
+          out->add_instance(inst.name, inst.cell, e.transform);
+        // Remove: drop the instance.
+      } else {
+        out->add_instance(inst.name, inst.cell, inst.transform);
+      }
+    }
+    if (d == limit && add)
+      out->add_instance(e.name, e.cell, e.transform);
+    else
+      require(hit, "edited_cell: no instance '" + segs[d] + "' on path '" +
+                       e.path + "'");
+    return out;
+  };
+  return clone(top, 0);
 }
 
 void expect_same_db(const LayoutDB& got, const LayoutDB& want,
@@ -174,7 +233,7 @@ void replay_at_tile(geom::Coord tile) {
   for (const CellEdit& e : edit_sequence(t, lib)) {
     const std::string tag = tile_tag + " " + kEditTags[step++];
     const geom::EditResult res = db.apply(e);
-    cur = geom::edited_cell(*cur, e);
+    cur = edited_cell(*cur, e);
     const LayoutDB fresh(*cur, tile);
     expect_same_db(db, fresh, tag);
     inc_drc.update(res);

@@ -1,19 +1,24 @@
 // The refactor contract of the shared LayoutDB (geom/layout_db.hpp):
 // signoff results — DRC violations, extracted netlists, LVS verdicts,
 // written SVG/CIF bytes — are bit-identical whichever path produces
-// them, for any worker-thread count and any tile size. The tiled
-// parallel DRC is cross-checked against the retained seed checker
-// (drc::check_reference) as a set, since the seed scan may report the
-// same spacing pair more than once.
+// them, for any worker-thread count and any tile size. DRC and
+// extraction reports are pinned by digest at every BISRAM_THREADS
+// value, and drc::check is cross-checked against the seed checker
+// (check_reference below, the pre-LayoutDB scan kept here as an
+// oracle) as a set, since the seed scan may report the same spacing
+// pair more than once.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "cells/leaf_cells.hpp"
@@ -23,11 +28,14 @@
 #include "extract/lvs.hpp"
 #include "geom/layout_db.hpp"
 #include "geom/writers.hpp"
+#include "oracle_flatten.hpp"
 
 namespace bisram {
 namespace {
 
 using geom::Coord;
+using geom::Layer;
+using geom::Rect;
 
 /// The README quickstart macro (16 Kb), kept small enough for tier-1
 /// and the TSan leg.
@@ -62,6 +70,179 @@ const core::Generated& quickstart_macro() {
   return g;
 }
 
+/// The small macro's deck with every min-width/min-space rule and the
+/// contact, via1 and well enclosures raised by one lambda. All four
+/// rule kinds then fire (80,948 violations), across many scan chunks
+/// and far past the default max_violations.
+tech::Tech raised_deck() {
+  tech::Tech t = small_spec().resolved_technology();
+  const Coord lambda = geom::dbu(1.0);
+  for (tech::LayerRule& r : t.layer) {
+    if (r.min_width > 0) r.min_width += lambda;
+    if (r.min_space > 0) r.min_space += lambda;
+  }
+  t.contact_encl_diff += lambda;
+  t.contact_encl_poly += lambda;
+  t.contact_encl_m1 += lambda;
+  t.via1_encl += lambda;
+  t.well_encl_diff += lambda;
+  return t;
+}
+
+drc::DrcOptions uncapped() {
+  drc::DrcOptions opt;
+  opt.max_violations = std::numeric_limits<std::size_t>::max();
+  return opt;
+}
+
+// --- the seed checker, kept as the DRC oracle ---------------------------------
+//
+// The pre-LayoutDB serial checker: one private flatten per call, a
+// spatial hash per layer, first-found violation order, no provenance
+// and no cap. It reports geometry only (empty notes and paths); the
+// tests compare it with drc::check as a set of geometric keys.
+
+/// Spatial hash over rect lists so spacing checks stay near-linear.
+class Buckets {
+ public:
+  Buckets(const std::vector<Rect>& rects, Coord cell_size)
+      : rects_(rects), size_(std::max<Coord>(cell_size, 1)) {
+    for (std::size_t i = 0; i < rects.size(); ++i) insert(i);
+  }
+
+  template <typename Fn>
+  void neighbors(std::size_t i, Coord margin, Fn&& fn) const {
+    const Rect r = rects_[i].expanded(margin);
+    for (Coord gx = floor_div(r.lo.x); gx <= floor_div(r.hi.x); ++gx) {
+      for (Coord gy = floor_div(r.lo.y); gy <= floor_div(r.hi.y); ++gy) {
+        auto it = grid_.find(key(gx, gy));
+        if (it == grid_.end()) continue;
+        for (std::size_t j : it->second)
+          if (j > i) fn(j);
+      }
+    }
+  }
+
+ private:
+  Coord floor_div(Coord v) const {
+    return v >= 0 ? v / size_ : -((-v + size_ - 1) / size_);
+  }
+  static std::uint64_t key(Coord x, Coord y) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(x)) << 32) |
+           static_cast<std::uint32_t>(y);
+  }
+  void insert(std::size_t i) {
+    const Rect& r = rects_[i];
+    for (Coord gx = floor_div(r.lo.x); gx <= floor_div(r.hi.x); ++gx)
+      for (Coord gy = floor_div(r.lo.y); gy <= floor_div(r.hi.y); ++gy)
+        grid_[key(gx, gy)].push_back(i);
+  }
+
+  const std::vector<Rect>& rects_;
+  Coord size_;
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> grid_;
+};
+
+bool enclosed_by_any(const Rect& need, const std::vector<Rect>& candidates) {
+  for (const Rect& c : candidates) {
+    if (c.lo.x <= need.lo.x && c.lo.y <= need.lo.y && c.hi.x >= need.hi.x &&
+        c.hi.y >= need.hi.y)
+      return true;
+  }
+  return false;
+}
+
+std::vector<drc::Violation> check_reference(const geom::Cell& top,
+                                            const tech::Tech& tech) {
+  using drc::RuleKind;
+  std::vector<drc::Violation> out;
+  const auto by_layer = oracle::flatten_by_layer(top);
+  auto layer_rects = [&](Layer l) -> const std::vector<Rect>& {
+    return by_layer[static_cast<std::size_t>(l)];
+  };
+  auto flag = [&](RuleKind kind, Layer layer, const Rect& a, const Rect& b) {
+    out.push_back({kind, layer, a, b, "", "", ""});
+  };
+
+  // --- width and spacing per layer ----------------------------------------
+  for (Layer layer : geom::all_layers()) {
+    const auto& rule = tech.rule(layer);
+    const auto& rects = layer_rects(layer);
+    if (rects.empty()) continue;
+
+    if (rule.min_width > 0) {
+      for (const Rect& r : rects)
+        if (std::min(r.width(), r.height()) < rule.min_width)
+          flag(RuleKind::MinWidth, layer, r, {});
+    }
+
+    if (rule.min_space > 0) {
+      Buckets buckets(rects, rule.min_space * 8);
+      std::vector<std::size_t> comp(rects.size());
+      for (std::size_t i = 0; i < comp.size(); ++i) comp[i] = i;
+      std::function<std::size_t(std::size_t)> find =
+          [&](std::size_t x) -> std::size_t {
+        while (comp[x] != x) {
+          comp[x] = comp[comp[x]];
+          x = comp[x];
+        }
+        return x;
+      };
+      for (std::size_t i = 0; i < rects.size(); ++i) {
+        buckets.neighbors(i, 0, [&](std::size_t j) {
+          if (rects[i].intersects(rects[j])) comp[find(i)] = find(j);
+        });
+      }
+      for (std::size_t i = 0; i < rects.size(); ++i) {
+        buckets.neighbors(i, rule.min_space, [&](std::size_t j) {
+          if (find(i) == find(j)) return;  // same merged polygon
+          const Rect& a = rects[i];
+          const Rect& b = rects[j];
+          if (geom::rect_gap(a, b) < rule.min_space)
+            flag(RuleKind::MinSpace, layer, a, b);
+        });
+      }
+    }
+  }
+
+  // --- via enclosures -------------------------------------------------------
+  const struct {
+    Layer via;
+    std::vector<Layer> lower;
+    Layer upper;
+    Coord encl_lower;
+    Coord encl_upper;
+  } via_rules[] = {
+      {Layer::Contact,
+       {Layer::NDiff, Layer::PDiff, Layer::Poly},
+       Layer::Metal1,
+       std::min(tech.contact_encl_diff, tech.contact_encl_poly),
+       tech.contact_encl_m1},
+      {Layer::Via1, {Layer::Metal1}, Layer::Metal2, tech.via1_encl,
+       tech.via1_encl},
+      {Layer::Via2, {Layer::Metal2}, Layer::Metal3, tech.via2_encl,
+       tech.via2_encl},
+  };
+  for (const auto& vr : via_rules) {
+    for (const Rect& via : layer_rects(vr.via)) {
+      bool landed = false;
+      for (Layer lower : vr.lower)
+        if (enclosed_by_any(via.expanded(vr.encl_lower), layer_rects(lower)))
+          landed = true;
+      if (!landed) flag(RuleKind::ViaEnclosure, vr.via, via, {});
+      if (!enclosed_by_any(via.expanded(vr.encl_upper), layer_rects(vr.upper)))
+        flag(RuleKind::ViaEnclosure, vr.via, via, {});
+    }
+  }
+
+  // --- wells must enclose p-diffusion ---------------------------------------
+  for (const Rect& pd : layer_rects(Layer::PDiff))
+    if (!enclosed_by_any(pd.expanded(tech.well_encl_diff),
+                         layer_rects(Layer::NWell)))
+      flag(RuleKind::WellCoverage, Layer::PDiff, pd, {});
+  return out;
+}
+
 /// Geometry-only identity of a violation — the note and provenance are
 /// formatting; the seed checker never filled paths.
 using VioKey = std::tuple<int, int, Coord, Coord, Coord, Coord, Coord,
@@ -93,44 +274,107 @@ void expect_identical(const std::vector<drc::Violation>& a,
   }
 }
 
-TEST(SignoffEquivalence, TiledDrcMatchesSeedCheckerOnSmallMacro) {
+TEST(SignoffEquivalence, DrcMatchesSeedCheckerOnSmallMacro) {
   const auto& g = small_macro();
-  const tech::Tech& t = small_spec().resolved_technology();
-  const auto reference = drc::check_reference(*g.top, t);
-  const geom::LayoutDB db(*g.top, drc::tile_size_for(t));
-  const auto tiled = drc::check(db, t);
   // As sets: the seed scan can emit a MinSpace pair once per shared
-  // hash bucket; the tiled checker reports each pair exactly once.
-  EXPECT_EQ(sorted_key_set(tiled), sorted_key_set(reference));
+  // hash bucket; drc::check reports each pair exactly once.
+  for (const tech::Tech& t : {small_spec().resolved_technology(),
+                              raised_deck()}) {
+    const geom::LayoutDB db(*g.top, drc::tile_size_for(t));
+    const auto found = drc::check(db, t, uncapped());
+    EXPECT_EQ(sorted_key_set(found),
+              sorted_key_set(check_reference(*g.top, t)))
+        << found.size() << " violations";
+  }
+}
+
+/// FNV-1a over everything a DRC report holds: the count and every
+/// Violation field.
+std::uint64_t digest(const std::vector<drc::Violation>& vios) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&](const void* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= static_cast<const unsigned char*>(p)[i];
+      h *= 0x100000001b3ull;
+    }
+  };
+  auto mix_str = [&](const std::string& s) {
+    const std::uint64_t n = s.size();
+    mix(&n, sizeof n);
+    mix(s.data(), s.size());
+  };
+  auto mix_rect = [&](const Rect& r) {
+    mix(&r.lo.x, sizeof r.lo.x);
+    mix(&r.lo.y, sizeof r.lo.y);
+    mix(&r.hi.x, sizeof r.hi.x);
+    mix(&r.hi.y, sizeof r.hi.y);
+  };
+  const std::uint64_t n = vios.size();
+  mix(&n, sizeof n);
+  for (const drc::Violation& v : vios) {
+    const int kind = static_cast<int>(v.kind);
+    const int layer = static_cast<int>(v.layer);
+    mix(&kind, sizeof kind);
+    mix(&layer, sizeof layer);
+    mix_rect(v.a);
+    mix_rect(v.b);
+    mix_str(v.note);
+    mix_str(v.path_a);
+    mix_str(v.path_b);
+  }
+  return h;
 }
 
 TEST(SignoffEquivalence, DrcIsThreadCountInvariant) {
-  const auto& g = quickstart_macro();
-  const tech::Tech& t = quickstart_spec().resolved_technology();
-  const geom::LayoutDB db(*g.top, drc::tile_size_for(t));
-  drc::DrcOptions opt;
-  opt.threads = 1;
-  const auto ref = drc::check(db, t, opt);
-  for (int threads : {2, 8}) {
-    opt.threads = threads;
-    expect_identical(drc::check(db, t, opt), ref,
-                     "threads=" + std::to_string(threads));
+  // Digests pinned from the tiled checker this core replaced. The small
+  // and quickstart macros are clean under their own decks (the digest
+  // pins the empty report); the raised deck fires every rule kind on
+  // tens of thousands of shapes, capped and uncapped.
+  const tech::Tech small_t = small_spec().resolved_technology();
+  const tech::Tech quick_t = quickstart_spec().resolved_technology();
+  const tech::Tech raised_t = raised_deck();
+  const geom::LayoutDB small_db(*small_macro().top,
+                                drc::tile_size_for(small_t));
+  const geom::LayoutDB quick_db(*quickstart_macro().top,
+                                drc::tile_size_for(quick_t));
+  const geom::LayoutDB raised_db(*small_macro().top,
+                                 drc::tile_size_for(raised_t));
+  const struct {
+    const char* name;
+    const geom::LayoutDB& db;
+    const tech::Tech& t;
+    drc::DrcOptions opt;
+    std::uint64_t want;
+  } cases[] = {
+      {"small", small_db, small_t, {}, 0xa8c7f832281a39c5ull},
+      {"quickstart", quick_db, quick_t, {}, 0xa8c7f832281a39c5ull},
+      {"raised capped", raised_db, raised_t, {}, 0x7b49a36e925a1ce9ull},
+      {"raised uncapped", raised_db, raised_t, uncapped(),
+       0xf449a3d531b8a9cfull},
+  };
+  for (const char* threads : {"1", "2", "8"}) {
+    ASSERT_EQ(setenv("BISRAM_THREADS", threads, 1), 0);
+    for (const auto& c : cases) {
+      const std::string tag =
+          std::string(c.name) + " BISRAM_THREADS=" + threads;
+      EXPECT_EQ(digest(drc::check(c.db, c.t, c.opt)), c.want) << tag;
+      const drc::IncrementalDrc inc(c.db, c.t, c.opt);
+      EXPECT_EQ(digest(inc.report()), c.want) << tag << " incremental";
+    }
   }
-  // The BISRAM_THREADS env route (threads = 0) resolves through the
-  // same deterministic engine.
-  ASSERT_EQ(setenv("BISRAM_THREADS", "2", 1), 0);
-  opt.threads = 0;
-  expect_identical(drc::check(db, t, opt), ref, "BISRAM_THREADS=2");
   ASSERT_EQ(unsetenv("BISRAM_THREADS"), 0);
 }
 
 TEST(SignoffEquivalence, DrcIsTileSizeInvariant) {
   const auto& g = small_macro();
-  const tech::Tech& t = small_spec().resolved_technology();
-  const geom::LayoutDB fine(*g.top, drc::tile_size_for(t) / 4);
-  const geom::LayoutDB coarse(*g.top, drc::tile_size_for(t) * 4);
-  expect_identical(drc::check(fine, t), drc::check(coarse, t),
-                   "fine vs coarse tiles");
+  for (const tech::Tech& t : {small_spec().resolved_technology(),
+                              raised_deck()}) {
+    const geom::LayoutDB fine(*g.top, drc::tile_size_for(t) / 4);
+    const geom::LayoutDB coarse(*g.top, drc::tile_size_for(t) * 4);
+    expect_identical(drc::check(fine, t, uncapped()),
+                     drc::check(coarse, t, uncapped()),
+                     "fine vs coarse tiles");
+  }
 }
 
 TEST(SignoffEquivalence, ExtractedNetlistIdenticalAcrossPathsAndTiles) {
