@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <tuple>
+#include <utility>
 
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
@@ -114,7 +116,7 @@ std::vector<ViaRule> via_rules_for(const tech::Tech& tech) {
 //
 //   * phase is the rule scan that produced it: width of layer l is 2l,
 //     spacing of layer l is 2l+1, via rule vi is 2*kLayerCount+vi, well
-//     coverage comes last;
+//     coverage comes last; the checker keeps one record list per phase;
 //   * emitter is the shape id the record was found from, and seq orders
 //     one emitter's records (the spacing partner id; 0 = lower /
 //     1 = upper for via enclosure).
@@ -127,44 +129,43 @@ std::vector<ViaRule> via_rules_for(const tech::Tech& tech) {
 //
 // The full scan runs the per-shape work (touching pairs, width and
 // spacing records, via enclosure, well coverage) on util/parallel in
-// fixed chunks of shape ids, joined in chunk order; the union-find and
-// the component labels are serial. An edit then only has to (a)
-// drop/renumber records through the shape-id splice and (b) re-emit
-// records for shapes whose predicate could have changed, through the
-// same per-shape functions; everything else provably still holds
-// (surviving shapes keep their rects, and their instance paths are
-// unaffected by an edit in a disjoint subtree).
+// fixed chunks of shape ids, joined in chunk order; the union-find over
+// the touching pairs and the component labels are serial. An edit then
+// only has to (a) drop/renumber the records of the phases it can reach
+// through the shape-id splice, (b) relabel the merged polygons it
+// touched (relabel() below) and (c) re-emit records for the shapes whose
+// predicate could have changed, through the same per-shape functions;
+// everything else provably still holds (surviving shapes keep their
+// rects, and their instance paths are unaffected by an edit in a
+// disjoint subtree).
 
 struct Checker {
   struct Rec {
-    int phase;
     std::uint32_t emitter;
     std::uint32_t seq;
     Violation v;
   };
   using Recs = std::vector<Rec>;
-  /// Spacing state for one layer: the touching pairs (i < j, packed
-  /// i<<32|j) the component merge is built from, and each shape's
-  /// canonical component label — the smallest member id of its
-  /// component. Labels are unique per component (a label is a member),
-  /// so a shape pair's same-component predicate can only flip if one
-  /// endpoint's label changes; and a splice remaps labels of untouched
-  /// components monotonically, so "label != remapped old label" is an
-  /// exact change detector.
-  struct SpaceCache {
-    std::vector<std::uint64_t> edges;
-    std::vector<std::uint32_t> label;
-  };
+  /// Marks a shape the current relabel() walk has reached.
+  static constexpr std::uint32_t kVisited = ShapeSplice::kRemoved - 1;
 
   const LayoutDB* db;
   tech::Tech tech;
   DrcOptions opt;
   std::vector<ViaRule> via_rules;
-  Recs recs;
-  std::array<SpaceCache, geom::kLayerCount> space;
+  std::vector<Recs> recs;  // [phase]
+  /// Per layer with a spacing rule: each shape's canonical component
+  /// label, the smallest member id of its merged polygon. Labels are
+  /// unique per component (a label is a member), so a shape pair's
+  /// same-polygon predicate can only flip if one endpoint's label
+  /// changes; and a splice remaps the labels of untouched components
+  /// monotonically, so "label != remapped old label" is an exact change
+  /// detector.
+  std::array<std::vector<std::uint32_t>, geom::kLayerCount> label;
 
   Checker(const LayoutDB& layout, const tech::Tech& t, const DrcOptions& o)
       : db(&layout), tech(t), opt(o), via_rules(via_rules_for(t)) {
+    recs.resize(static_cast<std::size_t>(well_phase()) + 1);
     full_scan();
   }
 
@@ -180,11 +181,12 @@ struct Checker {
   int well_phase() const {
     return 2 * geom::kLayerCount + static_cast<int>(via_rules.size());
   }
+  Recs& list(int phase) { return recs[static_cast<std::size_t>(phase)]; }
 
-  /// Collapsed root table from an edge list. Root identities depend on
-  /// the union order, but only same-root comparisons and per-component
-  /// minima are used, and those do not.
-  static std::vector<std::uint32_t> roots_of(
+  /// label[i] = smallest shape id in i's component, from the touching
+  /// pairs. Root identities depend on the union order, but only the
+  /// per-component minima are kept, and those do not.
+  static std::vector<std::uint32_t> labels_of(
       std::size_t n, const std::vector<std::uint64_t>& edges) {
     std::vector<std::uint32_t> parent(n);
     for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
@@ -200,20 +202,14 @@ struct Checker {
       const auto b = find(static_cast<std::uint32_t>(e));
       if (a != b) parent[a] = b;
     }
-    for (std::uint32_t i = 0; i < n; ++i) parent[i] = find(i);
-    return parent;
-  }
-
-  /// label[i] = smallest shape id in i's component.
-  static std::vector<std::uint32_t> labels_of(
-      const std::vector<std::uint32_t>& root) {
-    std::vector<std::uint32_t> first(root.size(), ShapeSplice::kRemoved);
-    std::vector<std::uint32_t> label(root.size());
-    for (std::uint32_t i = 0; i < root.size(); ++i) {
-      if (first[root[i]] == ShapeSplice::kRemoved) first[root[i]] = i;
-      label[i] = first[root[i]];
+    std::vector<std::uint32_t> first(n, ShapeSplice::kRemoved);
+    std::vector<std::uint32_t> out(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::uint32_t root = find(i);
+      if (first[root] == ShapeSplice::kRemoved) first[root] = i;
+      out[i] = first[root];
     }
-    return label;
+    return out;
   }
 
   // --- per-shape rules -------------------------------------------------------
@@ -224,7 +220,7 @@ struct Checker {
   void scan_width(Layer layer, std::uint32_t k, Recs& out) const {
     const Rect& r = db->rects(layer)[k];
     if (std::min(r.width(), r.height()) < tech.rule(layer).min_width)
-      out.push_back({width_phase(layer), k, 0,
+      out.push_back({k, 0,
                      {RuleKind::MinWidth, layer, r, {}, "",
                       db->shape_path(layer, k), {}}});
   }
@@ -240,23 +236,23 @@ struct Checker {
   }
 
   /// Spacing records between shape k and every closer-than-min_space
-  /// shape of another merged polygon (`root` is the component table).
+  /// shape of another merged polygon (`lab` holds the component labels).
   /// Merging touching rects first lets two rects of one polygon sit
   /// close (a contact pad bridged to a gate by a stub); it also skips
   /// true same-polygon notches, the approximation drc.hpp documents.
   template <typename Rescanned>
   void scan_space(Layer layer, std::uint32_t k,
-                  const std::vector<std::uint32_t>& root,
+                  const std::vector<std::uint32_t>& lab,
                   Rescanned&& rescanned, Recs& out) const {
     const Coord min_space = tech.rule(layer).min_space;
     const auto& rects = db->rects(layer);
     db->index(layer).for_each_in(
         rects[k].expanded(min_space), [&](std::uint32_t j) {
-          if (j == k || root[j] == root[k] || (j < k && rescanned(j))) return;
+          if (j == k || lab[j] == lab[k] || (j < k && rescanned(j))) return;
           const Coord gap = geom::rect_gap(rects[k], rects[j]);
           if (gap >= min_space) return;
           const std::uint32_t lo = std::min(j, k), hi = std::max(j, k);
-          out.push_back({space_phase(layer), lo, hi,
+          out.push_back({lo, hi,
                          {RuleKind::MinSpace, layer, rects[lo], rects[hi],
                           space_note(gap, min_space),
                           db->shape_path(layer, lo),
@@ -273,13 +269,13 @@ struct Checker {
                           db->rects(lower)))
         landed = true;
     if (!landed)
-      out.push_back({via_phase(vi), i, 0,
+      out.push_back({i, 0,
                      {RuleKind::ViaEnclosure, vr.via, via, {},
                       "missing lower-layer enclosure",
                       db->shape_path(vr.via, i), {}}});
     if (!enclosed_by_any(via.expanded(vr.encl_upper), db->index(vr.upper),
                          db->rects(vr.upper)))
-      out.push_back({via_phase(vi), i, 1,
+      out.push_back({i, 1,
                      {RuleKind::ViaEnclosure, vr.via, via, {},
                       "missing upper-layer enclosure",
                       db->shape_path(vr.via, i), {}}});
@@ -289,7 +285,7 @@ struct Checker {
     const Rect& pd = db->rects(Layer::PDiff)[i];
     if (!enclosed_by_any(pd.expanded(tech.well_encl_diff),
                          db->index(Layer::NWell), db->rects(Layer::NWell)))
-      out.push_back({well_phase(), i, 0,
+      out.push_back({i, 0,
                      {RuleKind::WellCoverage, Layer::PDiff, pd, {},
                       "pdiff not enclosed by nwell",
                       db->shape_path(Layer::PDiff, i), {}}});
@@ -304,117 +300,162 @@ struct Checker {
       const std::size_t n = db->rects(layer).size();
       if (n == 0) continue;
       if (rule.min_width > 0)
-        scan_ids(n, recs, [&](std::uint32_t i, Recs& out) {
+        scan_ids(n, list(width_phase(layer)), [&](std::uint32_t i, Recs& out) {
           scan_width(layer, i, out);
         });
       if (rule.min_space > 0) {
-        auto& sc = space[static_cast<std::size_t>(layer)];
-        scan_ids(n, sc.edges,
+        std::vector<std::uint64_t> edges;
+        scan_ids(n, edges,
                  [&](std::uint32_t i, std::vector<std::uint64_t>& out) {
                    scan_touching(layer, i, every, out);
                  });
-        const auto root = roots_of(n, sc.edges);
-        sc.label = labels_of(root);
-        scan_ids(n, recs, [&](std::uint32_t i, Recs& out) {
-          scan_space(layer, i, root, every, out);
+        auto& lab = label[static_cast<std::size_t>(layer)];
+        lab = labels_of(n, edges);
+        scan_ids(n, list(space_phase(layer)), [&](std::uint32_t i, Recs& out) {
+          scan_space(layer, i, lab, every, out);
         });
       }
     }
     for (std::size_t vi = 0; vi < via_rules.size(); ++vi)
-      scan_ids(db->rects(via_rules[vi].via).size(), recs,
+      scan_ids(db->rects(via_rules[vi].via).size(), list(via_phase(vi)),
                [&](std::uint32_t i, Recs& out) { scan_via(vi, i, out); });
-    scan_ids(db->rects(Layer::PDiff).size(), recs,
+    scan_ids(db->rects(Layer::PDiff).size(), list(well_phase()),
              [&](std::uint32_t i, Recs& out) { scan_well(i, out); });
   }
 
   // --- incremental update ----------------------------------------------------
 
-  /// Drops phase-`phase` records whose emitter (and, when
-  /// `remap_seq`, partner) was removed or is in `affected`, renumbering
-  /// the survivors through the splice.
+  /// Drops the phase's records whose emitter (and, when `remap_seq`,
+  /// partner) was removed or is in `affected` (sorted), renumbering the
+  /// survivors through the splice in place.
   void filter_phase(int phase, const ShapeSplice& sp,
-                    const std::vector<char>& affected, bool remap_seq) {
+                    const std::vector<std::uint32_t>& affected,
+                    bool remap_seq) {
+    const auto hit = [&](std::uint32_t id) {
+      return id == ShapeSplice::kRemoved ||
+             std::binary_search(affected.begin(), affected.end(), id);
+    };
+    Recs& rs = list(phase);
     std::size_t w = 0;
-    for (std::size_t r = 0; r < recs.size(); ++r) {
-      Rec rec = std::move(recs[r]);
-      if (rec.phase == phase) {
-        const std::uint32_t e = sp.remap(rec.emitter);
-        if (e == ShapeSplice::kRemoved || affected[e]) continue;
-        rec.emitter = e;
-        if (remap_seq) {
-          const std::uint32_t s = sp.remap(rec.seq);
-          if (s == ShapeSplice::kRemoved || affected[s]) continue;
-          rec.seq = s;
-        }
-      }
-      recs[w++] = std::move(rec);
+    for (std::size_t r = 0; r < rs.size(); ++r) {
+      const std::uint32_t e = sp.remap(rs[r].emitter);
+      const std::uint32_t s = remap_seq ? sp.remap(rs[r].seq) : rs[r].seq;
+      if (hit(e) || (remap_seq && hit(s))) continue;
+      rs[r].emitter = e;
+      rs[r].seq = s;
+      if (w != r) rs[w] = std::move(rs[r]);
+      ++w;
     }
-    recs.resize(w);
+    rs.erase(rs.begin() + static_cast<std::ptrdiff_t>(w), rs.end());
+  }
+
+  /// Carries `layer`'s component labels across the edit and returns the
+  /// shapes whose label changed, new shapes included, in ascending order.
+  ///
+  /// Only the polygons of the inserted shapes and of the survivors that
+  /// touch the layer's old_bbox are re-walked (through the layer index,
+  /// with scan_touching's predicate), and each gets its minimum member
+  /// id. No other polygon can have changed: a survivor's polygon changes
+  /// only if it gained an inserted shape, which is walked from, or lost
+  /// a removed one. In the second case every remaining part of the old
+  /// polygon still holds a survivor that touched a removed rect (the old
+  /// polygon was connected, and survivors keep their rects), and that
+  /// survivor intersects old_bbox. Every other polygon keeps its
+  /// members, and the monotone splice keeps its minimum the minimum.
+  std::vector<std::uint32_t> relabel(Layer layer,
+                                     const geom::EditResult& edit) {
+    const auto li = static_cast<std::size_t>(layer);
+    const ShapeSplice& sp = edit.splice_of(layer);
+    const auto& rects = db->rects(layer);
+    const TileIndex& idx = db->index(layer);
+    auto& lab = label[li];
+
+    // Splice the labels; a survivor's prior label is its old label
+    // through the splice (kRemoved when that shape is gone). The stored
+    // labels are remapped in place only when ids shift.
+    sp.resize_slots(lab);
+    const bool shifted = sp.delta() != 0;
+    if (shifted)
+      for (std::uint32_t& l : lab) l = sp.remap(l);
+    std::fill(lab.begin() + sp.begin, lab.begin() + sp.new_end,
+              ShapeSplice::kRemoved);
+    const auto prior = [&](std::uint32_t m) {
+      return shifted ? lab[m] : sp.remap(lab[m]);
+    };
+
+    // Walk each seed's polygon once; `walked` lists (shape, prior label)
+    // in walk order, `ends` closes each polygon.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> walked;
+    std::vector<std::size_t> ends;
+    const std::function<void(std::uint32_t)> reach = [&](std::uint32_t j) {
+      if (lab[j] == kVisited) return;
+      walked.emplace_back(j, prior(j));
+      lab[j] = kVisited;
+    };
+    const auto walk = [&](std::uint32_t seed) {
+      if (lab[seed] == kVisited) return;
+      reach(seed);
+      for (std::size_t q = ends.empty() ? 0 : ends.back(); q < walked.size();
+           ++q)
+        idx.for_each_in(rects[walked[q].first], reach);
+      ends.push_back(walked.size());
+    };
+    for (std::uint32_t k = sp.begin; k < sp.new_end; ++k) walk(k);
+    if (!edit.old_bbox[li].empty()) idx.for_each_in(edit.old_bbox[li], walk);
+
+    std::vector<std::uint32_t> affected;
+    std::size_t first = 0;
+    for (std::size_t end : ends) {
+      std::uint32_t least = walked[first].first;
+      for (std::size_t q = first; q < end; ++q)
+        least = std::min(least, walked[q].first);
+      for (std::size_t q = first; q < end; ++q) {
+        lab[walked[q].first] = least;
+        if (walked[q].second != least) affected.push_back(walked[q].first);
+      }
+      first = end;
+    }
+    std::sort(affected.begin(), affected.end());
+    return affected;
   }
 
   void update_layer(Layer layer, const geom::EditResult& edit) {
     const auto& rule = tech.rule(layer);
     const ShapeSplice& sp = edit.splice_of(layer);
-    const std::size_t n = db->rects(layer).size();
-    const std::vector<char> none(n + 1, 0);
 
     if (rule.min_width > 0) {
-      filter_phase(width_phase(layer), sp, none, false);
+      filter_phase(width_phase(layer), sp, {}, false);
       for (std::uint32_t k = sp.begin; k < sp.new_end; ++k)
-        scan_width(layer, k, recs);
+        scan_width(layer, k, list(width_phase(layer)));
     }
     if (rule.min_space == 0) return;
 
-    auto& sc = space[static_cast<std::size_t>(layer)];
-
-    // 1. Carry surviving edges across the splice (a monotone remap, so
-    //    the i<j packing is preserved).
-    std::vector<std::uint64_t> edges;
-    edges.reserve(sc.edges.size());
-    for (std::uint64_t e : sc.edges) {
-      const std::uint32_t a = sp.remap(static_cast<std::uint32_t>(e >> 32));
-      const std::uint32_t b = sp.remap(static_cast<std::uint32_t>(e));
-      if (a == ShapeSplice::kRemoved || b == ShapeSplice::kRemoved) continue;
-      edges.push_back(pack(a, b));
-    }
-    // 2. Discover the inserted shapes' edges.
-    const auto is_new = [&](std::uint32_t id) {
-      return id >= sp.begin && id < sp.new_end;
-    };
-    for (std::uint32_t k = sp.begin; k < sp.new_end; ++k)
-      scan_touching(layer, k, is_new, edges);
-
-    // 3. Rebuild the partition and labels; a shape is affected when it
-    //    is new or its component label changed (exactly the shapes
-    //    whose same-component predicate can have flipped).
-    const auto root = roots_of(n, edges);
-    auto label = labels_of(root);
-    std::vector<char> affected(n + 1, 0);
-    for (std::uint32_t k = sp.begin; k < sp.new_end; ++k) affected[k] = 1;
-    for (std::uint32_t o = 0; o < sc.label.size(); ++o) {
-      const std::uint32_t m = sp.remap(o);
-      if (m == ShapeSplice::kRemoved) continue;
-      if (sp.remap(sc.label[o]) != label[m]) affected[m] = 1;
-    }
-    sc.edges = std::move(edges);
-    sc.label = std::move(label);
-
-    // 4. Splice the surviving spacing records and rescan the affected
-    //    shapes.
+    // A shape is affected when it is new or its polygon label changed:
+    // exactly the shapes whose same-polygon predicate can have flipped.
+    const auto affected = relabel(layer, edit);
     filter_phase(space_phase(layer), sp, affected, true);
-    const auto is_affected = [&](std::uint32_t id) { return affected[id] != 0; };
-    for (std::uint32_t k = 0; k < n; ++k)
-      if (affected[k]) scan_space(layer, k, root, is_affected, recs);
+    const auto in_affected = [&](std::uint32_t id) {
+      return std::binary_search(affected.begin(), affected.end(), id);
+    };
+    for (std::uint32_t k : affected)
+      scan_space(layer, k, label[static_cast<std::size_t>(layer)],
+                 in_affected, list(space_phase(layer)));
   }
 
-  /// Ids of `idx` whose rect intersects any dirty rect expanded by
-  /// `reach` (Minkowski: r.expanded(reach) hits the dirty region iff r
-  /// hits the region expanded by reach), OR'd into `affected`.
-  static void mark_dirty(const TileIndex& idx, const std::vector<Rect>& dirty,
-                         Coord reach, std::vector<char>& affected) {
-    for (const Rect& d : dirty)
+  /// Sorted ids of `idx` whose rect is new in `sp` or intersects a dirty
+  /// rect expanded by its reach (Minkowski: r.expanded(reach) hits the
+  /// dirty region iff r hits the region expanded by reach).
+  static std::vector<std::uint32_t> dirty_ids(
+      const TileIndex& idx, const ShapeSplice& sp,
+      const std::vector<std::pair<Rect, Coord>>& dirty) {
+    std::vector<std::uint32_t> ids;
+    for (std::uint32_t k = sp.begin; k < sp.new_end; ++k) ids.push_back(k);
+    for (const auto& [d, reach] : dirty)
       idx.for_each_in(d.expanded(reach),
-                      [&](std::uint32_t id) { affected[id] = 1; });
+                      [&](std::uint32_t id) { ids.push_back(id); });
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    return ids;
   }
 
   void update(const geom::EditResult& edit) {
@@ -424,49 +465,39 @@ struct Checker {
     for (std::size_t vi = 0; vi < via_rules.size(); ++vi) {
       const ViaRule& vr = via_rules[vi];
       const ShapeSplice& sp = edit.splice_of(vr.via);
-      std::vector<Rect> lower_dirty, upper_dirty;
+      std::vector<std::pair<Rect, Coord>> dirty;
       for (Layer lower : vr.lower)
-        for (const Rect& d : edit.dirty_rects(lower)) lower_dirty.push_back(d);
-      for (const Rect& d : edit.dirty_rects(vr.upper)) upper_dirty.push_back(d);
-      if (sp.empty() && lower_dirty.empty() && upper_dirty.empty()) continue;
-
-      const auto& via_idx = db->index(vr.via);
-      std::vector<char> affected(db->rects(vr.via).size() + 1, 0);
-      for (std::uint32_t k = sp.begin; k < sp.new_end; ++k) affected[k] = 1;
-      mark_dirty(via_idx, lower_dirty, vr.encl_lower, affected);
-      mark_dirty(via_idx, upper_dirty, vr.encl_upper, affected);
-
+        for (const Rect& d : edit.dirty_rects(lower))
+          dirty.emplace_back(d, vr.encl_lower);
+      for (const Rect& d : edit.dirty_rects(vr.upper))
+        dirty.emplace_back(d, vr.encl_upper);
+      if (sp.empty() && dirty.empty()) continue;
+      const auto affected = dirty_ids(db->index(vr.via), sp, dirty);
       filter_phase(via_phase(vi), sp, affected, false);
-      for (std::uint32_t i = 0; i < db->rects(vr.via).size(); ++i)
-        if (affected[i]) scan_via(vi, i, recs);
+      for (std::uint32_t i : affected) scan_via(vi, i, list(via_phase(vi)));
     }
 
-    {
-      const ShapeSplice& sp = edit.splice_of(Layer::PDiff);
-      const auto nwell_dirty = edit.dirty_rects(Layer::NWell);
-      if (!sp.empty() || !nwell_dirty.empty()) {
-        const auto& pdiff_idx = db->index(Layer::PDiff);
-        std::vector<char> affected(db->rects(Layer::PDiff).size() + 1, 0);
-        for (std::uint32_t k = sp.begin; k < sp.new_end; ++k) affected[k] = 1;
-        mark_dirty(pdiff_idx, nwell_dirty, tech.well_encl_diff, affected);
-        filter_phase(well_phase(), sp, affected, false);
-        for (std::uint32_t i = 0; i < db->rects(Layer::PDiff).size(); ++i)
-          if (affected[i]) scan_well(i, recs);
-      }
-    }
+    const ShapeSplice& sp = edit.splice_of(Layer::PDiff);
+    std::vector<std::pair<Rect, Coord>> dirty;
+    for (const Rect& d : edit.dirty_rects(Layer::NWell))
+      dirty.emplace_back(d, tech.well_encl_diff);
+    if (sp.empty() && dirty.empty()) return;
+    const auto affected = dirty_ids(db->index(Layer::PDiff), sp, dirty);
+    filter_phase(well_phase(), sp, affected, false);
+    for (std::uint32_t i : affected) scan_well(i, list(well_phase()));
   }
 
   std::vector<Violation> report() const {
     std::vector<const Rec*> order;
-    order.reserve(recs.size());
-    for (const Rec& r : recs) order.push_back(&r);
-    std::sort(order.begin(), order.end(), [](const Rec* x, const Rec* y) {
-      return std::make_tuple(x->phase, x->emitter, x->seq) <
-             std::make_tuple(y->phase, y->emitter, y->seq);
-    });
     std::vector<Violation> out;
-    out.reserve(order.size());
-    for (const Rec* r : order) out.push_back(r->v);
+    for (const Recs& rs : recs) {
+      order.clear();
+      for (const Rec& r : rs) order.push_back(&r);
+      std::sort(order.begin(), order.end(), [](const Rec* x, const Rec* y) {
+        return std::tie(x->emitter, x->seq) < std::tie(y->emitter, y->seq);
+      });
+      for (const Rec* r : order) out.push_back(r->v);
+    }
     std::stable_sort(out.begin(), out.end(), canon_less);
     if (out.size() > opt.max_violations) out.resize(opt.max_violations);
     return out;

@@ -87,21 +87,24 @@ std::vector<Violation> check(const geom::Cell& top, const tech::Tech& tech,
 ///
 ///   * min-width: only the inserted shapes (a surviving rect's width
 ///     cannot change).
-///   * min-space: the checker keeps the per-layer connectivity edges
-///     (touching pairs) and a canonical component label per shape; an
-///     edit re-verifies the inserted shapes plus every shape whose
-///     component label changed — exactly the shapes whose "same merged
-///     polygon" predicate can have flipped — and splices the surviving
-///     violations across the shape-id renumbering.
+///   * min-space: the checker keeps a canonical label per shape, the
+///     smallest id of its merged polygon, spliced across the shape-id
+///     renumbering. An edit re-walks, through the layer index, only the
+///     polygons of the inserted shapes and of the survivors touching
+///     the removed shapes' bounding box (no other polygon can have
+///     changed), and re-verifies the inserted shapes plus every shape
+///     whose label changed — exactly the shapes whose "same merged
+///     polygon" predicate can have flipped.
 ///   * via enclosure / well coverage: vias (pdiffs) inside the edit's
 ///     dirty region expanded by the rule's reach, found by an indexed
 ///     window query.
 ///
-/// The database must outlive the checker, and every apply() on it must
-/// be fed to update() before the next report(). The constructor's full
-/// scan runs on the campaign pool; update() and report() are serial.
-/// All three are deterministic, so the report is bit-identical for any
-/// BISRAM_THREADS value.
+/// Records are kept per rule phase, so an edit renumbers and filters
+/// only the phases of the layers it touched. The database must outlive
+/// the checker, and every apply() on it must be fed to update() before
+/// the next report(). The constructor's full scan runs on the campaign
+/// pool; update() and report() are serial. All three are deterministic,
+/// so the report is bit-identical for any BISRAM_THREADS value.
 class IncrementalDrc {
  public:
   IncrementalDrc(const geom::LayoutDB& db, const tech::Tech& tech,

@@ -171,6 +171,21 @@ struct Extractor {
     split_all();
     const Blocks b = blocks();
     discover_all(b);
+    // Memoized provenance strings: devices repeat a small set of paths.
+    std::vector<std::string> path_memo(db->path_count());
+    std::vector<char> path_done(db->path_count(), 0);
+    for (int dl_i = 0; dl_i < 2; ++dl_i) {
+      const auto& shapes = db->shapes(diff_layer(dl_i));
+      for (std::size_t s = 0; s < entries[dl_i].size(); ++s) {
+        if (entries[dl_i][s].sites.empty()) continue;
+        const std::uint32_t node = shapes[s].path;
+        if (!path_done[node]) {
+          path_memo[node] = db->path_name(node);
+          path_done[node] = 1;
+        }
+        add_devices(dl_i, entries[dl_i][s], path_memo[node]);
+      }
+    }
     rebuild_result(b);
   }
 
@@ -180,6 +195,9 @@ struct Extractor {
   std::array<std::vector<Entry>, 2> entries;  // [0]=NDiff, [1]=PDiff
   std::vector<std::uint64_t> edges;           // packed (i<<32)|j, i<j
   Extracted out;
+  /// The previous update's device records while they move into `out`;
+  /// kept so the two buffers trade places instead of reallocating.
+  std::vector<Device> spare_devices;
 
   static Layer diff_layer(int dl_i) {
     return dl_i == 0 ? Layer::NDiff : Layer::PDiff;
@@ -218,6 +236,24 @@ struct Extractor {
       e.sites.push_back(s);
     }
     return e;
+  }
+
+  /// Appends the device records of one diffusion entry, nets unset
+  /// (rebuild_result assigns them).
+  void add_devices(int dl_i, const Entry& e, const std::string& path) {
+    for (const LocalSite& site : e.sites) {
+      Device d;
+      d.type = dl_i == 1 ? spice::MosType::Pmos : spice::MosType::Nmos;
+      const bool split_x = site.gate_poly.lo.y <= site.channel.lo.y;
+      const geom::Coord w =
+          split_x ? site.channel.height() : site.channel.width();
+      const geom::Coord l =
+          split_x ? site.channel.width() : site.channel.height();
+      d.w_um = static_cast<double>(w) * um_per_dbu;
+      d.l_um = static_cast<double>(l) * um_per_dbu;
+      d.path = path;
+      out.devices.push_back(std::move(d));
+    }
   }
 
   /// Phase 1: every diffusion shape's split, each in its own entry.
@@ -359,9 +395,9 @@ struct Extractor {
   }
 
   /// Phase 3: union the edges, then mint net ids in visit order —
-  /// devices, then ports, then capacitance in piece order. Serial, and
-  /// a linear re-pass after every edit, because an edit shifts net ids
-  /// globally.
+  /// devices, then ports, then capacitance in piece order — into the
+  /// device records laid out in entry order. Serial, and a linear
+  /// re-pass after every edit, because an edit shifts net ids globally.
   void rebuild_result(const Blocks& b) {
     std::vector<std::uint32_t> parent(b.total);
     for (std::uint32_t i = 0; i < b.total; ++i) parent[i] = i;
@@ -378,7 +414,8 @@ struct Extractor {
       if (a != bb) parent[a] = bb;
     }
 
-    out = Extracted{};
+    out.net_count = 0;
+    out.port_net.clear();
     std::vector<int> root_net(b.total, -1);
     auto net_of = [&](std::uint32_t piece) {
       const std::uint32_t root = find(piece);
@@ -386,37 +423,16 @@ struct Extractor {
       return root_net[root];
     };
 
-    // Memoized provenance strings: devices repeat a small set of paths.
-    std::vector<std::string> path_memo(db->path_count());
-    std::vector<char> path_done(db->path_count(), 0);
-    auto path_of = [&](std::uint32_t node) -> const std::string& {
-      if (!path_done[node]) {
-        path_memo[node] = db->path_name(node);
-        path_done[node] = 1;
-      }
-      return path_memo[node];
-    };
-
     const std::uint32_t poly_start = b.plain_start[0];
+    auto dev = out.devices.begin();
     for (int dl_i = 0; dl_i < 2; ++dl_i) {
-      const auto& shapes = db->shapes(diff_layer(dl_i));
       for (std::size_t s = 0; s < entries[dl_i].size(); ++s) {
         const std::uint32_t base = b.entry_start[dl_i][s];
         for (const LocalSite& site : entries[dl_i][s].sites) {
-          Device d;
-          d.type = dl_i == 1 ? spice::MosType::Pmos : spice::MosType::Nmos;
-          d.gate = net_of(poly_start + site.gate_pid);
-          d.source = net_of(base + site.left);
-          d.drain = net_of(base + site.right);
-          const bool split_x = site.gate_poly.lo.y <= site.channel.lo.y;
-          const geom::Coord w =
-              split_x ? site.channel.height() : site.channel.width();
-          const geom::Coord l =
-              split_x ? site.channel.width() : site.channel.height();
-          d.w_um = static_cast<double>(w) * um_per_dbu;
-          d.l_um = static_cast<double>(l) * um_per_dbu;
-          d.path = path_of(shapes[s].path);
-          out.devices.push_back(std::move(d));
+          dev->gate = net_of(poly_start + site.gate_pid);
+          dev->source = net_of(base + site.left);
+          dev->drain = net_of(base + site.right);
+          ++dev;
         }
       }
     }
@@ -457,12 +473,18 @@ struct Extractor {
     const auto& sp_poly = edit.splice_of(Layer::Poly);
     const auto poly_dirty = edit.dirty_rects(Layer::Poly);
 
-    // Capture the pre-edit piece layout before touching the caches.
-    std::array<std::vector<std::uint32_t>, 2> old_lens;
+    // Capture the pre-edit piece and device layout before touching the
+    // caches: each entry's segment count and first device record.
+    std::array<std::vector<std::uint32_t>, 2> old_lens, old_dev;
+    std::uint32_t dev_acc = 0;
     for (int dl_i = 0; dl_i < 2; ++dl_i) {
       old_lens[dl_i].reserve(entries[dl_i].size());
-      for (const Entry& e : entries[dl_i])
+      old_dev[dl_i].reserve(entries[dl_i].size());
+      for (const Entry& e : entries[dl_i]) {
         old_lens[dl_i].push_back(static_cast<std::uint32_t>(e.segs.size()));
+        old_dev[dl_i].push_back(dev_acc);
+        dev_acc += static_cast<std::uint32_t>(e.sites.size());
+      }
     }
     std::array<std::uint32_t, kPlainCount> old_plain_count;
     for (std::size_t t = 0; t < kPlainCount; ++t)
@@ -480,15 +502,10 @@ struct Extractor {
       const Layer dl = diff_layer(dl_i);
       const auto& sp = edit.splice_of(dl);
       const auto& rects = db->rects(dl);
-      std::vector<Entry> inserted;
-      inserted.reserve(sp.new_end - sp.begin);
-      for (std::uint32_t k = sp.begin; k < sp.new_end; ++k)
-        inserted.push_back(compute_entry(rects[k]));
       auto& es = entries[dl_i];
-      es.erase(es.begin() + sp.begin, es.begin() + sp.old_end);
-      es.insert(es.begin() + sp.begin,
-                std::make_move_iterator(inserted.begin()),
-                std::make_move_iterator(inserted.end()));
+      sp.resize_slots(es);
+      for (std::uint32_t k = sp.begin; k < sp.new_end; ++k)
+        es[k] = compute_entry(rects[k]);
 
       fresh[dl_i].assign(es.size(), 0);
       for (std::uint32_t k = sp.begin; k < sp.new_end; ++k)
@@ -513,6 +530,34 @@ struct Extractor {
     }
 
     const Blocks nb = blocks();
+
+    // Lay out the device records in entry order: a carried entry's
+    // records move over from their old slots, paths included (its
+    // channels and provenance are unchanged; rebuild_result reassigns
+    // its nets); only fresh entries build records.
+    spare_devices.swap(out.devices);
+    out.devices.clear();
+    for (int dl_i = 0; dl_i < 2; ++dl_i) {
+      const Layer dl = diff_layer(dl_i);
+      const auto& sp = edit.splice_of(dl);
+      for (std::uint32_t k = 0; k < entries[dl_i].size(); ++k) {
+        const Entry& e = entries[dl_i][k];
+        if (e.sites.empty()) continue;
+        if (fresh[dl_i][k]) {
+          add_devices(dl_i, e, db->shape_path(dl, k));
+          continue;
+        }
+        const std::uint32_t o =
+            k < sp.begin ? k
+                         : static_cast<std::uint32_t>(k - sp.delta());
+        const auto from = spare_devices.begin() + old_dev[dl_i][o];
+        out.devices.insert(
+            out.devices.end(), std::make_move_iterator(from),
+            std::make_move_iterator(
+                from + static_cast<std::ptrdiff_t>(e.sites.size())));
+      }
+    }
+    spare_devices.clear();
 
     // Old-to-new piece id map (kNoPiece = the piece no longer exists).
     std::uint32_t old_total = 0;
@@ -565,18 +610,16 @@ struct Extractor {
         is_new[nb.plain_start[t] + s] = 1;
     }
 
-    // Splice the surviving edges, then discover the new pieces' edges.
-    // A pair of two new pieces is kept from its lower member's visit
-    // only.
-    std::vector<std::uint64_t> kept;
-    kept.reserve(edges.size());
-    for (std::uint64_t e : edges) {
+    // Splice the surviving edges in place, then discover the new pieces'
+    // edges. A pair of two new pieces is kept from its lower member's
+    // visit only.
+    std::size_t kept = 0;
+    for (const std::uint64_t e : edges) {
       const std::uint32_t a = pmap[static_cast<std::uint32_t>(e >> 32)];
       const std::uint32_t b2 = pmap[static_cast<std::uint32_t>(e)];
-      if (a == kNoPiece || b2 == kNoPiece) continue;
-      kept.push_back(pack(a, b2));
+      if (a != kNoPiece && b2 != kNoPiece) edges[kept++] = pack(a, b2);
     }
-    edges = std::move(kept);
+    edges.resize(kept);
     auto discover = [&](Layer from, const Rect& r, std::uint32_t g) {
       for_each_neighbor(from, r, nb, 0, [&](std::uint32_t h) {
         if (h == g || (is_new[h] && h < g)) return;

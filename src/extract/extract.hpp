@@ -88,14 +88,18 @@ std::vector<geom::Rect> split_diffusion(const geom::Rect& diff,
 /// What is cached and what is recomputed: the diffusion split (gate
 /// recognition + segment pieces + device sites) is kept per diffusion
 /// shape and recomputed only for shapes the edit inserted or whose
-/// rect intersects the edit's dirty poly region; the electrical
-/// adjacency edges are kept globally and spliced across the piece-id
-/// renumbering, with fresh edges discovered only around inserted
-/// pieces by the same per-layer index queries. Union-find and net
-/// numbering (devices, ports and capacitance) are then the core's
-/// serial linear re-pass over the cached pieces — it must be, because
-/// net ids are minted in global visit order and an edit shifts them
-/// globally.
+/// rect intersects the edit's dirty poly region; the Device records
+/// (geometry and provenance path) move along with their carried shapes,
+/// and only inserted or recomputed shapes build new ones; the
+/// electrical adjacency edges are kept globally and spliced across the
+/// piece-id renumbering, with fresh edges discovered only around
+/// inserted pieces by the same per-layer index queries. Union-find and
+/// net numbering (devices, then ports, then capacitance, in visit
+/// order; device nets are written into the kept records) remain a
+/// serial linear pass over all pieces: net ids are minted in global
+/// visit order, so an edit can shift them all, and a canonical
+/// numbering would still need a connectivity pass over every piece,
+/// since the power nets span the whole macro.
 ///
 /// The database must outlive the extractor, and every apply() on it
 /// must be fed to update() (once, in order). Deterministic and

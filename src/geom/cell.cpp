@@ -6,12 +6,14 @@
 namespace bisram::geom {
 
 void Cell::add_shape(Layer layer, const Rect& rect) {
-  ensure(!rect.empty(), "Cell::add_shape: empty rect in cell " + name_);
+  if (rect.empty())
+    throw InternalError("Cell::add_shape: empty rect in cell " + name_);
   shapes_.push_back({layer, rect});
 }
 
 void Cell::add_port(std::string name, Layer layer, const Rect& rect) {
-  ensure(!rect.empty(), "Cell::add_port: empty rect for port " + name);
+  if (rect.empty())
+    throw InternalError("Cell::add_port: empty rect for port " + name);
   ports_.push_back({std::move(name), layer, rect});
 }
 

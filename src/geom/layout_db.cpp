@@ -11,44 +11,66 @@ namespace bisram::geom {
 
 // --- TileIndex ---------------------------------------------------------------
 
+namespace {
+
+/// Folds `r` into `b` by hand rather than with Rect::united, which
+/// ignores degenerate rects: the index takes any rect, zero-width and
+/// point rects included, and its bounds must cover every one of them.
+void fold(Rect& b, const Rect& r) {
+  b.lo.x = std::min(b.lo.x, r.lo.x);
+  b.lo.y = std::min(b.lo.y, r.lo.y);
+  b.hi.x = std::max(b.hi.x, r.hi.x);
+  b.hi.y = std::max(b.hi.y, r.hi.y);
+}
+
+Rect fold_all(const std::vector<Rect>& rects) {
+  if (rects.empty()) return Rect{};
+  Rect b = rects[0];
+  for (const Rect& r : rects) fold(b, r);
+  return b;
+}
+
+/// True when `r` reaches an edge of `b` (so removing it may shrink b).
+bool on_edge(const Rect& b, const Rect& r) {
+  return r.lo.x == b.lo.x || r.lo.y == b.lo.y || r.hi.x == b.hi.x ||
+         r.hi.y == b.hi.y;
+}
+
+}  // namespace
+
 TileIndex::TileIndex(const std::vector<Rect>& rects, Coord tile)
     : rects_(&rects), count_(rects.size()), tile_(std::max<Coord>(tile, 1)) {
   if (count_ == 0) return;
-  // Fold bounds by hand rather than with Rect::united, which ignores
-  // degenerate rects — extraction indexes zero-width diffusion split
-  // pieces, and every rect must land in an in-bounds tile.
-  bounds_ = rects[0];
-  for (const Rect& r : rects) {
-    bounds_.lo.x = std::min(bounds_.lo.x, r.lo.x);
-    bounds_.lo.y = std::min(bounds_.lo.y, r.lo.y);
-    bounds_.hi.x = std::max(bounds_.hi.x, r.hi.x);
-    bounds_.hi.y = std::max(bounds_.hi.y, r.hi.y);
-  }
-  cols_ = static_cast<int>((bounds_.width()) / tile_ + 1);
-  rows_ = static_cast<int>((bounds_.height()) / tile_ + 1);
+  bounds_ = grid_ = fold_all(rects);
+  cols_ = static_cast<int>((grid_.width()) / tile_ + 1);
+  rows_ = static_cast<int>((grid_.height()) / tile_ + 1);
   buckets_.resize(static_cast<std::size_t>(cols_) *
                   static_cast<std::size_t>(rows_));
-  for (std::uint32_t i = 0; i < count_; ++i) {
-    const Rect& r = rects[i];
-    const int x0 = tx_of(r.lo.x), x1 = tx_of(r.hi.x);
-    const int y0 = ty_of(r.lo.y), y1 = ty_of(r.hi.y);
-    for (int ty = y0; ty <= y1; ++ty)
-      for (int tx = x0; tx <= x1; ++tx)
-        buckets_[static_cast<std::size_t>(ty) *
-                     static_cast<std::size_t>(cols_) +
-                 static_cast<std::size_t>(tx)]
-            .push_back(i);
-  }
+  for (std::uint32_t i = 0; i < count_; ++i)
+    for_each_tile(rects[i], [i](std::vector<std::uint32_t>& b) {
+      b.push_back(i);
+    });
 }
 
 int TileIndex::tx_of(Coord x) const {
-  const Coord c = std::clamp(x, bounds_.lo.x, bounds_.hi.x);
-  return static_cast<int>((c - bounds_.lo.x) / tile_);
+  const Coord c = std::clamp(x, grid_.lo.x, grid_.hi.x);
+  return static_cast<int>((c - grid_.lo.x) / tile_);
 }
 
 int TileIndex::ty_of(Coord y) const {
-  const Coord c = std::clamp(y, bounds_.lo.y, bounds_.hi.y);
-  return static_cast<int>((c - bounds_.lo.y) / tile_);
+  const Coord c = std::clamp(y, grid_.lo.y, grid_.hi.y);
+  return static_cast<int>((c - grid_.lo.y) / tile_);
+}
+
+template <typename Fn>
+void TileIndex::for_each_tile(const Rect& r, Fn&& fn) {
+  const int x0 = tx_of(r.lo.x), x1 = tx_of(r.hi.x);
+  const int y0 = ty_of(r.lo.y), y1 = ty_of(r.hi.y);
+  for (int ty = y0; ty <= y1; ++ty)
+    for (int tx = x0; tx <= x1; ++tx)
+      fn(buckets_[static_cast<std::size_t>(ty) *
+                      static_cast<std::size_t>(cols_) +
+                  static_cast<std::size_t>(tx)]);
 }
 
 const std::vector<std::uint32_t>& TileIndex::bucket(int tx, int ty) const {
@@ -87,6 +109,62 @@ std::vector<std::uint32_t> TileIndex::ids_in(const Rect& window) const {
   std::vector<std::uint32_t> out;
   for_each_in(window, [&](std::uint32_t id) { out.push_back(id); });
   return out;
+}
+
+void TileIndex::splice(const ShapeSplice& sp, std::span<const Rect> old) {
+  const std::vector<Rect>& rects = *rects_;
+  const std::size_t was = count_;
+  count_ = rects.size();
+  if (buckets_.empty()) {
+    // Empty since construction: nothing to drop or shift, and the new
+    // ids are the whole set.
+    *this = TileIndex(rects, tile_);
+    return;
+  }
+  // Within a bucket the ids below sp.begin come first, then the ids from
+  // sp.old_end on; the invalidated ids sit between them and the new ids
+  // take their place, so every step keeps each bucket ascending.
+  for (const Rect& r : old)
+    for_each_tile(r, [&](std::vector<std::uint32_t>& b) {
+      const auto lo = std::lower_bound(b.begin(), b.end(), sp.begin);
+      b.erase(lo, std::lower_bound(lo, b.end(), sp.old_end));
+    });
+  if (const std::int64_t delta = sp.delta(); delta != 0)
+    for (auto& b : buckets_)
+      for (auto it = b.rbegin(); it != b.rend() && *it >= sp.old_end; ++it)
+        *it = static_cast<std::uint32_t>(*it + delta);
+  // The new ids, gathered per tile (tile << 32 | id, sorted) so that each
+  // touched bucket takes its run of ids with one insert.
+  std::vector<std::uint64_t> placed;
+  for (std::uint32_t id = sp.begin; id < sp.new_end; ++id)
+    for_each_tile(rects[id], [&](std::vector<std::uint32_t>& b) {
+      const auto t = static_cast<std::uint64_t>(&b - buckets_.data());
+      placed.push_back(t << 32 | id);
+    });
+  std::sort(placed.begin(), placed.end());
+  for (std::size_t i = 0; i < placed.size();) {
+    const std::uint64_t t = placed[i] >> 32;
+    std::size_t j = i;
+    while (j < placed.size() && placed[j] >> 32 == t) ++j;
+    auto& b = buckets_[static_cast<std::size_t>(t)];
+    const auto at = b.insert(std::lower_bound(b.begin(), b.end(), sp.begin),
+                             j - i, 0);
+    for (std::size_t k = i; k < j; ++k)
+      at[static_cast<std::ptrdiff_t>(k - i)] =
+          static_cast<std::uint32_t>(placed[k]);
+    i = j;
+  }
+  // Exact bounds: a removal can only shrink them when a removed rect
+  // reached an edge; otherwise the new rects just widen them.
+  bool refold = false;
+  for (const Rect& r : old) refold = refold || on_edge(bounds_, r);
+  if (refold) {
+    bounds_ = fold_all(rects);
+  } else {
+    if (was == 0 && count_ != 0) bounds_ = rects[sp.begin];  // refilled
+    for (std::uint32_t id = sp.begin; id < sp.new_end; ++id)
+      fold(bounds_, rects[id]);
+  }
 }
 
 // --- EditResult --------------------------------------------------------------
@@ -340,21 +418,24 @@ EditResult LayoutDB::apply(const CellEdit& e) {
     for (int li = 0; li < kLayerCount; ++li) {
       const auto l = static_cast<std::size_t>(li);
       auto& sv = shapes_[l];
+      auto& rv = rects_[l];
       const std::size_t lo = path_lower_bound(sv, n);
       const std::size_t hi = path_lower_bound(sv, end);
       if (lo == hi) continue;
       res.splice[l] = {static_cast<std::uint32_t>(lo),
                        static_cast<std::uint32_t>(hi),
                        static_cast<std::uint32_t>(hi)};
+      const std::vector<Rect> old(rv.begin() + static_cast<std::ptrdiff_t>(lo),
+                                  rv.begin() + static_cast<std::ptrdiff_t>(hi));
       Rect ob{}, nb{};
       for (std::size_t i = lo; i < hi; ++i) {
         ob = ob.united(sv[i].rect);
-        sv[i].rect = delta.apply(sv[i].rect);
+        sv[i].rect = rv[i] = delta.apply(sv[i].rect);
         nb = nb.united(sv[i].rect);
       }
       res.old_bbox[l] = ob;
       res.new_bbox[l] = nb;
-      reindex_layer(l);
+      index_[l].splice(res.splice[l], old);
     }
     rebuild_bbox();
     return res;
@@ -362,8 +443,9 @@ EditResult LayoutDB::apply(const CellEdit& e) {
 
   // Replace / Add / Remove: splice the node interval [rm_begin, rm_end)
   // out of the preorder numbering and (for Replace/Add) flatten the
-  // replacement subtree directly in the post-edit numbering.
-  std::uint32_t rm_begin = 0, rm_end = 0;
+  // replacement subtree directly in the post-edit numbering. `anchor`
+  // is the parent of the spliced subtree.
+  std::uint32_t rm_begin = 0, rm_end = 0, anchor = 0;
   std::vector<std::uint32_t> new_parent;
   std::vector<std::string> new_name;
   std::vector<Transform> new_local;
@@ -376,33 +458,34 @@ EditResult LayoutDB::apply(const CellEdit& e) {
       ensure(e.cell != nullptr, "LayoutDB::apply: Replace needs a cell");
       rm_begin = n;
       rm_end = path_sub_end_[n];
-      new_parent.push_back(path_parent_[n]);
+      anchor = path_parent_[n];
+      new_parent.push_back(anchor);
       new_name.push_back(path_name_[n]);
       new_local.push_back(path_local_[n]);
       const std::size_t kept =
           path_parent_.size() - (rm_end - rm_begin);
       Flattener sub{top_name_, rm_begin, kMaxFlattenInstances - kept,
                     new_parent, new_name, new_local, new_shapes};
-      sub.run(*e.cell, abs_transform(path_parent_[n]).compose(path_local_[n]),
+      sub.run(*e.cell, abs_transform(anchor).compose(path_local_[n]),
               rm_begin, depth_of(n));
       break;
     }
     case CellEdit::Kind::Add: {
-      const std::uint32_t p = node_of(e.path);
+      anchor = node_of(e.path);
       ensure(e.cell != nullptr, "LayoutDB::apply: Add needs a cell");
       require(!e.name.empty() && e.name.find('/') == std::string::npos,
               "LayoutDB::apply: Add needs a plain instance name");
-      // The new instance becomes p's last child, so in a fresh flatten
-      // its subtree would start exactly where p's subtree ends.
-      rm_begin = rm_end = path_sub_end_[p];
-      new_parent.push_back(p);
+      // The new instance becomes the anchor's last child, so in a fresh
+      // flatten its subtree would start exactly where the anchor's ends.
+      rm_begin = rm_end = path_sub_end_[anchor];
+      new_parent.push_back(anchor);
       new_name.push_back(e.name);
       new_local.push_back(e.transform);
       Flattener sub{top_name_, rm_begin,
                     kMaxFlattenInstances - path_parent_.size(),
                     new_parent, new_name, new_local, new_shapes};
-      sub.run(*e.cell, abs_transform(p).compose(e.transform), rm_begin,
-              depth_of(p) + 1);
+      sub.run(*e.cell, abs_transform(anchor).compose(e.transform), rm_begin,
+              depth_of(anchor) + 1);
       break;
     }
     case CellEdit::Kind::Remove: {
@@ -410,15 +493,21 @@ EditResult LayoutDB::apply(const CellEdit& e) {
       require(n != 0, "LayoutDB::apply: cannot remove the top cell");
       rm_begin = n;
       rm_end = path_sub_end_[n];
+      anchor = path_parent_[n];
       break;
     }
     case CellEdit::Kind::Move:
       break;  // handled above
   }
 
+  const std::size_t added = new_parent.size();
   const std::int64_t node_delta =
-      static_cast<std::int64_t>(new_parent.size()) -
+      static_cast<std::int64_t>(added) -
       (static_cast<std::int64_t>(rm_end) - rm_begin);
+  const auto shifted = [node_delta](std::uint32_t id) {
+    return static_cast<std::uint32_t>(static_cast<std::int64_t>(id) +
+                                      node_delta);
+  };
 
   // Per-layer shape splice. Path-id renumbering of the shapes after the
   // splice happens on every layer; rects (hence the TileIndex) change
@@ -426,9 +515,10 @@ EditResult LayoutDB::apply(const CellEdit& e) {
   for (int li = 0; li < kLayerCount; ++li) {
     const auto l = static_cast<std::size_t>(li);
     auto& sv = shapes_[l];
+    auto& rv = rects_[l];
     const std::size_t lo = path_lower_bound(sv, rm_begin);
     const std::size_t hi = path_lower_bound(sv, rm_end);
-    auto& ins = new_shapes[l];
+    const auto& ins = new_shapes[l];
     res.splice[l] = {static_cast<std::uint32_t>(lo),
                      static_cast<std::uint32_t>(hi),
                      static_cast<std::uint32_t>(lo + ins.size())};
@@ -440,51 +530,50 @@ EditResult LayoutDB::apply(const CellEdit& e) {
     res.new_bbox[l] = nb;
     if (node_delta != 0)
       for (std::size_t i = hi; i < sv.size(); ++i)
-        sv[i].path = static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(sv[i].path) + node_delta);
-    if (lo != hi || !ins.empty()) {
-      sv.erase(sv.begin() + static_cast<std::ptrdiff_t>(lo),
-               sv.begin() + static_cast<std::ptrdiff_t>(hi));
-      sv.insert(sv.begin() + static_cast<std::ptrdiff_t>(lo),
-                std::make_move_iterator(ins.begin()),
-                std::make_move_iterator(ins.end()));
-      reindex_layer(l);
+        sv[i].path = shifted(sv[i].path);
+    if (res.splice[l].empty()) continue;
+    const std::vector<Rect> old(rv.begin() + static_cast<std::ptrdiff_t>(lo),
+                                rv.begin() + static_cast<std::ptrdiff_t>(hi));
+    res.splice[l].resize_slots(sv);
+    res.splice[l].resize_slots(rv);
+    for (std::size_t i = 0; i < ins.size(); ++i) {
+      sv[lo + i] = ins[i];
+      rv[lo + i] = ins[i].rect;
     }
+    index_[l].splice(res.splice[l], old);
   }
 
   // Node-array splice with the same renumbering. A node after the spliced
   // interval always has its parent either before rm_begin or inside the
-  // shifted suffix — never inside the removed subtree.
-  const std::size_t old_n = path_parent_.size();
-  std::vector<std::uint32_t> parent2;
-  std::vector<std::string> name2;
-  std::vector<Transform> local2;
-  parent2.reserve(old_n - (rm_end - rm_begin) + new_parent.size());
-  name2.reserve(parent2.capacity());
-  local2.reserve(parent2.capacity());
-  for (std::uint32_t i = 0; i < rm_begin; ++i) {
-    parent2.push_back(path_parent_[i]);
-    name2.push_back(std::move(path_name_[i]));
-    local2.push_back(path_local_[i]);
+  // shifted suffix — never inside the removed subtree — and its subtree
+  // end shifts with it. Of the nodes before the interval only the
+  // anchor's ancestor chain (anchor included) contains it.
+  for (std::size_t i = rm_end; i < path_parent_.size(); ++i) {
+    if (path_parent_[i] >= rm_end) path_parent_[i] = shifted(path_parent_[i]);
+    path_sub_end_[i] = shifted(path_sub_end_[i]);
   }
-  for (std::size_t i = 0; i < new_parent.size(); ++i) {
-    parent2.push_back(new_parent[i]);
-    name2.push_back(std::move(new_name[i]));
-    local2.push_back(new_local[i]);
+  const ShapeSplice nodes{rm_begin, rm_end,
+                          static_cast<std::uint32_t>(rm_begin + added)};
+  nodes.resize_slots(path_parent_);
+  nodes.resize_slots(path_name_);
+  nodes.resize_slots(path_local_);
+  nodes.resize_slots(path_sub_end_);
+  for (std::size_t k = 0; k < added; ++k) {
+    const std::size_t i = rm_begin + k;
+    path_parent_[i] = new_parent[k];
+    path_name_[i] = std::move(new_name[k]);
+    path_local_[i] = new_local[k];
+    path_sub_end_[i] = static_cast<std::uint32_t>(i + 1);
   }
-  for (std::size_t i = rm_end; i < old_n; ++i) {
-    const std::uint32_t p = path_parent_[i];
-    parent2.push_back(p >= rm_end
-                          ? static_cast<std::uint32_t>(
-                                static_cast<std::int64_t>(p) + node_delta)
-                          : p);
-    name2.push_back(std::move(path_name_[i]));
-    local2.push_back(path_local_[i]);
+  // Subtree ends inside the new subtree (preorder: node i extends every
+  // ancestor up to the subtree root), then along the anchor chain.
+  for (std::size_t i = rm_begin + 1; i < rm_begin + added; ++i)
+    for (std::uint32_t a = path_parent_[i]; a >= rm_begin; a = path_parent_[a])
+      path_sub_end_[a] = static_cast<std::uint32_t>(i + 1);
+  for (std::uint32_t a = anchor;; a = path_parent_[a]) {
+    path_sub_end_[a] = shifted(path_sub_end_[a]);
+    if (a == 0) break;
   }
-  path_parent_ = std::move(parent2);
-  path_name_ = std::move(name2);
-  path_local_ = std::move(local2);
-  rebuild_sub_ends();
   rebuild_bbox();
   return res;
 }

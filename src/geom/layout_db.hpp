@@ -17,11 +17,12 @@
 //
 //   * apply(CellEdit) edits the flattened database in place — replace,
 //     move, add or remove one instance subtree — re-flattening only the
-//     edited subtree and splicing it into the per-layer shape vectors.
-//     The result is bit-identical (rects, shape ids, provenance) to a
-//     fresh flatten of the edited hierarchy; the returned EditResult
-//     carries the dirty region and the shape-id splice map that drive
-//     the incremental DRC / extraction re-verification.
+//     edited subtree and splicing it into the per-layer shape vectors
+//     and tile indexes. The result is bit-identical (rects, shape ids,
+//     provenance) to a fresh flatten of the edited hierarchy; the
+//     returned EditResult carries the dirty region and the shape-id
+//     splice map that drive the incremental DRC / extraction
+//     re-verification.
 //   * save_snapshot()/load_snapshot() persist the flattened database as
 //     a compact, versioned, CRC-protected binary file (format in
 //     layout_snapshot.hpp), so an edit session reopens the flatten
@@ -36,12 +37,15 @@
 //     apply() alike, so after an edit the shape order equals what a
 //     fresh flatten of the edited hierarchy would produce.
 //   * Tiling. Each layer with shapes gets a uniform tile grid over the
-//     layer's bounding box. The tile edge is the caller's choice — DRC
-//     sizes it from the technology's maximum interaction distance (the
-//     largest spacing/enclosure rule, see drc::tile_size_for), so any
-//     rule check on a shape only ever needs the shape's own tile and
-//     its eight neighbors. A shape straddling tiles is registered in
-//     every tile it touches; queries deduplicate by shape id.
+//     layer's bounding box at construction (or at the first edit that
+//     gives an empty layer shapes); edits keep that grid, and shapes
+//     beyond it sit in the clamped edge tiles. The tile edge is the
+//     caller's choice — DRC sizes it from the technology's maximum
+//     interaction distance (the largest spacing/enclosure rule, see
+//     drc::tile_size_for), so any rule check on a shape only ever needs
+//     the shape's own tile and its eight neighbors. A shape straddling
+//     tiles is registered in every tile it touches; queries deduplicate
+//     by shape id.
 //   * Determinism. Queries report shape ids in strictly increasing id
 //     order, independent of tile geometry, so everything built on top
 //     (DRC and extraction included) is reproducible bit-for-bit.
@@ -62,6 +66,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,26 +80,64 @@ class DiagEngine;
 
 namespace bisram::geom {
 
+/// Per-layer shape-id splice of one apply(): old ids [begin, old_end)
+/// were invalidated (removed or rewritten) and replaced by new ids
+/// [begin, new_end); ids >= old_end shifted by new_end - old_end.
+struct ShapeSplice {
+  static constexpr std::uint32_t kRemoved = 0xffffffffu;
+
+  std::uint32_t begin = 0;
+  std::uint32_t old_end = 0;
+  std::uint32_t new_end = 0;
+
+  bool empty() const { return begin == old_end && begin == new_end; }
+  std::int64_t delta() const {
+    return static_cast<std::int64_t>(new_end) -
+           static_cast<std::int64_t>(old_end);
+  }
+  /// Maps a pre-edit shape id to its post-edit id; kRemoved for ids the
+  /// edit invalidated (consumers treat those as deleted + re-added).
+  std::uint32_t remap(std::uint32_t id) const {
+    if (id < begin) return id;
+    if (id < old_end) return kRemoved;
+    return static_cast<std::uint32_t>(static_cast<std::int64_t>(id) + delta());
+  }
+  /// Re-lays `v`, indexed by pre-edit ids, in the post-edit id layout:
+  /// the slots [begin, old_end) become new_end - begin slots at [begin,
+  /// new_end) and the tail moves by delta(), once (not at all when the
+  /// counts match). The caller overwrites the new slots.
+  template <typename T>
+  void resize_slots(std::vector<T>& v) const {
+    const auto at = v.begin() + static_cast<std::ptrdiff_t>(old_end);
+    if (new_end > old_end)
+      v.insert(at, new_end - old_end, T{});
+    else
+      v.erase(v.begin() + static_cast<std::ptrdiff_t>(new_end), at);
+  }
+};
+
 /// Generic tile-bucketed index over a rectangle set. LayoutDB holds one
-/// per layer; extraction reuses it for its split diffusion pieces.
+/// per layer and keeps it current across edits with splice().
 class TileIndex {
  public:
   TileIndex() = default;
 
   /// Indexes `rects` with uniform square tiles of edge `tile` (DBU,
-  /// clamped to >= 1) over the set's bounding box. The rect vector must
-  /// outlive the index (ids refer into it).
+  /// clamped to >= 1) laid over the set's bounding box. The rect vector
+  /// must outlive the index (ids refer into it).
   TileIndex(const std::vector<Rect>& rects, Coord tile);
 
   std::size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
   Coord tile() const { return tile_; }
+  /// Exact bounding box of the indexed rects (degenerate ones included),
+  /// also after splices; empty when there are none.
   const Rect& bounds() const { return bounds_; }
   int tile_cols() const { return cols_; }
   int tile_rows() const { return rows_; }
 
-  /// Shape ids bucketed into tile (tx, ty), in insertion (= id) order,
-  /// each id possibly present in several tiles.
+  /// Shape ids bucketed into tile (tx, ty), in ascending id order, each
+  /// id possibly present in several tiles.
   const std::vector<std::uint32_t>& bucket(int tx, int ty) const;
 
   /// Calls fn(id) for every rect intersecting `window` (edge-touching
@@ -106,14 +149,29 @@ class TileIndex {
   /// Collects the ids for_each_in would visit.
   std::vector<std::uint32_t> ids_in(const Rect& window) const;
 
+  /// Follows one splice of the indexed rect vector, which the caller
+  /// has already applied: the invalidated ids [sp.begin, sp.old_end),
+  /// whose rects were `old`, leave the tiles those rects covered; ids
+  /// from sp.old_end on shift by sp.delta(); the new ids [sp.begin,
+  /// sp.new_end) enter the tiles of their rects. The tile grid stays
+  /// the one laid at construction (a set empty until now gets its first
+  /// grid here). A rect beyond the grid lands in the clamped edge tiles,
+  /// which every query reaching past the grid consults, so queries
+  /// answer exactly as a freshly built index would.
+  void splice(const ShapeSplice& sp, std::span<const Rect> old);
+
  private:
   int tx_of(Coord x) const;
   int ty_of(Coord y) const;
+  /// fn(bucket) for every tile `r` touches.
+  template <typename Fn>
+  void for_each_tile(const Rect& r, Fn&& fn);
 
   const std::vector<Rect>* rects_ = nullptr;
   std::size_t count_ = 0;
   Coord tile_ = 1;
   Rect bounds_{};
+  Rect grid_{};  // the construction-time extent the tiles are laid over
   int cols_ = 0;
   int rows_ = 0;
   std::vector<std::vector<std::uint32_t>> buckets_;  // row-major [ty*cols+tx]
@@ -141,30 +199,6 @@ struct CellEdit {
   std::string name;     ///< Add only: the new instance's name
   CellPtr cell;         ///< Replace/Add: the subtree's cell
   Transform transform;  ///< Move/Add: the local placement in the parent
-};
-
-/// Per-layer shape-id splice of one apply(): old ids [begin, old_end)
-/// were invalidated (removed or rewritten) and replaced by new ids
-/// [begin, new_end); ids >= old_end shifted by new_end - old_end.
-struct ShapeSplice {
-  static constexpr std::uint32_t kRemoved = 0xffffffffu;
-
-  std::uint32_t begin = 0;
-  std::uint32_t old_end = 0;
-  std::uint32_t new_end = 0;
-
-  bool empty() const { return begin == old_end && begin == new_end; }
-  std::int64_t delta() const {
-    return static_cast<std::int64_t>(new_end) -
-           static_cast<std::int64_t>(old_end);
-  }
-  /// Maps a pre-edit shape id to its post-edit id; kRemoved for ids the
-  /// edit invalidated (consumers treat those as deleted + re-added).
-  std::uint32_t remap(std::uint32_t id) const {
-    if (id < begin) return id;
-    if (id < old_end) return kRemoved;
-    return static_cast<std::uint32_t>(static_cast<std::int64_t>(id) + delta());
-  }
 };
 
 /// What one apply() changed: the per-layer splice maps plus the dirty
@@ -276,12 +310,16 @@ class LayoutDB {
 
   // --- incremental maintenance ----------------------------------------------
   /// Applies one edit in place: re-flattens only the edited subtree and
-  /// splices it into the per-layer shape vectors, renumbering path
-  /// nodes and shape ids exactly as a fresh flatten of the edited
-  /// hierarchy would. Only indexes of layers inside the dirty region
-  /// are rebuilt. Throws bisram::Error for an unknown path, an edit
-  /// addressing the top cell itself, or an Add whose name/cell is
-  /// missing. The returned EditResult drives drc::IncrementalDrc and
+  /// splices it into the per-layer shape and rect vectors, renumbering
+  /// path nodes and shape ids exactly as a fresh flatten of the edited
+  /// hierarchy would. The tile index of each touched layer is spliced
+  /// too (TileIndex::splice), never rebuilt; what remains linear in the
+  /// layout is the id shift past the splice point, which costs nothing
+  /// for Moves and count-preserving Replaces. bbox() and layer_bbox()
+  /// stay the exact extents a fresh flatten reports. Throws
+  /// bisram::Error for an unknown path, an edit addressing the top cell
+  /// itself, or an Add whose name/cell is missing. The returned
+  /// EditResult drives drc::IncrementalDrc and
   /// extract::IncrementalExtract.
   EditResult apply(const CellEdit& edit);
 
@@ -308,10 +346,12 @@ class LayoutDB {
   LayoutDB() = default;  // snapshot loader fills the fields directly
   friend class SnapshotCodec;
 
-  /// Rebuilds rects_[l] + index_[l] from shapes_[l] and refreshes bbox_.
+  /// Rebuilds rects_[l] + index_[l] from shapes_[l]; the constructor
+  /// and the snapshot loader build every layer this way, apply() splices.
   void reindex_layer(std::size_t l);
   void rebuild_bbox();
-  /// Recomputes path_sub_end_ from path_parent_ (preorder invariant).
+  /// Recomputes path_sub_end_ from path_parent_ (preorder invariant);
+  /// constructor and snapshot loader only.
   void rebuild_sub_ends();
   /// Absolute transform of a path node (composition of local transforms
   /// from the top down).

@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace bisram {
 
@@ -29,14 +30,20 @@ class InternalError : public Error {
   explicit InternalError(const std::string& what) : Error(what) {}
 };
 
+// The checks below run in every build, often per element of a hot loop,
+// so a passing check must not allocate: the message is taken as a view
+// and only copied into a string when the check fails. A message built
+// by concatenation is still built eagerly by the caller; write such a
+// check as `if (!cond) throw ...` instead.
+
 /// Throws SpecError with `msg` when `cond` is false. Use to validate input.
-inline void require(bool cond, const std::string& msg) {
-  if (!cond) throw SpecError(msg);
+inline void require(bool cond, std::string_view msg) {
+  if (!cond) throw SpecError(std::string(msg));
 }
 
 /// Throws InternalError with `msg` when `cond` is false. Use for invariants.
-inline void ensure(bool cond, const std::string& msg) {
-  if (!cond) throw InternalError(msg);
+inline void ensure(bool cond, std::string_view msg) {
+  if (!cond) throw InternalError(std::string(msg));
 }
 
 }  // namespace bisram

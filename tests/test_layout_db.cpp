@@ -69,7 +69,7 @@ TEST(TileIndex, QueriesMatchLinearScanInIdOrder) {
 }
 
 TEST(TileIndex, IndexesDegenerateRects) {
-  // Extraction indexes zero-width diffusion split pieces; they must be
+  // Zero-width rects (a gate-clamped diffusion split is one) must be
   // bucketed and findable like any other rect.
   const std::vector<Rect> rects = {Rect::ltrb(40, 0, 40, 30),
                                    Rect::ltrb(0, 0, 10, 10)};
@@ -151,6 +151,65 @@ TEST(TileIndex, PropertyQueryEqualsBruteForceWithDegenerates) {
       for (std::uint32_t i = 0; i < rects.size(); ++i)
         if (rects[i].intersects(w)) expect.push_back(i);
       ASSERT_EQ(idx.ids_in(w), expect) << "tile " << tile << " round " << round;
+    }
+  }
+
+  // The same property across seeded splices of a live index: removals,
+  // insertions, ids shifting both ways, degenerate rects, rects far
+  // outside the grid laid at construction, and the set emptied and
+  // refilled. bounds() must stay the exact extent.
+  const auto random_rect = [&] {
+    const Coord x = next() % 5000 - 2000, y = next() % 5000 - 2000;
+    switch (next() % 4) {
+      case 0: return Rect::ltrb(x, y, x, y + next() % 40);  // no width
+      case 1: return Rect::ltrb(x, y, x, y);                // point
+      default:
+        return Rect::ltrb(x, y, x + 1 + next() % 150, y + 1 + next() % 150);
+    }
+  };
+  for (Coord tile : {9, 100, 4000}) {
+    std::vector<Rect> live = rects;
+    TileIndex idx(live, tile);
+    for (int round = 0; round < 60; ++round) {
+      const auto n = static_cast<std::uint32_t>(live.size());
+      ShapeSplice sp;
+      if (round == 20) {
+        sp = {0, n, 0};  // empty the set ...
+      } else if (round == 21) {
+        sp = {0, 0, 30};  // ... and refill it
+      } else {
+        sp.begin = static_cast<std::uint32_t>(next() % (n + 1));
+        sp.old_end = sp.begin + static_cast<std::uint32_t>(
+                                    next() % (std::min<std::uint32_t>(
+                                                  n - sp.begin, 25) + 1));
+        sp.new_end = sp.begin + static_cast<std::uint32_t>(next() % 25);
+      }
+      const std::vector<Rect> old(live.begin() + sp.begin,
+                                  live.begin() + sp.old_end);
+      sp.resize_slots(live);
+      for (std::uint32_t id = sp.begin; id < sp.new_end; ++id)
+        live[id] = random_rect();
+      idx.splice(sp, old);
+      const std::string tag =
+          "tile " + std::to_string(tile) + " splice " + std::to_string(round);
+      ASSERT_EQ(idx.size(), live.size()) << tag;
+      Rect extent{};
+      for (std::size_t i = 0; i < live.size(); ++i)
+        extent = i == 0 ? live[0]
+                        : Rect{{std::min(extent.lo.x, live[i].lo.x),
+                                std::min(extent.lo.y, live[i].lo.y)},
+                               {std::max(extent.hi.x, live[i].hi.x),
+                                std::max(extent.hi.y, live[i].hi.y)}};
+      ASSERT_TRUE(idx.bounds() == extent) << tag;
+      for (int q = 0; q < 12; ++q) {
+        const Coord x = next() % 6000 - 2500, y = next() % 6000 - 2500;
+        const Rect w =
+            Rect::ltrb(x, y, x + next() % 1500, y + next() % 1500);
+        std::vector<std::uint32_t> expect;
+        for (std::uint32_t i = 0; i < live.size(); ++i)
+          if (live[i].intersects(w)) expect.push_back(i);
+        ASSERT_EQ(idx.ids_in(w), expect) << tag << " window " << q;
+      }
     }
   }
 }

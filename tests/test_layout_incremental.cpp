@@ -1,9 +1,10 @@
 // Incremental LayoutDB maintenance and incremental signoff, proven
 // against full-rebuild oracles: after every edit kind (Move, Remove,
-// Replace, Add) and across tile sizes,
+// Replace, Add), across tile sizes and along a seeded 300-edit stream,
 //
 //   * LayoutDB::apply is bit-identical (shapes, ids, provenance,
-//     content hash) to flattening edited_cell (below) from scratch;
+//     content hash; along the stream also bounding boxes and indexed
+//     queries) to flattening edited_cell (below) from scratch;
 //   * drc::IncrementalDrc::report equals drc::check on the fresh
 //     flatten;
 //   * extract::IncrementalExtract::result equals extract::extract.
@@ -17,6 +18,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "extract/extract.hpp"
 #include "geom/layout_db.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace bisram {
 namespace {
@@ -253,6 +256,263 @@ TEST(LayoutIncremental, EditSequenceMatchesOraclesAtDefaultTile) {
 
 TEST(LayoutIncremental, EditSequenceMatchesOraclesAtCoarseTile) {
   replay_at_tile(4 * drc::tile_size_for(small_macro().tech));
+}
+
+/// A seeded edit stream over the small macro: the kinds a designer
+/// makes (bit, row and decoder moves; decoder removal and restore; bit
+/// replaces, count-preserving or not), Adds over existing geometry
+/// (where an old gate can overhang the new diffusion), Adds outside
+/// every layer's bbox (beyond the tile grid the database was built
+/// with) and removals of earlier Adds (so the bbox also shrinks). It
+/// mirrors the hierarchy, so every edit addresses a live instance, and
+/// moves displace an instance a few DBU from its original placement.
+class EditStream {
+ public:
+  EditStream(const geom::Cell& top, const tech::Tech& t, std::uint64_t seed)
+      : rng_(seed), bbox_(top.bbox()) {
+    const geom::Instance& array = child(top, "RAMARRAY");
+    for (const geom::Instance& row : array.cell->instances())
+      rows_.push_back({"RAMARRAY/" + row.name, row.transform, row.cell});
+    const geom::Cell& row_cell = *array.cell->instances().front().cell;
+    for (const geom::Instance& b : row_cell.instances())
+      if (b.name.rfind("b", 0) == 0)
+        bits_.push_back({b.name, b.transform, b.cell});
+    for (const geom::Instance& d : child(top, "ROWDEC").cell->instances())
+      decoders_.push_back({"ROWDEC/" + d.name, d.transform, d.cell});
+    leaves_ = {cells::sram_cell_6t(lib_, t), cells::precharge_cell(lib_, t, 2.0),
+               cells::cam_cell(lib_, t)};
+  }
+
+  CellEdit next(std::string* kind) {
+    CellEdit e;
+    switch (rng_.below(8)) {
+      case 0: {
+        const Placed& b = bits_[rng_.below(bits_.size())];
+        e = move(rows_[rng_.below(rows_.size())].path + "/" + b.path, b.local);
+        *kind = "move bit";
+        break;
+      }
+      case 1: {
+        const Placed& r = rows_[rng_.below(rows_.size())];
+        e = move(r.path, r.local);
+        *kind = "move row";
+        break;
+      }
+      case 2: {
+        const Placed& d = decoders_[rng_.below(decoders_.size())];
+        e = move(d.path, d.local);
+        *kind = "move decoder";
+        break;
+      }
+      case 3:
+        if (removed_) {
+          e.kind = CellEdit::Kind::Add;
+          e.path = "ROWDEC";
+          e.name = removed_->path.substr(e.path.size() + 1);
+          e.cell = removed_->cell;
+          e.transform = removed_->local;
+          decoders_.push_back(*removed_);
+          removed_.reset();
+          *kind = "restore decoder";
+        } else {
+          const std::size_t k = rng_.below(decoders_.size());
+          e.kind = CellEdit::Kind::Remove;
+          e.path = decoders_[k].path;
+          removed_ = decoders_[k];
+          decoders_.erase(decoders_.begin() + static_cast<std::ptrdiff_t>(k));
+          *kind = "remove decoder";
+        }
+        break;
+      case 4: {
+        // The fresh 6T cell keeps every layer's shape count; the other
+        // leaves change it, so ids past the splice shift.
+        e.kind = CellEdit::Kind::Replace;
+        e.path = rows_[rng_.below(rows_.size())].path + "/" +
+                 bits_[rng_.below(bits_.size())].path;
+        e.cell = leaves_[rng_.below(leaves_.size())];
+        *kind = "replace bit";
+        break;
+      }
+      case 5:
+        e = add(geom::Transform::translate(
+            bbox_.lo.x + static_cast<geom::Coord>(rng_.below(
+                             static_cast<std::uint64_t>(bbox_.width()))),
+            bbox_.lo.y + static_cast<geom::Coord>(rng_.below(
+                             static_cast<std::uint64_t>(bbox_.height())))));
+        *kind = "add over";
+        break;
+      case 6: {
+        // Clear of the macro on a random side, by more than any leaf.
+        constexpr geom::Coord kGap = 2000;
+        const auto along = [&](geom::Coord lo, geom::Coord hi) {
+          return lo + static_cast<geom::Coord>(
+                          rng_.below(static_cast<std::uint64_t>(hi - lo)));
+        };
+        const std::uint64_t side = rng_.below(4);
+        const geom::Coord x =
+            side == 0 ? bbox_.hi.x + kGap
+            : side == 1 ? bbox_.lo.x - 2 * kGap
+                        : along(bbox_.lo.x - kGap, bbox_.hi.x + kGap);
+        const geom::Coord y =
+            side == 2 ? bbox_.hi.y + kGap
+            : side == 3 ? bbox_.lo.y - 2 * kGap
+                        : along(bbox_.lo.y - kGap, bbox_.hi.y + kGap);
+        e = add(geom::Transform::translate(x, y));
+        *kind = "add outside";
+        break;
+      }
+      default:
+        if (added_.empty()) return next(kind);
+        {
+          const std::size_t k = rng_.below(added_.size());
+          e.kind = CellEdit::Kind::Remove;
+          e.path = added_[k];
+          added_.erase(added_.begin() + static_cast<std::ptrdiff_t>(k));
+          *kind = "remove add";
+        }
+        break;
+    }
+    return e;
+  }
+
+ private:
+  struct Placed {
+    std::string path;
+    geom::Transform local;
+    geom::CellPtr cell;
+  };
+
+  static const geom::Instance& child(const geom::Cell& c,
+                                     const std::string& name) {
+    for (const geom::Instance& i : c.instances())
+      if (i.name == name) return i;
+    throw Error("EditStream: no instance " + name + " in " + c.name());
+  }
+
+  /// A Move of `path` to its original placement displaced by a nonzero
+  /// step of up to 8 DBU.
+  CellEdit move(const std::string& path, const geom::Transform& local) {
+    const auto step = [&] {
+      return static_cast<geom::Coord>(rng_.below(8)) * 2 - 8;  // -8..6
+    };
+    geom::Coord dx = step(), dy = step();
+    if (dx == 0 && dy == 0) dx = 8;
+    CellEdit e;
+    e.kind = CellEdit::Kind::Move;
+    e.path = path;
+    e.transform = geom::Transform::translate(dx, dy).compose(local);
+    return e;
+  }
+
+  CellEdit add(const geom::Transform& at) {
+    CellEdit e;
+    e.kind = CellEdit::Kind::Add;
+    e.path = "";
+    e.name = "streamAdd" + std::to_string(adds_++);
+    e.cell = leaves_[rng_.below(leaves_.size())];
+    e.transform = at;
+    added_.push_back(e.name);
+    return e;
+  }
+
+  Rng rng_;
+  geom::Rect bbox_;
+  geom::Library lib_;
+  std::vector<geom::CellPtr> leaves_;
+  std::vector<Placed> rows_;
+  std::vector<Placed> bits_;  ///< bit instances of the row cell
+  std::vector<Placed> decoders_;  ///< live decoders
+  std::optional<Placed> removed_;  ///< the decoder taken out, if any
+  std::vector<std::string> added_;  ///< live top-level Adds
+  int adds_ = 0;
+};
+
+/// bbox(), every layer_bbox() and indexed queries of `got` against the
+/// fresh flatten and a TileIndex built from scratch over got's rects,
+/// on windows sampled in and around the layout.
+void expect_same_geometry_queries(const LayoutDB& got, const LayoutDB& fresh,
+                                  Rng& rng, const std::string& tag) {
+  EXPECT_TRUE(got.bbox() == fresh.bbox()) << tag;
+  const geom::Rect b = fresh.bbox().expanded(300);
+  const auto coord = [&](geom::Coord lo, geom::Coord hi) {
+    return lo + static_cast<geom::Coord>(
+                    rng.below(static_cast<std::uint64_t>(hi - lo + 1)));
+  };
+  for (geom::Layer l : geom::all_layers()) {
+    EXPECT_TRUE(got.layer_bbox(l) == fresh.layer_bbox(l))
+        << tag << " layer " << static_cast<int>(l);
+    const geom::TileIndex rebuilt(got.rects(l), got.tile_size());
+    for (int w = 0; w < 4; ++w) {
+      const geom::Coord x = coord(b.lo.x, b.hi.x), y = coord(b.lo.y, b.hi.y);
+      const geom::Rect win =
+          geom::Rect::ltrb(x, y, x + coord(0, 400), y + coord(0, 400));
+      ASSERT_EQ(got.index(l).ids_in(win), rebuilt.ids_in(win))
+          << tag << " layer " << static_cast<int>(l) << " window " << w;
+    }
+  }
+}
+
+/// Runs `edits` stream edits on two databases of the small macro, one
+/// tiled at the signoff tile and one four times coarser. After every
+/// edit each database is checked against a fresh flatten of
+/// edited_cell at its own tile and its queries against a rebuilt index;
+/// both incremental DRC (uncapped) and extraction engines are checked
+/// against one full scan of the fresh flatten (the full scans are
+/// tile-size invariant). Stops at the first failure.
+void replay_stream(int edits, std::uint64_t seed) {
+  const Macro& m = small_macro();
+  const tech::Tech& t = m.tech;
+  drc::DrcOptions uncapped;
+  uncapped.max_violations = static_cast<std::size_t>(-1);
+  const geom::Coord signoff = drc::tile_size_for(t);
+
+  struct Tracked {
+    geom::Coord tile;
+    std::unique_ptr<LayoutDB> db;
+    std::unique_ptr<drc::IncrementalDrc> drc;
+    std::unique_ptr<extract::IncrementalExtract> ext;
+  };
+  std::vector<Tracked> tracked;
+  for (geom::Coord tile : {signoff, 4 * signoff}) {
+    Tracked k{tile, std::make_unique<LayoutDB>(*m.top, tile), nullptr,
+              nullptr};
+    k.drc = std::make_unique<drc::IncrementalDrc>(*k.db, t, uncapped);
+    k.ext = std::make_unique<extract::IncrementalExtract>(*k.db, t);
+    tracked.push_back(std::move(k));
+  }
+  EditStream stream(*m.top, t, seed);
+  Rng probe(seed + 1);
+  geom::CellPtr cur = m.top;
+  for (int n = 0; n < edits; ++n) {
+    std::string kind;
+    const CellEdit e = stream.next(&kind);
+    const std::string at = "edit " + std::to_string(n) + " (" + kind + " '" +
+                           e.path + (e.name.empty() ? "" : "/" + e.name) +
+                           "')";
+    cur = edited_cell(*cur, e);
+    std::vector<drc::Violation> want_drc;
+    extract::Extracted want_ext;
+    for (Tracked& k : tracked) {
+      const std::string tag = "tile=" + std::to_string(k.tile) + " " + at;
+      const geom::EditResult res = k.db->apply(e);
+      const LayoutDB fresh(*cur, k.tile);
+      expect_same_db(*k.db, fresh, tag);
+      expect_same_geometry_queries(*k.db, fresh, probe, tag);
+      if (k.tile == signoff) {
+        want_drc = drc::check(fresh, t, uncapped);
+        want_ext = extract::extract(fresh, t);
+      }
+      k.drc->update(res);
+      k.ext->update(res);
+      expect_same_violations(k.drc->report(), want_drc, tag);
+      expect_same_extraction(k.ext->result(), want_ext, tag);
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(LayoutIncremental, LongEditStreamMatchesOraclesAtSignoffAndCoarseTile) {
+  replay_stream(300, 2024);
 }
 
 TEST(LayoutIncremental, AddOverAnExistingGateMatchesFullExtract) {

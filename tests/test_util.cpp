@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/linalg.hpp"
@@ -260,6 +261,39 @@ TEST(Errors, RequireAndEnsure) {
   EXPECT_NO_THROW(require(true, "ok"));
   EXPECT_THROW(require(false, "bad input"), SpecError);
   EXPECT_THROW(ensure(false, "bug"), InternalError);
+}
+
+TEST(Errors, MessageSurvivesForLiteralAndStringArguments) {
+  // The checks take the message as a view and copy it only on failure;
+  // what() must still carry it, whether the caller passed a literal
+  // (longer than any small-string buffer) or a temporary std::string.
+  const std::string literal =
+      "a message literal well past the small-string buffer";
+  try {
+    require(false, "a message literal well past the small-string buffer");
+    FAIL() << "require did not throw";
+  } catch (const SpecError& e) {
+    EXPECT_EQ(e.what(), literal);
+  }
+  try {
+    ensure(false, "a message literal well past the small-string buffer");
+    FAIL() << "ensure did not throw";
+  } catch (const InternalError& e) {
+    EXPECT_EQ(e.what(), literal);
+  }
+  const std::string name = "cell_" + std::to_string(42);
+  try {
+    require(false, "no instance '" + name + "' in the top cell");
+    FAIL() << "require did not throw";
+  } catch (const SpecError& e) {
+    EXPECT_EQ(std::string(e.what()), "no instance 'cell_42' in the top cell");
+  }
+  try {
+    ensure(false, std::string("built ") + name + " eagerly");
+    FAIL() << "ensure did not throw";
+  } catch (const InternalError& e) {
+    EXPECT_EQ(std::string(e.what()), "built cell_42 eagerly");
+  }
 }
 
 TEST(Welford, MatchesTwoPassMomentsOnRandomData) {
