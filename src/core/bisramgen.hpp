@@ -66,8 +66,11 @@ struct Generated {
   Datasheet sheet;
   microcode::AssembledController trpla;
   pnr::FloorplanResult plan;
-  /// Over-the-cell routing tallies from build_top, validated against the
-  /// placed-blocks LayoutDB (m3_conflicts == 0 on a clean build).
+  /// Over-the-cell routing tallies and wires from build_top, checked
+  /// against the placed blocks' metal3 by a hierarchy walk
+  /// (m3_conflicts == 0 on every generated macro, pinned by test_pnr).
+  /// net_crossings counts the distinct-net wire overlaps the router does
+  /// not avoid yet.
   pnr::RouteStats route;
 };
 

@@ -35,17 +35,26 @@ std::optional<Port> Cell::find_port(std::string_view name) const {
 }
 
 Rect Cell::bbox() const {
-  Rect box{};  // empty
-  for (const auto& s : shapes_) box = box.united(s.rect);
-  for (const auto& inst : instances_)
-    box = box.united(inst.transform.apply(inst.cell->bbox()));
-  return box;
+  // A rigid Manhattan transform maps a child's box onto the box of its
+  // transformed shapes, so each master is boxed once.
+  MasterMemo<Rect> box([](const Cell& c, MasterMemo<Rect>& memo) {
+    Rect b{};  // empty
+    for (const auto& s : c.shapes()) b = b.united(s.rect);
+    for (const auto& inst : c.instances())
+      b = b.united(inst.transform.apply(memo(*inst.cell)));
+    return b;
+  });
+  return box(*this);
 }
 
 std::size_t Cell::flat_shape_count() const {
-  std::size_t n = shapes_.size();
-  for (const auto& inst : instances_) n += inst.cell->flat_shape_count();
-  return n;
+  MasterMemo<std::size_t> count(
+      [](const Cell& c, MasterMemo<std::size_t>& memo) {
+        std::size_t n = c.shapes().size();
+        for (const auto& inst : c.instances()) n += memo(*inst.cell);
+        return n;
+      });
+  return count(*this);
 }
 
 std::size_t Cell::transistor_census() const {

@@ -5,10 +5,12 @@
 // paper describes ("no routing is necessary and the signals in adjacent
 // modules are perfectly aligned and connected by abutments").
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "geom/geometry.hpp"
@@ -77,10 +79,12 @@ class Cell {
   /// Port by name; nullopt when absent.
   std::optional<Port> find_port(std::string_view name) const;
 
-  /// Bounding box over own shapes and all instances (recursive).
+  /// Bounding box over own shapes and all instances (recursive; each
+  /// distinct master is boxed once per call).
   Rect bbox() const;
 
-  /// Total shape count in the fully flattened cell.
+  /// Total shape count in the fully flattened cell, counted once per
+  /// distinct master.
   std::size_t flat_shape_count() const;
 
   /// Number of transistors implied by poly-over-diffusion crossings in the
@@ -93,6 +97,30 @@ class Cell {
   std::vector<Shape> shapes_;
   std::vector<Port> ports_;
   std::vector<Instance> instances_;
+};
+
+/// A per-master value computed bottom-up through a hierarchy, each
+/// distinct master once: `fn(cell, memo)` builds a cell's value and reads
+/// each child's through `memo(*inst.cell)`. The cost is the distinct
+/// masters' own shapes and instance lists, not the flat shape count.
+/// Meant to live for one call: cells stay mutable through their builder
+/// API after being instanced, so a memo kept across calls could go stale.
+template <typename T>
+class MasterMemo {
+ public:
+  using Fn = std::function<T(const Cell&, MasterMemo&)>;
+  explicit MasterMemo(Fn fn) : fn_(std::move(fn)) {}
+
+  /// The value of `cell`; the reference lives as long as the memo.
+  const T& operator()(const Cell& cell) {
+    if (auto it = memo_.find(&cell); it != memo_.end()) return it->second;
+    T value = fn_(cell, *this);
+    return memo_.emplace(&cell, std::move(value)).first->second;
+  }
+
+ private:
+  Fn fn_;
+  std::unordered_map<const Cell*, T> memo_;
 };
 
 /// Owning registry of cells; names are unique.

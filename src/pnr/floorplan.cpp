@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <memory>
 #include <tuple>
 
-#include "geom/layout_db.hpp"
 #include "util/error.hpp"
 
 namespace bisram::pnr {
@@ -63,12 +61,17 @@ FloorplanResult floorplan(const std::vector<Block>& blocks,
                           const FloorplanOptions& options) {
   require(!blocks.empty(), "floorplan: no blocks");
 
+  // Each block's outline in its own frame, boxed once.
+  std::vector<Rect> local_box;
+  local_box.reserve(blocks.size());
+  for (const auto& block : blocks) local_box.push_back(block.cell->bbox());
+
   // Decreasing-area order (the paper's first heuristic).
   std::vector<int> order(blocks.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
   std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return blocks[static_cast<std::size_t>(a)].cell->bbox().area() >
-           blocks[static_cast<std::size_t>(b)].cell->bbox().area();
+    return local_box[static_cast<std::size_t>(a)].area() >
+           local_box[static_cast<std::size_t>(b)].area();
   });
 
   std::map<int, Transform> placed;
@@ -84,7 +87,7 @@ FloorplanResult floorplan(const std::vector<Block>& blocks,
   for (std::size_t k = 0; k < order.size(); ++k) {
     const int bi = order[k];
     const Block& block = blocks[static_cast<std::size_t>(bi)];
-    const Rect local = block.cell->bbox();
+    const Rect local = local_box[static_cast<std::size_t>(bi)];
 
     if (k == 0) {
       const Transform t = Transform::translate(-local.lo.x, -local.lo.y);
@@ -159,7 +162,7 @@ FloorplanResult floorplan(const std::vector<Block>& blocks,
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     result.placements.push_back({static_cast<int>(i),
                                  placed.at(static_cast<int>(i))});
-    area_sum += blocks[i].cell->bbox().area();
+    area_sum += local_box[i].area();
   }
   result.bbox = bbox;
   result.rectangularity = area_sum / bbox.area();
@@ -378,6 +381,45 @@ void draw_bridge(geom::Cell& top, const tech::Tech& t, geom::Layer layer,
                                   std::max(a.y, b.y) + w / 2));
 }
 
+/// Finds the block metal3 under one route wire in flatten preorder (a
+/// cell's own shapes, then each instance's subtree in order), the order
+/// a flat database would number the shapes in. It descends only into
+/// instances whose metal3 extent overlaps the wire with positive area,
+/// and builds an instance path only for a hit.
+struct M3ConflictWalk {
+  const Rect& wire;
+  geom::MasterMemo<Rect>& m3_extent;
+  RouteStats& stats;
+  std::vector<const std::string*> path;
+
+  void shapes(const geom::Cell& cell, const Transform& t) {
+    for (const auto& s : cell.shapes()) {
+      if (s.layer != geom::Layer::Metal3 || !wire.overlaps(t.apply(s.rect)))
+        continue;
+      std::string p;
+      for (const std::string* seg : path) {
+        if (!p.empty()) p += '/';
+        p += *seg;
+      }
+      ++stats.m3_conflicts;
+      stats.conflict_paths.push_back(std::move(p));
+    }
+  }
+
+  void instances(const geom::Cell& cell, const Transform& t) {
+    for (const auto& inst : cell.instances()) {
+      const Rect& extent = m3_extent(*inst.cell);
+      if (extent.empty()) continue;  // no metal3 below
+      const Transform ct = t.compose(inst.transform);
+      if (!wire.overlaps(ct.apply(extent))) continue;
+      path.push_back(&inst.name);
+      shapes(*inst.cell, ct);
+      instances(*inst.cell, ct);
+      path.pop_back();
+    }
+  }
+};
+
 }  // namespace
 
 CellPtr build_top(geom::Library& lib, const tech::Tech& t,
@@ -392,19 +434,12 @@ CellPtr build_top(geom::Library& lib, const tech::Tech& t,
     outlines.push_back(p.transform.apply(block.cell->bbox()));
   }
 
-  // Snapshot the placed blocks before any route shape exists: the
-  // over-the-cell wires are validated against this database (one
-  // flatten) instead of re-flattening the finished top.
-  std::unique_ptr<geom::LayoutDB> block_db;
-  if (stats) {
-    *stats = RouteStats{};
-    block_db = std::make_unique<geom::LayoutDB>(*top);
-  }
-  std::vector<Rect> route_wires;
+  if (stats) *stats = RouteStats{};
 
   const Coord w3 = t.rule(geom::Layer::Metal3).min_width;
   int net_ordinal = 0;
-  for (const auto& net : nets) {
+  for (std::size_t ni = 0; ni < nets.size(); ++ni) {
+    const Net& net = nets[ni];
     if (net.pins.size() < 2) continue;
     // Stagger taps per net so two nets sharing a port (or adjacent ports)
     // do not drop their via stacks on top of each other.
@@ -473,11 +508,10 @@ CellPtr build_top(geom::Library& lib, const tech::Tech& t,
                                      std::max(p0.y, p1.y) + w3 / 2);
         top->add_shape(geom::Layer::Metal3, wire);
         if (stats) {
-          ++stats->m3_wires;
           stats->m3_length_dbu += static_cast<double>(
               std::max(std::max(p0.x, p1.x) - std::min(p0.x, p1.x),
                        std::max(p0.y, p1.y) - std::min(p0.y, p1.y)));
-          route_wires.push_back(wire);
+          stats->wires.push_back({wire, static_cast<int>(ni)});
         }
       };
       add_wire(a, corner);
@@ -490,18 +524,25 @@ CellPtr build_top(geom::Library& lib, const tech::Tech& t,
   }
 
   if (stats) {
-    // Indexed overlap check of every route wire against block-internal
-    // metal3; a positive-area overlap is a genuine over-the-cell
-    // conflict, reported with the offending instance's path.
-    const auto& m3 = block_db->rects(geom::Layer::Metal3);
-    for (const Rect& wire : route_wires) {
-      block_db->for_each_in(geom::Layer::Metal3, wire, [&](std::uint32_t id) {
-        if (!wire.overlaps(m3[id])) return;
-        ++stats->m3_conflicts;
-        stats->conflict_paths.push_back(
-            block_db->shape_path(geom::Layer::Metal3, id));
-      });
-    }
+    // A route wire overlapping block-internal metal3 with positive area
+    // is a genuine over-the-cell conflict. The walk starts at the block
+    // instances, so the route's own shapes on `top` are never compared.
+    geom::MasterMemo<Rect> m3_extent(
+        [](const geom::Cell& c, geom::MasterMemo<Rect>& memo) {
+          Rect e{};  // empty
+          for (const auto& s : c.shapes())
+            if (s.layer == geom::Layer::Metal3) e = e.united(s.rect);
+          for (const auto& inst : c.instances())
+            e = e.united(inst.transform.apply(memo(*inst.cell)));
+          return e;
+        });
+    for (const RouteWire& w : stats->wires)
+      M3ConflictWalk{w.rect, m3_extent, *stats, {}}.instances(*top, {});
+    for (std::size_t i = 0; i < stats->wires.size(); ++i)
+      for (std::size_t j = i + 1; j < stats->wires.size(); ++j)
+        if (stats->wires[i].net != stats->wires[j].net &&
+            stats->wires[i].rect.overlaps(stats->wires[j].rect))
+          ++stats->net_crossings;
   }
   return top;
 }

@@ -91,25 +91,38 @@ FloorplanResult stretch(const std::vector<Block>& blocks,
                         Coord abut_reach = geom::dbu(16),
                         StretchStats* stats = nullptr);
 
-/// Statistics from build_top's over-the-cell metal3 routing, validated
-/// against a LayoutDB snapshot of the placed blocks (built once, before
-/// any route shape is added).
+/// One over-the-cell metal3 wire of build_top's routing.
+struct RouteWire {
+  Rect rect;
+  int net = 0;  ///< index into build_top's `nets`
+};
+
+/// Statistics from build_top's over-the-cell metal3 routing. The wires
+/// are checked against the placed blocks' own metal3 (no route shape
+/// counts) by a walk of the block hierarchy, not a flatten.
 struct RouteStats {
   int routed_spans = 0;  ///< pin-to-pin spans given an L-route
   int via_stacks = 0;
-  int m3_wires = 0;
+  std::vector<RouteWire> wires;  ///< every route wire, in drawing order
   double m3_length_dbu = 0;  ///< centreline length of the route wires
   /// Route wires overlapping block-internal metal3 with positive area —
-  /// true over-the-cell conflicts; conflict_paths names the offending
-  /// instance (LayoutDB provenance), one entry per conflicting pair.
+  /// true over-the-cell conflicts, one per (wire, block shape) pair.
+  /// conflict_paths names each pair's instance path ("BLOCK/inst/...",
+  /// as LayoutDB::path_name would), wire by wire and, within a wire, in
+  /// flatten preorder.
   int m3_conflicts = 0;
   std::vector<std::string> conflict_paths;
+  /// Pairs of route wires of different nets that overlap with positive
+  /// area: metal3 crossings the router does not avoid yet.
+  int net_crossings = 0;
 };
 
 /// Builds the placed top-level cell and routes every non-abutting net
 /// with an L-shaped over-the-cell metal3 wire (via stacks at the pins).
-/// When `stats` is non-null, the routes are validated against the
-/// placed-blocks LayoutDB and the tallies filled in.
+/// When `stats` is non-null, the tallies are filled in and the wires
+/// checked against block metal3 and each other. The check descends only
+/// into instances whose metal3 extent (one per master per call) overlaps
+/// a wire, so it costs what the hierarchy under the wires costs.
 CellPtr build_top(geom::Library& lib, const tech::Tech& t,
                   const std::string& name, const std::vector<Block>& blocks,
                   const std::vector<Net>& nets, const FloorplanResult& plan,

@@ -73,6 +73,8 @@ SignoffReport run_signoff(const core::RamSpec& spec,
   rep.area_mm2 = g.sheet.area_mm2;
   rep.overhead_pct = g.sheet.overhead_pct;
   rep.test_cycles = g.sheet.test_cycles;
+  rep.m3_conflicts = g.route.m3_conflicts;
+  rep.net_crossings = g.route.net_crossings;
 
   VerifyOptions micro = options.micro;
   micro.bpw = std::min(micro.bpw, spec.bpw);
@@ -147,6 +149,10 @@ std::string SignoffReport::render() const {
   } else {
     s += "  DRC: skipped\n";
   }
+  s += strfmt(
+      "  route: %d block-metal3 conflict(s), %d distinct-net crossing(s) "
+      "(reported, not gated)\n",
+      m3_conflicts, net_crossings);
   if (erc_lvs_ran) {
     s += strfmt("  ERC/LVS: %s\n",
                 erc_lvs_clean() ? "clean" : "VIOLATIONS");
@@ -255,6 +261,11 @@ std::string SignoffReport::json() const {
     for (const auto& d : drc_details) j.value(d);
     j.end_array();
   }
+  j.end_object();
+
+  j.key("route").begin_object();
+  j.key("m3_conflicts").value(m3_conflicts);
+  j.key("net_crossings").value(net_crossings);
   j.end_object();
 
   j.key("erc_lvs").begin_object();

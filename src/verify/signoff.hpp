@@ -66,6 +66,13 @@ struct SignoffReport {
   bool erc_lvs_ran = false;
   std::vector<std::string> erc_lvs_details;  ///< empty when clean
 
+  /// The over-the-cell metal3 route check (pnr::RouteStats): route
+  /// wires overlapping block metal3, and overlapping route-wire pairs of
+  /// different nets. Reported but kept out of clean(): the router does
+  /// not avoid crossings yet, so every generated macro has some.
+  int m3_conflicts = 0;
+  int net_crossings = 0;
+
   march::MarchAnalysis march;
   std::uint64_t test_cycles = 0;
 
