@@ -104,6 +104,7 @@ std::vector<SamplingRow> run_sampling_comparison(const CampaignSpec& spec,
 struct ThroughputRow {
   const char* name;
   sim::SimKernel kernel;
+  sim::RamGeometry geo;
   std::int64_t die_sims;
   double seconds;
   double dies_per_sec() const {
@@ -113,20 +114,21 @@ struct ThroughputRow {
 
 std::vector<ThroughputRow> run_kernel_throughput(const CampaignSpec& spec) {
   // A production-sized macro (1024 words), so the clock measures the
-  // march kernels over real plane sizes rather than campaign overhead;
-  // defect mean 3.0 makes essentially every die carry faults.
-  sim::RamGeometry geo;
-  geo.words = 1024;
-  geo.bpw = 4;
-  geo.bpc = 4;
-  geo.spare_rows = 4;
+  // march kernels over real array sizes rather than campaign overhead,
+  // and the Fig. 6 array (4096 x 128, bpc 8), where the packed kernel's
+  // cost follows the faults rather than the 524,288 bits. Defect mean
+  // 3.0 makes essentially every die carry faults.
+  const sim::RamGeometry narrow{1024, 4, 4, 4};
+  const sim::RamGeometry fig6{4096, 128, 8, 4};
   struct Config {
     const char* name;
     sim::SimKernel kernel;
+    sim::RamGeometry geo;
   };
   const Config configs[] = {
-      {"scalar", sim::SimKernel::Scalar},
-      {"packed", sim::SimKernel::Packed},
+      {"scalar", sim::SimKernel::Scalar, narrow},
+      {"packed", sim::SimKernel::Packed, narrow},
+      {"packed_fig6", sim::SimKernel::Packed, fig6},
   };
   std::vector<ThroughputRow> rows;
   for (const Config& c : configs) {
@@ -143,9 +145,9 @@ std::vector<ThroughputRow> run_kernel_throughput(const CampaignSpec& spec) {
     s.sampling.mode = sim::SamplingMode::Plain;
     const auto t0 = std::chrono::steady_clock::now();
     const auto r =
-        models::bisr_yield_mc_with_bist(geo, 3.0, kIsAlpha, kIsGrowth, s);
-    rows.push_back(
-        ThroughputRow{c.name, c.kernel, r.value.die_sims, seconds_since(t0)});
+        models::bisr_yield_mc_with_bist(c.geo, 3.0, kIsAlpha, kIsGrowth, s);
+    rows.push_back(ThroughputRow{c.name, c.kernel, c.geo, r.value.die_sims,
+                                 seconds_since(t0)});
   }
   return rows;
 }
@@ -252,9 +254,11 @@ void print_sampling_sections(const CampaignSpec& spec, int wafer_dies,
       "===\n",
       simd_level_name(active_simd_level()));
   TextTable kt;
-  kt.header({"config", "kernel", "die sims", "seconds", "dies/sec"});
+  kt.header({"config", "kernel", "geometry", "die sims", "seconds",
+             "dies/sec"});
   for (const ThroughputRow& r : run_kernel_throughput(spec))
     kt.row({r.name, sim::kernel_name(r.kernel),
+            strfmt("%ux%d bpc %d", r.geo.words, r.geo.bpw, r.geo.bpc),
             strfmt("%lld", static_cast<long long>(r.die_sims)),
             strfmt("%.3f", r.seconds), strfmt("%.0f", r.dies_per_sec())});
   std::printf("%s", kt.render().c_str());
@@ -461,6 +465,10 @@ void print_fig4_json(const CampaignSpec& spec, int wafer_dies,
       j.begin_object();
       j.key("config").value(r.name);
       j.key("kernel").value(sim::kernel_name(r.kernel));
+      j.key("words").value(static_cast<std::int64_t>(r.geo.words));
+      j.key("bpw").value(r.geo.bpw);
+      j.key("bpc").value(r.geo.bpc);
+      j.key("spare_rows").value(r.geo.spare_rows);
       j.key("die_sims").value(r.die_sims);
       j.key("seconds").value(r.seconds);
       j.key("dies_per_sec").value(r.dies_per_sec());

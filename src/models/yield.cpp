@@ -242,11 +242,11 @@ YieldCounts run_yield_range(const sim::RamGeometry& geo, double m,
   // background drives to 0 is benign but still *detected* by IFA-9's
   // complement writes, so the BIST verdict matches the analytic "any hit
   // cell is faulty" accounting. All faults are stuck-ats, so Auto
-  // resolves to the packed bit-plane kernel for every trial.
+  // resolves to the packed kernel for every trial.
   sim::CampaignSpec sub = spec;
   sub.trials = static_cast<int>(hi - lo);
   return sim::run_campaign<YieldCounts>(
-      sub, /*chunk=*/8, YieldCounts{},
+      sub, /*chunk=*/1, YieldCounts{},
       [&](Rng& rng, std::int64_t, sim::KernelTally& tally) {
         bool spare_hit = false;
         const std::vector<sim::Fault> faults =
@@ -309,8 +309,9 @@ sim::CampaignResult<BisrYieldMc> bisr_yield_mc_with_bist(
 
   if (spec.sampling.mode == sim::SamplingMode::Plain) {
     const std::int64_t total = spec.trials;
-    const std::int64_t chunk = 8;  // the campaign's historical fold chunk
-    const std::int64_t seg = sim::checkpoint_segment_trials(ck, chunk, total);
+    // Checkpoint segments stay whole multiples of 8 trials (the fold
+    // itself is an integer count, so any chunking gives the same bits).
+    const std::int64_t seg = sim::checkpoint_segment_trials(ck, 8, total);
 
     YieldCounts master;
     std::int64_t done = 0;

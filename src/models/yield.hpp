@@ -94,7 +94,7 @@ struct BisrYieldMc {
 /// Unified-campaign form: trials, seed, threads, simulation kernel and
 /// defect-count sampling mode all come from `spec`. Every sampled fault
 /// is a stuck-at cell fault, so under SimKernel::Auto all trials run on
-/// the bit-plane packed kernel (sim/packed_ram.hpp); results are
+/// the packed kernel (sim/packed_ram.hpp); results are
 /// bit-identical to the scalar path for every kernel and thread count.
 ///
 /// Sampling modes (sim/importance.hpp): Plain draws K ~ NegBin per trial

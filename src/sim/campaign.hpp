@@ -8,7 +8,7 @@
 //
 //   * CampaignSpec — what to run: trial count, campaign seed, worker
 //     threads (0 = the BISRAM_THREADS / hardware default) and the
-//     simulation kernel (packed bit-plane, scalar reference, or auto
+//     simulation kernel (packed, scalar reference, or auto
 //     per-trial dispatch — see sim/packed_ram.hpp);
 //   * CampaignProvenance — what actually ran: the resolved thread count
 //     plus how the kernel dispatch split the trials, so a report is
@@ -35,7 +35,7 @@ namespace bisram::sim {
 /// Which simulation kernel a campaign's trials run on.
 enum class SimKernel : std::uint8_t {
   Auto,    ///< per-trial: packed when the fault list is overlay-expressible
-  Packed,  ///< force the bit-plane kernel (throws on inexpressible faults)
+  Packed,  ///< force the packed kernel (throws on inexpressible faults)
   Scalar,  ///< force the scalar reference model
 };
 
@@ -128,7 +128,7 @@ struct CampaignProvenance {
   int threads = 0;  ///< resolved worker count the campaign executed with
   SimKernel kernel = SimKernel::Auto;  ///< the *requested* kernel
   std::int64_t trials = 0;
-  std::int64_t packed_trials = 0;  ///< trials the bit-plane kernel ran
+  std::int64_t packed_trials = 0;  ///< trials the packed kernel ran
   std::int64_t scalar_trials = 0;  ///< trials the scalar model ran
   SamplingMode sampling = SamplingMode::Plain;  ///< the sampling mode run
   std::int64_t strata = 0;  ///< defect-count strata simulated (IS)
@@ -223,9 +223,12 @@ class CheckpointCadence {
 /// deterministic parallel engine and folds the results with `combine`.
 /// Trial i draws from sub-stream `stream_offset + i` of spec.seed (the
 /// offset lets multi-segment campaigns like fault_coverage keep their
-/// historical stream layout). `chunk` fixes the fold association and is
-/// part of each campaign's bit-exact output contract, so it stays a
-/// per-campaign constant rather than a spec knob. When `provenance` is
+/// historical stream layout). `chunk` is the unit of work a thread
+/// claims. It fixes the fold association, which matters only for
+/// floating-point folds such as the wafer campaign's Welford
+/// accumulators; there it is part of the bit-exact output contract, so it
+/// stays a per-campaign constant rather than a spec knob. Integer-count
+/// folds give the same bits for any chunk. When `provenance` is
 /// non-null it is filled with the resolved thread count and the
 /// packed/scalar trial split.
 ///

@@ -76,7 +76,7 @@ CampaignResult<std::vector<Coverage>> fault_coverage(
     cov.scope = scope;
     std::int64_t done = 0;
     cov.detected = run_campaign<int>(
-        spec, /*chunk=*/4, 0,
+        spec, /*chunk=*/1, 0,
         [&](Rng& rng, std::int64_t, KernelTally& tally) {
           const Fault f = random_fault(kind, geo, rng, scope);
           SimKernel used = SimKernel::Scalar;

@@ -28,7 +28,7 @@ Fault random_fault(FaultKind kind, const RamGeometry& geo, Rng& rng,
 
 /// True when running `test` (pass 1 semantics) on a RAM containing only
 /// `fault` flags at least one mismatch. Runs on the requested simulation
-/// kernel (sim/packed_ram.hpp dispatch): Auto picks the bit-plane kernel
+/// kernel (sim/packed_ram.hpp dispatch): Auto picks the packed kernel
 /// whenever the fault is overlay-expressible and falls back to the
 /// scalar model otherwise; results are kernel-independent. When
 /// `kernel_used` is non-null it receives the kernel that actually ran.

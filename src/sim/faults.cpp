@@ -58,11 +58,6 @@ void FaultyArray::clear_faults() {
   by_aggressor_.clear();
 }
 
-void FaultyArray::set_retention_threshold(double seconds) {
-  require(seconds > 0, "retention threshold must be positive");
-  retention_threshold_s_ = seconds;
-}
-
 void FaultyArray::elapse(double seconds) {
   require(seconds >= 0, "elapse: negative time");
   now_s_ += seconds;
@@ -141,7 +136,7 @@ bool FaultyArray::read(int row, int col) {
         case FaultKind::StuckAt0: value = false; break;
         case FaultKind::StuckAt1: value = true; break;
         case FaultKind::Retention:
-          if (now_s_ - refresh_time_[id] >= retention_threshold_s_) {
+          if (now_s_ - refresh_time_[id] >= kRetentionThresholdS) {
             bits_[i] = f.value ? 1 : 0;
             value = f.value;
           }

@@ -34,6 +34,10 @@ enum class FaultKind : std::uint8_t {
   Retention,      ///< cell decays to `value` after the retention time elapses
 };
 
+/// Time after which an unrefreshed Retention-faulty cell decays; the
+/// paper waits ~100 ms per delay element (BistConfig::retention_wait_s).
+inline constexpr double kRetentionThresholdS = 0.08;
+
 /// Human-readable fault name ("SAF0", "CFid", ...).
 const char* fault_name(FaultKind kind);
 
@@ -70,12 +74,9 @@ class FaultyArray {
   /// returning stale column data, retention decay).
   bool read(int row, int col);
 
-  /// Advances simulated wall-clock time (data-retention decay).
+  /// Advances simulated wall-clock time (data-retention decay after
+  /// kRetentionThresholdS).
   void elapse(double seconds);
-
-  /// The retention threshold after which an unfreshed Retention-faulty
-  /// cell decays (default 80 ms; the paper waits ~100 ms per delay).
-  void set_retention_threshold(double seconds);
 
   // Raw access bypassing all fault semantics.
   bool peek(int row, int col) const;
@@ -94,7 +95,6 @@ class FaultyArray {
   std::unordered_map<std::size_t, std::vector<std::size_t>> by_aggressor_;
   std::vector<std::uint8_t> column_last_sense_;
   double now_s_ = 0.0;
-  double retention_threshold_s_ = 0.08;
   // Last refresh time per Retention fault (parallel to faults_).
   std::vector<double> refresh_time_;
 };

@@ -162,7 +162,7 @@ struct InfraCampaignReport {
 /// microprogrammed BIST/BISR flow under the watchdog and classifies the
 /// outcome. Deterministic-parallel: bit-identical for any thread count.
 /// Infrastructure faults live in the TLB/controller machinery, which the
-/// bit-plane kernel cannot express as cell overlays, so every trial runs
+/// packed kernel cannot express as cell overlays, so every trial runs
 /// the scalar PlaBistMachine; forcing SimKernel::Packed is rejected with
 /// SpecError.
 CampaignResult<InfraCampaignReport> infra_fault_campaign(

@@ -1,8 +1,7 @@
 #include "sim/packed_ram.hpp"
 
 #include <algorithm>
-
-#include "util/simd.hpp"
+#include <tuple>
 
 namespace bisram::sim {
 
@@ -15,9 +14,9 @@ bool packed_supported(FaultKind kind) {
     case FaultKind::CouplingIdem:
     case FaultKind::CouplingInv:
     case FaultKind::CouplingState:
+    case FaultKind::Retention:
       return true;
-    case FaultKind::StuckOpen:   // reads the column's last sensed value
-    case FaultKind::Retention:   // wall-clock decay
+    case FaultKind::StuckOpen:  // reads the column's last sensed value
       return false;
   }
   return false;
@@ -36,236 +35,253 @@ bool is_coupling(FaultKind kind) {
          kind == FaultKind::CouplingState;
 }
 
+/// The n low bits set, n in [0, 64].
+std::uint64_t low_bits(int n) { return n >= 64 ? ~0ull : (1ull << n) - 1; }
+
 }  // namespace
-
-PackedPatternTable::PackedPatternTable(const RamGeometry& geo) : geo_(geo) {
-  geo_.validate();
-  pw_ = (geo_.total_rows() + 63) / 64;
-  words_ = static_cast<std::size_t>(geo_.cols()) * static_cast<std::size_t>(pw_);
-  // One slot per (ones, complemented) pair; ones ranges over 0..bpw.
-  cache_.resize(2 * static_cast<std::size_t>(geo_.bpw + 1));
-}
-
-const std::uint64_t* PackedPatternTable::pattern(int ones,
-                                                 bool complemented) const {
-  require(ones >= 0 && ones <= geo_.bpw,
-          "PackedPatternTable: Johnson fill count out of range");
-  std::vector<std::uint64_t>& image =
-      cache_[static_cast<std::size_t>(ones) * 2 + (complemented ? 1 : 0)];
-  if (image.empty()) {
-    image.assign(words_, 0);
-    for (int col = 0; col < geo_.cols(); ++col) {
-      const bool bit = (col / geo_.bpc < ones) != complemented;
-      if (!bit) continue;
-      const std::size_t base =
-          static_cast<std::size_t>(col) * static_cast<std::size_t>(pw_);
-      for (int w = 0; w < pw_; ++w) image[base + static_cast<std::size_t>(w)] =
-          ~0ull;
-    }
-  }
-  return image.data();
-}
 
 PackedRam::PackedRam(const RamGeometry& geo, const std::vector<Fault>& faults)
     : geo_([&] {
         geo.validate();
         return geo;
       }()),
-      pw_((geo_.total_rows() + 63) / 64),
-      planes_(static_cast<std::size_t>(geo_.cols()) *
-                  static_cast<std::size_t>(pw_),
-              0),
-      write_mask_(planes_.size(), 0),
-      patterns_(geo_),
-      faults_(faults),
+      lanes_per_word_(static_cast<std::size_t>(geo_.bpw + 63) / 64),
       tlb_(std::max(1, geo_.spare_words())) {
-  const int rows = geo_.rows();
-  const int total_rows = geo_.total_rows();
-  const int cols = geo_.cols();
-
-  // Index the overlays and derive the special word addresses: a regular
-  // cell at (row, col) is bit col/bpc of the word row*bpc + col%bpc.
-  std::vector<std::uint32_t> specials;
+  // Validate the overlays and collect the special word addresses.
   auto add_cell = [&](const CellAddr& c) {
-    require(c.row >= 0 && c.row < total_rows && c.col >= 0 && c.col < cols,
+    require(c.row >= 0 && c.row < geo_.total_rows() && c.col >= 0 &&
+                c.col < geo_.cols(),
             "PackedRam: fault cell out of range");
-    if (c.row < rows)
-      specials.push_back(static_cast<std::uint32_t>(c.row) *
-                             static_cast<std::uint32_t>(geo_.bpc) +
-                         static_cast<std::uint32_t>(c.col % geo_.bpc));
+    if (c.row < geo_.rows()) specials_.push_back(word_of(c));
   };
-  for (std::size_t id = 0; id < faults_.size(); ++id) {
-    const Fault& f = faults_[id];
+  for (const Fault& f : faults) {
     require(packed_supported(f.kind),
             "PackedRam: fault kind not expressible as a sparse overlay");
     add_cell(f.victim);
-    by_victim_[cell_index(f.victim.row, f.victim.col)].push_back(id);
     if (is_coupling(f.kind)) {
       require(!(f.aggressor == f.victim),
               "PackedRam: coupling fault with aggressor == victim");
       add_cell(f.aggressor);
-      by_aggressor_[cell_index(f.aggressor.row, f.aggressor.col)].push_back(
-          id);
     }
   }
-  std::sort(specials.begin(), specials.end());
-  specials.erase(std::unique(specials.begin(), specials.end()),
-                 specials.end());
-  specials_ = std::move(specials);
+  std::sort(specials_.begin(), specials_.end());
+  specials_.erase(std::unique(specials_.begin(), specials_.end()),
+                  specials_.end());
 
-  // Bulk masks: regular rows only, minus every cell of a special word.
-  for (int col = 0; col < cols; ++col) {
-    for (int w = 0; w < pw_; ++w) {
-      const int lo = w * 64;
-      std::uint64_t mask = ~0ull;
-      if (rows - lo < 64)
-        mask = rows <= lo ? 0ull : (1ull << (rows - lo)) - 1;
-      write_mask_[plane_index(col, w)] = mask;
+  // Resolve every victim and aggressor to its (slot, bit) once, so the
+  // march kernels never search for a cell.
+  overlays_.reserve(faults.size());
+  for (const Fault& f : faults) {
+    Overlay o;
+    o.fault = f;
+    o.victim = locate(f.victim);
+    const auto id = static_cast<std::uint32_t>(overlays_.size());
+    hooks_.push_back({o.victim, id, true});
+    if (is_coupling(f.kind)) {
+      o.aggressor = locate(f.aggressor);
+      hooks_.push_back({o.aggressor, id, false});
     }
+    overlays_.push_back(o);
   }
-  for (std::uint32_t addr : specials_) {
-    const int row = static_cast<int>(addr) / geo_.bpc;
-    const int colgroup = static_cast<int>(addr) % geo_.bpc;
-    for (int bit = 0; bit < geo_.bpw; ++bit) {
-      const int col = bit * geo_.bpc + colgroup;
-      write_mask_[plane_index(col, row / 64)] &=
-          ~(1ull << (row % 64));
+  // Group the hooks by cell, cells by (slot, bit); within a cell the
+  // overlay index keeps FaultyArray's injection order.
+  std::sort(hooks_.begin(), hooks_.end(), [](const Hook& a, const Hook& b) {
+    return std::tie(a.at.slot, a.at.bit, a.overlay) <
+           std::tie(b.at.slot, b.at.bit, b.overlay);
+  });
+
+  const std::size_t slots =
+      specials_.size() + static_cast<std::size_t>(geo_.spare_words());
+  lanes_.assign(slots * lanes_per_word_, 0);
+  overlay_.assign(slots * lanes_per_word_, 0);
+  slot_cells_.assign(slots + 1, 0);
+  for (std::uint32_t h = 0; h < hooks_.size(); ++h) {
+    const Loc at = hooks_[h].at;
+    if (h == 0 || at.slot != hooks_[h - 1].at.slot ||
+        at.bit != hooks_[h - 1].at.bit) {
+      cells_.push_back({at, h, h});
+      ++slot_cells_[at.slot + 1];
+      overlay_[lane_of(at)] |= 1ull << (at.bit % 64);
     }
+    ++cells_.back().last;
   }
+  for (std::size_t s = 0; s < slots; ++s) slot_cells_[s + 1] += slot_cells_[s];
 }
 
-bool PackedRam::get_bit(int row, int col) const {
-  return (planes_[plane_index(col, row / 64)] >> (row % 64)) & 1u;
+std::uint32_t PackedRam::word_of(const CellAddr& c) const {
+  const int row = c.row < geo_.rows() ? c.row : c.row - geo_.rows();
+  return static_cast<std::uint32_t>(row) *
+             static_cast<std::uint32_t>(geo_.bpc) +
+         static_cast<std::uint32_t>(c.col % geo_.bpc);
 }
 
-void PackedRam::set_bit(int row, int col, bool v) {
-  std::uint64_t& word = planes_[plane_index(col, row / 64)];
-  const std::uint64_t bit = 1ull << (row % 64);
-  if (v)
-    word |= bit;
-  else
-    word &= ~bit;
+PackedRam::Loc PackedRam::locate(const CellAddr& c) const {
+  const std::uint32_t word = word_of(c);
+  const int bit = c.col / geo_.bpc;
+  if (c.row >= geo_.rows())
+    return {static_cast<std::uint32_t>(specials_.size()) + word, bit};
+  const auto it = std::lower_bound(specials_.begin(), specials_.end(), word);
+  return {static_cast<std::uint32_t>(it - specials_.begin()), bit};
+}
+
+bool PackedRam::peek(int row, int col) const {
+  require(row >= 0 && row < geo_.total_rows() && col >= 0 &&
+              col < geo_.cols(),
+          "PackedRam::peek: cell out of range");
+  if (row < geo_.rows() && !std::binary_search(specials_.begin(),
+                                               specials_.end(),
+                                               word_of({row, col})))
+    return (col / geo_.bpc < bulk_ones_) != bulk_complemented_;
+  return get(locate({row, col}));
+}
+
+void PackedRam::elapse(double seconds) {
+  require(seconds >= 0, "elapse: negative time");
+  now_s_ += seconds;
+}
+
+std::uint32_t PackedRam::slot_of(std::size_t s) const {
+  if (repair_enabled_) {
+    if (const auto spare = tlb_.lookup(specials_[s])) {
+      ensure(*spare < geo_.spare_words(),
+             "RamGeometry: spare index out of range");
+      return static_cast<std::uint32_t>(specials_.size()) +
+             static_cast<std::uint32_t>(*spare);
+    }
+  }
+  return static_cast<std::uint32_t>(s);
+}
+
+std::size_t PackedRam::lane_of(Loc at) const {
+  return at.slot * lanes_per_word_ + static_cast<std::size_t>(at.bit / 64);
+}
+
+bool PackedRam::get(Loc at) const {
+  return (lanes_[lane_of(at)] >> (at.bit % 64)) & 1u;
+}
+
+void PackedRam::set(Loc at, bool v) {
+  std::uint64_t& word = lanes_[lane_of(at)];
+  const std::uint64_t bit = 1ull << (at.bit % 64);
+  word = v ? word | bit : word & ~bit;
+}
+
+std::uint64_t PackedRam::pattern_lane(std::size_t lane, int ones,
+                                      bool complemented) const {
+  const int lo = static_cast<int>(lane) * 64;
+  const std::uint64_t fill = low_bits(std::clamp(ones - lo, 0, 64));
+  return complemented ? low_bits(std::min(64, geo_.bpw - lo)) ^ fill : fill;
 }
 
 void PackedRam::kernel_write(int ones, bool complemented) {
-  // One masked stream assign over the whole plane buffer; the SIMD
-  // dispatch (util/simd.hpp) is bit-identical to the historical
-  // per-column scalar splat loop.
-  simd::masked_assign(planes_.data(), patterns_.pattern(ones, complemented),
-                      write_mask_.data(), planes_.size());
+  bulk_ones_ = ones;
+  bulk_complemented_ = complemented;
 }
 
 bool PackedRam::kernel_read_clean(int ones, bool complemented) const {
-  return simd::masked_diff(planes_.data(),
-                           patterns_.pattern(ones, complemented),
-                           write_mask_.data(), planes_.size()) == 0;
+  if (specials_.size() == geo_.words) return true;  // no bulk word
+  if (complemented == bulk_complemented_) return ones == bulk_ones_;
+  // Opposite senses agree only when one pattern is all-0 and the other
+  // all-1: (0, c) and (bpw, !c).
+  return (ones == 0 && bulk_ones_ == geo_.bpw) ||
+         (ones == geo_.bpw && bulk_ones_ == 0);
 }
 
-void PackedRam::write_cell(int row, int col, bool v) {
-  const bool old_v = get_bit(row, col);
+void PackedRam::write_cell(const OverlayCell& cell, bool v) {
+  const bool old_v = get(cell.at);
   bool effective = v;
-  auto it = by_victim_.find(cell_index(row, col));
-  if (it != by_victim_.end()) {
-    for (std::size_t id : it->second) {
-      const Fault& f = faults_[id];
-      switch (f.kind) {
-        case FaultKind::StuckAt0: effective = false; break;
-        case FaultKind::StuckAt1: effective = true; break;
-        case FaultKind::TransitionUp:
-          if (!old_v && v) effective = old_v;  // cannot rise
-          break;
-        case FaultKind::TransitionDown:
-          if (old_v && !v) effective = old_v;  // cannot fall
-          break;
-        default:
-          break;
-      }
-    }
-  }
-  set_bit(row, col, effective);
-  const bool new_v = effective;
-  if (new_v == old_v && v == old_v) return;
-  auto ag = by_aggressor_.find(cell_index(row, col));
-  if (ag == by_aggressor_.end()) return;
-  for (std::size_t id : ag->second) {
-    const Fault& f = faults_[id];
-    switch (f.kind) {
-      case FaultKind::CouplingIdem:
-        if (old_v != new_v && new_v == f.dir_rising)
-          set_bit(f.victim.row, f.victim.col, f.value);
+  for (std::uint32_t h = cell.first; h < cell.last; ++h) {
+    if (!hooks_[h].victim) continue;
+    Overlay& o = overlays_[hooks_[h].overlay];
+    switch (o.fault.kind) {
+      case FaultKind::StuckAt0: effective = false; break;
+      case FaultKind::StuckAt1: effective = true; break;
+      case FaultKind::TransitionUp:
+        if (!old_v && v) effective = old_v;  // cannot rise
         break;
-      case FaultKind::CouplingInv:
-        if (old_v != new_v && new_v == f.dir_rising)
-          set_bit(f.victim.row, f.victim.col,
-                  !get_bit(f.victim.row, f.victim.col));
+      case FaultKind::TransitionDown:
+        if (old_v && !v) effective = old_v;  // cannot fall
+        break;
+      case FaultKind::Retention:
+        o.refreshed_s = now_s_;  // a write refreshes the cell
         break;
       default:
-        // CouplingState is a static condition evaluated at victim read
-        // time, exactly as in FaultyArray.
         break;
     }
   }
+  set(cell.at, effective);
+  if (effective == old_v && v == old_v) return;
+  for (std::uint32_t h = cell.first; h < cell.last; ++h) {
+    if (hooks_[h].victim) continue;
+    const Overlay& o = overlays_[hooks_[h].overlay];
+    const Fault& f = o.fault;
+    if (old_v == effective || effective != f.dir_rising) continue;
+    // CouplingState is a static condition evaluated at victim read time,
+    // exactly as in FaultyArray.
+    if (f.kind == FaultKind::CouplingIdem)
+      set(o.victim, f.value);
+    else if (f.kind == FaultKind::CouplingInv)
+      set(o.victim, !get(o.victim));
+  }
 }
 
-bool PackedRam::read_cell(int row, int col) {
-  bool value = get_bit(row, col);
-  auto it = by_victim_.find(cell_index(row, col));
-  if (it != by_victim_.end()) {
-    for (std::size_t id : it->second) {
-      const Fault& f = faults_[id];
-      switch (f.kind) {
-        case FaultKind::StuckAt0: value = false; break;
-        case FaultKind::StuckAt1: value = true; break;
-        case FaultKind::CouplingState:
-          if (get_bit(f.aggressor.row, f.aggressor.col) == f.value) {
-            set_bit(row, col, f.value2);
-            value = f.value2;
-          }
-          break;
-        default:
-          break;
-      }
+bool PackedRam::read_cell(const OverlayCell& cell) {
+  bool value = get(cell.at);
+  for (std::uint32_t h = cell.first; h < cell.last; ++h) {
+    if (!hooks_[h].victim) continue;
+    const Overlay& o = overlays_[hooks_[h].overlay];
+    const Fault& f = o.fault;
+    switch (f.kind) {
+      case FaultKind::StuckAt0: value = false; break;
+      case FaultKind::StuckAt1: value = true; break;
+      case FaultKind::CouplingState:
+        if (get(o.aggressor) == f.value) {
+          set(cell.at, f.value2);
+          value = f.value2;
+        }
+        break;
+      case FaultKind::Retention:
+        if (now_s_ - o.refreshed_s >= kRetentionThresholdS) {
+          set(cell.at, f.value);
+          value = f.value;
+        }
+        break;
+      default:
+        break;
     }
   }
   return value;
 }
 
-void PackedRam::write_word_exact(std::uint32_t addr, int ones,
-                                 bool complemented) {
-  if (repair_enabled_) {
-    if (const auto spare = tlb_.lookup(addr)) {
-      for (int bit = 0; bit < geo_.bpw; ++bit) {
-        const CellAddr c = geo_.spare_cell_of(*spare, bit);
-        write_cell(c.row, c.col, (bit < ones) != complemented);
-      }
-      return;
-    }
+void PackedRam::write_special(std::size_t s, int ones, bool complemented) {
+  const std::uint32_t slot = slot_of(s);
+  for (std::size_t l = 0; l < lanes_per_word_; ++l) {
+    std::uint64_t& w = lanes_[slot * lanes_per_word_ + l];
+    const std::uint64_t m = overlay_[slot * lanes_per_word_ + l];
+    w = (w & m) | (pattern_lane(l, ones, complemented) & ~m);
   }
-  for (int bit = 0; bit < geo_.bpw; ++bit) {
-    const CellAddr c = geo_.cell_of(addr, bit);
-    write_cell(c.row, c.col, (bit < ones) != complemented);
-  }
+  // Overlay bits in ascending order, as RamModel::write_word walks them:
+  // an aggressor at bit i that flips a victim at bit j > i is overwritten
+  // when bit j is written.
+  for (std::uint32_t c = slot_cells_[slot]; c < slot_cells_[slot + 1]; ++c)
+    write_cell(cells_[c], (cells_[c].at.bit < ones) != complemented);
 }
 
-bool PackedRam::read_word_matches(std::uint32_t addr, int ones,
-                                  bool complemented) {
-  bool ok = true;
-  if (repair_enabled_) {
-    if (const auto spare = tlb_.lookup(addr)) {
-      for (int bit = 0; bit < geo_.bpw; ++bit) {
-        const CellAddr c = geo_.spare_cell_of(*spare, bit);
-        // Read every bit even after the first mismatch: reads carry side
-        // effects (CouplingState rewrites the stored victim value).
-        if (read_cell(c.row, c.col) != ((bit < ones) != complemented))
-          ok = false;
-      }
-      return ok;
-    }
-  }
-  for (int bit = 0; bit < geo_.bpw; ++bit) {
-    const CellAddr c = geo_.cell_of(addr, bit);
-    if (read_cell(c.row, c.col) != ((bit < ones) != complemented)) ok = false;
-  }
+bool PackedRam::read_special_matches(std::size_t s, int ones,
+                                     bool complemented) {
+  const std::uint32_t slot = slot_of(s);
+  std::uint64_t diff = 0;
+  for (std::size_t l = 0; l < lanes_per_word_; ++l)
+    diff |= (lanes_[slot * lanes_per_word_ + l] ^
+             pattern_lane(l, ones, complemented)) &
+            ~overlay_[slot * lanes_per_word_ + l];
+  bool ok = diff == 0;
+  // Read every overlay bit even after a mismatch, in ascending order:
+  // reads carry side effects (CouplingState and Retention rewrite the
+  // stored victim value).
+  for (std::uint32_t c = slot_cells_[slot]; c < slot_cells_[slot + 1]; ++c)
+    if (read_cell(cells_[c]) != ((cells_[c].at.bit < ones) != complemented))
+      ok = false;
   return ok;
 }
 
@@ -285,17 +301,21 @@ std::optional<bool> PackedBistEngine::run_pass(int pass, BistResult& result) {
   bool clean = true;
   int ones = 0;  // Johnson fill count (DataGen::reset)
   const int backgrounds = config_.johnson_backgrounds ? geo.bpw + 1 : 1;
+  const auto& specials = ram_.special_addresses();
+  const std::size_t n = specials.size();
   for (int bg = 0; bg < backgrounds; ++bg) {
     for (const auto& element : test.elements()) {
-      // Delay elements only matter to Retention faults, which never run
-      // on this kernel; the scalar engine's clock advance is a no-op
-      // here (and costs no cycles there either).
-      if (element.is_delay) continue;
+      if (element.is_delay) {
+        // As in BistEngine: the clock advances so retention faults can
+        // decay, and the wait costs no cycles.
+        ram_.elapse(config_.retention_wait_s);
+        continue;
+      }
 
-      // Bulk cells, op-major: one masked splat/compare per plane word.
-      // The cycle counter covers the *whole* sweep (special addresses
-      // included) because the scalar engine counts one cycle per op per
-      // address regardless of where the word lives.
+      // Bulk words, op-major: O(1) per op. The cycle counter covers the
+      // *whole* sweep (special addresses included) because the scalar
+      // engine counts one cycle per op per address regardless of where
+      // the word lives.
       for (march::Op op : element.ops) {
         result.cycles += geo.words;
         const bool v = march::op_value(op);
@@ -311,23 +331,22 @@ std::optional<bool> PackedBistEngine::run_pass(int pass, BistResult& result) {
       // strictly increasing spare assignment. Bulk/special interleaving
       // is irrelevant: the two touch disjoint cells and only specials
       // record into the TLB.
-      const auto& specials = ram_.special_addresses();
-      const std::size_t n = specials.size();
       const bool up = march::ascending(element.order);
-      for (std::size_t s = 0; s < n; ++s) {
-        const std::uint32_t addr = specials[up ? s : n - 1 - s];
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t s = up ? i : n - 1 - i;
         for (march::Op op : element.ops) {
           const bool v = march::op_value(op);
           if (!march::is_read(op)) {
-            ram_.write_word_exact(addr, ones, v);
+            ram_.write_special(s, ones, v);
             continue;
           }
-          if (ram_.read_word_matches(addr, ones, v)) continue;
+          if (ram_.read_special_matches(s, ones, v)) continue;
           clean = false;
           // Same recording rule as BistEngine::run_pass: every
           // mismatching read records; pass 1 dedups via the CAM compare,
           // pass >= 2 forces a fresh entry (the mapped spare proved bad).
-          const auto spare = ram_.tlb().record(addr, /*force_new=*/pass >= 2);
+          const auto spare =
+              ram_.tlb().record(specials[s], /*force_new=*/pass >= 2);
           if (!spare) result.tlb_overflow = true;
         }
       }
@@ -362,8 +381,8 @@ BistResult run_bist(const RamGeometry& geo, const std::vector<Fault>& faults,
   const bool expressible = packed_supported(faults);
   if (kernel == SimKernel::Packed)
     require(expressible,
-            "run_bist: fault list contains kinds the packed kernel cannot "
-            "express as overlays (StuckOpen/Retention) — use Auto or Scalar");
+            "run_bist: fault list contains StuckOpen faults, which the "
+            "packed kernel cannot express as overlays — use Auto or Scalar");
   if (kernel != SimKernel::Scalar && expressible) {
     PackedRam ram(geo, faults);
     if (const auto result = PackedBistEngine(ram, config).run()) {

@@ -1,40 +1,42 @@
 #pragma once
-// Bit-plane fault-simulation kernel.
+// Fault-proportional BIST kernel.
 //
 // The scalar path (RamModel + BistEngine) executes a march one cell at a
-// time: every op touches bpw cells through hash-map fault lookups and a
-// heap-allocated Word. But BIST write patterns are address-independent —
-// within one march op every cell of a physical column receives the same
-// Johnson-background bit — so for the overwhelming majority of cells a
-// march op is a single masked 64-bit splat or compare per column.
+// time: every op touches bpw cells through hash-map fault lookups. But
+// BIST write patterns are address-independent — within one background
+// every word receives the same Johnson pattern or its complement — and
+// no fault ever touches a word that holds none of its cells. PackedRam
+// splits the words in two:
+//   * the bulk: every regular word that holds no overlay victim or
+//     aggressor. Each bulk word holds the last background written to the
+//     bulk, so the bulk is one (ones, complemented) pair, and a march op
+//     on it costs O(1) whatever the array size;
+//   * the special words (regular words that hold an overlay victim or
+//     aggressor) and every spare word, stored as ceil(bpw / 64) uint64_t
+//     lanes each. A word op assigns or compares the lanes on the bits
+//     with no fault behaviour, then runs FaultyArray's write/read
+//     semantics on the overlay bits in ascending bit order — the order
+//     RamModel walks a word, which keeps intra-word coupling identical.
+// A die therefore costs O(faults x backgrounds x ops), not O(array bits),
+// and allocates nothing array-sized. The run is bit-identical to the
+// scalar engine — BistResult, TLB contents and final array state — which
+// tests/test_packed_equivalence.cpp enforces on hand-built cases and
+// random geometries and fault lists.
 //
-// PackedRam exploits that: the (regular + spare) array is stored as
-// uint64_t bit-planes, one plane per physical column, 64 rows per plane
-// word. Injected faults become *sparse overlays*: the word addresses
-// whose cells host an overlay victim or aggressor form a small "special"
-// set that is simulated cell-exactly (mirroring FaultyArray's write/read
-// semantics, including coupling side effects and TLB diversion), while
-// every other address is handled by the word-parallel kernels. Because
-// no fault ever touches a non-special regular cell, and bulk writes
-// store exactly the written pattern, the packed run is bit-identical to
-// the scalar engine — BistResult, TLB contents and final array state —
-// which tests/test_packed_equivalence.cpp enforces on random geometries
-// and fault lists.
-//
-// Overlay-expressible kinds: stuck-at, transition, and all three
-// coupling models. StuckOpen (reads depend on the column's last sensed
-// value — an address-order-dependent global) and Retention (wall-clock
-// decay) are not expressible as sparse overlays; run_bist() dispatches
-// those fault lists to the scalar model. The packed engine also aborts
-// (returns nullopt) if a word-parallel read ever observes a bulk cell
-// deviating from its pattern — impossible in any flow that starts each
-// background with a write, but the abort keeps the dispatcher safe for
-// ill-formed marches: the caller simply reruns the trial on the scalar
-// path from scratch.
+// Overlay kinds: stuck-at, transition, the three coupling models and
+// data retention (a write refreshes the victim; a read once the
+// threshold has passed decays it; the clock advances at each Delay
+// element, as in BistEngine). StuckOpen is not an overlay: its read
+// returns the column's last sensed value, which ties bulk reads to the
+// victim's read order, so run_bist() dispatches such fault lists to the
+// scalar model. The packed engine also aborts (returns nullopt) if a
+// bulk read ever expects a pattern other than the one the bulk holds —
+// impossible in any flow that starts each background with a write, but
+// the abort keeps the dispatcher safe for ill-formed marches: the caller
+// simply reruns the trial on the scalar path from scratch.
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/bist.hpp"
@@ -43,37 +45,17 @@
 
 namespace bisram::sim {
 
-/// True when `kind` can run on the bit-plane kernel as a sparse overlay.
+/// True when `kind` can run on the packed kernel as a sparse overlay.
 bool packed_supported(FaultKind kind);
 
 /// True when every fault in the list is overlay-expressible.
 bool packed_supported(const std::vector<Fault>& faults);
 
-/// Precomputed plane images of the Johnson backgrounds for one geometry:
-/// for each (ones, complemented) pair, the full [col][w] bit-plane image
-/// every bulk cell would hold after a clean write of that background.
-/// The bulk march kernels reduce to one masked stream assign/compare
-/// against these images (util/simd.hpp). Images are built lazily on
-/// first use; the table is not thread-safe and lives inside one PackedRam.
-class PackedPatternTable {
- public:
-  explicit PackedPatternTable(const RamGeometry& geo);
-
-  /// The plane image (cols * plane-words-per-column 64-bit words) of the
-  /// background with Johnson fill `ones`, sense `complemented`.
-  const std::uint64_t* pattern(int ones, bool complemented) const;
-
- private:
-  RamGeometry geo_;
-  int pw_ = 0;
-  std::size_t words_ = 0;
-  mutable std::vector<std::vector<std::uint64_t>> cache_;
-};
-
-/// The bit-plane RAM: planes indexed [column][row / 64], spares included,
-/// plus the overlay fault set and the BISR TLB. Construction validates
+/// The packed RAM: the symbolic bulk, lanes for the special and spare
+/// words, the overlay fault set and the BISR TLB. Construction validates
 /// the geometry and the fault list (throws SpecError when a fault kind is
-/// not overlay-expressible or a cell is out of range).
+/// not overlay-expressible or a cell is out of range) and costs
+/// O(faults + spare words).
 class PackedRam {
  public:
   PackedRam(const RamGeometry& geo, const std::vector<Fault>& faults);
@@ -87,7 +69,7 @@ class PackedRam {
 
   /// Raw cell value bypassing fault semantics (the packed counterpart of
   /// FaultyArray::peek; row may address spare rows).
-  bool peek(int row, int col) const { return get_bit(row, col); }
+  bool peek(int row, int col) const;
 
   /// Word addresses containing an overlay victim or aggressor cell, in
   /// ascending order — the addresses the march kernels must simulate
@@ -96,66 +78,96 @@ class PackedRam {
     return specials_;
   }
 
-  // --- word-parallel march kernels (bulk cells) -----------------------------
-  // `ones` is the Johnson fill count of the active background (pattern
-  // bit of column c is (c / bpc < ones)); `complemented` is the op's data
-  // sense (r1/w1). Both kernels cover every non-special regular cell; the
-  // special addresses and all spare rows are masked out.
+  /// Data-retention wait (FaultyArray::elapse).
+  void elapse(double seconds);
 
-  /// Writes the pattern into all bulk cells: one masked splat per plane
-  /// word.
+  // --- bulk march kernels, O(1) each ----------------------------------------
+  // `ones` is the Johnson fill count of the active background (bit k of
+  // the pattern is k < ones); `complemented` is the op's data sense
+  // (r1/w1).
+
+  /// Writes the pattern into every bulk word.
   void kernel_write(int ones, bool complemented);
 
-  /// True when every bulk cell matches the pattern (one masked XOR per
-  /// plane word). False signals a broken bulk invariant — the caller must
-  /// abandon the packed run (see header comment).
+  /// True when every bulk word holds the pattern. False signals a broken
+  /// bulk invariant — the caller must abandon the packed run (see header
+  /// comment).
   bool kernel_read_clean(int ones, bool complemented) const;
 
-  // --- cell-exact path (special addresses and spares) -----------------------
+  // --- cell-exact path: special word `s`, an index into special_addresses()
 
-  /// Writes the pattern word to `addr` through the address path (TLB
-  /// diversion when repair is enabled), mirroring RamModel::write_word +
+  /// Writes the pattern word through the address path (TLB diversion
+  /// when repair is enabled), mirroring RamModel::write_word +
   /// FaultyArray::write bit for bit.
-  void write_word_exact(std::uint32_t addr, int ones, bool complemented);
+  void write_special(std::size_t s, int ones, bool complemented);
 
-  /// Reads the word at `addr` through the address path, applying read
-  /// fault semantics (including CouplingState's stored-value mutation),
-  /// and returns true when every bit matches the expected pattern.
-  bool read_word_matches(std::uint32_t addr, int ones, bool complemented);
+  /// Reads the word through the address path, applying read fault
+  /// semantics (CouplingState's and Retention's stored-value mutations
+  /// included), and returns true when every bit matches the pattern.
+  bool read_special_matches(std::size_t s, int ones, bool complemented);
 
  private:
-  std::size_t plane_index(int col, int w) const {
-    return static_cast<std::size_t>(col) * static_cast<std::size_t>(pw_) +
-           static_cast<std::size_t>(w);
-  }
-  bool get_bit(int row, int col) const;
-  void set_bit(int row, int col, bool v);
-  std::int64_t cell_index(int row, int col) const {
-    return static_cast<std::int64_t>(row) * geo_.cols() + col;
-  }
-  bool pattern_bit(int col, int ones, bool complemented) const {
-    return (col / geo_.bpc < ones) != complemented;
-  }
+  /// A cell as (word slot, bit): slots [0, specials) are the special
+  /// words in address order, followed by one slot per spare word.
+  struct Loc {
+    std::uint32_t slot = 0;
+    int bit = 0;
+  };
+  struct Overlay {
+    Fault fault;
+    Loc victim;
+    Loc aggressor;            ///< coupling kinds only
+    double refreshed_s = 0;   ///< Retention: last write to the victim
+  };
+  /// One overlay's role at one cell.
+  struct Hook {
+    Loc at;
+    std::uint32_t overlay = 0;  ///< index into overlays_
+    bool victim = true;         ///< false: the overlay's aggressor
+  };
+  /// A victim or aggressor cell with its hooks_ [first, last), in
+  /// injection order.
+  struct OverlayCell {
+    Loc at;
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+  };
 
-  /// FaultyArray::write semantics restricted to the overlay kinds.
-  void write_cell(int row, int col, bool v);
-  /// FaultyArray::read semantics restricted to the overlay kinds.
-  bool read_cell(int row, int col);
+  /// The word holding cell `c`: its address in a regular row, its spare
+  /// index in a spare row (bit col / bpc of word row * bpc + col % bpc).
+  std::uint32_t word_of(const CellAddr& c) const;
+  Loc locate(const CellAddr& c) const;
+  /// The slot special word `s` reads and writes: its own, or the spare's
+  /// the TLB diverts it to.
+  std::uint32_t slot_of(std::size_t s) const;
+  std::size_t lane_of(Loc at) const;
+  bool get(Loc at) const;
+  void set(Loc at, bool v);
+  /// Lane `lane` of the pattern word; bits past bpw are zero.
+  std::uint64_t pattern_lane(std::size_t lane, int ones,
+                             bool complemented) const;
+
+  /// FaultyArray::write / read semantics at one overlay cell.
+  void write_cell(const OverlayCell& cell, bool v);
+  bool read_cell(const OverlayCell& cell);
 
   RamGeometry geo_;
-  int pw_ = 0;  ///< plane words per column: ceil(total_rows / 64)
-  std::vector<std::uint64_t> planes_;      ///< [col * pw_ + w]
-  std::vector<std::uint64_t> write_mask_;  ///< bulk cells per plane word
-  PackedPatternTable patterns_;
-  std::vector<Fault> faults_;
-  std::unordered_map<std::int64_t, std::vector<std::size_t>> by_victim_;
-  std::unordered_map<std::int64_t, std::vector<std::size_t>> by_aggressor_;
+  std::size_t lanes_per_word_ = 0;
+  int bulk_ones_ = 0;  ///< the bulk's background; (0, false) is all-zero
+  bool bulk_complemented_ = false;
   std::vector<std::uint32_t> specials_;
+  std::vector<std::uint64_t> lanes_;    ///< [slot * lanes_per_word_ + lane]
+  std::vector<std::uint64_t> overlay_;  ///< overlay bits, same layout
+  std::vector<Overlay> overlays_;
+  std::vector<Hook> hooks_;         ///< by (slot, bit, overlay)
+  std::vector<OverlayCell> cells_;  ///< by (slot, bit)
+  std::vector<std::uint32_t> slot_cells_;  ///< slot s: [s], [s + 1] of cells_
+  double now_s_ = 0.0;
   Tlb tlb_;
   bool repair_enabled_ = false;
 };
 
-/// The BIST/BISR flow of sim/bist.hpp executed on the bit-plane kernel.
+/// The BIST/BISR flow of sim/bist.hpp executed on the packed kernel.
 /// Mirrors BistEngine pass for pass: pass 1 marches the raw array and
 /// records mismatching addresses, pass >= 2 re-marches with diversion.
 class PackedBistEngine {

@@ -1,42 +1,8 @@
 #include "util/simd.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-
 #include "util/error.hpp"
 
-#if defined(__x86_64__) || defined(_M_X64) || defined(__i386__)
-#define BISRAM_X86 1
-#include <immintrin.h>
-#else
-#define BISRAM_X86 0
-#endif
-
 namespace bisram {
-
-namespace {
-
-// -1 = no override; otherwise a SimdLevel value.
-std::atomic<int> g_override{-1};
-
-SimdLevel env_or_detected() {
-  static const SimdLevel level = [] {
-    if (const char* env = std::getenv("BISRAM_SIMD")) {
-      const std::string v(env);
-      if (v == "scalar") return SimdLevel::Scalar;
-      if (v == "avx2")
-        return detected_simd_level() == SimdLevel::Avx2 ? SimdLevel::Avx2
-                                                        : SimdLevel::Scalar;
-      // "auto", "", or anything unrecognized: fall through to detection.
-    }
-    return detected_simd_level();
-  }();
-  return level;
-}
-
-}  // namespace
 
 const char* simd_level_name(SimdLevel level) {
   switch (level) {
@@ -49,7 +15,7 @@ const char* simd_level_name(SimdLevel level) {
 }
 
 SimdLevel detected_simd_level() {
-#if BISRAM_X86
+#if defined(__x86_64__) || defined(_M_X64) || defined(__i386__)
   static const bool avx2 = __builtin_cpu_supports("avx2");
   return avx2 ? SimdLevel::Avx2 : SimdLevel::Scalar;
 #else
@@ -57,109 +23,6 @@ SimdLevel detected_simd_level() {
 #endif
 }
 
-SimdLevel active_simd_level() {
-  const int forced = g_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<SimdLevel>(forced);
-  return env_or_detected();
-}
-
-SimdLevel set_simd_level(SimdLevel level) {
-  require(level != SimdLevel::Avx2 || detected_simd_level() == SimdLevel::Avx2,
-          "set_simd_level: this CPU does not support AVX2");
-  const SimdLevel prev = active_simd_level();
-  g_override.store(static_cast<int>(level), std::memory_order_relaxed);
-  return prev;
-}
-
-void clear_simd_level() {
-  g_override.store(-1, std::memory_order_relaxed);
-}
-
-namespace simd {
-
-namespace {
-
-void masked_assign_scalar(std::uint64_t* dst, const std::uint64_t* pattern,
-                          const std::uint64_t* mask, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    dst[i] = (dst[i] & ~mask[i]) | (pattern[i] & mask[i]);
-}
-
-std::uint64_t masked_diff_scalar(const std::uint64_t* a,
-                                 const std::uint64_t* pattern,
-                                 const std::uint64_t* mask, std::size_t n) {
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) acc |= (a[i] ^ pattern[i]) & mask[i];
-  return acc;
-}
-
-#if BISRAM_X86
-
-__attribute__((target("avx2"))) void masked_assign_avx2(
-    std::uint64_t* dst, const std::uint64_t* pattern, const std::uint64_t* mask,
-    std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i p =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pattern + i));
-    const __m256i m =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + i));
-    // (d & ~m) | (p & m) == d ^ ((d ^ p) & m) — one blend per 4 words.
-    const __m256i out =
-        _mm256_xor_si256(d, _mm256_and_si256(_mm256_xor_si256(d, p), m));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), out);
-  }
-  masked_assign_scalar(dst + i, pattern + i, mask + i, n - i);
-}
-
-__attribute__((target("avx2"))) std::uint64_t masked_diff_avx2(
-    const std::uint64_t* a, const std::uint64_t* pattern,
-    const std::uint64_t* mask, std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i av =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i p =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pattern + i));
-    const __m256i m =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + i));
-    acc = _mm256_or_si256(acc,
-                          _mm256_and_si256(_mm256_xor_si256(av, p), m));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint64_t out = lanes[0] | lanes[1] | lanes[2] | lanes[3];
-  out |= masked_diff_scalar(a + i, pattern + i, mask + i, n - i);
-  return out;
-}
-
-#endif  // BISRAM_X86
-
-}  // namespace
-
-void masked_assign(std::uint64_t* dst, const std::uint64_t* pattern,
-                   const std::uint64_t* mask, std::size_t n) {
-#if BISRAM_X86
-  if (active_simd_level() == SimdLevel::Avx2) {
-    masked_assign_avx2(dst, pattern, mask, n);
-    return;
-  }
-#endif
-  masked_assign_scalar(dst, pattern, mask, n);
-}
-
-std::uint64_t masked_diff(const std::uint64_t* a, const std::uint64_t* pattern,
-                          const std::uint64_t* mask, std::size_t n) {
-#if BISRAM_X86
-  if (active_simd_level() == SimdLevel::Avx2)
-    return masked_diff_avx2(a, pattern, mask, n);
-#endif
-  return masked_diff_scalar(a, pattern, mask, n);
-}
-
-}  // namespace simd
+SimdLevel active_simd_level() { return detected_simd_level(); }
 
 }  // namespace bisram

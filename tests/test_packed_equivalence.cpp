@@ -1,13 +1,14 @@
-// Bit-identity contract of the bit-plane fault-simulation kernel
+// Bit-identity contract of the packed fault-simulation kernel
 // (sim/packed_ram.hpp): for every overlay-expressible fault list, the
 // packed BIST/BISR flow must agree with the scalar RamModel/BistEngine
 // reference bit for bit — BistResult fields, TLB contents, and the final
 // raw array state. These tests pin the contract on hand-built corner
-// cases (coupling across plane-word boundaries, spare-row defects, TLB
-// overflow, stacked faults on one cell) and then hammer it with a
-// randomized property sweep over geometries, march tests and fault
-// lists. The suite runs under ASan/UBSan in CI, so the word-parallel
-// kernels also get their memory discipline checked.
+// cases (coupling across rows 63/64, spare-row defects, TLB overflow,
+// stacked faults on one cell, retention decay across a Delay) and then
+// hammer it with randomized property sweeps over geometries, march tests
+// and fault lists, one of them dense on words that span several 64-bit
+// lanes. The suite runs under ASan/UBSan in CI, so the lane kernels also
+// get their memory discipline checked.
 
 #include <gtest/gtest.h>
 
@@ -97,8 +98,8 @@ TEST(PackedSupport, ClassifiesFaultKinds) {
   EXPECT_TRUE(packed_supported(FaultKind::CouplingIdem));
   EXPECT_TRUE(packed_supported(FaultKind::CouplingInv));
   EXPECT_TRUE(packed_supported(FaultKind::CouplingState));
+  EXPECT_TRUE(packed_supported(FaultKind::Retention));
   EXPECT_FALSE(packed_supported(FaultKind::StuckOpen));
-  EXPECT_FALSE(packed_supported(FaultKind::Retention));
 }
 
 TEST(PackedEquivalence, CleanArrayIsCleanOnBothKernels) {
@@ -130,8 +131,8 @@ TEST(PackedEquivalence, TransitionFaults) {
 }
 
 TEST(PackedEquivalence, CouplingAcrossPlaneWordBoundary) {
-  // words=512, bpc=4 -> 128 rows: rows 63/64 straddle the uint64_t
-  // plane-word boundary, the packed kernel's most delicate seam.
+  // words=512, bpc=4 -> 128 rows: coupling between rows 63 and 64, the
+  // middle of the array.
   const RamGeometry geo{512, 4, 4, 4};
   for (const bool rising : {false, true}) {
     expect_equivalent(
@@ -192,6 +193,42 @@ TEST(PackedEquivalence, SolidBackgroundsOnly) {
       config, "no Johnson CFid");
 }
 
+TEST(PackedEquivalence, RetentionDecaysAcrossDelayUnlessRewritten) {
+  // A victim left unwritten across a Delay decays (0.1 s wait against
+  // the 0.08 s threshold) and the read after it detects the decay; one
+  // rewritten after the Delay is refreshed and reads back clean.
+  const RamGeometry geo{64, 4, 4, 4};
+  const march::MarchTest decays =
+      march::MarchTest::parse("decays", "{b(w0);del;b(r0)}");
+  const march::MarchTest refreshed =
+      march::MarchTest::parse("refreshed", "{b(w0);del;b(w0);b(r0)}");
+  for (const bool johnson : {false, true}) {
+    for (const bool decay_to : {false, true}) {
+      const std::vector<Fault> drf = {
+          cell_fault(FaultKind::Retention, 5, 6, decay_to)};
+      BistConfig config;
+      config.johnson_backgrounds = johnson;
+      config.test = &decays;
+      // Only a decay toward the complement of a written 0 is visible in
+      // the first background; Johnson backgrounds write this victim's
+      // bit (bit 1) as 1 from the third background (ones = 2) on.
+      const bool visible = decay_to || johnson;
+      EXPECT_EQ(run_bist(geo, drf, config).pass1_clean, !visible);
+      expect_equivalent(geo, drf, config, "decays");
+      config.test = &refreshed;
+      EXPECT_TRUE(run_bist(geo, drf, config).pass1_clean);
+      expect_equivalent(geo, drf, config, "refreshed");
+    }
+  }
+  // IFA-9's two Delays catch both decay directions.
+  for (const bool decay_to : {false, true}) {
+    const std::vector<Fault> drf = {
+        cell_fault(FaultKind::Retention, 9, 3, decay_to)};
+    EXPECT_FALSE(run_bist(geo, drf, BistConfig{}).pass1_clean);
+    expect_equivalent(geo, drf, BistConfig{}, "IFA-9 DRF");
+  }
+}
+
 TEST(PackedDispatch, AutoFallsBackToScalarForStuckOpen) {
   const RamGeometry geo{64, 4, 4, 4};
   SimKernel used = SimKernel::Auto;
@@ -216,7 +253,7 @@ TEST(PackedDispatch, AutoPicksPackedForOverlayFaults) {
 
 TEST(PackedDispatch, ForcedPackedRejectsUnsupportedFault) {
   const RamGeometry geo{64, 4, 4, 4};
-  EXPECT_THROW(run_bist(geo, {cell_fault(FaultKind::Retention, 1, 1)},
+  EXPECT_THROW(run_bist(geo, {cell_fault(FaultKind::StuckOpen, 1, 1)},
                         BistConfig{}, SimKernel::Packed),
                SpecError);
 }
@@ -288,6 +325,81 @@ TEST(PackedEquivalenceProperty, RandomGeometryRandomFaults) {
     expect_equivalent(geo, faults, config,
                       ("property trial " + std::to_string(trial)).c_str());
     if (HasFatalFailure()) return;  // one detailed failure beats 120 copies
+  }
+}
+
+TEST(PackedEquivalenceProperty, MultiLaneWordsDenseFaults) {
+  // Words that span several 64-bit lanes (bpw 64, 65, 128, 130) at every
+  // column mux, on a few rows. Half the trials concentrate their faults
+  // in one or two words (regular or spare), so intra-word coupling
+  // across the lane seam, stacked faults and Retention decay inside one
+  // word all meet the ascending-bit order of the overlay kernel.
+  const int widths[] = {64, 65, 128, 130};
+  const int muxes[] = {1, 2, 4, 8};
+  const march::MarchTest* tests[] = {&march::ifa9(), &march::mats_plus(),
+                                     &march::march_c_minus()};
+  const FaultKind kinds[] = {
+      FaultKind::StuckAt0,     FaultKind::StuckAt1,
+      FaultKind::TransitionUp, FaultKind::TransitionDown,
+      FaultKind::CouplingIdem, FaultKind::CouplingInv,
+      FaultKind::CouplingState, FaultKind::Retention};
+
+  Rng rng(0x1a9e5ea3ULL);
+  for (int trial = 0; trial < 160; ++trial) {
+    RamGeometry geo;
+    geo.bpw = widths[rng.below(4)];
+    geo.bpc = muxes[rng.below(4)];
+    geo.words = static_cast<std::uint32_t>(geo.bpc) *
+                static_cast<std::uint32_t>(1 + rng.below(2));
+    geo.spare_rows = 1 + static_cast<int>(rng.below(2));
+
+    // A dense trial draws every cell from one or two words: (row,
+    // column group) pairs over all rows, spares included.
+    const bool dense = trial % 2 == 0;
+    std::vector<CellAddr> words;
+    for (int w = 1 + static_cast<int>(rng.below(2)); w > 0; --w)
+      words.push_back(
+          {static_cast<int>(
+               rng.below(static_cast<std::uint64_t>(geo.total_rows()))),
+           static_cast<int>(rng.below(static_cast<std::uint64_t>(geo.bpc)))});
+    auto draw_cell = [&]() -> CellAddr {
+      if (!dense)
+        return {static_cast<int>(rng.below(
+                    static_cast<std::uint64_t>(geo.total_rows()))),
+                static_cast<int>(
+                    rng.below(static_cast<std::uint64_t>(geo.cols())))};
+      const CellAddr& w = words[rng.below(words.size())];
+      const int bit =
+          static_cast<int>(rng.below(static_cast<std::uint64_t>(geo.bpw)));
+      return {w.row, bit * geo.bpc + w.col};
+    };
+
+    const int nfaults = 1 + static_cast<int>(rng.below(dense ? 8 : 4));
+    std::vector<Fault> faults;
+    for (int j = 0; j < nfaults; ++j) {
+      Fault f;
+      f.kind = kinds[rng.below(8)];
+      f.victim = draw_cell();
+      if (f.kind == FaultKind::CouplingIdem ||
+          f.kind == FaultKind::CouplingInv ||
+          f.kind == FaultKind::CouplingState) {
+        do {
+          f.aggressor = draw_cell();
+        } while (f.aggressor == f.victim);
+      }
+      f.dir_rising = rng.chance(0.5);
+      f.value = rng.chance(0.5);
+      f.value2 = rng.chance(0.5);
+      faults.push_back(f);
+    }
+
+    BistConfig config;
+    config.test = tests[rng.below(3)];
+    config.johnson_backgrounds = rng.chance(0.5);
+    config.max_passes = rng.chance(0.25) ? 4 : 2;
+    expect_equivalent(geo, faults, config,
+                      ("multi-lane trial " + std::to_string(trial)).c_str());
+    if (HasFatalFailure()) return;
   }
 }
 

@@ -240,6 +240,108 @@ TEST(ThreadInvariance, YieldBistMonteCarloCampaign) {
       });
 }
 
+// --- outputs pinned across kernel changes ------------------------------------
+// The invariance tests compare thread counts with each other, so a kernel
+// change that moved every count the same way would pass them. These
+// values were printed at %.17g by the streamed bit-plane kernel that
+// preceded the fault-proportional one (sim/packed_ram.hpp), and they must
+// hold at every thread count.
+
+struct YieldPin {
+  const char* name;
+  sim::RamGeometry geo;
+  double defect_mean;
+  int trials;
+  std::uint64_t seed;
+  sim::SamplingMode mode;
+  double bist_repaired, bist_repaired_se, strict_good, strict_good_se;
+  std::int64_t die_sims, strata;
+};
+
+TEST(PinnedOutputs, BistYieldCampaigns) {
+  using sim::SamplingMode;
+  const sim::RamGeometry fig4{4096, 4, 4, 4};
+  const sim::RamGeometry fig6{4096, 128, 8, 4};
+  const YieldPin pins[] = {
+      {"Fig. 4 plain", fig4, 12.0, 200, 2024, SamplingMode::Plain,
+       0.77500000000000002, 0.029601626330440615, 0.76000000000000001,
+       0.030275120389073013, 200, 0},
+      {"Fig. 4 stratified", fig4, 12.0, 200, 2024, SamplingMode::Stratified,
+       0.71825032235170427, 0.0068912318162470017, 0.71825032235170427,
+       0.0068912318162470017, 508, 191},
+      {"Fig. 6 plain", fig6, 12.0, 16, 2025, SamplingMode::Plain, 0.9375,
+       0.0625, 0.9375, 0.0625, 16, 0},
+      {"Fig. 6 stratified", fig6, 12.0, 16, 2025, SamplingMode::Stratified,
+       0.89220005538619951, 0.0, 0.86935877879873014, 0.0, 79, 79},
+  };
+  for (int threads : kThreadCounts) {
+    ThreadGuard guard(threads);
+    for (const YieldPin& pin : pins) {
+      SCOPED_TRACE(testing::Message() << pin.name << ", " << threads
+                                      << " threads");
+      sim::CampaignSpec spec{.trials = pin.trials, .seed = pin.seed};
+      spec.sampling.mode = pin.mode;
+      if (pin.geo.bpw == 128) {  // bisbench's large-geometry plan
+        spec.sampling.tail_mass = 1e-4;
+        spec.sampling.min_stratum_trials = 1;
+      }
+      const auto r = models::bisr_yield_mc_with_bist(pin.geo, pin.defect_mean,
+                                                     2.0, 1.05, spec);
+      EXPECT_EQ(r.value.bist_repaired, pin.bist_repaired);
+      EXPECT_EQ(r.value.bist_repaired_se, pin.bist_repaired_se);
+      EXPECT_EQ(r.value.strict_good, pin.strict_good);
+      EXPECT_EQ(r.value.strict_good_se, pin.strict_good_se);
+      EXPECT_EQ(r.value.die_sims, pin.die_sims);
+      EXPECT_EQ(r.provenance.strata, pin.strata);
+      EXPECT_EQ(r.provenance.packed_trials, pin.die_sims);
+      EXPECT_EQ(r.provenance.scalar_trials, 0);
+    }
+  }
+}
+
+TEST(PinnedOutputs, FaultCoverageCounts) {
+  const std::vector<sim::FaultKind> kinds = {
+      sim::FaultKind::StuckAt0,      sim::FaultKind::StuckAt1,
+      sim::FaultKind::TransitionUp,  sim::FaultKind::TransitionDown,
+      sim::FaultKind::CouplingIdem,  sim::FaultKind::CouplingInv,
+      sim::FaultKind::CouplingState, sim::FaultKind::StuckOpen,
+      sim::FaultKind::Retention};
+  struct CoveragePin {
+    const march::MarchTest* test;
+    sim::CouplingScope scope;
+    int detected[9];  ///< per kind above, out of 24 trials each
+  };
+  const CoveragePin pins[] = {
+      {&march::ifa9(), sim::CouplingScope::PhysicalNeighbor,
+       {24, 24, 24, 24, 24, 24, 24, 0, 24}},
+      {&march::ifa9(), sim::CouplingScope::IntraWord,
+       {24, 24, 24, 24, 9, 15, 24, 0, 24}},
+      {&march::mats_plus(), sim::CouplingScope::PhysicalNeighbor,
+       {24, 24, 24, 24, 16, 24, 24, 0, 0}},
+      {&march::mats_plus(), sim::CouplingScope::IntraWord,
+       {24, 24, 24, 24, 5, 15, 24, 0, 0}},
+  };
+  const sim::RamGeometry geo{512, 8, 4, 2};
+  for (int threads : kThreadCounts) {
+    ThreadGuard guard(threads);
+    for (const CoveragePin& pin : pins) {
+      const auto cov = sim::fault_coverage(
+          *pin.test, geo, kinds, /*johnson_backgrounds=*/true,
+          sim::CampaignSpec{.trials = 24, .seed = 2026}, pin.scope);
+      ASSERT_EQ(cov.value.size(), kinds.size());
+      for (std::size_t k = 0; k < kinds.size(); ++k) {
+        EXPECT_EQ(cov.value[k].detected, pin.detected[k])
+            << pin.test->name() << ", " << sim::fault_name(kinds[k]) << ", "
+            << threads << " threads";
+        EXPECT_EQ(cov.value[k].total, 24);
+      }
+      // Only StuckOpen runs on the scalar kernel.
+      EXPECT_EQ(cov.provenance.packed_trials, 8 * 24);
+      EXPECT_EQ(cov.provenance.scalar_trials, 24);
+    }
+  }
+}
+
 TEST(ThreadInvariance, ReliabilityCampaign) {
   sim::RamGeometry g;
   g.words = 4096;

@@ -100,26 +100,26 @@ TEST(FaultyArray, StuckOpenReturnsStaleColumnValue) {
 
 TEST(FaultyArray, RetentionDecaysAfterThreshold) {
   FaultyArray a(2, 2);
-  a.set_retention_threshold(0.05);
   a.inject({FaultKind::Retention, {0, 0}, {}, true, false, false});  // decays to 0
   a.write(0, 0, true);
   EXPECT_TRUE(a.read(0, 0));  // immediately fine
   a.elapse(0.02);
   EXPECT_TRUE(a.read(0, 0));  // under threshold
-  a.elapse(0.05);
+  a.elapse(kRetentionThresholdS);
   EXPECT_FALSE(a.read(0, 0));  // decayed
 }
 
 TEST(FaultyArray, RetentionRefreshedByWrite) {
   FaultyArray a(2, 2);
-  a.set_retention_threshold(0.05);
   a.inject({FaultKind::Retention, {0, 0}, {}, true, true, false});  // decays to 1
+  const double half = kRetentionThresholdS * 0.6;
   a.write(0, 0, false);
-  a.elapse(0.03);
+  a.elapse(half);
   a.write(0, 0, false);  // refresh
-  a.elapse(0.03);
-  EXPECT_FALSE(a.read(0, 0));  // only 0.03 s since refresh
-  a.elapse(0.05);
+  a.elapse(half);
+  EXPECT_FALSE(a.read(0, 0));  // past the threshold since the first write,
+                               // not since the refresh
+  a.elapse(half);
   EXPECT_TRUE(a.read(0, 0));
 }
 
