@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/math.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace bisram::models {
@@ -59,26 +58,19 @@ sim::CampaignResult<double> reliability_mc(const sim::RamGeometry& geo,
   const double q = word_failure_prob(geo.bpw, lambda_per_hour, t_hours);
   const std::int64_t nw = static_cast<std::int64_t>(geo.words);
   const std::int64_t s = geo.spare_words();
-  require(!spec.checkpoint.enabled() && !spec.checkpoint.resuming(),
-          "reliability_mc: checkpointing is not supported here — use "
-          "cancel/deadline for bounded runs");
-  sim::CampaignResult<double> out;
-  std::int64_t done = 0;
-  const int alive = sim::run_campaign<int>(
-      spec, /*chunk=*/64, 0,
-      [&](Rng& rng, std::int64_t, sim::KernelTally&) {
+  const sim::StreamFolds<int> run = sim::run_streams<int>(
+      spec, {{0, spec.trials, /*chunk=*/64, /*grain=*/64}}, 0,
+      [&](std::size_t, Rng& rng, sim::KernelTally&) {
         const std::int64_t failed_regular = binomial_count(rng, nw, q);
         if (failed_regular > s) return 0;
         const std::int64_t failed_spares = binomial_count(rng, s, q);
         return failed_spares == 0 ? 1 : 0;
       },
-      [](int a, int b) { return a + b; }, &out.provenance,
-      /*stream_offset=*/0, &done);
-  out.value =
-      done ? static_cast<double>(alive) / static_cast<double>(done) : 0.0;
-  out.termination =
-      sim::resolve_termination(done, spec.trials, spec.cancel, false);
-  return out;
+      [](int a, int b) { return a + b; }, "reliability_mc");
+  const std::int64_t done = run.done[0];
+  return {done ? static_cast<double>(run.folds[0]) / static_cast<double>(done)
+               : 0.0,
+          run.provenance, run.termination};
 }
 
 double mttf_hours(const sim::RamGeometry& geo, double lambda_per_hour) {

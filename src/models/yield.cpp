@@ -1,18 +1,19 @@
 #include "models/yield.hpp"
 
 #include <cmath>
+#include <optional>
 #include <set>
 
 #include "microcode/controller.hpp"
 #include "sim/bist.hpp"
 #include "sim/controller.hpp"
+#include "sim/fault_sim.hpp"
 #include "sim/importance.hpp"
 #include "sim/infra_faults.hpp"
 #include "sim/packed_ram.hpp"
 #include "util/checkpoint.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
-#include "util/strings.hpp"
 
 namespace bisram::models {
 
@@ -86,13 +87,9 @@ sim::CampaignResult<double> repair_probability_mc(
   const std::uint64_t rows = static_cast<std::uint64_t>(geo.total_rows());
   const std::uint64_t cols = static_cast<std::uint64_t>(geo.cols());
   const int spare_words = geo.spare_words();
-  require(!spec.checkpoint.enabled() && !spec.checkpoint.resuming(),
-          "repair_probability_mc: checkpointing is not supported here");
-  sim::CampaignResult<double> out;
-  std::int64_t done = 0;
-  const int good = sim::run_campaign<int>(
-      spec, /*chunk=*/64, 0,
-      [&](Rng& rng, std::int64_t, sim::KernelTally&) {
+  const sim::StreamFolds<int> run = sim::run_streams<int>(
+      spec, {{0, spec.trials, /*chunk=*/64, /*grain=*/64}}, 0,
+      [&](std::size_t, Rng& rng, sim::KernelTally&) {
         std::set<std::uint32_t> faulty_words;
         bool spare_hit = false;
         for (std::int64_t d = 0; d < defects; ++d) {
@@ -115,13 +112,11 @@ sim::CampaignResult<double> repair_probability_mc(
                    ? 1
                    : 0;
       },
-      [](int a, int b) { return a + b; }, &out.provenance,
-      /*stream_offset=*/0, &done);
-  out.value = done ? static_cast<double>(good) / static_cast<double>(done)
-                   : 0.0;
-  out.termination =
-      sim::resolve_termination(done, spec.trials, spec.cancel, false);
-  return out;
+      [](int a, int b) { return a + b; }, "repair_probability_mc");
+  const std::int64_t done = run.done[0];
+  return {done ? static_cast<double>(run.folds[0]) / static_cast<double>(done)
+               : 0.0,
+          run.provenance, run.termination};
 }
 
 double bisr_yield(const sim::RamGeometry& geo, double defect_mean,
@@ -179,18 +174,10 @@ std::vector<YieldPoint> yield_curve(sim::RamGeometry geo, int spare_rows,
 
 namespace {
 
-/// Standard error of a Bernoulli mean from its success count: the
-/// unbiased sample variance n/(n-1) p(1-p) over n, i.e. p(1-p)/(n-1).
-double bernoulli_se(std::int64_t successes, std::int64_t n) {
-  if (n < 2) return 0.0;
-  const double p = static_cast<double>(successes) / static_cast<double>(n);
-  return std::sqrt(p * (1.0 - p) / static_cast<double>(n - 1));
-}
-
 /// One trial's fault list for the array-only yield MC. `fixed_k < 0`
 /// draws K ~ NegBin(m, alpha) from the trial stream (the plain
-/// estimator's historical RNG sequence: gamma, poisson, then per fault
-/// kind / row / col); `fixed_k >= 0` pins the count — the conditional
+/// estimator's historical RNG sequence: gamma, poisson, then one stuck-at
+/// draw per defect); `fixed_k >= 0` pins the count — the conditional
 /// placement of k defects is uniform iid regardless of the mixed Gamma
 /// rate, so a stratum trial draws no rate at all.
 std::vector<sim::Fault> draw_die_faults(Rng& rng, const sim::RamGeometry& geo,
@@ -206,67 +193,34 @@ std::vector<sim::Fault> draw_die_faults(Rng& rng, const sim::RamGeometry& geo,
   faults.reserve(static_cast<std::size_t>(k));
   *spare_hit = false;
   for (std::int64_t d = 0; d < k; ++d) {
-    sim::Fault f;
-    f.kind = rng.chance(0.5) ? sim::FaultKind::StuckAt0
-                             : sim::FaultKind::StuckAt1;
-    f.victim = {static_cast<int>(rng.below(
-                    static_cast<std::uint64_t>(geo.total_rows()))),
-                static_cast<int>(rng.below(
-                    static_cast<std::uint64_t>(geo.cols())))};
-    if (f.victim.row >= geo.rows()) *spare_hit = true;
-    faults.push_back(f);
+    faults.push_back(sim::random_stuck_at(geo, rng));
+    if (faults.back().victim.row >= geo.rows()) *spare_hit = true;
   }
   return faults;
 }
 
+/// Integer tallies, so the fold is exactly associative and every stream
+/// is bit-identical for any thread count and any split into segments.
 struct YieldCounts {
   std::int64_t repaired = 0;
   std::int64_t strict = 0;
 };
 
-/// Runs BIST/BISR trials [lo, hi) of one stream (the plain campaign's,
-/// or one stratum's), continuing the fold from `initial` and adding the
-/// trials actually folded to *seg_done. All tallies are integer counts,
-/// so the fold is exactly associative and the range is bit-identical for
-/// any thread count and any split of a stream into ranges — the property
-/// the checkpoint/resume path rides on.
-YieldCounts run_yield_range(const sim::RamGeometry& geo, double m,
-                            double alpha, std::int64_t fixed_k,
-                            const sim::CampaignSpec& spec,
-                            std::int64_t lo, std::int64_t hi,
-                            std::uint64_t base_offset,
-                            const YieldCounts& initial,
-                            std::int64_t* seg_done,
-                            sim::CampaignProvenance* provenance) {
-  // Note on detection fidelity: a StuckAt0 fault in a cell every
-  // background drives to 0 is benign but still *detected* by IFA-9's
-  // complement writes, so the BIST verdict matches the analytic "any hit
-  // cell is faulty" accounting. All faults are stuck-ats, so Auto
-  // resolves to the packed kernel for every trial.
-  sim::CampaignSpec sub = spec;
-  sub.trials = static_cast<int>(hi - lo);
-  return sim::run_campaign<YieldCounts>(
-      sub, /*chunk=*/1, YieldCounts{},
-      [&](Rng& rng, std::int64_t, sim::KernelTally& tally) {
-        bool spare_hit = false;
-        const std::vector<sim::Fault> faults =
-            draw_die_faults(rng, geo, m, alpha, fixed_k, &spare_hit);
-        sim::SimKernel used = sim::SimKernel::Scalar;
-        const sim::BistResult r =
-            sim::run_bist(geo, faults, sim::BistConfig{}, spec.kernel, &used);
-        tally.note(used);
-        YieldCounts c;
-        if (r.repair_successful) {
-          c.repaired = 1;
-          if (!spare_hit) c.strict = 1;
-        }
-        return c;
-      },
-      [](YieldCounts a, YieldCounts b) {
-        return YieldCounts{a.repaired + b.repaired, a.strict + b.strict};
-      },
-      provenance, base_offset + static_cast<std::uint64_t>(lo), seg_done,
-      &initial);
+/// Checkpoint encoding of one stream's YieldCounts (2 payload words).
+sim::StreamCodec<YieldCounts> yield_codec(std::uint64_t fingerprint) {
+  return {fingerprint,
+          [](CheckpointWriter& w, const YieldCounts& c) {
+            w.i64(c.repaired).i64(c.strict);
+          },
+          [](CheckpointReader& r,
+             std::int64_t n) -> std::optional<YieldCounts> {
+            YieldCounts c;
+            c.repaired = r.i64();
+            c.strict = r.i64();
+            if (c.strict < 0 || c.strict > c.repaired || c.repaired > n)
+              return std::nullopt;
+            return c;
+          }};
 }
 
 /// Fingerprint of everything a BIST-yield campaign's bit-exact result
@@ -294,187 +248,82 @@ sim::CampaignResult<BisrYieldMc> bisr_yield_mc_with_bist(
     const sim::RamGeometry& geo, double defect_mean, double alpha,
     double growth, const sim::CampaignSpec& spec) {
   const double m = defect_mean * growth;
-  sim::CampaignResult<BisrYieldMc> out;
-  out.provenance.seed = spec.seed;
-  out.provenance.threads = sim::resolve_campaign_threads(spec);
-  out.provenance.kernel = spec.kernel;
-  out.provenance.sampling = spec.sampling.mode;
+  // Plain sampling is one stream; stratified importance sampling
+  // (sim/importance.hpp) is one stream per k >= 1 stratum with the count
+  // pinned, the zero-defect stratum being analytic (a defect-free die
+  // always repairs and is strictly good) and the truncated tail counted
+  // as unrepairable. Each stream folds one trial per chunk and takes
+  // checkpoints at whole multiples of 8 trials.
+  const bool plain = spec.sampling.mode == sim::SamplingMode::Plain;
+  sim::StrataPlan plan;
+  std::vector<sim::CampaignStream> streams;
+  if (plain) {
+    streams.push_back({0, spec.trials, /*chunk=*/1, /*grain=*/8});
+  } else {
+    plan = sim::plan_strata(m, alpha, spec.trials, spec.sampling);
+    for (std::size_t s = 0; s < plan.strata.size(); ++s)
+      streams.push_back({sim::stratum_stream_offset(s), plan.strata[s].trials,
+                         /*chunk=*/1, /*grain=*/8});
+  }
 
-  const sim::CheckpointSpec& ck = spec.checkpoint;
-  const bool resumed = ck.resuming();
-  const std::uint64_t fprint =
-      yield_fingerprint(geo, defect_mean, alpha, growth, spec);
-  sim::CheckpointCadence cadence;
-  std::int64_t run_done = 0;  // trials processed by *this* process
+  // Note on detection fidelity: a StuckAt0 fault in a cell every
+  // background drives to 0 is benign but still *detected* by IFA-9's
+  // complement writes, so the BIST verdict matches the analytic "any hit
+  // cell is faulty" accounting. All faults are stuck-ats, so Auto
+  // resolves to the packed kernel for every trial.
+  const sim::StreamCodec<YieldCounts> codec =
+      yield_codec(yield_fingerprint(geo, defect_mean, alpha, growth, spec));
+  const sim::StreamFolds<YieldCounts> run = sim::run_streams<YieldCounts>(
+      spec, streams, YieldCounts{},
+      [&](std::size_t s, Rng& rng, sim::KernelTally& tally) {
+        bool spare_hit = false;
+        const std::vector<sim::Fault> faults = draw_die_faults(
+            rng, geo, m, alpha, plain ? -1 : plan.strata[s].defects,
+            &spare_hit);
+        sim::SimKernel used = sim::SimKernel::Scalar;
+        const sim::BistResult r =
+            sim::run_bist(geo, faults, sim::BistConfig{}, spec.kernel, &used);
+        tally.note(used);
+        YieldCounts c;
+        if (r.repair_successful) {
+          c.repaired = 1;
+          if (!spare_hit) c.strict = 1;
+        }
+        return c;
+      },
+      [](YieldCounts a, YieldCounts b) {
+        return YieldCounts{a.repaired + b.repaired, a.strict + b.strict};
+      },
+      "bisr_yield_mc_with_bist", &codec);
 
-  if (spec.sampling.mode == sim::SamplingMode::Plain) {
-    const std::int64_t total = spec.trials;
-    // Checkpoint segments stay whole multiples of 8 trials (the fold
-    // itself is an integer count, so any chunking gives the same bits).
-    const std::int64_t seg = sim::checkpoint_segment_trials(ck, 8, total);
-
-    YieldCounts master;
-    std::int64_t done = 0;
-    if (resumed) {
-      CheckpointReader r(ck.resume, fprint);
-      require(r.u64() == 2,
-              strfmt("checkpoint: '%s' was not written by a plain BIST "
-                     "yield campaign",
-                     ck.resume.c_str()));
-      done = r.i64();
-      master.repaired = r.i64();
-      master.strict = r.i64();
-      require(done >= 0 && done <= total && master.repaired >= 0 &&
-                  master.strict >= 0 && master.repaired <= done &&
-                  master.strict <= master.repaired,
-              strfmt("checkpoint: '%s' carries inconsistent counts",
-                     ck.resume.c_str()));
-    }
-
-    auto write_ckpt = [&] {
-      CheckpointWriter w(fprint);
-      w.u64(2).i64(done).i64(master.repaired).i64(master.strict);
-      w.save(ck.path);
-      cadence.note_write();
-      ++out.provenance.checkpoints_written;
-    };
-
-    Termination term = Termination::Completed;
-    while (done < total) {
-      if (spec.cancel && spec.cancel->stop_requested()) {
-        term = spec.cancel->stop_reason();
-        break;
-      }
-      if (ck.pause_after > 0 && run_done >= ck.pause_after) {
-        if (cadence.due(ck, true)) write_ckpt();
-        term = Termination::Cancelled;
-        break;
-      }
-      const std::int64_t hi = std::min(total, done + seg);
-      const std::int64_t want = hi - done;
-      std::int64_t seg_done = 0;
-      master = run_yield_range(geo, m, alpha, /*fixed_k=*/-1, spec, done, hi,
-                               /*base_offset=*/0, master, &seg_done,
-                               &out.provenance);
-      done += seg_done;
-      run_done += seg_done;
-      if (seg_done < want) {
-        term = spec.cancel ? spec.cancel->stop_reason()
-                           : Termination::Cancelled;
-        break;
-      }
-      if (cadence.due(ck, done == total)) write_ckpt();
-    }
-    if (done >= total)
-      term = resumed ? Termination::Resumed : Termination::Completed;
-
-    const std::int64_t n = done;
-    out.value.bist_repaired =
-        n ? static_cast<double>(master.repaired) / static_cast<double>(n)
-          : 0.0;
-    out.value.strict_good =
-        n ? static_cast<double>(master.strict) / static_cast<double>(n) : 0.0;
-    out.value.bist_repaired_se = bernoulli_se(master.repaired, n);
-    out.value.strict_good_se = bernoulli_se(master.strict, n);
-    out.value.die_sims = n;
-    out.provenance.trials = total;
-    out.provenance.trials_done = n;
-    out.termination = term;
+  sim::CampaignResult<BisrYieldMc> out{{}, run.provenance, run.termination};
+  BisrYieldMc& v = out.value;
+  v.die_sims = run.provenance.trials_done;
+  if (plain) {
+    const YieldCounts& c = run.folds[0];
+    const std::int64_t n = run.done[0];
+    v.bist_repaired =
+        n ? static_cast<double>(c.repaired) / static_cast<double>(n) : 0.0;
+    v.strict_good =
+        n ? static_cast<double>(c.strict) / static_cast<double>(n) : 0.0;
+    v.bist_repaired_se = bernoulli_se(c.repaired, n);
+    v.strict_good_se = bernoulli_se(c.strict, n);
     return out;
   }
-
-  // Stratified importance sampling (sim/importance.hpp): the zero-defect
-  // stratum is analytic (a defect-free die always repairs and is
-  // strictly good), each k >= 1 stratum simulates conditionally on its
-  // own seed-stream window, and the truncated tail counts as
-  // unrepairable. Checkpoints land on stratum boundaries (a finished
-  // stratum's counts are final), which also serve as the pause_after
-  // boundaries; integer tallies make any resume split bit-identical.
-  const sim::StrataPlan plan =
-      sim::plan_strata(m, alpha, spec.trials, spec.sampling);
-  std::vector<sim::StratumCount> repaired(plan.strata.size(),
-                                          sim::StratumCount{0, 0});
-  std::vector<sim::StratumCount> strict(plan.strata.size(),
-                                        sim::StratumCount{0, 0});
-
-  std::size_t s0 = 0;
-  if (resumed) {
-    CheckpointReader r(ck.resume, fprint);
-    require(r.u64() == 3,
-            strfmt("checkpoint: '%s' was not written by a stratified BIST "
-                   "yield campaign",
-                   ck.resume.c_str()));
-    s0 = static_cast<std::size_t>(r.i64());
-    require(s0 <= plan.strata.size(),
-            strfmt("checkpoint: '%s' names a stratum past the plan",
-                   ck.resume.c_str()));
-    for (std::size_t i = 0; i < s0; ++i) {
-      repaired[i] = {r.i64(), plan.strata[i].trials};
-      strict[i] = {r.i64(), plan.strata[i].trials};
-    }
+  std::vector<sim::StratumCount> repaired, strict;
+  for (std::size_t s = 0; s < plan.strata.size(); ++s) {
+    repaired.push_back({run.folds[s].repaired, run.done[s]});
+    strict.push_back({run.folds[s].strict, run.done[s]});
   }
-
-  std::int64_t total_done = 0;
-  for (std::size_t i = 0; i < s0; ++i) total_done += plan.strata[i].trials;
-
-  std::size_t s = s0;
-  auto write_ckpt = [&] {
-    CheckpointWriter w(fprint);
-    w.u64(3).i64(static_cast<std::int64_t>(s));
-    for (std::size_t i = 0; i < s; ++i)
-      w.i64(repaired[i].successes).i64(strict[i].successes);
-    w.save(ck.path);
-    cadence.note_write();
-    ++out.provenance.checkpoints_written;
-  };
-
-  Termination term = Termination::Completed;
-  bool stopped = false;
-  for (; s < plan.strata.size() && !stopped; ) {
-    if (spec.cancel && spec.cancel->stop_requested()) {
-      term = spec.cancel->stop_reason();
-      break;
-    }
-    if (ck.pause_after > 0 && run_done >= ck.pause_after) {
-      if (cadence.due(ck, true)) write_ckpt();
-      term = Termination::Cancelled;
-      break;
-    }
-    const sim::Stratum& st = plan.strata[s];
-    std::int64_t st_done = 0;
-    const YieldCounts counts = run_yield_range(
-        geo, m, alpha, st.defects, spec, 0, st.trials,
-        sim::stratum_stream_offset(s), YieldCounts{}, &st_done,
-        &out.provenance);
-    repaired[s] = {counts.repaired, st_done};
-    strict[s] = {counts.strict, st_done};
-    total_done += st_done;
-    run_done += st_done;
-    if (st_done < st.trials) {  // token fired inside the stratum
-      term = spec.cancel ? spec.cancel->stop_reason()
-                         : Termination::Cancelled;
-      stopped = true;
-      break;
-    }
-    ++s;
-    if (cadence.due(ck, s == plan.strata.size())) write_ckpt();
-  }
-  if (!stopped && s == plan.strata.size())
-    term = resumed ? Termination::Resumed : Termination::Completed;
-
   const sim::WeightedEstimate rep = sim::combine_strata_bernoulli(
       plan, repaired, /*zero_value=*/1.0, /*tail_value=*/0.0);
   const sim::WeightedEstimate str = sim::combine_strata_bernoulli(
       plan, strict, /*zero_value=*/1.0, /*tail_value=*/0.0);
-  out.value.bist_repaired = rep.value;
-  out.value.bist_repaired_se = rep.std_error;
-  out.value.strict_good = str.value;
-  out.value.strict_good_se = str.std_error;
-  out.value.die_sims = total_done;
+  v.bist_repaired = rep.value;
+  v.bist_repaired_se = rep.std_error;
+  v.strict_good = str.value;
+  v.strict_good_se = str.std_error;
   out.provenance.strata = static_cast<std::int64_t>(plan.strata.size());
-  out.provenance.trials = plan.total_trials();
-  out.provenance.trials_done = total_done;
-  out.termination = term;
   return out;
 }
 
@@ -550,16 +399,8 @@ sim::CampaignResult<BisrYieldMcInfra> bisr_yield_mc_with_infra(
     }
 
     sim::RamModel ram(geo);
-    for (std::int64_t d = 0; d < k; ++d) {
-      sim::Fault f;
-      f.kind = rng.chance(0.5) ? sim::FaultKind::StuckAt0
-                               : sim::FaultKind::StuckAt1;
-      f.victim = {static_cast<int>(rng.below(
-                      static_cast<std::uint64_t>(geo.total_rows()))),
-                  static_cast<int>(rng.below(
-                      static_cast<std::uint64_t>(geo.cols())))};
-      ram.array().inject(f);
-    }
+    for (std::int64_t d = 0; d < k; ++d)
+      ram.array().inject(sim::random_stuck_at(geo, rng));
     sim::PlaBistMachine machine(ram, ctrl, bist.retention_wait_s,
                                 bist.johnson_backgrounds);
     for (std::int64_t d = 0; d < l; ++d)
@@ -581,97 +422,73 @@ sim::CampaignResult<BisrYieldMcInfra> bisr_yield_mc_with_infra(
     return c;
   };
 
-  require(!spec.checkpoint.enabled() && !spec.checkpoint.resuming(),
-          "bisr_yield_mc_with_infra: checkpointing is not supported here — "
-          "use cancel/deadline for bounded runs");
-
-  const auto run_segment = [&](std::int64_t total, int trials,
-                               std::uint64_t stream_offset,
-                               sim::CampaignProvenance* provenance,
-                               std::int64_t* done) {
-    sim::CampaignSpec sub = spec;
-    sub.trials = trials;
-    return sim::run_campaign<InfraCounts>(
-        sub, /*chunk=*/8, InfraCounts{},
-        [&](Rng& rng, std::int64_t, sim::KernelTally& tally) {
-          tally.note(sim::SimKernel::Scalar);
-          return run_trial(rng, total);
-        },
-        infra_combine, provenance, stream_offset, done);
-  };
-
-  sim::CampaignResult<BisrYieldMcInfra> out;
-  out.provenance.seed = spec.seed;
-  out.provenance.threads = sim::resolve_campaign_threads(spec);
-  out.provenance.kernel = spec.kernel;
-  out.provenance.sampling = spec.sampling.mode;
-
-  if (spec.sampling.mode == sim::SamplingMode::Plain) {
-    std::int64_t done = 0;
-    const InfraCounts c =
-        run_segment(/*total=*/-1, spec.trials, /*stream_offset=*/0,
-                    &out.provenance, &done);
-    const double n = done ? static_cast<double>(done) : 1.0;
-    out.value.bist_reported_good = static_cast<double>(c.reported) / n;
-    out.value.effective_good = static_cast<double>(c.effective) / n;
-    out.value.escape = static_cast<double>(c.escape) / n;
-    out.value.safe_fail = static_cast<double>(c.safe_fail) / n;
-    out.value.hung = static_cast<double>(c.hung) / n;
-    out.value.bist_reported_good_se = bernoulli_se(c.reported, done);
-    out.value.effective_good_se = bernoulli_se(c.effective, done);
-    out.value.die_sims = done;
-    out.termination =
-        sim::resolve_termination(done, spec.trials, spec.cancel, false);
-    return out;
-  }
-
-  // Stratified over the *total* defect count. A zero-defect die runs the
-  // flow on a perfect array with a perfect machine: DONE_OK with a clean
+  // Plain sampling is one stream. Stratified sampling is one stream per
+  // stratum of the *total* defect count. A zero-defect die runs the flow
+  // on a perfect array with a perfect machine: DONE_OK with a clean
   // readback, deterministically. The truncated tail counts as safe_fail
   // so the five outcome fractions still sum to one. Strata a cancelled
   // run never reached carry zero trials and are counted pessimistically
   // by the combiners below.
-  const sim::StrataPlan plan = sim::plan_strata(
-      m * (1.0 + logic_area_fraction), alpha, spec.trials, spec.sampling);
-  std::vector<sim::StratumCount> reported(plan.strata.size()),
-      effective(plan.strata.size()), escape(plan.strata.size()),
-      safe_fail(plan.strata.size()), hung(plan.strata.size());
-  std::int64_t total_done = 0;
-  bool stopped = false;
-  for (std::size_t s = 0; s < plan.strata.size() && !stopped; ++s) {
-    if (spec.cancel && spec.cancel->stop_requested()) break;
-    const sim::Stratum& st = plan.strata[s];
-    std::int64_t done = 0;
-    const InfraCounts c = run_segment(st.defects, st.trials,
-                                      sim::stratum_stream_offset(s),
-                                      &out.provenance, &done);
-    reported[s] = {c.reported, done};
-    effective[s] = {c.effective, done};
-    escape[s] = {c.escape, done};
-    safe_fail[s] = {c.safe_fail, done};
-    hung[s] = {c.hung, done};
-    total_done += done;
-    if (done < st.trials) stopped = true;
+  const bool plain = spec.sampling.mode == sim::SamplingMode::Plain;
+  sim::StrataPlan plan;
+  std::vector<sim::CampaignStream> streams;
+  if (plain) {
+    streams.push_back({0, spec.trials, /*chunk=*/8, /*grain=*/8});
+  } else {
+    plan = sim::plan_strata(m * (1.0 + logic_area_fraction), alpha,
+                            spec.trials, spec.sampling);
+    for (std::size_t s = 0; s < plan.strata.size(); ++s)
+      streams.push_back({sim::stratum_stream_offset(s), plan.strata[s].trials,
+                         /*chunk=*/8, /*grain=*/8});
+  }
+  const sim::StreamFolds<InfraCounts> run = sim::run_streams<InfraCounts>(
+      spec, streams, InfraCounts{},
+      [&](std::size_t s, Rng& rng, sim::KernelTally& tally) {
+        tally.note(sim::SimKernel::Scalar);
+        return run_trial(rng, plain ? -1 : plan.strata[s].defects);
+      },
+      infra_combine, "bisr_yield_mc_with_infra");
+
+  sim::CampaignResult<BisrYieldMcInfra> out{{}, run.provenance,
+                                            run.termination};
+  BisrYieldMcInfra& v = out.value;
+  v.die_sims = run.provenance.trials_done;
+  if (plain) {
+    const InfraCounts& c = run.folds[0];
+    const std::int64_t done = run.done[0];
+    const double n = done ? static_cast<double>(done) : 1.0;
+    v.bist_reported_good = static_cast<double>(c.reported) / n;
+    v.effective_good = static_cast<double>(c.effective) / n;
+    v.escape = static_cast<double>(c.escape) / n;
+    v.safe_fail = static_cast<double>(c.safe_fail) / n;
+    v.hung = static_cast<double>(c.hung) / n;
+    v.bist_reported_good_se = bernoulli_se(c.reported, done);
+    v.effective_good_se = bernoulli_se(c.effective, done);
+    return out;
+  }
+  std::vector<sim::StratumCount> reported, effective, escape, safe_fail, hung;
+  for (std::size_t s = 0; s < plan.strata.size(); ++s) {
+    const InfraCounts& c = run.folds[s];
+    const std::int64_t done = run.done[s];
+    reported.push_back({c.reported, done});
+    effective.push_back({c.effective, done});
+    escape.push_back({c.escape, done});
+    safe_fail.push_back({c.safe_fail, done});
+    hung.push_back({c.hung, done});
   }
   const sim::WeightedEstimate rep =
       sim::combine_strata_bernoulli(plan, reported, 1.0, 0.0);
   const sim::WeightedEstimate eff =
       sim::combine_strata_bernoulli(plan, effective, 1.0, 0.0);
-  out.value.bist_reported_good = rep.value;
-  out.value.bist_reported_good_se = rep.std_error;
-  out.value.effective_good = eff.value;
-  out.value.effective_good_se = eff.std_error;
-  out.value.escape =
-      sim::combine_strata_bernoulli(plan, escape, 0.0, 0.0).value;
-  out.value.safe_fail =
+  v.bist_reported_good = rep.value;
+  v.bist_reported_good_se = rep.std_error;
+  v.effective_good = eff.value;
+  v.effective_good_se = eff.std_error;
+  v.escape = sim::combine_strata_bernoulli(plan, escape, 0.0, 0.0).value;
+  v.safe_fail =
       sim::combine_strata_bernoulli(plan, safe_fail, 0.0, 1.0).value;
-  out.value.hung = sim::combine_strata_bernoulli(plan, hung, 0.0, 0.0).value;
-  out.value.die_sims = total_done;
+  v.hung = sim::combine_strata_bernoulli(plan, hung, 0.0, 0.0).value;
   out.provenance.strata = static_cast<std::int64_t>(plan.strata.size());
-  out.provenance.trials = plan.total_trials();
-  out.provenance.trials_done = total_done;
-  out.termination = sim::resolve_termination(total_done, plan.total_trials(),
-                                             spec.cancel, false);
   return out;
 }
 

@@ -1,8 +1,10 @@
 #include "sim/campaign.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace bisram::sim {
 
@@ -57,23 +59,123 @@ int resolve_campaign_threads(const CampaignSpec& spec) {
   return spec.threads > 0 ? spec.threads : campaign_threads();
 }
 
-std::int64_t checkpoint_segment_trials(const CheckpointSpec& ck,
-                                       std::int64_t chunk,
-                                       std::int64_t total) {
-  if (!ck.enabled() && ck.pause_after <= 0) return total;
-  std::int64_t iv = ck.interval > 0 ? ck.interval : total / 16;
-  if (iv < chunk) iv = chunk;
-  return (iv + chunk - 1) / chunk * chunk;
+namespace detail {
+
+namespace {
+
+/// Names the checkpoint payload layout written below. It is mixed into
+/// every campaign fingerprint, so a file in any other layout (one written
+/// by an earlier build, say) is refused instead of misread.
+constexpr const char* kPayloadLayout = "campaign streams v1";
+
+/// Segment length of stream `st`: the whole stream unless checkpointing
+/// or a pause needs interior boundaries, else ck.interval (0 = a
+/// sixteenth of the stream) rounded up to whole grains.
+std::int64_t segment_trials(const CheckpointSpec& ck,
+                            const CampaignStream& st) {
+  if (!ck.enabled() && ck.pause_after <= 0) return st.trials;
+  std::int64_t iv = ck.interval > 0 ? ck.interval : st.trials / 16;
+  if (iv < st.grain) iv = st.grain;
+  return (iv + st.grain - 1) / st.grain * st.grain;
 }
 
-CheckpointCadence::CheckpointCadence() : last_ms_(steady_ms()) {}
+}  // namespace
 
-bool CheckpointCadence::due(const CheckpointSpec& ck, bool force) const {
-  if (!ck.enabled()) return false;
-  return force || ck.min_period_ms <= 0 ||
-         steady_ms() - last_ms_ >= ck.min_period_ms;
+StreamRun drive_streams(const CampaignSpec& spec,
+                        const std::vector<CampaignStream>& streams,
+                        const std::string& campaign, const StreamHooks& hooks) {
+  require(spec.trials >= 1, "CampaignSpec: needs at least one trial");
+  const CheckpointSpec& ck = spec.checkpoint;
+  require(hooks.put || (!ck.enabled() && !ck.resuming()),
+          campaign +
+              ": checkpointing is not supported here — use cancel/deadline "
+              "for bounded runs");
+  const std::uint64_t fingerprint =
+      Fingerprint().mix(hooks.fingerprint).mix_str(kPayloadLayout).value();
+
+  StreamRun out;
+  out.done.assign(streams.size(), 0);
+  CampaignProvenance& prov = out.provenance;
+  prov.seed = spec.seed;
+  prov.threads = resolve_campaign_threads(spec);
+  prov.kernel = spec.kernel;
+  prov.sampling = spec.sampling.mode;
+  for (const CampaignStream& st : streams) prov.trials += st.trials;
+
+  std::size_t s = 0;  // the current stream
+  if (ck.resuming()) {
+    CheckpointReader r(ck.resume, fingerprint);
+    const char* path = ck.resume.c_str();
+    const std::uint64_t at = r.u64();
+    const std::int64_t done = r.i64();
+    require(at < streams.size() && done >= 0 &&
+                done <= streams[at].trials &&
+                (done % streams[at].grain == 0 || done == streams[at].trials),
+            strfmt("checkpoint: '%s' names a position no segment boundary "
+                   "of this campaign has",
+                   path));
+    s = static_cast<std::size_t>(at);
+    for (std::size_t i = 0; i <= s; ++i) {
+      out.done[i] = i < s ? streams[i].trials : done;
+      require(hooks.get(r, i, out.done[i]),
+              strfmt("checkpoint: '%s' carries counts that do not fit the "
+                     "%lld trials of stream %zu",
+                     path, static_cast<long long>(out.done[i]), i));
+    }
+    require(r.remaining() == 0,
+            strfmt("checkpoint: '%s' has bytes past its payload", path));
+  }
+
+  double last_write_ms = steady_ms();
+  const auto due = [&](bool force) {
+    return ck.enabled() && (force || ck.min_period_ms <= 0 ||
+                            steady_ms() - last_write_ms >= ck.min_period_ms);
+  };
+  const auto write = [&] {
+    CheckpointWriter w(fingerprint);
+    w.u64(s).i64(out.done[s]);
+    for (std::size_t i = 0; i <= s; ++i) hooks.put(w, i);
+    w.save(ck.path);
+    last_write_ms = steady_ms();
+    ++prov.checkpoints_written;
+  };
+
+  std::int64_t run_done = 0;  // trials folded by *this* run
+  while (!streams.empty()) {
+    const bool stream_end = out.done[s] == streams[s].trials;
+    if (stream_end && s + 1 == streams.size()) {
+      out.termination =
+          ck.resuming() ? Termination::Resumed : Termination::Completed;
+      break;
+    }
+    if (spec.cancel && spec.cancel->stop_requested()) {
+      out.termination = spec.cancel->stop_reason();
+      break;
+    }
+    if (ck.pause_after > 0 && run_done >= ck.pause_after) {
+      if (due(true)) write();
+      out.termination = Termination::Cancelled;
+      break;
+    }
+    if (stream_end) ++s;
+    const CampaignStream& st = streams[s];
+    const std::int64_t lo = out.done[s];
+    const std::int64_t hi = std::min(st.trials, lo + segment_trials(ck, st));
+    const std::int64_t folded = hooks.fold(s, lo, hi);
+    out.done[s] += folded;
+    run_done += folded;
+    if (folded < hi - lo) {  // the token fired inside the segment
+      out.termination =
+          spec.cancel ? spec.cancel->stop_reason() : Termination::Cancelled;
+      break;
+    }
+    if (due(s + 1 == streams.size() && hi == st.trials)) write();
+  }
+  out.started = streams.empty() ? 0 : s + 1;
+  for (std::int64_t d : out.done) prov.trials_done += d;
+  return out;
 }
 
-void CheckpointCadence::note_write() { last_ms_ = steady_ms(); }
+}  // namespace detail
 
 }  // namespace bisram::sim

@@ -13,8 +13,13 @@
 //   * CampaignProvenance — what actually ran: the resolved thread count
 //     plus how the kernel dispatch split the trials, so a report is
 //     reproducible from its own metadata;
-//   * run_campaign — the deterministic parallel engine underneath
-//     (util/parallel.hpp), handing each trial its own seed sub-stream.
+//   * run_streams — the one campaign driver. A campaign hands it a list
+//     of seed-stream windows (CampaignStream), a trial body and a fold,
+//     plus a StreamCodec when it can be checkpointed; the driver owns the
+//     segment boundaries, the cancel and pause checks, checkpoint writes
+//     and resume, the termination label and the provenance. It is the
+//     only code that knows the checkpoint payload layout and the segment
+//     policy.
 //
 // The determinism contract is inherited from parallel_reduce: for a
 // fixed spec the result is bit-identical for any thread count, and the
@@ -22,10 +27,14 @@
 // fault list — never of thread placement.
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "util/cancel.hpp"
+#include "util/checkpoint.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -78,17 +87,20 @@ struct SamplingSpec {
 };
 
 /// Checkpoint/resume parameters for the campaigns that support them
-/// (models::wafer_yield_campaign, models::bisr_yield_mc_with_bist).
-/// Checkpoints are written at deterministic fold boundaries, so a
+/// (models::wafer_yield_campaign, models::bisr_yield_mc_with_bist; every
+/// other campaign refuses path and resume with a SpecError).
+/// Checkpoints are written at deterministic segment boundaries, so a
 /// resumed run is bit-identical to an uninterrupted one for every
-/// cadence and thread count — see util/checkpoint.hpp for the file
-/// format and tests/test_checkpoint_resume.cpp for the proof.
+/// cadence and thread count — see run_streams for the segment policy and
+/// the payload, util/checkpoint.hpp for the file format and
+/// tests/test_checkpoint_resume.cpp for the proof.
 struct CheckpointSpec {
   std::string path;    ///< write checkpoints here ("" = checkpointing off)
   std::string resume;  ///< resume from this checkpoint ("" = fresh start)
-  /// Trials per checkpoint segment (rounded up to a whole number of fold
-  /// chunks; 0 = a campaign-chosen default). Purely a cadence knob: the
-  /// final estimate is bit-identical for every value.
+  /// Trials per checkpoint segment, rounded up to a whole number of the
+  /// stream's grains (CampaignStream::grain); 0 = the stream length / 16.
+  /// Purely a cadence knob: the final estimate is bit-identical for every
+  /// value.
   std::int64_t interval = 0;
   /// Minimum wall-clock gap between checkpoint *writes* in ms (0 = write
   /// at every segment boundary). Time-gating which boundaries hit disk
@@ -153,22 +165,6 @@ struct CampaignResult {
   Termination termination = Termination::Completed;
 };
 
-/// The termination label for a campaign that processed `done` of
-/// `requested` trials under `cancel` (null = no token), having started
-/// from a resumed checkpoint or not. Cancellation wins over deadline
-/// when both fired; a fully processed run is Completed (or Resumed when
-/// it continued from a checkpoint) even if the token fired after the
-/// last chunk was claimed.
-inline Termination resolve_termination(std::int64_t done,
-                                       std::int64_t requested,
-                                       const CancelToken* cancel,
-                                       bool resumed) {
-  if (done >= requested)
-    return resumed ? Termination::Resumed : Termination::Completed;
-  if (cancel) return cancel->stop_reason();
-  return Termination::Cancelled;
-}
-
 /// Per-trial kernel recorder handed to the trial body; its counts fold
 /// deterministically into the provenance.
 class KernelTally {
@@ -191,95 +187,161 @@ class KernelTally {
 /// the BISRAM_THREADS / override / hardware default).
 int resolve_campaign_threads(const CampaignSpec& spec);
 
-/// Segment length (in trials) between checkpoint boundaries, rounded up
-/// to a whole number of `chunk`-sized fold chunks so every boundary is
-/// also a chunk boundary of the uninterrupted fold (the alignment the
-/// bit-identical resume contract rests on). Returns `total` — one
-/// segment, no interior boundaries — when neither checkpointing nor a
-/// cooperative pause needs them; asynchronous cancellation alone is
-/// handled inside parallel_reduce and needs no segmentation. ck.interval
-/// = 0 defaults to total/16 (floored at one chunk).
-std::int64_t checkpoint_segment_trials(const CheckpointSpec& ck,
-                                       std::int64_t chunk,
-                                       std::int64_t total);
-
-/// Wall-clock gate for checkpoint writes (CheckpointSpec::min_period_ms):
-/// due() says whether a boundary's write should hit disk, note_write()
-/// stamps a completed write. Construction stamps the campaign start, so
-/// min_period_ms also spaces the first write from it.
-class CheckpointCadence {
- public:
-  CheckpointCadence();
-  /// True when ck wants a write now: forced boundaries (pause, final)
-  /// always write; others wait out min_period_ms since the last write.
-  bool due(const CheckpointSpec& ck, bool force) const;
-  void note_write();
-
- private:
-  double last_ms_ = 0;
+/// One seed-stream window of a campaign: trial i of the stream draws from
+/// sub-stream `offset + i` of the campaign seed. Plain sampling is one
+/// stream at offset 0, stratified sampling one stream per stratum at
+/// stratum_stream_offset(s) (sim/importance.hpp), fault_coverage one
+/// stream per fault kind at k * trials.
+struct CampaignStream {
+  std::uint64_t offset = 0;
+  std::int64_t trials = 0;
+  /// Trials a worker claims at a time. It fixes the fold association,
+  /// which matters only for floating-point folds such as the wafer
+  /// campaign's Welford accumulators; there it is part of the bit-exact
+  /// output contract, so it is a per-campaign constant, not a spec knob.
+  /// Integer-count folds give the same bits for any chunk.
+  std::int64_t chunk = 1;
+  /// Segment boundaries fall on whole multiples of `grain` trials (and on
+  /// the stream end). A multiple of `chunk`, so every boundary is also a
+  /// chunk boundary of the uninterrupted fold.
+  std::int64_t grain = 1;
 };
 
-/// Runs `per_trial(rng, i, tally)` for i in [0, spec.trials) on the
-/// deterministic parallel engine and folds the results with `combine`.
-/// Trial i draws from sub-stream `stream_offset + i` of spec.seed (the
-/// offset lets multi-segment campaigns like fault_coverage keep their
-/// historical stream layout). `chunk` is the unit of work a thread
-/// claims. It fixes the fold association, which matters only for
-/// floating-point folds such as the wafer campaign's Welford
-/// accumulators; there it is part of the bit-exact output contract, so it
-/// stays a per-campaign constant rather than a spec knob. Integer-count
-/// folds give the same bits for any chunk. When `provenance` is
-/// non-null it is filled with the resolved thread count and the
-/// packed/scalar trial split.
+/// Checkpoint encoding of one stream's accumulator. Campaigns that hand
+/// run_streams a codec can be checkpointed and resumed
+/// (models::wafer_yield_campaign, models::bisr_yield_mc_with_bist); the
+/// others refuse CheckpointSpec::path and ::resume with a SpecError.
+template <typename T>
+struct StreamCodec {
+  /// Hash of every parameter the campaign's bit-exact result depends on
+  /// (util/checkpoint.hpp's Fingerprint); the driver mixes in its payload
+  /// layout, so a file with any other layout is refused.
+  std::uint64_t fingerprint = 0;
+  std::function<void(CheckpointWriter&, const T&)> put;
+  /// Reads back what `put` wrote for a stream that folded `trials`
+  /// trials; nullopt when the counts cannot come from that many trials.
+  std::function<std::optional<T>(CheckpointReader&, std::int64_t trials)>
+      get;
+};
+
+/// What the driver reports for any campaign, whatever its accumulator.
+struct StreamRun {
+  std::vector<std::int64_t> done;  ///< trials folded into each stream
+  /// Streams [0, started) ran (the first always starts); the others have
+  /// zero trials done.
+  std::size_t started = 0;
+  Termination termination = Termination::Completed;
+  CampaignProvenance provenance;  ///< all but strata, left to the campaign
+};
+
+/// What run_streams returns: the run plus every stream's fold, parallel
+/// to the stream list (the identity where a stream never started).
+template <typename T>
+struct StreamFolds : StreamRun {
+  std::vector<T> folds;
+};
+
+namespace detail {
+
+/// run_streams' accumulators, seen by the driver loop only through these
+/// calls. `put`/`get` are empty when the campaign has no codec.
+struct StreamHooks {
+  /// Folds trials [lo, hi) of stream s into its accumulator and returns
+  /// how many it folded (fewer than hi - lo only when spec.cancel fired).
+  std::function<std::int64_t(std::size_t s, std::int64_t lo,
+                             std::int64_t hi)>
+      fold;
+  std::function<void(CheckpointWriter&, std::size_t s)> put;
+  std::function<bool(CheckpointReader&, std::size_t s, std::int64_t trials)>
+      get;
+  std::uint64_t fingerprint = 0;
+};
+
+/// The campaign driver's loop (campaign.cpp); see run_streams.
+StreamRun drive_streams(const CampaignSpec& spec,
+                        const std::vector<CampaignStream>& streams,
+                        const std::string& campaign, const StreamHooks& hooks);
+
+}  // namespace detail
+
+/// The one campaign driver. Runs every stream's trials on the
+/// deterministic parallel engine (util/parallel.hpp), calling
+/// `trial(stream index, rng, tally)` with the trial's own seed sub-stream
+/// and folding the results per stream with `combine`, starting from
+/// `identity`. The driver owns everything around the trial body:
 ///
-/// Cancellation: spec.cancel is polled at chunk boundaries. When it
-/// fires, the fold covers exactly the chunks that finished; the number
-/// of trials in that fold is added to `trials_done` (and to
-/// provenance.trials_done). `initial` seeds the caller-side fold
-/// (checkpoint resume) — it is folded in *before* chunk 0's partial,
-/// continuing the exact left fold of an uninterrupted run.
-template <typename T, typename PerTrial, typename Combine>
-T run_campaign(const CampaignSpec& spec, std::int64_t chunk, T identity,
-               PerTrial&& per_trial, Combine&& combine,
-               CampaignProvenance* provenance = nullptr,
-               std::uint64_t stream_offset = 0,
-               std::int64_t* trials_done = nullptr,
-               const T* initial = nullptr) {
-  require(spec.trials >= 1, "CampaignSpec: needs at least one trial");
+///   * segments: with checkpointing or a pause requested, each stream is
+///     cut into segments of CheckpointSpec::interval trials (0 = stream
+///     length / 16) rounded up to whole grains; otherwise a segment is the
+///     whole stream. Every stream end is also a boundary;
+///   * at each boundary it checks spec.cancel first and
+///     CheckpointSpec::pause_after second, and after each segment it
+///     writes a checkpoint when one is due (min_period_ms);
+///   * resume: the file is read and every count checked against the
+///     stream list before any trial runs;
+///   * the termination label and the provenance (everything but strata).
+///
+/// A checkpoint payload has one layout for every campaign: the current
+/// stream index (u64), the trials folded into that stream (i64), then the
+/// codec's encoding of streams 0 through that index. `campaign` names the
+/// caller in errors; a null `codec` refuses checkpoint.path and
+/// checkpoint.resume. For a fixed spec the result is bit-identical for any
+/// thread count, checkpoint cadence and kill/resume split, and the
+/// packed/scalar split is a pure function of each trial's fault list.
+template <typename T, typename Trial, typename Combine>
+StreamFolds<T> run_streams(const CampaignSpec& spec,
+                           const std::vector<CampaignStream>& streams,
+                           T identity, Trial&& trial, Combine&& combine,
+                           const std::string& campaign,
+                           const StreamCodec<T>* codec = nullptr) {
   struct Acc {
     T value;
     std::int64_t packed = 0;
     std::int64_t scalar = 0;
   };
-  std::int64_t done = 0;
-  const Acc start{initial ? *initial : identity, 0, 0};
-  Acc folded = parallel_reduce<Acc>(
-      spec.trials, chunk, Acc{identity, 0, 0},
-      [&](std::int64_t i) {
-        Rng rng(stream_seed(spec.seed,
-                            stream_offset + static_cast<std::uint64_t>(i)));
-        KernelTally tally;
-        T value = per_trial(rng, i, tally);
-        return Acc{std::move(value), tally.packed(), tally.scalar()};
-      },
-      [&](Acc a, Acc b) {
-        return Acc{combine(std::move(a.value), std::move(b.value)),
-                   a.packed + b.packed, a.scalar + b.scalar};
-      },
-      spec.threads > 0 ? spec.threads : 0, spec.cancel, &done,
-      initial ? &start : nullptr);
-  if (trials_done) *trials_done += done;
-  if (provenance) {
-    provenance->seed = spec.seed;
-    provenance->threads = resolve_campaign_threads(spec);
-    provenance->kernel = spec.kernel;
-    provenance->trials += spec.trials;
-    provenance->packed_trials += folded.packed;
-    provenance->scalar_trials += folded.scalar;
-    provenance->sampling = spec.sampling.mode;
-    provenance->trials_done += done;
+  StreamFolds<T> out;
+  out.folds.assign(streams.size(), identity);
+  std::int64_t packed = 0, scalar = 0;
+  detail::StreamHooks hooks;
+  hooks.fold = [&](std::size_t s, std::int64_t lo, std::int64_t hi) {
+    const CampaignStream& st = streams[s];
+    const Acc start{std::move(out.folds[s]), 0, 0};
+    std::int64_t done = 0;
+    Acc acc = parallel_reduce<Acc>(
+        hi - lo, st.chunk, Acc{identity, 0, 0},
+        [&](std::int64_t i) {
+          Rng rng(stream_seed(
+              spec.seed, st.offset + static_cast<std::uint64_t>(lo + i)));
+          KernelTally tally;
+          T value = trial(s, rng, tally);
+          return Acc{std::move(value), tally.packed(), tally.scalar()};
+        },
+        [&](Acc a, Acc b) {
+          return Acc{combine(std::move(a.value), std::move(b.value)),
+                     a.packed + b.packed, a.scalar + b.scalar};
+        },
+        spec.threads, spec.cancel, &done, &start);
+    out.folds[s] = std::move(acc.value);
+    packed += acc.packed;
+    scalar += acc.scalar;
+    return done;
+  };
+  if (codec) {
+    hooks.fingerprint = codec->fingerprint;
+    hooks.put = [&](CheckpointWriter& w, std::size_t s) {
+      codec->put(w, out.folds[s]);
+    };
+    hooks.get = [&](CheckpointReader& r, std::size_t s, std::int64_t trials) {
+      std::optional<T> acc = codec->get(r, trials);
+      if (acc) out.folds[s] = std::move(*acc);
+      return acc.has_value();
+    };
   }
-  return std::move(folded.value);
+  static_cast<StreamRun&>(out) =
+      detail::drive_streams(spec, streams, campaign, hooks);
+  out.provenance.packed_trials = packed;
+  out.provenance.scalar_trials = scalar;
+  return out;
 }
 
 }  // namespace bisram::sim

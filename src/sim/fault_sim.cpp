@@ -1,7 +1,6 @@
 #include "sim/fault_sim.hpp"
 
 #include "sim/packed_ram.hpp"
-#include "util/parallel.hpp"
 
 namespace bisram::sim {
 
@@ -55,6 +54,15 @@ bool detects(const march::MarchTest& test, const RamGeometry& geo,
   return !result.pass1_clean;
 }
 
+Fault random_stuck_at(const RamGeometry& geo, Rng& rng) {
+  Fault f;
+  f.kind = rng.chance(0.5) ? FaultKind::StuckAt0 : FaultKind::StuckAt1;
+  f.victim = {
+      static_cast<int>(rng.below(static_cast<std::uint64_t>(geo.total_rows()))),
+      static_cast<int>(rng.below(static_cast<std::uint64_t>(geo.cols())))};
+  return f;
+}
+
 CampaignResult<std::vector<Coverage>> fault_coverage(
     const march::MarchTest& test, const RamGeometry& geo,
     const std::vector<FaultKind>& kinds, bool johnson_backgrounds,
@@ -63,41 +71,34 @@ CampaignResult<std::vector<Coverage>> fault_coverage(
   // campaign seed, so the faults sampled are a pure function of the
   // (seed, kind, trial) triple — never of thread placement or of the
   // kernel the trial dispatched to.
-  require(!spec.checkpoint.enabled() && !spec.checkpoint.resuming(),
-          "fault_coverage: checkpointing is not supported here — use "
-          "cancel/deadline for bounded runs");
-  CampaignResult<std::vector<Coverage>> out;
-  std::int64_t requested = 0, done_total = 0;
-  for (std::size_t k = 0; k < kinds.size(); ++k) {
-    if (spec.cancel && spec.cancel->stop_requested() && k > 0) break;
-    const FaultKind kind = kinds[k];
+  std::vector<CampaignStream> streams;
+  for (std::size_t k = 0; k < kinds.size(); ++k)
+    streams.push_back({static_cast<std::uint64_t>(k) *
+                           static_cast<std::uint64_t>(spec.trials),
+                       spec.trials, /*chunk=*/1, /*grain=*/1});
+  const StreamFolds<int> run = run_streams<int>(
+      spec, streams, 0,
+      [&](std::size_t k, Rng& rng, KernelTally& tally) {
+        const Fault f = random_fault(kinds[k], geo, rng, scope);
+        SimKernel used = SimKernel::Scalar;
+        const bool hit =
+            detects(test, geo, f, johnson_backgrounds, spec.kernel, &used);
+        tally.note(used);
+        return hit ? 1 : 0;
+      },
+      [](int a, int b) { return a + b; }, "fault_coverage");
+  // A cancelled kind reports coverage over the trials it completed; a
+  // kind the campaign never reached is simply absent from the result.
+  CampaignResult<std::vector<Coverage>> out{{}, run.provenance,
+                                            run.termination};
+  for (std::size_t k = 0; k < run.started; ++k) {
     Coverage cov;
-    cov.kind = kind;
+    cov.kind = kinds[k];
     cov.scope = scope;
-    std::int64_t done = 0;
-    cov.detected = run_campaign<int>(
-        spec, /*chunk=*/1, 0,
-        [&](Rng& rng, std::int64_t, KernelTally& tally) {
-          const Fault f = random_fault(kind, geo, rng, scope);
-          SimKernel used = SimKernel::Scalar;
-          const bool hit =
-              detects(test, geo, f, johnson_backgrounds, spec.kernel, &used);
-          tally.note(used);
-          return hit ? 1 : 0;
-        },
-        [](int a, int b) { return a + b; }, &out.provenance,
-        /*stream_offset=*/static_cast<std::uint64_t>(k) *
-            static_cast<std::uint64_t>(spec.trials),
-        &done);
-    // A cancelled kind reports coverage over the trials it completed; a
-    // kind the campaign never reached is simply absent from the result.
-    cov.total = static_cast<int>(done);
-    done_total += done;
+    cov.detected = run.folds[k];
+    cov.total = static_cast<int>(run.done[k]);
     out.value.push_back(cov);
   }
-  requested = static_cast<std::int64_t>(kinds.size()) * spec.trials;
-  out.termination =
-      resolve_termination(done_total, requested, spec.cancel, false);
   return out;
 }
 

@@ -26,6 +26,12 @@ enum class CouplingScope {
 Fault random_fault(FaultKind kind, const RamGeometry& geo, Rng& rng,
                    CouplingScope scope = CouplingScope::PhysicalNeighbor);
 
+/// Draws one manufacturing defect as a stuck-at cell: StuckAt0 or
+/// StuckAt1 with equal odds, then a uniform row over total_rows() (spare
+/// rows included), then a uniform column — the RNG order every die draw
+/// of the yield and infra-fault campaigns shares.
+Fault random_stuck_at(const RamGeometry& geo, Rng& rng);
+
 /// True when running `test` (pass 1 semantics) on a RAM containing only
 /// `fault` flags at least one mismatch. Runs on the requested simulation
 /// kernel (sim/packed_ram.hpp dispatch): Auto picks the packed kernel

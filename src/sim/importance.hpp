@@ -36,7 +36,7 @@
 // Determinism: stratum s draws from seed sub-streams offset by
 // stratum_stream_offset(s), so strata never share a trial stream with
 // each other or with a plain campaign, and the combined estimate is
-// bit-identical for any thread count (inherited from run_campaign).
+// bit-identical for any thread count (inherited from run_streams).
 
 #include <cstdint>
 #include <vector>

@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "sim/controller.hpp"
+#include "sim/fault_sim.hpp"
 #include "util/math.hpp"
-#include "util/parallel.hpp"
 
 namespace bisram::sim {
 
@@ -284,23 +284,16 @@ CampaignResult<InfraCampaignReport> infra_fault_campaign(
   if (cfg.watchdog_cycles == 0)
     cfg.watchdog_cycles = auto_watchdog_cycles(geo, ctrl, config);
 
-  CampaignResult<InfraCampaignReport> out;
-  out.value = run_campaign<InfraCampaignReport>(
-      spec, /*chunk=*/4, InfraCampaignReport{},
-      [&](Rng& rng, std::int64_t, KernelTally& tally) {
+  const StreamFolds<InfraCampaignReport> run = run_streams(
+      spec, {{0, spec.trials, /*chunk=*/4, /*grain=*/4}},
+      InfraCampaignReport{},
+      [&](std::size_t, Rng& rng, KernelTally& tally) {
         tally.note(SimKernel::Scalar);
         const InfraFault fault = random_infra_fault(geo, ctrl, rng);
         std::vector<Fault> cell_faults;
         cell_faults.reserve(static_cast<std::size_t>(cfg.array_faults));
-        for (int j = 0; j < cfg.array_faults; ++j) {
-          Fault f;
-          f.kind = rng.chance(0.5) ? FaultKind::StuckAt0 : FaultKind::StuckAt1;
-          f.victim = {static_cast<int>(rng.below(
-                          static_cast<std::uint64_t>(geo.total_rows()))),
-                      static_cast<int>(rng.below(
-                          static_cast<std::uint64_t>(geo.cols())))};
-          cell_faults.push_back(f);
-        }
+        for (int j = 0; j < cfg.array_faults; ++j)
+          cell_faults.push_back(random_stuck_at(geo, rng));
         const InfraTrial trial =
             run_infra_trial(geo, ctrl, fault, cell_faults, cfg);
         InfraCampaignReport r;
@@ -316,8 +309,8 @@ CampaignResult<InfraCampaignReport> infra_fault_campaign(
         a.trials += b.trials;
         return a;
       },
-      &out.provenance);
-  return out;
+      "infra_fault_campaign");
+  return {run.folds[0], run.provenance, run.termination};
 }
 
 }  // namespace bisram::sim

@@ -73,6 +73,12 @@ double negbin_pmf(std::int64_t k, double mean, double alpha) {
   return std::exp(ln);
 }
 
+double bernoulli_se(std::int64_t successes, std::int64_t n) {
+  if (n < 2) return 0.0;
+  const double p = static_cast<double>(successes) / static_cast<double>(n);
+  return std::sqrt(p * (1.0 - p) / static_cast<double>(n - 1));
+}
+
 double WelfordAccumulator::std_error() const {
   return n_ >= 2 ? std::sqrt(variance() / static_cast<double>(n_)) : 0.0;
 }

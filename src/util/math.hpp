@@ -29,6 +29,11 @@ double poisson_pmf(std::int64_t k, double lambda);
 /// machinery in sim/ can reweight strata with the exact probabilities.
 double negbin_pmf(std::int64_t k, double mean, double alpha);
 
+/// Standard error of a Bernoulli mean from its success count over n
+/// trials: the unbiased sample variance n/(n-1) p(1-p) over n, i.e.
+/// p(1-p)/(n-1); 0 with fewer than two trials.
+double bernoulli_se(std::int64_t successes, std::int64_t n);
+
 /// Streaming mean/variance accumulator (Welford) with an exact parallel
 /// merge (Chan et al.). This is the O(1)-state aggregator behind the
 /// wafer-scale campaigns: each worker chunk folds its dies into one

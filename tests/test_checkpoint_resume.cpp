@@ -7,22 +7,33 @@
 // checkpoint, exactly what a SIGTERM between two segments would leave
 // on disk. The rejection half of the suite proves damaged checkpoint
 // files (truncated, bit-flipped, wrong version, wrong campaign, wrong
-// spec) are refused with a clean SpecError instead of resuming from
-// garbage, and concurrent writers of one path each publish a whole
-// file.
+// spec, counts that cannot come from the trials they claim) are refused
+// with a clean SpecError instead of resuming from garbage, that the
+// campaigns without a checkpoint codec refuse checkpointing, and that
+// concurrent writers of one path each publish a whole file.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "march/march.hpp"
+#include "models/reliability.hpp"
 #include "models/wafermap.hpp"
 #include "models/yield.hpp"
+#include "sim/fault_sim.hpp"
+#include "sim/infra_faults.hpp"
 #include "util/checkpoint.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -326,6 +337,185 @@ TEST(CheckpointRejection, WrongSpecOrCampaignFingerprint) {
   sim::CampaignSpec missing{.trials = 20000, .seed = 42};
   missing.checkpoint.resume = file.path() + ".nowhere";
   EXPECT_THROW(models::wafer_yield_campaign(wafer, missing), SpecError);
+}
+
+// --- counts that cannot come from the trials they claim ---------------
+// These files carry a valid CRC and fingerprint; only the counts are
+// wrong. The payload layout (sim/campaign.hpp's run_streams) is the
+// current stream index, the trials folded into it, then one accumulator
+// per stream up to it: 5 words for the wafer campaign (good, saved,
+// Welford count, mean, m2), 2 for the BIST yield campaign (repaired,
+// strict).
+
+constexpr std::size_t kHeaderBytes = 32;
+
+std::int64_t payload_word(const std::string& bytes, std::size_t word) {
+  std::int64_t v = 0;
+  std::memcpy(&v, bytes.data() + kHeaderBytes + 8 * word, sizeof v);
+  return v;
+}
+
+/// Recomputes the trailing CRC after an edit.
+std::string resealed(std::string bytes) {
+  const std::uint32_t crc = crc32(bytes.data(), bytes.size() - 4);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof crc);
+  return bytes;
+}
+
+std::string with_word(std::string bytes, std::size_t word,
+                      std::int64_t value) {
+  std::memcpy(bytes.data() + kHeaderBytes + 8 * word, &value, sizeof value);
+  return resealed(std::move(bytes));
+}
+
+/// One zero word appended to the payload, with the size field to match.
+std::string with_trailing_word(std::string bytes) {
+  bytes.insert(bytes.size() - 4, 8, '\0');
+  std::uint64_t n = 0;
+  std::memcpy(&n, bytes.data() + 24, sizeof n);
+  n += 8;
+  std::memcpy(bytes.data() + 24, &n, sizeof n);
+  return resealed(std::move(bytes));
+}
+
+TEST(CheckpointRejection, InconsistentCountsWithValidCrcAreRefused) {
+  using Run = std::function<void(const sim::CampaignSpec&)>;
+  struct Case {
+    const char* name;
+    sim::SamplingMode mode;
+    int trials;
+    std::size_t acc_words;  ///< payload words per stream accumulator
+    Run run;
+  };
+  const models::WaferSpec wafer = wafer_spec();
+  const Run wafer_run = [&](const sim::CampaignSpec& s) {
+    models::wafer_yield_campaign(wafer, s);
+  };
+  const Run yield_run = [&](const sim::CampaignSpec& s) {
+    models::bisr_yield_mc_with_bist(small_geo(), 3.0, 2.0, 1.05, s);
+  };
+  const Case cases[] = {
+      {"wafer plain", sim::SamplingMode::Plain, 20000, 5, wafer_run},
+      {"wafer stratified", sim::SamplingMode::Stratified, 20000, 5,
+       wafer_run},
+      {"yield plain", sim::SamplingMode::Plain, 1600, 2, yield_run},
+      {"yield stratified", sim::SamplingMode::Stratified, 1600, 2,
+       yield_run},
+  };
+  const std::int64_t nan_bits =
+      std::bit_cast<std::int64_t>(std::numeric_limits<double>::quiet_NaN());
+  const std::int64_t negative_bits = std::bit_cast<std::int64_t>(-1.0);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    FileJanitor file(scratch_path("inconsistent"));
+    sim::CampaignSpec base{.trials = c.trials, .seed = 42};
+    base.sampling.mode = c.mode;
+    sim::CampaignSpec pause = base;
+    pause.checkpoint.path = file.path();
+    pause.checkpoint.pause_after = c.trials / 3;
+    c.run(pause);
+    const std::string good = read_file(file.path());
+    sim::CampaignSpec resume = base;
+    resume.checkpoint.resume = file.path();
+
+    const std::int64_t stream = payload_word(good, 0);
+    const std::int64_t done = payload_word(good, 1);
+    // Word offsets of stream 0's accumulator (finished whenever the pause
+    // landed past it) and of the current stream's.
+    const std::size_t first = 2;
+    const std::size_t cur =
+        first + static_cast<std::size_t>(stream) * c.acc_words;
+    std::vector<std::pair<const char*, std::string>> bad = {
+        {"stream index past the last stream", with_word(good, 0, 1 << 20)},
+        {"trials past the stream", with_word(good, 1, 1 << 30)},
+        {"a trailing payload word", with_trailing_word(good)},
+    };
+    if (c.mode == sim::SamplingMode::Plain)  // one long stream, paused early
+      bad.push_back(
+          {"trials off a segment boundary", with_word(good, 1, done - 1)});
+    if (c.acc_words == 5) {  // good <= saved <= n, count == n, finite moments
+      // With `good` at the trial count the yield without BISR would
+      // exceed the yield with it.
+      bad.push_back({"good set to the trial count", with_word(good, cur, done)});
+      bad.push_back({"negative good", with_word(good, cur, -1)});
+      bad.push_back(
+          {"saved above the trials", with_word(good, cur + 1, done + 1)});
+      bad.push_back({"Welford count off the trials",
+                     with_word(good, cur + 2, done + 1)});
+      bad.push_back({"NaN mean", with_word(good, cur + 3, nan_bits)});
+      bad.push_back({"negative m2", with_word(good, cur + 4, negative_bits)});
+      bad.push_back({"stream 0 saving a million dies",
+                     with_word(good, first + 1, 1000000)});
+    } else {  // strict <= repaired <= n
+      bad.push_back({"strict above repaired",
+                     with_word(with_word(good, cur, 0), cur + 1, 1)});
+      bad.push_back(
+          {"repaired above the trials", with_word(good, cur, done + 1)});
+      bad.push_back({"negative strict", with_word(good, cur + 1, -1)});
+      bad.push_back({"stream 0 with repaired 0 and strict 239",
+                     with_word(with_word(good, first, 0), first + 1, 239)});
+      bad.push_back({"stream 0 repairing a million dies",
+                     with_word(good, first, 1000000)});
+    }
+    for (const auto& [what, bytes] : bad) {
+      write_file(file.path(), bytes);
+      try {
+        c.run(resume);
+        ADD_FAILURE() << what << ": resumed";
+      } catch (const SpecError& e) {
+        EXPECT_NE(std::string(e.what()).find(file.path()), std::string::npos)
+            << what << ": " << e.what();
+      }
+    }
+    // The untouched file still resumes.
+    write_file(file.path(), good);
+    EXPECT_NO_THROW(c.run(resume));
+  }
+}
+
+TEST(CheckpointRejection, CampaignsWithoutCheckpointsRefuseThem) {
+  const sim::RamGeometry geo = small_geo();
+  sim::InfraTrialConfig cfg;
+  using Run = std::function<void(const sim::CampaignSpec&)>;
+  const std::pair<const char*, Run> campaigns[] = {
+      {"bisr_yield_mc_with_infra",
+       [&](const sim::CampaignSpec& s) {
+         models::bisr_yield_mc_with_infra(geo, 2.0, 2.0, 1.05, 0.08, s);
+       }},
+      {"fault_coverage",
+       [&](const sim::CampaignSpec& s) {
+         sim::fault_coverage(march::ifa9(), geo, {sim::FaultKind::StuckAt0},
+                             true, s);
+       }},
+      {"infra_fault_campaign",
+       [&](const sim::CampaignSpec& s) {
+         sim::infra_fault_campaign(geo, cfg, s);
+       }},
+      {"reliability_mc",
+       [&](const sim::CampaignSpec& s) {
+         models::reliability_mc(geo, 1e-9, 5e5, s);
+       }},
+      {"repair_probability_mc",
+       [&](const sim::CampaignSpec& s) {
+         models::repair_probability_mc(geo, 4, s);
+       }},
+  };
+  FileJanitor file(scratch_path("no_checkpoints"));
+  for (const auto& [name, run] : campaigns) {
+    for (bool resume : {false, true}) {
+      sim::CampaignSpec s{.trials = 8, .seed = 1};
+      (resume ? s.checkpoint.resume : s.checkpoint.path) = file.path();
+      const char* field = resume ? "checkpoint.resume" : "checkpoint.path";
+      try {
+        run(s);
+        ADD_FAILURE() << name << " accepted " << field;
+      } catch (const SpecError& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << field << ": " << e.what();
+      }
+    }
+  }
+  EXPECT_FALSE(std::filesystem::exists(file.path()));
 }
 
 TEST(CheckpointPublish, ConcurrentWritersOfOnePathAllSucceed) {

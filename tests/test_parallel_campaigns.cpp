@@ -342,6 +342,187 @@ TEST(PinnedOutputs, FaultCoverageCounts) {
   }
 }
 
+// The campaigns below were pinned the same way, at %.17g, by the code
+// that preceded the one campaign driver (sim/campaign.hpp's run_streams):
+// values, counts and provenance must hold at every thread count.
+
+models::WaferSpec pin_wafer_spec(const sim::RamGeometry& ram_geo) {
+  models::WaferSpec w;
+  w.wafer_mm = 150;
+  w.die_w_mm = 10;
+  w.die_h_mm = 10;
+  w.defects_per_cm2 = 1.0;
+  w.cluster_alpha = 2.0;
+  w.ram_fraction = 0.3;
+  w.ram_geo = ram_geo;
+  return w;
+}
+
+/// Trials requested and done, the packed/scalar split and the strata.
+void expect_provenance(const sim::CampaignProvenance& p, std::int64_t trials,
+                       std::int64_t packed, std::int64_t scalar,
+                       std::int64_t strata) {
+  EXPECT_EQ(p.trials, trials);
+  EXPECT_EQ(p.trials_done, trials);
+  EXPECT_EQ(p.packed_trials, packed);
+  EXPECT_EQ(p.scalar_trials, scalar);
+  EXPECT_EQ(p.strata, strata);
+}
+
+TEST(PinnedOutputs, WaferYieldCampaign) {
+  struct Pin {
+    sim::SamplingMode mode;
+    double without_bisr, without_bisr_se, with_bisr, with_bisr_se,
+        mean_defects, mean_defects_se;
+    std::int64_t die_sims, strata;
+  };
+  const Pin pins[] = {
+      {sim::SamplingMode::Plain, 0.44379999999999997, 0.0022219203267891431,
+       0.52298, 0.002233727419083102, 1.0037, 0.0055021388269138952, 50000,
+       0},
+      {sim::SamplingMode::Stratified, 0.44444444444444442, 0.0,
+       0.52338404741781119, 0.001114210438947321, 0.99999999997547717, 0.0,
+       27808, 27},
+  };
+  const models::WaferSpec wafer = pin_wafer_spec(small_geo());
+  for (int threads : kThreadCounts) {
+    ThreadGuard guard(threads);
+    for (const Pin& pin : pins) {
+      SCOPED_TRACE(testing::Message() << sim::sampling_name(pin.mode) << ", "
+                                      << threads << " threads");
+      sim::CampaignSpec spec{.trials = 50000, .seed = 11};
+      spec.sampling.mode = pin.mode;
+      const auto r = models::wafer_yield_campaign(wafer, spec);
+      EXPECT_EQ(r.value.yield_without_bisr, pin.without_bisr);
+      EXPECT_EQ(r.value.yield_without_bisr_se, pin.without_bisr_se);
+      EXPECT_EQ(r.value.yield_with_bisr, pin.with_bisr);
+      EXPECT_EQ(r.value.yield_with_bisr_se, pin.with_bisr_se);
+      EXPECT_EQ(r.value.mean_defects_per_die, pin.mean_defects);
+      EXPECT_EQ(r.value.mean_defects_per_die_se, pin.mean_defects_se);
+      EXPECT_EQ(r.value.die_sims, pin.die_sims);
+      EXPECT_EQ(r.value.dies, 50000);
+      EXPECT_EQ(r.value.dies_per_wafer, 145);
+      expect_provenance(r.provenance, pin.die_sims, 0, 0, pin.strata);
+      EXPECT_EQ(r.termination, Termination::Completed);
+    }
+  }
+}
+
+TEST(PinnedOutputs, InfraYieldCampaign) {
+  struct Pin {
+    sim::SamplingMode mode;
+    double reported, reported_se, effective, effective_se, escape, safe_fail,
+        hung;
+    std::int64_t die_sims, strata;
+  };
+  const Pin pins[] = {
+      {sim::SamplingMode::Plain, 0.90000000000000002, 0.039056673294247155,
+       0.90000000000000002, 0.039056673294247155, 0.0, 0.066666666666666666,
+       0.033333333333333333, 60, 0},
+      {sim::SamplingMode::Stratified, 0.83665516892899239,
+       0.036345536024174091, 0.8191451857976062, 0.036345536024174091,
+       0.017509983131386242, 0.12514627506762366, 0.038198556003383871, 55,
+       18},
+  };
+  for (int threads : kThreadCounts) {
+    ThreadGuard guard(threads);
+    for (const Pin& pin : pins) {
+      SCOPED_TRACE(testing::Message() << sim::sampling_name(pin.mode) << ", "
+                                      << threads << " threads");
+      sim::CampaignSpec spec{.trials = 60, .seed = 7};
+      spec.sampling.mode = pin.mode;
+      spec.sampling.tail_mass = 1e-4;
+      spec.sampling.min_stratum_trials = 1;
+      const auto r = models::bisr_yield_mc_with_infra(small_geo(), 2.0, 2.0,
+                                                      1.05, 0.08, spec);
+      EXPECT_EQ(r.value.bist_reported_good, pin.reported);
+      EXPECT_EQ(r.value.bist_reported_good_se, pin.reported_se);
+      EXPECT_EQ(r.value.effective_good, pin.effective);
+      EXPECT_EQ(r.value.effective_good_se, pin.effective_se);
+      EXPECT_EQ(r.value.escape, pin.escape);
+      EXPECT_EQ(r.value.safe_fail, pin.safe_fail);
+      EXPECT_EQ(r.value.hung, pin.hung);
+      EXPECT_EQ(r.value.die_sims, pin.die_sims);
+      expect_provenance(r.provenance, pin.die_sims, 0, pin.die_sims,
+                        pin.strata);
+      EXPECT_EQ(r.termination, Termination::Completed);
+    }
+  }
+}
+
+TEST(PinnedOutputs, InfraFaultCampaign) {
+  // Outcome counts [kind][Benign, SafeFail, Escape, Hung].
+  const std::int64_t counts[sim::kInfraFaultKindCount]
+                           [sim::kInfraOutcomeCount] = {
+      {11, 0, 0, 0}, {2, 0, 0, 0}, {3, 5, 0, 0}, {0, 0, 0, 10},
+      {3, 0, 0, 3},  {1, 2, 0, 1}, {3, 0, 0, 0}, {3, 0, 0, 1}};
+  sim::InfraTrialConfig cfg;
+  cfg.array_faults = 1;
+  for (int threads : kThreadCounts) {
+    ThreadGuard guard(threads);
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const auto r = sim::infra_fault_campaign(
+        small_geo(), cfg, sim::CampaignSpec{.trials = 48, .seed = 13});
+    EXPECT_EQ(r.value.trials, 48);
+    for (int k = 0; k < sim::kInfraFaultKindCount; ++k)
+      for (int o = 0; o < sim::kInfraOutcomeCount; ++o)
+        EXPECT_EQ(r.value.count(static_cast<sim::InfraFaultKind>(k),
+                                static_cast<sim::InfraOutcome>(o)),
+                  counts[k][o])
+            << "kind " << k << ", outcome " << o;
+    expect_provenance(r.provenance, 48, 0, 48, 0);
+    EXPECT_EQ(r.termination, Termination::Completed);
+  }
+}
+
+TEST(PinnedOutputs, ReliabilityAndRepairCampaigns) {
+  for (int threads : kThreadCounts) {
+    ThreadGuard guard(threads);
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const auto rel = models::reliability_mc(
+        sim::RamGeometry{4096, 4, 4, 8}, 1e-9, 5e5,
+        sim::CampaignSpec{.trials = 4000, .seed = 2024});
+    EXPECT_EQ(rel.value, 0.93874999999999997);
+    expect_provenance(rel.provenance, 4000, 0, 0, 0);
+    const auto rep = models::repair_probability_mc(
+        sim::RamGeometry{4096, 4, 4, 4}, 12,
+        sim::CampaignSpec{.trials = 2000, .seed = 99});
+    EXPECT_EQ(rep.value, 0.94650000000000001);
+    expect_provenance(rep.provenance, 2000, 0, 0, 0);
+  }
+}
+
+TEST(PinnedOutputs, SimulatedWaferMap) {
+  const char* map =
+      "               \n"
+      "    XXXXXXX    \n"
+      "   RXXOXOOOR   \n"
+      "  ROXOXXXOXRX  \n"
+      " OXOXOOOXXXXXX \n"
+      " OXXOXXOXOOOOO \n"
+      " OOXOOXXXOOOOO \n"
+      " XOXXOXXROXXXX \n"
+      " XOXXXXOOXOOXO \n"
+      " OOOOXORXXXOOR \n"
+      " XOOXXXOXOXOXX \n"
+      "  RXXOORXXXOO  \n"
+      "   XXROORXXX   \n"
+      "    OOXXXOR    \n"
+      "               \n";
+  const models::WaferSpec wafer =
+      pin_wafer_spec(sim::RamGeometry{4096, 4, 4, 4});
+  for (int threads : kThreadCounts) {
+    ThreadGuard guard(threads);
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const models::WaferResult r = models::simulate_wafer(wafer, 7);
+    EXPECT_EQ(r.dies_total, 145);
+    EXPECT_EQ(r.good, 59);
+    EXPECT_EQ(r.repaired, 12);
+    EXPECT_EQ(r.bad, 74);
+    EXPECT_EQ(models::render_wafer(r), map);
+  }
+}
+
 TEST(ThreadInvariance, ReliabilityCampaign) {
   sim::RamGeometry g;
   g.words = 4096;
@@ -546,6 +727,24 @@ TEST(Cancellation, FaultCoverageSkipsUnreachedKinds) {
   // are absent rather than fabricated.
   ASSERT_EQ(r.value.size(), 1u);
   EXPECT_EQ(r.value[0].total, 0);
+}
+
+TEST(Cancellation, InfraFaultCampaignLabelsCutRuns) {
+  sim::InfraTrialConfig cfg;
+  cfg.array_faults = 1;
+  CancelToken token;
+  token.set_deadline_after_ms(0.0);  // already expired
+  sim::CampaignSpec s{.trials = 96, .seed = 13};
+  s.cancel = &token;
+  const auto late = sim::infra_fault_campaign(small_geo(), cfg, s);
+  EXPECT_EQ(late.termination, Termination::Deadline);
+  EXPECT_EQ(late.provenance.trials_done, 0);
+  EXPECT_EQ(late.value.trials, 0);
+  token.cancel();
+  const auto cut = sim::infra_fault_campaign(small_geo(), cfg, s);
+  EXPECT_EQ(cut.termination, Termination::Cancelled);
+  EXPECT_EQ(cut.provenance.trials_done, 0);
+  EXPECT_EQ(cut.value.trials, 0);
 }
 
 TEST(ReliabilityMc, AgreesWithAnalyticModel) {
