@@ -17,6 +17,7 @@
 #include "sta/access_path.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
+#include "util/math.hpp"
 
 namespace {
 
@@ -38,12 +39,21 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-/// The access-path graph of the Fig. 6 macro, built once on first use
-/// (leaf characterization runs the built-in SPICE engine, so nothing
-/// heavy may run at static-init time).
+/// The Fig. 6 leaf library, characterized once on first use (it runs
+/// the built-in SPICE engine, so nothing heavy may run at static-init
+/// time).
+const sta::LeafTiming& fig6_leaf() {
+  static const sta::LeafTiming lt = sta::characterize(
+      fig6_spec().resolved_technology(), 2.0,
+      log2_ceil(static_cast<std::uint64_t>(fig6_spec().geometry().rows())));
+  return lt;
+}
+
+/// The access-path graph of the Fig. 6 macro, built once on first use.
 const sta::TimingGraph& fig6_graph() {
-  static const sta::TimingGraph g = sta::build_access_graph(
-      fig6_spec().resolved_technology(), fig6_spec().geometry(), 2.0);
+  static const sta::TimingGraph g =
+      sta::build_access_graph(fig6_spec().resolved_technology(),
+                              fig6_spec().geometry(), 2.0, fig6_leaf());
   return g;
 }
 
@@ -90,9 +100,8 @@ void timing_json(const std::string& path) {
   const sta::TimingGraph& g = fig6_graph();
   const double build_ms = ms_since(t_build);
 
-  const sta::AccessTiming at =
-      sta::analyze_access_path(t, fig6_spec().geometry(), 2.0,
-                               fig6_options());
+  const sta::AccessTiming at = sta::analyze_access_path(
+      t, fig6_spec().geometry(), 2.0, fig6_leaf(), fig6_options());
 
   JsonWriter j;
   j.begin_object();
@@ -135,9 +144,8 @@ void timing_json(const std::string& path) {
 
 void print_timing() {
   const tech::Tech& t = fig6_spec().resolved_technology();
-  const sta::AccessTiming at =
-      sta::analyze_access_path(t, fig6_spec().geometry(), 2.0,
-                               fig6_options());
+  const sta::AccessTiming at = sta::analyze_access_path(
+      t, fig6_spec().geometry(), 2.0, fig6_leaf(), fig6_options());
   std::printf("\n=== STA signoff: Fig. 6 module (4 K x 128, 64 KB) ===\n");
   std::printf("%s", at.report.render().c_str());
   std::printf(
@@ -155,8 +163,10 @@ void print_timing() {
 void BM_BuildAccessGraph(benchmark::State& state) {
   const tech::Tech& t = fig6_spec().resolved_technology();
   const sim::RamGeometry geo = fig6_spec().geometry();
+  const sta::LeafTiming& lt = fig6_leaf();
   for (auto _ : state)
-    benchmark::DoNotOptimize(sta::build_access_graph(t, geo, 2.0).arc_count());
+    benchmark::DoNotOptimize(
+        sta::build_access_graph(t, geo, 2.0, lt).arc_count());
 }
 BENCHMARK(BM_BuildAccessGraph)->Unit(benchmark::kMillisecond);
 

@@ -18,6 +18,7 @@
 #include "tech/tech.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
+#include "util/math.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -48,6 +49,13 @@ sim::RamGeometry geo_with(int spares) {
   return g;
 }
 
+/// The leaf library of `tech` at the sweep's decoder width, which the
+/// spare count does not change.
+sta::LeafTiming leaf_of(const tech::Tech& tech) {
+  return sta::characterize(
+      tech, 2.0, log2_ceil(static_cast<std::uint64_t>(geo_with(0).rows())));
+}
+
 void print_tlb() {
   std::printf("\n=== Section VI: TLB address-diversion penalty ===\n");
   TextTable t;
@@ -55,9 +63,10 @@ void print_tlb() {
             "maskable (<= precharge phase)"});
   for (const auto& name : tech::technology_names()) {
     const tech::Tech& tech = tech::technology(name);
+    const sta::LeafTiming lt = leaf_of(tech);
     for (int spares : {4, 8, 16}) {
-      const auto geo = geo_with(spares);
-      const core::TimingReport r = core::estimate_timing(tech, geo, 2.0);
+      const core::TimingReport r =
+          core::estimate_timing(tech, geo_with(spares), 2.0, lt);
       t.row({name, std::to_string(spares),
              strfmt("%.2f", r.tlb_penalty_s * 1e9),
              strfmt("%.2f", r.access_s * 1e9),
@@ -86,9 +95,10 @@ void tlb_json(const std::string& path) {
   j.key("sweep").begin_array();
   for (const auto& name : tech::technology_names()) {
     const tech::Tech& tech = tech::technology(name);
+    const sta::LeafTiming lt = leaf_of(tech);
     for (int spares : {4, 8, 16}) {
       const core::TimingReport r =
-          core::estimate_timing(tech, geo_with(spares), 2.0);
+          core::estimate_timing(tech, geo_with(spares), 2.0, lt);
       j.begin_object();
       j.key("process").value(name);
       j.key("spares").value(spares);
@@ -105,9 +115,10 @@ void tlb_json(const std::string& path) {
 
 void BM_TimingEstimate(benchmark::State& state) {
   const auto geo = geo_with(4);
+  const sta::LeafTiming lt = leaf_of(tech::cda_07());
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        core::estimate_timing(tech::cda_07(), geo, 2.0).access_s);
+        core::estimate_timing(tech::cda_07(), geo, 2.0, lt).access_s);
 }
 BENCHMARK(BM_TimingEstimate);
 

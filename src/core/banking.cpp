@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "sta/leaf.hpp"
 #include "util/error.hpp"
 #include "util/math.hpp"
 
@@ -41,7 +42,7 @@ BankingPoint evaluate_banking(const RamSpec& base, int banks) {
   // Access: the bank's own access plus the global bank decoder (one
   // stage per two bank-address bits) plus the global wire to the
   // farthest bank (metal3 RC over half the module's span).
-  const double tau = stage_delay_s(t);
+  const double tau = sta::stage_delay_s(t);
   const double global_decode = (doublings / 2.0) * tau;
   const double module_span_um =
       std::sqrt(p.area_mm2) * 1000.0;  // assume near-square module

@@ -30,7 +30,7 @@ sta::LeafTiming CompileCache::leaf_timing(const tech::Tech& t,
   // First caller does the work; concurrent requesters for the same key
   // block here (on the entry, not the map) and then read the result.
   std::call_once(entry->once, [&] {
-    entry->lt = sta::characterize_uncached(t, gate_size, row_bits);
+    entry->lt = sta::characterize(t, gate_size, row_bits);
     misses_.fetch_add(1, std::memory_order_relaxed);
   });
   return entry->lt;

@@ -54,10 +54,10 @@ class CompileCache {
   CompileCache& operator=(const CompileCache&) = delete;
 
   /// The characterized leaf library for (deck, gate size, decoder
-  /// width). On a miss the characterization (SPICE sizing, extraction,
+  /// width). On a miss sta::characterize() (SPICE sizing, extraction,
   /// netlist STA) runs exactly once — concurrent requesters for the
   /// same key block on the in-flight computation rather than repeating
-  /// it — and the result is bit-identical to sta::characterize().
+  /// it. This is the one leaf-library memo.
   sta::LeafTiming leaf_timing(const tech::Tech& t, double gate_size,
                               int row_bits);
 

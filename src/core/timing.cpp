@@ -10,16 +10,6 @@
 
 namespace bisram::core {
 
-double stage_delay_s(const tech::Tech& t) { return sta::stage_delay_s(t); }
-
-TimingReport estimate_timing(const tech::Tech& t, const sim::RamGeometry& geo,
-                             double gate_size) {
-  const int row_bits = std::max(
-      1, log2_ceil(static_cast<std::uint64_t>(geo.rows())));
-  return estimate_timing(t, geo, gate_size,
-                         sta::characterize(t, gate_size, row_bits));
-}
-
 TimingReport estimate_timing(const tech::Tech& t, const sim::RamGeometry& geo,
                              double gate_size, const sta::LeafTiming& lt) {
   // Path-based numbers from the STA access-path graph (sta/access_path):
@@ -82,7 +72,7 @@ PowerReport estimate_power(const tech::Tech& t, const sim::RamGeometry& geo,
 }
 
 double tlb_penalty_s(const tech::Tech& t, const sim::RamGeometry& geo) {
-  const double tau = stage_delay_s(t);
+  const double tau = sta::stage_delay_s(t);
   const int entries = std::max(1, geo.spare_words());
   const int key_bits = log2_ceil(std::max<std::uint64_t>(geo.words, 2));
 

@@ -42,21 +42,12 @@ struct PowerReport {
   double standby_power_w = 0;   ///< leakage of the idle array
 };
 
-/// Calibrated stage delay for a process (cached per technology; runs a
-/// SPICE transient on a balanced inverter driving a fan-out-of-4 load).
-double stage_delay_s(const tech::Tech& t);
-
-/// Full access-path timing for the given geometry and gate sizing.
-/// Since the STA engine landed, these numbers come from the path-based
-/// analysis of the macro timing graph (sta/access_path.hpp) — the same
-/// graph the signoff `timing` check slacks against a clock.
-TimingReport estimate_timing(const tech::Tech& t, const sim::RamGeometry& geo,
-                             double gate_size);
-
-/// Same analysis from a pre-characterized leaf library (the staged
-/// compile API's path: the Compiler session threads its CompileCache's
-/// LeafTiming through, so one deck's SPICE work serves every spec).
-/// Bit-identical to the 3-argument form for matching inputs.
+/// Full access-path timing for the given geometry and gate sizing, from
+/// the path-based analysis of the macro timing graph
+/// (sta/access_path.hpp) — the same graph the signoff `timing` check
+/// slacks against a clock. `lt` is the leaf library for the same deck,
+/// gate size and decoder width (the Compiler session threads its
+/// CompileCache's through, so one deck's SPICE work serves every spec).
 TimingReport estimate_timing(const tech::Tech& t, const sim::RamGeometry& geo,
                              double gate_size, const sta::LeafTiming& lt);
 

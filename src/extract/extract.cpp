@@ -175,10 +175,10 @@ struct Extractor {
     std::vector<std::string> path_memo(db->path_count());
     std::vector<char> path_done(db->path_count(), 0);
     for (int dl_i = 0; dl_i < 2; ++dl_i) {
-      const auto& shapes = db->shapes(diff_layer(dl_i));
+      const auto& paths = db->path_ids(diff_layer(dl_i));
       for (std::size_t s = 0; s < entries[dl_i].size(); ++s) {
         if (entries[dl_i][s].sites.empty()) continue;
-        const std::uint32_t node = shapes[s].path;
+        const std::uint32_t node = paths[s];
         if (!path_done[node]) {
           path_memo[node] = db->path_name(node);
           path_done[node] = 1;

@@ -194,27 +194,21 @@ namespace {
                     where, 0, 0}});
 }
 
-/// lower_bound over a layer's shapes by path id — valid because shapes
-/// are in depth-first flatten order, under which per-layer path ids are
-/// non-decreasing (a node's own shapes precede its descendants', and
-/// node ids are preorder).
-std::size_t path_lower_bound(const std::vector<DbShape>& sv,
+/// The first shape of a layer whose path id is >= `node` (a layer's
+/// path ids are non-decreasing, see LayoutDB::path_ids).
+std::size_t path_lower_bound(const std::vector<std::uint32_t>& ids,
                              std::uint32_t node) {
   return static_cast<std::size_t>(
-      std::lower_bound(sv.begin(), sv.end(), node,
-                       [](const DbShape& s, std::uint32_t v) {
-                         return s.path < v;
-                       }) -
-      sv.begin());
+      std::lower_bound(ids.begin(), ids.end(), node) - ids.begin());
 }
 
 /// The one recursive flattener. Visits a cell's own shapes first, then
 /// each instance depth-first — the order every consumer's output
 /// depends on — appending one path node per instance, numbered from
-/// `base` (the id the first node of `parent` gets), and tagging each
-/// shape with its node. The constructor runs it over the whole
-/// hierarchy with base 0; apply() runs it over an edited subtree in the
-/// post-edit numbering. Hierarchies deeper than kMaxFlattenDepth or
+/// `base` (the id the first node of `parent` gets), and pushing each
+/// shape's rect and node onto its layer's two columns. The constructor
+/// runs it over the whole hierarchy with base 0; apply() runs it over an
+/// edited subtree in the post-edit numbering. Hierarchies deeper than kMaxFlattenDepth or
 /// with more than `budget` nodes are refused with stable DiagError
 /// codes instead of overflowing the stack.
 struct Flattener {
@@ -224,7 +218,8 @@ struct Flattener {
   std::vector<std::uint32_t>& parent;
   std::vector<std::string>& name;
   std::vector<Transform>& local;
-  std::array<std::vector<DbShape>, kLayerCount>& shapes;
+  std::array<std::vector<Rect>, kLayerCount>& rects;
+  std::array<std::vector<std::uint32_t>, kLayerCount>& paths;
 
   void run(const Cell& cell, const Transform& t, std::uint32_t node,
            int depth) {
@@ -234,9 +229,11 @@ struct Flattener {
                        std::to_string(kMaxFlattenDepth) +
                        " levels (instance cycle?) at cell '" + cell.name() +
                        "'");
-    for (const auto& s : cell.shapes())
-      shapes[static_cast<std::size_t>(s.layer)].push_back(
-          {t.apply(s.rect), node});
+    for (const auto& s : cell.shapes()) {
+      const auto l = static_cast<std::size_t>(s.layer);
+      rects[l].push_back(t.apply(s.rect));
+      paths[l].push_back(node);
+    }
     for (const auto& inst : cell.instances()) {
       if (parent.size() >= budget)
         flatten_fail(top, "layout-flatten-too-many-instances",
@@ -262,27 +259,22 @@ LayoutDB::LayoutDB(const Cell& top, Coord tile_size)
   path_name_.emplace_back();  // node 0: the top cell, empty path
   path_local_.emplace_back();
   Flattener flat{top_name_, 0, kMaxFlattenInstances, path_parent_,
-                 path_name_, path_local_, shapes_};
+                 path_name_, path_local_, rects_, path_ids_};
   flat.run(top, Transform{}, 0, 0);
   rebuild_sub_ends();
-  for (int l = 0; l < kLayerCount; ++l) reindex_layer(static_cast<std::size_t>(l));
-  rebuild_bbox();
+  build_indexes();
 }
 
-void LayoutDB::reindex_layer(std::size_t l) {
-  auto& rv = rects_[l];
-  rv.clear();
-  rv.reserve(shapes_[l].size());
-  for (const DbShape& s : shapes_[l]) rv.push_back(s.rect);
-  index_[l] = TileIndex(rv, tile_);
+void LayoutDB::build_indexes() {
+  for (std::size_t l = 0; l < rects_.size(); ++l)
+    index_[l] = TileIndex(rects_[l], tile_);
 }
 
-void LayoutDB::rebuild_bbox() {
-  bbox_ = Rect{};
-  for (int l = 0; l < kLayerCount; ++l) {
-    const TileIndex& ix = index_[static_cast<std::size_t>(l)];
-    if (!ix.empty()) bbox_ = bbox_.united(ix.bounds());
-  }
+Rect LayoutDB::bbox() const {
+  Rect b{};
+  for (const TileIndex& ix : index_)
+    if (!ix.empty()) b = b.united(ix.bounds());
+  return b;
 }
 
 void LayoutDB::rebuild_sub_ends() {
@@ -312,7 +304,7 @@ Transform LayoutDB::abs_transform(std::uint32_t node) const {
 
 std::size_t LayoutDB::shape_count() const {
   std::size_t n = 0;
-  for (const auto& v : shapes_) n += v.size();
+  for (const auto& v : rects_) n += v.size();
   return n;
 }
 
@@ -417,10 +409,9 @@ EditResult LayoutDB::apply(const CellEdit& e) {
     if (delta == Transform{}) return res;  // no-op move
     for (int li = 0; li < kLayerCount; ++li) {
       const auto l = static_cast<std::size_t>(li);
-      auto& sv = shapes_[l];
       auto& rv = rects_[l];
-      const std::size_t lo = path_lower_bound(sv, n);
-      const std::size_t hi = path_lower_bound(sv, end);
+      const std::size_t lo = path_lower_bound(path_ids_[l], n);
+      const std::size_t hi = path_lower_bound(path_ids_[l], end);
       if (lo == hi) continue;
       res.splice[l] = {static_cast<std::uint32_t>(lo),
                        static_cast<std::uint32_t>(hi),
@@ -429,15 +420,14 @@ EditResult LayoutDB::apply(const CellEdit& e) {
                                   rv.begin() + static_cast<std::ptrdiff_t>(hi));
       Rect ob{}, nb{};
       for (std::size_t i = lo; i < hi; ++i) {
-        ob = ob.united(sv[i].rect);
-        sv[i].rect = rv[i] = delta.apply(sv[i].rect);
-        nb = nb.united(sv[i].rect);
+        ob = ob.united(rv[i]);
+        rv[i] = delta.apply(rv[i]);
+        nb = nb.united(rv[i]);
       }
       res.old_bbox[l] = ob;
       res.new_bbox[l] = nb;
       index_[l].splice(res.splice[l], old);
     }
-    rebuild_bbox();
     return res;
   }
 
@@ -449,7 +439,8 @@ EditResult LayoutDB::apply(const CellEdit& e) {
   std::vector<std::uint32_t> new_parent;
   std::vector<std::string> new_name;
   std::vector<Transform> new_local;
-  std::array<std::vector<DbShape>, kLayerCount> new_shapes;
+  std::array<std::vector<Rect>, kLayerCount> new_rects;
+  std::array<std::vector<std::uint32_t>, kLayerCount> new_paths;
 
   switch (e.kind) {
     case CellEdit::Kind::Replace: {
@@ -465,7 +456,7 @@ EditResult LayoutDB::apply(const CellEdit& e) {
       const std::size_t kept =
           path_parent_.size() - (rm_end - rm_begin);
       Flattener sub{top_name_, rm_begin, kMaxFlattenInstances - kept,
-                    new_parent, new_name, new_local, new_shapes};
+                    new_parent, new_name, new_local, new_rects, new_paths};
       sub.run(*e.cell, abs_transform(anchor).compose(path_local_[n]),
               rm_begin, depth_of(n));
       break;
@@ -483,7 +474,7 @@ EditResult LayoutDB::apply(const CellEdit& e) {
       new_local.push_back(e.transform);
       Flattener sub{top_name_, rm_begin,
                     kMaxFlattenInstances - path_parent_.size(),
-                    new_parent, new_name, new_local, new_shapes};
+                    new_parent, new_name, new_local, new_rects, new_paths};
       sub.run(*e.cell, abs_transform(anchor).compose(e.transform), rm_begin,
               depth_of(anchor) + 1);
       break;
@@ -509,37 +500,35 @@ EditResult LayoutDB::apply(const CellEdit& e) {
                                       node_delta);
   };
 
-  // Per-layer shape splice. Path-id renumbering of the shapes after the
-  // splice happens on every layer; rects (hence the TileIndex) change
-  // only on layers the edit actually touched.
+  // Per-layer splice of both columns. Path-id renumbering of the shapes
+  // after the splice happens on every layer; rects (hence the TileIndex)
+  // change only on layers the edit actually touched.
   for (int li = 0; li < kLayerCount; ++li) {
     const auto l = static_cast<std::size_t>(li);
-    auto& sv = shapes_[l];
     auto& rv = rects_[l];
-    const std::size_t lo = path_lower_bound(sv, rm_begin);
-    const std::size_t hi = path_lower_bound(sv, rm_end);
-    const auto& ins = new_shapes[l];
+    auto& pv = path_ids_[l];
+    const std::size_t lo = path_lower_bound(pv, rm_begin);
+    const std::size_t hi = path_lower_bound(pv, rm_end);
+    const auto& ins = new_rects[l];
     res.splice[l] = {static_cast<std::uint32_t>(lo),
                      static_cast<std::uint32_t>(hi),
                      static_cast<std::uint32_t>(lo + ins.size())};
     Rect ob{};
-    for (std::size_t i = lo; i < hi; ++i) ob = ob.united(sv[i].rect);
+    for (std::size_t i = lo; i < hi; ++i) ob = ob.united(rv[i]);
     Rect nb{};
-    for (const DbShape& s : ins) nb = nb.united(s.rect);
+    for (const Rect& r : ins) nb = nb.united(r);
     res.old_bbox[l] = ob;
     res.new_bbox[l] = nb;
     if (node_delta != 0)
-      for (std::size_t i = hi; i < sv.size(); ++i)
-        sv[i].path = shifted(sv[i].path);
+      for (std::size_t i = hi; i < pv.size(); ++i) pv[i] = shifted(pv[i]);
     if (res.splice[l].empty()) continue;
     const std::vector<Rect> old(rv.begin() + static_cast<std::ptrdiff_t>(lo),
                                 rv.begin() + static_cast<std::ptrdiff_t>(hi));
-    res.splice[l].resize_slots(sv);
     res.splice[l].resize_slots(rv);
-    for (std::size_t i = 0; i < ins.size(); ++i) {
-      sv[lo + i] = ins[i];
-      rv[lo + i] = ins[i].rect;
-    }
+    res.splice[l].resize_slots(pv);
+    const auto at = static_cast<std::ptrdiff_t>(lo);
+    std::copy(ins.begin(), ins.end(), rv.begin() + at);
+    std::copy(new_paths[l].begin(), new_paths[l].end(), pv.begin() + at);
     index_[l].splice(res.splice[l], old);
   }
 
@@ -574,7 +563,6 @@ EditResult LayoutDB::apply(const CellEdit& e) {
     path_sub_end_[a] = shifted(path_sub_end_[a]);
     if (a == 0) break;
   }
-  rebuild_bbox();
   return res;
 }
 
@@ -597,13 +585,13 @@ std::uint64_t LayoutDB::content_hash() const {
     fp.mix(static_cast<std::uint64_t>(path_local_[i].orient()));
     fp.mix_i64(path_local_[i].offset().x).mix_i64(path_local_[i].offset().y);
   }
-  for (int l = 0; l < kLayerCount; ++l) {
-    const auto& sv = shapes_[static_cast<std::size_t>(l)];
-    fp.mix(sv.size());
-    for (const DbShape& s : sv) {
-      fp.mix_i64(s.rect.lo.x).mix_i64(s.rect.lo.y);
-      fp.mix_i64(s.rect.hi.x).mix_i64(s.rect.hi.y);
-      fp.mix(s.path);
+  for (std::size_t l = 0; l < rects_.size(); ++l) {
+    const auto& rv = rects_[l];
+    fp.mix(rv.size());
+    for (std::size_t i = 0; i < rv.size(); ++i) {
+      fp.mix_i64(rv[i].lo.x).mix_i64(rv[i].lo.y);
+      fp.mix_i64(rv[i].hi.x).mix_i64(rv[i].hi.y);
+      fp.mix(path_ids_[l][i]);
     }
   }
   return fp.value();

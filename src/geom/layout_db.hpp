@@ -17,12 +17,12 @@
 //
 //   * apply(CellEdit) edits the flattened database in place — replace,
 //     move, add or remove one instance subtree — re-flattening only the
-//     edited subtree and splicing it into the per-layer shape vectors
-//     and tile indexes. The result is bit-identical (rects, shape ids,
-//     provenance) to a fresh flatten of the edited hierarchy; the
-//     returned EditResult carries the dirty region and the shape-id
-//     splice map that drive the incremental DRC / extraction
-//     re-verification.
+//     edited subtree and splicing it into the per-layer rect and
+//     path-id columns and tile indexes. The result is bit-identical
+//     (rects, shape ids, provenance) to a fresh flatten of the edited
+//     hierarchy; the returned EditResult carries the dirty region and
+//     the shape-id splice map that drive the incremental DRC /
+//     extraction re-verification.
 //   * save_snapshot()/load_snapshot() persist the flattened database as
 //     a compact, versioned, CRC-protected binary file (format in
 //     layout_snapshot.hpp), so an edit session reopens the flatten
@@ -53,9 +53,10 @@
 //     it ("ROWDEC/dec3/inv" style, segments joined with '/'; shapes
 //     owned by the top cell itself have an empty path). Paths are kept
 //     as a compact parent-pointer tree — one node per flattened
-//     instance, not per shape — and materialized only on demand, so a
-//     DRC/ERC violation or an extracted device can name the instance
-//     that produced it without the database paying a per-shape string.
+//     instance, not per shape; a shape stores only its node's id — and
+//     materialized on demand, so a DRC/ERC violation or an extracted
+//     device can name the instance that produced it without the
+//     database paying a per-shape string.
 //   * Bounded flatten. The flatten recursion refuses self-referential
 //     or pathologically deep hierarchies (kMaxFlattenDepth) and runaway
 //     instance counts (kMaxFlattenInstances) with stable DiagError
@@ -177,13 +178,6 @@ class TileIndex {
   std::vector<std::vector<std::uint32_t>> buckets_;  // row-major [ty*cols+tx]
 };
 
-/// One flattened shape: its absolute rect plus the id of the instance
-/// path that produced it.
-struct DbShape {
-  Rect rect;
-  std::uint32_t path = 0;  ///< LayoutDB path-node id (0 = the top cell)
-};
-
 /// One edit to a flattened hierarchy, addressed by instance path.
 struct CellEdit {
   enum class Kind {
@@ -255,14 +249,16 @@ class LayoutDB {
   const std::vector<Port>& ports() const { return ports_; }
 
   // --- shapes ---------------------------------------------------------------
-  /// Flattened shapes of `layer` in depth-first flatten order. The rect
-  /// at index i is rects(layer)[i]; the two vectors are parallel.
-  const std::vector<DbShape>& shapes(Layer layer) const {
-    return shapes_[static_cast<std::size_t>(layer)];
-  }
-  /// Just the rects of `layer` (parallel to shapes(layer)).
+  /// Absolute rects of `layer`'s flattened shapes in depth-first flatten
+  /// order; shape id i is rects(layer)[i].
   const std::vector<Rect>& rects(Layer layer) const {
     return rects_[static_cast<std::size_t>(layer)];
+  }
+  /// Path-node id of each of `layer`'s shapes (0 = the top cell),
+  /// parallel to rects(layer) and non-decreasing: a node's own shapes
+  /// precede its descendants', and node ids are preorder.
+  const std::vector<std::uint32_t>& path_ids(Layer layer) const {
+    return path_ids_[static_cast<std::size_t>(layer)];
   }
   const TileIndex& index(Layer layer) const {
     return index_[static_cast<std::size_t>(layer)];
@@ -277,8 +273,9 @@ class LayoutDB {
   void for_each_in(Layer layer, const Rect& window,
                    const std::function<void(std::uint32_t)>& fn) const;
 
-  /// Bounding box over every layer (empty Rect when no shapes).
-  Rect bbox() const { return bbox_; }
+  /// Bounding box over every layer (empty Rect when no shapes), folded
+  /// from the per-layer index bounds.
+  Rect bbox() const;
   /// Bounding box of one layer.
   Rect layer_bbox(Layer layer) const {
     return index(layer).bounds();
@@ -300,7 +297,7 @@ class LayoutDB {
   std::string path_name(std::uint32_t id) const;
   /// Convenience: the path of shape `shape_id` on `layer`.
   std::string shape_path(Layer layer, std::uint32_t shape_id) const {
-    return path_name(shapes(layer)[shape_id].path);
+    return path_name(path_ids(layer)[shape_id]);
   }
   /// Number of path nodes (top + every flattened instance).
   std::size_t path_count() const { return path_parent_.size(); }
@@ -310,7 +307,7 @@ class LayoutDB {
 
   // --- incremental maintenance ----------------------------------------------
   /// Applies one edit in place: re-flattens only the edited subtree and
-  /// splices it into the per-layer shape and rect vectors, renumbering
+  /// splices it into the per-layer rect and path-id columns, renumbering
   /// path nodes and shape ids exactly as a fresh flatten of the edited
   /// hierarchy would. The tile index of each touched layer is spliced
   /// too (TileIndex::splice), never rebuilt; what remains linear in the
@@ -346,10 +343,9 @@ class LayoutDB {
   LayoutDB() = default;  // snapshot loader fills the fields directly
   friend class SnapshotCodec;
 
-  /// Rebuilds rects_[l] + index_[l] from shapes_[l]; the constructor
-  /// and the snapshot loader build every layer this way, apply() splices.
-  void reindex_layer(std::size_t l);
-  void rebuild_bbox();
+  /// Builds every layer's TileIndex over its rects; the constructor and
+  /// the snapshot loader end with it, apply() splices instead.
+  void build_indexes();
   /// Recomputes path_sub_end_ from path_parent_ (preorder invariant);
   /// constructor and snapshot loader only.
   void rebuild_sub_ends();
@@ -360,9 +356,9 @@ class LayoutDB {
   std::string top_name_;
   std::vector<Port> ports_;
   Coord tile_ = kDefaultTile;
-  Rect bbox_{};
-  std::array<std::vector<DbShape>, kLayerCount> shapes_;
+  // The flat store: per layer, one rect and one path-node id per shape.
   std::array<std::vector<Rect>, kLayerCount> rects_;
+  std::array<std::vector<std::uint32_t>, kLayerCount> path_ids_;
   std::array<TileIndex, kLayerCount> index_;
   // Parent-pointer path tree; node 0 is the top cell. Names and local
   // placements are stored by value (one node per flattened instance,

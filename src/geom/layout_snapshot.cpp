@@ -170,19 +170,20 @@ class SnapshotCodec {
       put_zigzag(p, db.path_local_[i].offset().x);
       put_zigzag(p, db.path_local_[i].offset().y);
     }
-    for (int l = 0; l < kLayerCount; ++l) {
-      const auto& sv = db.shapes_[static_cast<std::size_t>(l)];
-      put_varint(p, sv.size());
+    for (std::size_t l = 0; l < db.rects_.size(); ++l) {
+      const auto& rv = db.rects_[l];
+      const auto& pv = db.path_ids_[l];
+      put_varint(p, rv.size());
       Point prev{};
       std::uint32_t prev_path = 0;
-      for (const DbShape& s : sv) {
-        put_zigzag(p, s.rect.lo.x - prev.x);
-        put_zigzag(p, s.rect.lo.y - prev.y);
-        put_zigzag(p, s.rect.width());
-        put_zigzag(p, s.rect.height());
-        put_varint(p, s.path - prev_path);  // non-decreasing in flatten order
-        prev = s.rect.lo;
-        prev_path = s.path;
+      for (std::size_t i = 0; i < rv.size(); ++i) {
+        put_zigzag(p, rv[i].lo.x - prev.x);
+        put_zigzag(p, rv[i].lo.y - prev.y);
+        put_zigzag(p, rv[i].width());
+        put_zigzag(p, rv[i].height());
+        put_varint(p, pv[i] - prev_path);  // non-decreasing in flatten order
+        prev = rv[i].lo;
+        prev_path = pv[i];
       }
     }
     return p;
@@ -265,11 +266,13 @@ class SnapshotCodec {
     for (int l = 0; l < kLayerCount; ++l) {
       std::uint64_t nshapes = 0;
       if (!d.count(&nshapes, "shape")) return nullptr;
-      auto& sv = db->shapes_[static_cast<std::size_t>(l)];
-      sv.resize(static_cast<std::size_t>(nshapes));
+      auto& rv = db->rects_[static_cast<std::size_t>(l)];
+      auto& pv = db->path_ids_[static_cast<std::size_t>(l)];
+      rv.resize(static_cast<std::size_t>(nshapes));
+      pv.resize(static_cast<std::size_t>(nshapes));
       Point prev{};
       std::uint64_t prev_path = 0;
-      for (DbShape& s : sv) {
+      for (std::size_t i = 0; i < rv.size(); ++i) {
         std::int64_t dx = 0, dy = 0, w = 0, h = 0;
         std::uint64_t dpath = 0;
         if (!d.z(&dx) || !d.z(&dy) || !d.z(&w) || !d.z(&h) || !d.u(&dpath))
@@ -291,8 +294,8 @@ class SnapshotCodec {
                         static_cast<unsigned long long>(prev_path)));
           return nullptr;
         }
-        s.rect = Rect{prev, {prev.x + w, prev.y + h}};
-        s.path = static_cast<std::uint32_t>(prev_path);
+        rv[i] = Rect{prev, {prev.x + w, prev.y + h}};
+        pv[i] = static_cast<std::uint32_t>(prev_path);
       }
     }
 
@@ -306,9 +309,7 @@ class SnapshotCodec {
     // Derived state: indexes and subtree intervals are pure functions of
     // the serialized fields and are rebuilt, not stored.
     db->rebuild_sub_ends();
-    for (int l = 0; l < kLayerCount; ++l)
-      db->reindex_layer(static_cast<std::size_t>(l));
-    db->rebuild_bbox();
+    db->build_indexes();
     return db;
   }
 };

@@ -74,6 +74,9 @@
 namespace bisram::geom {
 
 /// Current snapshot format version (header field at offset 8).
+/// tests/test_layout_snapshot.cpp pins the bytes and content hash of a
+/// real layout, so a change to the encoding or to content_hash() must
+/// bump this and those values together.
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 
 }  // namespace bisram::geom

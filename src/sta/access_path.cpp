@@ -26,15 +26,6 @@ constexpr int kMaxBlSegments = 32;
 }  // namespace
 
 TimingGraph build_access_graph(const tech::Tech& t,
-                               const sim::RamGeometry& geo,
-                               double gate_size) {
-  const int row_bits =
-      std::max(1, log2_ceil(static_cast<std::uint64_t>(geo.rows())));
-  return build_access_graph(t, geo, gate_size,
-                            characterize(t, gate_size, row_bits));
-}
-
-TimingGraph build_access_graph(const tech::Tech& t,
                                const sim::RamGeometry& geo, double gate_size,
                                const LeafTiming& lt) {
   const int row_bits =
@@ -140,16 +131,6 @@ TimingGraph build_access_graph(const tech::Tech& t,
                 strfmt("col[%d]/wordline_select", col));
   }
   return g;
-}
-
-AccessTiming analyze_access_path(const tech::Tech& t,
-                                 const sim::RamGeometry& geo,
-                                 double gate_size,
-                                 const AnalyzeOptions& options) {
-  const int row_bits =
-      std::max(1, log2_ceil(static_cast<std::uint64_t>(geo.rows())));
-  return analyze_access_path(t, geo, gate_size,
-                             characterize(t, gate_size, row_bits), options);
 }
 
 AccessTiming analyze_access_path(const tech::Tech& t,

@@ -40,15 +40,11 @@ struct AccessTiming {
 
 /// Builds the read+write access-path graph for one macro geometry.
 /// Sources: addr, din. Endpoints: dout[b] (read) and cell[b] (write)
-/// for every data bit b.
-TimingGraph build_access_graph(const tech::Tech& t,
-                               const sim::RamGeometry& geo, double gate_size);
-
-/// Same graph from pre-characterized leaf timing (`lt` must come from
-/// characterize()/characterize_uncached() for the same tech, gate size
-/// and row count). The staged compile API threads its session cache's
-/// LeafTiming through here so one deck's SPICE work is shared across
-/// every spec in a DSE sweep.
+/// for every data bit b. `lt` is the leaf library for the same tech,
+/// gate size and decoder width max(1, ceil(log2 rows)) — from
+/// characterize() or, memoized, core::Compiler::leaf_library, which is
+/// how the staged compile API shares one deck's SPICE work across every
+/// spec in a DSE sweep.
 TimingGraph build_access_graph(const tech::Tech& t,
                                const sim::RamGeometry& geo, double gate_size,
                                const LeafTiming& lt);
@@ -57,14 +53,7 @@ TimingGraph build_access_graph(const tech::Tech& t,
 /// path into the classic decoder/wordline/bitline/senseamp breakdown by
 /// arc tag. `options.clock_period_s` <= 0 analyzes unconstrained (the
 /// datasheet path); a positive period produces real setup slacks (the
-/// signoff path).
-AccessTiming analyze_access_path(const tech::Tech& t,
-                                 const sim::RamGeometry& geo,
-                                 double gate_size,
-                                 const AnalyzeOptions& options = {});
-
-/// Pre-characterized-leaf overload (see build_access_graph above):
-/// bit-identical to the characterize()-path for the same inputs.
+/// signoff path). `lt` as for build_access_graph.
 AccessTiming analyze_access_path(const tech::Tech& t,
                                  const sim::RamGeometry& geo, double gate_size,
                                  const LeafTiming& lt,

@@ -13,16 +13,11 @@
 namespace bisram::sta {
 
 namespace {
-/// Executions of the uncached characterization entry points; the warm-
+/// Runs of characterize() and of the stage-delay calibration; the warm-
 /// cache acceptance tests assert this does not move on a cache hit.
 std::atomic<std::uint64_t> g_characterizations{0};
-}  // namespace
 
-std::uint64_t characterization_count() {
-  return g_characterizations.load(std::memory_order_relaxed);
-}
-
-double stage_delay_uncached(const tech::Tech& t) {
+double calibrate_stage_delay(const tech::Tech& t) {
   g_characterizations.fetch_add(1, std::memory_order_relaxed);
   // A 2 um NMOS inverter driving four copies of itself (~FO4): gate cap
   // of the fan-out plus local wire.
@@ -34,19 +29,30 @@ double stage_delay_uncached(const tech::Tech& t) {
   return 0.5 * (r.tplh_s + r.tphl_s);
 }
 
+}  // namespace
+
+std::uint64_t characterization_count() {
+  return g_characterizations.load(std::memory_order_relaxed);
+}
+
 double stage_delay_s(const tech::Tech& t) {
-  static std::map<std::uint64_t, double> cache;
+  struct Entry {
+    std::once_flag once;
+    double tau_s = 0;
+  };
   static std::mutex mutex;
+  static std::map<std::uint64_t, Entry> memo;  // nodes never move
   const std::uint64_t key = tech::fingerprint(t);
+  Entry* entry = nullptr;
   {
     std::lock_guard<std::mutex> lock(mutex);
-    auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
+    entry = &memo[key];
   }
-  const double tau = stage_delay_uncached(t);
-  std::lock_guard<std::mutex> lock(mutex);
-  cache.emplace(key, tau);
-  return tau;
+  // The first caller calibrates; concurrent callers for the same deck
+  // block on the entry, not the map, and then read the result.
+  std::call_once(entry->once,
+                 [&] { entry->tau_s = calibrate_stage_delay(t); });
+  return entry->tau_s;
 }
 
 double wordline_cap_per_cell_f(const tech::Tech& t) {
@@ -85,26 +91,6 @@ double cell_sta_delay(const geom::Cell& cell, const tech::Tech& t,
 }  // namespace
 
 LeafTiming characterize(const tech::Tech& t, double gate_size, int row_bits) {
-  static std::map<std::string, LeafTiming> cache;
-  static std::mutex mutex;
-  const std::string key =
-      strfmt("%016llx/%.6g/%d",
-             static_cast<unsigned long long>(tech::fingerprint(t)), gate_size,
-             row_bits);
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
-  }
-
-  const LeafTiming lt = characterize_uncached(t, gate_size, row_bits);
-  std::lock_guard<std::mutex> lock(mutex);
-  cache.emplace(key, lt);
-  return lt;
-}
-
-LeafTiming characterize_uncached(const tech::Tech& t, double gate_size,
-                                 int row_bits) {
   g_characterizations.fetch_add(1, std::memory_order_relaxed);
   LeafTiming lt;
   lt.tau_s = stage_delay_s(t);

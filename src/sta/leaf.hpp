@@ -35,16 +35,15 @@ struct LeafTiming {
   double write_r_ohm = 0;     ///< write-driver bit-line drive resistance
 };
 
-/// Calibrated stage delay for a process (cached per deck fingerprint;
-/// runs a SPICE transient on a balanced inverter driving a fan-out-of-4
-/// load).
+/// Calibrated stage delay for a process: a SPICE transient on a balanced
+/// inverter driving a fan-out-of-4 load. This is the one process-wide
+/// timing memo: one entry per deck fingerprint, computed exactly once —
+/// concurrent callers on a new deck wait for the first one's run. It
+/// stays process-wide (not per CompileCache) because the calibration is
+/// a pure function of the deck that every session needs, and a DSE
+/// sweep's set-up warms it once per deck instead of paying ~10 ms per
+/// deck in each cold sweep.
 double stage_delay_s(const tech::Tech& t);
-
-/// The same calibration with no cache involvement — one full SPICE
-/// sizing run per call. This is what core::CompileCache calls so its
-/// hit/miss accounting reflects real work (and what the warm-cache
-/// "zero re-characterizations" acceptance check counts).
-double stage_delay_uncached(const tech::Tech& t);
 
 /// Capacitance one cell adds to its word line (poly strip across the
 /// cell pitch plus two pass-transistor gates).
@@ -55,22 +54,17 @@ double wordline_cap_per_cell_f(const tech::Tech& t);
 double bitline_cap_per_cell_f(const tech::Tech& t);
 
 /// Characterizes the leaf stages for a process / gate size / decoder
-/// width. Generates the cells, extracts them, and runs the netlist STA;
-/// results are cached per (deck fingerprint, gate_size, row_bits) — the
-/// fingerprint (tech/tech.hpp) keys on deck *contents*, so user decks
-/// sharing a name never collide in the cache.
+/// width: generates, extracts and STA-analyzes every leaf stage on each
+/// call. It keeps no memo; core::CompileCache (Compiler::leaf_library)
+/// is the one leaf-library memo, per compile session or shared across
+/// sessions, keyed on the deck fingerprint (tech/tech.hpp) so user decks
+/// sharing a name never collide.
 LeafTiming characterize(const tech::Tech& t, double gate_size, int row_bits);
 
-/// The characterization work itself, no cache: generates, extracts and
-/// STA-analyzes every leaf stage on each call. core::CompileCache owns
-/// the memoization (per compile session or shared across sessions) and
-/// counts invocations of this function as "leaf characterizations".
-LeafTiming characterize_uncached(const tech::Tech& t, double gate_size,
-                                 int row_bits);
-
-/// Process-wide count of characterize_uncached / stage_delay_uncached
-/// executions (monotonic, thread-safe). The cache bit-identity tests and
-/// the DSE bench read this to prove a warm cache does zero SPICE work.
+/// Process-wide count of characterize() runs and stage-delay
+/// calibrations (monotonic, thread-safe). The cache bit-identity tests
+/// and the DSE bench read this to prove a warm cache does zero SPICE
+/// work.
 std::uint64_t characterization_count();
 
 }  // namespace bisram::sta

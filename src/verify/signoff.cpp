@@ -59,7 +59,10 @@ SignoffReport run_signoff(const core::RamSpec& spec,
   spec.validate();
   core::RamSpec build = spec;
   build.run_drc = false;  // DRC is this function's job, behind its flag
-  const core::Generated g = core::generate(build);
+  // One session: the timing check below reads the leaf library the
+  // compile characterized from the session's cache.
+  core::Compiler session;
+  const core::Generated g = session.run(build);
 
   SignoffReport rep;
   rep.words = spec.words;
@@ -107,8 +110,12 @@ SignoffReport run_signoff(const core::RamSpec& spec,
     sta::AnalyzeOptions aopt;
     aopt.clock_period_s = tech.timing.clock_period_s;
     aopt.k_paths = options.timing_paths;
-    const sta::AccessTiming at =
-        sta::analyze_access_path(tech, spec.geometry(), spec.gate_size, aopt);
+    const sim::RamGeometry geo = spec.geometry();
+    const int row_bits =
+        std::max(1, log2_ceil(static_cast<std::uint64_t>(geo.rows())));
+    const sta::AccessTiming at = sta::analyze_access_path(
+        tech, geo, spec.gate_size,
+        session.leaf_library(tech, spec.gate_size, row_bits), aopt);
     rep.timing = at.report;
     rep.access_s = at.access_s;
     rep.write_s = at.write_s;

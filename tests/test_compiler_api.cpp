@@ -10,6 +10,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/bisramgen.hpp"
@@ -34,6 +35,17 @@ RamSpec small_spec() {
 }
 
 double cif_lambda_nm(const tech::Tech& t) { return t.lambda_um * 1000.0; }
+
+/// A scalable deck named `name` at `feature_um`. Each test that counts
+/// characterizations uses a deck no other test compiles, so the
+/// process-wide stage-delay memo starts cold for it.
+tech::Tech deck(const std::string& name, double feature_um) {
+  return tech::read_tech_string(
+      "name " + name + "\nfeature_um " + std::to_string(feature_um) +
+      "\nvdd 5.0\n"
+      "nmos vt0 0.7 kp 1e-04 lambda 0.04\n"
+      "pmos vt0 -0.8 kp 3.5e-05 lambda 0.05\n");
+}
 
 TEST(CompilerApi, StagedRunEqualsGenerate) {
   const RamSpec spec = small_spec();
@@ -188,6 +200,46 @@ TEST(CompilerApi, CharacterizationCounterTracksUncachedRunsOnly) {
   Compiler again(cache);  // fresh session on the same shared cache
   again.run(spec);
   EXPECT_EQ(sta::characterization_count(), before);
+}
+
+TEST(Signoff, CharacterizesItsLeafLibraryOnce) {
+  // One signoff compiles and times one spec: the deck's stage-delay
+  // calibration plus one leaf library, which the timing check reads from
+  // the compile's session instead of characterizing it again.
+  RamSpec spec = small_spec();
+  spec.custom_tech =
+      std::make_shared<const tech::Tech>(deck("once.signoff", 0.9));
+  verify::SignoffOptions opt;
+  opt.run_drc = false;
+  opt.run_erc_lvs = false;
+  const std::uint64_t before = sta::characterization_count();
+  const verify::SignoffReport r = verify::run_signoff(spec, opt);
+  EXPECT_TRUE(r.timing_ran);
+  EXPECT_EQ(sta::characterization_count() - before, 2u);
+}
+
+TEST(StageDelay, CalibratesEachDeckOnceUnderConcurrentCallers) {
+  // Eight threads released together on an uncalibrated deck: one SPICE
+  // calibration runs, and every caller reads its result.
+  const tech::Tech t = deck("once.stage_delay", 0.85);
+  const std::uint64_t before = sta::characterization_count();
+  std::vector<double> tau(8);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < tau.size(); ++i)
+    callers.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      try {
+        tau[i] = sta::stage_delay_s(t);
+      } catch (...) {
+        tau[i] = -1;  // fails the checks below instead of terminating
+      }
+    });
+  go = true;
+  for (std::thread& c : callers) c.join();
+  EXPECT_EQ(sta::characterization_count() - before, 1u);
+  EXPECT_GT(tau[0], 0.0);
+  for (double v : tau) EXPECT_EQ(v, tau[0]);
 }
 
 }  // namespace

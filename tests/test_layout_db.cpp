@@ -219,7 +219,8 @@ TEST(LayoutDB, EmptyLayerQueriesAreEmpty) {
   auto c = lib.create("one_layer");
   c->add_shape(Layer::Metal1, Rect::ltrb(0, 0, 10, 10));
   const LayoutDB db(*c);
-  EXPECT_TRUE(db.shapes(Layer::Metal3).empty());
+  EXPECT_TRUE(db.rects(Layer::Metal3).empty());
+  EXPECT_TRUE(db.path_ids(Layer::Metal3).empty());
   EXPECT_TRUE(db.index(Layer::Metal3).empty());
   EXPECT_TRUE(db.index(Layer::Metal3).ids_in(Rect::ltrb(0, 0, 100, 100))
                   .empty());
@@ -310,11 +311,11 @@ TEST(LayoutDB, ProvenanceNamesTheProducingInstance) {
   // Top-owned shapes carry the empty path.
   EXPECT_EQ(db.shape_path(Layer::Metal2, 0), "");
   // The child's own metal1, once per instance, in flatten order.
-  ASSERT_EQ(db.shapes(Layer::Metal1).size(), 2u);
+  ASSERT_EQ(db.path_ids(Layer::Metal1).size(), 2u);
   EXPECT_EQ(db.shape_path(Layer::Metal1, 0), "u0");
   EXPECT_EQ(db.shape_path(Layer::Metal1, 1), "u1");
   // The grandchild poly reports the full two-segment path.
-  ASSERT_EQ(db.shapes(Layer::Poly).size(), 4u);
+  ASSERT_EQ(db.path_ids(Layer::Poly).size(), 4u);
   EXPECT_EQ(db.shape_path(Layer::Poly, 0), "u0/g0");
   EXPECT_EQ(db.shape_path(Layer::Poly, 1), "u0/g1");
   EXPECT_EQ(db.shape_path(Layer::Poly, 2), "u1/g0");

@@ -122,13 +122,17 @@ void expect_same_db(const LayoutDB& got, const LayoutDB& want,
   ASSERT_EQ(got.shape_count(), want.shape_count()) << tag;
   ASSERT_EQ(got.path_count(), want.path_count()) << tag;
   for (geom::Layer l : geom::all_layers()) {
-    const auto& a = got.shapes(l);
-    const auto& b = want.shapes(l);
+    const auto& a = got.rects(l);
+    const auto& b = want.rects(l);
+    const auto& pa = got.path_ids(l);
+    const auto& pb = want.path_ids(l);
     ASSERT_EQ(a.size(), b.size()) << tag << " layer " << static_cast<int>(l);
+    ASSERT_EQ(pa.size(), a.size()) << tag << " layer " << static_cast<int>(l);
+    ASSERT_EQ(pb.size(), b.size()) << tag << " layer " << static_cast<int>(l);
     for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_TRUE(a[i].rect == b[i].rect)
+      ASSERT_TRUE(a[i] == b[i])
           << tag << " layer " << static_cast<int>(l) << " shape " << i;
-      ASSERT_EQ(a[i].path, b[i].path)
+      ASSERT_EQ(pa[i], pb[i])
           << tag << " layer " << static_cast<int>(l) << " shape " << i;
     }
   }
@@ -638,7 +642,7 @@ TEST(EditResultTest, DirtyRectsCoverRemovedAndInsertedGeometry) {
     for (std::uint32_t id = sp.begin; id < sp.new_end; ++id) {
       bool covered = false;
       for (const geom::Rect& d : dirty)
-        covered = covered || contains_rect(d, db.shapes(l)[id].rect);
+        covered = covered || contains_rect(d, db.rects(l)[id]);
       EXPECT_TRUE(covered) << "layer " << static_cast<int>(l) << " id " << id;
     }
   }

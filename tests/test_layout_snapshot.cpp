@@ -11,9 +11,11 @@
 #include <string>
 
 #include "core/bisramgen.hpp"
+#include "core/compiler.hpp"
 #include "drc/drc.hpp"
 #include "geom/layout_db.hpp"
 #include "geom/layout_snapshot.hpp"
+#include "util/checkpoint.hpp"
 #include "util/diag.hpp"
 #include "util/error.hpp"
 
@@ -77,12 +79,14 @@ TEST(LayoutSnapshot, RoundTripIsExactAndByteStable) {
   EXPECT_EQ(loaded->tile_size(), db.tile_size());
   EXPECT_EQ(loaded->ports().size(), db.ports().size());
   for (geom::Layer l : geom::all_layers()) {
-    const auto& want = db.shapes(l);
-    const auto& got = loaded->shapes(l);
+    const auto& want = db.rects(l);
+    const auto& got = loaded->rects(l);
     ASSERT_EQ(want.size(), got.size()) << "layer " << static_cast<int>(l);
+    ASSERT_EQ(db.path_ids(l).size(), want.size());
+    ASSERT_EQ(loaded->path_ids(l).size(), got.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_TRUE(want[i].rect == got[i].rect);
-      ASSERT_EQ(want[i].path, got[i].path);
+      ASSERT_TRUE(want[i] == got[i]);
+      ASSERT_EQ(db.path_ids(l)[i], loaded->path_ids(l)[i]);
     }
   }
   for (std::uint32_t n = 0; n < db.path_count(); ++n)
@@ -92,6 +96,36 @@ TEST(LayoutSnapshot, RoundTripIsExactAndByteStable) {
   const std::string b = dir + "/b.snap";
   loaded->save_snapshot(b);
   EXPECT_EQ(slurp(a), slurp(b));
+}
+
+// The format and the content hash of a real layout, pinned: the 64-word
+// Fig. 6 slice (bpw 128, bpc 8, 4 spare rows, straps every 32 cells) that
+// bisbench's edit_resignoff workload reopens. The round-trip tests
+// compare a save with its own load, so they cannot see a change that
+// moves the encoder, the decoder and the hash together — which would
+// leave every snapshot on disk unreadable. Such a change must bump
+// kSnapshotVersion and these values on purpose.
+TEST(LayoutSnapshot, FormatAndHashArePinned) {
+  core::RamSpec spec;
+  spec.words = 64;
+  spec.bpw = 128;
+  spec.bpc = 8;
+  spec.spare_rows = 4;
+  spec.strap_interval = 32;
+  spec.gate_size = 2.0;
+  core::Compiler session;
+  const tech::Tech& t = session.resolve_tech(spec);
+  const core::Assembled a = session.assemble(spec, t);
+  const geom::LayoutDB db(*a.top, drc::tile_size_for(t));
+  EXPECT_EQ(db.shape_count(), 789174u);
+  EXPECT_EQ(db.path_count(), 18145u);
+  EXPECT_EQ(db.content_hash(), 0x93e05ec04e2b64bbull);
+
+  const std::string path = temp_dir() + "/pinned.snap";
+  db.save_snapshot(path);
+  const std::string bytes = slurp(path);
+  EXPECT_EQ(bytes.size(), 5496582u);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x2144df1cu);
 }
 
 TEST(LayoutSnapshot, LoadedDatabaseAnswersQueriesLikeTheOriginal) {

@@ -288,7 +288,7 @@ core::TimingReport estimate_timing_reference(const tech::Tech& t,
                                              const sim::RamGeometry& geo,
                                              double gate_size) {
   core::TimingReport r;
-  r.tau_s = core::stage_delay_s(t);
+  r.tau_s = sta::stage_delay_s(t);
 
   // Decoder: a NAND of log2(rows) inputs realized as a two-level tree,
   // roughly (2 + log4(rows)) logic stages, plus the word-line driver.
@@ -338,7 +338,10 @@ TEST(StaAccessPath, TracksClosedFormReferenceModel) {
   spec.bpc = 4;
   const tech::Tech& t = spec.resolved_technology();
   const sim::RamGeometry geo = spec.geometry();
-  const core::TimingReport sta_r = core::estimate_timing(t, geo, 2.0);
+  const int row_bits =
+      std::max(1, log2_ceil(static_cast<std::uint64_t>(geo.rows())));
+  const core::TimingReport sta_r = core::estimate_timing(
+      t, geo, 2.0, sta::characterize(t, 2.0, row_bits));
   const core::TimingReport ref = estimate_timing_reference(t, geo, 2.0);
   ASSERT_GT(ref.access_s, 0.0);
   // Path-based and lumped models share the physics; they must agree to
