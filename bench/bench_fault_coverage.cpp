@@ -16,7 +16,6 @@
 
 #include "march/analysis.hpp"
 #include "sim/fault_sim.hpp"
-#include "sim/packed_ram.hpp"
 #include "sim/transparent.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
@@ -46,31 +45,23 @@ sim::RamGeometry bench_geo() {
 
 constexpr int kTrials = 60;
 
-/// Campaign fault kinds, dropped to the overlay-expressible subset when
-/// the packed kernel is forced (StuckOpen has no overlay form — its read
-/// returns the column's last sensed value — and would be rejected by the
-/// dispatcher). StuckOpen comes last, so dropping it moves no other
-/// kind's seed stream: every kind both runs contain draws the same
-/// faults on either kernel.
-std::vector<FaultKind> campaign_kinds(SimKernel kernel) {
-  const std::vector<FaultKind> kinds = {
+/// Campaign fault kinds. Every kind, StuckOpen included, runs on either
+/// kernel, so the packed and scalar reports cover the same (test, fault)
+/// pairs with the same faults drawn.
+std::vector<FaultKind> campaign_kinds() {
+  return {
       FaultKind::StuckAt0,      FaultKind::StuckAt1,
       FaultKind::TransitionUp,  FaultKind::TransitionDown,
       FaultKind::CouplingState, FaultKind::CouplingIdem,
       FaultKind::Retention,     FaultKind::StuckOpen,
   };
-  if (kernel != SimKernel::Packed) return kinds;
-  std::vector<FaultKind> out;
-  for (FaultKind k : kinds)
-    if (sim::packed_supported(k)) out.push_back(k);
-  return out;
 }
 
 void print_coverage(const CampaignSpec& spec) {
   std::printf("\n=== Section V: march-test fault coverage (%d random "
               "single faults per cell, %s kernel) ===\n",
               spec.trials, sim::kernel_name(spec.kernel));
-  const std::vector<FaultKind> kinds = campaign_kinds(spec.kernel);
+  const std::vector<FaultKind> kinds = campaign_kinds();
   const std::vector<std::pair<const char*, const march::MarchTest*>> tests = {
       {"IFA-9", &march::ifa9()},       {"IFA-13", &march::ifa13()},
       {"MATS+", &march::mats_plus()},  {"March C-", &march::march_c_minus()},
@@ -144,7 +135,7 @@ void print_coverage(const CampaignSpec& spec) {
 // campaign provenance — kernel, threads, seed, per-kernel trial counts —
 // so a CI artifact records exactly how the numbers were produced.
 void print_coverage_json(const CampaignSpec& spec, const std::string& path) {
-  const std::vector<FaultKind> kinds = campaign_kinds(spec.kernel);
+  const std::vector<FaultKind> kinds = campaign_kinds();
   const std::vector<std::pair<const char*, const march::MarchTest*>> tests = {
       {"IFA-9", &march::ifa9()},       {"IFA-13", &march::ifa13()},
       {"MATS+", &march::mats_plus()},  {"March C-", &march::march_c_minus()},

@@ -68,12 +68,11 @@ namespace {
 /// by an earlier build, say) is refused instead of misread.
 constexpr const char* kPayloadLayout = "campaign streams v1";
 
-/// Segment length of stream `st`: the whole stream unless checkpointing
-/// or a pause needs interior boundaries, else ck.interval (0 = a
-/// sixteenth of the stream) rounded up to whole grains.
+/// Segment length of stream `st` when checkpointing or a pause needs
+/// interior boundaries: ck.interval (0 = a sixteenth of the stream)
+/// rounded up to whole grains.
 std::int64_t segment_trials(const CheckpointSpec& ck,
                             const CampaignStream& st) {
-  if (!ck.enabled() && ck.pause_after <= 0) return st.trials;
   std::int64_t iv = ck.interval > 0 ? ck.interval : st.trials / 16;
   if (iv < st.grain) iv = st.grain;
   return (iv + st.grain - 1) / st.grain * st.grain;
@@ -140,6 +139,10 @@ StreamRun drive_streams(const CampaignSpec& spec,
     ++prov.checkpoints_written;
   };
 
+  // Checkpoints and pauses act at every segment end; otherwise the only
+  // boundary left is the campaign's end, and a round runs up to it.
+  const bool segmented = ck.enabled() || ck.pause_after > 0;
+  std::vector<Segment> round;
   std::int64_t run_done = 0;  // trials folded by *this* run
   while (!streams.empty()) {
     const bool stream_end = out.done[s] == streams[s].trials;
@@ -158,18 +161,39 @@ StreamRun drive_streams(const CampaignSpec& spec,
       break;
     }
     if (stream_end) ++s;
-    const CampaignStream& st = streams[s];
-    const std::int64_t lo = out.done[s];
-    const std::int64_t hi = std::min(st.trials, lo + segment_trials(ck, st));
-    const std::int64_t folded = hooks.fold(s, lo, hi);
-    out.done[s] += folded;
-    run_done += folded;
-    if (folded < hi - lo) {  // the token fired inside the segment
+    round.clear();
+    if (segmented) {
+      const std::int64_t lo = out.done[s];
+      round.push_back({s, lo, std::min(streams[s].trials,
+                                       lo + segment_trials(ck, streams[s]))});
+    } else {
+      for (std::size_t t = s; t < streams.size(); ++t)
+        round.push_back({t, out.done[t], streams[t].trials});
+    }
+    // The folded trials are a prefix of the round: hand them out in
+    // order. A cut round stops in the last stream it folded into (or its
+    // first, when it folded none).
+    std::int64_t left = hooks.fold(round);
+    run_done += left;
+    bool cut = false;
+    for (const Segment& g : round) {
+      const std::int64_t take = std::min(left, g.hi - g.lo);
+      out.done[g.stream] += take;
+      left -= take;
+      if (take > 0) s = g.stream;
+      if (take < g.hi - g.lo) {
+        cut = true;
+        break;
+      }
+    }
+    if (cut) {  // the token fired inside the round
       out.termination =
           spec.cancel ? spec.cancel->stop_reason() : Termination::Cancelled;
       break;
     }
-    if (due(s + 1 == streams.size() && hi == st.trials)) write();
+    s = round.back().stream;
+    if (due(s + 1 == streams.size() && out.done[s] == streams[s].trials))
+      write();
   }
   out.started = streams.empty() ? 0 : s + 1;
   for (std::int64_t d : out.done) prov.trials_done += d;

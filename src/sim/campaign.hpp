@@ -21,11 +21,13 @@
 //     only code that knows the checkpoint payload layout and the segment
 //     policy.
 //
-// The determinism contract is inherited from parallel_reduce: for a
-// fixed spec the result is bit-identical for any thread count, and the
+// The determinism contract is util/parallel's: each trial draws from its
+// own seed sub-stream and partial folds combine in a fixed order, so for
+// a fixed spec the result is bit-identical for any thread count, and the
 // packed/scalar kernel choice is a pure function of the trial's drawn
 // fault list — never of thread placement.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -43,8 +45,10 @@ namespace bisram::sim {
 
 /// Which simulation kernel a campaign's trials run on.
 enum class SimKernel : std::uint8_t {
-  Auto,    ///< per-trial: packed when the fault list is overlay-expressible
-  Packed,  ///< force the packed kernel (throws on inexpressible faults)
+  Auto,    ///< BIST trials run packed (rerun on the scalar model if a
+           ///< packed run aborts); other trials run scalar
+  Packed,  ///< as Auto for BIST trials; campaigns with no RAM simulation
+           ///< to pack refuse it
   Scalar,  ///< force the scalar reference model
 };
 
@@ -228,7 +232,8 @@ struct StreamCodec {
 struct StreamRun {
   std::vector<std::int64_t> done;  ///< trials folded into each stream
   /// Streams [0, started) ran (the first always starts); the others have
-  /// zero trials done.
+  /// zero trials done. A cancelled run stopped in stream started - 1:
+  /// every stream before it is complete.
   std::size_t started = 0;
   Termination termination = Termination::Completed;
   CampaignProvenance provenance;  ///< all but strata, left to the campaign
@@ -243,14 +248,21 @@ struct StreamFolds : StreamRun {
 
 namespace detail {
 
+/// Trials [lo, hi) of stream `stream`: one stream's share of a round.
+struct Segment {
+  std::size_t stream = 0;
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+};
+
 /// run_streams' accumulators, seen by the driver loop only through these
 /// calls. `put`/`get` are empty when the campaign has no codec.
 struct StreamHooks {
-  /// Folds trials [lo, hi) of stream s into its accumulator and returns
-  /// how many it folded (fewer than hi - lo only when spec.cancel fired).
-  std::function<std::int64_t(std::size_t s, std::int64_t lo,
-                             std::int64_t hi)>
-      fold;
+  /// Folds a round — segments of consecutive streams, in stream order —
+  /// into the streams' accumulators and returns how many trials it
+  /// folded: all of them, or a prefix of the round in trial order when
+  /// spec.cancel fired.
+  std::function<std::int64_t(const std::vector<Segment>& round)> fold;
   std::function<void(CheckpointWriter&, std::size_t s)> put;
   std::function<bool(CheckpointReader&, std::size_t s, std::int64_t trials)>
       get;
@@ -274,9 +286,20 @@ StreamRun drive_streams(const CampaignSpec& spec,
 ///     cut into segments of CheckpointSpec::interval trials (0 = stream
 ///     length / 16) rounded up to whole grains; otherwise a segment is the
 ///     whole stream. Every stream end is also a boundary;
+///   * rounds: the driver folds, as one parallel range, every segment up
+///     to the next boundary where it must act — the segment's end when
+///     checkpoints or a pause need one, else the campaign's end — so the
+///     streams of a stratified campaign share the workers instead of
+///     taking turns. A round is laid out as (stream, chunk) items in
+///     stream order; each item folds its trials from `identity`, and each
+///     stream's items fold in chunk order onto its accumulator, the
+///     association a per-stream parallel_reduce would use;
 ///   * at each boundary it checks spec.cancel first and
 ///     CheckpointSpec::pause_after second, and after each segment it
-///     writes a checkpoint when one is due (min_period_ms);
+///     writes a checkpoint when one is due (min_period_ms). Workers claim
+///     a round's items in order and stop claiming when spec.cancel fires,
+///     so a cancelled round folds a prefix of it: the streams before the
+///     one it stopped in are complete and the ones after it are empty;
 ///   * resume: the file is read and every count checked against the
 ///     stream list before any trial runs;
 ///   * the termination label and the provenance (everything but strata).
@@ -294,7 +317,7 @@ StreamFolds<T> run_streams(const CampaignSpec& spec,
                            T identity, Trial&& trial, Combine&& combine,
                            const std::string& campaign,
                            const StreamCodec<T>* codec = nullptr) {
-  struct Acc {
+  struct Acc {  // one item's fold plus its kernel tally
     T value;
     std::int64_t packed = 0;
     std::int64_t scalar = 0;
@@ -303,28 +326,43 @@ StreamFolds<T> run_streams(const CampaignSpec& spec,
   out.folds.assign(streams.size(), identity);
   std::int64_t packed = 0, scalar = 0;
   detail::StreamHooks hooks;
-  hooks.fold = [&](std::size_t s, std::int64_t lo, std::int64_t hi) {
-    const CampaignStream& st = streams[s];
-    const Acc start{std::move(out.folds[s]), 0, 0};
-    std::int64_t done = 0;
-    Acc acc = parallel_reduce<Acc>(
-        hi - lo, st.chunk, Acc{identity, 0, 0},
+  hooks.fold = [&](const std::vector<detail::Segment>& round) {
+    std::vector<detail::Segment> items;  // (stream, chunk), stream order
+    for (const detail::Segment& g : round) {
+      const std::int64_t chunk =
+          std::max<std::int64_t>(1, streams[g.stream].chunk);
+      for (std::int64_t lo = g.lo; lo < g.hi; lo += chunk)
+        items.push_back({g.stream, lo, std::min(g.hi, lo + chunk)});
+    }
+    std::vector<std::optional<Acc>> parts(items.size());
+    parallel_for(
+        static_cast<std::int64_t>(items.size()), 1,
         [&](std::int64_t i) {
-          Rng rng(stream_seed(
-              spec.seed, st.offset + static_cast<std::uint64_t>(lo + i)));
-          KernelTally tally;
-          T value = trial(s, rng, tally);
-          return Acc{std::move(value), tally.packed(), tally.scalar()};
+          const detail::Segment& it = items[static_cast<std::size_t>(i)];
+          const CampaignStream& st = streams[it.stream];
+          Acc acc{identity, 0, 0};
+          for (std::int64_t t = it.lo; t < it.hi; ++t) {
+            Rng rng(stream_seed(spec.seed,
+                                st.offset + static_cast<std::uint64_t>(t)));
+            KernelTally tally;
+            acc.value =
+                combine(std::move(acc.value), trial(it.stream, rng, tally));
+            acc.packed += tally.packed();
+            acc.scalar += tally.scalar();
+          }
+          parts[static_cast<std::size_t>(i)] = std::move(acc);
         },
-        [&](Acc a, Acc b) {
-          return Acc{combine(std::move(a.value), std::move(b.value)),
-                     a.packed + b.packed, a.scalar + b.scalar};
-        },
-        spec.threads, spec.cancel, &done, &start);
-    out.folds[s] = std::move(acc.value);
-    packed += acc.packed;
-    scalar += acc.scalar;
-    return done;
+        spec.threads, spec.cancel);
+    // The items that ran are a prefix; fold it onto the accumulators.
+    std::int64_t folded = 0;
+    for (std::size_t i = 0; i < items.size() && parts[i]; ++i) {
+      T& fold = out.folds[items[i].stream];
+      fold = combine(std::move(fold), std::move(parts[i]->value));
+      packed += parts[i]->packed;
+      scalar += parts[i]->scalar;
+      folded += items[i].hi - items[i].lo;
+    }
+    return folded;
   };
   if (codec) {
     hooks.fingerprint = codec->fingerprint;

@@ -34,10 +34,10 @@ Fault random_stuck_at(const RamGeometry& geo, Rng& rng);
 
 /// True when running `test` (pass 1 semantics) on a RAM containing only
 /// `fault` flags at least one mismatch. Runs on the requested simulation
-/// kernel (sim/packed_ram.hpp dispatch): Auto picks the packed kernel
-/// whenever the fault is overlay-expressible and falls back to the
-/// scalar model otherwise; results are kernel-independent. When
-/// `kernel_used` is non-null it receives the kernel that actually ran.
+/// kernel (sim/packed_ram.hpp dispatch): Auto and Packed run the packed
+/// kernel, Scalar the reference model; results are kernel-independent.
+/// When `kernel_used` is non-null it receives the kernel that actually
+/// ran.
 bool detects(const march::MarchTest& test, const RamGeometry& geo,
              const Fault& fault, bool johnson_backgrounds,
              SimKernel kernel = SimKernel::Auto,

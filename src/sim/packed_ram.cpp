@@ -5,29 +5,6 @@
 
 namespace bisram::sim {
 
-bool packed_supported(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::StuckAt0:
-    case FaultKind::StuckAt1:
-    case FaultKind::TransitionUp:
-    case FaultKind::TransitionDown:
-    case FaultKind::CouplingIdem:
-    case FaultKind::CouplingInv:
-    case FaultKind::CouplingState:
-    case FaultKind::Retention:
-      return true;
-    case FaultKind::StuckOpen:  // reads the column's last sensed value
-      return false;
-  }
-  return false;
-}
-
-bool packed_supported(const std::vector<Fault>& faults) {
-  for (const Fault& f : faults)
-    if (!packed_supported(f.kind)) return false;
-  return true;
-}
-
 namespace {
 
 bool is_coupling(FaultKind kind) {
@@ -55,8 +32,6 @@ PackedRam::PackedRam(const RamGeometry& geo, const std::vector<Fault>& faults)
     if (c.row < geo_.rows()) specials_.push_back(word_of(c));
   };
   for (const Fault& f : faults) {
-    require(packed_supported(f.kind),
-            "PackedRam: fault kind not expressible as a sparse overlay");
     add_cell(f.victim);
     if (is_coupling(f.kind)) {
       require(!(f.aggressor == f.victim),
@@ -106,6 +81,28 @@ PackedRam::PackedRam(const RamGeometry& geo, const std::vector<Fault>& faults)
     ++cells_.back().last;
   }
   for (std::size_t s = 0; s < slots; ++s) slot_cells_[s + 1] += slot_cells_[s];
+
+  // The open columns, and each overlay cell's index into them.
+  for (const Fault& f : faults)
+    if (f.kind == FaultKind::StuckOpen) open_.push_back({f.victim.col, false});
+  if (open_.empty()) return;
+  std::sort(open_.begin(), open_.end(),
+            [](const OpenColumn& a, const OpenColumn& b) {
+              return a.col < b.col;
+            });
+  open_.erase(std::unique(open_.begin(), open_.end(),
+                          [](const OpenColumn& a, const OpenColumn& b) {
+                            return a.col == b.col;
+                          }),
+              open_.end());
+  for (OverlayCell& cell : cells_) {
+    const int col = cell.at.bit * geo_.bpc + group_of(cell.at.slot);
+    const auto it = std::lower_bound(
+        open_.begin(), open_.end(), col,
+        [](const OpenColumn& o, int c) { return o.col < c; });
+    if (it != open_.end() && it->col == col)
+      cell.open = static_cast<int>(it - open_.begin());
+  }
 }
 
 std::uint32_t PackedRam::word_of(const CellAddr& c) const {
@@ -152,6 +149,14 @@ std::uint32_t PackedRam::slot_of(std::size_t s) const {
   return static_cast<std::uint32_t>(s);
 }
 
+int PackedRam::group_of(std::uint32_t slot) const {
+  const std::uint32_t word =
+      slot < specials_.size()
+          ? specials_[slot]
+          : slot - static_cast<std::uint32_t>(specials_.size());
+  return static_cast<int>(word % static_cast<std::uint32_t>(geo_.bpc));
+}
+
 std::size_t PackedRam::lane_of(Loc at) const {
   return at.slot * lanes_per_word_ + static_cast<std::size_t>(at.bit / 64);
 }
@@ -187,9 +192,22 @@ bool PackedRam::kernel_read_clean(int ones, bool complemented) const {
          (ones == geo_.bpw && bulk_ones_ == 0);
 }
 
+void PackedRam::sense_bulk(std::uint32_t lo, std::uint32_t hi, int ones,
+                           bool complemented) {
+  const auto bpc = static_cast<std::uint32_t>(geo_.bpc);
+  for (OpenColumn& o : open_) {
+    // The first address at or past lo in the column's group (bpc is a
+    // power of two).
+    const auto group = static_cast<std::uint32_t>(o.col % geo_.bpc);
+    if (lo + ((group - lo) & (bpc - 1)) < hi)
+      o.sensed = (o.col / geo_.bpc < ones) != complemented;
+  }
+}
+
 void PackedRam::write_cell(const OverlayCell& cell, bool v) {
   const bool old_v = get(cell.at);
   bool effective = v;
+  bool stored = true;
   for (std::uint32_t h = cell.first; h < cell.last; ++h) {
     if (!hooks_[h].victim) continue;
     Overlay& o = overlays_[hooks_[h].overlay];
@@ -202,6 +220,9 @@ void PackedRam::write_cell(const OverlayCell& cell, bool v) {
       case FaultKind::TransitionDown:
         if (old_v && !v) effective = old_v;  // cannot fall
         break;
+      case FaultKind::StuckOpen:
+        stored = false;  // the cell is disconnected: the write is lost
+        break;
       case FaultKind::Retention:
         o.refreshed_s = now_s_;  // a write refreshes the cell
         break;
@@ -209,6 +230,7 @@ void PackedRam::write_cell(const OverlayCell& cell, bool v) {
         break;
     }
   }
+  if (!stored) effective = old_v;
   set(cell.at, effective);
   if (effective == old_v && v == old_v) return;
   for (std::uint32_t h = cell.first; h < cell.last; ++h) {
@@ -246,10 +268,15 @@ bool PackedRam::read_cell(const OverlayCell& cell) {
           value = f.value;
         }
         break;
+      case FaultKind::StuckOpen:
+        // The bit line keeps its previous sensed value.
+        value = open_[static_cast<std::size_t>(cell.open)].sensed;
+        break;
       default:
         break;
     }
   }
+  if (cell.open >= 0) open_[static_cast<std::size_t>(cell.open)].sensed = value;
   return value;
 }
 
@@ -282,6 +309,13 @@ bool PackedRam::read_special_matches(std::size_t s, int ones,
   for (std::uint32_t c = slot_cells_[slot]; c < slot_cells_[slot + 1]; ++c)
     if (read_cell(cells_[c]) != ((cells_[c].at.bit < ones) != complemented))
       ok = false;
+  // read_cell latched the overlay bits; the plain bits of the slot's open
+  // columns latch what the lanes hold.
+  for (OpenColumn& o : open_) {
+    if (o.col % geo_.bpc != group_of(slot)) continue;
+    const Loc at{slot, o.col / geo_.bpc};
+    if (!((overlay_[lane_of(at)] >> (at.bit % 64)) & 1u)) o.sensed = get(at);
+  }
   return ok;
 }
 
@@ -328,12 +362,28 @@ std::optional<bool> PackedBistEngine::run_pass(int pass, BistResult& result) {
 
       // Special addresses, address-major in sweep order — the order the
       // scalar engine encounters mismatches in, which fixes the TLB's
-      // strictly increasing spare assignment. Bulk/special interleaving
-      // is irrelevant: the two touch disjoint cells and only specials
-      // record into the TLB.
+      // strictly increasing spare assignment. Bulk and special words
+      // touch disjoint cells and only specials record into the TLB; they
+      // meet only in the open columns' sensed bits, so before each
+      // special (and after the last) the bulk words of the gap since the
+      // previous one latch their bit, from the element's last read op.
       const bool up = march::ascending(element.order);
+      auto last_read = element.ops.rend();
+      if (ram_.has_open_columns())
+        last_read = std::find_if(element.ops.rbegin(), element.ops.rend(),
+                                 march::is_read);
+      const bool latch = last_read != element.ops.rend();
+      const bool v_last = latch && march::op_value(*last_read);
+      std::uint32_t lo = 0, hi = geo.words;  // addresses not yet swept
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t s = up ? i : n - 1 - i;
+        if (up) {
+          if (latch) ram_.sense_bulk(lo, specials[s], ones, v_last);
+          lo = specials[s] + 1;
+        } else {
+          if (latch) ram_.sense_bulk(specials[s] + 1, hi, ones, v_last);
+          hi = specials[s];
+        }
         for (march::Op op : element.ops) {
           const bool v = march::op_value(op);
           if (!march::is_read(op)) {
@@ -350,6 +400,7 @@ std::optional<bool> PackedBistEngine::run_pass(int pass, BistResult& result) {
           if (!spare) result.tlb_overflow = true;
         }
       }
+      if (latch) ram_.sense_bulk(lo, hi, ones, v_last);  // the last gap
     }
     if (config_.johnson_backgrounds && ones < geo.bpw) ++ones;
   }
@@ -378,12 +429,7 @@ std::optional<BistResult> PackedBistEngine::run() {
 BistResult run_bist(const RamGeometry& geo, const std::vector<Fault>& faults,
                     const BistConfig& config, SimKernel kernel,
                     SimKernel* kernel_used) {
-  const bool expressible = packed_supported(faults);
-  if (kernel == SimKernel::Packed)
-    require(expressible,
-            "run_bist: fault list contains StuckOpen faults, which the "
-            "packed kernel cannot express as overlays — use Auto or Scalar");
-  if (kernel != SimKernel::Scalar && expressible) {
+  if (kernel != SimKernel::Scalar) {
     PackedRam ram(geo, faults);
     if (const auto result = PackedBistEngine(ram, config).run()) {
       if (kernel_used) *kernel_used = SimKernel::Packed;

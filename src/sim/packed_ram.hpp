@@ -23,17 +23,37 @@
 // tests/test_packed_equivalence.cpp enforces on hand-built cases and
 // random geometries and fault lists.
 //
-// Overlay kinds: stuck-at, transition, the three coupling models and
-// data retention (a write refreshes the victim; a read once the
-// threshold has passed decays it; the clock advances at each Delay
-// element, as in BistEngine). StuckOpen is not an overlay: its read
-// returns the column's last sensed value, which ties bulk reads to the
-// victim's read order, so run_bist() dispatches such fault lists to the
-// scalar model. The packed engine also aborts (returns nullopt) if a
-// bulk read ever expects a pattern other than the one the bulk holds —
-// impossible in any flow that starts each background with a write, but
-// the abort keeps the dispatcher safe for ill-formed marches: the caller
-// simply reruns the trial on the scalar path from scratch.
+// Overlay kinds: stuck-at, transition, the three coupling models, data
+// retention (a write refreshes the victim; a read once the threshold has
+// passed decays it; the clock advances at each Delay element, as in
+// BistEngine) and stuck-open.
+//
+// Stuck-open: a write to the victim is lost (coupling can still flip its
+// stored bit) and a read returns the value its column's sense amplifier
+// last latched. PackedRam keeps that latched bit for each *open column*
+// — a physical column holding a stuck-open victim, in a regular or a
+// spare row — starting at 0 and carried across elements, backgrounds
+// and passes, as FaultyArray's column_last_sense_ is. Every read of any
+// cell of an open column sets it:
+//   * a bulk word's last read in an element leaves the bulk's bit,
+//     (bit < ones) != v for the last read op's data v, in its columns
+//     (kernel_read_clean guarantees the bulk held it). The engine walks
+//     the specials in sweep order; before each one, and after the last,
+//     the open columns whose group (address mod bpc) some bulk address
+//     of the gap falls in latch that bit;
+//   * a special word's read latches the open columns of the slot it
+//     reads — its own, or the spare the TLB diverts it to (group spare
+//     mod bpc) — bit by bit: overlay bits as read_cell returns them, the
+//     others from the lanes.
+// The victim's own read takes the latched value from before that read,
+// and later hooks on the cell apply in injection order. The cost is
+// O(specials x open columns) per element, with no array-sized state.
+//
+// The packed engine aborts (returns nullopt) if a bulk read ever expects
+// a pattern other than the one the bulk holds — impossible in any flow
+// that starts each background with a write, but the abort keeps the
+// dispatcher safe for ill-formed marches: the caller simply reruns the
+// trial on the scalar path from scratch.
 
 #include <cstdint>
 #include <optional>
@@ -45,17 +65,11 @@
 
 namespace bisram::sim {
 
-/// True when `kind` can run on the packed kernel as a sparse overlay.
-bool packed_supported(FaultKind kind);
-
-/// True when every fault in the list is overlay-expressible.
-bool packed_supported(const std::vector<Fault>& faults);
-
 /// The packed RAM: the symbolic bulk, lanes for the special and spare
-/// words, the overlay fault set and the BISR TLB. Construction validates
-/// the geometry and the fault list (throws SpecError when a fault kind is
-/// not overlay-expressible or a cell is out of range) and costs
-/// O(faults + spare words).
+/// words, the overlay fault set, the open columns' sensed bits and the
+/// BISR TLB. Construction validates the geometry and the fault list
+/// (throws SpecError when a cell is out of range or a coupling fault
+/// couples a cell to itself) and costs O(faults + spare words).
 class PackedRam {
  public:
   PackedRam(const RamGeometry& geo, const std::vector<Fault>& faults);
@@ -94,6 +108,15 @@ class PackedRam {
   /// comment).
   bool kernel_read_clean(int ones, bool complemented) const;
 
+  /// True when some column holds a stuck-open victim.
+  bool has_open_columns() const { return !open_.empty(); }
+
+  /// The bulk words among addresses [lo, hi) were read, the last time
+  /// with data sense `complemented`: each open column one of them shares
+  /// a column group with latches the bulk's bit.
+  void sense_bulk(std::uint32_t lo, std::uint32_t hi, int ones,
+                  bool complemented);
+
   // --- cell-exact path: special word `s`, an index into special_addresses()
 
   /// Writes the pattern word through the address path (TLB diversion
@@ -103,7 +126,8 @@ class PackedRam {
 
   /// Reads the word through the address path, applying read fault
   /// semantics (CouplingState's and Retention's stored-value mutations
-  /// included), and returns true when every bit matches the pattern.
+  /// included), latches what it read into the open columns of the slot
+  /// it read, and returns true when every bit matches the pattern.
   bool read_special_matches(std::size_t s, int ones, bool complemented);
 
  private:
@@ -131,6 +155,13 @@ class PackedRam {
     Loc at;
     std::uint32_t first = 0;
     std::uint32_t last = 0;
+    int open = -1;  ///< index into open_ of the cell's column, or -1
+  };
+  /// A physical column holding a stuck-open victim and the value its
+  /// sense amplifier last latched.
+  struct OpenColumn {
+    int col = 0;
+    bool sensed = false;
   };
 
   /// The word holding cell `c`: its address in a regular row, its spare
@@ -140,6 +171,8 @@ class PackedRam {
   /// The slot special word `s` reads and writes: its own, or the spare's
   /// the TLB diverts it to.
   std::uint32_t slot_of(std::size_t s) const;
+  /// The column group (address mod bpc) of slot `slot`'s cells.
+  int group_of(std::uint32_t slot) const;
   std::size_t lane_of(Loc at) const;
   bool get(Loc at) const;
   void set(Loc at, bool v);
@@ -162,6 +195,7 @@ class PackedRam {
   std::vector<Hook> hooks_;         ///< by (slot, bit, overlay)
   std::vector<OverlayCell> cells_;  ///< by (slot, bit)
   std::vector<std::uint32_t> slot_cells_;  ///< slot s: [s], [s + 1] of cells_
+  std::vector<OpenColumn> open_;           ///< by column
   double now_s_ = 0.0;
   Tlb tlb_;
   bool repair_enabled_ = false;
@@ -188,15 +222,12 @@ class PackedBistEngine {
 };
 
 /// Kernel dispatch: runs the BIST/BISR flow for a RAM of geometry `geo`
-/// carrying `faults`, on the requested kernel.
-///   * Auto — packed when the fault list is overlay-expressible, scalar
-///     otherwise (per-trial dispatch; both produce identical results);
-///   * Packed — forced; throws SpecError when a fault cannot be expressed
-///     as an overlay;
-///   * Scalar — forced reference path.
-/// A packed run that aborts falls back to a fresh scalar run. When
-/// `kernel_used` is non-null it receives the kernel that produced the
-/// returned result (Packed or Scalar).
+/// carrying `faults`, on the requested kernel. Auto and Packed run the
+/// packed kernel, which expresses every fault kind; Scalar forces the
+/// reference path. A packed run that aborts falls back to a fresh scalar
+/// run, so both produce identical results. When `kernel_used` is
+/// non-null it receives the kernel that produced the returned result
+/// (Packed or Scalar).
 BistResult run_bist(const RamGeometry& geo, const std::vector<Fault>& faults,
                     const BistConfig& config = {},
                     SimKernel kernel = SimKernel::Auto,

@@ -65,9 +65,9 @@ TEST(CampaignProvenance, FaultCoverageReproducibleAndAuditsDispatch) {
   EXPECT_EQ(first.provenance.trials, 60);
   EXPECT_EQ(first.provenance.packed_trials + first.provenance.scalar_trials,
             first.provenance.trials);
-  // StuckOpen trials cannot be packed; stuck-at / coupling trials can.
-  EXPECT_GE(first.provenance.packed_trials, 40);
-  EXPECT_GE(first.provenance.scalar_trials, 20);
+  // Every kind, StuckOpen included, runs on the packed kernel.
+  EXPECT_EQ(first.provenance.packed_trials, 60);
+  EXPECT_EQ(first.provenance.scalar_trials, 0);
 }
 
 TEST(CampaignProvenance, RepairProbabilityMcReproducible) {
@@ -135,7 +135,8 @@ TEST(CampaignThreads, BisrYieldMcInvariantAcrossSpecThreads) {
 TEST(CampaignThreads, FaultCoverageInvariantAcrossSpecThreadsAndKernel) {
   const auto geo = small_geo();
   const std::vector<sim::FaultKind> kinds = {sim::FaultKind::StuckAt1,
-                                             sim::FaultKind::CouplingInv};
+                                             sim::FaultKind::CouplingInv,
+                                             sim::FaultKind::StuckOpen};
   CampaignSpec base = spec_of(16, 21);
   base.threads = 1;
   base.kernel = SimKernel::Scalar;

@@ -1,17 +1,20 @@
 // Bit-identity contract of the packed fault-simulation kernel
-// (sim/packed_ram.hpp): for every overlay-expressible fault list, the
-// packed BIST/BISR flow must agree with the scalar RamModel/BistEngine
-// reference bit for bit — BistResult fields, TLB contents, and the final
-// raw array state. These tests pin the contract on hand-built corner
-// cases (coupling across rows 63/64, spare-row defects, TLB overflow,
-// stacked faults on one cell, retention decay across a Delay) and then
-// hammer it with randomized property sweeps over geometries, march tests
-// and fault lists, one of them dense on words that span several 64-bit
-// lanes. The suite runs under ASan/UBSan in CI, so the lane kernels also
-// get their memory discipline checked.
+// (sim/packed_ram.hpp): for every fault list, the packed BIST/BISR flow
+// must agree with the scalar RamModel/BistEngine reference bit for bit —
+// BistResult fields, TLB contents, and the final raw array state. These
+// tests pin the contract on hand-built corner cases (coupling across rows
+// 63/64, spare-row defects, TLB overflow, stacked faults on one cell,
+// retention decay across a Delay, stuck-open reads of a column's latched
+// value whatever word last read it) and then hammer it with randomized
+// property sweeps over geometries, march tests and fault lists, one of
+// them dense on words that span several 64-bit lanes. The suite runs
+// under ASan/UBSan in CI, so the lane kernels also get their memory
+// discipline checked.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "march/march.hpp"
@@ -88,18 +91,6 @@ Fault coupling(FaultKind kind, CellAddr aggressor, CellAddr victim,
   f.value = value;
   f.value2 = value2;
   return f;
-}
-
-TEST(PackedSupport, ClassifiesFaultKinds) {
-  EXPECT_TRUE(packed_supported(FaultKind::StuckAt0));
-  EXPECT_TRUE(packed_supported(FaultKind::StuckAt1));
-  EXPECT_TRUE(packed_supported(FaultKind::TransitionUp));
-  EXPECT_TRUE(packed_supported(FaultKind::TransitionDown));
-  EXPECT_TRUE(packed_supported(FaultKind::CouplingIdem));
-  EXPECT_TRUE(packed_supported(FaultKind::CouplingInv));
-  EXPECT_TRUE(packed_supported(FaultKind::CouplingState));
-  EXPECT_TRUE(packed_supported(FaultKind::Retention));
-  EXPECT_FALSE(packed_supported(FaultKind::StuckOpen));
 }
 
 TEST(PackedEquivalence, CleanArrayIsCleanOnBothKernels) {
@@ -229,12 +220,166 @@ TEST(PackedEquivalence, RetentionDecaysAcrossDelayUnlessRewritten) {
   }
 }
 
-TEST(PackedDispatch, AutoFallsBackToScalarForStuckOpen) {
+// --- stuck-open: a read returns the column's last latched value ----------
+
+BistConfig with_test(const march::MarchTest& test, int max_passes = 2) {
+  BistConfig config;
+  config.test = &test;
+  config.max_passes = max_passes;
+  return config;
+}
+
+TEST(PackedStuckOpen, ColumnNeighbourIsBulkSpecialOrDivertedSpare) {
+  // Victim at (5, 6): word 22, bit 1, column group 2 of a 16-row array.
+  const RamGeometry geo{64, 4, 4, 4};
+  const Fault victim = cell_fault(FaultKind::StuckOpen, 5, 6);
+  for (const march::MarchTest* test : {&march::ifa9(), &march::ifa13()}) {
+    const std::string name = test->name();
+    // Every other word of the victim's column group is bulk.
+    expect_equivalent(geo, {victim}, with_test(*test),
+                      (name + ": bulk neighbours").c_str());
+    // The column group's words on either side are special: a stuck-at
+    // above and a transition fault below the victim, same column.
+    expect_equivalent(geo,
+                      {victim, cell_fault(FaultKind::StuckAt1, 4, 6),
+                       cell_fault(FaultKind::TransitionDown, 6, 6)},
+                      with_test(*test),
+                      (name + ": special neighbours").c_str());
+  }
+  // Word 1 (column group 1) fails first and is diverted to spare 0,
+  // whose cells sit in group 0. The victim, bit 0 of word 3, is in group
+  // 1, and the only word between them in either sweep direction is in
+  // group 0: from pass 2 on, the diverted reads must latch group 0's
+  // columns and leave the victim's alone.
+  const RamGeometry narrow{16, 2, 2, 2};
+  for (const FaultKind stuck : {FaultKind::StuckAt0, FaultKind::StuckAt1})
+    for (int passes : {2, 4})
+      expect_equivalent(narrow,
+                        {cell_fault(FaultKind::StuckOpen, 1, 1),
+                         cell_fault(stuck, 0, 3)},
+                        with_test(march::ifa9(), passes), "diverted neighbour");
+}
+
+TEST(PackedStuckOpen, SpareRowVictimReachedThroughDiversion) {
+  // Words 11 and 29 fail and take spares 0 and 1; spare 1 (spare row 0,
+  // group 1) holds a stuck-open bit 1 at (16, 5), so pass 2 reads it.
+  const RamGeometry geo{64, 4, 4, 4};
+  const std::vector<Fault> faults = {
+      cell_fault(FaultKind::StuckAt0, 2, 3),
+      cell_fault(FaultKind::StuckAt1, 7, 9),
+      cell_fault(FaultKind::StuckOpen, 16, 5),
+  };
+  for (const march::MarchTest* test : {&march::ifa9(), &march::ifa13()})
+    for (int passes : {2, 4})
+      expect_equivalent(geo, faults, with_test(*test, passes),
+                        test->name().c_str());
+  // bpc 1: word 0, the first of every upward sweep, fails and is diverted
+  // to spare 0, whose bit 2 is stuck-open. Nothing reads column 2 before
+  // it in an upward sweep, so that read returns what the bulk words after
+  // it latched at the end of the previous element.
+  const RamGeometry single{16, 4, 1, 2};
+  for (int passes : {2, 4})
+    expect_equivalent(single,
+                      {cell_fault(FaultKind::StuckOpen, 16, 2),
+                       cell_fault(FaultKind::StuckAt1, 0, 2)},
+                      with_test(march::ifa9(), passes), "trailing bulk words");
+}
+
+TEST(PackedStuckOpen, StuckAtOnTheSameCellInBothOrders) {
+  const RamGeometry geo{64, 4, 4, 4};
+  for (const FaultKind stuck : {FaultKind::StuckAt0, FaultKind::StuckAt1})
+    for (const march::MarchTest* test : {&march::ifa9(), &march::ifa13()}) {
+      expect_equivalent(geo,
+                        {cell_fault(FaultKind::StuckOpen, 3, 9),
+                         cell_fault(stuck, 3, 9)},
+                        with_test(*test), "stuck-open, then stuck-at");
+      expect_equivalent(geo,
+                        {cell_fault(stuck, 3, 9),
+                         cell_fault(FaultKind::StuckOpen, 3, 9)},
+                        with_test(*test), "stuck-at, then stuck-open");
+    }
+}
+
+TEST(PackedStuckOpen, CouplingFlipsTheDisconnectedCell) {
+  // Writes to the victim are lost, but its aggressor still flips the
+  // stored bit (checked by the raw-state comparison); a CFst victim is
+  // forced at read time, before or after the stale read.
+  const RamGeometry geo{64, 4, 4, 4};
+  const Fault open = cell_fault(FaultKind::StuckOpen, 5, 6);
+  for (const bool rising : {false, true}) {
+    expect_equivalent(geo,
+                      {open, coupling(FaultKind::CouplingInv, {5, 5}, {5, 6},
+                                      rising, false)},
+                      BistConfig{}, "CFin onto a stuck-open victim");
+    expect_equivalent(geo,
+                      {coupling(FaultKind::CouplingIdem, {9, 6}, {5, 6},
+                                rising, true),
+                       open},
+                      with_test(march::ifa13()),
+                      "CFid onto a stuck-open victim");
+  }
+  expect_equivalent(geo,
+                    {open, coupling(FaultKind::CouplingState, {5, 7}, {5, 6},
+                                    true, true, true)},
+                    with_test(march::ifa13()), "CFst after the stale read");
+  expect_equivalent(geo,
+                    {coupling(FaultKind::CouplingState, {5, 7}, {5, 6}, false,
+                              false, true),
+                     open},
+                    BistConfig{}, "CFst before the stale read");
+  // The stuck-open cell as an aggressor: its lost writes never flip.
+  expect_equivalent(geo,
+                    {open, coupling(FaultKind::CouplingInv, {5, 6}, {6, 6},
+                                    true, false)},
+                    BistConfig{}, "stuck-open aggressor");
+}
+
+TEST(PackedStuckOpen, SingleColumnMuxAndBothSweepDirections) {
+  // bpc 1: every word shares every column, so each gap latches.
+  const march::MarchTest up =
+      march::MarchTest::parse("up", "{u(w0);u(r0,w1);u(r1,w0,r0);u(w1,r1)}");
+  const march::MarchTest down =
+      march::MarchTest::parse("down", "{d(w0);d(r0,w1);d(r1,w0,r0);d(w1,r1)}");
+  for (const RamGeometry& geo :
+       {RamGeometry{16, 4, 1, 2}, RamGeometry{64, 4, 4, 4}})
+    for (const march::MarchTest* test :
+         {&up, &down, &march::ifa9(), &march::ifa13()}) {
+      const int col = geo.cols() - 1;
+      expect_equivalent(geo, {cell_fault(FaultKind::StuckOpen, 0, col)},
+                        with_test(*test), test->name().c_str());
+      expect_equivalent(geo,
+                        {cell_fault(FaultKind::StuckOpen, geo.rows() - 1, 0),
+                         cell_fault(FaultKind::StuckOpen, 1, 0),
+                         cell_fault(FaultKind::StuckAt1, 2, col)},
+                        with_test(*test, 4), test->name().c_str());
+    }
+}
+
+TEST(PackedStuckOpen, Ifa9MissesWhatIfa13Catches) {
+  // IFA-9 reads each cell only after a sweep of other words has left the
+  // expected value on the bit line; IFA-13's read after every write sees
+  // the stale level (EXPERIMENTS.md, Section V).
+  const RamGeometry geo{64, 4, 4, 4};
+  const std::vector<Fault> open = {cell_fault(FaultKind::StuckOpen, 5, 6)};
+  SimKernel used = SimKernel::Auto;
+  EXPECT_TRUE(run_bist(geo, open, with_test(march::ifa9()), SimKernel::Packed,
+                       &used)
+                  .pass1_clean);
+  EXPECT_EQ(used, SimKernel::Packed);
+  EXPECT_FALSE(run_bist(geo, open, with_test(march::ifa13()), SimKernel::Packed,
+                        &used)
+                   .pass1_clean);
+  EXPECT_EQ(used, SimKernel::Packed);
+  expect_equivalent(geo, open, with_test(march::ifa9()), "IFA-9");
+  expect_equivalent(geo, open, with_test(march::ifa13()), "IFA-13");
+}
+
+TEST(PackedDispatch, AutoPicksPackedForStuckOpen) {
   const RamGeometry geo{64, 4, 4, 4};
   SimKernel used = SimKernel::Auto;
   const BistResult got = run_bist(geo, {cell_fault(FaultKind::StuckOpen, 1, 1)},
                                   BistConfig{}, SimKernel::Auto, &used);
-  EXPECT_EQ(used, SimKernel::Scalar);
+  EXPECT_EQ(used, SimKernel::Packed);
 
   RamModel ram(geo);
   ram.array().inject(cell_fault(FaultKind::StuckOpen, 1, 1));
@@ -249,13 +394,6 @@ TEST(PackedDispatch, AutoPicksPackedForOverlayFaults) {
   run_bist(geo, {cell_fault(FaultKind::StuckAt0, 1, 1)}, BistConfig{},
            SimKernel::Auto, &used);
   EXPECT_EQ(used, SimKernel::Packed);
-}
-
-TEST(PackedDispatch, ForcedPackedRejectsUnsupportedFault) {
-  const RamGeometry geo{64, 4, 4, 4};
-  EXPECT_THROW(run_bist(geo, {cell_fault(FaultKind::StuckOpen, 1, 1)},
-                        BistConfig{}, SimKernel::Packed),
-               SpecError);
 }
 
 TEST(PackedDispatch, ForcedScalarReportsScalar) {
@@ -278,23 +416,24 @@ TEST(PackedEquivalenceProperty, RandomGeometryRandomFaults) {
       {128, 8, 2, 2},   // wide words
       {96, 3, 2, 1},    // odd bpw, minimal spares
   };
-  const march::MarchTest* tests[] = {&march::ifa9(), &march::mats_plus(),
+  const march::MarchTest* tests[] = {&march::ifa9(), &march::ifa13(),
+                                     &march::mats_plus(),
                                      &march::march_c_minus()};
   const FaultKind kinds[] = {
       FaultKind::StuckAt0,     FaultKind::StuckAt1,
       FaultKind::TransitionUp, FaultKind::TransitionDown,
       FaultKind::CouplingIdem, FaultKind::CouplingInv,
-      FaultKind::CouplingState};
+      FaultKind::CouplingState, FaultKind::StuckOpen};
 
   Rng rng(0xb17b5eedULL);
   for (int trial = 0; trial < 120; ++trial) {
-    const RamGeometry& geo = geometries[rng.below(5)];
-    const march::MarchTest* test = tests[rng.below(3)];
+    const RamGeometry& geo = geometries[rng.below(std::size(geometries))];
+    const march::MarchTest* test = tests[rng.below(std::size(tests))];
     const int nfaults = 1 + static_cast<int>(rng.below(4));
 
     std::vector<Fault> faults;
     for (int j = 0; j < nfaults; ++j) {
-      const FaultKind kind = kinds[rng.below(7)];
+      const FaultKind kind = kinds[rng.below(std::size(kinds))];
       Fault f;
       f.kind = kind;
       // Victims may land in spare rows too — total_rows, not rows.
@@ -336,13 +475,15 @@ TEST(PackedEquivalenceProperty, MultiLaneWordsDenseFaults) {
   // word all meet the ascending-bit order of the overlay kernel.
   const int widths[] = {64, 65, 128, 130};
   const int muxes[] = {1, 2, 4, 8};
-  const march::MarchTest* tests[] = {&march::ifa9(), &march::mats_plus(),
+  const march::MarchTest* tests[] = {&march::ifa9(), &march::ifa13(),
+                                     &march::mats_plus(),
                                      &march::march_c_minus()};
   const FaultKind kinds[] = {
-      FaultKind::StuckAt0,     FaultKind::StuckAt1,
-      FaultKind::TransitionUp, FaultKind::TransitionDown,
-      FaultKind::CouplingIdem, FaultKind::CouplingInv,
-      FaultKind::CouplingState, FaultKind::Retention};
+      FaultKind::StuckAt0,      FaultKind::StuckAt1,
+      FaultKind::TransitionUp,  FaultKind::TransitionDown,
+      FaultKind::CouplingIdem,  FaultKind::CouplingInv,
+      FaultKind::CouplingState, FaultKind::Retention,
+      FaultKind::StuckOpen};
 
   Rng rng(0x1a9e5ea3ULL);
   for (int trial = 0; trial < 160; ++trial) {
@@ -378,7 +519,7 @@ TEST(PackedEquivalenceProperty, MultiLaneWordsDenseFaults) {
     std::vector<Fault> faults;
     for (int j = 0; j < nfaults; ++j) {
       Fault f;
-      f.kind = kinds[rng.below(8)];
+      f.kind = kinds[rng.below(std::size(kinds))];
       f.victim = draw_cell();
       if (f.kind == FaultKind::CouplingIdem ||
           f.kind == FaultKind::CouplingInv ||
@@ -394,7 +535,7 @@ TEST(PackedEquivalenceProperty, MultiLaneWordsDenseFaults) {
     }
 
     BistConfig config;
-    config.test = tests[rng.below(3)];
+    config.test = tests[rng.below(std::size(tests))];
     config.johnson_backgrounds = rng.chance(0.5);
     config.max_passes = rng.chance(0.25) ? 4 : 2;
     expect_equivalent(geo, faults, config,

@@ -19,6 +19,7 @@
 #include "models/wafermap.hpp"
 #include "models/yield.hpp"
 #include "sim/baselines.hpp"
+#include "sim/campaign.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/infra_faults.hpp"
 #include "util/error.hpp"
@@ -335,9 +336,9 @@ TEST(PinnedOutputs, FaultCoverageCounts) {
             << threads << " threads";
         EXPECT_EQ(cov.value[k].total, 24);
       }
-      // Only StuckOpen runs on the scalar kernel.
-      EXPECT_EQ(cov.provenance.packed_trials, 8 * 24);
-      EXPECT_EQ(cov.provenance.scalar_trials, 24);
+      // Every kind, StuckOpen included, runs on the packed kernel.
+      EXPECT_EQ(cov.provenance.packed_trials, 9 * 24);
+      EXPECT_EQ(cov.provenance.scalar_trials, 0);
     }
   }
 }
@@ -727,6 +728,67 @@ TEST(Cancellation, FaultCoverageSkipsUnreachedKinds) {
   // are absent rather than fabricated.
   ASSERT_EQ(r.value.size(), 1u);
   EXPECT_EQ(r.value[0].total, 0);
+}
+
+TEST(Cancellation, RoundCancelFoldsAPrefixOfTheStreams) {
+  // Six streams of 12 trials run as one round (no checkpoint, no pause).
+  // The trial body cancels the token at stream 3, trial 5; trials of
+  // later streams wait for it, so no worker can finish the round first.
+  // Each fold is the list of its trials' first draws, so it shows which
+  // of the stream's trials were folded, and in what order.
+  constexpr std::uint64_t kSeed = 99;
+  std::vector<sim::CampaignStream> streams;
+  for (std::uint64_t s = 0; s < 6; ++s)
+    streams.push_back({1000 * s, 12, /*chunk=*/s % 2 ? 2 : 3, /*grain=*/6});
+  const auto draw = [&](std::size_t s, std::int64_t t) {
+    return Rng(stream_seed(kSeed, streams[s].offset +
+                                      static_cast<std::uint64_t>(t)))
+        .next();
+  };
+  const std::uint64_t stop = draw(3, 5);
+  using Draws = std::vector<std::uint64_t>;
+  for (int threads : kThreadCounts) {
+    CancelToken token;
+    sim::CampaignSpec spec;
+    spec.trials = 12;
+    spec.seed = kSeed;
+    spec.threads = threads;
+    spec.cancel = &token;
+    const auto run = sim::run_streams<Draws>(
+        spec, streams, Draws{},
+        [&](std::size_t s, Rng& rng, sim::KernelTally&) {
+          const std::uint64_t x = rng.next();
+          if (x == stop) token.cancel();
+          while (s > 3 && !token.cancelled()) std::this_thread::yield();
+          return Draws{x};
+        },
+        [](Draws a, Draws b) {
+          a.insert(a.end(), b.begin(), b.end());
+          return a;
+        },
+        "round cancel test");
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    EXPECT_EQ(run.termination, Termination::Cancelled);
+    // The campaign stopped in stream started - 1, at or after the trial
+    // that cancelled; one thread stops at the end of that trial's chunk.
+    ASSERT_GE(run.started, 4u);
+    const std::size_t stopped = run.started - 1;
+    EXPECT_TRUE(stopped > 3 || run.done[3] >= 6);
+    if (threads == 1) {
+      EXPECT_EQ(run.started, 4u);
+      EXPECT_EQ(run.done[3], 6);
+    }
+    std::int64_t sum = 0;
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      if (s < stopped) EXPECT_EQ(run.done[s], 12) << "stream " << s;
+      if (s > stopped) EXPECT_EQ(run.done[s], 0) << "stream " << s;
+      Draws want;
+      for (std::int64_t t = 0; t < run.done[s]; ++t) want.push_back(draw(s, t));
+      EXPECT_EQ(run.folds[s], want) << "stream " << s;
+      sum += run.done[s];
+    }
+    EXPECT_EQ(run.provenance.trials_done, sum);
+  }
 }
 
 TEST(Cancellation, InfraFaultCampaignLabelsCutRuns) {
