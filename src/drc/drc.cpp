@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <tuple>
 #include <utility>
 
@@ -26,10 +25,10 @@ namespace {
 /// one chunk and runs serially without touching the pool.
 constexpr std::int64_t kScanChunk = 1024;
 
-/// Runs scan(i, part) for every shape id i in [0, n) on util/parallel,
-/// in fixed kScanChunk-sized chunks, and appends the per-chunk lists to
-/// `out` in chunk order: the list one ascending serial scan would build,
-/// at any thread count.
+/// Runs scan(i, part) for every i in [0, n) — a shape id, or a position
+/// in a sorted id list — on util/parallel, in fixed kScanChunk-sized
+/// chunks, and appends the per-chunk lists to `out` in chunk order: the
+/// list one ascending serial scan would build, at any thread count.
 template <typename T, typename Scan>
 void scan_ids(std::size_t n, std::vector<T>& out, Scan&& scan) {
   const auto total = static_cast<std::int64_t>(n);
@@ -133,11 +132,12 @@ std::vector<ViaRule> via_rules_for(const tech::Tech& tech) {
 // the touching pairs and the component labels are serial. An edit then
 // only has to (a) drop/renumber the records of the phases it can reach
 // through the shape-id splice, (b) relabel the merged polygons it
-// touched (relabel() below) and (c) re-emit records for the shapes whose
-// predicate could have changed, through the same per-shape functions;
-// everything else provably still holds (surviving shapes keep their
-// rects, and their instance paths are unaffected by an edit in a
-// disjoint subtree).
+// touched (relabel() below, a serial walk) and (c) re-emit records for
+// the shapes whose predicate could have changed, through the same
+// per-shape functions and the same chunked scan over the sorted list of
+// those shapes; everything else provably still holds (surviving shapes
+// keep their rects, and their instance paths are unaffected by an edit
+// in a disjoint subtree).
 
 struct Checker {
   struct Rec {
@@ -387,7 +387,7 @@ struct Checker {
     // in walk order, `ends` closes each polygon.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> walked;
     std::vector<std::size_t> ends;
-    const std::function<void(std::uint32_t)> reach = [&](std::uint32_t j) {
+    const auto reach = [&](std::uint32_t j) {
       if (lab[j] == kVisited) return;
       walked.emplace_back(j, prior(j));
       lab[j] = kVisited;
@@ -437,25 +437,32 @@ struct Checker {
     const auto in_affected = [&](std::uint32_t id) {
       return std::binary_search(affected.begin(), affected.end(), id);
     };
-    for (std::uint32_t k : affected)
-      scan_space(layer, k, label[static_cast<std::size_t>(layer)],
-                 in_affected, list(space_phase(layer)));
+    const auto& lab = label[static_cast<std::size_t>(layer)];
+    scan_ids(affected.size(), list(space_phase(layer)),
+             [&](std::uint32_t q, Recs& out) {
+               scan_space(layer, affected[q], lab, in_affected, out);
+             });
   }
 
-  /// Sorted ids of `idx` whose rect is new in `sp` or intersects a dirty
-  /// rect expanded by its reach (Minkowski: r.expanded(reach) hits the
-  /// dirty region iff r hits the region expanded by reach).
+  /// Sorted ids of `idx` whose rect is new in `sp` or intersects the
+  /// bounding box of the dirty rects expanded by their reach (Minkowski:
+  /// r.expanded(reach) hits a dirty rect iff r hits the rect expanded by
+  /// reach). The box may take in a few shapes no dirty rect reaches;
+  /// re-checking those re-emits their records unchanged.
   static std::vector<std::uint32_t> dirty_ids(
       const TileIndex& idx, const ShapeSplice& sp,
       const std::vector<std::pair<Rect, Coord>>& dirty) {
+    Rect box{};
+    for (const auto& [d, reach] : dirty) box = box.united(d.expanded(reach));
     std::vector<std::uint32_t> ids;
-    for (std::uint32_t k = sp.begin; k < sp.new_end; ++k) ids.push_back(k);
-    for (const auto& [d, reach] : dirty)
-      idx.for_each_in(d.expanded(reach),
-                      [&](std::uint32_t id) { ids.push_back(id); });
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    return ids;
+    if (!box.empty()) ids = idx.ids_in(box);
+    // The new ids form one run; merge it into the ascending query ids.
+    const auto at = std::lower_bound(ids.begin(), ids.end(), sp.begin);
+    const auto past = std::lower_bound(at, ids.end(), sp.new_end);
+    std::vector<std::uint32_t> out(ids.begin(), at);
+    for (std::uint32_t k = sp.begin; k < sp.new_end; ++k) out.push_back(k);
+    out.insert(out.end(), past, ids.end());
+    return out;
   }
 
   void update(const geom::EditResult& edit) {
@@ -474,7 +481,10 @@ struct Checker {
       if (sp.empty() && dirty.empty()) continue;
       const auto affected = dirty_ids(db->index(vr.via), sp, dirty);
       filter_phase(via_phase(vi), sp, affected, false);
-      for (std::uint32_t i : affected) scan_via(vi, i, list(via_phase(vi)));
+      scan_ids(affected.size(), list(via_phase(vi)),
+               [&](std::uint32_t q, Recs& out) {
+                 scan_via(vi, affected[q], out);
+               });
     }
 
     const ShapeSplice& sp = edit.splice_of(Layer::PDiff);
@@ -484,7 +494,8 @@ struct Checker {
     if (sp.empty() && dirty.empty()) return;
     const auto affected = dirty_ids(db->index(Layer::PDiff), sp, dirty);
     filter_phase(well_phase(), sp, affected, false);
-    for (std::uint32_t i : affected) scan_well(i, list(well_phase()));
+    scan_ids(affected.size(), list(well_phase()),
+             [&](std::uint32_t q, Recs& out) { scan_well(affected[q], out); });
   }
 
   std::vector<Violation> report() const {

@@ -95,16 +95,18 @@ std::vector<Violation> check(const geom::Cell& top, const tech::Tech& tech,
 ///     changed), and re-verifies the inserted shapes plus every shape
 ///     whose label changed — exactly the shapes whose "same merged
 ///     polygon" predicate can have flipped.
-///   * via enclosure / well coverage: vias (pdiffs) inside the edit's
-///     dirty region expanded by the rule's reach, found by an indexed
-///     window query.
+///   * via enclosure / well coverage: vias (pdiffs) inside the bounding
+///     box of the edit's dirty rects expanded by the rule's reach, found
+///     by one indexed window query.
 ///
 /// Records are kept per rule phase, so an edit renumbers and filters
 /// only the phases of the layers it touched. The database must outlive
 /// the checker, and every apply() on it must be fed to update() before
-/// the next report(). The constructor's full scan runs on the campaign
-/// pool; update() and report() are serial. All three are deterministic,
-/// so the report is bit-identical for any BISRAM_THREADS value.
+/// the next report(). The constructor's full scan and update()'s
+/// spacing, via and well re-checks run on the campaign pool in fixed
+/// chunks joined in chunk order; the relabel walk and report() are
+/// serial. All are deterministic, so the report is bit-identical for
+/// any BISRAM_THREADS value.
 class IncrementalDrc {
  public:
   IncrementalDrc(const geom::LayoutDB& db, const tech::Tech& tech,

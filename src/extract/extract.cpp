@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <cstdint>
 #include <utility>
 
 #include "util/error.hpp"
@@ -80,13 +82,18 @@ bool Extracted::channel_between(int a, int b) const {
 // arithmetic: per-shape segment lists for the diffusion blocks, the
 // LayoutDB's own shape ids for the plain blocks.
 //
-// Three phases: split every diffusion shape (parallel, one entry per
-// shape), discover the electrical adjacency edges (parallel over
-// fixed-size piece-id chunks, concatenated in chunk order), then union
-// the edges and mint net ids in visit order (serial). Union-find
-// components do not depend on the order of the unions, and each chunk
-// lists its edges in piece order, so the netlist is bit-identical at any
-// thread count and the historical numbering is kept.
+// Three phases: split every diffusion shape (one entry per shape),
+// discover the electrical adjacency edges (each chunk of pieces lists
+// its own, concatenated in chunk order), then label the components and
+// number the nets. Every pass over pieces, entries, edges or device
+// records runs on util/parallel in fixed chunks with per-chunk outputs
+// joined in chunk order. The labelling is a lock-free union-find that
+// always links the larger root under the smaller, so a piece's label is
+// its component's least piece id whatever the schedule. Net ids are
+// then minted serially in the historical visit order (devices, ports,
+// then capacitance in piece order), and each net's capacitance is
+// summed in piece order, so the netlist is bit-identical at any thread
+// count.
 
 namespace {
 
@@ -133,12 +140,62 @@ const std::vector<Layer>& connect_targets(Layer l) {
 }
 
 constexpr std::uint32_t kNoPiece = 0xffffffffu;
+/// An edge whose piece the edit invalidated, until the splice drops it.
+constexpr std::uint64_t kDeadEdge = ~std::uint64_t{0};
+/// Tags a component root's label slot once its net id is minted.
+constexpr std::uint32_t kMinted = 0x80000000u;
 
-/// Work per pool chunk of the two parallel phases. Fixed, so the chunk
-/// layout depends on the layout alone; a leaf cell fits in one chunk
-/// and runs serially without touching the pool.
-constexpr std::int64_t kSplitChunk = 1024;  // diffusion shapes
-constexpr std::int64_t kEdgeChunk = 8192;   // pieces
+/// Work per pool chunk. Fixed, so the chunk layout depends on the
+/// layout alone; a leaf cell, and the re-emission of most edits, fits in
+/// one chunk and runs serially without touching the pool.
+constexpr std::int64_t kSplitChunk = 1024;    // diffusion shapes to split
+constexpr std::int64_t kEdgeChunk = 8192;     // pieces whose edges to find
+constexpr std::int64_t kLinearChunk = 16384;  // items of a linear pass
+/// Pieces whose capacitance is computed before the serial sum takes it.
+constexpr std::uint32_t kCapWindow = 1u << 16;
+
+/// fn(c, lo, hi) for every fixed-size chunk [lo, hi) of [0, n), chunk c,
+/// on util/parallel.
+template <typename Fn>
+void for_chunks(std::int64_t n, std::int64_t chunk, Fn&& fn) {
+  parallel_for((n + chunk - 1) / chunk, 1, [&](std::int64_t c) {
+    fn(static_cast<std::size_t>(c), c * chunk, std::min(n, (c + 1) * chunk));
+  });
+}
+
+/// out[i] = base + count(0) + ... + count(i - 1) for i in [0, n]:
+/// per-chunk totals, a serial scan over them, then per-chunk fills.
+/// Returns out[n].
+template <typename Count>
+std::uint32_t prefix_sums(std::size_t n, std::uint32_t base,
+                          std::vector<std::uint32_t>& out, Count&& count) {
+  out.resize(n + 1);
+  const auto total = static_cast<std::int64_t>(n);
+  std::vector<std::uint32_t> start(
+      static_cast<std::size_t>((total + kLinearChunk - 1) / kLinearChunk));
+  for_chunks(total, kLinearChunk, [&](std::size_t c, std::int64_t lo,
+                                      std::int64_t hi) {
+    std::uint32_t sum = 0;
+    for (std::int64_t i = lo; i < hi; ++i) sum += count(i);
+    start[c] = sum;
+  });
+  std::uint32_t acc = base;
+  for (std::uint32_t& s : start) {
+    const std::uint32_t sum = s;
+    s = acc;
+    acc += sum;
+  }
+  for_chunks(total, kLinearChunk, [&](std::size_t c, std::int64_t lo,
+                                      std::int64_t hi) {
+    std::uint32_t at = start[c];
+    for (std::int64_t i = lo; i < hi; ++i) {
+      out[static_cast<std::size_t>(i)] = at;
+      at += count(i);
+    }
+  });
+  out[n] = acc;
+  return acc;
+}
 
 /// The extraction pipeline over one LayoutDB. A one-shot extract() runs
 /// it once; IncrementalExtract keeps it and feeds it edits.
@@ -146,7 +203,7 @@ struct Extractor {
   /// One device site of a diffusion shape's split, in local segment
   /// coordinates. gate_pid is the Poly *shape id* of the crossing gate
   /// (renumbered through poly splices); any shape of the gate's merged
-  /// poly net would do, since only its component root feeds net_of.
+  /// poly net would do, since only its component label feeds net_of.
   struct LocalSite {
     Rect gate_poly;
     Rect channel;
@@ -159,21 +216,26 @@ struct Extractor {
     std::vector<Rect> segs;
     std::vector<LocalSite> sites;
   };
-  /// Piece-id layout of the current state (prefix sums).
+  /// Piece-id and device-record layout of one state (prefix sums).
   struct Blocks {
     std::array<std::vector<std::uint32_t>, 2> entry_start;  // per-shape, n+1
-    std::array<std::uint32_t, kPlainCount> plain_start;
-    std::uint32_t total = 0;
+    std::array<std::vector<std::uint32_t>, 2> dev_start;    // per-shape, n+1
+    std::array<std::uint32_t, kPlainCount> plain_start{};
+    std::uint32_t total = 0;    // pieces
+    std::uint32_t devices = 0;  // device records
   };
 
-  Extractor(const LayoutDB& layout, const tech::Tech& tech)
+  /// Extracts `layout`; `keep_edges` keeps what update() splices.
+  Extractor(const LayoutDB& layout, const tech::Tech& tech, bool keep_edges)
       : db(&layout), um_per_dbu(tech.lambda_um / 10.0), wire(tech.elec.wire) {
     split_all();
-    const Blocks b = blocks();
-    discover_all(b);
+    lay_out();
+    reset_labels();
+    discover_all(keep_edges);
     // Memoized provenance strings: devices repeat a small set of paths.
     std::vector<std::string> path_memo(db->path_count());
     std::vector<char> path_done(db->path_count(), 0);
+    out.devices.resize(b.devices);
     for (int dl_i = 0; dl_i < 2; ++dl_i) {
       const auto& paths = db->path_ids(diff_layer(dl_i));
       for (std::size_t s = 0; s < entries[dl_i].size(); ++s) {
@@ -183,21 +245,36 @@ struct Extractor {
           path_memo[node] = db->path_name(node);
           path_done[node] = 1;
         }
-        add_devices(dl_i, entries[dl_i][s], path_memo[node]);
+        set_devices(dl_i, s, path_memo[node]);
       }
     }
-    rebuild_result(b);
+    number_nets();
   }
 
   const LayoutDB* db;
   double um_per_dbu;
   std::array<tech::WireParams, geom::kLayerCount> wire;
   std::array<std::vector<Entry>, 2> entries;  // [0]=NDiff, [1]=PDiff
+  Blocks b;                                   // the current layout
   std::vector<std::uint64_t> edges;           // packed (i<<32)|j, i<j
   Extracted out;
+
+  // Working buffers of the net pass and the updates, kept so an edit
+  // reuses them.
+  /// Per piece: the union-find parent, then the component label (the
+  /// least piece id), with kMinted marking a root whose slot holds its
+  /// net id.
+  std::vector<std::uint32_t> label;
+  Blocks old_b;  ///< the pre-edit layout during update()
   /// The previous update's device records while they move into `out`;
   /// kept so the two buffers trade places instead of reallocating.
   std::vector<Device> spare_devices;
+  std::vector<std::uint32_t> pmap;           ///< old -> new diffusion piece
+  std::array<std::vector<char>, 2> fresh;    ///< per entry: recomputed
+  std::array<std::vector<std::uint32_t>, 2> redo;  ///< the fresh entries
+  std::vector<std::vector<std::uint64_t>> found;   ///< per-chunk new edges
+  std::vector<std::uint64_t> moved;  ///< edges moving into splice holes
+  std::vector<double> cap_window;    ///< capacitance of kCapWindow pieces
 
   static Layer diff_layer(int dl_i) {
     return dl_i == 0 ? Layer::NDiff : Layer::PDiff;
@@ -238,21 +315,22 @@ struct Extractor {
     return e;
   }
 
-  /// Appends the device records of one diffusion entry, nets unset
-  /// (rebuild_result assigns them).
-  void add_devices(int dl_i, const Entry& e, const std::string& path) {
+  /// Writes the device records of diffusion entry (dl_i, k) into their
+  /// slots of `out.devices`, nets unset (number_nets assigns them).
+  void set_devices(int dl_i, std::size_t k, const std::string& path) {
+    const Entry& e = entries[dl_i][k];
+    Device* d = out.devices.data() + b.dev_start[dl_i][k];
     for (const LocalSite& site : e.sites) {
-      Device d;
-      d.type = dl_i == 1 ? spice::MosType::Pmos : spice::MosType::Nmos;
+      d->type = dl_i == 1 ? spice::MosType::Pmos : spice::MosType::Nmos;
       const bool split_x = site.gate_poly.lo.y <= site.channel.lo.y;
       const geom::Coord w =
           split_x ? site.channel.height() : site.channel.width();
       const geom::Coord l =
           split_x ? site.channel.width() : site.channel.height();
-      d.w_um = static_cast<double>(w) * um_per_dbu;
-      d.l_um = static_cast<double>(l) * um_per_dbu;
-      d.path = path;
-      out.devices.push_back(std::move(d));
+      d->w_um = static_cast<double>(w) * um_per_dbu;
+      d->l_um = static_cast<double>(l) * um_per_dbu;
+      d->path = path;
+      ++d;
     }
   }
 
@@ -269,30 +347,40 @@ struct Extractor {
     });
   }
 
-  Blocks blocks() const {
-    Blocks b;
-    std::uint32_t acc = 0;
+  /// Lays out `b` from the entries and the plain layers' shape counts.
+  void lay_out() {
+    std::uint32_t pieces = 0, devices = 0;
     for (int dl_i = 0; dl_i < 2; ++dl_i) {
       const auto& es = entries[dl_i];
-      b.entry_start[dl_i].resize(es.size() + 1);
-      for (std::size_t s = 0; s < es.size(); ++s) {
-        b.entry_start[dl_i][s] = acc;
-        acc += static_cast<std::uint32_t>(es[s].segs.size());
-      }
-      b.entry_start[dl_i][es.size()] = acc;
+      pieces = prefix_sums(es.size(), pieces, b.entry_start[dl_i],
+                           [&](std::int64_t s) {
+                             return static_cast<std::uint32_t>(
+                                 es[static_cast<std::size_t>(s)].segs.size());
+                           });
+      devices = prefix_sums(es.size(), devices, b.dev_start[dl_i],
+                            [&](std::int64_t s) {
+                              return static_cast<std::uint32_t>(
+                                  es[static_cast<std::size_t>(s)].sites.size());
+                            });
     }
     for (std::size_t t = 0; t < kPlainCount; ++t) {
-      b.plain_start[t] = acc;
-      acc += static_cast<std::uint32_t>(db->rects(kPlain[t]).size());
+      b.plain_start[t] = pieces;
+      pieces += static_cast<std::uint32_t>(db->rects(kPlain[t]).size());
     }
-    b.total = acc;
-    return b;
+    b.total = pieces;
+    b.devices = devices;
+  }
+
+  /// The plain block holding piece `g` (g at or past the first one).
+  static std::size_t plain_block(const Blocks& l, std::uint32_t g) {
+    std::size_t t = kPlainCount - 1;
+    while (g < l.plain_start[t]) --t;
+    return t;
   }
 
   /// fn(id, layer, rect) for every piece with id in [lo, hi), in order.
   template <typename Fn>
-  void for_each_piece(const Blocks& b, std::uint32_t lo, std::uint32_t hi,
-                      Fn&& fn) const {
+  void for_each_piece(std::uint32_t lo, std::uint32_t hi, Fn&& fn) const {
     std::uint32_t g = lo;
     for (int dl_i = 0; dl_i < 2 && g < hi; ++dl_i) {
       const auto& start = b.entry_start[dl_i];
@@ -321,8 +409,8 @@ struct Extractor {
   /// within each target layer, and the targets are in block order.
   /// Target layers whose pieces all lie below `min_id` are not queried.
   template <typename Fn>
-  void for_each_neighbor(Layer from, const Rect& r, const Blocks& b,
-                         std::uint32_t min_id, Fn&& fn) const {
+  void for_each_neighbor(Layer from, const Rect& r, std::uint32_t min_id,
+                         Fn&& fn) const {
     for (Layer m : connect_targets(from)) {
       if (m == Layer::NDiff || m == Layer::PDiff) {
         const int mi = m == Layer::NDiff ? 0 : 1;
@@ -341,86 +429,146 @@ struct Extractor {
     }
   }
 
-  /// Phase 2: every adjacency edge (i, j), i < j, found from piece i.
-  /// Chunks list their edges in piece order and are concatenated in
-  /// chunk order, so `edges` is the serial list at any thread count.
-  void discover_all(const Blocks& b) {
-    const std::int64_t chunks = (b.total + kEdgeChunk - 1) / kEdgeChunk;
-    std::vector<std::vector<std::uint64_t>> found(
-        static_cast<std::size_t>(chunks));
-    parallel_for(chunks, 1, [&](std::int64_t c) {
-      auto& list = found[static_cast<std::size_t>(c)];
-      const auto lo = static_cast<std::uint32_t>(c * kEdgeChunk);
-      const auto hi = static_cast<std::uint32_t>(
-          std::min<std::int64_t>(b.total, (c + 1) * kEdgeChunk));
-      for_each_piece(b, lo, hi, [&](std::uint32_t g, Layer l, const Rect& r) {
-        for_each_neighbor(l, r, b, g + 1, [&](std::uint32_t h) {
-          if (h > g) list.push_back(pack(g, h));
-        });
-      });
-    });
-    std::size_t n = 0;
-    for (const auto& list : found) n += list.size();
-    edges.reserve(n);
-    for (auto& list : found) {
-      edges.insert(edges.end(), list.begin(), list.end());
-      std::vector<std::uint64_t>().swap(list);
+  /// Concatenates found[0..chunks) onto `edges` in chunk order; with
+  /// `release`, frees each list once copied.
+  void append_found(std::size_t chunks, bool release) {
+    std::size_t n = edges.size();
+    for (std::size_t c = 0; c < chunks; ++c) n += found[c].size();
+    // Exact for the first fill; geometric after, as appends would grow.
+    if (n > edges.capacity()) edges.reserve(std::max(n, 2 * edges.capacity()));
+    for (std::size_t c = 0; c < chunks; ++c) {
+      edges.insert(edges.end(), found[c].begin(), found[c].end());
+      if (release) std::vector<std::uint64_t>().swap(found[c]);
     }
+  }
+
+  /// Phase 2: every adjacency edge (i, j), i < j, found from piece i
+  /// and united as it is found. With `keep_edges` (the incremental
+  /// engine, which splices them) chunks list their edges in piece order,
+  /// concatenated in chunk order, so `edges` is the serial list at any
+  /// thread count; a one-shot extraction keeps none.
+  void discover_all(bool keep_edges) {
+    const auto total = static_cast<std::int64_t>(b.total);
+    const auto chunks = static_cast<std::size_t>(
+        keep_edges ? (total + kEdgeChunk - 1) / kEdgeChunk : 0);
+    // Sized here, on this thread, so the workers leave its heap alone.
+    found.resize(chunks);
+    for (auto& list : found) list.reserve(2 * kEdgeChunk);
+    for_chunks(total, kEdgeChunk, [&](std::size_t c, std::int64_t lo,
+                                      std::int64_t hi) {
+      for_each_piece(static_cast<std::uint32_t>(lo),
+                     static_cast<std::uint32_t>(hi),
+                     [&](std::uint32_t g, Layer l, const Rect& r) {
+                       for_each_neighbor(l, r, g + 1, [&](std::uint32_t h) {
+                         if (h <= g) return;
+                         if (keep_edges) found[c].push_back(pack(g, h));
+                         unite(g, h);
+                       });
+                     });
+    });
+    append_found(chunks, true);
+    std::vector<std::vector<std::uint64_t>>().swap(found);
   }
 
   /// The lowest piece id on `layer` intersecting `window` (the piece a
   /// linear scan would find first), or kNoPiece.
-  std::uint32_t first_piece(Layer layer, const Rect& window,
-                            const Blocks& b) const {
-    std::uint32_t found = kNoPiece;
+  std::uint32_t first_piece(Layer layer, const Rect& window) const {
+    std::uint32_t found_id = kNoPiece;
     if (layer == Layer::NDiff || layer == Layer::PDiff) {
       const int dl_i = layer == Layer::NDiff ? 0 : 1;
       db->index(layer).for_each_in(window, [&](std::uint32_t s) {
-        if (found != kNoPiece) return;  // shape ids arrive ascending
+        if (found_id != kNoPiece) return;  // shape ids arrive ascending
         const auto& segs = entries[dl_i][s].segs;
         for (std::uint32_t t = 0; t < segs.size(); ++t)
           if (segs[t].intersects(window)) {
-            found = b.entry_start[dl_i][s] + t;
+            found_id = b.entry_start[dl_i][s] + t;
             return;
           }
       });
-      return found;
+      return found_id;
     }
     const int slot = plain_slot(layer);
     if (slot < 0) return kNoPiece;  // no pieces live on this layer
     db->index(layer).for_each_in(window, [&](std::uint32_t s) {
-      if (found == kNoPiece) found = b.plain_start[slot] + s;
+      if (found_id == kNoPiece) found_id = b.plain_start[slot] + s;
     });
-    return found;
+    return found_id;
   }
 
-  /// Phase 3: union the edges, then mint net ids in visit order —
-  /// devices, then ports, then capacitance in piece order — into the
-  /// device records laid out in entry order. Serial, and a linear
-  /// re-pass after every edit, because an edit shifts net ids globally.
-  void rebuild_result(const Blocks& b) {
-    std::vector<std::uint32_t> parent(b.total);
-    for (std::uint32_t i = 0; i < b.total; ++i) parent[i] = i;
-    auto find = [&](std::uint32_t x) {
-      while (parent[x] != x) {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
-      }
-      return x;
-    };
-    for (std::uint64_t e : edges) {
-      const auto a = find(static_cast<std::uint32_t>(e >> 32));
-      const auto bb = find(static_cast<std::uint32_t>(e));
-      if (a != bb) parent[a] = bb;
+  // --- phase 3: component labels and net numbering -------------------------
+
+  std::atomic_ref<std::uint32_t> slot(std::uint32_t x) {
+    return std::atomic_ref<std::uint32_t>(label[x]);
+  }
+
+  /// Starts a labelling: every piece its own component.
+  void reset_labels() {
+    ensure(b.total < kMinted, "extract: piece ids overflow the label tags");
+    label.resize(b.total);
+    std::uint32_t* const up = label.data();
+    parallel_for(b.total, kLinearChunk, [up](std::int64_t i) {
+      up[i] = static_cast<std::uint32_t>(i);
+    });
+  }
+
+  /// The root of x's tree, halving the path on the way. Lock-free: a slot
+  /// only ever moves to an ancestor.
+  std::uint32_t find(std::uint32_t x) {
+    constexpr auto relaxed = std::memory_order_relaxed;
+    for (;;) {
+      const std::uint32_t px = slot(x).load(relaxed);
+      if (px == x) return x;
+      const std::uint32_t gx = slot(px).load(relaxed);
+      if (gx != px) slot(x).store(gx, relaxed);
+      x = gx;
     }
+  }
+
+  /// Joins the components of pieces x and y, from any thread. A root is
+  /// linked (by CAS, so only while it still is a root) under the smaller
+  /// root, so every tree's root is its least member whatever the
+  /// schedule.
+  void unite(std::uint32_t x, std::uint32_t y) {
+    for (;;) {
+      x = find(x);
+      y = find(y);
+      if (x == y) return;
+      if (x < y) std::swap(x, y);
+      std::uint32_t root = x;
+      if (slot(x).compare_exchange_weak(root, y, std::memory_order_relaxed))
+        return;
+    }
+  }
+
+  /// Once every edge is united: labels each piece with its component's
+  /// least piece id, then mints net ids in visit order — devices, then
+  /// ports, then capacitance in piece order — into the device records
+  /// laid out in entry order. The labels, the per-piece net lookup and
+  /// the per-piece capacitance are pool passes; the mint and each net's
+  /// capacitance sum are serial passes in visit and piece order. A
+  /// linear re-pass after every edit, because an edit shifts net ids
+  /// globally.
+  void number_nets() {
+    const std::uint32_t n = b.total;
+    std::uint32_t* const up = label.data();
+    // Each piece stores its root. The walk writes nothing but its own
+    // slot, so a slot once set to its root stays there.
+    parallel_for(n, kLinearChunk, [&](std::int64_t i) {
+      auto x = static_cast<std::uint32_t>(i);
+      for (std::uint32_t px; (px = slot(x).load(std::memory_order_relaxed)) != x;)
+        x = px;
+      slot(static_cast<std::uint32_t>(i)).store(x, std::memory_order_relaxed);
+    });
 
     out.net_count = 0;
     out.port_net.clear();
-    std::vector<int> root_net(b.total, -1);
-    auto net_of = [&](std::uint32_t piece) {
-      const std::uint32_t root = find(piece);
-      if (root_net[root] < 0) root_net[root] = out.net_count++;
-      return root_net[root];
+    const auto net_of = [&](std::uint32_t piece) {
+      const std::uint32_t lab = up[piece];
+      if (lab & kMinted) return static_cast<int>(lab & ~kMinted);
+      std::uint32_t& root = up[lab];
+      if (!(root & kMinted))
+        root = kMinted | static_cast<std::uint32_t>(out.net_count++);
+      return static_cast<int>(root & ~kMinted);
     };
 
     const std::uint32_t poly_start = b.plain_start[0];
@@ -438,28 +586,167 @@ struct Extractor {
     }
 
     for (const auto& port : db->ports()) {
-      const std::uint32_t i = first_piece(port.layer, port.rect, b);
+      const std::uint32_t i = first_piece(port.layer, port.rect);
       require(i != kNoPiece, "extract: port '" + port.name +
                                  "' touches no geometry on its layer");
       out.port_net[port.name] = net_of(i);
     }
 
-    out.net_cap_f.assign(static_cast<std::size_t>(out.net_count), 0.0);
-    for_each_piece(b, 0, b.total,
-                   [&](std::uint32_t i, Layer layer, const Rect& r) {
-      if (geom::is_via(layer)) return;
-      const auto& wp = wire[static_cast<std::size_t>(layer)];
-      if (wp.cap_area_f_um2 == 0.0 && wp.cap_fringe_f_um == 0.0) return;
-      const double w = static_cast<double>(r.width()) * um_per_dbu;
-      const double h = static_cast<double>(r.height()) * um_per_dbu;
-      const int net = net_of(i);
-      // net_of may mint a net here for a component no device or port
-      // reached (isolated fill); grow the table rather than write past it.
-      if (static_cast<std::size_t>(net) >= out.net_cap_f.size())
-        out.net_cap_f.resize(static_cast<std::size_t>(net) + 1, 0.0);
-      out.net_cap_f[static_cast<std::size_t>(net)] +=
-          w * h * wp.cap_area_f_um2 + 2.0 * (w + h) * wp.cap_fringe_f_um;
+    // Every piece of a component with a net takes the net id, so the
+    // serial pass below reads its nets in piece order. Only non-root
+    // slots are written and only root slots are read across pieces.
+    parallel_for(n, kLinearChunk, [&](std::int64_t i) {
+      const std::uint32_t lab = up[i];
+      if (lab & kMinted) return;
+      const std::uint32_t root = up[lab];
+      if (root & kMinted) up[i] = root;
     });
+
+    // Capacitance: each piece's on the pool, a window of pieces at a
+    // time, then each net's summed in piece order on this thread.
+    // Contacts and vias, the last three blocks, carry none.
+    struct Block {
+      Layer layer;
+      std::uint32_t lo, hi;
+    };
+    std::vector<Block> wired = {
+        {Layer::NDiff, 0, b.entry_start[0].back()},
+        {Layer::PDiff, b.entry_start[0].back(), b.entry_start[1].back()}};
+    for (std::size_t t = 0; kPlain[t] != Layer::Contact; ++t)
+      wired.push_back({kPlain[t], b.plain_start[t], b.plain_start[t + 1]});
+    std::erase_if(wired, [&](const Block& blk) {
+      const auto& wp = wire[static_cast<std::size_t>(blk.layer)];
+      return wp.cap_area_f_um2 == 0.0 && wp.cap_fringe_f_um == 0.0;
+    });
+    const std::uint32_t end = b.plain_start[plain_slot(Layer::Contact)];
+    cap_window.resize(std::min<std::size_t>(end, kCapWindow));
+    out.net_cap_f.assign(static_cast<std::size_t>(out.net_count), 0.0);
+    for (std::uint32_t lo = 0; lo < end;) {
+      const std::uint32_t hi = std::min<std::uint32_t>(end, lo + kCapWindow);
+      for_chunks(hi - lo, kLinearChunk, [&](std::size_t, std::int64_t from,
+                                             std::int64_t to) {
+        for (const Block& blk : wired) {
+          const std::uint32_t first =
+              std::max(lo + static_cast<std::uint32_t>(from), blk.lo);
+          const std::uint32_t last =
+              std::min(lo + static_cast<std::uint32_t>(to), blk.hi);
+          if (first >= last) continue;
+          const auto& wp = wire[static_cast<std::size_t>(blk.layer)];
+          const double area = wp.cap_area_f_um2, fringe = wp.cap_fringe_f_um;
+          const double scale = um_per_dbu;
+          const auto put = [&](std::uint32_t i, const Rect& r) {
+            const double w = static_cast<double>(r.width()) * scale;
+            const double h = static_cast<double>(r.height()) * scale;
+            cap_window[i - lo] = w * h * area + 2.0 * (w + h) * fringe;
+          };
+          if (blk.layer == Layer::NDiff || blk.layer == Layer::PDiff) {
+            for_each_piece(first, last,
+                           [&](std::uint32_t i, Layer, const Rect& r) {
+                             put(i, r);
+                           });
+          } else {
+            const auto& rects = db->rects(blk.layer);
+            for (std::uint32_t i = first; i < last; ++i)
+              put(i, rects[i - blk.lo]);
+          }
+        }
+      });
+      // A run of pieces on one net adds into a register; the adds, and
+      // their order, are those of adding into the table piece by piece.
+      constexpr std::size_t kNoRun = ~std::size_t{0};
+      std::size_t net = kNoRun;
+      double sum = 0.0;
+      for (const Block& blk : wired)
+        for (std::uint32_t i = std::max(lo, blk.lo); i < std::min(hi, blk.hi);
+             ++i) {
+          const auto at = static_cast<std::size_t>(net_of(i));
+          if (at != net) {
+            if (net != kNoRun) out.net_cap_f[net] = sum;
+            // net_of may mint a net here for a component no device or
+            // port reached (isolated fill); grow the table rather than
+            // write past it.
+            if (at >= out.net_cap_f.size())
+              out.net_cap_f.resize(at + 1, 0.0);
+            net = at;
+            sum = out.net_cap_f[net];
+          }
+          sum += cap_window[i - lo];
+        }
+      if (net != kNoRun) out.net_cap_f[net] = sum;
+      lo = hi;
+    }
+  }
+
+  /// Drops the edges whose pieces the edit invalidated, renumbers the
+  /// rest through `remap` and unites them, in place: chunks remap their
+  /// edges and count the dead ones; then the live edges at or past the
+  /// kept count fill the holes below it, gathered and scattered chunk by
+  /// chunk in index order. Edge order is immaterial to the labels.
+  template <typename Remap>
+  void splice_edges(Remap&& remap) {
+    const auto ne = static_cast<std::int64_t>(edges.size());
+    const auto chunks =
+        static_cast<std::size_t>((ne + kLinearChunk - 1) / kLinearChunk);
+    std::vector<std::uint32_t> dead(chunks, 0), holes(chunks + 1, 0),
+        movers(chunks + 1, 0);
+    for_chunks(ne, kLinearChunk, [&](std::size_t c, std::int64_t lo,
+                                     std::int64_t hi) {
+      std::uint32_t d = 0;
+      for (auto i = static_cast<std::size_t>(lo);
+           i < static_cast<std::size_t>(hi); ++i) {
+        const std::uint32_t x = remap(static_cast<std::uint32_t>(edges[i] >> 32));
+        const std::uint32_t y = remap(static_cast<std::uint32_t>(edges[i]));
+        if (x == kNoPiece || y == kNoPiece) {
+          edges[i] = kDeadEdge;
+          ++d;
+          continue;
+        }
+        // Most edits leave most ids in place; skip the store then.
+        if (const std::uint64_t e = pack(x, y); e != edges[i]) edges[i] = e;
+        unite(x, y);
+      }
+      dead[c] = d;
+    });
+    std::int64_t keep = ne;
+    for (std::uint32_t d : dead) keep -= d;
+    if (keep == ne) return;
+    // Per chunk, its holes (dead edges below `keep`) and movers (live
+    // edges at or past it); the chunk across `keep` is counted here.
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const std::int64_t lo = static_cast<std::int64_t>(c) * kLinearChunk;
+      const std::int64_t hi = std::min(ne, lo + kLinearChunk);
+      std::uint32_t h = 0, m = 0;
+      if (hi <= keep) {
+        h = dead[c];
+      } else if (lo >= keep) {
+        m = static_cast<std::uint32_t>(hi - lo) - dead[c];
+      } else {
+        for (std::int64_t i = lo; i < hi; ++i) {
+          const bool is_dead = edges[static_cast<std::size_t>(i)] == kDeadEdge;
+          h += i < keep && is_dead;
+          m += i >= keep && !is_dead;
+        }
+      }
+      holes[c + 1] = holes[c] + h;
+      movers[c + 1] = movers[c] + m;
+    }
+    moved.resize(movers[chunks]);
+    for_chunks(ne, kLinearChunk, [&](std::size_t c, std::int64_t lo,
+                                     std::int64_t hi) {
+      std::uint32_t j = movers[c];
+      for (std::int64_t i = std::max(lo, keep); i < hi; ++i)
+        if (edges[static_cast<std::size_t>(i)] != kDeadEdge)
+          moved[j++] = edges[static_cast<std::size_t>(i)];
+    });
+    for_chunks(ne, kLinearChunk, [&](std::size_t c, std::int64_t lo,
+                                     std::int64_t hi) {
+      if (holes[c] == holes[c + 1]) return;
+      std::uint32_t j = holes[c];
+      for (std::int64_t i = lo; i < std::min(hi, keep); ++i)
+        if (edges[static_cast<std::size_t>(i)] == kDeadEdge)
+          edges[static_cast<std::size_t>(i)] = moved[j++];
+    });
+    edges.resize(static_cast<std::size_t>(keep));
   }
 
   void update(const geom::EditResult& edit) {
@@ -472,182 +759,195 @@ struct Extractor {
 
     const auto& sp_poly = edit.splice_of(Layer::Poly);
     const auto poly_dirty = edit.dirty_rects(Layer::Poly);
-
-    // Capture the pre-edit piece and device layout before touching the
-    // caches: each entry's segment count and first device record.
-    std::array<std::vector<std::uint32_t>, 2> old_lens, old_dev;
-    std::uint32_t dev_acc = 0;
-    for (int dl_i = 0; dl_i < 2; ++dl_i) {
-      old_lens[dl_i].reserve(entries[dl_i].size());
-      old_dev[dl_i].reserve(entries[dl_i].size());
-      for (const Entry& e : entries[dl_i]) {
-        old_lens[dl_i].push_back(static_cast<std::uint32_t>(e.segs.size()));
-        old_dev[dl_i].push_back(dev_acc);
-        dev_acc += static_cast<std::uint32_t>(e.sites.size());
-      }
-    }
-    std::array<std::uint32_t, kPlainCount> old_plain_count;
-    for (std::size_t t = 0; t < kPlainCount; ++t)
-      old_plain_count[t] = static_cast<std::uint32_t>(
-          static_cast<std::int64_t>(db->rects(kPlain[t]).size()) -
-          edit.splice_of(kPlain[t]).delta());
+    std::swap(old_b, b);  // keep the pre-edit layout; b is rebuilt below
 
     // Refresh the diffusion splits: inserted shapes get fresh entries;
     // surviving shapes whose rect intersects the dirty poly region are
     // recomputed (their gate set may have changed); everything else is
     // carried, with cached gate poly ids renumbered through the poly
     // splice. fresh[k] marks entries whose old pieces are invalid.
-    std::array<std::vector<char>, 2> fresh;
     for (int dl_i = 0; dl_i < 2; ++dl_i) {
       const Layer dl = diff_layer(dl_i);
       const auto& sp = edit.splice_of(dl);
       const auto& rects = db->rects(dl);
       auto& es = entries[dl_i];
+      auto& fr = fresh[dl_i];
+      auto& todo = redo[dl_i];
       sp.resize_slots(es);
-      for (std::uint32_t k = sp.begin; k < sp.new_end; ++k)
-        es[k] = compute_entry(rects[k]);
-
-      fresh[dl_i].assign(es.size(), 0);
-      for (std::uint32_t k = sp.begin; k < sp.new_end; ++k)
-        fresh[dl_i][k] = 1;
-      for (const Rect& d : poly_dirty)
-        for (std::uint32_t k : db->index(dl).ids_in(d))
-          if (!fresh[dl_i][k]) {
-            es[k] = compute_entry(rects[k]);
-            fresh[dl_i][k] = 1;
-          }
-      if (!sp_poly.empty()) {
-        for (std::size_t k = 0; k < es.size(); ++k) {
-          if (fresh[dl_i][k]) continue;
-          for (LocalSite& site : es[k].sites) {
-            site.gate_pid = sp_poly.remap(site.gate_pid);
-            ensure(site.gate_pid != geom::ShapeSplice::kRemoved,
-                   "IncrementalExtract: gate poly vanished without "
-                   "dirtying its diffusion");
-          }
-        }
+      fr.assign(es.size(), 0);
+      todo.clear();
+      for (std::uint32_t k = sp.begin; k < sp.new_end; ++k) {
+        fr[k] = 1;
+        todo.push_back(k);
       }
+      for (const Rect& d : poly_dirty)
+        db->index(dl).for_each_in(d, [&](std::uint32_t k) {
+          if (fr[k]) return;
+          fr[k] = 1;
+          todo.push_back(k);
+        });
+      parallel_for(static_cast<std::int64_t>(todo.size()), kSplitChunk,
+                   [&](std::int64_t i) {
+                     const std::uint32_t k = todo[static_cast<std::size_t>(i)];
+                     es[k] = compute_entry(rects[k]);
+                   });
+      // A splice that keeps the poly count renumbers no carried gate: a
+      // gate inside the splice dirties every diffusion it crosses.
+      if (sp_poly.delta() == 0) continue;
+      parallel_for(static_cast<std::int64_t>(es.size()), kLinearChunk,
+                   [&](std::int64_t k) {
+                     if (fr[static_cast<std::size_t>(k)]) return;
+                     for (LocalSite& site :
+                          es[static_cast<std::size_t>(k)].sites) {
+                       site.gate_pid = sp_poly.remap(site.gate_pid);
+                       ensure(site.gate_pid != geom::ShapeSplice::kRemoved,
+                              "IncrementalExtract: gate poly vanished "
+                              "without dirtying its diffusion");
+                     }
+                   });
     }
 
-    const Blocks nb = blocks();
+    lay_out();
+    reset_labels();
 
     // Lay out the device records in entry order: a carried entry's
     // records move over from their old slots, paths included (its
-    // channels and provenance are unchanged; rebuild_result reassigns
-    // its nets); only fresh entries build records.
+    // channels and provenance are unchanged; number_nets reassigns
+    // its nets); only fresh entries build records, on this thread so
+    // their path strings stay in its heap.
     spare_devices.swap(out.devices);
-    out.devices.clear();
-    for (int dl_i = 0; dl_i < 2; ++dl_i) {
+    // Grow geometrically, as the appends that once built it did: an edit
+    // that adds a device must not reallocate both buffers every time.
+    if (b.devices > out.devices.capacity())
+      out.devices.reserve(std::max<std::size_t>(b.devices,
+                                                2 * out.devices.capacity()));
+    out.devices.resize(b.devices);
+    const auto n0 = static_cast<std::int64_t>(entries[0].size());
+    const auto n1 = static_cast<std::int64_t>(entries[1].size());
+    parallel_for(n0 + n1, kLinearChunk, [&](std::int64_t i) {
+      const int dl_i = i < n0 ? 0 : 1;
+      const auto k = static_cast<std::uint32_t>(dl_i == 0 ? i : i - n0);
       const Layer dl = diff_layer(dl_i);
+      const std::size_t sites = entries[dl_i][k].sites.size();
+      if (sites == 0 || fresh[dl_i][k]) return;
       const auto& sp = edit.splice_of(dl);
-      for (std::uint32_t k = 0; k < entries[dl_i].size(); ++k) {
-        const Entry& e = entries[dl_i][k];
-        if (e.sites.empty()) continue;
-        if (fresh[dl_i][k]) {
-          add_devices(dl_i, e, db->shape_path(dl, k));
-          continue;
-        }
-        const std::uint32_t o =
-            k < sp.begin ? k
-                         : static_cast<std::uint32_t>(k - sp.delta());
-        const auto from = spare_devices.begin() + old_dev[dl_i][o];
-        out.devices.insert(
-            out.devices.end(), std::make_move_iterator(from),
-            std::make_move_iterator(
-                from + static_cast<std::ptrdiff_t>(e.sites.size())));
+      const std::uint32_t o =
+          k < sp.begin ? k : static_cast<std::uint32_t>(k - sp.delta());
+      const auto from = spare_devices.begin() + old_b.dev_start[dl_i][o];
+      std::move(from, from + static_cast<std::ptrdiff_t>(sites),
+                out.devices.begin() + b.dev_start[dl_i][k]);
+    });
+    for (int dl_i = 0; dl_i < 2; ++dl_i) {
+      const auto& paths = db->path_ids(diff_layer(dl_i));
+      std::uint32_t node = kNoPiece;
+      std::string path;
+      for (const std::uint32_t k : redo[dl_i]) {
+        if (entries[dl_i][k].sites.empty()) continue;
+        if (paths[k] != node) path = db->path_name(node = paths[k]);
+        set_devices(dl_i, k, path);
       }
     }
     spare_devices.clear();
 
-    // Old-to-new piece id map (kNoPiece = the piece no longer exists).
-    std::uint32_t old_total = 0;
-    for (int dl_i = 0; dl_i < 2; ++dl_i)
-      for (std::uint32_t len : old_lens[dl_i]) old_total += len;
-    // Old plain blocks start after all old diffusion pieces.
-    std::array<std::uint32_t, kPlainCount> old_plain_start;
-    {
-      std::uint32_t acc = old_total;
-      for (std::size_t t = 0; t < kPlainCount; ++t) {
-        old_plain_start[t] = acc;
-        acc += old_plain_count[t];
-      }
-      old_total = acc;
-    }
-    std::vector<std::uint32_t> pmap(old_total, kNoPiece);
-    {
-      std::uint32_t o = 0;
-      for (int dl_i = 0; dl_i < 2; ++dl_i) {
-        const auto& sp = edit.splice_of(diff_layer(dl_i));
-        for (std::uint32_t s = 0; s < old_lens[dl_i].size(); ++s) {
-          const std::uint32_t len = old_lens[dl_i][s];
-          const std::uint32_t k = sp.remap(s);
-          if (k != geom::ShapeSplice::kRemoved && !fresh[dl_i][k])
-            for (std::uint32_t t = 0; t < len; ++t)
-              pmap[o + t] = nb.entry_start[dl_i][k] + t;
-          o += len;
-        }
-      }
-      for (std::size_t t = 0; t < kPlainCount; ++t) {
+    // Old-to-new piece ids: a table for the diffusion pieces (kNoPiece
+    // where the piece no longer exists), splice arithmetic for the rest.
+    const std::uint32_t old_diff = old_b.entry_start[1].back();
+    pmap.resize(old_diff);
+    const auto o0 = static_cast<std::int64_t>(old_b.entry_start[0].size() - 1);
+    const auto o1 = static_cast<std::int64_t>(old_b.entry_start[1].size() - 1);
+    parallel_for(o0 + o1, kLinearChunk, [&](std::int64_t i) {
+      const int dl_i = i < o0 ? 0 : 1;
+      const auto s = static_cast<std::uint32_t>(dl_i == 0 ? i : i - o0);
+      const std::uint32_t k = edit.splice_of(diff_layer(dl_i)).remap(s);
+      const bool kept = k != geom::ShapeSplice::kRemoved && !fresh[dl_i][k];
+      const std::uint32_t from = old_b.entry_start[dl_i][s];
+      const std::uint32_t len = old_b.entry_start[dl_i][s + 1] - from;
+      for (std::uint32_t t = 0; t < len; ++t)
+        pmap[from + t] = kept ? b.entry_start[dl_i][k] + t : kNoPiece;
+    });
+    splice_edges([&](std::uint32_t x) {
+      if (x < old_diff) return pmap[x];
+      const std::size_t t = plain_block(old_b, x);
+      const std::uint32_t r =
+          edit.splice_of(kPlain[t]).remap(x - old_b.plain_start[t]);
+      return r == geom::ShapeSplice::kRemoved ? kNoPiece
+                                              : b.plain_start[t] + r;
+    });
+
+    // Discover the new pieces' edges: the segments of the fresh entries,
+    // then the inserted plain shapes. A pair of two new pieces is kept
+    // from its lower member's visit only.
+    const auto is_new = [&](std::uint32_t h) {
+      if (h >= b.plain_start[0]) {
+        const std::size_t t = plain_block(b, h);
         const auto& sp = edit.splice_of(kPlain[t]);
-        for (std::uint32_t s = 0; s < old_plain_count[t]; ++s) {
-          const std::uint32_t r = sp.remap(s);
-          if (r != geom::ShapeSplice::kRemoved)
-            pmap[old_plain_start[t] + s] = nb.plain_start[t] + r;
-        }
+        const std::uint32_t s = h - b.plain_start[t];
+        return s >= sp.begin && s < sp.new_end;
       }
-    }
-
-    // New pieces, for edge discovery and its both-new dedup.
-    std::vector<char> is_new(nb.total, 0);
-    for (int dl_i = 0; dl_i < 2; ++dl_i)
-      for (std::size_t k = 0; k < entries[dl_i].size(); ++k)
-        if (fresh[dl_i][k])
-          for (std::uint32_t t = 0; t < entries[dl_i][k].segs.size(); ++t)
-            is_new[nb.entry_start[dl_i][k] + t] = 1;
-    for (std::size_t t = 0; t < kPlainCount; ++t) {
-      const auto& sp = edit.splice_of(kPlain[t]);
-      for (std::uint32_t s = sp.begin; s < sp.new_end; ++s)
-        is_new[nb.plain_start[t] + s] = 1;
-    }
-
-    // Splice the surviving edges in place, then discover the new pieces'
-    // edges. A pair of two new pieces is kept from its lower member's
-    // visit only.
-    std::size_t kept = 0;
-    for (const std::uint64_t e : edges) {
-      const std::uint32_t a = pmap[static_cast<std::uint32_t>(e >> 32)];
-      const std::uint32_t b2 = pmap[static_cast<std::uint32_t>(e)];
-      if (a != kNoPiece && b2 != kNoPiece) edges[kept++] = pack(a, b2);
-    }
-    edges.resize(kept);
-    auto discover = [&](Layer from, const Rect& r, std::uint32_t g) {
-      for_each_neighbor(from, r, nb, 0, [&](std::uint32_t h) {
-        if (h == g || (is_new[h] && h < g)) return;
-        edges.push_back(pack(std::min(g, h), std::max(g, h)));
+      const int dl_i = h < b.entry_start[0].back() ? 0 : 1;
+      const auto& start = b.entry_start[dl_i];
+      const auto k = static_cast<std::size_t>(
+          std::upper_bound(start.begin(), start.end(), h) - start.begin() - 1);
+      return fresh[dl_i][k] != 0;
+    };
+    const auto discover = [&](Layer from, const Rect& r, std::uint32_t g,
+                              std::vector<std::uint64_t>& list) {
+      for_each_neighbor(from, r, 0, [&](std::uint32_t h) {
+        if (h == g || (h < g && is_new(h))) return;
+        list.push_back(pack(std::min(g, h), std::max(g, h)));
+        unite(g, h);
       });
     };
-    for (int dl_i = 0; dl_i < 2; ++dl_i)
-      for (std::size_t k = 0; k < entries[dl_i].size(); ++k) {
-        if (!fresh[dl_i][k]) continue;
-        const auto& segs = entries[dl_i][k].segs;
-        for (std::uint32_t t = 0; t < segs.size(); ++t)
-          discover(diff_layer(dl_i), segs[t], nb.entry_start[dl_i][k] + t);
-      }
+    const auto r0 = static_cast<std::int64_t>(redo[0].size());
+    const auto r1 = static_cast<std::int64_t>(redo[1].size());
+    std::array<std::int64_t, kPlainCount + 1> plain_at;  // item offsets
+    plain_at[0] = r0 + r1;
     for (std::size_t t = 0; t < kPlainCount; ++t) {
       const auto& sp = edit.splice_of(kPlain[t]);
-      const auto& rects = db->rects(kPlain[t]);
-      for (std::uint32_t s = sp.begin; s < sp.new_end; ++s)
-        discover(kPlain[t], rects[s], nb.plain_start[t] + s);
+      plain_at[t + 1] = plain_at[t] + (sp.new_end - sp.begin);
     }
+    const std::int64_t items = plain_at[kPlainCount];
+    const auto chunks =
+        static_cast<std::size_t>((items + kEdgeChunk - 1) / kEdgeChunk);
+    if (found.size() < chunks) found.resize(chunks);
+    for (std::size_t c = 0; c < chunks; ++c) {
+      found[c].clear();
+      found[c].reserve(4 * kEdgeChunk);
+    }
+    for_chunks(items, kEdgeChunk, [&](std::size_t c, std::int64_t lo,
+                                      std::int64_t hi) {
+      auto& list = found[c];
+      for (std::int64_t i = lo; i < hi; ++i) {
+        if (i < r0 + r1) {
+          const int dl_i = i < r0 ? 0 : 1;
+          const std::uint32_t k =
+              redo[dl_i][static_cast<std::size_t>(dl_i == 0 ? i : i - r0)];
+          const auto& segs = entries[dl_i][k].segs;
+          for (std::uint32_t t = 0; t < segs.size(); ++t)
+            discover(diff_layer(dl_i), segs[t], b.entry_start[dl_i][k] + t,
+                     list);
+          continue;
+        }
+        std::size_t t = 0;
+        while (i >= plain_at[t + 1]) ++t;
+        const std::uint32_t s =
+            edit.splice_of(kPlain[t]).begin +
+            static_cast<std::uint32_t>(i - plain_at[t]);
+        discover(kPlain[t], db->rects(kPlain[t])[s], b.plain_start[t] + s,
+                 list);
+      }
+    });
+    append_found(chunks, false);
+    found.resize(std::min<std::size_t>(found.size(), 1));
 
-    rebuild_result(nb);
+    number_nets();
   }
 };
 
 }  // namespace
 
 Extracted extract(const geom::LayoutDB& db, const tech::Tech& tech) {
-  return Extractor(db, tech).out;
+  return Extractor(db, tech, false).out;
 }
 
 Extracted extract(const geom::Cell& top, const tech::Tech& tech) {
@@ -660,7 +960,7 @@ struct IncrementalExtract::Impl : Extractor {
 
 IncrementalExtract::IncrementalExtract(const geom::LayoutDB& db,
                                        const tech::Tech& tech)
-    : impl_(std::make_unique<Impl>(db, tech)) {}
+    : impl_(std::make_unique<Impl>(db, tech, true)) {}
 
 IncrementalExtract::~IncrementalExtract() = default;
 

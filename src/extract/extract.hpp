@@ -54,15 +54,19 @@ struct Extracted {
 /// One core serves this call and IncrementalExtract, in three phases:
 /// split every diffusion shape at its gates, discover the electrical
 /// adjacency edges between pieces through the database's per-layer tile
-/// indexes, then union the edges and number the nets. The first two run
-/// on util/parallel in fixed-size chunks (a leaf cell is one chunk and
-/// stays on the calling thread); each shape's split lands in its own
-/// slot and each chunk's edges are concatenated in chunk order.
-/// Numbering stays serial: union-find components do not depend on the
-/// order of the unions, and net ids are minted afterwards in a fixed
-/// visit order (devices, ports, then capacitance in piece order). So the
+/// indexes, then label the components and number the nets. Every pass
+/// runs on util/parallel in fixed-size chunks (a leaf cell is one chunk
+/// and stays on the calling thread): each shape's split lands in its
+/// own slot, and each edge is united as it is found by a lock-free
+/// union-find that links the larger root under the smaller, so every
+/// piece's label is its component's least piece id whatever the
+/// schedule. The labels, each piece's capacitance and the per-piece net
+/// lookup are pool passes; net ids are minted serially in the
+/// historical visit order (devices, ports, then capacitance in piece
+/// order), and each net's capacitance is summed in piece order. So the
 /// netlist is bit-identical at any BISRAM_THREADS and keeps the
-/// historical flatten-and-scan numbering.
+/// historical flatten-and-scan numbering. A one-shot call keeps no
+/// edge list.
 Extracted extract(const geom::LayoutDB& db, const tech::Tech& tech);
 
 /// Convenience: flattens `top` into a LayoutDB and extracts it.
@@ -83,23 +87,27 @@ std::vector<geom::Rect> split_diffusion(const geom::Rect& diff,
 /// EditResult to update(); result() is bit-identical to
 /// extract::extract(db, tech) on the database's current contents.
 ///
-/// Construction runs extract()'s core once, with its parallel split
-/// and edge-discovery phases, and keeps the core's intermediates.
-/// What is cached and what is recomputed: the diffusion split (gate
-/// recognition + segment pieces + device sites) is kept per diffusion
-/// shape and recomputed only for shapes the edit inserted or whose
-/// rect intersects the edit's dirty poly region; the Device records
-/// (geometry and provenance path) move along with their carried shapes,
-/// and only inserted or recomputed shapes build new ones; the
-/// electrical adjacency edges are kept globally and spliced across the
-/// piece-id renumbering, with fresh edges discovered only around
-/// inserted pieces by the same per-layer index queries. Union-find and
-/// net numbering (devices, then ports, then capacitance, in visit
-/// order; device nets are written into the kept records) remain a
-/// serial linear pass over all pieces: net ids are minted in global
+/// Construction runs extract()'s core once and keeps its
+/// intermediates, the edge list included. What is cached and what is
+/// recomputed: the diffusion split (gate recognition + segment pieces +
+/// device sites) is kept per diffusion shape and recomputed only for
+/// shapes the edit inserted or whose rect intersects the edit's dirty
+/// poly region; the Device records (geometry and provenance path) move
+/// along with their carried shapes, and only inserted or recomputed
+/// shapes build new ones; the electrical adjacency edges are kept
+/// globally and spliced across the piece-id renumbering, with fresh
+/// edges discovered only around inserted pieces by the same per-layer
+/// index queries. Every per-edit pass runs on util/parallel in fixed
+/// chunks, like the full scan: the re-splits and the fresh edges, the
+/// gate-id remap, the device-record layout (prefix sums) and moves, the
+/// old-to-new piece map, the edge splice (each live edge united as it
+/// is renumbered) and the labels. The net numbering is extract()'s and
+/// still covers every piece each edit: net ids are minted in global
 /// visit order, so an edit can shift them all, and a canonical
 /// numbering would still need a connectivity pass over every piece,
-/// since the power nets span the whole macro.
+/// since the power nets span the whole macro. The per-edit buffers (the
+/// labels, the piece map, a fixed capacitance window) are kept and
+/// reused across edits.
 ///
 /// The database must outlive the extractor, and every apply() on it
 /// must be fed to update() (once, in order). Deterministic and

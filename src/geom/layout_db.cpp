@@ -52,16 +52,6 @@ TileIndex::TileIndex(const std::vector<Rect>& rects, Coord tile)
     });
 }
 
-int TileIndex::tx_of(Coord x) const {
-  const Coord c = std::clamp(x, grid_.lo.x, grid_.hi.x);
-  return static_cast<int>((c - grid_.lo.x) / tile_);
-}
-
-int TileIndex::ty_of(Coord y) const {
-  const Coord c = std::clamp(y, grid_.lo.y, grid_.hi.y);
-  return static_cast<int>((c - grid_.lo.y) / tile_);
-}
-
 template <typename Fn>
 void TileIndex::for_each_tile(const Rect& r, Fn&& fn) {
   const int x0 = tx_of(r.lo.x), x1 = tx_of(r.hi.x);
@@ -80,29 +70,6 @@ const std::vector<std::uint32_t>& TileIndex::bucket(int tx, int ty) const {
   return buckets_[static_cast<std::size_t>(ty) *
                       static_cast<std::size_t>(cols_) +
                   static_cast<std::size_t>(tx)];
-}
-
-void TileIndex::for_each_in(
-    const Rect& window, const std::function<void(std::uint32_t)>& fn) const {
-  if (count_ == 0 || !window.intersects(bounds_)) return;
-  const int x0 = tx_of(window.lo.x), x1 = tx_of(window.hi.x);
-  const int y0 = ty_of(window.lo.y), y1 = ty_of(window.hi.y);
-  if (x0 == x1 && y0 == y1) {
-    // Single-tile fast path: the bucket is already in id order.
-    for (std::uint32_t id : bucket(x0, y0))
-      if ((*rects_)[id].intersects(window)) fn(id);
-    return;
-  }
-  // Merge the candidate buckets, deduplicate, and report in id order so
-  // callers see a deterministic sequence whatever the tile geometry.
-  std::vector<std::uint32_t> ids;
-  for (int ty = y0; ty <= y1; ++ty)
-    for (int tx = x0; tx <= x1; ++tx)
-      for (std::uint32_t id : bucket(tx, ty))
-        if ((*rects_)[id].intersects(window)) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  for (std::uint32_t id : ids) fn(id);
 }
 
 std::vector<std::uint32_t> TileIndex::ids_in(const Rect& window) const {
@@ -306,12 +273,6 @@ std::size_t LayoutDB::shape_count() const {
   std::size_t n = 0;
   for (const auto& v : rects_) n += v.size();
   return n;
-}
-
-void LayoutDB::for_each_in(
-    Layer layer, const Rect& window,
-    const std::function<void(std::uint32_t)>& fn) const {
-  index(layer).for_each_in(window, fn);
 }
 
 double LayoutDB::layer_area(Layer layer) const {

@@ -63,12 +63,13 @@
 //     codes instead of a stack overflow (same bounded-recursion policy
 //     as the JSON parser's depth cap).
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geom/cell.hpp"
@@ -143,9 +144,11 @@ class TileIndex {
 
   /// Calls fn(id) for every rect intersecting `window` (edge-touching
   /// counts, as Rect::intersects), in strictly increasing id order,
-  /// each id exactly once.
-  void for_each_in(const Rect& window,
-                   const std::function<void(std::uint32_t)>& fn) const;
+  /// each id exactly once. A window over at most kMergeTiles tiles
+  /// merges their ascending buckets in place; a larger one gathers,
+  /// sorts and deduplicates its candidates.
+  template <typename Fn>
+  void for_each_in(const Rect& window, Fn&& fn) const;
 
   /// Collects the ids for_each_in would visit.
   std::vector<std::uint32_t> ids_in(const Rect& window) const;
@@ -162,11 +165,30 @@ class TileIndex {
   void splice(const ShapeSplice& sp, std::span<const Rect> old);
 
  private:
-  int tx_of(Coord x) const;
-  int ty_of(Coord y) const;
+  /// The most tiles a query merges in place (a 2 x 2 block: any window
+  /// no larger than a tile).
+  static constexpr int kMergeTiles = 4;
+
+  int tx_of(Coord x) const {
+    return static_cast<int>((std::clamp(x, grid_.lo.x, grid_.hi.x) -
+                             grid_.lo.x) / tile_);
+  }
+  int ty_of(Coord y) const {
+    return static_cast<int>((std::clamp(y, grid_.lo.y, grid_.hi.y) -
+                             grid_.lo.y) / tile_);
+  }
+  const std::vector<std::uint32_t>& tile_at(int tx, int ty) const {
+    return buckets_[static_cast<std::size_t>(ty) *
+                        static_cast<std::size_t>(cols_) +
+                    static_cast<std::size_t>(tx)];
+  }
   /// fn(bucket) for every tile `r` touches.
   template <typename Fn>
   void for_each_tile(const Rect& r, Fn&& fn);
+  /// The many-tile path of for_each_in.
+  template <typename Fn>
+  void gather_sorted(const Rect& window, int x0, int x1, int y0, int y1,
+                     Fn&& fn) const;
 
   const std::vector<Rect>* rects_ = nullptr;
   std::size_t count_ = 0;
@@ -177,6 +199,64 @@ class TileIndex {
   int rows_ = 0;
   std::vector<std::vector<std::uint32_t>> buckets_;  // row-major [ty*cols+tx]
 };
+
+template <typename Fn>
+void TileIndex::for_each_in(const Rect& window, Fn&& fn) const {
+  if (count_ == 0 || !window.intersects(bounds_)) return;
+  const int x0 = tx_of(window.lo.x), x1 = tx_of(window.hi.x);
+  const int y0 = ty_of(window.lo.y), y1 = ty_of(window.hi.y);
+  if ((x1 - x0 + 1) * (y1 - y0 + 1) > kMergeTiles) {
+    gather_sorted(window, x0, x1, y0, y1, fn);
+    return;
+  }
+  // Merge the ascending buckets. A rect straddling tiles heads several
+  // runs at once; every run showing the least id steps past it, so each
+  // id is reported once.
+  const std::uint32_t* cur[kMergeTiles] = {};
+  const std::uint32_t* end[kMergeTiles] = {};
+  int runs = 0;
+  for (int ty = y0; ty <= y1; ++ty)
+    for (int tx = x0; tx <= x1; ++tx) {
+      const std::vector<std::uint32_t>& b = tile_at(tx, ty);
+      if (b.empty()) continue;
+      cur[runs] = b.data();
+      end[runs] = b.data() + b.size();
+      ++runs;
+    }
+  const std::vector<Rect>& rects = *rects_;
+  if (runs == 1) {
+    for (const std::uint32_t* p = cur[0]; p != end[0]; ++p)
+      if (rects[*p].intersects(window)) fn(*p);
+    return;
+  }
+  while (runs > 0) {
+    std::uint32_t id = *cur[0];
+    for (int r = 1; r < runs; ++r) id = std::min(id, *cur[r]);
+    for (int r = 0; r < runs;) {
+      if (*cur[r] == id && ++cur[r] == end[r]) {
+        --runs;
+        cur[r] = cur[runs];
+        end[r] = end[runs];
+      } else {
+        ++r;
+      }
+    }
+    if (rects[id].intersects(window)) fn(id);
+  }
+}
+
+template <typename Fn>
+void TileIndex::gather_sorted(const Rect& window, int x0, int x1, int y0,
+                              int y1, Fn&& fn) const {
+  std::vector<std::uint32_t> ids;
+  for (int ty = y0; ty <= y1; ++ty)
+    for (int tx = x0; tx <= x1; ++tx)
+      for (std::uint32_t id : tile_at(tx, ty))
+        if ((*rects_)[id].intersects(window)) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  for (std::uint32_t id : ids) fn(id);
+}
 
 /// One edit to a flattened hierarchy, addressed by instance path.
 struct CellEdit {
@@ -270,8 +350,10 @@ class LayoutDB {
   // --- queries --------------------------------------------------------------
   /// fn(id) for every shape of `layer` intersecting `window`, in
   /// strictly increasing id order, each exactly once.
-  void for_each_in(Layer layer, const Rect& window,
-                   const std::function<void(std::uint32_t)>& fn) const;
+  template <typename Fn>
+  void for_each_in(Layer layer, const Rect& window, Fn&& fn) const {
+    index(layer).for_each_in(window, std::forward<Fn>(fn));
+  }
 
   /// Bounding box over every layer (empty Rect when no shapes), folded
   /// from the per-layer index bounds.

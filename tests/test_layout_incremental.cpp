@@ -9,10 +9,12 @@
 //     flatten;
 //   * extract::IncrementalExtract::result equals extract::extract.
 //
-// The CI sanitizer legs run this suite at BISRAM_THREADS 1/2/8: the
+// The CI sanitizer legs run this suite at BISRAM_THREADS 1/2/8. The
 // full scans (drc::check, extract::extract and the incremental engines'
-// initial scans) run their per-shape phases on the campaign pool, while
-// the updates are serial, so the equality also pins thread-invariance.
+// initial scans) and the updates both run their passes on the campaign
+// pool, so the equality also pins thread-invariance; on a Fig. 6 slice
+// whose edits span several chunks of every update pass, one test also
+// replays its edits at pool widths 1, 2 and 8 itself.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +30,7 @@
 #include "extract/extract.hpp"
 #include "geom/layout_db.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace bisram {
@@ -517,6 +520,141 @@ void replay_stream(int edits, std::uint64_t seed) {
 
 TEST(LayoutIncremental, LongEditStreamMatchesOraclesAtSignoffAndCoarseTile) {
   replay_stream(300, 2024);
+}
+
+/// A 16-word slice of the Fig. 6 organisation (bpw 128, bpc 8, 4 spare
+/// rows; 463,038 shapes). Its rows hold 1,024 bit cells, so one row move
+/// re-splits thousands of diffusion shapes and re-emits tens of
+/// thousands of pieces and DRC checks: several pool chunks of every
+/// update pass.
+const Macro& fig6_slice() {
+  static const Macro* m = [] {
+    core::RamSpec spec;
+    spec.words = 16;
+    spec.bpw = 128;
+    spec.bpc = 8;
+    spec.spare_rows = 4;
+    spec.strap_interval = 32;
+    spec.gate_size = 2.0;
+    spec.technology = "cda.7u3m1p";
+    const core::Generated g = core::generate(spec);
+    return new Macro{g.top, spec.resolved_technology()};
+  }();
+  return *m;
+}
+
+/// Restores the campaign pool width on exit.
+class PoolWidth {
+ public:
+  explicit PoolWidth(int n) : prev_(set_campaign_threads(n)) {}
+  ~PoolWidth() { set_campaign_threads(prev_); }
+  PoolWidth(const PoolWidth&) = delete;
+  PoolWidth& operator=(const PoolWidth&) = delete;
+
+ private:
+  int prev_;
+};
+
+TEST(LayoutIncremental, MultiChunkEditsMatchFullScansAtEveryPoolWidth) {
+  const Macro& m = fig6_slice();
+  const tech::Tech& t = m.tech;
+  const geom::Coord tile = drc::tile_size_for(t);
+  drc::DrcOptions uncapped;
+  uncapped.max_violations = static_cast<std::size_t>(-1);
+
+  // A short seeded list: a row move, a decoder removed and restored, an
+  // Add over the array and a bit move.
+  const auto child = [](const geom::Cell& c, const std::string& name) {
+    for (const geom::Instance& i : c.instances())
+      if (i.name == name) return &i;
+    throw Error("no instance " + name + " in " + c.name());
+  };
+  const geom::Cell& array = *child(*m.top, "RAMARRAY")->cell;
+  const geom::Cell& rowdec = *child(*m.top, "ROWDEC")->cell;
+  Rng rng(2317);
+  const auto pick = [&](const geom::Cell& c) {
+    return &c.instances()[rng.below(c.instances().size())];
+  };
+  geom::Library lib;
+  std::vector<CellEdit> edits;
+  {
+    const geom::Instance* row = pick(array);
+    CellEdit e;
+    e.kind = CellEdit::Kind::Move;
+    e.path = "RAMARRAY/" + row->name;
+    e.transform = geom::Transform::translate(6, -4).compose(row->transform);
+    edits.push_back(e);
+  }
+  const geom::Instance* dec = pick(rowdec);
+  {
+    CellEdit e;
+    e.kind = CellEdit::Kind::Remove;
+    e.path = "ROWDEC/" + dec->name;
+    edits.push_back(e);
+  }
+  {
+    const geom::Rect box = array.bbox();
+    CellEdit e;
+    e.kind = CellEdit::Kind::Add;
+    e.path = "";
+    e.name = "camOverArray";
+    e.cell = cells::cam_cell(lib, t);
+    e.transform = geom::Transform::translate(
+        box.lo.x + static_cast<geom::Coord>(
+                       rng.below(static_cast<std::uint64_t>(box.width()))),
+        box.lo.y + static_cast<geom::Coord>(
+                       rng.below(static_cast<std::uint64_t>(box.height()))));
+    edits.push_back(e);
+  }
+  {
+    CellEdit e;
+    e.kind = CellEdit::Kind::Add;
+    e.path = "ROWDEC";
+    e.name = dec->name;
+    e.cell = dec->cell;
+    e.transform = dec->transform;
+    edits.push_back(e);
+  }
+  {
+    const geom::Instance* row = pick(array);
+    const geom::Instance* bit = pick(*row->cell);
+    CellEdit e;
+    e.kind = CellEdit::Kind::Move;
+    e.path = "RAMARRAY/" + row->name + "/" + bit->name;
+    e.transform = geom::Transform::translate(-2, 8).compose(bit->transform);
+    edits.push_back(e);
+  }
+
+  // The full scans after every edit (thread-count invariant, pinned in
+  // test_signoff_equivalence).
+  std::vector<std::vector<drc::Violation>> want_drc;
+  std::vector<extract::Extracted> want_ext;
+  {
+    LayoutDB db(*m.top, tile);
+    ASSERT_EQ(db.shape_count(), 463038u);
+    for (const CellEdit& e : edits) {
+      db.apply(e);
+      want_drc.push_back(drc::check(db, t, uncapped));
+      want_ext.push_back(extract::extract(db, t));
+    }
+  }
+  for (int threads : {1, 2, 8}) {
+    const PoolWidth width(threads);
+    LayoutDB db(*m.top, tile);
+    drc::IncrementalDrc inc_drc(db, t, uncapped);
+    extract::IncrementalExtract inc_ext(db, t);
+    for (std::size_t i = 0; i < edits.size(); ++i) {
+      const std::string tag = "threads=" + std::to_string(threads) +
+                              " edit " + std::to_string(i) + " (" +
+                              edits[i].path + ")";
+      const geom::EditResult res = db.apply(edits[i]);
+      inc_drc.update(res);
+      inc_ext.update(res);
+      expect_same_violations(inc_drc.report(), want_drc[i], tag);
+      expect_same_extraction(inc_ext.result(), want_ext[i], tag);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 TEST(LayoutIncremental, AddOverAnExistingGateMatchesFullExtract) {

@@ -25,6 +25,7 @@
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "scoped_env.hpp"
 
 namespace bisram {
 namespace {
@@ -175,16 +176,19 @@ TEST(ParallelReduce, PropagatesExceptionsFromWorkers) {
 }
 
 TEST(CampaignThreads, EnvOverrideWins) {
+  // Starts from an unset variable whatever the caller's environment, and
+  // restores the caller's value on exit.
+  const ScopedEnv env("BISRAM_THREADS", nullptr);
   ThreadGuard guard(3);
   EXPECT_EQ(campaign_threads(), 3);
-  ASSERT_EQ(setenv("BISRAM_THREADS", "5", 1), 0);
+  ASSERT_TRUE(env.set("5"));
   EXPECT_EQ(campaign_threads(), 5);
   // Garbage and out-of-range values fall through to the override.
-  ASSERT_EQ(setenv("BISRAM_THREADS", "zero", 1), 0);
+  ASSERT_TRUE(env.set("zero"));
   EXPECT_EQ(campaign_threads(), 3);
-  ASSERT_EQ(setenv("BISRAM_THREADS", "0", 1), 0);
+  ASSERT_TRUE(env.set("0"));
   EXPECT_EQ(campaign_threads(), 3);
-  ASSERT_EQ(unsetenv("BISRAM_THREADS"), 0);
+  ASSERT_TRUE(env.set(nullptr));
   EXPECT_EQ(campaign_threads(), 3);
 }
 

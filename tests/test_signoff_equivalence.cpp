@@ -29,6 +29,7 @@
 #include "geom/layout_db.hpp"
 #include "geom/writers.hpp"
 #include "oracle_flatten.hpp"
+#include "scoped_env.hpp"
 
 namespace bisram {
 namespace {
@@ -353,7 +354,7 @@ TEST(SignoffEquivalence, DrcIsThreadCountInvariant) {
        0xf449a3d531b8a9cfull},
   };
   for (const char* threads : {"1", "2", "8"}) {
-    ASSERT_EQ(setenv("BISRAM_THREADS", threads, 1), 0);
+    const ScopedEnv env("BISRAM_THREADS", threads);
     for (const auto& c : cases) {
       const std::string tag =
           std::string(c.name) + " BISRAM_THREADS=" + threads;
@@ -362,7 +363,6 @@ TEST(SignoffEquivalence, DrcIsThreadCountInvariant) {
       EXPECT_EQ(digest(inc.report()), c.want) << tag << " incremental";
     }
   }
-  ASSERT_EQ(unsetenv("BISRAM_THREADS"), 0);
 }
 
 TEST(SignoffEquivalence, DrcIsTileSizeInvariant) {
@@ -449,7 +449,7 @@ TEST(SignoffEquivalence, ExtractIsThreadCountInvariant) {
        quickstart_spec().resolved_technology(), 0x73c628f84d36e8dcull},
   };
   for (const char* threads : {"1", "2", "8"}) {
-    ASSERT_EQ(setenv("BISRAM_THREADS", threads, 1), 0);
+    const ScopedEnv env("BISRAM_THREADS", threads);
     for (const auto& c : cases) {
       const std::string tag =
           std::string(c.name) + " BISRAM_THREADS=" + threads;
@@ -459,7 +459,6 @@ TEST(SignoffEquivalence, ExtractIsThreadCountInvariant) {
       EXPECT_EQ(digest(inc.result()), c.want) << tag << " incremental";
     }
   }
-  ASSERT_EQ(unsetenv("BISRAM_THREADS"), 0);
 }
 
 TEST(SignoffEquivalence, LvsVerdictsStableAcrossTileSizes) {
