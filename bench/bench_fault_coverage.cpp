@@ -272,14 +272,14 @@ int main(int argc, char** argv) {
   spec.seed = 17;
   bool json = false;
   std::string json_path;
-  std::string kernel = "auto";
+  std::string kernel = "packed";
   Cli cli("bench_fault_coverage",
           "Section V march-test fault-coverage campaigns.");
   cli.value("--trials", &spec.trials, "random faults per (test, kind) campaign")
       .value("--seed", &spec.seed, "campaign seed")
       .value("--threads", &spec.threads,
              "worker threads (0 = BISRAM_THREADS or hardware)")
-      .value("--kernel", &kernel, "simulation kernel: auto|packed|scalar", "K")
+      .value("--kernel", &kernel, "simulation kernel: packed|scalar", "K")
       .optional_value("--json", &json, &json_path,
                       "emit the report as JSON (to FILE or stdout) and skip "
                       "the benchmarks")

@@ -13,7 +13,6 @@
 #include "models/yield.hpp"
 #include "sim/infra_faults.hpp"
 #include "util/cli.hpp"
-#include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
@@ -232,32 +231,17 @@ int main(int argc, char** argv) {
   spec.seed = 2026;
   bool json = false;
   std::string json_path;
-  std::string kernel = "auto";
   Cli cli("bench_infra_faults",
           "Fault-injection campaign for the repair machinery itself.");
   cli.value("--trials", &spec.trials, "campaign trials per table")
       .value("--seed", &spec.seed, "campaign seed")
       .value("--threads", &spec.threads,
              "worker threads (0 = BISRAM_THREADS or hardware)")
-      .value("--kernel", &kernel,
-             "simulation kernel: auto|scalar (infra faults have no packed "
-             "form)",
-             "K")
       .optional_value("--json", &json, &json_path,
                       "emit the report as JSON (to FILE or stdout) and skip "
                       "the benchmarks")
       .passthrough_prefix("--benchmark_");
   cli.parse(&argc, argv);
-  try {
-    spec.kernel = sim::kernel_by_name(kernel);
-    if (spec.kernel == sim::SimKernel::Packed)
-      throw SpecError(
-          "infrastructure faults cannot run on the packed kernel");
-  } catch (const Error& e) {
-    std::fprintf(stderr, "bench_infra_faults: %s\n%s", e.what(),
-                 cli.usage().c_str());
-    return 2;
-  }
   if (json) {
     print_report_json(spec, json_path);
     return 0;

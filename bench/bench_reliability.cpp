@@ -13,7 +13,6 @@
 
 #include "models/reliability.hpp"
 #include "util/cli.hpp"
-#include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -128,7 +127,6 @@ void print_fig5_json(const CampaignSpec& spec, const std::string& path) {
   }
   j.end_array();
   j.key("provenance").begin_object();
-  j.key("kernel").value(sim::kernel_name(spec.kernel));
   j.key("seed").value(spec.seed);
   j.key("threads").value(prov.threads);
   j.key("trials_per_check").value(spec.trials);
@@ -170,29 +168,17 @@ int main(int argc, char** argv) {
   spec.seed = 31;
   bool json = false;
   std::string json_path;
-  std::string kernel = "auto";
   Cli cli("bench_reliability",
           "Fig. 5 reliability-vs-age curves, crossovers and MTTF.");
   cli.value("--trials", &spec.trials, "Monte-Carlo trials per spot check")
       .value("--seed", &spec.seed, "campaign seed")
       .value("--threads", &spec.threads,
              "worker threads (0 = BISRAM_THREADS or hardware)")
-      .value("--kernel", &kernel,
-             "simulation kernel: auto|scalar (the sampler has no RAM "
-             "simulation to pack)",
-             "K")
       .optional_value("--json", &json, &json_path,
                       "emit the report as JSON (to FILE or stdout) and skip "
                       "the benchmarks")
       .passthrough_prefix("--benchmark_");
   cli.parse(&argc, argv);
-  try {
-    spec.kernel = sim::kernel_by_name(kernel);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "bench_reliability: %s\n%s", e.what(),
-                 cli.usage().c_str());
-    return 2;
-  }
   if (json) {
     print_fig5_json(spec, json_path);
     return 0;

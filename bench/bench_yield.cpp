@@ -55,7 +55,7 @@ double growth_factor(int spares) {
 }
 
 /// Small embedded macro used by the end-to-end MC sections: every fault
-/// it samples is a stuck-at, so SimKernel::Auto runs fully packed.
+/// it samples is a stuck-at, so SimKernel::Packed runs fully packed.
 sim::RamGeometry mc_geo() {
   sim::RamGeometry g;
   g.words = 64;
@@ -417,7 +417,7 @@ void print_fig4_json(const CampaignSpec& spec, int wafer_dies,
   }
   j.end_array();
   // End-to-end BIST/BISR Monte-Carlo under the unified campaign API:
-  // stuck-at-only trials, so Auto dispatches to the packed kernel.
+  // stuck-at-only trials, so a Packed request runs the packed kernel.
   {
     const auto mc =
         models::bisr_yield_mc_with_bist(mc_geo(), 3.0, alpha, g4, spec);
@@ -612,7 +612,7 @@ int main(int argc, char** argv) {
   spec.seed = 1234;
   bool json = false;
   std::string json_path;
-  std::string kernel = "auto";
+  std::string kernel = "packed";
   int wafer_dies = 1000000;
   WaferRunOptions wafer_opts;
   Cli cli("bench_yield", "Fig. 4 yield-vs-defects curves and MC checks.");
@@ -620,7 +620,7 @@ int main(int argc, char** argv) {
       .value("--seed", &spec.seed, "campaign seed")
       .value("--threads", &spec.threads,
              "worker threads (0 = BISRAM_THREADS or hardware)")
-      .value("--kernel", &kernel, "simulation kernel: auto|packed|scalar", "K")
+      .value("--kernel", &kernel, "simulation kernel: packed|scalar", "K")
       .value("--wafer-dies", &wafer_dies,
              "dies for the wafer-scale streaming campaign (0 = skip)")
       .value("--deadline-ms", &wafer_opts.deadline_ms,

@@ -111,18 +111,6 @@ Rect draw_via1(Cell& cell, const Tech& t, Point center) {
   return m2;
 }
 
-Rect draw_via2(Cell& cell, const Tech& t, Point center) {
-  const Rect cut = square(center, t.via2_size);
-  cell.add_shape(Layer::Via2, cut);
-  cell.add_shape(Layer::Metal2, cut.expanded(t.via2_encl));
-  // The metal3 landing must also satisfy metal3's minimum width.
-  const Coord encl3 = std::max(
-      t.via2_encl, (t.rule(Layer::Metal3).min_width - t.via2_size + 1) / 2);
-  const Rect m3 = cut.expanded(encl3);
-  cell.add_shape(Layer::Metal3, m3);
-  return m3;
-}
-
 Rect draw_wire(Cell& cell, const Tech& t, Layer layer, Point a, Point b,
                Coord width) {
   require(a.x == b.x || a.y == b.y, "draw_wire: endpoints must be aligned");

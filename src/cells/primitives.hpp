@@ -55,11 +55,9 @@ Stripe draw_mos_stripe(Cell& cell, const Tech& t, bool pmos, Point origin,
 /// poly) and the metal1 pad. Returns the metal1 pad.
 Rect draw_contact(Cell& cell, const Tech& t, Layer lower, Point center);
 
-/// Via metal1->metal2 (or metal2->metal3 with `via2`), centered at
-/// `center`; draws the cut plus both metal landing pads; returns the
-/// upper pad.
+/// Via metal1->metal2, centered at `center`; draws the cut plus both
+/// metal landing pads; returns the upper pad.
 Rect draw_via1(Cell& cell, const Tech& t, Point center);
-Rect draw_via2(Cell& cell, const Tech& t, Point center);
 
 /// Straight wire of `width` between two points sharing an x or y
 /// coordinate; returns the rect. Throws when the points are diagonal.

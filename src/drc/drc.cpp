@@ -26,24 +26,16 @@ namespace {
 constexpr std::int64_t kScanChunk = 1024;
 
 /// Runs scan(i, part) for every i in [0, n) — a shape id, or a position
-/// in a sorted id list — on util/parallel, in fixed kScanChunk-sized
-/// chunks, and appends the per-chunk lists to `out` in chunk order: the
-/// list one ascending serial scan would build, at any thread count.
+/// in a sorted id list — through parallel_collect in kScanChunk-sized
+/// chunks: `out` gets the list one ascending serial scan would append, at
+/// any thread count.
 template <typename T, typename Scan>
 void scan_ids(std::size_t n, std::vector<T>& out, Scan&& scan) {
-  const auto total = static_cast<std::int64_t>(n);
-  const std::int64_t chunks = (total + kScanChunk - 1) / kScanChunk;
-  std::vector<std::vector<T>> parts(static_cast<std::size_t>(chunks));
-  parallel_for(chunks, 1, [&](std::int64_t c) {
-    auto& part = parts[static_cast<std::size_t>(c)];
-    const auto lo = static_cast<std::uint32_t>(c * kScanChunk);
-    const auto hi =
-        static_cast<std::uint32_t>(std::min(total, (c + 1) * kScanChunk));
-    for (std::uint32_t i = lo; i < hi; ++i) scan(i, part);
-  });
-  for (auto& part : parts)
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
+  parallel_collect(static_cast<std::int64_t>(n), kScanChunk, out,
+                   [&](std::int64_t lo, std::int64_t hi, std::vector<T>& part) {
+                     for (auto i = static_cast<std::uint32_t>(lo); i < hi; ++i)
+                       scan(i, part);
+                   });
 }
 
 int kind_rank(RuleKind k) {
@@ -128,8 +120,10 @@ std::vector<ViaRule> via_rules_for(const tech::Tech& tech) {
 //
 // The full scan runs the per-shape work (touching pairs, width and
 // spacing records, via enclosure, well coverage) on util/parallel in
-// fixed chunks of shape ids, joined in chunk order; the union-find over
-// the touching pairs and the component labels are serial. An edit then
+// fixed chunks of shape ids. Records are joined in chunk order
+// (parallel_collect). Touching pairs are united as they are found, in
+// the shared lock-free UnionFind, whose flattened labels are each
+// polygon's least shape id at any thread count. An edit then
 // only has to (a) drop/renumber the records of the phases it can reach
 // through the shape-id splice, (b) relabel the merged polygons it
 // touched (relabel() below, a serial walk) and (c) re-emit records for
@@ -169,10 +163,6 @@ struct Checker {
     full_scan();
   }
 
-  static std::uint64_t pack(std::uint32_t i, std::uint32_t j) {
-    return (static_cast<std::uint64_t>(i) << 32) | j;
-  }
-
   int width_phase(Layer l) const { return 2 * static_cast<int>(l); }
   int space_phase(Layer l) const { return 2 * static_cast<int>(l) + 1; }
   int via_phase(std::size_t vi) const {
@@ -182,35 +172,6 @@ struct Checker {
     return 2 * geom::kLayerCount + static_cast<int>(via_rules.size());
   }
   Recs& list(int phase) { return recs[static_cast<std::size_t>(phase)]; }
-
-  /// label[i] = smallest shape id in i's component, from the touching
-  /// pairs. Root identities depend on the union order, but only the
-  /// per-component minima are kept, and those do not.
-  static std::vector<std::uint32_t> labels_of(
-      std::size_t n, const std::vector<std::uint64_t>& edges) {
-    std::vector<std::uint32_t> parent(n);
-    for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
-    auto find = [&](std::uint32_t x) {
-      while (parent[x] != x) {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
-      }
-      return x;
-    };
-    for (std::uint64_t e : edges) {
-      const auto a = find(static_cast<std::uint32_t>(e >> 32));
-      const auto b = find(static_cast<std::uint32_t>(e));
-      if (a != b) parent[a] = b;
-    }
-    std::vector<std::uint32_t> first(n, ShapeSplice::kRemoved);
-    std::vector<std::uint32_t> out(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t root = find(i);
-      if (first[root] == ShapeSplice::kRemoved) first[root] = i;
-      out[i] = first[root];
-    }
-    return out;
-  }
 
   // --- per-shape rules -------------------------------------------------------
   // `rescanned(j)` tells a pair rule whether partner j is visited by the
@@ -223,16 +184,6 @@ struct Checker {
       out.push_back({k, 0,
                      {RuleKind::MinWidth, layer, r, {}, "",
                       db->shape_path(layer, k), {}}});
-  }
-
-  /// Touching pairs (the component-merge edges) of shape k.
-  template <typename Rescanned>
-  void scan_touching(Layer layer, std::uint32_t k, Rescanned&& rescanned,
-                     std::vector<std::uint64_t>& out) const {
-    db->index(layer).for_each_in(db->rects(layer)[k], [&](std::uint32_t j) {
-      if (j == k || (j < k && rescanned(j))) return;
-      out.push_back(pack(std::min(j, k), std::max(j, k)));
-    });
   }
 
   /// Spacing records between shape k and every closer-than-min_space
@@ -304,13 +255,22 @@ struct Checker {
           scan_width(layer, i, out);
         });
       if (rule.min_space > 0) {
-        std::vector<std::uint64_t> edges;
-        scan_ids(n, edges,
-                 [&](std::uint32_t i, std::vector<std::uint64_t>& out) {
-                   scan_touching(layer, i, every, out);
-                 });
+        // Component labels: every touching pair united from its lower id
+        // as the scan finds it, then each shape labelled with its
+        // polygon's least id.
         auto& lab = label[static_cast<std::size_t>(layer)];
-        lab = labels_of(n, edges);
+        const UnionFind uf(lab);
+        uf.reset(n);
+        const auto& rects = db->rects(layer);
+        const TileIndex& idx = db->index(layer);
+        parallel_for(static_cast<std::int64_t>(n), kScanChunk,
+                     [&](std::int64_t i) {
+                       const auto k = static_cast<std::uint32_t>(i);
+                       idx.for_each_in(rects[k], [&](std::uint32_t j) {
+                         if (j > k) uf.unite(k, j);
+                       });
+                     });
+        uf.flatten();
         scan_ids(n, list(space_phase(layer)), [&](std::uint32_t i, Recs& out) {
           scan_space(layer, i, lab, every, out);
         });
@@ -354,7 +314,7 @@ struct Checker {
   ///
   /// Only the polygons of the inserted shapes and of the survivors that
   /// touch the layer's old_bbox are re-walked (through the layer index,
-  /// with scan_touching's predicate), and each gets its minimum member
+  /// touching as in the full scan), and each gets its minimum member
   /// id. No other polygon can have changed: a survivor's polygon changes
   /// only if it gained an inserted shape, which is walked from, or lost
   /// a removed one. In the second case every remaining part of the old

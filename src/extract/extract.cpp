@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <utility>
 
@@ -86,11 +85,11 @@ bool Extracted::channel_between(int a, int b) const {
 // discover the electrical adjacency edges (each chunk of pieces lists
 // its own, concatenated in chunk order), then label the components and
 // number the nets. Every pass over pieces, entries, edges or device
-// records runs on util/parallel in fixed chunks with per-chunk outputs
-// joined in chunk order. The labelling is a lock-free union-find that
-// always links the larger root under the smaller, so a piece's label is
-// its component's least piece id whatever the schedule. Net ids are
-// then minted serially in the historical visit order (devices, ports,
+// records runs on util/parallel in fixed chunks, and the edge lists are
+// joined in chunk order (parallel_collect). The labelling is the
+// lock-free UnionFind of util/parallel, which DRC uses too, so a piece's
+// label is its component's least piece id whatever the schedule. Net ids
+// are then minted serially in the historical visit order (devices, ports,
 // then capacitance in piece order), and each net's capacitance is
 // summed in piece order, so the netlist is bit-identical at any thread
 // count.
@@ -261,7 +260,7 @@ struct Extractor {
 
   // Working buffers of the net pass and the updates, kept so an edit
   // reuses them.
-  /// Per piece: the union-find parent, then the component label (the
+  /// Per piece: the UnionFind parent slot, then the component label (the
   /// least piece id), with kMinted marking a root whose slot holds its
   /// net id.
   std::vector<std::uint32_t> label;
@@ -272,7 +271,6 @@ struct Extractor {
   std::vector<std::uint32_t> pmap;           ///< old -> new diffusion piece
   std::array<std::vector<char>, 2> fresh;    ///< per entry: recomputed
   std::array<std::vector<std::uint32_t>, 2> redo;  ///< the fresh entries
-  std::vector<std::vector<std::uint64_t>> found;   ///< per-chunk new edges
   std::vector<std::uint64_t> moved;  ///< edges moving into splice holes
   std::vector<double> cap_window;    ///< capacitance of kCapWindow pieces
 
@@ -429,45 +427,27 @@ struct Extractor {
     }
   }
 
-  /// Concatenates found[0..chunks) onto `edges` in chunk order; with
-  /// `release`, frees each list once copied.
-  void append_found(std::size_t chunks, bool release) {
-    std::size_t n = edges.size();
-    for (std::size_t c = 0; c < chunks; ++c) n += found[c].size();
-    // Exact for the first fill; geometric after, as appends would grow.
-    if (n > edges.capacity()) edges.reserve(std::max(n, 2 * edges.capacity()));
-    for (std::size_t c = 0; c < chunks; ++c) {
-      edges.insert(edges.end(), found[c].begin(), found[c].end());
-      if (release) std::vector<std::uint64_t>().swap(found[c]);
-    }
-  }
-
   /// Phase 2: every adjacency edge (i, j), i < j, found from piece i
   /// and united as it is found. With `keep_edges` (the incremental
   /// engine, which splices them) chunks list their edges in piece order,
-  /// concatenated in chunk order, so `edges` is the serial list at any
-  /// thread count; a one-shot extraction keeps none.
+  /// joined in chunk order, so `edges` is the serial list at any thread
+  /// count; a one-shot extraction keeps none.
   void discover_all(bool keep_edges) {
-    const auto total = static_cast<std::int64_t>(b.total);
-    const auto chunks = static_cast<std::size_t>(
-        keep_edges ? (total + kEdgeChunk - 1) / kEdgeChunk : 0);
-    // Sized here, on this thread, so the workers leave its heap alone.
-    found.resize(chunks);
-    for (auto& list : found) list.reserve(2 * kEdgeChunk);
-    for_chunks(total, kEdgeChunk, [&](std::size_t c, std::int64_t lo,
-                                      std::int64_t hi) {
-      for_each_piece(static_cast<std::uint32_t>(lo),
-                     static_cast<std::uint32_t>(hi),
-                     [&](std::uint32_t g, Layer l, const Rect& r) {
-                       for_each_neighbor(l, r, g + 1, [&](std::uint32_t h) {
-                         if (h <= g) return;
-                         if (keep_edges) found[c].push_back(pack(g, h));
-                         unite(g, h);
-                       });
-                     });
-    });
-    append_found(chunks, true);
-    std::vector<std::vector<std::uint64_t>>().swap(found);
+    const UnionFind uf(label);
+    parallel_collect(
+        b.total, kEdgeChunk, edges,
+        [&](std::int64_t lo, std::int64_t hi, auto& list) {
+          for_each_piece(static_cast<std::uint32_t>(lo),
+                         static_cast<std::uint32_t>(hi),
+                         [&](std::uint32_t g, Layer l, const Rect& r) {
+                           for_each_neighbor(l, r, g + 1, [&](std::uint32_t h) {
+                             if (h <= g) return;
+                             if (keep_edges) list.push_back(pack(g, h));
+                             uf.unite(g, h);
+                           });
+                         });
+        },
+        keep_edges ? 2 * kEdgeChunk : 0);
   }
 
   /// The lowest piece id on `layer` intersecting `window` (the piece a
@@ -497,47 +477,10 @@ struct Extractor {
 
   // --- phase 3: component labels and net numbering -------------------------
 
-  std::atomic_ref<std::uint32_t> slot(std::uint32_t x) {
-    return std::atomic_ref<std::uint32_t>(label[x]);
-  }
-
   /// Starts a labelling: every piece its own component.
   void reset_labels() {
     ensure(b.total < kMinted, "extract: piece ids overflow the label tags");
-    label.resize(b.total);
-    std::uint32_t* const up = label.data();
-    parallel_for(b.total, kLinearChunk, [up](std::int64_t i) {
-      up[i] = static_cast<std::uint32_t>(i);
-    });
-  }
-
-  /// The root of x's tree, halving the path on the way. Lock-free: a slot
-  /// only ever moves to an ancestor.
-  std::uint32_t find(std::uint32_t x) {
-    constexpr auto relaxed = std::memory_order_relaxed;
-    for (;;) {
-      const std::uint32_t px = slot(x).load(relaxed);
-      if (px == x) return x;
-      const std::uint32_t gx = slot(px).load(relaxed);
-      if (gx != px) slot(x).store(gx, relaxed);
-      x = gx;
-    }
-  }
-
-  /// Joins the components of pieces x and y, from any thread. A root is
-  /// linked (by CAS, so only while it still is a root) under the smaller
-  /// root, so every tree's root is its least member whatever the
-  /// schedule.
-  void unite(std::uint32_t x, std::uint32_t y) {
-    for (;;) {
-      x = find(x);
-      y = find(y);
-      if (x == y) return;
-      if (x < y) std::swap(x, y);
-      std::uint32_t root = x;
-      if (slot(x).compare_exchange_weak(root, y, std::memory_order_relaxed))
-        return;
-    }
+    UnionFind(label).reset(b.total);
   }
 
   /// Once every edge is united: labels each piece with its component's
@@ -549,16 +492,8 @@ struct Extractor {
   /// linear re-pass after every edit, because an edit shifts net ids
   /// globally.
   void number_nets() {
-    const std::uint32_t n = b.total;
+    UnionFind(label).flatten();
     std::uint32_t* const up = label.data();
-    // Each piece stores its root. The walk writes nothing but its own
-    // slot, so a slot once set to its root stays there.
-    parallel_for(n, kLinearChunk, [&](std::int64_t i) {
-      auto x = static_cast<std::uint32_t>(i);
-      for (std::uint32_t px; (px = slot(x).load(std::memory_order_relaxed)) != x;)
-        x = px;
-      slot(static_cast<std::uint32_t>(i)).store(x, std::memory_order_relaxed);
-    });
 
     out.net_count = 0;
     out.port_net.clear();
@@ -595,7 +530,7 @@ struct Extractor {
     // Every piece of a component with a net takes the net id, so the
     // serial pass below reads its nets in piece order. Only non-root
     // slots are written and only root slots are read across pieces.
-    parallel_for(n, kLinearChunk, [&](std::int64_t i) {
+    parallel_for(b.total, kLinearChunk, [&](std::int64_t i) {
       const std::uint32_t lab = up[i];
       if (lab & kMinted) return;
       const std::uint32_t root = up[lab];
@@ -689,6 +624,7 @@ struct Extractor {
         static_cast<std::size_t>((ne + kLinearChunk - 1) / kLinearChunk);
     std::vector<std::uint32_t> dead(chunks, 0), holes(chunks + 1, 0),
         movers(chunks + 1, 0);
+    const UnionFind uf(label);
     for_chunks(ne, kLinearChunk, [&](std::size_t c, std::int64_t lo,
                                      std::int64_t hi) {
       std::uint32_t d = 0;
@@ -703,7 +639,7 @@ struct Extractor {
         }
         // Most edits leave most ids in place; skip the store then.
         if (const std::uint64_t e = pack(x, y); e != edges[i]) edges[i] = e;
-        unite(x, y);
+        uf.unite(x, y);
       }
       dead[c] = d;
     });
@@ -890,12 +826,13 @@ struct Extractor {
           std::upper_bound(start.begin(), start.end(), h) - start.begin() - 1);
       return fresh[dl_i][k] != 0;
     };
+    const UnionFind uf(label);
     const auto discover = [&](Layer from, const Rect& r, std::uint32_t g,
                               std::vector<std::uint64_t>& list) {
       for_each_neighbor(from, r, 0, [&](std::uint32_t h) {
         if (h == g || (h < g && is_new(h))) return;
         list.push_back(pack(std::min(g, h), std::max(g, h)));
-        unite(g, h);
+        uf.unite(g, h);
       });
     };
     const auto r0 = static_cast<std::int64_t>(redo[0].size());
@@ -906,39 +843,30 @@ struct Extractor {
       const auto& sp = edit.splice_of(kPlain[t]);
       plain_at[t + 1] = plain_at[t] + (sp.new_end - sp.begin);
     }
-    const std::int64_t items = plain_at[kPlainCount];
-    const auto chunks =
-        static_cast<std::size_t>((items + kEdgeChunk - 1) / kEdgeChunk);
-    if (found.size() < chunks) found.resize(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      found[c].clear();
-      found[c].reserve(4 * kEdgeChunk);
-    }
-    for_chunks(items, kEdgeChunk, [&](std::size_t c, std::int64_t lo,
-                                      std::int64_t hi) {
-      auto& list = found[c];
-      for (std::int64_t i = lo; i < hi; ++i) {
-        if (i < r0 + r1) {
-          const int dl_i = i < r0 ? 0 : 1;
-          const std::uint32_t k =
-              redo[dl_i][static_cast<std::size_t>(dl_i == 0 ? i : i - r0)];
-          const auto& segs = entries[dl_i][k].segs;
-          for (std::uint32_t t = 0; t < segs.size(); ++t)
-            discover(diff_layer(dl_i), segs[t], b.entry_start[dl_i][k] + t,
+    parallel_collect(
+        plain_at[kPlainCount], kEdgeChunk, edges,
+        [&](std::int64_t lo, std::int64_t hi, auto& list) {
+          for (std::int64_t i = lo; i < hi; ++i) {
+            if (i < r0 + r1) {
+              const int dl_i = i < r0 ? 0 : 1;
+              const std::uint32_t k =
+                  redo[dl_i][static_cast<std::size_t>(dl_i == 0 ? i : i - r0)];
+              const auto& segs = entries[dl_i][k].segs;
+              for (std::uint32_t t = 0; t < segs.size(); ++t)
+                discover(diff_layer(dl_i), segs[t], b.entry_start[dl_i][k] + t,
+                         list);
+              continue;
+            }
+            std::size_t t = 0;
+            while (i >= plain_at[t + 1]) ++t;
+            const std::uint32_t s =
+                edit.splice_of(kPlain[t]).begin +
+                static_cast<std::uint32_t>(i - plain_at[t]);
+            discover(kPlain[t], db->rects(kPlain[t])[s], b.plain_start[t] + s,
                      list);
-          continue;
-        }
-        std::size_t t = 0;
-        while (i >= plain_at[t + 1]) ++t;
-        const std::uint32_t s =
-            edit.splice_of(kPlain[t]).begin +
-            static_cast<std::uint32_t>(i - plain_at[t]);
-        discover(kPlain[t], db->rects(kPlain[t])[s], b.plain_start[t] + s,
-                 list);
-      }
-    });
-    append_found(chunks, false);
-    found.resize(std::min<std::size_t>(found.size(), 1));
+          }
+        },
+        4 * kEdgeChunk);
 
     number_nets();
   }

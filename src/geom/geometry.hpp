@@ -79,9 +79,6 @@ struct Rect {
     return {{std::min(lo.x, o.lo.x), std::min(lo.y, o.lo.y)},
             {std::max(hi.x, o.hi.x), std::max(hi.y, o.hi.y)}};
   }
-  Rect translated(Coord dx, Coord dy) const {
-    return {{lo.x + dx, lo.y + dy}, {hi.x + dx, hi.y + dy}};
-  }
   /// Grows (or shrinks, if negative) by `d` on every side.
   Rect expanded(Coord d) const {
     return {{lo.x - d, lo.y - d}, {hi.x + d, hi.y + d}};

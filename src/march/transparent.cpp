@@ -10,16 +10,6 @@ TransparentTest::TransparentTest(std::string name,
   require(!elements_.empty(), "TransparentTest: no elements");
 }
 
-int TransparentTest::write_inversions() const {
-  // Writes alternate the cell between d and ~d; track the net parity of
-  // one full pass over an address.
-  int inversions = 0;
-  for (const auto& e : elements_)
-    for (const auto& op : e.ops)
-      if (!op.read) ++inversions;
-  return inversions;
-}
-
 bool TransparentTest::restores_contents() const {
   // The final written polarity must be "not inverted" (i.e. the last
   // write restores d). Scan for the last write.

@@ -37,9 +37,6 @@ class TransparentTest {
   /// parity is even).
   bool restores_contents() const;
 
-  /// Number of write inversions applied per address over the whole test.
-  int write_inversions() const;
-
   std::size_t ops_per_address() const;
 
  private:

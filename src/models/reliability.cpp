@@ -52,9 +52,6 @@ sim::CampaignResult<double> reliability_mc(const sim::RamGeometry& geo,
                                            double lambda_per_hour,
                                            double t_hours,
                                            const sim::CampaignSpec& spec) {
-  require(spec.kernel != sim::SimKernel::Packed,
-          "reliability_mc: trial body has no RAM simulation to pack; use "
-          "kernel=auto or kernel=scalar");
   const double q = word_failure_prob(geo.bpw, lambda_per_hour, t_hours);
   const std::int64_t nw = static_cast<std::int64_t>(geo.words);
   const std::int64_t s = geo.spare_words();

@@ -35,9 +35,8 @@ double reliability(const sim::RamGeometry& geo, double lambda_per_hour,
 /// spare_words failed regular words and every spare word alive. Runs
 /// under the unified campaign API (sim/campaign.hpp): bit-identical for
 /// any thread count under a fixed seed. The trial body never touches the
-/// RAM model, so forcing SimKernel::Packed is rejected with SpecError;
-/// Auto and Scalar behave identically. Cross-validates reliability()
-/// with exact pattern semantics.
+/// RAM model, so both kernel requests run the same code. Cross-validates
+/// reliability() with exact pattern semantics.
 sim::CampaignResult<double> reliability_mc(const sim::RamGeometry& geo,
                                            double lambda_per_hour,
                                            double t_hours,

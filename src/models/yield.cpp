@@ -269,8 +269,8 @@ sim::CampaignResult<BisrYieldMc> bisr_yield_mc_with_bist(
   // Note on detection fidelity: a StuckAt0 fault in a cell every
   // background drives to 0 is benign but still *detected* by IFA-9's
   // complement writes, so the BIST verdict matches the analytic "any hit
-  // cell is faulty" accounting. All faults are stuck-ats, so Auto
-  // resolves to the packed kernel for every trial.
+  // cell is faulty" accounting. All faults are stuck-ats, so a Packed
+  // request runs the packed kernel for every trial.
   const sim::StreamCodec<YieldCounts> codec =
       yield_codec(yield_fingerprint(geo, defect_mean, alpha, growth, spec));
   const sim::StreamFolds<YieldCounts> run = sim::run_streams<YieldCounts>(
@@ -356,9 +356,6 @@ sim::CampaignResult<BisrYieldMcInfra> bisr_yield_mc_with_infra(
   require(growth >= 1.0, "bisr_yield_mc_with_infra: growth must be >= 1");
   require(logic_area_fraction >= 0.0 && logic_area_fraction <= 1.0,
           "bisr_yield_mc_with_infra: area fraction must be in [0, 1]");
-  require(spec.kernel != sim::SimKernel::Packed,
-          "bisr_yield_mc_with_infra: the microprogrammed machine has no "
-          "packed path — use Auto or Scalar");
   geo.validate();
   require(geo.spare_words() >= 1,
           "bisr_yield_mc_with_infra: geometry needs >= 1 spare word");

@@ -93,7 +93,7 @@ struct BisrYieldMc {
 
 /// Unified-campaign form: trials, seed, threads, simulation kernel and
 /// defect-count sampling mode all come from `spec`. Every sampled fault
-/// is a stuck-at cell fault, so under SimKernel::Auto all trials run on
+/// is a stuck-at cell fault, so under SimKernel::Packed all trials run on
 /// the packed kernel (sim/packed_ram.hpp); results are
 /// bit-identical to the scalar path for every kernel and thread count.
 ///
@@ -146,8 +146,8 @@ struct BisrYieldMcInfra {
 /// fraction / (1 + fraction) independently of the mixed rate, which is
 /// what makes the stratified estimator exact here too. The zero stratum
 /// is a defect-free die (DONE_OK, clean readback) and the truncated tail
-/// is counted as safe_fail. Forced SimKernel::Packed is rejected — the
-/// microprogrammed machine has no packed path.
+/// is counted as safe_fail. The microprogrammed machine has no packed
+/// path, so every die runs scalar under either kernel request.
 sim::CampaignResult<BisrYieldMcInfra> bisr_yield_mc_with_infra(
     const sim::RamGeometry& geo, double defect_mean, double alpha,
     double growth, double logic_area_fraction, const sim::CampaignSpec& spec);

@@ -20,8 +20,6 @@ double steady_ms() {
 
 const char* kernel_name(SimKernel kernel) {
   switch (kernel) {
-    case SimKernel::Auto:
-      return "auto";
     case SimKernel::Packed:
       return "packed";
     case SimKernel::Scalar:
@@ -31,11 +29,10 @@ const char* kernel_name(SimKernel kernel) {
 }
 
 SimKernel kernel_by_name(const std::string& name) {
-  if (name == "auto") return SimKernel::Auto;
   if (name == "packed") return SimKernel::Packed;
   if (name == "scalar") return SimKernel::Scalar;
   throw SpecError("unknown simulation kernel '" + name +
-                  "' (expected auto, packed, or scalar)");
+                  "' (expected packed or scalar)");
 }
 
 const char* sampling_name(SamplingMode mode) {
@@ -46,13 +43,6 @@ const char* sampling_name(SamplingMode mode) {
       return "stratified";
   }
   throw InternalError("sampling_name: unknown SamplingMode");
-}
-
-SamplingMode sampling_by_name(const std::string& name) {
-  if (name == "plain") return SamplingMode::Plain;
-  if (name == "stratified") return SamplingMode::Stratified;
-  throw SpecError("unknown sampling mode '" + name +
-                  "' (expected plain or stratified)");
 }
 
 int resolve_campaign_threads(const CampaignSpec& spec) {

@@ -45,14 +45,13 @@ namespace bisram::sim {
 
 /// Which simulation kernel a campaign's trials run on.
 enum class SimKernel : std::uint8_t {
-  Auto,    ///< BIST trials run packed (rerun on the scalar model if a
-           ///< packed run aborts); other trials run scalar
-  Packed,  ///< as Auto for BIST trials; campaigns with no RAM simulation
-           ///< to pack refuse it
+  Packed,  ///< BIST trials run packed (rerun on the scalar model if a
+           ///< packed run aborts); trials with no RAM simulation to pack
+           ///< run scalar
   Scalar,  ///< force the scalar reference model
 };
 
-/// "auto", "packed", "scalar".
+/// "packed" or "scalar".
 const char* kernel_name(SimKernel kernel);
 
 /// Inverse of kernel_name; throws SpecError on anything else.
@@ -70,9 +69,6 @@ enum class SamplingMode : std::uint8_t {
 
 /// "plain" or "stratified".
 const char* sampling_name(SamplingMode mode);
-
-/// Inverse of sampling_name; throws SpecError on anything else.
-SamplingMode sampling_by_name(const std::string& name);
 
 /// Variance-reduction parameters for the yield campaigns. Both estimators
 /// are unbiased for the same quantity (tests/test_yield_statistics.cpp
@@ -127,7 +123,7 @@ struct CampaignSpec {
   int trials = 1;            ///< Monte-Carlo trials (>= 1)
   std::uint64_t seed = 0;    ///< campaign seed (trial i uses sub-stream i)
   int threads = 0;           ///< worker threads; 0 = BISRAM_THREADS/default
-  SimKernel kernel = SimKernel::Auto;
+  SimKernel kernel = SimKernel::Packed;
   SamplingSpec sampling;  ///< defect-count sampling for yield campaigns
   /// Cooperative cancellation + deadline, polled at chunk boundaries
   /// (util/cancel.hpp). Null = never cancelled. A token that never fires
@@ -142,7 +138,7 @@ struct CampaignSpec {
 struct CampaignProvenance {
   std::uint64_t seed = 0;
   int threads = 0;  ///< resolved worker count the campaign executed with
-  SimKernel kernel = SimKernel::Auto;  ///< the *requested* kernel
+  SimKernel kernel = SimKernel::Packed;  ///< the *requested* kernel
   std::int64_t trials = 0;
   std::int64_t packed_trials = 0;  ///< trials the packed kernel ran
   std::int64_t scalar_trials = 0;  ///< trials the scalar model ran

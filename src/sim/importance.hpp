@@ -57,12 +57,6 @@ struct StrataPlan {
   double zero_probability = 0.0;  ///< P(K = 0), resolved analytically
   double tail_probability = 0.0;  ///< truncated mass, counted pessimistically
   std::vector<Stratum> strata;    ///< k >= 1 strata in ascending k
-  /// Total conditional die simulations the plan will spend.
-  std::int64_t total_trials() const {
-    std::int64_t n = 0;
-    for (const Stratum& s : strata) n += s.trials;
-    return n;
-  }
 };
 
 /// Builds the plan for K ~ NegBin(mean, alpha): walks k upward until the

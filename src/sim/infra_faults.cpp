@@ -267,10 +267,6 @@ double InfraCampaignReport::rate(InfraOutcome outcome) const {
 CampaignResult<InfraCampaignReport> infra_fault_campaign(
     const RamGeometry& geo, const InfraTrialConfig& config,
     const CampaignSpec& spec) {
-  require(spec.kernel != SimKernel::Packed,
-          "infra_fault_campaign: infrastructure faults live in the "
-          "TLB/controller machinery, which the packed kernel cannot express "
-          "as overlays; use kernel=auto or kernel=scalar");
   require(config.bist.test != nullptr, "infra_fault_campaign: null march");
   require(config.array_faults >= 0,
           "infra_fault_campaign: negative array fault count");

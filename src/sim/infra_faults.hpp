@@ -163,8 +163,8 @@ struct InfraCampaignReport {
 /// outcome. Deterministic-parallel: bit-identical for any thread count.
 /// Infrastructure faults live in the TLB/controller machinery, which the
 /// packed kernel cannot express as cell overlays, so every trial runs
-/// the scalar PlaBistMachine; forcing SimKernel::Packed is rejected with
-/// SpecError.
+/// the scalar PlaBistMachine under either kernel request; the provenance
+/// counts them as scalar trials.
 CampaignResult<InfraCampaignReport> infra_fault_campaign(
     const RamGeometry& geo, const InfraTrialConfig& config,
     const CampaignSpec& spec);

@@ -222,15 +222,15 @@ class PackedBistEngine {
 };
 
 /// Kernel dispatch: runs the BIST/BISR flow for a RAM of geometry `geo`
-/// carrying `faults`, on the requested kernel. Auto and Packed run the
-/// packed kernel, which expresses every fault kind; Scalar forces the
+/// carrying `faults`, on the requested kernel. Packed runs the packed
+/// kernel, which expresses every fault kind; Scalar forces the
 /// reference path. A packed run that aborts falls back to a fresh scalar
 /// run, so both produce identical results. When `kernel_used` is
 /// non-null it receives the kernel that produced the returned result
 /// (Packed or Scalar).
 BistResult run_bist(const RamGeometry& geo, const std::vector<Fault>& faults,
                     const BistConfig& config = {},
-                    SimKernel kernel = SimKernel::Auto,
+                    SimKernel kernel = SimKernel::Packed,
                     SimKernel* kernel_used = nullptr);
 
 }  // namespace bisram::sim

@@ -49,15 +49,6 @@ class CancelToken {
   /// Non-positive `ms` makes the deadline already expired.
   void set_deadline_after_ms(double ms) noexcept;
 
-  /// Removes the deadline; an explicit cancel() still sticks.
-  void clear_deadline() noexcept {
-    deadline_ns_.store(0, std::memory_order_release);
-  }
-
-  bool has_deadline() const noexcept {
-    return deadline_ns_.load(std::memory_order_acquire) != 0;
-  }
-
   /// True once the armed deadline has passed (false when none is armed).
   bool expired() const noexcept;
 

@@ -15,6 +15,9 @@ namespace {
 
 std::atomic<int> g_override{0};
 
+/// Slots per pool chunk of UnionFind's linear passes.
+constexpr std::int64_t kSlotChunk = 16384;
+
 int hardware_threads() {
   const unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : static_cast<int>(hc);
@@ -102,6 +105,28 @@ int campaign_threads() {
 int set_campaign_threads(int n) {
   require(n >= 0, "set_campaign_threads: thread count must be >= 0");
   return g_override.exchange(n, std::memory_order_relaxed);
+}
+
+void UnionFind::reset(std::size_t n) const {
+  parent_->resize(n);
+  std::uint32_t* const up = parent_->data();
+  parallel_for(static_cast<std::int64_t>(n), kSlotChunk, [up](std::int64_t i) {
+    up[i] = static_cast<std::uint32_t>(i);
+  });
+}
+
+void UnionFind::flatten() const {
+  // Each slot stores its root. The walk writes nothing but its own slot,
+  // so a slot once set to its root stays there.
+  parallel_for(static_cast<std::int64_t>(parent_->size()), kSlotChunk,
+               [this](std::int64_t i) {
+                 auto x = static_cast<std::uint32_t>(i);
+                 for (std::uint32_t px;
+                      (px = slot(x).load(std::memory_order_relaxed)) != x;)
+                   x = px;
+                 slot(static_cast<std::uint32_t>(i))
+                     .store(x, std::memory_order_relaxed);
+               });
 }
 
 namespace detail {

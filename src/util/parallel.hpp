@@ -17,11 +17,17 @@
 //     size alone — never by the thread count or the scheduler.
 // Hence results are bit-identical for any BISRAM_THREADS value, which
 // tests/test_parallel_campaigns.cpp enforces.
+//
+// The signoff engines (drc/, extract/) build on two more primitives kept
+// to the same contract: parallel_collect, which joins per-chunk lists in
+// chunk order, and UnionFind, whose labels are component minima.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -62,25 +68,14 @@ void run_on_pool(int threads, const std::function<void()>& body);
 /// once it fires; chunks already in flight finish (latency is bounded by
 /// one chunk of work). The returned fold then covers exactly the chunks
 /// that completed — a valid partial result as long as the accumulator
-/// carries its own sample count. `completed`, when non-null, receives the
-/// number of trials actually folded (== trials on an uninterrupted run).
-/// An attached-but-silent token perturbs nothing: the fold order and
-/// result are bit-identical to a run with no token at all.
-///
-/// Resume: when `initial` is non-null the caller-side fold starts from
-/// *initial instead of `identity` (chunk partials still start from
-/// `identity`). Because the caller-side fold is a strict left fold over
-/// chunk partials, feeding a previous run's accumulator back as `initial`
-/// continues the exact association an uninterrupted run would have used —
-/// the basis of the bit-identical checkpoint/resume contract
-/// (tests/test_checkpoint_resume.cpp).
+/// carries its own sample count. An attached-but-silent token perturbs
+/// nothing: the fold order and result are bit-identical to a run with no
+/// token at all.
 template <typename T, typename PerTrial, typename Combine>
 T parallel_reduce(std::int64_t trials, std::int64_t chunk, T identity,
                   PerTrial&& per_trial, Combine&& combine, int threads = 0,
-                  const CancelToken* cancel = nullptr,
-                  std::int64_t* completed = nullptr, const T* initial = nullptr) {
-  if (completed) *completed = 0;
-  if (trials <= 0) return initial ? *initial : identity;
+                  const CancelToken* cancel = nullptr) {
+  if (trials <= 0) return identity;
   if (chunk < 1) chunk = 1;
   if (threads <= 0) threads = campaign_threads();
 
@@ -88,7 +83,7 @@ T parallel_reduce(std::int64_t trials, std::int64_t chunk, T identity,
   if (threads == 1 || nchunks == 1) {
     // Serial path: identical association (chunked fold) as the parallel
     // path, just executed in place.
-    T acc = initial ? *initial : identity;
+    T acc = identity;
     for (std::int64_t c = 0; c < nchunks; ++c) {
       if (cancel && cancel->stop_requested()) break;
       const std::int64_t lo = c * chunk;
@@ -96,7 +91,6 @@ T parallel_reduce(std::int64_t trials, std::int64_t chunk, T identity,
       T part = identity;
       for (std::int64_t i = lo; i < hi; ++i) part = combine(std::move(part), per_trial(i));
       acc = combine(std::move(acc), std::move(part));
-      if (completed) *completed += hi - lo;
     }
     return acc;
   }
@@ -120,12 +114,10 @@ T parallel_reduce(std::int64_t trials, std::int64_t chunk, T identity,
   // The pool join publishes every worker's writes; fold only the chunks
   // that actually ran (on an uninterrupted run that is all of them, and
   // folding in chunk order keeps the association thread-independent).
-  T acc = initial ? *initial : identity;
+  T acc = identity;
   for (std::int64_t c = 0; c < nchunks; ++c) {
     if (!finished[static_cast<std::size_t>(c)]) continue;
     acc = combine(std::move(acc), std::move(partials[static_cast<std::size_t>(c)]));
-    if (completed)
-      *completed += std::min(trials, (c + 1) * chunk) - c * chunk;
   }
   return acc;
 }
@@ -135,8 +127,7 @@ T parallel_reduce(std::int64_t trials, std::int64_t chunk, T identity,
 /// cancellation semantics as parallel_reduce.
 template <typename PerItem>
 void parallel_for(std::int64_t items, std::int64_t chunk, PerItem&& per_item,
-                  int threads = 0, const CancelToken* cancel = nullptr,
-                  std::int64_t* completed = nullptr) {
+                  int threads = 0, const CancelToken* cancel = nullptr) {
   struct Nothing {};
   parallel_reduce<Nothing>(
       items, chunk, Nothing{},
@@ -144,7 +135,90 @@ void parallel_for(std::int64_t items, std::int64_t chunk, PerItem&& per_item,
         per_item(i);
         return Nothing{};
       },
-      [](Nothing, Nothing) { return Nothing{}; }, threads, cancel, completed);
+      [](Nothing, Nothing) { return Nothing{}; }, threads, cancel);
 }
+
+/// Runs `fn(lo, hi, list)` for every fixed `chunk`-sized block [lo, hi)
+/// of [0, n) on the pool, each block appending to a list of its own, and
+/// appends the lists to `out` in block order: the list one serial scan
+/// over [0, n) would append, at any thread count. Each list is reserved
+/// `reserve` entries on the calling thread, so a block that stays within
+/// that leaves the workers' heaps alone. `out` grows geometrically
+/// (exactly on its first fill), as appends would grow it, and each list
+/// is freed once appended.
+template <typename T, typename Fn>
+void parallel_collect(std::int64_t n, std::int64_t chunk, std::vector<T>& out,
+                      Fn&& fn, std::size_t reserve = 0) {
+  if (n <= 0) return;
+  std::vector<std::vector<T>> lists(
+      static_cast<std::size_t>((n + chunk - 1) / chunk));
+  if (reserve > 0)
+    for (auto& list : lists) list.reserve(reserve);
+  parallel_for(static_cast<std::int64_t>(lists.size()), 1,
+               [&](std::int64_t c) {
+                 fn(c * chunk, std::min(n, (c + 1) * chunk),
+                    lists[static_cast<std::size_t>(c)]);
+               });
+  std::size_t total = out.size();
+  for (const auto& list : lists) total += list.size();
+  if (total > out.capacity()) out.reserve(std::max(total, 2 * out.capacity()));
+  for (auto& list : lists) {
+    out.insert(out.end(), std::make_move_iterator(list.begin()),
+               std::make_move_iterator(list.end()));
+    std::vector<T>().swap(list);
+  }
+}
+
+/// A lock-free union-find over caller-owned parent slots, one per id in
+/// [0, n). A union links the larger root under the smaller, by CAS so
+/// only while it still is a root, so every tree's root is its least
+/// member whatever order and threads the unions ran in: the labels
+/// flatten() leaves are the same at any thread count. find() and unite()
+/// may run concurrently from pool workers; reset() and flatten() run on
+/// the caller with no union in flight. The object is a view (one
+/// pointer), made where it is used.
+class UnionFind {
+ public:
+  explicit UnionFind(std::vector<std::uint32_t>& parent) : parent_(&parent) {}
+
+  /// Sizes the slots to `n` and makes every id its own component.
+  void reset(std::size_t n) const;
+
+  /// The root of x's tree, halving the path on the way. Lock-free: a slot
+  /// only ever moves to an ancestor.
+  std::uint32_t find(std::uint32_t x) const {
+    constexpr auto relaxed = std::memory_order_relaxed;
+    for (;;) {
+      const std::uint32_t px = slot(x).load(relaxed);
+      if (px == x) return x;
+      const std::uint32_t gx = slot(px).load(relaxed);
+      if (gx != px) slot(x).store(gx, relaxed);
+      x = gx;
+    }
+  }
+
+  /// Joins the components of x and y, from any thread.
+  void unite(std::uint32_t x, std::uint32_t y) const {
+    for (;;) {
+      x = find(x);
+      y = find(y);
+      if (x == y) return;
+      if (x < y) std::swap(x, y);
+      std::uint32_t root = x;
+      if (slot(x).compare_exchange_weak(root, y, std::memory_order_relaxed))
+        return;
+    }
+  }
+
+  /// Once every union is done: each slot holds its component's least id.
+  void flatten() const;
+
+ private:
+  std::atomic_ref<std::uint32_t> slot(std::uint32_t x) const {
+    return std::atomic_ref<std::uint32_t>((*parent_)[x]);
+  }
+
+  std::vector<std::uint32_t>* parent_;
+};
 
 }  // namespace bisram

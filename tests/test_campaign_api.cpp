@@ -5,8 +5,6 @@
 //   * provenance audits the dispatch (packed + scalar == trials) and the
 //     resolved thread count;
 //   * results are thread-count invariant through spec.threads;
-//   * campaigns with no RAM simulation to pack reject a forced packed
-//     kernel with SpecError;
 //   * kernel_name / kernel_by_name round-trip;
 // plus the Cli parser (util/cli.hpp) the bench harnesses now share.
 
@@ -87,7 +85,7 @@ TEST(CampaignProvenance, BisrYieldMcWithBistPacksEveryTrial) {
       models::bisr_yield_mc_with_bist(geo, 3.0, 2.0, 1.05, spec_of(60, 7));
   EXPECT_EQ(first.value.bist_repaired, again.value.bist_repaired);
   EXPECT_EQ(first.value.strict_good, again.value.strict_good);
-  // Every sampled fault is a stuck-at, so Auto packs every trial.
+  // Every sampled fault is a stuck-at, so Packed packs every trial.
   EXPECT_EQ(first.provenance.packed_trials, 60);
   EXPECT_EQ(first.provenance.scalar_trials, 0);
 }
@@ -142,8 +140,7 @@ TEST(CampaignThreads, FaultCoverageInvariantAcrossSpecThreadsAndKernel) {
   base.kernel = SimKernel::Scalar;
   const auto ref = sim::fault_coverage(march::ifa9(), geo, kinds, true, base);
   for (int threads : {1, 2, 8}) {
-    for (SimKernel k :
-         {SimKernel::Auto, SimKernel::Packed, SimKernel::Scalar}) {
+    for (SimKernel k : {SimKernel::Packed, SimKernel::Scalar}) {
       CampaignSpec s = base;
       s.threads = threads;
       s.kernel = k;
@@ -156,25 +153,12 @@ TEST(CampaignThreads, FaultCoverageInvariantAcrossSpecThreadsAndKernel) {
   }
 }
 
-// --- kernel dispatch errors -------------------------------------------------
-
-TEST(CampaignKernel, ReliabilityMcRejectsForcedPacked) {
-  CampaignSpec s = spec_of(10, 1);
-  s.kernel = SimKernel::Packed;
-  EXPECT_THROW(models::reliability_mc(small_geo(), 1e-9, 1e5, s), SpecError);
-}
-
-TEST(CampaignKernel, InfraFaultCampaignRejectsForcedPacked) {
-  CampaignSpec s = spec_of(10, 1);
-  s.kernel = SimKernel::Packed;
-  sim::InfraTrialConfig cfg;
-  EXPECT_THROW(sim::infra_fault_campaign(small_geo(), cfg, s), SpecError);
-}
+// --- kernel names -----------------------------------------------------------
 
 TEST(CampaignKernel, NameRoundTrip) {
-  for (SimKernel k :
-       {SimKernel::Auto, SimKernel::Packed, SimKernel::Scalar})
+  for (SimKernel k : {SimKernel::Packed, SimKernel::Scalar})
     EXPECT_EQ(k, sim::kernel_by_name(sim::kernel_name(k)));
+  EXPECT_THROW(sim::kernel_by_name("auto"), SpecError);
   EXPECT_THROW(sim::kernel_by_name("vectorized"), SpecError);
   EXPECT_THROW(sim::kernel_by_name(""), SpecError);
 }

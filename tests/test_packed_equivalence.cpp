@@ -65,8 +65,9 @@ void expect_equivalent(const RamGeometry& geo, const std::vector<Fault>& faults,
           << "cell (" << r << ", " << c << ")";
 
   // The dispatcher must agree with both engines.
-  SimKernel used = SimKernel::Auto;
-  const BistResult via = run_bist(geo, faults, config, SimKernel::Auto, &used);
+  SimKernel used = SimKernel::Scalar;
+  const BistResult via =
+      run_bist(geo, faults, config, SimKernel::Packed, &used);
   EXPECT_EQ(used, SimKernel::Packed);
   EXPECT_EQ(via.pass1_clean, want.pass1_clean);
   EXPECT_EQ(via.repair_successful, want.repair_successful);
@@ -361,7 +362,7 @@ TEST(PackedStuckOpen, Ifa9MissesWhatIfa13Catches) {
   // the stale level (EXPERIMENTS.md, Section V).
   const RamGeometry geo{64, 4, 4, 4};
   const std::vector<Fault> open = {cell_fault(FaultKind::StuckOpen, 5, 6)};
-  SimKernel used = SimKernel::Auto;
+  SimKernel used = SimKernel::Scalar;
   EXPECT_TRUE(run_bist(geo, open, with_test(march::ifa9()), SimKernel::Packed,
                        &used)
                   .pass1_clean);
@@ -376,9 +377,9 @@ TEST(PackedStuckOpen, Ifa9MissesWhatIfa13Catches) {
 
 TEST(PackedDispatch, AutoPicksPackedForStuckOpen) {
   const RamGeometry geo{64, 4, 4, 4};
-  SimKernel used = SimKernel::Auto;
+  SimKernel used = SimKernel::Scalar;
   const BistResult got = run_bist(geo, {cell_fault(FaultKind::StuckOpen, 1, 1)},
-                                  BistConfig{}, SimKernel::Auto, &used);
+                                  BistConfig{}, SimKernel::Packed, &used);
   EXPECT_EQ(used, SimKernel::Packed);
 
   RamModel ram(geo);
@@ -390,15 +391,15 @@ TEST(PackedDispatch, AutoPicksPackedForStuckOpen) {
 
 TEST(PackedDispatch, AutoPicksPackedForOverlayFaults) {
   const RamGeometry geo{64, 4, 4, 4};
-  SimKernel used = SimKernel::Auto;
+  SimKernel used = SimKernel::Scalar;
   run_bist(geo, {cell_fault(FaultKind::StuckAt0, 1, 1)}, BistConfig{},
-           SimKernel::Auto, &used);
+           SimKernel::Packed, &used);
   EXPECT_EQ(used, SimKernel::Packed);
 }
 
 TEST(PackedDispatch, ForcedScalarReportsScalar) {
   const RamGeometry geo{64, 4, 4, 4};
-  SimKernel used = SimKernel::Auto;
+  SimKernel used = SimKernel::Packed;
   run_bist(geo, {cell_fault(FaultKind::StuckAt0, 1, 1)}, BistConfig{},
            SimKernel::Scalar, &used);
   EXPECT_EQ(used, SimKernel::Scalar);

@@ -175,6 +175,81 @@ TEST(ParallelReduce, PropagatesExceptionsFromWorkers) {
   EXPECT_THROW(boom(), InternalError);
 }
 
+// --- the signoff primitives --------------------------------------------------
+
+TEST(UnionFind, LabelsAreLeastMembersAtAnyPoolWidth) {
+  // Seeded random pairs plus long chains united from high ids to low, so
+  // trees are deep and a slot is rarely its root before flatten().
+  constexpr std::uint32_t n = 100000;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  Rng rng(stream_seed(24, 0));
+  for (int i = 0; i < 60000; ++i)
+    pairs.emplace_back(static_cast<std::uint32_t>(rng.below(n)),
+                       static_cast<std::uint32_t>(rng.below(n)));
+  for (std::uint32_t chain = 0; chain < 8; ++chain)
+    for (std::uint32_t k = 2000; k > 0; --k)
+      pairs.emplace_back(chain + 8 * k, chain + 8 * (k - 1));
+
+  // Serial reference: each id's least component member.
+  std::vector<std::uint32_t> parent(n), least(n, n), want(n);
+  std::iota(parent.begin(), parent.end(), 0u);
+  const auto root = [&](std::uint32_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (const auto& [a, b] : pairs) parent[root(a)] = root(b);
+  for (std::uint32_t i = 0; i < n; ++i)
+    least[root(i)] = std::min(least[root(i)], i);
+  for (std::uint32_t i = 0; i < n; ++i) want[i] = least[root(i)];
+
+  for (int threads : kThreadCounts) {
+    ThreadGuard guard(threads);
+    std::vector<std::uint32_t> slots;
+    const UnionFind uf(slots);
+    uf.reset(n);
+    parallel_for(static_cast<std::int64_t>(pairs.size()), 256,
+                 [&](std::int64_t i) {
+                   const auto& [a, b] = pairs[static_cast<std::size_t>(i)];
+                   uf.unite(a, b);
+                 });
+    // Before the flatten, find() already answers with the least member.
+    std::vector<std::uint32_t> copy = slots;
+    const UnionFind view(copy);
+    for (std::uint32_t i = 0; i < n; i += 97)
+      ASSERT_EQ(view.find(i), want[i]) << "id " << i << ", " << threads;
+    uf.flatten();
+    ASSERT_EQ(slots.size(), want.size());
+    for (std::uint32_t i = 0; i < n; ++i)
+      ASSERT_EQ(slots[i], want[i]) << "id " << i << ", " << threads
+                                   << " threads";
+  }
+}
+
+TEST(ParallelCollect, JoinsChunksInOrder) {
+  // Index i emits (i * 7) % 4 entries: 0 to 3, in an uneven pattern.
+  constexpr std::int64_t n = 5000;
+  const auto emit = [](std::int64_t i, std::vector<std::int64_t>& list) {
+    for (std::int64_t k = 0; k < (i * 7) % 4; ++k) list.push_back(4 * i + k);
+  };
+  std::vector<std::int64_t> want = {-1, -2};  // entries already in `out`
+  for (std::int64_t i = 0; i < n; ++i) emit(i, want);
+
+  for (int threads : kThreadCounts) {
+    ThreadGuard guard(threads);
+    for (std::int64_t chunk : {1, 7, 256, 4999, 8192}) {
+      std::vector<std::int64_t> out = {-1, -2};
+      parallel_collect(
+          n, chunk, out,
+          [&](std::int64_t lo, std::int64_t hi, auto& list) {
+            for (std::int64_t i = lo; i < hi; ++i) emit(i, list);
+          },
+          chunk == 7 ? 3 : 0);
+      EXPECT_EQ(out, want) << "chunk " << chunk << ", " << threads
+                           << " threads";
+    }
+  }
+}
+
 TEST(CampaignThreads, EnvOverrideWins) {
   // Starts from an unset variable whatever the caller's environment, and
   // restores the caller's value on exit.
