@@ -12,6 +12,14 @@
 //               is the reopen step of an edit session (bisbench's
 //               edit_resignoff); the loaded database must hash
 //               identically to the original.
+//
+// One run of a cold stage moves by up to 25% from process to process,
+// more than most changes under test, so flatten, DRC, extraction and the
+// snapshot load each run kRuns times in the process (each database
+// freed before the next flatten or load). Each stage publishes its
+// median under its key and every run beside it ("drc_s" and
+// "drc_s_runs"); the process's peak resident set (VmHWM) at exit is
+// published as peak_rss_mb.
 //   incremental one single-cell CellEdit (a bit cell deep inside the
 //               array is moved) applied through LayoutDB::apply and
 //               re-signed-off through drc::IncrementalDrc /
@@ -30,6 +38,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -111,21 +120,47 @@ std::size_t file_bytes(const std::string& path) {
   return f ? static_cast<std::size_t>(f.tellg()) : 0;
 }
 
+/// The process's peak resident set so far (VmHWM), in MB of 2^20 bytes.
+double peak_rss_mb() {
+  std::ifstream f("/proc/self/status");
+  std::string line;
+  while (std::getline(f, line))
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
+  return 0;
+}
+
+/// Runs of each cold stage and of the snapshot load per process.
+constexpr int kRuns = 3;
+
+/// One stage's wall times, one per run.
+struct Runs {
+  std::vector<double> s;
+
+  double median() const {
+    std::vector<double> v = s;
+    std::sort(v.begin(), v.end());
+    return v.empty() ? 0 : v[v.size() / 2];
+  }
+};
+
 struct Numbers {
   // cold pipeline
-  double generate_s = 0, flatten_s = 0, drc_s = 0, extract_s = 0;
+  double generate_s = 0;
+  Runs flatten, drc, extract;
   double flatten_scan_s = 0;  // the acceptance denominator
   std::size_t shapes = 0, path_nodes = 0, violations = 0, devices = 0;
   int nets = 0;
   // snapshot round trip
   std::size_t snapshot_bytes = 0;
-  double save_s = 0, load_s = 0, load_speedup = 0;
+  double save_s = 0, load_speedup = 0;
+  Runs load;
   bool hash_identical = false;
   // one-edit incremental signoff
   std::string edit;
   double apply_s = 0, inc_drc_s = 0, inc_extract_s = 0, signoff_s = 0;
   double signoff_speedup = 0;
   bool drc_identical = false, extract_identical = false;
+  double peak_rss_mb = 0;
 
   bool pass() const {
     return hash_identical && drc_identical && extract_identical;
@@ -143,23 +178,30 @@ Numbers measure(std::uint32_t words, int bpw) {
   const core::Generated gen = core::generate(spec);
   n.generate_s = seconds_since(t0);
 
-  t0 = std::chrono::steady_clock::now();
-  geom::LayoutDB db(*gen.top, tile);
-  n.flatten_s = seconds_since(t0);
-  n.shapes = db.shape_count();
-  n.path_nodes = db.path_count();
+  // Each run flattens a database of its own; the last one is kept for
+  // the snapshot and the edit.
+  std::unique_ptr<geom::LayoutDB> kept;
+  for (int run = 0; run < kRuns; ++run) {
+    kept.reset();
+    t0 = std::chrono::steady_clock::now();
+    auto db = std::make_unique<geom::LayoutDB>(*gen.top, tile);
+    n.flatten.s.push_back(seconds_since(t0));
+    n.shapes = db->shape_count();
+    n.path_nodes = db->path_count();
 
-  t0 = std::chrono::steady_clock::now();
-  const std::vector<drc::Violation> cold_viol = drc::check(db, t);
-  n.drc_s = seconds_since(t0);
-  n.violations = cold_viol.size();
+    t0 = std::chrono::steady_clock::now();
+    n.violations = drc::check(*db, t).size();
+    n.drc.s.push_back(seconds_since(t0));
 
-  t0 = std::chrono::steady_clock::now();
-  const extract::Extracted cold_ext = extract::extract(db, t);
-  n.extract_s = seconds_since(t0);
-  n.nets = cold_ext.net_count;
-  n.devices = cold_ext.devices.size();
-  n.flatten_scan_s = n.flatten_s + n.drc_s + n.extract_s;
+    t0 = std::chrono::steady_clock::now();
+    const extract::Extracted cold_ext = extract::extract(*db, t);
+    n.extract.s.push_back(seconds_since(t0));
+    n.nets = cold_ext.net_count;
+    n.devices = cold_ext.devices.size();
+    kept = std::move(db);
+  }
+  geom::LayoutDB& db = *kept;
+  n.flatten_scan_s = n.flatten.median() + n.drc.median() + n.extract.median();
 
   // --- snapshot: save the flatten, time the load back ----------------
   const std::string snap = fresh_temp_dir() + "/fig6.snap";
@@ -168,13 +210,18 @@ Numbers measure(std::uint32_t words, int bpw) {
   n.save_s = seconds_since(t0);
   n.snapshot_bytes = file_bytes(snap);
 
-  t0 = std::chrono::steady_clock::now();
-  const std::unique_ptr<geom::LayoutDB> loaded =
-      geom::LayoutDB::load_snapshot(snap);
-  n.load_s = seconds_since(t0);
-  n.hash_identical = loaded && loaded->content_hash() == db.content_hash();
+  n.hash_identical = true;
+  for (int run = 0; run < kRuns; ++run) {
+    t0 = std::chrono::steady_clock::now();
+    const std::unique_ptr<geom::LayoutDB> loaded =
+        geom::LayoutDB::load_snapshot(snap);
+    n.load.s.push_back(seconds_since(t0));
+    n.hash_identical = n.hash_identical && loaded &&
+                       loaded->content_hash() == db.content_hash();
+  }
   std::remove(snap.c_str());
-  n.load_speedup = n.load_s > 0 ? n.flatten_scan_s / n.load_s : 0;
+  n.load_speedup =
+      n.load.median() > 0 ? n.flatten_scan_s / n.load.median() : 0;
 
   // --- incremental: one bit cell deep in the array moves -------------
   // Engine construction is the session's initial full scan and is not
@@ -209,7 +256,16 @@ Numbers measure(std::uint32_t words, int bpw) {
   // the edited database, or the artifact is not published.
   n.drc_identical = same_violations(inc_viol, drc::check(db, t));
   n.extract_identical = same_extraction(inc_result, extract::extract(db, t));
+  n.peak_rss_mb = peak_rss_mb();
   return n;
+}
+
+/// `name` with the stage's median, and `name`_runs with every run.
+void put_runs(JsonWriter& j, const std::string& name, const Runs& r) {
+  j.key(name).value(r.median());
+  j.key(name + "_runs").begin_array();
+  for (double s : r.s) j.value(s);
+  j.end_array();
 }
 
 int report(bool json, const std::string& json_path, std::uint32_t words,
@@ -230,11 +286,13 @@ int report(bool json, const std::string& json_path, std::uint32_t words,
     j.end_object();
     j.key("shapes").value(static_cast<std::uint64_t>(n.shapes));
     j.key("path_nodes").value(static_cast<std::uint64_t>(n.path_nodes));
+    j.key("runs").value(kRuns);
+    j.key("peak_rss_mb").value(n.peak_rss_mb);
     j.key("cold").begin_object();
     j.key("generate_s").value(n.generate_s);
-    j.key("flatten_s").value(n.flatten_s);
-    j.key("drc_s").value(n.drc_s);
-    j.key("extract_s").value(n.extract_s);
+    put_runs(j, "flatten_s", n.flatten);
+    put_runs(j, "drc_s", n.drc);
+    put_runs(j, "extract_s", n.extract);
     j.key("flatten_scan_s").value(n.flatten_scan_s);
     j.key("violations").value(static_cast<std::uint64_t>(n.violations));
     j.key("nets").value(n.nets);
@@ -247,7 +305,7 @@ int report(bool json, const std::string& json_path, std::uint32_t words,
                               static_cast<double>(n.shapes)
                         : 0.0);
     j.key("save_s").value(n.save_s);
-    j.key("load_s").value(n.load_s);
+    put_runs(j, "load_s", n.load);
     j.key("load_speedup_over_flatten_scan").value(n.load_speedup);
     j.key("hash_identical").value(n.hash_identical);
     j.end_object();
@@ -279,11 +337,11 @@ int report(bool json, const std::string& json_path, std::uint32_t words,
     TextTable tab;
     tab.header({"phase", "seconds", "vs cold flatten+scan"});
     tab.row({"cold generate", strfmt("%.2f", n.generate_s), "-"});
-    tab.row({"cold flatten", strfmt("%.2f", n.flatten_s), "-"});
-    tab.row({"cold DRC", strfmt("%.2f", n.drc_s), "-"});
-    tab.row({"cold extract", strfmt("%.2f", n.extract_s), "-"});
+    tab.row({"cold flatten", strfmt("%.2f", n.flatten.median()), "-"});
+    tab.row({"cold DRC", strfmt("%.2f", n.drc.median()), "-"});
+    tab.row({"cold extract", strfmt("%.2f", n.extract.median()), "-"});
     tab.row({"cold flatten+scan", strfmt("%.2f", n.flatten_scan_s), "1.0x"});
-    tab.row({"snapshot load", strfmt("%.2f", n.load_s),
+    tab.row({"snapshot load", strfmt("%.2f", n.load.median()),
              strfmt("%.1fx", n.load_speedup)});
     tab.row({"incremental signoff", strfmt("%.2f", n.signoff_s),
              strfmt("%.1fx", n.signoff_speedup)});
@@ -295,6 +353,8 @@ int report(bool json, const std::string& json_path, std::uint32_t words,
                 n.shapes ? static_cast<double>(n.snapshot_bytes) /
                                static_cast<double>(n.shapes)
                          : 0.0);
+    std::printf("stage times are medians of %d runs; peak RSS %.0f MB\n",
+                kRuns, n.peak_rss_mb);
     std::printf("edit: %s; hash %s, DRC %s, extraction %s\n", n.edit.c_str(),
                 n.hash_identical ? "identical" : "DIFFERS",
                 n.drc_identical ? "identical" : "DIFFERS",

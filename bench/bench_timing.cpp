@@ -53,7 +53,7 @@ const sta::LeafTiming& fig6_leaf() {
 const sta::TimingGraph& fig6_graph() {
   static const sta::TimingGraph g =
       sta::build_access_graph(fig6_spec().resolved_technology(),
-                              fig6_spec().geometry(), 2.0, fig6_leaf());
+                              fig6_spec().geometry(), fig6_leaf());
   return g;
 }
 
@@ -166,7 +166,7 @@ void BM_BuildAccessGraph(benchmark::State& state) {
   const sta::LeafTiming& lt = fig6_leaf();
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        sta::build_access_graph(t, geo, 2.0, lt).arc_count());
+        sta::build_access_graph(t, geo, lt).arc_count());
 }
 BENCHMARK(BM_BuildAccessGraph)->Unit(benchmark::kMillisecond);
 

@@ -1,11 +1,13 @@
 #include "extract/simulate.hpp"
 
+#include "util/strings.hpp"
+
 namespace bisram::extract {
 
 std::string node_name(const Extracted& ex, int net) {
   for (const auto& [name, id] : ex.port_net)
     if (id == net) return name == "gnd" ? "0" : name;
-  return "n" + std::to_string(net);
+  return strfmt("n%d", net);
 }
 
 spice::Circuit to_circuit(const Extracted& ex, const tech::Tech& tech) {

@@ -14,7 +14,7 @@ namespace {
 std::string net_name(const Extracted& ex, int net) {
   for (const auto& [name, id] : ex.port_net)
     if (id == net) return name;
-  return "n" + std::to_string(net);
+  return strfmt("n%d", net);
 }
 }  // namespace
 

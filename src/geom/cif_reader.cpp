@@ -369,7 +369,7 @@ CifDesign parse_cif(const std::string& text, DiagEngine& diag) {
         offset = {x, y};
       }
       current->add_instance(
-          "i" + std::to_string(current->instances().size()), it->second,
+          strfmt("i%zu", current->instances().size()), it->second,
           Transform(orient, offset));
     } else if (head == "E") {
       break;

@@ -1,11 +1,13 @@
 #include "geom/layout_db.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string_view>
 
 #include "util/checkpoint.hpp"
 #include "util/diag.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace bisram::geom {
 
@@ -39,37 +41,69 @@ bool on_edge(const Rect& b, const Rect& r) {
 }  // namespace
 
 TileIndex::TileIndex(const std::vector<Rect>& rects, Coord tile)
-    : rects_(&rects), count_(rects.size()), tile_(std::max<Coord>(tile, 1)) {
+    : rects_(&rects),
+      count_(rects.size()),
+      tile_(std::max<Coord>(tile, 1)),
+      inv_tile_(1.0 / static_cast<double>(tile_)) {
   if (count_ == 0) return;
-  bounds_ = grid_ = fold_all(rects);
-  cols_ = static_cast<int>((grid_.width()) / tile_ + 1);
-  rows_ = static_cast<int>((grid_.height()) / tile_ + 1);
-  buckets_.resize(static_cast<std::size_t>(cols_) *
-                  static_cast<std::size_t>(rows_));
-  for (std::uint32_t i = 0; i < count_; ++i)
-    for_each_tile(rects[i], [i](std::vector<std::uint32_t>& b) {
-      b.push_back(i);
-    });
+  bounds_ = fold_all(rects);
+  lay(bounds_);
 }
 
-template <typename Fn>
-void TileIndex::for_each_tile(const Rect& r, Fn&& fn) {
-  const int x0 = tx_of(r.lo.x), x1 = tx_of(r.hi.x);
-  const int y0 = ty_of(r.lo.y), y1 = ty_of(r.hi.y);
-  for (int ty = y0; ty <= y1; ++ty)
-    for (int tx = x0; tx <= x1; ++tx)
-      fn(buckets_[static_cast<std::size_t>(ty) *
-                      static_cast<std::size_t>(cols_) +
-                  static_cast<std::size_t>(tx)]);
+TileIndex::TileIndex(const std::vector<Rect>& rects, Coord tile,
+                     const Rect& grid)
+    : rects_(&rects),
+      count_(rects.size()),
+      tile_(std::max<Coord>(tile, 1)),
+      inv_tile_(1.0 / static_cast<double>(tile_)) {
+  bounds_ = fold_all(rects);
+  lay(grid);
 }
 
-const std::vector<std::uint32_t>& TileIndex::bucket(int tx, int ty) const {
-  static const std::vector<std::uint32_t> kEmpty;
-  if (count_ == 0 || tx < 0 || ty < 0 || tx >= cols_ || ty >= rows_)
-    return kEmpty;
-  return buckets_[static_cast<std::size_t>(ty) *
-                      static_cast<std::size_t>(cols_) +
-                  static_cast<std::size_t>(tx)];
+void TileIndex::lay(const Rect& grid) {
+  const std::vector<Rect>& rects = *rects_;
+  grid_ = grid;
+  cols_ = static_cast<int>(grid_.width() / tile_ + 1);
+  const auto ncols = static_cast<std::size_t>(cols_);
+  rows_.resize(static_cast<std::size_t>(grid_.height() / tile_ + 1));
+  for (Row& row : rows_) row.off.assign(ncols + 1, 0);
+  // Pass 1 counts bucket tx in off[tx + 1]; the prefix sum turns off[tx]
+  // into the bucket's start.
+  for (const Rect& r : rects) {
+    const Span s = span_of(r);
+    for (int ty = s.y0; ty <= s.y1; ++ty) {
+      std::uint32_t* off = rows_[static_cast<std::size_t>(ty)].off.data();
+      for (int tx = s.x0; tx <= s.x1; ++tx) ++off[tx + 1];
+    }
+  }
+  for (Row& row : rows_) {
+    for (std::size_t tx = 0; tx < ncols; ++tx) row.off[tx + 1] += row.off[tx];
+    row.ids.resize(row.off[ncols]);
+  }
+  // Pass 2 places the ids in ascending order, off[tx] serving as bucket
+  // tx's cursor; that leaves off[tx] at the bucket's end, the next
+  // bucket's start, so the offsets move back up one place.
+  for (std::uint32_t i = 0; i < count_; ++i) {
+    const Span s = span_of(rects[i]);
+    for (int ty = s.y0; ty <= s.y1; ++ty) {
+      Row& row = rows_[static_cast<std::size_t>(ty)];
+      for (int tx = s.x0; tx <= s.x1; ++tx)
+        row.ids[row.off[static_cast<std::size_t>(tx)]++] = i;
+    }
+  }
+  for (Row& row : rows_) {
+    std::copy_backward(row.off.begin(), row.off.end() - 1, row.off.end());
+    row.off[0] = 0;
+  }
+}
+
+std::span<const std::uint32_t> TileIndex::bucket(int tx, int ty) const {
+  if (count_ == 0 || tx < 0 || ty < 0 || tx >= cols_ || ty >= tile_rows())
+    return {};
+  const Row& row = rows_[static_cast<std::size_t>(ty)];
+  const auto b = row.off[static_cast<std::size_t>(tx)];
+  const auto e = row.off[static_cast<std::size_t>(tx) + 1];
+  return {row.ids.data() + b, e - b};
 }
 
 std::vector<std::uint32_t> TileIndex::ids_in(const Rect& window) const {
@@ -82,44 +116,74 @@ void TileIndex::splice(const ShapeSplice& sp, std::span<const Rect> old) {
   const std::vector<Rect>& rects = *rects_;
   const std::size_t was = count_;
   count_ = rects.size();
-  if (buckets_.empty()) {
+  if (rows_.empty()) {
     // Empty since construction: nothing to drop or shift, and the new
     // ids are the whole set.
     *this = TileIndex(rects, tile_);
     return;
   }
-  // Within a bucket the ids below sp.begin come first, then the ids from
-  // sp.old_end on; the invalidated ids sit between them and the new ids
-  // take their place, so every step keeps each bucket ascending.
-  for (const Rect& r : old)
-    for_each_tile(r, [&](std::vector<std::uint32_t>& b) {
-      const auto lo = std::lower_bound(b.begin(), b.end(), sp.begin);
-      b.erase(lo, std::lower_bound(lo, b.end(), sp.old_end));
-    });
-  if (const std::int64_t delta = sp.delta(); delta != 0)
-    for (auto& b : buckets_)
-      for (auto it = b.rbegin(); it != b.rend() && *it >= sp.old_end; ++it)
-        *it = static_cast<std::uint32_t>(*it + delta);
-  // The new ids, gathered per tile (tile << 32 | id, sorted) so that each
-  // touched bucket takes its run of ids with one insert.
-  std::vector<std::uint64_t> placed;
-  for (std::uint32_t id = sp.begin; id < sp.new_end; ++id)
-    for_each_tile(rects[id], [&](std::vector<std::uint32_t>& b) {
-      const auto t = static_cast<std::uint64_t>(&b - buckets_.data());
-      placed.push_back(t << 32 | id);
-    });
-  std::sort(placed.begin(), placed.end());
-  for (std::size_t i = 0; i < placed.size();) {
-    const std::uint64_t t = placed[i] >> 32;
-    std::size_t j = i;
-    while (j < placed.size() && placed[j] >> 32 == t) ++j;
-    auto& b = buckets_[static_cast<std::size_t>(t)];
-    const auto at = b.insert(std::lower_bound(b.begin(), b.end(), sp.begin),
-                             j - i, 0);
-    for (std::size_t k = i; k < j; ++k)
-      at[static_cast<std::ptrdiff_t>(k - i)] =
-          static_cast<std::uint32_t>(placed[k]);
-    i = j;
+  // Each touched row's share of the splice, for the rows [y0, y1] the
+  // old and new rects span (a per-edit array, not one per tile row): the
+  // columns its rects touch, and its new ids, grouped by row in
+  // ascending order (a counting sort: `first` starts each row's run,
+  // `end` fills it).
+  struct Share {
+    int x0 = std::numeric_limits<int>::max(), x1 = -1;
+    std::uint32_t first = 0, end = 0;
+  };
+  std::vector<Span> spans(sp.new_end - sp.begin);
+  int y0 = std::numeric_limits<int>::max(), y1 = -1;
+  for (const Rect& r : old) {
+    const Span s = span_of(r);
+    y0 = std::min(y0, s.y0);
+    y1 = std::max(y1, s.y1);
+  }
+  for (std::uint32_t id = sp.begin; id < sp.new_end; ++id) {
+    const Span& s = spans[id - sp.begin] = span_of(rects[id]);
+    y0 = std::min(y0, s.y0);
+    y1 = std::max(y1, s.y1);
+  }
+  std::vector<Share> share(
+      y1 < y0 ? 0 : static_cast<std::size_t>(y1 - y0) + 1);
+  const auto widen = [&](const Span& s) {
+    for (int ty = s.y0; ty <= s.y1; ++ty) {
+      Share& d = share[static_cast<std::size_t>(ty - y0)];
+      d.x0 = std::min(d.x0, s.x0);
+      d.x1 = std::max(d.x1, s.x1);
+    }
+  };
+  for (const Rect& r : old) widen(span_of(r));
+  for (const Span& s : spans) {
+    widen(s);
+    for (int ty = s.y0; ty <= s.y1; ++ty)
+      ++share[static_cast<std::size_t>(ty - y0)].end;
+  }
+  std::uint32_t total = 0;
+  for (Share& d : share) {
+    d.first = total;
+    total += d.end;
+    d.end = d.first;
+  }
+  std::vector<std::uint32_t> entering(total);
+  for (std::uint32_t id = sp.begin; id < sp.new_end; ++id) {
+    const Span& s = spans[id - sp.begin];
+    for (int ty = s.y0; ty <= s.y1; ++ty)
+      entering[share[static_cast<std::size_t>(ty - y0)].end++] = id;
+  }
+  // Rows neither an old nor a new rect touches only shift their ids,
+  // and only when some id lies past the invalidated run.
+  const bool shifts = sp.delta() != 0 && sp.old_end < was;
+  for (int ty = 0; ty < tile_rows(); ++ty) {
+    Row& row = rows_[static_cast<std::size_t>(ty)];
+    const Share* d = ty >= y0 && ty <= y1
+                         ? &share[static_cast<std::size_t>(ty - y0)]
+                         : nullptr;
+    if (d != nullptr && d->x0 <= d->x1)
+      splice_row(row, sp, d->x0, d->x1,
+                 {entering.data() + d->first, entering.data() + d->end},
+                 spans);
+    else if (shifts)
+      for (std::uint32_t& id : row.ids) id = shift(sp, id);
   }
   // Exact bounds: a removal can only shrink them when a removed rect
   // reached an edge; otherwise the new rects just widen them.
@@ -131,6 +195,78 @@ void TileIndex::splice(const ShapeSplice& sp, std::span<const Rect> old) {
     if (was == 0 && count_ != 0) bounds_ = rects[sp.begin];  // refilled
     for (std::uint32_t id = sp.begin; id < sp.new_end; ++id)
       fold(bounds_, rects[id]);
+  }
+}
+
+void TileIndex::splice_row(Row& row, const ShapeSplice& sp, int x0, int x1,
+                           std::span<const std::uint32_t> entering,
+                           std::span<const Span> spans) const {
+  // Per column in play: the invalidated run [lo, hi) as positions in
+  // row.ids (within a bucket the ids below sp.begin come first, then
+  // the invalidated ids, then the ids from sp.old_end on) and how many
+  // new ids enter. The new ids take the run's place, so every bucket
+  // stays ascending.
+  struct Cut {
+    std::uint32_t lo, hi, adds;
+  };
+  const auto ux0 = static_cast<std::size_t>(x0);
+  std::vector<Cut> cuts(static_cast<std::size_t>(x1 - x0) + 1);
+  for (std::size_t c = 0; c < cuts.size(); ++c) {
+    const std::uint32_t* ids = row.ids.data();
+    const std::uint32_t* e = ids + row.off[ux0 + c + 1];
+    const std::uint32_t* lo =
+        std::lower_bound(ids + row.off[ux0 + c], e, sp.begin);
+    const std::uint32_t* hi = std::lower_bound(lo, e, sp.old_end);
+    cuts[c] = {static_cast<std::uint32_t>(lo - ids),
+               static_cast<std::uint32_t>(hi - ids), 0};
+  }
+  for (std::uint32_t id : entering) {
+    const Span& s = spans[id - sp.begin];
+    for (int tx = s.x0; tx <= s.x1; ++tx)
+      ++cuts[static_cast<std::size_t>(tx - x0)].adds;
+  }
+  const bool same_sizes =
+      std::all_of(cuts.begin(), cuts.end(),
+                  [](const Cut& k) { return k.hi - k.lo == k.adds; });
+  // Ids past the invalidated runs move first: the cuts are positions, so
+  // they stay valid, and the invalidated ids lie below sp.old_end.
+  if (sp.delta() != 0)
+    for (std::uint32_t& id : row.ids) id = shift(sp, id);
+  // Each column's cursor for its new ids.
+  std::vector<std::uint32_t> at(cuts.size());
+  if (same_sizes) {
+    // Rewrite in place: no position moves.
+    for (std::size_t c = 0; c < cuts.size(); ++c) at[c] = cuts[c].lo;
+  } else {
+    // Re-lay the columns in play into `mid` and swap it in for their old
+    // span: the buckets before them keep their place, the ones after
+    // move by the change in size.
+    const std::uint32_t first = row.off[ux0];
+    const std::uint32_t last = row.off[ux0 + cuts.size()];
+    std::vector<std::uint32_t> mid;
+    for (std::size_t c = 0; c < cuts.size(); ++c) {
+      const std::uint32_t b = row.off[ux0 + c], e = row.off[ux0 + c + 1];
+      const auto ids = row.ids.begin();
+      row.off[ux0 + c] = first + static_cast<std::uint32_t>(mid.size());
+      mid.insert(mid.end(), ids + b, ids + cuts[c].lo);
+      at[c] = first + static_cast<std::uint32_t>(mid.size());
+      mid.resize(mid.size() + cuts[c].adds);
+      mid.insert(mid.end(), ids + cuts[c].hi, ids + e);
+    }
+    const auto grown = static_cast<std::uint32_t>(mid.size()) - (last - first);
+    if (mid.size() > last - first)
+      row.ids.insert(row.ids.begin() + last, grown, 0);
+    else
+      row.ids.erase(row.ids.begin() + first + mid.size(),
+                    row.ids.begin() + last);
+    std::copy(mid.begin(), mid.end(), row.ids.begin() + first);
+    for (std::size_t tx = ux0 + cuts.size(); tx < row.off.size(); ++tx)
+      row.off[tx] += grown;  // modulo 2^32 when the span shrank
+  }
+  for (std::uint32_t id : entering) {
+    const Span& s = spans[id - sp.begin];
+    for (int tx = s.x0; tx <= s.x1; ++tx)
+      row.ids[at[static_cast<std::size_t>(tx - x0)]++] = id;
   }
 }
 
@@ -233,8 +369,26 @@ LayoutDB::LayoutDB(const Cell& top, Coord tile_size)
 }
 
 void LayoutDB::build_indexes() {
-  for (std::size_t l = 0; l < rects_.size(); ++l)
-    index_[l] = TileIndex(rects_[l], tile_);
+  // One layer per pool worker, the largest layers claimed first. A
+  // database of at most kPooledIndexShapes shapes stays on the calling
+  // thread: the pool's dispatch would cost more than it saves, and a leaf
+  // cell's database is built inside CompileCache's once-per-key
+  // characterization, where helping with an unrelated pool job (a sweep
+  // point asking for the same key) would wait on itself.
+  constexpr std::size_t kPooledIndexShapes = std::size_t{1} << 16;
+  std::array<std::size_t, kLayerCount> order{};
+  for (std::size_t l = 0; l < order.size(); ++l) order[l] = l;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return rects_[a].size() > rects_[b].size();
+                   });
+  parallel_for(
+      kLayerCount, 1,
+      [&](std::int64_t i) {
+        const std::size_t l = order[static_cast<std::size_t>(i)];
+        index_[l] = TileIndex(rects_[l], tile_);
+      },
+      shape_count() > kPooledIndexShapes ? 0 : 1);
 }
 
 Rect LayoutDB::bbox() const {

@@ -40,12 +40,20 @@
 //     layer's bounding box at construction (or at the first edit that
 //     gives an empty layer shapes); edits keep that grid, and shapes
 //     beyond it sit in the clamped edge tiles. The tile edge is the
-//     caller's choice — DRC sizes it from the technology's maximum
+//     caller's choice — DRC sizes it at 4x the technology's maximum
 //     interaction distance (the largest spacing/enclosure rule, see
 //     drc::tile_size_for), so any rule check on a shape only ever needs
-//     the shape's own tile and its eight neighbors. A shape straddling
-//     tiles is registered in every tile it touches; queries deduplicate
-//     by shape id.
+//     the shape's own tile and its neighbors. A shape straddling tiles
+//     is registered in every tile it touches; queries deduplicate by
+//     shape id. Each tile row stores its buckets back to back in one id
+//     array beside an offsets array (TileIndex), filled by a two-pass
+//     counting sort; build_indexes() builds each layer of a database
+//     larger than a leaf cell on a pool worker of its own, at the end of
+//     the flatten and of load_snapshot(). An edit's splice re-lays only
+//     the tile rows its old and new rects touch, and in them only the
+//     columns they touch (in place when no bucket changes size); every
+//     other row only renumbers the ids past the splice, when the edit
+//     changes the layer's shape count.
 //   * Determinism. Queries report shape ids in strictly increasing id
 //     order, independent of tile geometry, so everything built on top
 //     (DRC and extraction included) is reproducible bit-for-bit.
@@ -120,6 +128,13 @@ struct ShapeSplice {
 
 /// Generic tile-bucketed index over a rectangle set. LayoutDB holds one
 /// per layer and keeps it current across edits with splice().
+///
+/// Each tile row keeps its buckets back to back in one id array, with
+/// an array of tile_cols() + 1 offsets: bucket (tx, ty) is ids[off[tx],
+/// off[tx + 1]) of row ty. A build fills them by a two-pass counting
+/// sort (count every bucket, then place the ids in ascending order), so
+/// each bucket is ascending and the index holds four bytes per tile and
+/// per (shape, tile) registration, with no heap block per tile.
 class TileIndex {
  public:
   TileIndex() = default;
@@ -128,6 +143,10 @@ class TileIndex {
   /// clamped to >= 1) laid over the set's bounding box. The rect vector
   /// must outlive the index (ids refer into it).
   TileIndex(const std::vector<Rect>& rects, Coord tile);
+  /// The same with the tiles laid over `grid` instead; rects beyond it
+  /// sit in the clamped edge tiles. Built over a spliced index's grid(),
+  /// it holds the spliced index's buckets.
+  TileIndex(const std::vector<Rect>& rects, Coord tile, const Rect& grid);
 
   std::size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
@@ -135,12 +154,15 @@ class TileIndex {
   /// Exact bounding box of the indexed rects (degenerate ones included),
   /// also after splices; empty when there are none.
   const Rect& bounds() const { return bounds_; }
+  /// The extent the tiles are laid over: the bounds at construction,
+  /// kept by every splice.
+  const Rect& grid() const { return grid_; }
   int tile_cols() const { return cols_; }
-  int tile_rows() const { return rows_; }
+  int tile_rows() const { return static_cast<int>(rows_.size()); }
 
   /// Shape ids bucketed into tile (tx, ty), in ascending id order, each
   /// id possibly present in several tiles.
-  const std::vector<std::uint32_t>& bucket(int tx, int ty) const;
+  std::span<const std::uint32_t> bucket(int tx, int ty) const;
 
   /// Calls fn(id) for every rect intersecting `window` (edge-touching
   /// counts, as Rect::intersects), in strictly increasing id order,
@@ -157,11 +179,15 @@ class TileIndex {
   /// has already applied: the invalidated ids [sp.begin, sp.old_end),
   /// whose rects were `old`, leave the tiles those rects covered; ids
   /// from sp.old_end on shift by sp.delta(); the new ids [sp.begin,
-  /// sp.new_end) enter the tiles of their rects. The tile grid stays
-  /// the one laid at construction (a set empty until now gets its first
-  /// grid here). A rect beyond the grid lands in the clamped edge tiles,
-  /// which every query reaching past the grid consults, so queries
-  /// answer exactly as a freshly built index would.
+  /// sp.new_end) enter the tiles of their rects. In a tile row an old or
+  /// a new rect touches, only the columns they touch are re-laid (in
+  /// place when no bucket changes size; else the rest of the row moves
+  /// as one block); the other rows only renumber the ids past the
+  /// splice, when delta() != 0. The tile grid stays the one laid at
+  /// construction (a set empty until now gets its first grid here). A
+  /// rect beyond the grid lands in the clamped edge tiles, which every
+  /// query reaching past the grid consults, so queries answer exactly
+  /// as a freshly built index would.
   void splice(const ShapeSplice& sp, std::span<const Rect> old);
 
  private:
@@ -169,22 +195,53 @@ class TileIndex {
   /// no larger than a tile).
   static constexpr int kMergeTiles = 4;
 
+  /// One tile row: bucket tx is ids[off[tx], off[tx + 1]).
+  struct Row {
+    std::vector<std::uint32_t> off;
+    std::vector<std::uint32_t> ids;
+  };
+  /// The tile columns [x0, x1] and rows [y0, y1] a rect touches.
+  struct Span {
+    int x0, x1, y0, y1;
+  };
+
+  /// floor(d / tile_) for 0 <= d, by a multiply with the reciprocal
+  /// instead of a 64-bit division: the product's floor is off by at most
+  /// one (its error is far below one while the quotient fits an int), so
+  /// one correction step makes it exact.
+  Coord tiles_in(Coord d) const {
+    Coord q = static_cast<Coord>(static_cast<double>(d) * inv_tile_);
+    if (q * tile_ > d)
+      --q;
+    else if ((q + 1) * tile_ <= d)
+      ++q;
+    return q;
+  }
   int tx_of(Coord x) const {
-    return static_cast<int>((std::clamp(x, grid_.lo.x, grid_.hi.x) -
-                             grid_.lo.x) / tile_);
+    return static_cast<int>(
+        tiles_in(std::clamp(x, grid_.lo.x, grid_.hi.x) - grid_.lo.x));
   }
   int ty_of(Coord y) const {
-    return static_cast<int>((std::clamp(y, grid_.lo.y, grid_.hi.y) -
-                             grid_.lo.y) / tile_);
+    return static_cast<int>(
+        tiles_in(std::clamp(y, grid_.lo.y, grid_.hi.y) - grid_.lo.y));
   }
-  const std::vector<std::uint32_t>& tile_at(int tx, int ty) const {
-    return buckets_[static_cast<std::size_t>(ty) *
-                        static_cast<std::size_t>(cols_) +
-                    static_cast<std::size_t>(tx)];
+  Span span_of(const Rect& r) const {
+    return {tx_of(r.lo.x), tx_of(r.hi.x), ty_of(r.lo.y), ty_of(r.hi.y)};
   }
-  /// fn(bucket) for every tile `r` touches.
-  template <typename Fn>
-  void for_each_tile(const Rect& r, Fn&& fn);
+  /// Lays the tile grid over `grid` and fills every row.
+  void lay(const Rect& grid);
+  /// splice() on one row whose columns [x0, x1] an old or a new rect
+  /// touches; `entering` lists the new ids touching the row, ascending,
+  /// and spans[id - sp.begin] is the tile span of new id `id`.
+  void splice_row(Row& row, const ShapeSplice& sp, int x0, int x1,
+                  std::span<const std::uint32_t> entering,
+                  std::span<const Span> spans) const;
+  /// `id` renumbered past a splice: ids from sp.old_end on move by
+  /// sp.delta(), modulo 2^32 (the sum is a valid id).
+  static std::uint32_t shift(const ShapeSplice& sp, std::uint32_t id) {
+    return id >= sp.old_end ? id + static_cast<std::uint32_t>(sp.delta())
+                            : id;
+  }
   /// The many-tile path of for_each_in.
   template <typename Fn>
   void gather_sorted(const Rect& window, int x0, int x1, int y0, int y1,
@@ -193,11 +250,11 @@ class TileIndex {
   const std::vector<Rect>* rects_ = nullptr;
   std::size_t count_ = 0;
   Coord tile_ = 1;
+  double inv_tile_ = 1.0;  // 1 / tile_
   Rect bounds_{};
   Rect grid_{};  // the construction-time extent the tiles are laid over
   int cols_ = 0;
-  int rows_ = 0;
-  std::vector<std::vector<std::uint32_t>> buckets_;  // row-major [ty*cols+tx]
+  std::vector<Row> rows_;  // [ty]; empty until a grid is laid
 };
 
 template <typename Fn>
@@ -215,14 +272,18 @@ void TileIndex::for_each_in(const Rect& window, Fn&& fn) const {
   const std::uint32_t* cur[kMergeTiles] = {};
   const std::uint32_t* end[kMergeTiles] = {};
   int runs = 0;
-  for (int ty = y0; ty <= y1; ++ty)
+  for (int ty = y0; ty <= y1; ++ty) {
+    const Row& row = rows_[static_cast<std::size_t>(ty)];
+    const std::uint32_t* ids = row.ids.data();
     for (int tx = x0; tx <= x1; ++tx) {
-      const std::vector<std::uint32_t>& b = tile_at(tx, ty);
-      if (b.empty()) continue;
-      cur[runs] = b.data();
-      end[runs] = b.data() + b.size();
+      const std::uint32_t b = row.off[static_cast<std::size_t>(tx)];
+      const std::uint32_t e = row.off[static_cast<std::size_t>(tx) + 1];
+      if (b == e) continue;
+      cur[runs] = ids + b;
+      end[runs] = ids + e;
       ++runs;
     }
+  }
   const std::vector<Rect>& rects = *rects_;
   if (runs == 1) {
     for (const std::uint32_t* p = cur[0]; p != end[0]; ++p)
@@ -249,10 +310,13 @@ template <typename Fn>
 void TileIndex::gather_sorted(const Rect& window, int x0, int x1, int y0,
                               int y1, Fn&& fn) const {
   std::vector<std::uint32_t> ids;
-  for (int ty = y0; ty <= y1; ++ty)
-    for (int tx = x0; tx <= x1; ++tx)
-      for (std::uint32_t id : tile_at(tx, ty))
-        if ((*rects_)[id].intersects(window)) ids.push_back(id);
+  for (int ty = y0; ty <= y1; ++ty) {
+    const Row& row = rows_[static_cast<std::size_t>(ty)];
+    const auto first = row.off[static_cast<std::size_t>(x0)];
+    const auto last = row.off[static_cast<std::size_t>(x1) + 1];
+    for (auto k = first; k < last; ++k)
+      if ((*rects_)[row.ids[k]].intersects(window)) ids.push_back(row.ids[k]);
+  }
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   for (std::uint32_t id : ids) fn(id);
@@ -425,8 +489,10 @@ class LayoutDB {
   LayoutDB() = default;  // snapshot loader fills the fields directly
   friend class SnapshotCodec;
 
-  /// Builds every layer's TileIndex over its rects; the constructor and
-  /// the snapshot loader end with it, apply() splices instead.
+  /// Builds every layer's TileIndex over its rects, one layer per pool
+  /// worker (util/parallel), the largest layers first, once the database
+  /// is larger than a leaf cell; the constructor and the snapshot loader
+  /// end with it, apply() splices instead.
   void build_indexes();
   /// Recomputes path_sub_end_ from path_parent_ (preorder invariant);
   /// constructor and snapshot loader only.

@@ -178,7 +178,7 @@ CellPtr slice_row(Library& lib, const std::string& name, const CellPtr& slice,
   if (existed) return lib.get(name);
   const Coord w = slice->bbox().width();
   for (int i = 0; i < count; ++i)
-    row->add_instance("s" + std::to_string(i), slice,
+    row->add_instance(strfmt("s%d", i), slice,
                       Transform::translate(i * w, 0));
   const Coord h = slice->bbox().height();
   row->add_port("bus", geom::Layer::Metal1,

@@ -26,7 +26,7 @@ constexpr int kMaxBlSegments = 32;
 }  // namespace
 
 TimingGraph build_access_graph(const tech::Tech& t,
-                               const sim::RamGeometry& geo, double gate_size,
+                               const sim::RamGeometry& geo,
                                const LeafTiming& lt) {
   const int row_bits =
       std::max(1, log2_ceil(static_cast<std::uint64_t>(geo.rows())));
@@ -134,10 +134,10 @@ TimingGraph build_access_graph(const tech::Tech& t,
 }
 
 AccessTiming analyze_access_path(const tech::Tech& t,
-                                 const sim::RamGeometry& geo, double gate_size,
+                                 const sim::RamGeometry& geo, double,
                                  const LeafTiming& lt,
                                  const AnalyzeOptions& options) {
-  const TimingGraph g = build_access_graph(t, geo, gate_size, lt);
+  const TimingGraph g = build_access_graph(t, geo, lt);
   AnalyzeOptions opt = options;
   if (opt.k_paths < 1) opt.k_paths = 1;
   AccessTiming at;

@@ -44,19 +44,21 @@ struct AccessTiming {
 /// gate size and decoder width max(1, ceil(log2 rows)) — from
 /// characterize() or, memoized, core::Compiler::leaf_library, which is
 /// how the staged compile API shares one deck's SPICE work across every
-/// spec in a DSE sweep.
+/// spec in a DSE sweep. The gate size enters only through `lt`.
 TimingGraph build_access_graph(const tech::Tech& t,
-                               const sim::RamGeometry& geo, double gate_size,
+                               const sim::RamGeometry& geo,
                                const LeafTiming& lt);
 
 /// Builds and analyzes the access-path graph, splitting the worst read
 /// path into the classic decoder/wordline/bitline/senseamp breakdown by
 /// arc tag. `options.clock_period_s` <= 0 analyzes unconstrained (the
 /// datasheet path); a positive period produces real setup slacks (the
-/// signoff path). `lt` as for build_access_graph.
+/// signoff path). `lt` as for build_access_graph. The unnamed gate-size
+/// argument is not read: the gate size is the one `lt` was
+/// characterized at.
 AccessTiming analyze_access_path(const tech::Tech& t,
-                                 const sim::RamGeometry& geo, double gate_size,
-                                 const LeafTiming& lt,
+                                 const sim::RamGeometry& geo,
+                                 double /*gate_size*/, const LeafTiming& lt,
                                  const AnalyzeOptions& options = {});
 
 }  // namespace bisram::sta

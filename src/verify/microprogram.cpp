@@ -315,7 +315,7 @@ std::string MicroReport::summary(
       declared_states);
   if (!unreachable_states.empty()) {
     s += "; unreachable:";
-    for (int c : unreachable_states) s += " " + name_of(c);
+    for (int c : unreachable_states) (s += ' ') += name_of(c);
   }
   if (!reachable_undeclared.empty())
     s += strfmt("; %zu undeclared codes entered", reachable_undeclared.size());
@@ -328,7 +328,7 @@ std::string MicroReport::summary(
                 static_cast<unsigned long long>(worst_case_cycles));
   } else {
     s += "; HANG POSSIBLE via";
-    for (int c : hang_cycle) s += " " + name_of(c);
+    for (int c : hang_cycle) (s += ' ') += name_of(c);
   }
   return s;
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -214,6 +215,97 @@ TEST(TileIndex, PropertyQueryEqualsBruteForceWithDegenerates) {
   }
 }
 
+/// Every bucket of `idx` against a fresh build over the same rects and
+/// grid.
+void expect_fresh_buckets(const TileIndex& idx,
+                          const std::vector<Rect>& rects) {
+  const TileIndex fresh(rects, idx.tile(), idx.grid());
+  ASSERT_EQ(idx.size(), rects.size());
+  ASSERT_EQ(idx.tile_cols(), fresh.tile_cols());
+  ASSERT_EQ(idx.tile_rows(), fresh.tile_rows());
+  EXPECT_TRUE(idx.bounds() == fresh.bounds());
+  for (int ty = 0; ty < idx.tile_rows(); ++ty)
+    for (int tx = 0; tx < idx.tile_cols(); ++tx)
+      ASSERT_TRUE(std::ranges::equal(idx.bucket(tx, ty), fresh.bucket(tx, ty)))
+          << "tile (" << tx << ", " << ty << ")";
+}
+
+/// Replaces live[begin, old_end) by `fresh` and splices `idx` to match.
+void splice_live(std::vector<Rect>& live, TileIndex& idx, std::uint32_t begin,
+                 std::uint32_t old_end, const std::vector<Rect>& fresh) {
+  const ShapeSplice sp{begin, old_end,
+                       begin + static_cast<std::uint32_t>(fresh.size())};
+  const std::vector<Rect> old(live.begin() + begin, live.begin() + old_end);
+  sp.resize_slots(live);
+  std::copy(fresh.begin(), fresh.end(), live.begin() + begin);
+  idx.splice(sp, old);
+}
+
+TEST(TileIndex, SplicesMatchAFreshBuildBucketForBucket) {
+  // A 5 x 4 grid of 10-DBU tiles: corner pins (ids 0 and 22), one 4-DBU
+  // square inside every tile (ids 1-20, row by row) and a straddler over
+  // three columns and two rows (id 21).
+  std::vector<Rect> live = {Rect::ltrb(0, 0, 1, 1)};
+  for (Coord r = 0; r < 4; ++r)
+    for (Coord c = 0; c < 5; ++c)
+      live.push_back(Rect::xywh(10 * c + 3, 10 * r + 3, 4, 4));
+  live.push_back(Rect::ltrb(8, 8, 22, 12));
+  live.push_back(Rect::ltrb(48, 38, 49, 39));
+  TileIndex idx(live, 10);
+  ASSERT_EQ(idx.tile_cols(), 5);
+  ASSERT_EQ(idx.tile_rows(), 4);
+  expect_fresh_buckets(idx, live);
+
+  {
+    SCOPED_TRACE("every bucket keeps its size");
+    std::vector<const std::uint32_t*> rows;
+    for (int ty = 0; ty < idx.tile_rows(); ++ty)
+      rows.push_back(idx.bucket(0, ty).data());
+    splice_live(live, idx, 5, 8,
+                {Rect::xywh(44, 4, 4, 4), Rect::xywh(4, 14, 4, 4),
+                 Rect::xywh(14, 14, 4, 4)});
+    expect_fresh_buckets(idx, live);
+    for (int ty = 0; ty < idx.tile_rows(); ++ty)
+      EXPECT_EQ(idx.bucket(0, ty).data(), rows[static_cast<std::size_t>(ty)])
+          << "row " << ty << " was re-laid, not rewritten in place";
+  }
+  {
+    SCOPED_TRACE("buckets grow and shrink in two rows, ids shift by +1");
+    // Row 2 column 1 loses its square; row 3 columns 1 and 2 gain one
+    // each, and the ids past the splice move up by one in every row.
+    splice_live(live, idx, 12, 13,
+                {Rect::xywh(13, 33, 2, 2), Rect::xywh(23, 33, 2, 2)});
+    expect_fresh_buckets(idx, live);
+  }
+  {
+    SCOPED_TRACE("ids shift by -3");
+    // Row 0 loses three squares; rows 1-3 only renumber.
+    splice_live(live, idx, 2, 5, {});
+    expect_fresh_buckets(idx, live);
+  }
+  {
+    SCOPED_TRACE("a row keeps its sizes while its ids shift by +1");
+    // Square 1 is nudged within its tile and a new square enters row 3:
+    // row 0 is rewritten in place, the straddler's id in it moving up
+    // by one like the ids of every other row.
+    const std::uint32_t* row0 = idx.bucket(0, 0).data();
+    splice_live(live, idx, 1, 2,
+                {Rect::xywh(4, 4, 4, 4), Rect::xywh(43, 33, 2, 2)});
+    expect_fresh_buckets(idx, live);
+    EXPECT_EQ(idx.bucket(0, 0).data(), row0);
+  }
+  {
+    SCOPED_TRACE("a rect moves into a clamped edge tile");
+    const Rect far = Rect::xywh(200, 15, 4, 4);
+    splice_live(live, idx, 6, 7, {far});
+    expect_fresh_buckets(idx, live);
+    const auto edge = idx.bucket(idx.tile_cols() - 1, 1);
+    EXPECT_TRUE(std::find(edge.begin(), edge.end(), 6u) != edge.end());
+    EXPECT_EQ(idx.ids_in(far), std::vector<std::uint32_t>{6});
+    EXPECT_EQ(idx.bounds().hi.x, far.hi.x);
+  }
+}
+
 TEST(LayoutDB, EmptyLayerQueriesAreEmpty) {
   Library lib;
   auto c = lib.create("one_layer");
@@ -359,6 +451,37 @@ TEST(LayoutDB, TransistorCensusMatchesCellOnRealLeafCells) {
         << cell->name();
   }
   EXPECT_EQ(cells::sram_cell_6t(lib, t)->transistor_census(), 6u);
+}
+
+TEST(LayoutDB, PooledIndexBuildEqualsADirectBuild) {
+  // 32 rows of 64 SRAM cells: past the size from which build_indexes
+  // builds each layer on a pool worker (the CI TSan leg runs this at
+  // pool widths 1, 2 and 8).
+  Library lib;
+  const tech::Tech& t = tech::cda_07();
+  const CellPtr bit = cells::sram_cell_6t(lib, t);
+  auto row = lib.create("row");
+  for (int i = 0; i < 64; ++i)
+    row->add_instance("b" + std::to_string(i), bit,
+                      Transform::translate(i * bit->bbox().width(), 0));
+  auto top = lib.create("array");
+  for (int j = 0; j < 32; ++j)
+    top->add_instance("r" + std::to_string(j), row,
+                      Transform::translate(0, j * bit->bbox().height()));
+  const LayoutDB db(*top, 360);
+  ASSERT_GT(db.shape_count(), std::size_t{1} << 16);
+  for (Layer l : all_layers()) {
+    const TileIndex& idx = db.index(l);
+    const TileIndex direct(db.rects(l), db.tile_size());
+    ASSERT_EQ(idx.tile_cols(), direct.tile_cols());
+    ASSERT_EQ(idx.tile_rows(), direct.tile_rows());
+    for (int ty = 0; ty < idx.tile_rows(); ++ty)
+      for (int tx = 0; tx < idx.tile_cols(); ++tx)
+        ASSERT_TRUE(std::ranges::equal(idx.bucket(tx, ty),
+                                       direct.bucket(tx, ty)))
+            << "layer " << static_cast<int>(l) << " tile (" << tx << ", "
+            << ty << ")";
+  }
 }
 
 TEST(LayoutDB, QueriesAreTileSizeInvariant) {

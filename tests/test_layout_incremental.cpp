@@ -3,8 +3,9 @@
 // Replace, Add), across tile sizes and along a seeded 300-edit stream,
 //
 //   * LayoutDB::apply is bit-identical (shapes, ids, provenance,
-//     content hash; along the stream also bounding boxes and indexed
-//     queries) to flattening edited_cell (below) from scratch;
+//     content hash; along the stream also bounding boxes, every tile
+//     bucket and indexed queries) to flattening edited_cell (below) from
+//     scratch;
 //   * drc::IncrementalDrc::report equals drc::check on the fresh
 //     flatten;
 //   * extract::IncrementalExtract::result equals extract::extract.
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -434,9 +436,29 @@ class EditStream {
   int adds_ = 0;
 };
 
-/// bbox(), every layer_bbox() and indexed queries of `got` against the
-/// fresh flatten and a TileIndex built from scratch over got's rects,
-/// on windows sampled in and around the layout.
+/// Every bucket of `got`'s spliced index for `l` against a TileIndex
+/// built from scratch over got's rects on the same grid.
+void expect_same_buckets(const LayoutDB& got, geom::Layer l,
+                         const std::string& tag) {
+  const geom::TileIndex& idx = got.index(l);
+  if (idx.tile_rows() == 0) {  // no grid yet: the layer never had shapes
+    EXPECT_TRUE(got.rects(l).empty()) << tag;
+    return;
+  }
+  const geom::TileIndex rebuilt(got.rects(l), got.tile_size(), idx.grid());
+  ASSERT_EQ(idx.tile_cols(), rebuilt.tile_cols()) << tag;
+  ASSERT_EQ(idx.tile_rows(), rebuilt.tile_rows()) << tag;
+  for (int ty = 0; ty < idx.tile_rows(); ++ty)
+    for (int tx = 0; tx < idx.tile_cols(); ++tx)
+      ASSERT_TRUE(std::ranges::equal(idx.bucket(tx, ty),
+                                     rebuilt.bucket(tx, ty)))
+          << tag << " layer " << static_cast<int>(l) << " tile (" << tx
+          << ", " << ty << ")";
+}
+
+/// bbox(), every layer_bbox(), the buckets and indexed queries of `got`
+/// against the fresh flatten and a TileIndex built from scratch over
+/// got's rects, on windows sampled in and around the layout.
 void expect_same_geometry_queries(const LayoutDB& got, const LayoutDB& fresh,
                                   Rng& rng, const std::string& tag) {
   EXPECT_TRUE(got.bbox() == fresh.bbox()) << tag;
@@ -448,6 +470,7 @@ void expect_same_geometry_queries(const LayoutDB& got, const LayoutDB& fresh,
   for (geom::Layer l : geom::all_layers()) {
     EXPECT_TRUE(got.layer_bbox(l) == fresh.layer_bbox(l))
         << tag << " layer " << static_cast<int>(l);
+    expect_same_buckets(got, l, tag);
     const geom::TileIndex rebuilt(got.rects(l), got.tile_size());
     for (int w = 0; w < 4; ++w) {
       const geom::Coord x = coord(b.lo.x, b.hi.x), y = coord(b.lo.y, b.hi.y);

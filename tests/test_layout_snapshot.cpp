@@ -104,7 +104,9 @@ TEST(LayoutSnapshot, RoundTripIsExactAndByteStable) {
 // compare a save with its own load, so they cannot see a change that
 // moves the encoder, the decoder and the hash together — which would
 // leave every snapshot on disk unreadable. Such a change must bump
-// kSnapshotVersion and these values on purpose.
+// kSnapshotVersion and these values on purpose. The tile edge is part
+// of the hash and the header, so the pins use the literal 720 DBU they
+// were taken at; the last check pins the hash at the signoff tile.
 TEST(LayoutSnapshot, FormatAndHashArePinned) {
   core::RamSpec spec;
   spec.words = 64;
@@ -116,7 +118,7 @@ TEST(LayoutSnapshot, FormatAndHashArePinned) {
   core::Compiler session;
   const tech::Tech& t = session.resolve_tech(spec);
   const core::Assembled a = session.assemble(spec, t);
-  const geom::LayoutDB db(*a.top, drc::tile_size_for(t));
+  const geom::LayoutDB db(*a.top, 720);
   EXPECT_EQ(db.shape_count(), 789174u);
   EXPECT_EQ(db.path_count(), 18145u);
   EXPECT_EQ(db.content_hash(), 0x93e05ec04e2b64bbull);
@@ -126,6 +128,9 @@ TEST(LayoutSnapshot, FormatAndHashArePinned) {
   const std::string bytes = slurp(path);
   EXPECT_EQ(bytes.size(), 5496582u);
   EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x2144df1cu);
+
+  EXPECT_EQ(geom::LayoutDB(*a.top, drc::tile_size_for(t)).content_hash(),
+            0xc5d56eece5a8622dull);
 }
 
 TEST(LayoutSnapshot, LoadedDatabaseAnswersQueriesLikeTheOriginal) {
