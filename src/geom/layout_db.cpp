@@ -41,10 +41,7 @@ bool on_edge(const Rect& b, const Rect& r) {
 }  // namespace
 
 TileIndex::TileIndex(const std::vector<Rect>& rects, Coord tile)
-    : rects_(&rects),
-      count_(rects.size()),
-      tile_(std::max<Coord>(tile, 1)),
-      inv_tile_(1.0 / static_cast<double>(tile_)) {
+    : rects_(&rects), count_(rects.size()), tile_(std::max<Coord>(tile, 1)) {
   if (count_ == 0) return;
   bounds_ = fold_all(rects);
   lay(bounds_);
@@ -52,10 +49,7 @@ TileIndex::TileIndex(const std::vector<Rect>& rects, Coord tile)
 
 TileIndex::TileIndex(const std::vector<Rect>& rects, Coord tile,
                      const Rect& grid)
-    : rects_(&rects),
-      count_(rects.size()),
-      tile_(std::max<Coord>(tile, 1)),
-      inv_tile_(1.0 / static_cast<double>(tile_)) {
+    : rects_(&rects), count_(rects.size()), tile_(std::max<Coord>(tile, 1)) {
   bounds_ = fold_all(rects);
   lay(grid);
 }
@@ -225,44 +219,36 @@ void TileIndex::splice_row(Row& row, const ShapeSplice& sp, int x0, int x1,
     for (int tx = s.x0; tx <= s.x1; ++tx)
       ++cuts[static_cast<std::size_t>(tx - x0)].adds;
   }
-  const bool same_sizes =
-      std::all_of(cuts.begin(), cuts.end(),
-                  [](const Cut& k) { return k.hi - k.lo == k.adds; });
   // Ids past the invalidated runs move first: the cuts are positions, so
   // they stay valid, and the invalidated ids lie below sp.old_end.
   if (sp.delta() != 0)
     for (std::uint32_t& id : row.ids) id = shift(sp, id);
-  // Each column's cursor for its new ids.
+  // Re-lay the columns in play into `mid` and swap it in for their old
+  // span: the buckets before them keep their place, the ones after move
+  // by the change in size (none when no bucket changes size). at[c] is
+  // column c's cursor for its new ids.
   std::vector<std::uint32_t> at(cuts.size());
-  if (same_sizes) {
-    // Rewrite in place: no position moves.
-    for (std::size_t c = 0; c < cuts.size(); ++c) at[c] = cuts[c].lo;
-  } else {
-    // Re-lay the columns in play into `mid` and swap it in for their old
-    // span: the buckets before them keep their place, the ones after
-    // move by the change in size.
-    const std::uint32_t first = row.off[ux0];
-    const std::uint32_t last = row.off[ux0 + cuts.size()];
-    std::vector<std::uint32_t> mid;
-    for (std::size_t c = 0; c < cuts.size(); ++c) {
-      const std::uint32_t b = row.off[ux0 + c], e = row.off[ux0 + c + 1];
-      const auto ids = row.ids.begin();
-      row.off[ux0 + c] = first + static_cast<std::uint32_t>(mid.size());
-      mid.insert(mid.end(), ids + b, ids + cuts[c].lo);
-      at[c] = first + static_cast<std::uint32_t>(mid.size());
-      mid.resize(mid.size() + cuts[c].adds);
-      mid.insert(mid.end(), ids + cuts[c].hi, ids + e);
-    }
-    const auto grown = static_cast<std::uint32_t>(mid.size()) - (last - first);
-    if (mid.size() > last - first)
-      row.ids.insert(row.ids.begin() + last, grown, 0);
-    else
-      row.ids.erase(row.ids.begin() + first + mid.size(),
-                    row.ids.begin() + last);
-    std::copy(mid.begin(), mid.end(), row.ids.begin() + first);
-    for (std::size_t tx = ux0 + cuts.size(); tx < row.off.size(); ++tx)
-      row.off[tx] += grown;  // modulo 2^32 when the span shrank
+  const std::uint32_t first = row.off[ux0];
+  const std::uint32_t last = row.off[ux0 + cuts.size()];
+  std::vector<std::uint32_t> mid;
+  for (std::size_t c = 0; c < cuts.size(); ++c) {
+    const std::uint32_t b = row.off[ux0 + c], e = row.off[ux0 + c + 1];
+    const auto ids = row.ids.begin();
+    row.off[ux0 + c] = first + static_cast<std::uint32_t>(mid.size());
+    mid.insert(mid.end(), ids + b, ids + cuts[c].lo);
+    at[c] = first + static_cast<std::uint32_t>(mid.size());
+    mid.resize(mid.size() + cuts[c].adds);
+    mid.insert(mid.end(), ids + cuts[c].hi, ids + e);
   }
+  const auto grown = static_cast<std::uint32_t>(mid.size()) - (last - first);
+  if (mid.size() > last - first)
+    row.ids.insert(row.ids.begin() + last, grown, 0);
+  else
+    row.ids.erase(row.ids.begin() + first + mid.size(),
+                  row.ids.begin() + last);
+  std::copy(mid.begin(), mid.end(), row.ids.begin() + first);
+  for (std::size_t tx = ux0 + cuts.size(); tx < row.off.size(); ++tx)
+    row.off[tx] += grown;  // modulo 2^32 when the span shrank
   for (std::uint32_t id : entering) {
     const Span& s = spans[id - sp.begin];
     for (int tx = s.x0; tx <= s.x1; ++tx)

@@ -51,9 +51,9 @@
 //     larger than a leaf cell on a pool worker of its own, at the end of
 //     the flatten and of load_snapshot(). An edit's splice re-lays only
 //     the tile rows its old and new rects touch, and in them only the
-//     columns they touch (in place when no bucket changes size); every
-//     other row only renumbers the ids past the splice, when the edit
-//     changes the layer's shape count.
+//     columns they touch (the rest of the row moves by the change in
+//     size, if any); every other row only renumbers the ids past the
+//     splice, when the edit changes the layer's shape count.
 //   * Determinism. Queries report shape ids in strictly increasing id
 //     order, independent of tile geometry, so everything built on top
 //     (DRC and extraction included) is reproducible bit-for-bit.
@@ -180,14 +180,14 @@ class TileIndex {
   /// whose rects were `old`, leave the tiles those rects covered; ids
   /// from sp.old_end on shift by sp.delta(); the new ids [sp.begin,
   /// sp.new_end) enter the tiles of their rects. In a tile row an old or
-  /// a new rect touches, only the columns they touch are re-laid (in
-  /// place when no bucket changes size; else the rest of the row moves
-  /// as one block); the other rows only renumber the ids past the
-  /// splice, when delta() != 0. The tile grid stays the one laid at
-  /// construction (a set empty until now gets its first grid here). A
-  /// rect beyond the grid lands in the clamped edge tiles, which every
-  /// query reaching past the grid consults, so queries answer exactly
-  /// as a freshly built index would.
+  /// a new rect touches, only the columns they touch are re-laid (the
+  /// rest of the row moves as one block by the change in size, if any);
+  /// the other rows only renumber the ids past the splice, when
+  /// delta() != 0. The tile grid stays the one laid at construction (a
+  /// set empty until now gets its first grid here). A rect beyond the
+  /// grid lands in the clamped edge tiles, which every query reaching
+  /// past the grid consults, so queries answer exactly as a freshly
+  /// built index would.
   void splice(const ShapeSplice& sp, std::span<const Rect> old);
 
  private:
@@ -205,25 +205,13 @@ class TileIndex {
     int x0, x1, y0, y1;
   };
 
-  /// floor(d / tile_) for 0 <= d, by a multiply with the reciprocal
-  /// instead of a 64-bit division: the product's floor is off by at most
-  /// one (its error is far below one while the quotient fits an int), so
-  /// one correction step makes it exact.
-  Coord tiles_in(Coord d) const {
-    Coord q = static_cast<Coord>(static_cast<double>(d) * inv_tile_);
-    if (q * tile_ > d)
-      --q;
-    else if ((q + 1) * tile_ <= d)
-      ++q;
-    return q;
-  }
   int tx_of(Coord x) const {
-    return static_cast<int>(
-        tiles_in(std::clamp(x, grid_.lo.x, grid_.hi.x) - grid_.lo.x));
+    return static_cast<int>((std::clamp(x, grid_.lo.x, grid_.hi.x) -
+                             grid_.lo.x) / tile_);
   }
   int ty_of(Coord y) const {
-    return static_cast<int>(
-        tiles_in(std::clamp(y, grid_.lo.y, grid_.hi.y) - grid_.lo.y));
+    return static_cast<int>((std::clamp(y, grid_.lo.y, grid_.hi.y) -
+                             grid_.lo.y) / tile_);
   }
   Span span_of(const Rect& r) const {
     return {tx_of(r.lo.x), tx_of(r.hi.x), ty_of(r.lo.y), ty_of(r.hi.y)};
@@ -250,7 +238,6 @@ class TileIndex {
   const std::vector<Rect>* rects_ = nullptr;
   std::size_t count_ = 0;
   Coord tile_ = 1;
-  double inv_tile_ = 1.0;  // 1 / tile_
   Rect bounds_{};
   Rect grid_{};  // the construction-time extent the tiles are laid over
   int cols_ = 0;

@@ -257,7 +257,7 @@ TEST(TileIndex, SplicesMatchAFreshBuildBucketForBucket) {
   expect_fresh_buckets(idx, live);
 
   {
-    SCOPED_TRACE("every bucket keeps its size");
+    SCOPED_TRACE("every bucket keeps its size and every row its storage");
     std::vector<const std::uint32_t*> rows;
     for (int ty = 0; ty < idx.tile_rows(); ++ty)
       rows.push_back(idx.bucket(0, ty).data());
@@ -267,7 +267,7 @@ TEST(TileIndex, SplicesMatchAFreshBuildBucketForBucket) {
     expect_fresh_buckets(idx, live);
     for (int ty = 0; ty < idx.tile_rows(); ++ty)
       EXPECT_EQ(idx.bucket(0, ty).data(), rows[static_cast<std::size_t>(ty)])
-          << "row " << ty << " was re-laid, not rewritten in place";
+          << "row " << ty << " moved to new storage";
   }
   {
     SCOPED_TRACE("buckets grow and shrink in two rows, ids shift by +1");
@@ -286,8 +286,8 @@ TEST(TileIndex, SplicesMatchAFreshBuildBucketForBucket) {
   {
     SCOPED_TRACE("a row keeps its sizes while its ids shift by +1");
     // Square 1 is nudged within its tile and a new square enters row 3:
-    // row 0 is rewritten in place, the straddler's id in it moving up
-    // by one like the ids of every other row.
+    // row 0 keeps its sizes and its storage, the straddler's id in it
+    // moving up by one like the ids of every other row.
     const std::uint32_t* row0 = idx.bucket(0, 0).data();
     splice_live(live, idx, 1, 2,
                 {Rect::xywh(4, 4, 4, 4), Rect::xywh(43, 33, 2, 2)});
