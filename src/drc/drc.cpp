@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <numeric>
 #include <tuple>
 #include <utility>
 
@@ -142,6 +144,8 @@ struct Checker {
   using Recs = std::vector<Rec>;
   /// Marks a shape the current relabel() walk has reached.
   static constexpr std::uint32_t kVisited = ShapeSplice::kRemoved - 1;
+  /// An unclaimed slot of pooled_walk().
+  static constexpr std::uint32_t kFree = ShapeSplice::kRemoved;
 
   const LayoutDB* db;
   tech::Tech tech;
@@ -156,6 +160,9 @@ struct Checker {
   /// monotonically, so "label != remapped old label" is an exact change
   /// detector.
   std::array<std::vector<std::uint32_t>, geom::kLayerCount> label;
+  /// Per layer: pooled_walk()'s claim and UnionFind slots, sized at the
+  /// layer's first pooled walk.
+  std::array<std::vector<std::uint32_t>, geom::kLayerCount> claim;
 
   Checker(const LayoutDB& layout, const tech::Tech& t, const DrcOptions& o)
       : db(&layout), tech(t), opt(o), via_rules(via_rules_for(t)) {
@@ -313,15 +320,24 @@ struct Checker {
   /// shapes whose label changed, new shapes included, in ascending order.
   ///
   /// Only the polygons of the inserted shapes and of the survivors that
-  /// touch the layer's old_bbox are re-walked (through the layer index,
-  /// touching as in the full scan), and each gets its minimum member
-  /// id. No other polygon can have changed: a survivor's polygon changes
-  /// only if it gained an inserted shape, which is walked from, or lost
-  /// a removed one. In the second case every remaining part of the old
-  /// polygon still holds a survivor that touched a removed rect (the old
-  /// polygon was connected, and survivors keep their rects), and that
-  /// survivor intersects old_bbox. Every other polygon keeps its
-  /// members, and the monotone splice keeps its minimum the minimum.
+  /// touch the layer's old_bbox (the seeds) are re-walked (through the
+  /// layer index, touching as in the full scan), and each gets its
+  /// minimum member id. No other polygon can have changed: a survivor's
+  /// polygon changes only if it gained an inserted shape, which is
+  /// walked from, or lost a removed one. In the second case every
+  /// remaining part of the old polygon still holds a survivor that
+  /// touched a removed rect (the old polygon was connected, and
+  /// survivors keep their rects), and that survivor intersects old_bbox.
+  /// Every other polygon keeps its members, and the monotone splice
+  /// keeps its minimum the minimum.
+  ///
+  /// The walk goes one polygon at a time on this thread while it stays
+  /// narrow. Once the seeds, or one polygon's queue of reached but
+  /// unexpanded shapes, outgrow one kScanChunk, it is redone on the pool
+  /// by pooled_walk(), which expands a whole frontier at a time: a row
+  /// move seeds tens of thousands of shapes, while a long chain-shaped
+  /// polygon (a rail a small edit touches) has narrow frontiers that
+  /// the pool could not share out.
   std::vector<std::uint32_t> relabel(Layer layer,
                                      const geom::EditResult& edit) {
     const auto li = static_cast<std::size_t>(layer);
@@ -339,29 +355,39 @@ struct Checker {
       for (std::uint32_t& l : lab) l = sp.remap(l);
     std::fill(lab.begin() + sp.begin, lab.begin() + sp.new_end,
               ShapeSplice::kRemoved);
-    const auto prior = [&](std::uint32_t m) {
-      return shifted ? lab[m] : sp.remap(lab[m]);
+    const auto prior = [&](std::uint32_t stored) {
+      return shifted ? stored : sp.remap(stored);
     };
+    std::vector<std::uint32_t> seeds(sp.new_end - sp.begin);
+    std::iota(seeds.begin(), seeds.end(), sp.begin);
+    if (!edit.old_bbox[li].empty()) {
+      const auto touching = idx.ids_in(edit.old_bbox[li]);
+      seeds.insert(seeds.end(), touching.begin(), touching.end());
+    }
+    if (seeds.size() > kScanChunk) return pooled_walk(layer, seeds, prior);
 
-    // Walk each seed's polygon once; `walked` lists (shape, prior label)
-    // in walk order, `ends` closes each polygon.
+    // Walk each seed's polygon once; `walked` lists (shape, stored
+    // label) in walk order, `ends` closes each polygon.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> walked;
     std::vector<std::size_t> ends;
     const auto reach = [&](std::uint32_t j) {
       if (lab[j] == kVisited) return;
-      walked.emplace_back(j, prior(j));
+      walked.emplace_back(j, lab[j]);
       lab[j] = kVisited;
     };
-    const auto walk = [&](std::uint32_t seed) {
-      if (lab[seed] == kVisited) return;
+    for (const std::uint32_t seed : seeds) {
+      if (lab[seed] == kVisited) continue;
       reach(seed);
       for (std::size_t q = ends.empty() ? 0 : ends.back(); q < walked.size();
-           ++q)
+           ++q) {
         idx.for_each_in(rects[walked[q].first], reach);
+        if (walked.size() - q > kScanChunk) {
+          for (const auto& [j, stored] : walked) lab[j] = stored;
+          return pooled_walk(layer, seeds, prior);
+        }
+      }
       ends.push_back(walked.size());
-    };
-    for (std::uint32_t k = sp.begin; k < sp.new_end; ++k) walk(k);
-    if (!edit.old_bbox[li].empty()) idx.for_each_in(edit.old_bbox[li], walk);
+    }
 
     std::vector<std::uint32_t> affected;
     std::size_t first = 0;
@@ -371,10 +397,68 @@ struct Checker {
         least = std::min(least, walked[q].first);
       for (std::size_t q = first; q < end; ++q) {
         lab[walked[q].first] = least;
-        if (walked[q].second != least) affected.push_back(walked[q].first);
+        if (prior(walked[q].second) != least)
+          affected.push_back(walked[q].first);
       }
       first = end;
     }
+    std::sort(affected.begin(), affected.end());
+    return affected;
+  }
+
+  /// relabel()'s walk on the pool, frontier by frontier from every seed
+  /// at once. A frontier's shapes are split into kScanChunk chunks
+  /// (parallel_collect); each claims the unvisited shapes touching its
+  /// own by CAS on their `claim` slot, which makes the slot a UnionFind
+  /// root, and unites each touching pair from its lower id. So every
+  /// polygon walked ends as one component rooted at its least id, at any
+  /// thread count. The claim slots hold kFree between walks.
+  template <typename Prior>
+  std::vector<std::uint32_t> pooled_walk(
+      Layer layer, const std::vector<std::uint32_t>& seeds, Prior&& prior) {
+    const auto li = static_cast<std::size_t>(layer);
+    const auto& rects = db->rects(layer);
+    const TileIndex& idx = db->index(layer);
+    auto& lab = label[li];
+    auto& slot = claim[li];
+    slot.resize(rects.size(), kFree);
+    const UnionFind uf(slot);
+    using Claimed = std::pair<std::uint32_t, std::uint32_t>;  // shape, label
+    const auto try_claim = [&](std::uint32_t j, std::vector<Claimed>& out) {
+      std::uint32_t free = kFree;
+      if (std::atomic_ref(slot[j]).compare_exchange_strong(
+              free, j, std::memory_order_relaxed))
+        out.emplace_back(j, lab[j]);
+    };
+
+    std::vector<Claimed> walked, frontier, next;
+    scan_ids(seeds.size(), frontier, [&](std::uint32_t q, auto& part) {
+      try_claim(seeds[q], part);
+    });
+    while (!frontier.empty()) {
+      walked.insert(walked.end(), frontier.begin(), frontier.end());
+      next.clear();
+      scan_ids(frontier.size(), next, [&](std::uint32_t q, auto& part) {
+        const std::uint32_t k = frontier[q].first;
+        idx.for_each_in(rects[k], [&](std::uint32_t j) {
+          if (j == k) return;
+          try_claim(j, part);
+          if (j > k) uf.unite(k, j);
+        });
+      });
+      frontier.swap(next);
+    }
+
+    std::vector<std::uint32_t> affected;
+    scan_ids(walked.size(), affected, [&](std::uint32_t q, auto& part) {
+      const auto [j, stored] = walked[q];
+      lab[j] = uf.find(j);
+      if (prior(stored) != lab[j]) part.push_back(j);
+    });
+    parallel_for(static_cast<std::int64_t>(walked.size()), kScanChunk,
+                 [&](std::int64_t q) {
+                   slot[walked[static_cast<std::size_t>(q)].first] = kFree;
+                 });
     std::sort(affected.begin(), affected.end());
     return affected;
   }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <utility>
 
 #include "util/error.hpp"
@@ -79,7 +81,8 @@ bool Extracted::channel_between(int a, int b) const {
 // Via1, Via2}, in that order. A piece id is its position in this
 // sequence, so after an edit the surviving pieces renumber by prefix
 // arithmetic: per-shape segment lists for the diffusion blocks, the
-// LayoutDB's own shape ids for the plain blocks.
+// LayoutDB's own shape ids for the plain blocks. The renumbering keeps
+// the survivors' order.
 //
 // Three phases: split every diffusion shape (one entry per shape),
 // discover the electrical adjacency edges (each chunk of pieces lists
@@ -89,10 +92,15 @@ bool Extracted::channel_between(int a, int b) const {
 // joined in chunk order (parallel_collect). The labelling is the
 // lock-free UnionFind of util/parallel, which DRC uses too, so a piece's
 // label is its component's least piece id whatever the schedule. Net ids
-// are then minted serially in the historical visit order (devices, ports,
-// then capacitance in piece order), and each net's capacitance is
-// summed in piece order, so the netlist is bit-identical at any thread
-// count.
+// are then minted serially in the historical visit order (devices,
+// ports, then the remaining components by least wired piece), and each
+// net's capacitance is summed in piece order, so the netlist is
+// bit-identical at any thread count.
+//
+// An update keeps every component that lost no piece: its pieces keep
+// their root through the renumbering and its net keeps its capacitance
+// sum. Only the survivors of the components that lost a piece and the
+// new pieces start as their own roots, are re-united and re-summed.
 
 namespace {
 
@@ -141,8 +149,27 @@ const std::vector<Layer>& connect_targets(Layer l) {
 constexpr std::uint32_t kNoPiece = 0xffffffffu;
 /// An edge whose piece the edit invalidated, until the splice drops it.
 constexpr std::uint64_t kDeadEdge = ~std::uint64_t{0};
-/// Tags a component root's label slot once its net id is minted.
-constexpr std::uint32_t kMinted = 0x80000000u;
+
+// A label slot holds a piece id below kTag, or, in a component root's
+// slot, a tag in bits 31-30:
+//   kNet | id      the component's net, minted by the numbering;
+//   kCarried | id  during an update: a component the edit left alone,
+//                  and the net id it had before the edit;
+//   kAffected      during an update: a component that holds a new or a
+//                  reset piece;
+//   kLost          in the pre-edit labels: a component that lost a piece.
+// Every tag exceeds every piece id, and a member's slot holds its root,
+// which is smaller than the member, so a piece's root is
+// min(slot, piece).
+constexpr std::uint32_t kTag = 0x40000000u;
+constexpr std::uint32_t kIdMask = kTag - 1;
+constexpr std::uint32_t kNet = 0x80000000u;
+constexpr std::uint32_t kCarried = 0x40000000u;
+constexpr std::uint32_t kAffected = 0xc0000000u;
+constexpr std::uint32_t kLost = 0xffffffffu;
+
+bool minted(std::uint32_t slot) { return (slot >> 30) == 2; }
+bool carried(std::uint32_t slot) { return (slot >> 30) == 1; }
 
 /// Work per pool chunk. Fixed, so the chunk layout depends on the
 /// layout alone; a leaf cell, and the re-emission of most edits, fits in
@@ -223,10 +250,24 @@ struct Extractor {
     std::uint32_t total = 0;    // pieces
     std::uint32_t devices = 0;  // device records
   };
+  /// A piece an update starts as its own root (net == kNoPiece: a new
+  /// piece or a survivor of a component that lost one), or the root of a
+  /// component it keeps, with that component's pre-edit net.
+  struct Seed {
+    std::uint32_t piece;
+    std::uint32_t net;
+  };
+  /// A wired piece of an affected component and its capacitance.
+  struct PieceCap {
+    std::uint32_t piece;
+    double cap;
+  };
 
   /// Extracts `layout`; `keep_edges` keeps what update() splices.
   Extractor(const LayoutDB& layout, const tech::Tech& tech, bool keep_edges)
       : db(&layout), um_per_dbu(tech.lambda_um / 10.0), wire(tech.elec.wire) {
+    for (std::size_t l = 0; l < geom::kLayerCount; ++l)
+      wired[l] = wire[l].cap_area_f_um2 != 0.0 || wire[l].cap_fringe_f_um != 0.0;
     split_all();
     lay_out();
     reset_labels();
@@ -247,32 +288,50 @@ struct Extractor {
         set_devices(dl_i, s, path_memo[node]);
       }
     }
-    number_nets();
+    // The incremental engine keeps each member's root in its slot.
+    number_nets(/*propagate=*/!keep_edges);
   }
 
   const LayoutDB* db;
   double um_per_dbu;
   std::array<tech::WireParams, geom::kLayerCount> wire;
+  /// Per layer: its pieces carry capacitance.
+  std::array<bool, geom::kLayerCount> wired{};
   std::array<std::vector<Entry>, 2> entries;  // [0]=NDiff, [1]=PDiff
   Blocks b;                                   // the current layout
   std::vector<std::uint64_t> edges;           // packed (i<<32)|j, i<j
   Extracted out;
-
-  // Working buffers of the net pass and the updates, kept so an edit
-  // reuses them.
-  /// Per piece: the UnionFind parent slot, then the component label (the
-  /// least piece id), with kMinted marking a root whose slot holds its
-  /// net id.
+  /// Per piece: the UnionFind parent slot, then the component's root
+  /// (its least piece id) in a member's slot and a tag in the root's.
   std::vector<std::uint32_t> label;
+  /// The piece each port resolves to (its lowest piece on its layer).
+  std::vector<std::uint32_t> port_piece;
+  /// The least wired piece of each net minted after the ports, in net
+  /// order.
+  std::vector<std::uint32_t> loose;
+
+  // Working buffers of the updates, kept so an edit reuses them.
   Blocks old_b;  ///< the pre-edit layout during update()
-  /// The previous update's device records while they move into `out`;
-  /// kept so the two buffers trade places instead of reallocating.
+  /// The update's labels for the new layout; it trades places with
+  /// `label` once the pre-edit labels are read.
+  std::vector<std::uint32_t> next_label;
+  /// The device records past the first change in record count, while
+  /// they move to their new slots.
   std::vector<Device> spare_devices;
   std::vector<std::uint32_t> pmap;           ///< old -> new diffusion piece
   std::array<std::vector<char>, 2> fresh;    ///< per entry: recomputed
   std::array<std::vector<std::uint32_t>, 2> redo;  ///< the fresh entries
   std::vector<std::uint64_t> moved;  ///< edges moving into splice holes
+  std::vector<std::uint64_t> reunite;  ///< kept edges of reset components
   std::vector<double> cap_window;    ///< capacitance of kCapWindow pieces
+  std::vector<Seed> seeds;
+  std::vector<PieceCap> resum;  ///< the affected wired pieces, in order
+  std::vector<std::uint32_t> gone_gates;  ///< old gate poly ids of gone devices
+  std::vector<std::uint32_t> new_gates;   ///< gate poly ids of new devices
+  std::vector<double> old_cap;            ///< the pre-edit net_cap_f
+  std::vector<std::uint32_t> old_loose;   ///< the pre-edit `loose`
+  /// net_of() lists each net it mints in `loose`.
+  bool minting_loose = false;
 
   static Layer diff_layer(int dl_i) {
     return dl_i == 0 ? Layer::NDiff : Layer::PDiff;
@@ -332,6 +391,14 @@ struct Extractor {
     }
   }
 
+  /// A wired piece's capacitance: area plus fringe.
+  double piece_cap(Layer layer, const Rect& r) const {
+    const auto& wp = wire[static_cast<std::size_t>(layer)];
+    const double w = static_cast<double>(r.width()) * um_per_dbu;
+    const double h = static_cast<double>(r.height()) * um_per_dbu;
+    return w * h * wp.cap_area_f_um2 + 2.0 * (w + h) * wp.cap_fringe_f_um;
+  }
+
   /// Phase 1: every diffusion shape's split, each in its own entry.
   void split_all() {
     entries[0].resize(db->rects(Layer::NDiff).size());
@@ -367,6 +434,7 @@ struct Extractor {
     }
     b.total = pieces;
     b.devices = devices;
+    ensure(b.total < kTag, "extract: piece ids overflow the label tags");
   }
 
   /// The plain block holding piece `g` (g at or past the first one).
@@ -475,37 +543,43 @@ struct Extractor {
     return found_id;
   }
 
+  /// The piece each port resolves to in the current layout.
+  std::vector<std::uint32_t> port_pieces() const {
+    std::vector<std::uint32_t> at;
+    for (const auto& port : db->ports()) {
+      at.push_back(first_piece(port.layer, port.rect));
+      require(at.back() != kNoPiece, "extract: port '" + port.name +
+                                         "' touches no geometry on its layer");
+    }
+    return at;
+  }
+
   // --- phase 3: component labels and net numbering -------------------------
 
   /// Starts a labelling: every piece its own component.
-  void reset_labels() {
-    ensure(b.total < kMinted, "extract: piece ids overflow the label tags");
-    UnionFind(label).reset(b.total);
+  void reset_labels() { UnionFind(label).reset(b.total); }
+
+  /// The net id of `piece`'s component (labels flattened), minting the
+  /// next id on the component's first visit. A minted net starts from
+  /// the capacitance its component carried across the edit, else 0.
+  int net_of(std::uint32_t piece) {
+    const std::uint32_t v = label[piece];
+    if (minted(v)) return static_cast<int>(v & kIdMask);
+    std::uint32_t& root = label[std::min(v, piece)];
+    if (!minted(root)) {
+      out.net_cap_f.push_back(carried(root) ? old_cap[root & kIdMask] : 0.0);
+      if (minting_loose) loose.push_back(piece);
+      root = kNet | static_cast<std::uint32_t>(out.net_count++);
+    }
+    return static_cast<int>(root & kIdMask);
   }
 
-  /// Once every edge is united: labels each piece with its component's
-  /// least piece id, then mints net ids in visit order — devices, then
-  /// ports, then capacitance in piece order — into the device records
-  /// laid out in entry order. The labels, the per-piece net lookup and
-  /// the per-piece capacitance are pool passes; the mint and each net's
-  /// capacitance sum are serial passes in visit and piece order. A
-  /// linear re-pass after every edit, because an edit shifts net ids
-  /// globally.
-  void number_nets() {
-    UnionFind(label).flatten();
-    std::uint32_t* const up = label.data();
-
+  /// Mints the nets the devices reach (gate, source, drain, in record
+  /// order) and then the ports, into the device records and port_net.
+  void mint_reached() {
     out.net_count = 0;
-    out.port_net.clear();
-    const auto net_of = [&](std::uint32_t piece) {
-      const std::uint32_t lab = up[piece];
-      if (lab & kMinted) return static_cast<int>(lab & ~kMinted);
-      std::uint32_t& root = up[lab];
-      if (!(root & kMinted))
-        root = kMinted | static_cast<std::uint32_t>(out.net_count++);
-      return static_cast<int>(root & ~kMinted);
-    };
-
+    out.net_cap_f.clear();
+    loose.clear();
     const std::uint32_t poly_start = b.plain_start[0];
     auto dev = out.devices.begin();
     for (int dl_i = 0; dl_i < 2; ++dl_i) {
@@ -519,23 +593,35 @@ struct Extractor {
         }
       }
     }
+    out.port_net.clear();
+    const auto& ports = db->ports();
+    for (std::size_t k = 0; k < ports.size(); ++k)
+      out.port_net[ports[k].name] = net_of(port_piece[k]);
+  }
 
-    for (const auto& port : db->ports()) {
-      const std::uint32_t i = first_piece(port.layer, port.rect);
-      require(i != kNoPiece, "extract: port '" + port.name +
-                                 "' touches no geometry on its layer");
-      out.port_net[port.name] = net_of(i);
-    }
+  /// Once every edge is united: labels each piece with its component's
+  /// least piece id, then mints net ids in visit order — devices, then
+  /// ports, then the rest by least wired piece — into the device records
+  /// laid out in entry order, and sums each net's capacitance in piece
+  /// order. The labels, the per-piece net lookup (with `propagate`) and
+  /// the per-piece capacitance are pool passes; the mint and the sums
+  /// are serial passes in visit and piece order.
+  void number_nets(bool propagate) {
+    UnionFind(label).flatten();
+    std::uint32_t* const up = label.data();
+    port_piece = port_pieces();
+    mint_reached();
 
     // Every piece of a component with a net takes the net id, so the
     // serial pass below reads its nets in piece order. Only non-root
     // slots are written and only root slots are read across pieces.
-    parallel_for(b.total, kLinearChunk, [&](std::int64_t i) {
-      const std::uint32_t lab = up[i];
-      if (lab & kMinted) return;
-      const std::uint32_t root = up[lab];
-      if (root & kMinted) up[i] = root;
-    });
+    if (propagate)
+      parallel_for(b.total, kLinearChunk, [&](std::int64_t i) {
+        const std::uint32_t lab = up[i];
+        if (minted(lab)) return;
+        const std::uint32_t root = up[lab];
+        if (minted(root)) up[i] = root;
+      });
 
     // Capacitance: each piece's on the pool, a window of pieces at a
     // time, then each net's summed in piece order on this thread.
@@ -544,79 +630,85 @@ struct Extractor {
       Layer layer;
       std::uint32_t lo, hi;
     };
-    std::vector<Block> wired = {
+    std::vector<Block> blocks = {
         {Layer::NDiff, 0, b.entry_start[0].back()},
         {Layer::PDiff, b.entry_start[0].back(), b.entry_start[1].back()}};
     for (std::size_t t = 0; kPlain[t] != Layer::Contact; ++t)
-      wired.push_back({kPlain[t], b.plain_start[t], b.plain_start[t + 1]});
-    std::erase_if(wired, [&](const Block& blk) {
-      const auto& wp = wire[static_cast<std::size_t>(blk.layer)];
-      return wp.cap_area_f_um2 == 0.0 && wp.cap_fringe_f_um == 0.0;
+      blocks.push_back({kPlain[t], b.plain_start[t], b.plain_start[t + 1]});
+    std::erase_if(blocks, [&](const Block& blk) {
+      return !wired[static_cast<std::size_t>(blk.layer)];
     });
     const std::uint32_t end = b.plain_start[plain_slot(Layer::Contact)];
     cap_window.resize(std::min<std::size_t>(end, kCapWindow));
-    out.net_cap_f.assign(static_cast<std::size_t>(out.net_count), 0.0);
+    minting_loose = true;
     for (std::uint32_t lo = 0; lo < end;) {
       const std::uint32_t hi = std::min<std::uint32_t>(end, lo + kCapWindow);
       for_chunks(hi - lo, kLinearChunk, [&](std::size_t, std::int64_t from,
                                              std::int64_t to) {
-        for (const Block& blk : wired) {
+        for (const Block& blk : blocks) {
           const std::uint32_t first =
               std::max(lo + static_cast<std::uint32_t>(from), blk.lo);
           const std::uint32_t last =
               std::min(lo + static_cast<std::uint32_t>(to), blk.hi);
           if (first >= last) continue;
-          const auto& wp = wire[static_cast<std::size_t>(blk.layer)];
-          const double area = wp.cap_area_f_um2, fringe = wp.cap_fringe_f_um;
-          const double scale = um_per_dbu;
-          const auto put = [&](std::uint32_t i, const Rect& r) {
-            const double w = static_cast<double>(r.width()) * scale;
-            const double h = static_cast<double>(r.height()) * scale;
-            cap_window[i - lo] = w * h * area + 2.0 * (w + h) * fringe;
-          };
           if (blk.layer == Layer::NDiff || blk.layer == Layer::PDiff) {
             for_each_piece(first, last,
-                           [&](std::uint32_t i, Layer, const Rect& r) {
-                             put(i, r);
+                           [&](std::uint32_t i, Layer l, const Rect& r) {
+                             cap_window[i - lo] = piece_cap(l, r);
                            });
           } else {
             const auto& rects = db->rects(blk.layer);
             for (std::uint32_t i = first; i < last; ++i)
-              put(i, rects[i - blk.lo]);
+              cap_window[i - lo] = piece_cap(blk.layer, rects[i - blk.lo]);
           }
         }
       });
-      // A run of pieces on one net adds into a register; the adds, and
-      // their order, are those of adding into the table piece by piece.
-      constexpr std::size_t kNoRun = ~std::size_t{0};
-      std::size_t net = kNoRun;
-      double sum = 0.0;
-      for (const Block& blk : wired)
+      Summer sum(out.net_cap_f);
+      for (const Block& blk : blocks)
         for (std::uint32_t i = std::max(lo, blk.lo); i < std::min(hi, blk.hi);
-             ++i) {
-          const auto at = static_cast<std::size_t>(net_of(i));
-          if (at != net) {
-            if (net != kNoRun) out.net_cap_f[net] = sum;
-            // net_of may mint a net here for a component no device or
-            // port reached (isolated fill); grow the table rather than
-            // write past it.
-            if (at >= out.net_cap_f.size())
-              out.net_cap_f.resize(at + 1, 0.0);
-            net = at;
-            sum = out.net_cap_f[net];
-          }
-          sum += cap_window[i - lo];
-        }
-      if (net != kNoRun) out.net_cap_f[net] = sum;
+             ++i)
+          sum.add(static_cast<std::size_t>(net_of(i)), cap_window[i - lo]);
       lo = hi;
     }
+    minting_loose = false;
   }
 
-  /// Drops the edges whose pieces the edit invalidated, renumbers the
-  /// rest through `remap` and unites them, in place: chunks remap their
-  /// edges and count the dead ones; then the live edges at or past the
-  /// kept count fill the holes below it, gathered and scattered chunk by
-  /// chunk in index order. Edge order is immaterial to the labels.
+  /// Adds capacitances into the net table in the order given, keeping a
+  /// run of adds to one net in a register: the adds, and their order,
+  /// are those of adding into the table piece by piece.
+  class Summer {
+   public:
+    explicit Summer(std::vector<double>& table) : table_(table) {}
+    ~Summer() {
+      if (net_ != kNoRun) table_[net_] = sum_;
+    }
+    Summer(const Summer&) = delete;
+    Summer& operator=(const Summer&) = delete;
+
+    void add(std::size_t net, double cap) {
+      if (net != net_) {
+        if (net_ != kNoRun) table_[net_] = sum_;
+        net_ = net;
+        sum_ = table_[net];
+      }
+      sum_ += cap;
+    }
+
+   private:
+    static constexpr std::size_t kNoRun = ~std::size_t{0};
+    std::vector<double>& table_;
+    std::size_t net_ = kNoRun;
+    double sum_ = 0.0;
+  };
+
+  /// Drops the edges whose pieces the edit invalidated and renumbers the
+  /// rest through `remap`, in place: chunks remap their edges and count
+  /// the dead ones; then the live edges at or past the kept count fill
+  /// the holes below it, gathered and scattered chunk by chunk in index
+  /// order. Edge order is immaterial to the labels. Both ends of a kept
+  /// edge lie in one pre-edit component; the edges of the components
+  /// update() reset (whose larger end is its own root) are listed in
+  /// `reunite` and united once the splice is done.
   template <typename Remap>
   void splice_edges(Remap&& remap) {
     const auto ne = static_cast<std::int64_t>(edges.size());
@@ -624,9 +716,11 @@ struct Extractor {
         static_cast<std::size_t>((ne + kLinearChunk - 1) / kLinearChunk);
     std::vector<std::uint32_t> dead(chunks, 0), holes(chunks + 1, 0),
         movers(chunks + 1, 0);
-    const UnionFind uf(label);
-    for_chunks(ne, kLinearChunk, [&](std::size_t c, std::int64_t lo,
-                                     std::int64_t hi) {
+    const std::uint32_t* const up = label.data();
+    reunite.clear();
+    parallel_collect(ne, kLinearChunk, reunite, [&](std::int64_t lo,
+                                                    std::int64_t hi,
+                                                    auto& list) {
       std::uint32_t d = 0;
       for (auto i = static_cast<std::size_t>(lo);
            i < static_cast<std::size_t>(hi); ++i) {
@@ -639,10 +733,17 @@ struct Extractor {
         }
         // Most edits leave most ids in place; skip the store then.
         if (const std::uint64_t e = pack(x, y); e != edges[i]) edges[i] = e;
-        uf.unite(x, y);
+        if (up[y] == y) list.push_back(edges[i]);
       }
-      dead[c] = d;
+      dead[static_cast<std::size_t>(lo / kLinearChunk)] = d;
     });
+    const UnionFind uf(label);
+    parallel_for(static_cast<std::int64_t>(reunite.size()), kLinearChunk,
+                 [&](std::int64_t i) {
+                   const std::uint64_t e = reunite[static_cast<std::size_t>(i)];
+                   uf.unite(static_cast<std::uint32_t>(e >> 32),
+                            static_cast<std::uint32_t>(e));
+                 });
     std::int64_t keep = ne;
     for (std::uint32_t d : dead) keep -= d;
     if (keep == ne) return;
@@ -685,6 +786,62 @@ struct Extractor {
     edges.resize(static_cast<std::size_t>(keep));
   }
 
+  /// Re-lays the device records in entry order. Up to the first entry
+  /// whose record count the edit changed, every record keeps its slot
+  /// (a recomputed entry's records are rewritten there); past it the
+  /// carried records move to their new slots through `spare_devices`.
+  /// Only the recomputed entries build records, on this thread so their
+  /// path strings stay in its heap; number_nets reassigns every net.
+  void lay_out_devices(const geom::EditResult& edit) {
+    std::uint32_t at = kNoPiece;  // the first entry whose count changed
+    int dl_at = 0;
+    for (; dl_at < 2 && at == kNoPiece; ++dl_at) {
+      const auto& sp = edit.splice_of(diff_layer(dl_at));
+      const auto& now = b.dev_start[dl_at];
+      const auto& was = old_b.dev_start[dl_at];
+      if (now[sp.new_end] - now[sp.begin] != was[sp.old_end] - was[sp.begin])
+        at = sp.begin;
+      for (const std::uint32_t k : redo[dl_at]) {
+        if (k >= sp.begin && k < sp.new_end) continue;
+        const auto o =
+            k < sp.begin ? k : static_cast<std::uint32_t>(k - sp.delta());
+        if (now[k + 1] - now[k] != was[o + 1] - was[o]) at = std::min(at, k);
+      }
+    }
+    if (at != kNoPiece) {
+      const std::uint32_t keep = b.dev_start[dl_at - 1][at];
+      spare_devices.assign(std::make_move_iterator(out.devices.begin() + keep),
+                           std::make_move_iterator(out.devices.end()));
+      out.devices.resize(b.devices);
+      const auto n0 = static_cast<std::int64_t>(entries[0].size());
+      const auto n1 = static_cast<std::int64_t>(entries[1].size());
+      parallel_for(n0 + n1, kLinearChunk, [&](std::int64_t i) {
+        const int dl_i = i < n0 ? 0 : 1;
+        const auto k = static_cast<std::uint32_t>(dl_i == 0 ? i : i - n0);
+        const std::uint32_t to = b.dev_start[dl_i][k];
+        const std::uint32_t sites = b.dev_start[dl_i][k + 1] - to;
+        if (sites == 0 || to < keep || fresh[dl_i][k]) return;
+        const auto& sp = edit.splice_of(diff_layer(dl_i));
+        const std::uint32_t o =
+            k < sp.begin ? k : static_cast<std::uint32_t>(k - sp.delta());
+        const auto from =
+            spare_devices.begin() + (old_b.dev_start[dl_i][o] - keep);
+        std::move(from, from + sites, out.devices.begin() + to);
+      });
+      spare_devices.clear();
+    }
+    for (int dl_i = 0; dl_i < 2; ++dl_i) {
+      const auto& paths = db->path_ids(diff_layer(dl_i));
+      std::uint32_t node = kNoPiece;
+      std::string path;
+      for (const std::uint32_t k : redo[dl_i]) {
+        if (entries[dl_i][k].sites.empty()) continue;
+        if (paths[k] != node) path = db->path_name(node = paths[k]);
+        set_devices(dl_i, k, path);
+      }
+    }
+  }
+
   void update(const geom::EditResult& edit) {
     bool touched = false;
     for (Layer l : {Layer::NDiff, Layer::PDiff, Layer::Poly, Layer::Metal1,
@@ -702,6 +859,12 @@ struct Extractor {
     // recomputed (their gate set may have changed); everything else is
     // carried, with cached gate poly ids renumbered through the poly
     // splice. fresh[k] marks entries whose old pieces are invalid.
+    // gone_gates collects the old gate ids of the devices that go.
+    gone_gates.clear();
+    new_gates.clear();
+    const auto note_gates = [](const Entry& e, std::vector<std::uint32_t>& v) {
+      for (const LocalSite& site : e.sites) v.push_back(site.gate_pid);
+    };
     for (int dl_i = 0; dl_i < 2; ++dl_i) {
       const Layer dl = diff_layer(dl_i);
       const auto& sp = edit.splice_of(dl);
@@ -709,6 +872,8 @@ struct Extractor {
       auto& es = entries[dl_i];
       auto& fr = fresh[dl_i];
       auto& todo = redo[dl_i];
+      for (std::uint32_t k = sp.begin; k < sp.old_end; ++k)
+        note_gates(es[k], gone_gates);
       sp.resize_slots(es);
       fr.assign(es.size(), 0);
       todo.clear();
@@ -721,12 +886,14 @@ struct Extractor {
           if (fr[k]) return;
           fr[k] = 1;
           todo.push_back(k);
+          note_gates(es[k], gone_gates);
         });
       parallel_for(static_cast<std::int64_t>(todo.size()), kSplitChunk,
                    [&](std::int64_t i) {
                      const std::uint32_t k = todo[static_cast<std::size_t>(i)];
                      es[k] = compute_entry(rects[k]);
                    });
+      for (const std::uint32_t k : todo) note_gates(es[k], new_gates);
       // A splice that keeps the poly count renumbers no carried gate: a
       // gate inside the splice dirties every diffusion it crosses.
       if (sp_poly.delta() == 0) continue;
@@ -744,46 +911,7 @@ struct Extractor {
     }
 
     lay_out();
-    reset_labels();
-
-    // Lay out the device records in entry order: a carried entry's
-    // records move over from their old slots, paths included (its
-    // channels and provenance are unchanged; number_nets reassigns
-    // its nets); only fresh entries build records, on this thread so
-    // their path strings stay in its heap.
-    spare_devices.swap(out.devices);
-    // Grow geometrically, as the appends that once built it did: an edit
-    // that adds a device must not reallocate both buffers every time.
-    if (b.devices > out.devices.capacity())
-      out.devices.reserve(std::max<std::size_t>(b.devices,
-                                                2 * out.devices.capacity()));
-    out.devices.resize(b.devices);
-    const auto n0 = static_cast<std::int64_t>(entries[0].size());
-    const auto n1 = static_cast<std::int64_t>(entries[1].size());
-    parallel_for(n0 + n1, kLinearChunk, [&](std::int64_t i) {
-      const int dl_i = i < n0 ? 0 : 1;
-      const auto k = static_cast<std::uint32_t>(dl_i == 0 ? i : i - n0);
-      const Layer dl = diff_layer(dl_i);
-      const std::size_t sites = entries[dl_i][k].sites.size();
-      if (sites == 0 || fresh[dl_i][k]) return;
-      const auto& sp = edit.splice_of(dl);
-      const std::uint32_t o =
-          k < sp.begin ? k : static_cast<std::uint32_t>(k - sp.delta());
-      const auto from = spare_devices.begin() + old_b.dev_start[dl_i][o];
-      std::move(from, from + static_cast<std::ptrdiff_t>(sites),
-                out.devices.begin() + b.dev_start[dl_i][k]);
-    });
-    for (int dl_i = 0; dl_i < 2; ++dl_i) {
-      const auto& paths = db->path_ids(diff_layer(dl_i));
-      std::uint32_t node = kNoPiece;
-      std::string path;
-      for (const std::uint32_t k : redo[dl_i]) {
-        if (entries[dl_i][k].sites.empty()) continue;
-        if (paths[k] != node) path = db->path_name(node = paths[k]);
-        set_devices(dl_i, k, path);
-      }
-    }
-    spare_devices.clear();
+    lay_out_devices(edit);
 
     // Old-to-new piece ids: a table for the diffusion pieces (kNoPiece
     // where the piece no longer exists), splice arithmetic for the rest.
@@ -801,14 +929,108 @@ struct Extractor {
       for (std::uint32_t t = 0; t < len; ++t)
         pmap[from + t] = kept ? b.entry_start[dl_i][k] + t : kNoPiece;
     });
-    splice_edges([&](std::uint32_t x) {
+    // Per plain block: its first old piece, the old pieces the splice
+    // removes [cut, gone), and the (modular) offsets of the pieces before
+    // and after them.
+    struct Shift {
+      std::uint32_t lo, cut, gone, before, after;
+    };
+    std::array<Shift, kPlainCount> shift;
+    for (std::size_t t = 0; t < kPlainCount; ++t) {
+      const auto& sp = edit.splice_of(kPlain[t]);
+      const std::uint32_t lo = old_b.plain_start[t];
+      const std::uint32_t before = b.plain_start[t] - lo;
+      shift[t] = {lo, lo + sp.begin, lo + sp.old_end, before,
+                  before + static_cast<std::uint32_t>(sp.delta())};
+    }
+    const auto map_old = [&](std::uint32_t x) {
       if (x < old_diff) return pmap[x];
-      const std::size_t t = plain_block(old_b, x);
-      const std::uint32_t r =
-          edit.splice_of(kPlain[t]).remap(x - old_b.plain_start[t]);
-      return r == geom::ShapeSplice::kRemoved ? kNoPiece
-                                              : b.plain_start[t] + r;
-    });
+      std::size_t t = 0;  // the last block starting at or before x
+      for (std::size_t k = 1; k < kPlainCount; ++k) t += x >= shift[k].lo;
+      const Shift& s = shift[t];
+      return x < s.cut ? x + s.before : x < s.gone ? kNoPiece : x + s.after;
+    };
+
+    // Mark kLost the pre-edit components that lost a piece, and those
+    // whose net the devices and ports might no longer reach: the gate
+    // nets of the devices that go (unless a new device keeps the gate)
+    // and the nets of ports that now resolve to another piece. Every
+    // other component keeps its pieces and its reach.
+    std::uint32_t* const was = label.data();
+    const auto lose = [&](std::uint32_t o) { was[std::min(was[o], o)] = kLost; };
+    for (std::size_t t = 0; t < kPlainCount; ++t) {
+      const auto& sp = edit.splice_of(kPlain[t]);
+      for (std::uint32_t s = sp.begin; s < sp.old_end; ++s)
+        lose(old_b.plain_start[t] + s);
+    }
+    for (int dl_i = 0; dl_i < 2; ++dl_i) {
+      const auto& sp = edit.splice_of(diff_layer(dl_i));
+      const auto& start = old_b.entry_start[dl_i];
+      const auto lose_entry = [&](std::uint32_t o) {
+        for (std::uint32_t p = start[o]; p < start[o + 1]; ++p) lose(p);
+      };
+      for (std::uint32_t o = sp.begin; o < sp.old_end; ++o) lose_entry(o);
+      for (const std::uint32_t k : redo[dl_i])
+        if (k < sp.begin || k >= sp.new_end)
+          lose_entry(k < sp.begin ? k
+                                  : static_cast<std::uint32_t>(k - sp.delta()));
+    }
+    std::sort(new_gates.begin(), new_gates.end());
+    for (const std::uint32_t g : gone_gates)
+      if (!std::binary_search(new_gates.begin(), new_gates.end(),
+                              sp_poly.remap(g)))
+        lose(old_b.plain_start[0] + g);
+    std::vector<std::uint32_t> ports_now = port_pieces();
+    for (std::size_t k = 0; k < ports_now.size(); ++k)
+      if (map_old(port_piece[k]) != ports_now[k]) lose(port_piece[k]);
+    port_piece.swap(ports_now);
+
+    // The new labels: a survivor of a kept component takes the
+    // component's renumbered root; the other survivors and the new
+    // pieces start as their own roots (seeds, kept in old piece order
+    // and then new-piece order), and so do the kept roots, whose seeds
+    // also carry their pre-edit net.
+    next_label.resize(b.total);
+    std::uint32_t* const up = next_label.data();
+    seeds.clear();
+    parallel_collect(
+        old_b.total, kLinearChunk, seeds,
+        [&](std::int64_t lo, std::int64_t hi, auto& list) {
+          for (auto o = static_cast<std::uint32_t>(lo); o < hi; ++o) {
+            const std::uint32_t p = map_old(o);
+            if (p == kNoPiece) continue;
+            const std::uint32_t v = was[o];
+            const std::uint32_t r = std::min(v, o);
+            if (was[r] == kLost) {
+              up[p] = p;
+              list.push_back({p, kNoPiece});
+            } else if (r != o) {
+              up[p] = map_old(r);
+            } else {
+              up[p] = p;
+              if (minted(v)) list.push_back({p, v & kIdMask});
+            }
+          }
+        },
+        1024);
+    for (int dl_i = 0; dl_i < 2; ++dl_i)
+      for (const std::uint32_t k : redo[dl_i])
+        for (std::uint32_t p = b.entry_start[dl_i][k];
+             p < b.entry_start[dl_i][k + 1]; ++p) {
+          up[p] = p;
+          seeds.push_back({p, kNoPiece});
+        }
+    for (std::size_t t = 0; t < kPlainCount; ++t) {
+      const auto& sp = edit.splice_of(kPlain[t]);
+      for (std::uint32_t s = sp.begin; s < sp.new_end; ++s) {
+        const std::uint32_t p = b.plain_start[t] + s;
+        up[p] = p;
+        seeds.push_back({p, kNoPiece});
+      }
+    }
+    label.swap(next_label);
+
+    splice_edges(map_old);
 
     // Discover the new pieces' edges: the segments of the fresh entries,
     // then the inserted plain shapes. A pair of two new pieces is kept
@@ -867,8 +1089,69 @@ struct Extractor {
           }
         },
         4 * kEdgeChunk);
+    uf.flatten();
 
-    number_nets();
+    // Tag the roots: kAffected where a component holds a seed that
+    // started as its own root, kCarried and the pre-edit net where a
+    // kept root still roots a component alone.
+    const auto seeds_n = static_cast<std::int64_t>(seeds.size());
+    parallel_for(seeds_n, kLinearChunk, [&](std::int64_t i) {
+      const Seed& s = seeds[static_cast<std::size_t>(i)];
+      if (s.net != kNoPiece) return;
+      const std::uint32_t v =
+          std::atomic_ref(label[s.piece]).load(std::memory_order_relaxed);
+      std::atomic_ref(label[std::min(v, s.piece)])
+          .store(kAffected, std::memory_order_relaxed);
+    });
+    parallel_for(seeds_n, kLinearChunk, [&](std::int64_t i) {
+      const Seed& s = seeds[static_cast<std::size_t>(i)];
+      if (s.net != kNoPiece && label[s.piece] == s.piece)
+        label[s.piece] = kCarried | s.net;
+    });
+
+    // The affected components' wired pieces and their capacitance, in
+    // piece order (contacts and vias, the last three blocks, carry none).
+    resum.clear();
+    parallel_collect(
+        b.plain_start[plain_slot(Layer::Contact)], kLinearChunk, resum,
+        [&](std::int64_t lo, std::int64_t hi, auto& list) {
+          for_each_piece(static_cast<std::uint32_t>(lo),
+                         static_cast<std::uint32_t>(hi),
+                         [&](std::uint32_t p, Layer l, const Rect& r) {
+                           if (wired[static_cast<std::size_t>(l)] &&
+                               label[std::min(label[p], p)] == kAffected)
+                             list.push_back({p, piece_cap(l, r)});
+                         });
+        },
+        1024);
+
+    // Mint in extract()'s visit order. The components minted after the
+    // ports are the kept ones among the pre-edit `loose` list and the
+    // affected ones, taken by least wired piece; an affected net sums
+    // its pieces in piece order, a kept one starts from its carried sum.
+    old_cap.swap(out.net_cap_f);
+    old_loose.swap(loose);
+    mint_reached();
+    // The kept components among the pre-edit loose ones, renumbered
+    // (which keeps their order).
+    std::size_t kept = 0;
+    for (const std::uint32_t lw : old_loose) {
+      const std::uint32_t p = map_old(lw);
+      if (p != kNoPiece && label[std::min(label[p], p)] != kAffected)
+        old_loose[kept++] = p;
+    }
+    minting_loose = true;
+    std::size_t next = 0;
+    {
+      Summer sum(out.net_cap_f);
+      for (const PieceCap& pc : resum) {
+        for (; next < kept && old_loose[next] < pc.piece; ++next)
+          net_of(old_loose[next]);
+        sum.add(static_cast<std::size_t>(net_of(pc.piece)), pc.cap);
+      }
+    }
+    for (; next < kept; ++next) net_of(old_loose[next]);
+    minting_loose = false;
   }
 };
 

@@ -10,6 +10,7 @@
 #include "extract/extract.hpp"
 #include "geom/writers.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace bisram::cells {
 namespace {
@@ -157,7 +158,7 @@ TEST_P(CellsPerTech, RowDecoderAddressFanIn) {
   // k series NMOS + k parallel PMOS + 2 driver devices.
   EXPECT_EQ(ex.devices.size(), static_cast<std::size_t>(2 * k + 2));
   for (int i = 0; i < k; ++i) {
-    const int a = ex.port_net.at("a" + std::to_string(i));
+    const int a = ex.port_net.at(strfmt("a%d", i));
     EXPECT_EQ(ex.gated_by(a).size(), 2u) << "a" << i;
   }
 }
@@ -201,7 +202,7 @@ TEST_P(CellsPerTech, MiniArrayAbutsDrcClean) {
       // sits at the row's top.
       const geom::Coord y = mirrored ? (r + 1) * pitch : r * pitch;
       array.add_instance(
-          "b" + std::to_string(r) + "_" + std::to_string(c), bit,
+          strfmt("b%d_%d", r, c), bit,
           geom::Transform(mirrored ? geom::Orient::MX : geom::Orient::R0,
                           {c * pitch, y}));
     }

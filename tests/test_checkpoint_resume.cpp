@@ -124,7 +124,7 @@ template <typename Run, typename Equal>
 void kill_and_resume_drill(Run&& run, Equal&& equal, const char* tag,
                            std::int64_t trials = 20000) {
   ThreadGuard serial(1);
-  sim::CampaignSpec base{.trials = trials, .seed = 42};
+  sim::CampaignSpec base{.trials = static_cast<int>(trials), .seed = 42};
   const auto reference = run(base);
   ASSERT_EQ(reference.termination, Termination::Completed);
   for (int threads : kThreadCounts) {

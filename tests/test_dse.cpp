@@ -130,8 +130,10 @@ TEST(SweepSpace, FromJsonRejectsOversizedLattices) {
   // 1024 x 1024 x 2 = 2^21 > kMaxPoints, every axis value individually
   // legal: reported as one structured error, no attempt to enumerate.
   std::string axis = "[";
-  for (int i = 1; i <= 1024; ++i) axis += (i > 1 ? "," : "") +
-                                          std::to_string(i);
+  for (int i = 1; i <= 1024; ++i) {
+    if (i > 1) axis += ',';
+    axis += std::to_string(i);
+  }
   axis += "]";
   DiagEngine diag("sweep.json");
   SweepSpec::from_json("{\"axes\": {\"words\": " + axis +
@@ -277,7 +279,9 @@ TEST(DseEngine, InvalidLatticeCornersAreRecordedNotFatal) {
   for (std::size_t i : res.frontier)
     EXPECT_TRUE(res.points[i].evaluated);
   for (const PointResult& p : res.points)
-    if (!p.evaluated) EXPECT_FALSE(p.error.empty());
+    if (!p.evaluated) {
+      EXPECT_FALSE(p.error.empty());
+    }
 }
 
 TEST(DseEngine, ExpiredDeadlineYieldsValidEmptyPartial) {

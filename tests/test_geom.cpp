@@ -7,6 +7,7 @@
 #include "geom/layout_db.hpp"
 #include "geom/writers.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace bisram::geom {
 namespace {
@@ -134,7 +135,7 @@ TEST(Cell, LayerAreaSumsFlattened) {
   leaf->add_shape(Layer::Metal2, Rect::ltrb(0, 0, 5, 2));
   Cell top("top");
   for (int i = 0; i < 4; ++i)
-    top.add_instance("i" + std::to_string(i), leaf,
+    top.add_instance(strfmt("i%d", i), leaf,
                      Transform::translate(i * 10, 0));
   const LayoutDB db(top);
   EXPECT_DOUBLE_EQ(db.layer_area(Layer::Metal2), 40.0);

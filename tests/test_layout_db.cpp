@@ -15,6 +15,7 @@
 #include "oracle_flatten.hpp"
 #include "tech/tech.hpp"
 #include "util/diag.hpp"
+#include "util/strings.hpp"
 
 namespace bisram::geom {
 namespace {
@@ -462,11 +463,11 @@ TEST(LayoutDB, PooledIndexBuildEqualsADirectBuild) {
   const CellPtr bit = cells::sram_cell_6t(lib, t);
   auto row = lib.create("row");
   for (int i = 0; i < 64; ++i)
-    row->add_instance("b" + std::to_string(i), bit,
+    row->add_instance(strfmt("b%d", i), bit,
                       Transform::translate(i * bit->bbox().width(), 0));
   auto top = lib.create("array");
   for (int j = 0; j < 32; ++j)
-    top->add_instance("r" + std::to_string(j), row,
+    top->add_instance(strfmt("r%d", j), row,
                       Transform::translate(0, j * bit->bbox().height()));
   const LayoutDB db(*top, 360);
   ASSERT_GT(db.shape_count(), std::size_t{1} << 16);

@@ -680,6 +680,202 @@ TEST(LayoutIncremental, MultiChunkEditsMatchFullScansAtEveryPoolWidth) {
   }
 }
 
+TEST(LayoutIncremental, AddedRowIsWalkedOnThePool) {
+  // A copy of the first row laid 3 DBU right of it: thousands of new
+  // shapes per layer, so DRC relabels them on the pool, with nothing
+  // removed and so no old bbox to seed the walk. The copy touches and
+  // crowds the row it overlaps, which merges polygons and adds spacing
+  // records on both sides.
+  const Macro& m = fig6_slice();
+  const tech::Tech& t = m.tech;
+  const geom::Coord tile = drc::tile_size_for(t);
+  drc::DrcOptions uncapped;
+  uncapped.max_violations = static_cast<std::size_t>(-1);
+  const geom::Instance* row = nullptr;
+  for (const geom::Instance& i : m.top->instances())
+    if (i.name == "RAMARRAY") row = &i.cell->instances().front();
+  ASSERT_NE(row, nullptr);
+  CellEdit e;
+  e.kind = CellEdit::Kind::Add;
+  e.path = "RAMARRAY";
+  e.name = "rowCopy";
+  e.cell = row->cell;
+  e.transform = geom::Transform::translate(3, 0).compose(row->transform);
+
+  std::vector<drc::Violation> want_drc;
+  extract::Extracted want_ext;
+  {
+    LayoutDB db(*m.top, tile);
+    db.apply(e);
+    want_drc = drc::check(db, t, uncapped);
+    want_ext = extract::extract(db, t);
+  }
+  for (int threads : {1, 2, 8}) {
+    const PoolWidth width(threads);
+    LayoutDB db(*m.top, tile);
+    drc::IncrementalDrc inc_drc(db, t, uncapped);
+    extract::IncrementalExtract inc_ext(db, t);
+    const geom::EditResult res = db.apply(e);
+    ASSERT_GT(res.splice_of(geom::Layer::Metal1).new_end -
+                  res.splice_of(geom::Layer::Metal1).begin,
+              1024u);
+    inc_drc.update(res);
+    inc_ext.update(res);
+    const std::string tag = "threads=" + std::to_string(threads);
+    expect_same_violations(inc_drc.report(), want_drc, tag);
+    expect_same_extraction(inc_ext.result(), want_ext, tag);
+  }
+}
+
+/// A hand-made layout whose nets the cases below split, merge and
+/// renumber. Piece order follows instance order:
+///   pre         a floating Metal1 rect (a net no device or port reaches)
+///   fet         an NMOS: NDiff crossed by a poly gate, a contact and a
+///               Metal1 pad on each side
+///   wireA       Metal1 from the drain pad to the bridge
+///   bridge      Metal1 joining wireA and wireB
+///   wireB       Metal1 under the port OUT
+///   c0, c1, c2  a floating Metal1 chain, c0 its least piece
+///   f0, f1, f2  floating Metal1 rects of distinct lengths (and so
+///               distinct capacitances), minted last in that order
+geom::CellPtr toy_layout() {
+  using geom::Layer;
+  using geom::Rect;
+  const auto leaf = [](const std::string& name, Layer layer, Rect r) {
+    auto c = std::make_shared<geom::Cell>(name);
+    c->add_shape(layer, r);
+    return c;
+  };
+  auto fet = std::make_shared<geom::Cell>("fet");
+  fet->add_shape(Layer::NDiff, Rect::ltrb(0, 0, 100, 40));
+  fet->add_shape(Layer::Poly, Rect::ltrb(40, -20, 60, 60));
+  fet->add_shape(Layer::Contact, Rect::ltrb(10, 15, 20, 25));
+  fet->add_shape(Layer::Contact, Rect::ltrb(80, 15, 90, 25));
+  fet->add_shape(Layer::Metal1, Rect::ltrb(5, 10, 25, 30));
+  fet->add_shape(Layer::Metal1, Rect::ltrb(75, 10, 95, 30));
+
+  auto top = std::make_shared<geom::Cell>("toy");
+  const geom::Transform here;
+  top->add_instance("pre", leaf("pre", Layer::Metal1,
+                                Rect::ltrb(-300, 200, -250, 210)),
+                    here);
+  top->add_instance("fet", fet, here);
+  top->add_instance("wireA",
+                    leaf("wireA", Layer::Metal1, Rect::ltrb(90, 10, 300, 30)),
+                    here);
+  top->add_instance("bridge",
+                    leaf("bridge", Layer::Metal1, Rect::ltrb(290, 10, 410, 30)),
+                    here);
+  top->add_instance("wireB",
+                    leaf("wireB", Layer::Metal1, Rect::ltrb(400, 10, 500, 30)),
+                    here);
+  for (int k = 0; k < 3; ++k)
+    top->add_instance(
+        "c" + std::to_string(k),
+        leaf("c", Layer::Metal1, Rect::ltrb(50 * k, 300, 50 * k + 60, 310)),
+        here);
+  for (int k = 0; k < 3; ++k)
+    top->add_instance("f" + std::to_string(k),
+                      leaf("f", Layer::Metal1,
+                           Rect::ltrb(100 * k, 400, 100 * k + 30 + 20 * k,
+                                      410)),
+                      here);
+  top->add_port("OUT", Layer::Metal1, Rect::ltrb(480, 15, 490, 25));
+  return top;
+}
+
+/// Applies `edits` to the toy layout at pool widths 1, 2 and 8 and
+/// checks both incremental engines against full scans after every edit.
+/// Returns the pool-width-1 netlists, the initial one first.
+std::vector<extract::Extracted> replay_toy(const std::vector<CellEdit>& edits) {
+  const tech::Tech& t = small_macro().tech;
+  const geom::CellPtr top = toy_layout();
+  drc::DrcOptions uncapped;
+  uncapped.max_violations = static_cast<std::size_t>(-1);
+  std::vector<extract::Extracted> seen;
+  for (int threads : {1, 2, 8}) {
+    const PoolWidth width(threads);
+    LayoutDB db(*top, drc::tile_size_for(t));
+    drc::IncrementalDrc inc_drc(db, t, uncapped);
+    extract::IncrementalExtract inc_ext(db, t);
+    if (threads == 1) seen.push_back(inc_ext.result());
+    for (std::size_t i = 0; i < edits.size(); ++i) {
+      const std::string tag = "threads=" + std::to_string(threads) + " edit " +
+                              std::to_string(i);
+      const geom::EditResult res = db.apply(edits[i]);
+      inc_drc.update(res);
+      inc_ext.update(res);
+      expect_same_violations(inc_drc.report(), drc::check(db, t, uncapped),
+                             tag);
+      expect_same_extraction(inc_ext.result(), extract::extract(db, t), tag);
+      if (threads == 1) seen.push_back(inc_ext.result());
+    }
+  }
+  return seen;
+}
+
+CellEdit remove_edit(const std::string& path) {
+  CellEdit e;
+  e.kind = CellEdit::Kind::Remove;
+  e.path = path;
+  return e;
+}
+
+TEST(LayoutIncremental, RemovingTheBridgeSplitsANet) {
+  const auto seen = replay_toy({remove_edit("bridge")});
+  // The drain net loses wireB, which the port now reaches on its own.
+  EXPECT_EQ(seen[1].net_count, seen[0].net_count + 1);
+  EXPECT_NE(seen[1].port_net.at("OUT"), seen[1].devices[0].drain);
+}
+
+TEST(LayoutIncremental, AddingAMetal1RectMergesTwoNets) {
+  CellEdit e;
+  e.kind = CellEdit::Kind::Add;
+  e.path = "";
+  e.name = "join";
+  auto join = std::make_shared<geom::Cell>("join");
+  join->add_shape(geom::Layer::Metal1, geom::Rect::ltrb(20, 400, 110, 410));
+  e.cell = join;
+  const auto seen = replay_toy({e});
+  EXPECT_EQ(seen[1].net_count, seen[0].net_count - 1);  // f0 and f1 join
+}
+
+TEST(LayoutIncremental, RemovingAComponentsLeastPieceKeepsTheRest) {
+  const auto seen = replay_toy({remove_edit("c0"), remove_edit("c2")});
+  EXPECT_EQ(seen[1].net_count, seen[0].net_count);  // c1 and c2 stay joined
+  EXPECT_EQ(seen[2].net_count, seen[0].net_count);
+}
+
+TEST(LayoutIncremental, UnreachedNetsAreMintedByLeastWiredPiece) {
+  // Taking c1 out leaves c0 and c2 apart: two nets no device or port
+  // reaches, numbered between the kept ones around them (pre before,
+  // f0-f2 after).
+  const auto seen = replay_toy({remove_edit("c1")});
+  EXPECT_EQ(seen[1].net_count, seen[0].net_count + 1);
+  const auto& was = seen[0].net_cap_f;
+  const auto& now = seen[1].net_cap_f;
+  for (int k = 1; k <= 3; ++k)  // f2, f1, f0: one id further, same sum
+    EXPECT_EQ(now[now.size() - static_cast<std::size_t>(k)],
+              was[was.size() - static_cast<std::size_t>(k)]);
+}
+
+TEST(LayoutIncremental, MoveShiftsUntouchedNetIdsAndKeepsTheirCapacitance) {
+  // Lifting the bridge clear of both wires splits the drain net: wireB
+  // becomes the port's own net and the bridge a floating one minted
+  // before the chain, so the untouched floating nets after it move two
+  // ids up with their sums unchanged.
+  CellEdit e;
+  e.kind = CellEdit::Kind::Move;
+  e.path = "bridge";
+  e.transform = geom::Transform::translate(0, 100);
+  const auto seen = replay_toy({e});
+  ASSERT_EQ(seen[1].net_count, seen[0].net_count + 2);
+  const auto& was = seen[0].net_cap_f;
+  const auto& now = seen[1].net_cap_f;
+  for (std::size_t k = 1; k <= 4; ++k)  // f2, f1, f0 and the chain
+    EXPECT_EQ(now[now.size() - k], was[was.size() - k]);
+}
+
 TEST(LayoutIncremental, AddOverAnExistingGateMatchesFullExtract) {
   // A CAM cell added so that its first NDiff stripe starts at x = 93,
   // under an old gate poly spanning x 90-110: the gate overhangs the new

@@ -859,8 +859,12 @@ TEST(Cancellation, RoundCancelFoldsAPrefixOfTheStreams) {
     }
     std::int64_t sum = 0;
     for (std::size_t s = 0; s < streams.size(); ++s) {
-      if (s < stopped) EXPECT_EQ(run.done[s], 12) << "stream " << s;
-      if (s > stopped) EXPECT_EQ(run.done[s], 0) << "stream " << s;
+      if (s < stopped) {
+        EXPECT_EQ(run.done[s], 12) << "stream " << s;
+      }
+      if (s > stopped) {
+        EXPECT_EQ(run.done[s], 0) << "stream " << s;
+      }
       Draws want;
       for (std::int64_t t = 0; t < run.done[s]; ++t) want.push_back(draw(s, t));
       EXPECT_EQ(run.folds[s], want) << "stream " << s;

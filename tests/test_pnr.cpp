@@ -14,6 +14,7 @@
 #include "tech/tech.hpp"
 #include "util/error.hpp"
 #include "verify/signoff.hpp"
+#include "util/strings.hpp"
 
 namespace bisram::pnr {
 namespace {
@@ -65,8 +66,8 @@ TEST(Floorplan, KeepsResultRoughlySquare) {
   geom::Library lib;
   std::vector<Block> blocks;
   for (int i = 0; i < 9; ++i)
-    blocks.push_back({"s" + std::to_string(i),
-                      make_block(lib, "s" + std::to_string(i), 100, 100)});
+    blocks.push_back(
+        {strfmt("s%d", i), make_block(lib, strfmt("s%d", i), 100, 100)});
   const auto plan = floorplan(blocks, {});
   const double aspect = static_cast<double>(plan.bbox.width()) /
                         static_cast<double>(plan.bbox.height());

@@ -22,6 +22,7 @@
 #include "tech/tech_file.hpp"
 #include "util/math.hpp"
 #include "verify/signoff.hpp"
+#include "util/strings.hpp"
 
 namespace bisram {
 namespace {
@@ -38,7 +39,7 @@ TEST(StaElmore, UniformLadderMatchesClosedForm) {
   sta::TimingGraph g;
   const int src = g.add_source("in");
   std::vector<int> n(N);
-  for (int i = 0; i < N; ++i) n[i] = g.add_node("n" + std::to_string(i), c);
+  for (int i = 0; i < N; ++i) n[i] = g.add_node(strfmt("n%d", i), c);
   g.add_gate(src, n[0], R, "drv");
   for (int i = 1; i < N; ++i) g.add_wire(n[i - 1], n[i], r, "w");
   g.set_endpoint(n[N - 1]);

@@ -111,8 +111,9 @@ TEST(VerifyCross, StaticVerdictsAgreeWithDynamicOutcomes) {
         break;  // possible-only; the run may or may not enter the cycle
     }
     // No dynamic hang without a statically found cycle.
-    if (d == InfraOutcome::Hung)
+    if (d == InfraOutcome::Hung) {
       EXPECT_EQ(v, StaticVerdict::HangPossible) << where;
+    }
   }
   // The comparison must actually bite: crosspoint defects of a real
   // controller produce plenty of definite verdicts.
