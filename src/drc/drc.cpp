@@ -128,7 +128,9 @@ std::vector<ViaRule> via_rules_for(const tech::Tech& tech) {
 // polygon's least shape id at any thread count. An edit then
 // only has to (a) drop/renumber the records of the phases it can reach
 // through the shape-id splice, (b) relabel the merged polygons it
-// touched (relabel() below, a serial walk) and (c) re-emit records for
+// touched (relabel() below: a walk on this thread while it stays within
+// one chunk, frontier by frontier on the pool past that, uniting in the
+// same UnionFind) and (c) re-emit records for
 // the shapes whose predicate could have changed, through the same
 // per-shape functions and the same chunked scan over the sorted list of
 // those shapes; everything else provably still holds (surviving shapes

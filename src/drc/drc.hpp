@@ -108,7 +108,11 @@ std::vector<Violation> check(const geom::Cell& top, const tech::Tech& tech,
 /// the checker, and every apply() on it must be fed to update() before
 /// the next report(). The constructor's full scan and update()'s
 /// spacing, via and well re-checks run on the campaign pool in fixed
-/// chunks joined in chunk order; the relabel walk and report() are
+/// chunks joined in chunk order. The relabel walk stays on the calling
+/// thread while its seeds and each polygon's queue fit in one chunk
+/// (most edits), and past that walks frontier by frontier on the pool,
+/// claiming shapes by CAS and uniting touching pairs in util/parallel's
+/// UnionFind, so a row move's walk uses every worker. report() is
 /// serial. All are deterministic, so the report is bit-identical for
 /// any BISRAM_THREADS value.
 class IncrementalDrc {

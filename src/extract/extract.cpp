@@ -174,7 +174,7 @@ bool carried(std::uint32_t slot) { return (slot >> 30) == 1; }
 /// Work per pool chunk. Fixed, so the chunk layout depends on the
 /// layout alone; a leaf cell, and the re-emission of most edits, fits in
 /// one chunk and runs serially without touching the pool.
-constexpr std::int64_t kSplitChunk = 1024;    // diffusion shapes to split
+constexpr std::int64_t kSplitChunk = 1024;    // diffusion shapes to visit
 constexpr std::int64_t kEdgeChunk = 8192;     // pieces whose edges to find
 constexpr std::int64_t kLinearChunk = 16384;  // items of a linear pass
 /// Pieces whose capacitance is computed before the serial sum takes it.
@@ -330,7 +330,7 @@ struct Extractor {
   std::vector<std::uint32_t> new_gates;   ///< gate poly ids of new devices
   std::vector<double> old_cap;            ///< the pre-edit net_cap_f
   std::vector<std::uint32_t> old_loose;   ///< the pre-edit `loose`
-  /// net_of() lists each net it mints in `loose`.
+  /// net_of_root() lists each net it mints in `loose`.
   bool minting_loose = false;
 
   static Layer diff_layer(int dl_i) {
@@ -559,40 +559,54 @@ struct Extractor {
   /// Starts a labelling: every piece its own component.
   void reset_labels() { UnionFind(label).reset(b.total); }
 
-  /// The net id of `piece`'s component (labels flattened), minting the
-  /// next id on the component's first visit. A minted net starts from
-  /// the capacitance its component carried across the edit, else 0.
+  /// The net id of the component rooted at `root` (labels flattened),
+  /// minting the next id on the component's first visit, from `piece`.
+  /// A minted net starts from the capacitance its component carried
+  /// across the edit, else 0.
+  int net_of_root(std::uint32_t root, std::uint32_t piece) {
+    std::uint32_t& slot = label[root];
+    if (!minted(slot)) {
+      out.net_cap_f.push_back(carried(slot) ? old_cap[slot & kIdMask] : 0.0);
+      if (minting_loose) loose.push_back(piece);
+      slot = kNet | static_cast<std::uint32_t>(out.net_count++);
+    }
+    return static_cast<int>(slot & kIdMask);
+  }
   int net_of(std::uint32_t piece) {
     const std::uint32_t v = label[piece];
     if (minted(v)) return static_cast<int>(v & kIdMask);
-    std::uint32_t& root = label[std::min(v, piece)];
-    if (!minted(root)) {
-      out.net_cap_f.push_back(carried(root) ? old_cap[root & kIdMask] : 0.0);
-      if (minting_loose) loose.push_back(piece);
-      root = kNet | static_cast<std::uint32_t>(out.net_count++);
-    }
-    return static_cast<int>(root & kIdMask);
+    return net_of_root(std::min(v, piece), piece);
   }
 
   /// Mints the nets the devices reach (gate, source, drain, in record
   /// order) and then the ports, into the device records and port_net.
+  /// A pool pass first writes each terminal's component root into its
+  /// record, so the serial mint reads the records in order.
   void mint_reached() {
     out.net_count = 0;
     out.net_cap_f.clear();
     loose.clear();
     const std::uint32_t poly_start = b.plain_start[0];
-    auto dev = out.devices.begin();
-    for (int dl_i = 0; dl_i < 2; ++dl_i) {
-      for (std::size_t s = 0; s < entries[dl_i].size(); ++s) {
-        const std::uint32_t base = b.entry_start[dl_i][s];
-        for (const LocalSite& site : entries[dl_i][s].sites) {
-          dev->gate = net_of(poly_start + site.gate_pid);
-          dev->source = net_of(base + site.left);
-          dev->drain = net_of(base + site.right);
-          ++dev;
-        }
+    const auto root = [&](std::uint32_t piece) {
+      return static_cast<int>(std::min(label[piece], piece));
+    };
+    const auto n0 = static_cast<std::int64_t>(entries[0].size());
+    const auto n1 = static_cast<std::int64_t>(entries[1].size());
+    parallel_for(n0 + n1, kSplitChunk, [&](std::int64_t i) {
+      const int dl_i = i < n0 ? 0 : 1;
+      const auto k = static_cast<std::size_t>(dl_i == 0 ? i : i - n0);
+      const std::uint32_t base = b.entry_start[dl_i][k];
+      Device* dev = out.devices.data() + b.dev_start[dl_i][k];
+      for (const LocalSite& site : entries[dl_i][k].sites) {
+        dev->gate = root(poly_start + site.gate_pid);
+        dev->source = root(base + site.left);
+        dev->drain = root(base + site.right);
+        ++dev;
       }
-    }
+    });
+    for (Device& dev : out.devices)
+      for (int* net : {&dev.gate, &dev.source, &dev.drain})
+        *net = net_of_root(static_cast<std::uint32_t>(*net), 0);
     out.port_net.clear();
     const auto& ports = db->ports();
     for (std::size_t k = 0; k < ports.size(); ++k)

@@ -88,26 +88,40 @@ std::vector<geom::Rect> split_diffusion(const geom::Rect& diff,
 /// extract::extract(db, tech) on the database's current contents.
 ///
 /// Construction runs extract()'s core once and keeps its
-/// intermediates, the edge list included. What is cached and what is
-/// recomputed: the diffusion split (gate recognition + segment pieces +
-/// device sites) is kept per diffusion shape and recomputed only for
-/// shapes the edit inserted or whose rect intersects the edit's dirty
-/// poly region; the Device records (geometry and provenance path) move
-/// along with their carried shapes, and only inserted or recomputed
-/// shapes build new ones; the electrical adjacency edges are kept
-/// globally and spliced across the piece-id renumbering, with fresh
-/// edges discovered only around inserted pieces by the same per-layer
-/// index queries. Every per-edit pass runs on util/parallel in fixed
-/// chunks, like the full scan: the re-splits and the fresh edges, the
-/// gate-id remap, the device-record layout (prefix sums) and moves, the
-/// old-to-new piece map, the edge splice (each live edge united as it
-/// is renumbered) and the labels. The net numbering is extract()'s and
-/// still covers every piece each edit: net ids are minted in global
-/// visit order, so an edit can shift them all, and a canonical
-/// numbering would still need a connectivity pass over every piece,
-/// since the power nets span the whole macro. The per-edit buffers (the
-/// labels, the piece map, a fixed capacitance window) are kept and
-/// reused across edits.
+/// intermediates: the edge list, and each piece's component root (its
+/// least piece id) in a per-piece label whose root slot also holds the
+/// component's net. What is cached and what is recomputed: the
+/// diffusion split (gate recognition + segment pieces + device sites)
+/// is kept per diffusion shape and recomputed only for shapes the edit
+/// inserted or whose rect intersects the edit's dirty poly region. The
+/// Device records (geometry and provenance path) stay in their slots up
+/// to the first entry whose record count changed and shift past it;
+/// only inserted or recomputed shapes build new ones. The adjacency
+/// edges are kept globally and spliced across the piece-id renumbering,
+/// with fresh edges discovered only around inserted pieces by the same
+/// per-layer index queries.
+///
+/// The labels follow the edit component by component. A component that
+/// lost no piece keeps its members, their order and their rects, so its
+/// pieces take its renumbered root and its net keeps its capacitance
+/// sum, bit for bit. Only two sets start over as their own roots: the
+/// survivors of the components that lost a piece (removed, or re-split
+/// at a dirty gate) and the new pieces. The edge splice renumbers every
+/// kept edge but unites only the edges of those reset components, and
+/// the new pieces' edges are united as they are found. Components whose
+/// reach the edit may have cut (the gate net of a device that goes, the
+/// net of a port that now resolves elsewhere) are reset too. One pooled
+/// scan then lists, in piece order, the wired pieces of the components
+/// that hold a reset or new piece, and only those are re-summed. Net
+/// ids are minted in extract()'s visit order — devices, ports, then the
+/// remaining components by least wired piece, merging the kept ones of
+/// the last edit's list with the affected ones — since an edit can
+/// shift every id. Every per-edit pass runs on util/parallel in fixed
+/// chunks; the mint and the re-sums are serial. Beyond the one-shot
+/// extraction's state, an update keeps a second label array (one uint32
+/// per piece, the labels of the new layout while the old ones are
+/// read), the ports' pieces and the least wired piece of each net minted
+/// after the ports; its other buffers are kept and reused across edits.
 ///
 /// The database must outlive the extractor, and every apply() on it
 /// must be fed to update() (once, in order). Deterministic and
