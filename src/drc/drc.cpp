@@ -162,9 +162,9 @@ struct Checker {
   /// monotonically, so "label != remapped old label" is an exact change
   /// detector.
   std::array<std::vector<std::uint32_t>, geom::kLayerCount> label;
-  /// Per layer: pooled_walk()'s claim and UnionFind slots, sized at the
-  /// layer's first pooled walk.
-  std::array<std::vector<std::uint32_t>, geom::kLayerCount> claim;
+  /// pooled_walk()'s claim and UnionFind slots, one per shape of the
+  /// largest layer walked so far (layers are walked one at a time).
+  std::vector<std::uint32_t> claim;
 
   Checker(const LayoutDB& layout, const tech::Tech& t, const DrcOptions& o)
       : db(&layout), tech(t), opt(o), via_rules(via_rules_for(t)) {
@@ -422,13 +422,12 @@ struct Checker {
     const auto& rects = db->rects(layer);
     const TileIndex& idx = db->index(layer);
     auto& lab = label[li];
-    auto& slot = claim[li];
-    slot.resize(rects.size(), kFree);
-    const UnionFind uf(slot);
+    if (claim.size() < rects.size()) claim.resize(rects.size(), kFree);
+    const UnionFind uf(claim);
     using Claimed = std::pair<std::uint32_t, std::uint32_t>;  // shape, label
     const auto try_claim = [&](std::uint32_t j, std::vector<Claimed>& out) {
       std::uint32_t free = kFree;
-      if (std::atomic_ref(slot[j]).compare_exchange_strong(
+      if (std::atomic_ref(claim[j]).compare_exchange_strong(
               free, j, std::memory_order_relaxed))
         out.emplace_back(j, lab[j]);
     };
@@ -459,7 +458,7 @@ struct Checker {
     });
     parallel_for(static_cast<std::int64_t>(walked.size()), kScanChunk,
                  [&](std::int64_t q) {
-                   slot[walked[static_cast<std::size_t>(q)].first] = kFree;
+                   claim[walked[static_cast<std::size_t>(q)].first] = kFree;
                  });
     std::sort(affected.begin(), affected.end());
     return affected;

@@ -310,26 +310,18 @@ struct Extractor {
   /// order.
   std::vector<std::uint32_t> loose;
 
-  // Working buffers of the updates, kept so an edit reuses them.
+  // Working buffers, kept so an edit reuses them. The lists whose
+  // size follows what an edit touches (a row move's run to hundreds of
+  // thousands of pieces) are an update's locals instead, freed with it.
   Blocks old_b;  ///< the pre-edit layout during update()
   /// The update's labels for the new layout; it trades places with
   /// `label` once the pre-edit labels are read.
   std::vector<std::uint32_t> next_label;
-  /// The device records past the first change in record count, while
-  /// they move to their new slots.
-  std::vector<Device> spare_devices;
   std::vector<std::uint32_t> pmap;           ///< old -> new diffusion piece
   std::array<std::vector<char>, 2> fresh;    ///< per entry: recomputed
   std::array<std::vector<std::uint32_t>, 2> redo;  ///< the fresh entries
-  std::vector<std::uint64_t> moved;  ///< edges moving into splice holes
-  std::vector<std::uint64_t> reunite;  ///< kept edges of reset components
   std::vector<double> cap_window;    ///< capacitance of kCapWindow pieces
-  std::vector<Seed> seeds;
-  std::vector<PieceCap> resum;  ///< the affected wired pieces, in order
-  std::vector<std::uint32_t> gone_gates;  ///< old gate poly ids of gone devices
-  std::vector<std::uint32_t> new_gates;   ///< gate poly ids of new devices
-  std::vector<double> old_cap;            ///< the pre-edit net_cap_f
-  std::vector<std::uint32_t> old_loose;   ///< the pre-edit `loose`
+  std::vector<double> old_cap;       ///< the pre-edit net_cap_f
   /// net_of_root() lists each net it mints in `loose`.
   bool minting_loose = false;
 
@@ -721,8 +713,8 @@ struct Extractor {
   /// the holes below it, gathered and scattered chunk by chunk in index
   /// order. Edge order is immaterial to the labels. Both ends of a kept
   /// edge lie in one pre-edit component; the edges of the components
-  /// update() reset (whose larger end is its own root) are listed in
-  /// `reunite` and united once the splice is done.
+  /// update() reset (whose larger end is its own root) are listed and
+  /// united once the splice is done.
   template <typename Remap>
   void splice_edges(Remap&& remap) {
     const auto ne = static_cast<std::int64_t>(edges.size());
@@ -731,7 +723,7 @@ struct Extractor {
     std::vector<std::uint32_t> dead(chunks, 0), holes(chunks + 1, 0),
         movers(chunks + 1, 0);
     const std::uint32_t* const up = label.data();
-    reunite.clear();
+    std::vector<std::uint64_t> reunite;
     parallel_collect(ne, kLinearChunk, reunite, [&](std::int64_t lo,
                                                     std::int64_t hi,
                                                     auto& list) {
@@ -781,7 +773,7 @@ struct Extractor {
       holes[c + 1] = holes[c] + h;
       movers[c + 1] = movers[c] + m;
     }
-    moved.resize(movers[chunks]);
+    std::vector<std::uint64_t> moved(movers[chunks]);
     for_chunks(ne, kLinearChunk, [&](std::size_t c, std::int64_t lo,
                                      std::int64_t hi) {
       std::uint32_t j = movers[c];
@@ -803,7 +795,7 @@ struct Extractor {
   /// Re-lays the device records in entry order. Up to the first entry
   /// whose record count the edit changed, every record keeps its slot
   /// (a recomputed entry's records are rewritten there); past it the
-  /// carried records move to their new slots through `spare_devices`.
+  /// carried records move to their new slots through a spare buffer.
   /// Only the recomputed entries build records, on this thread so their
   /// path strings stay in its heap; number_nets reassigns every net.
   void lay_out_devices(const geom::EditResult& edit) {
@@ -824,8 +816,9 @@ struct Extractor {
     }
     if (at != kNoPiece) {
       const std::uint32_t keep = b.dev_start[dl_at - 1][at];
-      spare_devices.assign(std::make_move_iterator(out.devices.begin() + keep),
-                           std::make_move_iterator(out.devices.end()));
+      std::vector<Device> spare_devices(
+          std::make_move_iterator(out.devices.begin() + keep),
+          std::make_move_iterator(out.devices.end()));
       out.devices.resize(b.devices);
       const auto n0 = static_cast<std::int64_t>(entries[0].size());
       const auto n1 = static_cast<std::int64_t>(entries[1].size());
@@ -842,7 +835,6 @@ struct Extractor {
             spare_devices.begin() + (old_b.dev_start[dl_i][o] - keep);
         std::move(from, from + sites, out.devices.begin() + to);
       });
-      spare_devices.clear();
     }
     for (int dl_i = 0; dl_i < 2; ++dl_i) {
       const auto& paths = db->path_ids(diff_layer(dl_i));
@@ -874,8 +866,7 @@ struct Extractor {
     // carried, with cached gate poly ids renumbered through the poly
     // splice. fresh[k] marks entries whose old pieces are invalid.
     // gone_gates collects the old gate ids of the devices that go.
-    gone_gates.clear();
-    new_gates.clear();
+    std::vector<std::uint32_t> gone_gates, new_gates;
     const auto note_gates = [](const Entry& e, std::vector<std::uint32_t>& v) {
       for (const LocalSite& site : e.sites) v.push_back(site.gate_pid);
     };
@@ -1006,7 +997,7 @@ struct Extractor {
     // also carry their pre-edit net.
     next_label.resize(b.total);
     std::uint32_t* const up = next_label.data();
-    seeds.clear();
+    std::vector<Seed> seeds;
     parallel_collect(
         old_b.total, kLinearChunk, seeds,
         [&](std::int64_t lo, std::int64_t hi, auto& list) {
@@ -1125,7 +1116,7 @@ struct Extractor {
 
     // The affected components' wired pieces and their capacitance, in
     // piece order (contacts and vias, the last three blocks, carry none).
-    resum.clear();
+    std::vector<PieceCap> resum;
     parallel_collect(
         b.plain_start[plain_slot(Layer::Contact)], kLinearChunk, resum,
         [&](std::int64_t lo, std::int64_t hi, auto& list) {
@@ -1144,6 +1135,7 @@ struct Extractor {
     // affected ones, taken by least wired piece; an affected net sums
     // its pieces in piece order, a kept one starts from its carried sum.
     old_cap.swap(out.net_cap_f);
+    std::vector<std::uint32_t> old_loose;
     old_loose.swap(loose);
     mint_reached();
     // The kept components among the pre-edit loose ones, renumbered

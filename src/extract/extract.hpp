@@ -121,7 +121,8 @@ std::vector<geom::Rect> split_diffusion(const geom::Rect& diff,
 /// extraction's state, an update keeps a second label array (one uint32
 /// per piece, the labels of the new layout while the old ones are
 /// read), the ports' pieces and the least wired piece of each net minted
-/// after the ports; its other buffers are kept and reused across edits.
+/// after the ports. The lists sized by what an edit touches are freed
+/// with the update; the other buffers are reused across edits.
 ///
 /// The database must outlive the extractor, and every apply() on it
 /// must be fed to update() (once, in order). Deterministic and
