@@ -362,10 +362,9 @@ struct Checker {
     };
     std::vector<std::uint32_t> seeds(sp.new_end - sp.begin);
     std::iota(seeds.begin(), seeds.end(), sp.begin);
-    if (!edit.old_bbox[li].empty()) {
-      const auto touching = idx.ids_in(edit.old_bbox[li]);
-      seeds.insert(seeds.end(), touching.begin(), touching.end());
-    }
+    if (!edit.old_bbox[li].empty())
+      idx.for_each_in(edit.old_bbox[li],
+                      [&](std::uint32_t j) { seeds.push_back(j); });
     if (seeds.size() > kScanChunk) return pooled_walk(layer, seeds, prior);
 
     // Walk each seed's polygon once; `walked` lists (shape, stored
@@ -575,10 +574,10 @@ geom::Coord max_interaction_distance(const tech::Tech& tech) {
 
 geom::Coord tile_size_for(const tech::Tech& tech) {
   // 4x the reach: a spacing window around a shape up to twice the reach
-  // wide still covers at most 2 x 2 tiles (the index's merge path), and
-  // a non-empty Metal1 bucket of the Fig. 6 slice holds 12 shapes on
-  // average instead of 37 at 8x (Poly 7 instead of 22, Contact 5
-  // instead of 16), so each query tests far fewer candidates.
+  // wide still covers at most 2 x 2 tiles, and a non-empty Metal1
+  // bucket of the Fig. 6 slice holds 12 shapes on average instead of 37
+  // at 8x (Poly 7 instead of 22, Contact 5 instead of 16), so each
+  // query tests far fewer candidates.
   return max_interaction_distance(tech) * 4;
 }
 

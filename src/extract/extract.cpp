@@ -272,22 +272,13 @@ struct Extractor {
     lay_out();
     reset_labels();
     discover_all(keep_edges);
-    // Memoized provenance strings: devices repeat a small set of paths.
-    std::vector<std::string> path_memo(db->path_count());
-    std::vector<char> path_done(db->path_count(), 0);
     out.devices.resize(b.devices);
-    for (int dl_i = 0; dl_i < 2; ++dl_i) {
-      const auto& paths = db->path_ids(diff_layer(dl_i));
-      for (std::size_t s = 0; s < entries[dl_i].size(); ++s) {
-        if (entries[dl_i][s].sites.empty()) continue;
-        const std::uint32_t node = paths[s];
-        if (!path_done[node]) {
-          path_memo[node] = db->path_name(node);
-          path_done[node] = 1;
-        }
-        set_devices(dl_i, s, path_memo[node]);
-      }
-    }
+    const auto n0 = static_cast<std::int64_t>(entries[0].size());
+    const auto n1 = static_cast<std::int64_t>(entries[1].size());
+    parallel_for(n0 + n1, kSplitChunk, [&](std::int64_t i) {
+      set_devices(i < n0 ? 0 : 1,
+                  static_cast<std::size_t>(i < n0 ? i : i - n0));
+    });
     // The incremental engine keeps each member's root in its slot.
     number_nets(/*propagate=*/!keep_edges);
   }
@@ -333,19 +324,20 @@ struct Extractor {
   }
 
   /// Splits one diffusion rect at the gates crossing it. The gates are
-  /// collected in poly-id order before split_diffusion sorts them, so
-  /// segment boundaries and site order match the historical extractor.
+  /// put in poly-id order before split_diffusion sorts them (its sort is
+  /// not stable), so segment boundaries and site order match the
+  /// historical extractor.
   Entry compute_entry(const Rect& diff) const {
     Entry e;
     const auto& polys = db->rects(Layer::Poly);
     std::vector<std::uint32_t> pids;
-    std::vector<Rect> gates;
     db->index(Layer::Poly).for_each_in(diff, [&](std::uint32_t pid) {
-      if (crosses(polys[pid], diff)) {
-        pids.push_back(pid);
-        gates.push_back(polys[pid]);
-      }
+      if (crosses(polys[pid], diff)) pids.push_back(pid);
     });
+    std::sort(pids.begin(), pids.end());
+    std::vector<Rect> gates;
+    gates.reserve(pids.size());
+    for (const std::uint32_t pid : pids) gates.push_back(polys[pid]);
     e.segs = split_diffusion(diff, gates);
     for (std::uint32_t g = 0; g < gates.size(); ++g) {
       LocalSite s;
@@ -365,8 +357,9 @@ struct Extractor {
   }
 
   /// Writes the device records of diffusion entry (dl_i, k) into their
-  /// slots of `out.devices`, nets unset (number_nets assigns them).
-  void set_devices(int dl_i, std::size_t k, const std::string& path) {
+  /// slots of `out.devices`, nets and path unset (mint_reached assigns
+  /// them).
+  void set_devices(int dl_i, std::size_t k) {
     const Entry& e = entries[dl_i][k];
     Device* d = out.devices.data() + b.dev_start[dl_i][k];
     for (const LocalSite& site : e.sites) {
@@ -378,7 +371,6 @@ struct Extractor {
           split_x ? site.channel.width() : site.channel.height();
       d->w_um = static_cast<double>(w) * um_per_dbu;
       d->l_um = static_cast<double>(l) * um_per_dbu;
-      d->path = path;
       ++d;
     }
   }
@@ -463,9 +455,10 @@ struct Extractor {
   /// fn(h) for every piece h that conducts to a piece on `from` covering
   /// `r` (r's own piece included), answered from the per-layer LayoutDB
   /// indexes and the splits. Diffusion segments lie inside their shape,
-  /// so the shape index finds every segment that touches `r`. Ids rise
-  /// within each target layer, and the targets are in block order.
-  /// Target layers whose pieces all lie below `min_id` are not queried.
+  /// so the shape index finds every segment that touches `r`. Each piece
+  /// comes once, the targets in block order, each in the index's tile
+  /// order. Target layers whose pieces all lie below `min_id` are not
+  /// queried.
   template <typename Fn>
   void for_each_neighbor(Layer from, const Rect& r, std::uint32_t min_id,
                          Fn&& fn) const {
@@ -517,11 +510,10 @@ struct Extractor {
     if (layer == Layer::NDiff || layer == Layer::PDiff) {
       const int dl_i = layer == Layer::NDiff ? 0 : 1;
       db->index(layer).for_each_in(window, [&](std::uint32_t s) {
-        if (found_id != kNoPiece) return;  // shape ids arrive ascending
         const auto& segs = entries[dl_i][s].segs;
         for (std::uint32_t t = 0; t < segs.size(); ++t)
           if (segs[t].intersects(window)) {
-            found_id = b.entry_start[dl_i][s] + t;
+            found_id = std::min(found_id, b.entry_start[dl_i][s] + t);
             return;
           }
       });
@@ -530,7 +522,7 @@ struct Extractor {
     const int slot = plain_slot(layer);
     if (slot < 0) return kNoPiece;  // no pieces live on this layer
     db->index(layer).for_each_in(window, [&](std::uint32_t s) {
-      if (found_id == kNoPiece) found_id = b.plain_start[slot] + s;
+      found_id = std::min(found_id, b.plain_start[slot] + s);
     });
     return found_id;
   }
@@ -572,8 +564,9 @@ struct Extractor {
 
   /// Mints the nets the devices reach (gate, source, drain, in record
   /// order) and then the ports, into the device records and port_net.
-  /// A pool pass first writes each terminal's component root into its
-  /// record, so the serial mint reads the records in order.
+  /// A pool pass first writes each terminal's component root and the
+  /// diffusion shape's path node into its record, so the serial mint
+  /// reads the records in order.
   void mint_reached() {
     out.net_count = 0;
     out.net_cap_f.clear();
@@ -588,8 +581,10 @@ struct Extractor {
       const int dl_i = i < n0 ? 0 : 1;
       const auto k = static_cast<std::size_t>(dl_i == 0 ? i : i - n0);
       const std::uint32_t base = b.entry_start[dl_i][k];
+      const std::uint32_t node = db->path_ids(diff_layer(dl_i))[k];
       Device* dev = out.devices.data() + b.dev_start[dl_i][k];
       for (const LocalSite& site : entries[dl_i][k].sites) {
+        dev->path = node;
         dev->gate = root(poly_start + site.gate_pid);
         dev->source = root(base + site.left);
         dev->drain = root(base + site.right);
@@ -796,8 +791,8 @@ struct Extractor {
   /// whose record count the edit changed, every record keeps its slot
   /// (a recomputed entry's records are rewritten there); past it the
   /// carried records move to their new slots through a spare buffer.
-  /// Only the recomputed entries build records, on this thread so their
-  /// path strings stay in its heap; number_nets reassigns every net.
+  /// Only the recomputed entries build records; mint_reached reassigns
+  /// every net and path.
   void lay_out_devices(const geom::EditResult& edit) {
     std::uint32_t at = kNoPiece;  // the first entry whose count changed
     int dl_at = 0;
@@ -836,16 +831,8 @@ struct Extractor {
         std::move(from, from + sites, out.devices.begin() + to);
       });
     }
-    for (int dl_i = 0; dl_i < 2; ++dl_i) {
-      const auto& paths = db->path_ids(diff_layer(dl_i));
-      std::uint32_t node = kNoPiece;
-      std::string path;
-      for (const std::uint32_t k : redo[dl_i]) {
-        if (entries[dl_i][k].sites.empty()) continue;
-        if (paths[k] != node) path = db->path_name(node = paths[k]);
-        set_devices(dl_i, k, path);
-      }
-    }
+    for (int dl_i = 0; dl_i < 2; ++dl_i)
+      for (const std::uint32_t k : redo[dl_i]) set_devices(dl_i, k);
   }
 
   void update(const geom::EditResult& edit) {

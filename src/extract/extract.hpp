@@ -8,6 +8,7 @@
 // capacitance from the technology's parasitic data, and maps cell ports
 // to nets so tests can verify the topology of generated cells.
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -28,9 +29,10 @@ struct Device {
   int drain = -1;   ///<  are symmetric)
   double w_um = 0;
   double l_um = 0;
-  /// Instance path of the diffusion shape the channel was recognized on
-  /// (LayoutDB provenance; "" for shapes owned by the top cell).
-  std::string path;
+  /// Path node (LayoutDB::path_ids) of the diffusion shape the channel
+  /// was recognized on: 0 for shapes owned by the top cell.
+  /// LayoutDB::path_name names the instance on demand.
+  std::uint32_t path = 0;
 };
 
 /// Extraction result.
@@ -94,12 +96,13 @@ std::vector<geom::Rect> split_diffusion(const geom::Rect& diff,
 /// diffusion split (gate recognition + segment pieces + device sites)
 /// is kept per diffusion shape and recomputed only for shapes the edit
 /// inserted or whose rect intersects the edit's dirty poly region. The
-/// Device records (geometry and provenance path) stay in their slots up
-/// to the first entry whose record count changed and shift past it;
-/// only inserted or recomputed shapes build new ones. The adjacency
-/// edges are kept globally and spliced across the piece-id renumbering,
-/// with fresh edges discovered only around inserted pieces by the same
-/// per-layer index queries.
+/// Device records stay in their slots up to the first entry whose record
+/// count changed and shift past it; only inserted or recomputed shapes
+/// rebuild their geometry, and the mint's pool pass rewrites every
+/// record's nets and path node, which the edit may renumber. The
+/// adjacency edges are kept globally and spliced across the piece-id
+/// renumbering, with fresh edges discovered only around inserted pieces
+/// by the same per-layer index queries.
 ///
 /// The labels follow the edit component by component. A component that
 /// lost no piece keeps its members, their order and their rects, so its

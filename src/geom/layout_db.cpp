@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <string_view>
 
 #include "util/checkpoint.hpp"
@@ -103,6 +104,7 @@ std::span<const std::uint32_t> TileIndex::bucket(int tx, int ty) const {
 std::vector<std::uint32_t> TileIndex::ids_in(const Rect& window) const {
   std::vector<std::uint32_t> out;
   for_each_in(window, [&](std::uint32_t id) { out.push_back(id); });
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -291,50 +293,207 @@ std::size_t path_lower_bound(const std::vector<std::uint32_t>& ids,
       std::lower_bound(ids.begin(), ids.end(), node) - ids.begin());
 }
 
-/// The one recursive flattener. Visits a cell's own shapes first, then
-/// each instance depth-first — the order every consumer's output
-/// depends on — appending one path node per instance, numbered from
-/// `base` (the id the first node of `parent` gets), and pushing each
-/// shape's rect and node onto its layer's two columns. The constructor
-/// runs it over the whole hierarchy with base 0; apply() runs it over an
-/// edited subtree in the post-edit numbering. Hierarchies deeper than kMaxFlattenDepth or
-/// with more than `budget` nodes are refused with stable DiagError
-/// codes instead of overflowing the stack.
+/// A database larger than this many shapes flattens and indexes on the
+/// pool; a smaller one stays on the calling thread. The pool's dispatch
+/// would cost more than it saves, and a leaf cell's database is built
+/// inside CompileCache's once-per-key characterization, where helping
+/// with an unrelated pool job (a sweep point asking for the same key)
+/// would wait on itself.
+constexpr std::uint64_t kPooledShapes = std::uint64_t{1} << 16;
+/// Shapes per task of a pooled flatten: a run of sibling instances.
+constexpr std::uint64_t kGroupShapes = std::uint64_t{1} << 14;
+
+/// What flattening one master writes below its own path node.
+struct Count {
+  std::array<std::uint64_t, kLayerCount> shapes{};  // per layer
+  std::uint64_t total = 0;                          // on every layer
+  std::uint64_t nodes = 0;   // path nodes: the instances of the subtree
+  int levels = 0;            // instance levels
+};
+
+/// Sums counts in 64 bits, saturating far above every flatten guard, so
+/// a combinatorial hierarchy's census cannot wrap.
+std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
+  return std::min(std::uint64_t{1} << 62, a + b);
+}
+
+/// One flatten's census: a Count per distinct master, taken on the
+/// calling thread before anything is allocated. It refuses a hierarchy
+/// nested deeper than kMaxFlattenDepth (an instance cycle recurses until
+/// it is) and a flatten whose path nodes would exceed
+/// kMaxFlattenInstances, with stable DiagError codes; otherwise it sizes
+/// every column exactly and places every pooled fill task.
+class Census {
+ public:
+  /// Counts `root`'s subtree, its root `depth` levels below the top
+  /// cell, for a database keeping `kept` path nodes besides the subtree.
+  Census(const std::string& top, const Cell& root, int depth,
+         std::size_t kept)
+      : memo_([&top, level = depth](const Cell& cell,
+                                    MasterMemo<Count>& memo) mutable {
+          // `level` is the nesting of the master being counted: each
+          // master is counted once, at its first placement.
+          if (level > kMaxFlattenDepth)
+            flatten_fail(top, "layout-flatten-too-deep",
+                         "hierarchy nested deeper than " +
+                             std::to_string(kMaxFlattenDepth) +
+                             " levels (instance cycle?) at cell '" +
+                             cell.name() + "'");
+          ++level;
+          Count n;
+          for (const Shape& s : cell.shapes())
+            ++n.shapes[static_cast<std::size_t>(s.layer)];
+          n.total = cell.shapes().size();
+          for (const Instance& inst : cell.instances()) {
+            const Count& k = memo(*inst.cell);
+            for (std::size_t l = 0; l < n.shapes.size(); ++l)
+              n.shapes[l] = sat_add(n.shapes[l], k.shapes[l]);
+            n.total = sat_add(n.total, k.total);
+            n.nodes = sat_add(n.nodes, sat_add(k.nodes, 1));
+            n.levels = std::max(n.levels, k.levels + 1);
+          }
+          --level;
+          return n;
+        }),
+        root_(&memo_(root)) {
+    if (depth + root_->levels > kMaxFlattenDepth)
+      flatten_fail(top, "layout-flatten-too-deep",
+                   "hierarchy nested deeper than " +
+                       std::to_string(kMaxFlattenDepth) + " levels at cell '" +
+                       root.name() + "'");
+    if (sat_add(kept + 1, root_->nodes) > kMaxFlattenInstances)
+      flatten_fail(top, "layout-flatten-too-many-instances",
+                   "flatten exceeds " + std::to_string(kMaxFlattenInstances) +
+                       " instances at cell '" + root.name() + "'");
+  }
+
+  const Count& root() const { return *root_; }
+  const Count& of(const Cell& cell) { return memo_(cell); }
+
+ private:
+  MasterMemo<Count> memo_;
+  const Count* root_;
+};
+
+/// Where a fill writes next: a slot per layer and a path node.
+struct Cursor {
+  std::array<std::size_t, kLayerCount> at{};
+  std::uint32_t node = 0;
+};
+
+/// The one flattener, for the constructor and apply() alike. It writes
+/// into columns and path-node arrays its caller sized from the Census:
+/// a cell's own shapes first, then each instance depth-first in
+/// instance order, one preorder path node per instance. A subtree of at
+/// most kPooledShapes shapes is filled on the calling thread; a larger
+/// one is cut into tasks (a run of sibling instances of about
+/// kGroupShapes shapes, started at cursors prefix-summed from the
+/// census) that run on the pool, each writing its own slots. Every slot
+/// gets the same value at any thread count.
 struct Flattener {
-  const std::string& top;
-  std::uint32_t base;
-  std::size_t budget;
   std::vector<std::uint32_t>& parent;
   std::vector<std::string>& name;
   std::vector<Transform>& local;
+  std::vector<std::uint32_t>& sub_end;
   std::array<std::vector<Rect>, kLayerCount>& rects;
   std::array<std::vector<std::uint32_t>, kLayerCount>& paths;
 
-  void run(const Cell& cell, const Transform& t, std::uint32_t node,
-           int depth) {
-    if (depth > kMaxFlattenDepth)
-      flatten_fail(top, "layout-flatten-too-deep",
-                   "hierarchy nested deeper than " +
-                       std::to_string(kMaxFlattenDepth) +
-                       " levels (instance cycle?) at cell '" + cell.name() +
-                       "'");
-    for (const auto& s : cell.shapes()) {
+  /// Flattens `cell`, placed by `t`, as path node `node`, whose own
+  /// entry the caller writes, from cursor `c`.
+  void fill(const Cell& cell, const Transform& t, std::uint32_t node,
+            Cursor c, Census& census) const {
+    std::vector<Task> tasks;
+    if (census.of(cell).total > kPooledShapes)
+      plan(cell, t, node, c, census, tasks);
+    else  // one task: parallel_for runs it on this thread
+      tasks.push_back({&cell, t, node, true, 0, cell.instances().size(), c});
+    parallel_for(static_cast<std::int64_t>(tasks.size()), 1,
+                 [&](std::int64_t i) {
+                   const Task& k = tasks[static_cast<std::size_t>(i)];
+                   Cursor at = k.at;
+                   if (k.own) own(*k.cell, k.t, k.node, at);
+                   for (std::size_t j = k.first; j < k.last; ++j)
+                     instance(k.cell->instances()[j], k.t, k.node, at);
+                 });
+  }
+
+ private:
+  /// Instances [first, last) of `cell` (path node `node`, placed by `t`)
+  /// from cursor `at`, and the cell's own shapes first when `own`.
+  struct Task {
+    const Cell* cell;
+    Transform t;
+    std::uint32_t node;
+    bool own;
+    std::size_t first, last;
+    Cursor at;
+  };
+
+  void own(const Cell& cell, const Transform& t, std::uint32_t node,
+           Cursor& c) const {
+    for (const Shape& s : cell.shapes()) {
       const auto l = static_cast<std::size_t>(s.layer);
-      rects[l].push_back(t.apply(s.rect));
-      paths[l].push_back(node);
+      rects[l][c.at[l]] = t.apply(s.rect);
+      paths[l][c.at[l]++] = node;
     }
-    for (const auto& inst : cell.instances()) {
-      if (parent.size() >= budget)
-        flatten_fail(top, "layout-flatten-too-many-instances",
-                     "flatten exceeds " +
-                         std::to_string(kMaxFlattenInstances) +
-                         " instances at cell '" + cell.name() + "'");
-      const auto child = base + static_cast<std::uint32_t>(parent.size());
-      parent.push_back(node);
-      name.push_back(inst.name);
-      local.push_back(inst.transform);
-      run(*inst.cell, t.compose(inst.transform), child, depth + 1);
+  }
+
+  /// Writes the path node of instance `inst` of node `node` and returns
+  /// its id.
+  std::uint32_t enter(const Instance& inst, std::uint32_t node,
+                      Cursor& c) const {
+    const std::uint32_t child = c.node++;
+    parent[child] = node;
+    name[child] = inst.name;
+    local[child] = inst.transform;
+    return child;
+  }
+  /// Writes instance `inst` of node `node`, placed by `t`, and its whole
+  /// subtree.
+  void instance(const Instance& inst, const Transform& t, std::uint32_t node,
+                Cursor& c) const {
+    const std::uint32_t child = enter(inst, node, c);
+    const Transform ct = t.compose(inst.transform);
+    own(*inst.cell, ct, child, c);
+    for (const Instance& sub : inst.cell->instances())
+      instance(sub, ct, child, c);
+    sub_end[child] = c.node;
+  }
+
+  /// Cuts `cell`'s flatten into tasks on the calling thread, advancing
+  /// `c` past it: siblings gather into a task until it holds
+  /// kGroupShapes shapes, and an instance larger than that is cut the
+  /// same way one level down (its own path node written here).
+  void plan(const Cell& cell, const Transform& t, std::uint32_t node,
+            Cursor& c, Census& census, std::vector<Task>& tasks) const {
+    Task group{&cell, t, node, true, 0, 0, c};
+    std::uint64_t size = cell.shapes().size();
+    for (const Shape& s : cell.shapes())
+      ++c.at[static_cast<std::size_t>(s.layer)];
+    const auto close = [&](std::size_t last, std::size_t next) {
+      group.last = last;
+      if (size > 0 || group.first < last) tasks.push_back(group);
+      group = {&cell, t, node, false, next, next, c};
+      size = 0;
+    };
+    const auto& insts = cell.instances();
+    for (std::size_t i = 0; i < insts.size(); ++i) {
+      const Count& k = census.of(*insts[i].cell);
+      if (k.total > kGroupShapes) {
+        close(i, i);
+        const std::uint32_t child = enter(insts[i], node, c);
+        plan(*insts[i].cell, t.compose(insts[i].transform), child, c, census,
+             tasks);
+        sub_end[child] = c.node;
+        close(i, i + 1);
+        continue;
+      }
+      for (std::size_t l = 0; l < c.at.size(); ++l) c.at[l] += k.shapes[l];
+      c.node += static_cast<std::uint32_t>(k.nodes + 1);
+      size += k.total;
+      if (size >= kGroupShapes) close(i + 1, i + 1);
     }
+    close(insts.size(), insts.size());
   }
 };
 
@@ -344,24 +503,26 @@ LayoutDB::LayoutDB(const Cell& top, Coord tile_size)
     : top_name_(top.name()),
       ports_(top.ports()),
       tile_(std::max<Coord>(tile_size, 1)) {
-  path_parent_.push_back(0);
-  path_name_.emplace_back();  // node 0: the top cell, empty path
-  path_local_.emplace_back();
-  Flattener flat{top_name_, 0, kMaxFlattenInstances, path_parent_,
-                 path_name_, path_local_, rects_, path_ids_};
-  flat.run(top, Transform{}, 0, 0);
-  rebuild_sub_ends();
+  Census census(top_name_, top, 0, 0);
+  const std::size_t nodes = census.root().nodes + 1;
+  path_parent_.resize(nodes);  // node 0: the top cell, empty path
+  path_name_.resize(nodes);
+  path_local_.resize(nodes);
+  path_sub_end_.resize(nodes);
+  path_sub_end_[0] = static_cast<std::uint32_t>(nodes);
+  for (std::size_t l = 0; l < rects_.size(); ++l) {
+    rects_[l].resize(census.root().shapes[l]);
+    path_ids_[l].resize(census.root().shapes[l]);
+  }
+  Flattener{path_parent_, path_name_, path_local_, path_sub_end_, rects_,
+            path_ids_}
+      .fill(top, Transform{}, 0, Cursor{{}, 1}, census);
   build_indexes();
 }
 
 void LayoutDB::build_indexes() {
-  // One layer per pool worker, the largest layers claimed first. A
-  // database of at most kPooledIndexShapes shapes stays on the calling
-  // thread: the pool's dispatch would cost more than it saves, and a leaf
-  // cell's database is built inside CompileCache's once-per-key
-  // characterization, where helping with an unrelated pool job (a sweep
-  // point asking for the same key) would wait on itself.
-  constexpr std::size_t kPooledIndexShapes = std::size_t{1} << 16;
+  // One layer per pool worker, the largest layers claimed first, once
+  // the database is larger than kPooledShapes.
   std::array<std::size_t, kLayerCount> order{};
   for (std::size_t l = 0; l < order.size(); ++l) order[l] = l;
   std::stable_sort(order.begin(), order.end(),
@@ -374,7 +535,7 @@ void LayoutDB::build_indexes() {
         const std::size_t l = order[static_cast<std::size_t>(i)];
         index_[l] = TileIndex(rects_[l], tile_);
       },
-      shape_count() > kPooledIndexShapes ? 0 : 1);
+      shape_count() > kPooledShapes ? 0 : 1);
 }
 
 Rect LayoutDB::bbox() const {
@@ -534,14 +695,13 @@ EditResult LayoutDB::apply(const CellEdit& e) {
 
   // Replace / Add / Remove: splice the node interval [rm_begin, rm_end)
   // out of the preorder numbering and (for Replace/Add) flatten the
-  // replacement subtree directly in the post-edit numbering. `anchor`
-  // is the parent of the spliced subtree.
+  // replacement subtree straight into its slots in the post-edit
+  // numbering, sized by its census. `anchor` is the parent of the
+  // spliced subtree; the new root keeps `root_name` and `root_local`.
   std::uint32_t rm_begin = 0, rm_end = 0, anchor = 0;
-  std::vector<std::uint32_t> new_parent;
-  std::vector<std::string> new_name;
-  std::vector<Transform> new_local;
-  std::array<std::vector<Rect>, kLayerCount> new_rects;
-  std::array<std::vector<std::uint32_t>, kLayerCount> new_paths;
+  std::string root_name;
+  Transform root_local;
+  std::optional<Census> census;
 
   switch (e.kind) {
     case CellEdit::Kind::Replace: {
@@ -551,15 +711,10 @@ EditResult LayoutDB::apply(const CellEdit& e) {
       rm_begin = n;
       rm_end = path_sub_end_[n];
       anchor = path_parent_[n];
-      new_parent.push_back(anchor);
-      new_name.push_back(path_name_[n]);
-      new_local.push_back(path_local_[n]);
-      const std::size_t kept =
-          path_parent_.size() - (rm_end - rm_begin);
-      Flattener sub{top_name_, rm_begin, kMaxFlattenInstances - kept,
-                    new_parent, new_name, new_local, new_rects, new_paths};
-      sub.run(*e.cell, abs_transform(anchor).compose(path_local_[n]),
-              rm_begin, depth_of(n));
+      root_name = path_name_[n];
+      root_local = path_local_[n];
+      census.emplace(top_name_, *e.cell, depth_of(n),
+                     path_parent_.size() - (rm_end - rm_begin));
       break;
     }
     case CellEdit::Kind::Add: {
@@ -570,14 +725,10 @@ EditResult LayoutDB::apply(const CellEdit& e) {
       // The new instance becomes the anchor's last child, so in a fresh
       // flatten its subtree would start exactly where the anchor's ends.
       rm_begin = rm_end = path_sub_end_[anchor];
-      new_parent.push_back(anchor);
-      new_name.push_back(e.name);
-      new_local.push_back(e.transform);
-      Flattener sub{top_name_, rm_begin,
-                    kMaxFlattenInstances - path_parent_.size(),
-                    new_parent, new_name, new_local, new_rects, new_paths};
-      sub.run(*e.cell, abs_transform(anchor).compose(e.transform), rm_begin,
-              depth_of(anchor) + 1);
+      root_name = e.name;
+      root_local = e.transform;
+      census.emplace(top_name_, *e.cell, depth_of(anchor) + 1,
+                     path_parent_.size());
       break;
     }
     case CellEdit::Kind::Remove: {
@@ -592,7 +743,7 @@ EditResult LayoutDB::apply(const CellEdit& e) {
       break;  // handled above
   }
 
-  const std::size_t added = new_parent.size();
+  const std::size_t added = census ? census->root().nodes + 1 : 0;
   const std::int64_t node_delta =
       static_cast<std::int64_t>(added) -
       (static_cast<std::int64_t>(rm_end) - rm_begin);
@@ -601,36 +752,33 @@ EditResult LayoutDB::apply(const CellEdit& e) {
                                       node_delta);
   };
 
-  // Per-layer splice of both columns. Path-id renumbering of the shapes
-  // after the splice happens on every layer; rects (hence the TileIndex)
-  // change only on layers the edit actually touched.
+  // Per-layer splice of both columns: the removed run's slots become the
+  // new subtree's. Path-id renumbering of the shapes after the splice
+  // happens on every layer; rects (hence the TileIndex) change only on
+  // layers the edit actually touched.
+  std::array<std::vector<Rect>, kLayerCount> old;
+  Cursor at{{}, rm_begin + 1};
   for (int li = 0; li < kLayerCount; ++li) {
     const auto l = static_cast<std::size_t>(li);
     auto& rv = rects_[l];
     auto& pv = path_ids_[l];
     const std::size_t lo = path_lower_bound(pv, rm_begin);
     const std::size_t hi = path_lower_bound(pv, rm_end);
-    const auto& ins = new_rects[l];
+    at.at[l] = lo;
     res.splice[l] = {static_cast<std::uint32_t>(lo),
                      static_cast<std::uint32_t>(hi),
-                     static_cast<std::uint32_t>(lo + ins.size())};
+                     static_cast<std::uint32_t>(
+                         lo + (census ? census->root().shapes[l] : 0))};
     Rect ob{};
     for (std::size_t i = lo; i < hi; ++i) ob = ob.united(rv[i]);
-    Rect nb{};
-    for (const Rect& r : ins) nb = nb.united(r);
     res.old_bbox[l] = ob;
-    res.new_bbox[l] = nb;
     if (node_delta != 0)
       for (std::size_t i = hi; i < pv.size(); ++i) pv[i] = shifted(pv[i]);
     if (res.splice[l].empty()) continue;
-    const std::vector<Rect> old(rv.begin() + static_cast<std::ptrdiff_t>(lo),
-                                rv.begin() + static_cast<std::ptrdiff_t>(hi));
+    old[l].assign(rv.begin() + static_cast<std::ptrdiff_t>(lo),
+                  rv.begin() + static_cast<std::ptrdiff_t>(hi));
     res.splice[l].resize_slots(rv);
     res.splice[l].resize_slots(pv);
-    const auto at = static_cast<std::ptrdiff_t>(lo);
-    std::copy(ins.begin(), ins.end(), rv.begin() + at);
-    std::copy(new_paths[l].begin(), new_paths[l].end(), pv.begin() + at);
-    index_[l].splice(res.splice[l], old);
   }
 
   // Node-array splice with the same renumbering. A node after the spliced
@@ -648,21 +796,29 @@ EditResult LayoutDB::apply(const CellEdit& e) {
   nodes.resize_slots(path_name_);
   nodes.resize_slots(path_local_);
   nodes.resize_slots(path_sub_end_);
-  for (std::size_t k = 0; k < added; ++k) {
-    const std::size_t i = rm_begin + k;
-    path_parent_[i] = new_parent[k];
-    path_name_[i] = std::move(new_name[k]);
-    path_local_[i] = new_local[k];
-    path_sub_end_[i] = static_cast<std::uint32_t>(i + 1);
+  if (census) {
+    path_parent_[rm_begin] = anchor;
+    path_name_[rm_begin] = std::move(root_name);
+    path_local_[rm_begin] = root_local;
+    path_sub_end_[rm_begin] = nodes.new_end;
+    Flattener{path_parent_, path_name_, path_local_, path_sub_end_, rects_,
+              path_ids_}
+        .fill(*e.cell, abs_transform(anchor).compose(root_local), rm_begin, at,
+              *census);
   }
-  // Subtree ends inside the new subtree (preorder: node i extends every
-  // ancestor up to the subtree root), then along the anchor chain.
-  for (std::size_t i = rm_begin + 1; i < rm_begin + added; ++i)
-    for (std::uint32_t a = path_parent_[i]; a >= rm_begin; a = path_parent_[a])
-      path_sub_end_[a] = static_cast<std::uint32_t>(i + 1);
   for (std::uint32_t a = anchor;; a = path_parent_[a]) {
     path_sub_end_[a] = shifted(path_sub_end_[a]);
     if (a == 0) break;
+  }
+
+  for (std::size_t l = 0; l < rects_.size(); ++l) {
+    const ShapeSplice& sp = res.splice[l];
+    if (sp.empty()) continue;
+    Rect nb{};
+    for (std::uint32_t i = sp.begin; i < sp.new_end; ++i)
+      nb = nb.united(rects_[l][i]);
+    res.new_bbox[l] = nb;
+    index_[l].splice(sp, old[l]);
   }
   return res;
 }

@@ -33,9 +33,16 @@
 //     order: a cell's own shapes in insertion order, then each
 //     instance's subtree in instance order. Extraction's net numbering
 //     and the SVG writer's paint order are functions of that order.
-//     One recursive flattener produces it, for the constructor and for
-//     apply() alike, so after an edit the shape order equals what a
-//     fresh flatten of the edited hierarchy would produce.
+//     One flattener produces it, for the constructor and for apply()
+//     alike, so after an edit the shape order equals what a fresh
+//     flatten of the edited hierarchy would produce. It takes a census
+//     first (per distinct master: shapes per layer, path nodes and
+//     levels below), which applies the flatten guards and sizes every
+//     column and path-node array exactly on the calling thread; the fill
+//     then writes each subtree at offsets prefix-summed from the census,
+//     on the pool in sibling groups of about 16 k shapes once the
+//     subtree holds more than 65,536 shapes (the line build_indexes()
+//     uses too), on the calling thread below it.
 //   * Tiling. Each layer with shapes gets a uniform tile grid over the
 //     layer's bounding box at construction (or at the first edit that
 //     gives an empty layer shapes); edits keep that grid, and shapes
@@ -44,19 +51,25 @@
 //     interaction distance (the largest spacing/enclosure rule, see
 //     drc::tile_size_for), so any rule check on a shape only ever needs
 //     the shape's own tile and its neighbors. A shape straddling tiles
-//     is registered in every tile it touches; queries deduplicate by
-//     shape id. Each tile row stores its buckets back to back in one id
-//     array beside an offsets array (TileIndex), filled by a two-pass
-//     counting sort; build_indexes() builds each layer of a database
-//     larger than a leaf cell on a pool worker of its own, at the end of
-//     the flatten and of load_snapshot(). An edit's splice re-lays only
+//     is registered in every tile it touches; a query reports it only
+//     from the tile holding the low corner of its overlap with the
+//     window, so each id once, with no merge. Each tile row stores its
+//     buckets back to back in one id array beside an offsets array
+//     (TileIndex), filled by a two-pass counting sort; build_indexes()
+//     builds each layer of a database larger than a leaf cell on a pool
+//     worker of its own, at the end of the flatten and of
+//     load_snapshot(). An edit's splice re-lays only
 //     the tile rows its old and new rects touch, and in them only the
 //     columns they touch (the rest of the row moves by the change in
 //     size, if any); every other row only renumbers the ids past the
 //     splice, when the edit changes the layer's shape count.
-//   * Determinism. Queries report shape ids in strictly increasing id
-//     order, independent of tile geometry, so everything built on top
-//     (DRC and extraction included) is reproducible bit-for-bit.
+//   * Determinism. for_each_in reports each shape id once, in tile
+//     order (a function of the rects and the grid, never of the thread
+//     count); ids_in reports them ascending. DRC and extraction use no
+//     order of for_each_in: where an answer depends on order (the gates
+//     of a diffusion split, a port's first piece) they sort or take the
+//     least id. So everything built on top is reproducible bit-for-bit
+//     and independent of the tile size.
 //   * Provenance. Every shape carries the instance path that produced
 //     it ("ROWDEC/dec3/inv" style, segments joined with '/'; shapes
 //     owned by the top cell itself have an empty path). Paths are kept
@@ -65,15 +78,17 @@
 //     materialized on demand, so a DRC/ERC violation or an extracted
 //     device can name the instance that produced it without the
 //     database paying a per-shape string.
-//   * Bounded flatten. The flatten recursion refuses self-referential
-//     or pathologically deep hierarchies (kMaxFlattenDepth) and runaway
-//     instance counts (kMaxFlattenInstances) with stable DiagError
-//     codes instead of a stack overflow (same bounded-recursion policy
-//     as the JSON parser's depth cap).
+//   * Bounded flatten. The census refuses self-referential or
+//     pathologically deep hierarchies (kMaxFlattenDepth) and runaway
+//     instance counts (kMaxFlattenInstances, counted in 64 bits) with
+//     stable DiagError codes before anything is allocated, instead of a
+//     stack overflow (same bounded-recursion policy as the JSON parser's
+//     depth cap).
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -165,14 +180,17 @@ class TileIndex {
   std::span<const std::uint32_t> bucket(int tx, int ty) const;
 
   /// Calls fn(id) for every rect intersecting `window` (edge-touching
-  /// counts, as Rect::intersects), in strictly increasing id order,
-  /// each id exactly once. A window over at most kMergeTiles tiles
-  /// merges their ascending buckets in place; a larger one gathers,
-  /// sorts and deduplicates its candidates.
+  /// counts, as Rect::intersects), each id exactly once, in tile order:
+  /// the window's tile rows bottom up, each row's tiles left to right,
+  /// each bucket ascending. A rect registered in several of the window's
+  /// tiles is reported only from the one holding the low corner of its
+  /// overlap with the window, (max(window.lo.x, r.lo.x), max(window.lo.y,
+  /// r.lo.y)): past the window's first tile column (row) that is the
+  /// tile whose low x (y) edge the rect's own low x (y) reaches.
   template <typename Fn>
   void for_each_in(const Rect& window, Fn&& fn) const;
 
-  /// Collects the ids for_each_in would visit.
+  /// The ids for_each_in visits, in ascending order.
   std::vector<std::uint32_t> ids_in(const Rect& window) const;
 
   /// Follows one splice of the indexed rect vector, which the caller
@@ -191,10 +209,6 @@ class TileIndex {
   void splice(const ShapeSplice& sp, std::span<const Rect> old);
 
  private:
-  /// The most tiles a query merges in place (a 2 x 2 block: any window
-  /// no larger than a tile).
-  static constexpr int kMergeTiles = 4;
-
   /// One tile row: bucket tx is ids[off[tx], off[tx + 1]).
   struct Row {
     std::vector<std::uint32_t> off;
@@ -230,11 +244,6 @@ class TileIndex {
     return id >= sp.old_end ? id + static_cast<std::uint32_t>(sp.delta())
                             : id;
   }
-  /// The many-tile path of for_each_in.
-  template <typename Fn>
-  void gather_sorted(const Rect& window, int x0, int x1, int y0, int y1,
-                     Fn&& fn) const;
-
   const std::vector<Rect>* rects_ = nullptr;
   std::size_t count_ = 0;
   Coord tile_ = 1;
@@ -249,64 +258,27 @@ void TileIndex::for_each_in(const Rect& window, Fn&& fn) const {
   if (count_ == 0 || !window.intersects(bounds_)) return;
   const int x0 = tx_of(window.lo.x), x1 = tx_of(window.hi.x);
   const int y0 = ty_of(window.lo.y), y1 = ty_of(window.hi.y);
-  if ((x1 - x0 + 1) * (y1 - y0 + 1) > kMergeTiles) {
-    gather_sorted(window, x0, x1, y0, y1, fn);
-    return;
-  }
-  // Merge the ascending buckets. A rect straddling tiles heads several
-  // runs at once; every run showing the least id steps past it, so each
-  // id is reported once.
-  const std::uint32_t* cur[kMergeTiles] = {};
-  const std::uint32_t* end[kMergeTiles] = {};
-  int runs = 0;
+  // A tile past the window's first column (row) reports a rect only when
+  // the rect starts at or past the tile's low x (y) edge, as the window
+  // starts below it: the tile that holds the low corner of the overlap.
+  // In the first column (row) the window's own low edge is that corner's
+  // bound, so every rect passes.
+  const std::vector<Rect>& rects = *rects_;
+  constexpr Coord kAny = std::numeric_limits<Coord>::min();
   for (int ty = y0; ty <= y1; ++ty) {
     const Row& row = rows_[static_cast<std::size_t>(ty)];
     const std::uint32_t* ids = row.ids.data();
+    const Coord ey = ty == y0 ? kAny : grid_.lo.y + ty * tile_;
     for (int tx = x0; tx <= x1; ++tx) {
-      const std::uint32_t b = row.off[static_cast<std::size_t>(tx)];
+      const Coord ex = tx == x0 ? kAny : grid_.lo.x + tx * tile_;
       const std::uint32_t e = row.off[static_cast<std::size_t>(tx) + 1];
-      if (b == e) continue;
-      cur[runs] = ids + b;
-      end[runs] = ids + e;
-      ++runs;
-    }
-  }
-  const std::vector<Rect>& rects = *rects_;
-  if (runs == 1) {
-    for (const std::uint32_t* p = cur[0]; p != end[0]; ++p)
-      if (rects[*p].intersects(window)) fn(*p);
-    return;
-  }
-  while (runs > 0) {
-    std::uint32_t id = *cur[0];
-    for (int r = 1; r < runs; ++r) id = std::min(id, *cur[r]);
-    for (int r = 0; r < runs;) {
-      if (*cur[r] == id && ++cur[r] == end[r]) {
-        --runs;
-        cur[r] = cur[runs];
-        end[r] = end[runs];
-      } else {
-        ++r;
+      for (std::uint32_t k = row.off[static_cast<std::size_t>(tx)]; k < e;
+           ++k) {
+        const Rect& r = rects[ids[k]];
+        if (r.lo.x >= ex && r.lo.y >= ey && r.intersects(window)) fn(ids[k]);
       }
     }
-    if (rects[id].intersects(window)) fn(id);
   }
-}
-
-template <typename Fn>
-void TileIndex::gather_sorted(const Rect& window, int x0, int x1, int y0,
-                              int y1, Fn&& fn) const {
-  std::vector<std::uint32_t> ids;
-  for (int ty = y0; ty <= y1; ++ty) {
-    const Row& row = rows_[static_cast<std::size_t>(ty)];
-    const auto first = row.off[static_cast<std::size_t>(x0)];
-    const auto last = row.off[static_cast<std::size_t>(x1) + 1];
-    for (auto k = first; k < last; ++k)
-      if ((*rects_)[row.ids[k]].intersects(window)) ids.push_back(row.ids[k]);
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  for (std::uint32_t id : ids) fn(id);
 }
 
 /// One edit to a flattened hierarchy, addressed by instance path.
@@ -368,7 +340,7 @@ class LayoutDB {
 
   /// Flatten guards (see cell.hpp): deeper or larger hierarchies abort
   /// with "layout-flatten-too-deep" / "layout-flatten-too-many-instances"
-  /// DiagErrors instead of overflowing the stack.
+  /// DiagErrors, raised from the census before anything is allocated.
   static constexpr int kMaxFlattenDepth = geom::kMaxFlattenDepth;
   static constexpr std::size_t kMaxFlattenInstances =
       geom::kMaxFlattenInstances;
@@ -399,8 +371,8 @@ class LayoutDB {
   std::size_t shape_count() const;
 
   // --- queries --------------------------------------------------------------
-  /// fn(id) for every shape of `layer` intersecting `window`, in
-  /// strictly increasing id order, each exactly once.
+  /// fn(id) for every shape of `layer` intersecting `window`, each
+  /// exactly once, in tile order (TileIndex::for_each_in).
   template <typename Fn>
   void for_each_in(Layer layer, const Rect& window, Fn&& fn) const {
     index(layer).for_each_in(window, std::forward<Fn>(fn));
@@ -434,6 +406,18 @@ class LayoutDB {
   }
   /// Number of path nodes (top + every flattened instance).
   std::size_t path_count() const { return path_parent_.size(); }
+  /// The path-node tree column by column, indexed by node id: each
+  /// node's parent (node 0, the top cell, is its own), instance name,
+  /// placement in its parent, and the end of its preorder subtree, which
+  /// is the node interval [id, path_sub_ends()[id]).
+  const std::vector<std::uint32_t>& path_parents() const {
+    return path_parent_;
+  }
+  const std::vector<std::string>& path_names() const { return path_name_; }
+  const std::vector<Transform>& path_locals() const { return path_local_; }
+  const std::vector<std::uint32_t>& path_sub_ends() const {
+    return path_sub_end_;
+  }
   /// The path node of the instance at `path` ("A/b/c" syntax; "" = the
   /// top node, 0). Throws bisram::Error when no such instance exists.
   std::uint32_t node_of(const std::string& path) const;

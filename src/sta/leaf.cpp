@@ -6,6 +6,7 @@
 
 #include "cells/leaf_cells.hpp"
 #include "extract/extract.hpp"
+#include "geom/layout_db.hpp"
 #include "spice/sizing.hpp"
 #include "sta/netlist.hpp"
 #include "util/strings.hpp"
@@ -81,8 +82,9 @@ namespace {
 double cell_sta_delay(const geom::Cell& cell, const tech::Tech& t,
                       const std::vector<std::string>& inputs,
                       const std::vector<std::string>& outputs) {
-  const extract::Extracted ex = extract::extract(cell, t);
-  NetlistGraph built = from_extracted(ex, t, inputs, outputs);
+  const geom::LayoutDB db(cell);
+  const extract::Extracted ex = extract::extract(db, t);
+  NetlistGraph built = from_extracted(ex, db, t, inputs, outputs);
   AnalyzeOptions opt;
   opt.k_paths = 1;
   return built.graph.analyze(opt).max_arrival_s;

@@ -119,7 +119,7 @@ double elmore_to_supply(const extract::Extracted& ex, const tech::Tech& tech,
 }  // namespace
 
 NetlistGraph from_extracted(const extract::Extracted& ex,
-                            const tech::Tech& tech,
+                            const geom::LayoutDB& db, const tech::Tech& tech,
                             const std::vector<std::string>& inputs,
                             const std::vector<std::string>& outputs) {
   NetlistGraph result;
@@ -240,7 +240,8 @@ NetlistGraph from_extracted(const extract::Extracted& ex,
         for (int di : devs) {
           const extract::Device& d = ex.devices[static_cast<std::size_t>(di)];
           if (d.gate == i) {
-            tag = d.path.empty() ? "<top>" : d.path;
+            tag = db.path_name(d.path);
+            if (tag.empty()) tag = "<top>";
             break;
           }
         }

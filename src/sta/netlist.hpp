@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "extract/extract.hpp"
+#include "geom/layout_db.hpp"
 #include "sta/graph.hpp"
 
 namespace bisram::sta {
@@ -43,12 +44,12 @@ struct NetlistGraph {
   int stage_count = 0;
 };
 
-/// Builds the timing graph for an extracted cell. `inputs` port names
-/// become sources, `outputs` become endpoints; both must exist in
-/// ex.port_net. Node names follow extract::node_name ("gnd" is a supply,
-/// not a node).
+/// Builds the timing graph for a cell extracted from `db`, which names
+/// each arc's device. `inputs` port names become sources, `outputs`
+/// become endpoints; both must exist in ex.port_net. Node names follow
+/// extract::node_name ("gnd" is a supply, not a node).
 NetlistGraph from_extracted(const extract::Extracted& ex,
-                            const tech::Tech& tech,
+                            const geom::LayoutDB& db, const tech::Tech& tech,
                             const std::vector<std::string>& inputs,
                             const std::vector<std::string>& outputs);
 

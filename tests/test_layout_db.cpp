@@ -1,20 +1,24 @@
 // Tests for the shared spatial layout database (geom/layout_db.hpp):
-// the TileIndex bucketing/query contracts (id order, dedup), the
-// flatten-order (against the test-side flatten oracle) and provenance
-// guarantees of LayoutDB, and the derived geometry queries (areas,
-// bbox, transistor census).
+// the TileIndex bucketing/query contracts (each id once, ids_in
+// ascending), the flatten-order (against the test-side flatten oracle),
+// flatten guards, thread-count invariance and provenance guarantees of
+// LayoutDB, and the derived geometry queries (areas, bbox, transistor
+// census).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "cells/leaf_cells.hpp"
+#include "core/bisramgen.hpp"
 #include "geom/layout_db.hpp"
 #include "oracle_flatten.hpp"
 #include "tech/tech.hpp"
 #include "util/diag.hpp"
+#include "util/parallel.hpp"
 #include "util/strings.hpp"
 
 namespace bisram::geom {
@@ -33,6 +37,24 @@ std::vector<Rect> lcg_rects(int n, std::uint64_t seed) {
                                y + 1 + next() % 120));
   }
   return rects;
+}
+
+/// for_each_in on `w` against a brute-force scan of `rects`: every
+/// intersecting id reported exactly once (in tile order, so the list is
+/// checked unsorted for duplicates), and ids_in the same set ascending.
+void expect_query(const TileIndex& idx, const std::vector<Rect>& rects,
+                  const Rect& w, const std::string& tag) {
+  std::vector<std::uint32_t> expect;
+  for (std::uint32_t i = 0; i < rects.size(); ++i)
+    if (rects[i].intersects(w)) expect.push_back(i);
+  std::vector<std::uint32_t> seen;
+  idx.for_each_in(w, [&](std::uint32_t id) { seen.push_back(id); });
+  std::vector<std::uint32_t> sorted = seen;
+  std::sort(sorted.begin(), sorted.end());
+  ASSERT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end())
+      << tag << ": an id reported twice";
+  ASSERT_EQ(sorted, expect) << tag;
+  ASSERT_EQ(idx.ids_in(w), expect) << tag;
 }
 
 TEST(TileIndex, StraddlingRectLandsInEveryTileItTouches) {
@@ -144,15 +166,24 @@ TEST(TileIndex, PropertyQueryEqualsBruteForceWithDegenerates) {
       default: rects.push_back(Rect::ltrb(x, y, x, y)); break;      // point
     }
   }
+  // Windows from a point up to dozens of tiles a side at the 9-DBU
+  // tile, half of them degenerate, some reaching past the grid into the
+  // clamped edge tiles.
+  const auto window = [&](Coord lo, Coord span, Coord reach) {
+    const Coord x = next() % span + lo, y = next() % span + lo;
+    switch (next() % 4) {
+      case 0: return Rect::ltrb(x, y, x, y + next() % reach);  // no width
+      case 1: return Rect::ltrb(x, y, x, y);                   // point
+      default: return Rect::ltrb(x, y, x + next() % reach, y + next() % reach);
+    }
+  };
   for (Coord tile : {9, 100, 4000}) {
     const TileIndex idx(rects, tile);
     for (int round = 0; round < 40; ++round) {
-      const Coord x = next() % 1200 - 100, y = next() % 1200 - 100;
-      const Rect w = Rect::ltrb(x, y, x + next() % 300, y + next() % 300);
-      std::vector<std::uint32_t> expect;
-      for (std::uint32_t i = 0; i < rects.size(); ++i)
-        if (rects[i].intersects(w)) expect.push_back(i);
-      ASSERT_EQ(idx.ids_in(w), expect) << "tile " << tile << " round " << round;
+      expect_query(idx, rects, window(-100, 1200, 300),
+                   strfmt("tile %lld round %d", static_cast<long long>(tile),
+                          round));
+      if (HasFatalFailure()) return;
     }
   }
 
@@ -204,13 +235,9 @@ TEST(TileIndex, PropertyQueryEqualsBruteForceWithDegenerates) {
                                 std::max(extent.hi.y, live[i].hi.y)}};
       ASSERT_TRUE(idx.bounds() == extent) << tag;
       for (int q = 0; q < 12; ++q) {
-        const Coord x = next() % 6000 - 2500, y = next() % 6000 - 2500;
-        const Rect w =
-            Rect::ltrb(x, y, x + next() % 1500, y + next() % 1500);
-        std::vector<std::uint32_t> expect;
-        for (std::uint32_t i = 0; i < live.size(); ++i)
-          if (live[i].intersects(w)) expect.push_back(i);
-        ASSERT_EQ(idx.ids_in(w), expect) << tag << " window " << q;
+        expect_query(idx, live, window(-2500, 6000, 1500),
+                     strfmt("%s window %d", tag.c_str(), q));
+        if (HasFatalFailure()) return;
       }
     }
   }
@@ -361,6 +388,119 @@ TEST(LayoutDB, FlattenRefusesSelfReferentialHierarchies) {
     ASSERT_FALSE(e.diagnostics().empty());
     EXPECT_EQ(e.diagnostics()[0].code, "layout-flatten-too-deep");
   }
+}
+
+TEST(LayoutDB, FlattenRefusesTooManyInstancesBeforeAllocating) {
+  // A 27-level chain in which every cell places the next one twice: 2^28
+  // path nodes, four times the guard. The census counts them per master
+  // before anything is allocated, so the refusal comes at once (a
+  // flattener that grew its columns first would reach ~4 GB).
+  Library lib;
+  auto cur = lib.create("pair0");
+  cur->add_shape(Layer::Metal1, Rect::ltrb(0, 0, 2, 2));
+  for (int i = 1; i <= 27; ++i) {
+    auto next = lib.create(strfmt("pair%d", i));
+    next->add_instance("a", cur, Transform{});
+    next->add_instance("b", cur, Transform::translate(4, 0));
+    cur = next;
+  }
+  try {
+    const LayoutDB db(*cur);
+    FAIL() << "expected DiagError";
+  } catch (const DiagError& e) {
+    ASSERT_FALSE(e.diagnostics().empty());
+    EXPECT_EQ(e.diagnostics()[0].code, "layout-flatten-too-many-instances");
+  }
+}
+
+/// A 16-word slice of the Fig. 6 organisation (bpw 128, bpc 8, 4 spare
+/// rows; 463,038 shapes): past the size from which the flatten fills
+/// its columns on the pool.
+const core::Generated& pooled_slice() {
+  static const core::Generated* g = [] {
+    core::RamSpec spec;
+    spec.words = 16;
+    spec.bpw = 128;
+    spec.bpc = 8;
+    spec.spare_rows = 4;
+    spec.strap_interval = 32;
+    spec.gate_size = 2.0;
+    return new core::Generated(core::generate(spec));
+  }();
+  return *g;
+}
+
+/// Column by column: rects and path ids per layer, the path-node tree
+/// and the content hash.
+void expect_same_flatten(const LayoutDB& got, const LayoutDB& want,
+                         const std::string& tag) {
+  for (Layer l : all_layers()) {
+    ASSERT_TRUE(got.rects(l) == want.rects(l)) << tag << " " << layer_name(l);
+    ASSERT_TRUE(got.path_ids(l) == want.path_ids(l))
+        << tag << " " << layer_name(l);
+  }
+  ASSERT_TRUE(got.path_parents() == want.path_parents()) << tag;
+  ASSERT_TRUE(got.path_names() == want.path_names()) << tag;
+  ASSERT_TRUE(got.path_locals() == want.path_locals()) << tag;
+  ASSERT_TRUE(got.path_sub_ends() == want.path_sub_ends()) << tag;
+  EXPECT_EQ(got.content_hash(), want.content_hash()) << tag;
+}
+
+/// Restores the campaign pool width on exit.
+class PoolWidth {
+ public:
+  explicit PoolWidth(int n) : prev_(set_campaign_threads(n)) {}
+  ~PoolWidth() { set_campaign_threads(prev_); }
+  PoolWidth(const PoolWidth&) = delete;
+  PoolWidth& operator=(const PoolWidth&) = delete;
+
+ private:
+  int prev_;
+};
+
+TEST(LayoutDB, FlattenIsThreadCountInvariant) {
+  const Cell& top = *pooled_slice().top;
+  const auto flatten_at = [&](int threads) {
+    const PoolWidth width(threads);
+    return std::make_unique<LayoutDB>(top, 720);
+  };
+  const auto serial = flatten_at(1);
+  ASSERT_GT(serial->shape_count(), std::size_t{1} << 16);
+  ASSERT_EQ(serial->shape_count(), top.flat_shape_count());
+  for (int threads : {2, 8}) {
+    expect_same_flatten(*flatten_at(threads), *serial,
+                        strfmt("%d threads", threads));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(LayoutDB, PooledAddMatchesAFreshFlatten) {
+  // A second copy of the whole array, added under the top cell past its
+  // last instance: a subtree over the pooled line, filled straight into
+  // the spliced columns.
+  const Cell& top = *pooled_slice().top;
+  const Instance* array = nullptr;
+  for (const Instance& inst : top.instances())
+    if (inst.name == "RAMARRAY") array = &inst;
+  ASSERT_NE(array, nullptr);
+  ASSERT_GT(array->cell->flat_shape_count(), std::size_t{1} << 16);
+  const Transform placed = Transform::translate(0, top.bbox().height() + 100);
+
+  LayoutDB db(top, 720);
+  CellEdit add;
+  add.kind = CellEdit::Kind::Add;
+  add.name = "RAMARRAY_COPY";
+  add.cell = array->cell;
+  add.transform = placed;
+  db.apply(add);
+
+  Cell edited(top.name());
+  for (const Shape& s : top.shapes()) edited.add_shape(s.layer, s.rect);
+  for (const Port& p : top.ports()) edited.add_port(p.name, p.layer, p.rect);
+  for (const Instance& inst : top.instances())
+    edited.add_instance(inst.name, inst.cell, inst.transform);
+  edited.add_instance(add.name, add.cell, placed);
+  expect_same_flatten(db, LayoutDB(edited, 720), "add");
 }
 
 /// A two-level hierarchy with shapes at every level, for the flatten

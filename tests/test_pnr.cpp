@@ -158,11 +158,11 @@ FlatRouteCheck flat_route_check(const geom::Cell& top,
   const auto& m3 = db.rects(Layer::Metal3);
   FlatRouteCheck out;
   for (const RouteWire& w : stats.wires)
-    db.for_each_in(Layer::Metal3, w.rect, [&](std::uint32_t id) {
-      if (!w.rect.overlaps(m3[id])) return;
+    for (const std::uint32_t id : db.index(Layer::Metal3).ids_in(w.rect)) {
+      if (!w.rect.overlaps(m3[id])) continue;
       ++out.m3_conflicts;
       out.conflict_paths.push_back(db.shape_path(Layer::Metal3, id));
-    });
+    }
   return out;
 }
 

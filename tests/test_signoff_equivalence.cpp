@@ -400,9 +400,10 @@ TEST(SignoffEquivalence, ExtractedNetlistIdenticalAcrossPathsAndTiles) {
   EXPECT_EQ(via_cell.net_cap_f, via_db.net_cap_f);  // bitwise
 }
 
-/// FNV-1a over everything an extraction reports: the net count, every
-/// Device field, the port map and the capacitance bits.
-std::uint64_t digest(const extract::Extracted& ex) {
+/// FNV-1a over everything an extraction of `db` reports: the net count,
+/// every Device field (the path as its name), the port map and the
+/// capacitance bits.
+std::uint64_t digest(const extract::Extracted& ex, const geom::LayoutDB& db) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   auto mix = [&](const void* p, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -424,7 +425,7 @@ std::uint64_t digest(const extract::Extracted& ex) {
     mix(&d.drain, sizeof d.drain);
     mix(&d.w_um, sizeof d.w_um);
     mix(&d.l_um, sizeof d.l_um);
-    mix_str(d.path);
+    mix_str(db.path_name(d.path));
   }
   for (const auto& [name, net] : ex.port_net) {
     mix_str(name);
@@ -454,9 +455,9 @@ TEST(SignoffEquivalence, ExtractIsThreadCountInvariant) {
       const std::string tag =
           std::string(c.name) + " BISRAM_THREADS=" + threads;
       const geom::LayoutDB db(*c.g.top, drc::tile_size_for(c.t));
-      EXPECT_EQ(digest(extract::extract(db, c.t)), c.want) << tag;
+      EXPECT_EQ(digest(extract::extract(db, c.t), db), c.want) << tag;
       const extract::IncrementalExtract inc(db, c.t);
-      EXPECT_EQ(digest(inc.result()), c.want) << tag << " incremental";
+      EXPECT_EQ(digest(inc.result(), db), c.want) << tag << " incremental";
     }
   }
 }

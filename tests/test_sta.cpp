@@ -187,9 +187,10 @@ TEST(StaAnalyze, TwoIncomingWireArcsThrow) {
 TEST(StaNetlist, SenseAmpFeedbackLoopIsBrokenDeterministically) {
   geom::Library lib;
   const tech::Tech& t = tech::cda_07();
-  const auto ex = extract::extract(*cells::sense_amp_cell(lib, t, 2.0), t);
+  const geom::LayoutDB db(*cells::sense_amp_cell(lib, t, 2.0));
+  const auto ex = extract::extract(db, t);
   const sta::NetlistGraph g1 =
-      sta::from_extracted(ex, t, {"in", "inb", "sab"}, {"out"});
+      sta::from_extracted(ex, db, t, {"in", "inb", "sab"}, {"out"});
   // The cross-coupled pair must have produced at least one broken arc,
   // and the surviving graph must analyze as a DAG.
   EXPECT_FALSE(g1.broken_loops.empty());
@@ -197,7 +198,7 @@ TEST(StaNetlist, SenseAmpFeedbackLoopIsBrokenDeterministically) {
   EXPECT_GT(rep.max_arrival_s, 0.0);
   // Breaking is canonical: a rebuild breaks the same arcs.
   const sta::NetlistGraph g2 =
-      sta::from_extracted(ex, t, {"in", "inb", "sab"}, {"out"});
+      sta::from_extracted(ex, db, t, {"in", "inb", "sab"}, {"out"});
   EXPECT_EQ(g1.broken_loops, g2.broken_loops);
 }
 
@@ -232,9 +233,11 @@ TEST(StaVsSpice, RowDecoderStageWithinDocumentedTolerance) {
   geom::Library lib;
   const tech::Tech& t = tech::cda_07();
   const auto cell = cells::row_decoder_cell(lib, t, 2, 2.0);
-  const auto ex = extract::extract(*cell, t);
+  const geom::LayoutDB db(*cell);
+  const auto ex = extract::extract(db, t);
 
-  const sta::NetlistGraph g = sta::from_extracted(ex, t, {"a0", "a1"}, {"wl"});
+  const sta::NetlistGraph g =
+      sta::from_extracted(ex, db, t, {"a0", "a1"}, {"wl"});
   const double sta_delay = g.graph.analyze().max_arrival_s;
   ASSERT_GT(sta_delay, 0.0);
 
@@ -258,9 +261,11 @@ TEST(StaVsSpice, PrechargeStageWithinDocumentedTolerance) {
   geom::Library lib;
   const tech::Tech& t = tech::cda_07();
   const auto cell = cells::precharge_cell(lib, t, 2.0);
-  const auto ex = extract::extract(*cell, t);
+  const geom::LayoutDB db(*cell);
+  const auto ex = extract::extract(db, t);
 
-  const sta::NetlistGraph g = sta::from_extracted(ex, t, {"pcb"}, {"bl", "blb"});
+  const sta::NetlistGraph g =
+      sta::from_extracted(ex, db, t, {"pcb"}, {"bl", "blb"});
   const double sta_delay = g.graph.analyze().max_arrival_s;
   ASSERT_GT(sta_delay, 0.0);
 
