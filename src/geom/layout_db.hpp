@@ -466,7 +466,7 @@ class LayoutDB {
   /// end with it, apply() splices instead.
   void build_indexes();
   /// Recomputes path_sub_end_ from path_parent_ (preorder invariant);
-  /// constructor and snapshot loader only.
+  /// the snapshot loader only (the flattener writes the subtree ends).
   void rebuild_sub_ends();
   /// Absolute transform of a path node (composition of local transforms
   /// from the top down).
