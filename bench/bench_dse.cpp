@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -51,12 +52,12 @@ dse::SweepSpec bench_sweep() {
   return sweep;
 }
 
-/// A fresh, empty cache directory so the first run is genuinely cold.
-std::string fresh_cache_dir() {
+/// A fresh, empty directory: a cache made in it starts genuinely cold.
+std::string fresh_temp_dir() {
   char tmpl[] = "/tmp/bisram_dse_bench.XXXXXX";
   const char* dir = ::mkdtemp(tmpl);
   if (dir == nullptr) throw Error("bench_dse: mkdtemp failed");
-  return std::string(dir) + "/cache";
+  return dir;
 }
 
 struct RunNumbers {
@@ -97,9 +98,11 @@ void run_json(JsonWriter& j, const char* name, const RunNumbers& n) {
 
 int report(bool json, const std::string& json_path, int threads) {
   const dse::SweepSpec sweep = bench_sweep();
-  const std::string cache = fresh_cache_dir();
+  const std::string dir = fresh_temp_dir();
+  const std::string cache = dir + "/cache";
   const RunNumbers cold = timed_run(sweep, cache, threads);
   const RunNumbers warm = timed_run(sweep, cache, threads);
+  std::filesystem::remove_all(dir);
 
   const bool identical = cold.frontier_json == warm.frontier_json;
   const double speedup = warm.seconds > 0 ? cold.seconds / warm.seconds : 0;
@@ -181,7 +184,8 @@ void BM_PointFingerprint(benchmark::State& state) {
 BENCHMARK(BM_PointFingerprint);
 
 void BM_CacheRoundTrip(benchmark::State& state) {
-  dse::ResultCache cache(fresh_cache_dir());
+  const std::string dir = fresh_temp_dir();
+  dse::ResultCache cache(dir + "/cache");
   models::DesignMetrics m;
   m.area_mm2 = 1.25;
   m.yield = 0.93;
@@ -192,6 +196,7 @@ void BM_CacheRoundTrip(benchmark::State& state) {
     benchmark::DoNotOptimize(cache.load(fp, &back));
     ++fp;
   }
+  std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_CacheRoundTrip)->Unit(benchmark::kMicrosecond);
 

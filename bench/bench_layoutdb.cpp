@@ -47,6 +47,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -253,7 +254,8 @@ Numbers measure(std::uint32_t words, int bpw) {
   n.flatten_scan_s = n.flatten.median() + n.drc.median() + n.extract.median();
 
   // --- snapshot: save the flatten, time the load back ----------------
-  const std::string snap = fresh_temp_dir() + "/fig6.snap";
+  const std::string dir = fresh_temp_dir();
+  const std::string snap = dir + "/fig6.snap";
   t0 = std::chrono::steady_clock::now();
   db.save_snapshot(snap);
   n.save_s = seconds_since(t0);
@@ -268,7 +270,7 @@ Numbers measure(std::uint32_t words, int bpw) {
     n.hash_identical = n.hash_identical && loaded &&
                        loaded->content_hash() == db.content_hash();
   }
-  std::remove(snap.c_str());
+  std::filesystem::remove_all(dir);
   n.load_speedup =
       n.load.median() > 0 ? n.flatten_scan_s / n.load.median() : 0;
 
@@ -460,11 +462,13 @@ void BM_SnapshotRoundTrip(benchmark::State& state) {
   const core::Generated gen = core::generate(spec);
   const geom::LayoutDB db(*gen.top,
                           drc::tile_size_for(spec.resolved_technology()));
-  const std::string path = fresh_temp_dir() + "/bm.snap";
+  const std::string dir = fresh_temp_dir();
+  const std::string path = dir + "/bm.snap";
   for (auto _ : state) {
     db.save_snapshot(path);
     benchmark::DoNotOptimize(geom::LayoutDB::load_snapshot(path));
   }
+  std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_SnapshotRoundTrip)->Unit(benchmark::kMillisecond);
 

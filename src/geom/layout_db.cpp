@@ -293,14 +293,7 @@ std::size_t path_lower_bound(const std::vector<std::uint32_t>& ids,
       std::lower_bound(ids.begin(), ids.end(), node) - ids.begin());
 }
 
-/// A database larger than this many shapes flattens and indexes on the
-/// pool; a smaller one stays on the calling thread. The pool's dispatch
-/// would cost more than it saves, and a leaf cell's database is built
-/// inside CompileCache's once-per-key characterization, where helping
-/// with an unrelated pool job (a sweep point asking for the same key)
-/// would wait on itself.
-constexpr std::uint64_t kPooledShapes = std::uint64_t{1} << 16;
-/// Shapes per task of a pooled flatten: a run of sibling instances.
+/// Shapes per flatten task: a run of sibling instances.
 constexpr std::uint64_t kGroupShapes = std::uint64_t{1} << 14;
 
 /// What flattening one master writes below its own path node.
@@ -384,12 +377,12 @@ struct Cursor {
 /// The one flattener, for the constructor and apply() alike. It writes
 /// into columns and path-node arrays its caller sized from the Census:
 /// a cell's own shapes first, then each instance depth-first in
-/// instance order, one preorder path node per instance. A subtree of at
-/// most kPooledShapes shapes is filled on the calling thread; a larger
-/// one is cut into tasks (a run of sibling instances of about
-/// kGroupShapes shapes, started at cursors prefix-summed from the
-/// census) that run on the pool, each writing its own slots. Every slot
-/// gets the same value at any thread count.
+/// instance order, one preorder path node per instance. The subtree is
+/// cut into tasks (a run of sibling instances of about kGroupShapes
+/// shapes, started at cursors prefix-summed from the census) that run on
+/// the pool, each writing its own slots; a subtree under kGroupShapes
+/// shapes is one task, which parallel_for runs on the calling thread.
+/// Every slot gets the same value at any thread count.
 struct Flattener {
   std::vector<std::uint32_t>& parent;
   std::vector<std::string>& name;
@@ -403,10 +396,7 @@ struct Flattener {
   void fill(const Cell& cell, const Transform& t, std::uint32_t node,
             Cursor c, Census& census) const {
     std::vector<Task> tasks;
-    if (census.of(cell).total > kPooledShapes)
-      plan(cell, t, node, c, census, tasks);
-    else  // one task: parallel_for runs it on this thread
-      tasks.push_back({&cell, t, node, true, 0, cell.instances().size(), c});
+    plan(cell, t, node, c, census, tasks);
     parallel_for(static_cast<std::int64_t>(tasks.size()), 1,
                  [&](std::int64_t i) {
                    const Task& k = tasks[static_cast<std::size_t>(i)];
@@ -521,21 +511,17 @@ LayoutDB::LayoutDB(const Cell& top, Coord tile_size)
 }
 
 void LayoutDB::build_indexes() {
-  // One layer per pool worker, the largest layers claimed first, once
-  // the database is larger than kPooledShapes.
+  // One layer per pool worker, the largest layers claimed first.
   std::array<std::size_t, kLayerCount> order{};
   for (std::size_t l = 0; l < order.size(); ++l) order[l] = l;
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
                      return rects_[a].size() > rects_[b].size();
                    });
-  parallel_for(
-      kLayerCount, 1,
-      [&](std::int64_t i) {
-        const std::size_t l = order[static_cast<std::size_t>(i)];
-        index_[l] = TileIndex(rects_[l], tile_);
-      },
-      shape_count() > kPooledShapes ? 0 : 1);
+  parallel_for(kLayerCount, 1, [&](std::int64_t i) {
+    const std::size_t l = order[static_cast<std::size_t>(i)];
+    index_[l] = TileIndex(rects_[l], tile_);
+  });
 }
 
 Rect LayoutDB::bbox() const {

@@ -40,9 +40,8 @@
 //     levels below), which applies the flatten guards and sizes every
 //     column and path-node array exactly on the calling thread; the fill
 //     then writes each subtree at offsets prefix-summed from the census,
-//     on the pool in sibling groups of about 16 k shapes once the
-//     subtree holds more than 65,536 shapes (the line build_indexes()
-//     uses too), on the calling thread below it.
+//     on the pool in sibling groups of about 16 k shapes (a subtree
+//     smaller than one group stays on the calling thread).
 //   * Tiling. Each layer with shapes gets a uniform tile grid over the
 //     layer's bounding box at construction (or at the first edit that
 //     gives an empty layer shapes); edits keep that grid, and shapes
@@ -56,9 +55,8 @@
 //     window, so each id once, with no merge. Each tile row stores its
 //     buckets back to back in one id array beside an offsets array
 //     (TileIndex), filled by a two-pass counting sort; build_indexes()
-//     builds each layer of a database larger than a leaf cell on a pool
-//     worker of its own, at the end of the flatten and of
-//     load_snapshot(). An edit's splice re-lays only
+//     builds each layer on a pool worker of its own, at the end of the
+//     flatten and of load_snapshot(). An edit's splice re-lays only
 //     the tile rows its old and new rects touch, and in them only the
 //     columns they touch (the rest of the row moves by the change in
 //     size, if any); every other row only renumbers the ids past the

@@ -1,6 +1,5 @@
 #include "util/parallel.hpp"
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
@@ -27,7 +26,8 @@ int hardware_threads() {
 /// Workers are created on demand up to the largest participant count any
 /// campaign has requested (capped), and persist for the process lifetime
 /// — campaign granularity is coarse enough that parking idle workers on
-/// a condition variable costs nothing measurable.
+/// a condition variable costs nothing measurable. Only workers run
+/// queued jobs: a thread waiting in run_on_pool runs none.
 class Pool {
  public:
   static Pool& instance() {
@@ -40,23 +40,6 @@ class Pool {
     grow(count);
     for (int i = 0; i < count; ++i) queue_.push_back(job);
     cv_.notify_all();
-  }
-
-  /// Pops and runs one queued job on the calling thread; false when the
-  /// queue is empty. Lets a thread blocked in run_on_pool help drain the
-  /// queue instead of waiting: with nested parallel sections every
-  /// worker can be parked inside an outer wait, and without helping the
-  /// inner jobs they are waiting on would never be picked up (deadlock).
-  bool try_run_one() {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(m_);
-      if (queue_.empty()) return false;
-      job = std::move(queue_.front());
-      queue_.erase(queue_.begin());
-    }
-    job();
-    return true;
   }
 
  private:
@@ -139,16 +122,24 @@ void run_on_pool(int threads, const std::function<void()>& body) {
     return;
   }
 
+  // A helper job runs the body only if it claims the section while it
+  // is open; one dequeued after the caller closed it returns without
+  // touching `body`, which lives on the caller's stack.
   struct Sync {
     std::mutex m;
     std::condition_variable cv;
-    int remaining;
+    bool open = true;
+    int running = 0;  // helpers that claimed and have not returned
     std::exception_ptr error;
   };
   auto sync = std::make_shared<Sync>();
-  sync->remaining = helpers;
 
   Pool::instance().submit(helpers, [sync, &body] {
+    {
+      std::unique_lock<std::mutex> lock(sync->m);
+      if (!sync->open) return;
+      ++sync->running;
+    }
     std::exception_ptr err;
     try {
       body();
@@ -157,7 +148,7 @@ void run_on_pool(int threads, const std::function<void()>& body) {
     }
     std::unique_lock<std::mutex> lock(sync->m);
     if (err && !sync->error) sync->error = err;
-    if (--sync->remaining == 0) sync->cv.notify_all();
+    if (--sync->running == 0) sync->cv.notify_all();
   });
 
   std::exception_ptr caller_error;
@@ -166,22 +157,12 @@ void run_on_pool(int threads, const std::function<void()>& body) {
   } catch (...) {
     caller_error = std::current_exception();
   }
-  // Help-while-waiting: drain pool jobs instead of parking. A nested
-  // parallel section queues its helper jobs on the same global pool;
-  // if every worker is blocked here waiting on its own helpers, those
-  // jobs would otherwise never run. The timed wait only bounds how
-  // stale our "queue is empty" observation can get — completion itself
-  // is signalled through the condition variable as usual.
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(sync->m);
-      if (sync->remaining == 0) break;
-    }
-    if (Pool::instance().try_run_one()) continue;
+  // The body leaves no work unclaimed, so the caller closes the section
+  // and waits only for the helpers already in it, never for a queued job.
+  {
     std::unique_lock<std::mutex> lock(sync->m);
-    if (sync->cv.wait_for(lock, std::chrono::milliseconds(1),
-                          [&] { return sync->remaining == 0; }))
-      break;
+    sync->open = false;
+    sync->cv.wait(lock, [&] { return sync->running == 0; });
   }
   if (caller_error) std::rethrow_exception(caller_error);
   if (sync->error) std::rethrow_exception(sync->error);

@@ -48,10 +48,17 @@ int campaign_threads();
 int set_campaign_threads(int n);
 
 namespace detail {
-/// Runs body() concurrently on `threads` participants (threads - 1 pool
-/// workers plus the calling thread). body must be safe to run from
-/// multiple threads; exceptions thrown by pool workers are captured and
-/// rethrown on the caller. Blocks until every participant returns.
+/// Runs body() on the calling thread and on up to `threads` - 1 pool
+/// workers. body must be safe to run from multiple threads, and the
+/// caller's run alone must finish the work (parallel_reduce's body
+/// claims chunks from a shared counter until none is left). A worker
+/// joins only if it starts before the caller, its own run done, closes
+/// the section; one that starts later returns at once. The caller then
+/// waits only for the workers that joined, and a waiting thread runs no
+/// other section's job, so a section entered under a lock or
+/// std::call_once never waits on a job that waits on the same lock.
+/// Exceptions thrown by pool workers are captured and rethrown on the
+/// caller.
 void run_on_pool(int threads, const std::function<void()>& body);
 }  // namespace detail
 

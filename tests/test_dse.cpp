@@ -21,15 +21,16 @@
 #include "sta/leaf.hpp"
 #include "util/diag.hpp"
 #include "util/error.hpp"
+#include "temp_dir.hpp"
 
 namespace bisram::dse {
 namespace {
 
-std::string temp_dir() {
+TempDir temp_dir() {
   char tmpl[] = "/tmp/bisram_dse_test.XXXXXX";
   const char* d = ::mkdtemp(tmpl);
   if (d == nullptr) throw Error("mkdtemp failed");
-  return d;
+  return TempDir(d);
 }
 
 SweepSpec small_sweep() {
@@ -202,8 +203,9 @@ TEST(DseEngine, ExhaustiveLatticeFrontierEqualsBruteForce) {
 
 TEST(DseEngine, ColdThenWarmIsPureCacheAndBitIdentical) {
   const SweepSpec sweep = small_sweep();
+  const TempDir dir = temp_dir();
   RunOptions opt;
-  opt.cache_dir = temp_dir() + "/cache";
+  opt.cache_dir = dir.path() + "/cache";
 
   const SweepResult cold = run_sweep(sweep, opt);
   EXPECT_EQ(cold.stats.full_compiles, sweep.size());
@@ -222,8 +224,9 @@ TEST(DseEngine, ColdThenWarmIsPureCacheAndBitIdentical) {
 
 TEST(DseEngine, WidenedSweepReusesEveryOldPoint) {
   SweepSpec sweep = small_sweep();
+  const TempDir dir = temp_dir();
   RunOptions opt;
-  opt.cache_dir = temp_dir() + "/cache";
+  opt.cache_dir = dir.path() + "/cache";
   run_sweep(sweep, opt);
   // Widen the gate-size axis: only the new column compiles.
   sweep.gate_size = {1.5, 2.5, 3.5};
@@ -245,9 +248,10 @@ TEST(DseEngine, RepeatedAxisValueSharesOneCacheEntry) {
   sweep.base.strap_interval = 16;
   sweep.spare_rows = std::vector<int>(16, 4);
   for (int round = 0; round < 4; ++round) {
+    const TempDir dir = temp_dir();
     RunOptions opt;
     opt.threads = 4;
-    opt.cache_dir = temp_dir() + "/cache";
+    opt.cache_dir = dir.path() + "/cache";
     const SweepResult cold = run_sweep(sweep, opt);
     EXPECT_EQ(cold.stats.evaluated, sweep.size());
     EXPECT_EQ(cold.stats.invalid, 0u);
@@ -320,7 +324,7 @@ TEST(DseEngine, CancelledRunKeepsEvaluatedSubsetConsistent) {
 class CacheRejection : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = temp_dir() + "/cache";
+    dir_ = tmp_.path() + "/cache";
     sweep_ = small_sweep();
     sweep_.gate_size = {1.5};  // 3 points: quick to recompute
     RunOptions opt;
@@ -354,6 +358,7 @@ class CacheRejection : public ::testing::Test {
     return run_sweep(sweep_, opt);
   }
 
+  const TempDir tmp_ = temp_dir();
   std::string dir_;
   SweepSpec sweep_;
   SweepResult cold_;
@@ -422,7 +427,8 @@ TEST(ResultCache, NoDirectoryMeansAlwaysMiss) {
 }
 
 TEST(ResultCache, RoundTripsExactDoubles) {
-  ResultCache cache(temp_dir() + "/cache");
+  const TempDir dir = temp_dir();
+  ResultCache cache(dir.path() + "/cache");
   models::DesignMetrics m;
   m.area_mm2 = 1.0 / 3.0;
   m.yield = 0.123456789012345;

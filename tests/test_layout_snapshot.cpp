@@ -18,15 +18,16 @@
 #include "util/checkpoint.hpp"
 #include "util/diag.hpp"
 #include "util/error.hpp"
+#include "temp_dir.hpp"
 
 namespace bisram {
 namespace {
 
-std::string temp_dir() {
+TempDir temp_dir() {
   char tmpl[] = "/tmp/bisram_snap_test.XXXXXX";
   const char* d = mkdtemp(tmpl);
   EXPECT_NE(d, nullptr);
-  return d;
+  return TempDir(d);
 }
 
 std::string slurp(const std::string& path) {
@@ -66,8 +67,8 @@ const geom::LayoutDB& small_db() {
 
 TEST(LayoutSnapshot, RoundTripIsExactAndByteStable) {
   const geom::LayoutDB& db = small_db();
-  const std::string dir = temp_dir();
-  const std::string a = dir + "/a.snap";
+  const TempDir dir = temp_dir();
+  const std::string a = dir.path() + "/a.snap";
   db.save_snapshot(a);
 
   const auto loaded = geom::LayoutDB::load_snapshot(a);
@@ -93,7 +94,7 @@ TEST(LayoutSnapshot, RoundTripIsExactAndByteStable) {
     ASSERT_EQ(loaded->path_name(n), db.path_name(n));
 
   // save -> load -> save produces identical bytes (acceptance bullet).
-  const std::string b = dir + "/b.snap";
+  const std::string b = dir.path() + "/b.snap";
   loaded->save_snapshot(b);
   EXPECT_EQ(slurp(a), slurp(b));
 }
@@ -123,7 +124,8 @@ TEST(LayoutSnapshot, FormatAndHashArePinned) {
   EXPECT_EQ(db.path_count(), 18145u);
   EXPECT_EQ(db.content_hash(), 0x93e05ec04e2b64bbull);
 
-  const std::string path = temp_dir() + "/pinned.snap";
+  const TempDir dir = temp_dir();
+  const std::string path = dir.path() + "/pinned.snap";
   db.save_snapshot(path);
   const std::string bytes = slurp(path);
   EXPECT_EQ(bytes.size(), 5496582u);
@@ -135,7 +137,8 @@ TEST(LayoutSnapshot, FormatAndHashArePinned) {
 
 TEST(LayoutSnapshot, LoadedDatabaseAnswersQueriesLikeTheOriginal) {
   const geom::LayoutDB& db = small_db();
-  const std::string path = temp_dir() + "/q.snap";
+  const TempDir dir = temp_dir();
+  const std::string path = dir.path() + "/q.snap";
   db.save_snapshot(path);
   const auto loaded = geom::LayoutDB::load_snapshot(path);
   ASSERT_NE(loaded, nullptr);
@@ -155,7 +158,8 @@ TEST(LayoutSnapshot, LoadedDatabaseAnswersQueriesLikeTheOriginal) {
 /// Writes `bytes` to a temp file and expects the loader to reject it
 /// with exactly `code` (diag mode: null result, no throw).
 void expect_rejected(const std::string& bytes, const std::string& code) {
-  const std::string path = temp_dir() + "/corrupt.snap";
+  const TempDir dir = temp_dir();
+  const std::string path = dir.path() + "/corrupt.snap";
   spit(path, bytes);
   DiagEngine diag;
   const auto r = geom::LayoutDB::load_snapshot(path, &diag);
@@ -165,8 +169,8 @@ void expect_rejected(const std::string& bytes, const std::string& code) {
 }
 
 TEST(LayoutSnapshot, CorruptFilesAreRejectedWithStableCodes) {
-  const std::string dir = temp_dir();
-  const std::string path = dir + "/good.snap";
+  const TempDir dir = temp_dir();
+  const std::string path = dir.path() + "/good.snap";
   small_db().save_snapshot(path);
   const std::string good = slurp(path);
   ASSERT_GT(good.size(), 64u);
@@ -198,14 +202,16 @@ TEST(LayoutSnapshot, CorruptFilesAreRejectedWithStableCodes) {
 
 TEST(LayoutSnapshot, MissingFileIsOpenFailed) {
   DiagEngine diag;
-  EXPECT_EQ(geom::LayoutDB::load_snapshot(temp_dir() + "/nope.snap", &diag),
+  const TempDir dir = temp_dir();
+  EXPECT_EQ(geom::LayoutDB::load_snapshot(dir.path() + "/nope.snap", &diag),
             nullptr);
   ASSERT_FALSE(diag.diagnostics().empty());
   EXPECT_EQ(diag.diagnostics()[0].code, "snapshot-open-failed");
 }
 
 TEST(LayoutSnapshot, WithoutEngineLoaderThrowsDiagError) {
-  const std::string path = temp_dir() + "/bad.snap";
+  const TempDir dir = temp_dir();
+  const std::string path = dir.path() + "/bad.snap";
   spit(path, "definitely not a snapshot");
   try {
     geom::LayoutDB::load_snapshot(path);

@@ -124,9 +124,10 @@ TEST(ParallelReduce, EmptyAndSingleTrialEdges) {
 TEST(ParallelReduce, NestedParallelSectionsDoNotDeadlock) {
   // Three levels of nesting on the shared pool — the DSE sweep shape:
   // an outer point loop whose body compiles, and the compile itself
-  // runs parallel sections. Before callers helped drain the queue,
-  // every worker could end up parked in an outer wait while the inner
-  // jobs it was waiting on sat unclaimed behind it.
+  // runs parallel sections. Every worker can be inside an outer section
+  // while the inner sections' jobs sit queued behind it: each inner
+  // caller finishes its own section and waits only for the workers that
+  // joined it, never for a queued job.
   std::atomic<int> leaves{0};
   parallel_for(
       4, 1,
