@@ -50,16 +50,6 @@ int kind_rank(RuleKind k) {
   return 4;
 }
 
-/// Canonical report order: rule phase, then layer, then coordinates.
-bool canon_less(const Violation& x, const Violation& y) {
-  const auto key = [](const Violation& v) {
-    return std::make_tuple(kind_rank(v.kind), static_cast<int>(v.layer),
-                           v.a.lo.y, v.a.lo.x, v.a.hi.y, v.a.hi.x, v.b.lo.y,
-                           v.b.lo.x, v.b.hi.y, v.b.hi.x);
-  };
-  return key(x) < key(y);
-}
-
 /// True when some rect of `idx` encloses `need`. An enclosing rect
 /// necessarily intersects `need`, so querying the window `need` sees
 /// every candidate.
@@ -104,21 +94,25 @@ std::vector<ViaRule> via_rules_for(const tech::Tech& tech) {
 
 // --- the checker core --------------------------------------------------------
 //
-// Every violation is kept (untruncated) as a record tagged with
-// (phase, emitter, seq), where
+// Every violation is kept (untruncated) as a record of two ids, (emitter,
+// seq), in the list of its phase:
 //
 //   * phase is the rule scan that produced it: width of layer l is 2l,
 //     spacing of layer l is 2l+1, via rule vi is 2*kLayerCount+vi, well
-//     coverage comes last; the checker keeps one record list per phase;
+//     coverage comes last; the phase gives the rule kind and the layer;
 //   * emitter is the shape id the record was found from, and seq orders
 //     one emitter's records (the spacing partner id; 0 = lower /
 //     1 = upper for via enclosure).
 //
-// The triple is unique per record. report() sorts by it and then
-// stable-sorts by the canonical (rule phase, layer, coordinates) key, so
-// records with equal canonical keys keep (phase, emitter, seq) order and
-// the report is a function of the database's contents alone: the same
-// at any thread count, chunk size and tile size.
+// The triple (phase, emitter, seq) is unique per record and names
+// everything a Violation holds: its rects are the emitter's (and, for
+// spacing, the partner's) in the database, and its note and instance
+// paths follow from those. report() orders the records by the canonical
+// (rule phase, layer, coordinates) key read from the database, breaking
+// ties by (phase, emitter, seq), and builds a Violation only for each
+// record it returns. So the report is a function of the database's
+// contents alone: the same at any thread count, chunk size and tile
+// size.
 //
 // The full scan runs the per-shape work (touching pairs, width and
 // spacing records, via enclosure, well coverage) on util/parallel in
@@ -141,7 +135,6 @@ struct Checker {
   struct Rec {
     std::uint32_t emitter;
     std::uint32_t seq;
-    Violation v;
   };
   using Recs = std::vector<Rec>;
   /// Marks a shape the current relabel() walk has reached.
@@ -165,6 +158,9 @@ struct Checker {
   /// pooled_walk()'s claim and UnionFind slots, one per shape of the
   /// largest layer walked so far (layers are walked one at a time).
   std::vector<std::uint32_t> claim;
+  /// filter_phase()'s flags, one per shape of the largest layer filtered
+  /// so far; all clear between calls.
+  std::vector<char> marked;
 
   Checker(const LayoutDB& layout, const tech::Tech& t, const DrcOptions& o)
       : db(&layout), tech(t), opt(o), via_rules(via_rules_for(t)) {
@@ -190,9 +186,7 @@ struct Checker {
   void scan_width(Layer layer, std::uint32_t k, Recs& out) const {
     const Rect& r = db->rects(layer)[k];
     if (std::min(r.width(), r.height()) < tech.rule(layer).min_width)
-      out.push_back({k, 0,
-                     {RuleKind::MinWidth, layer, r, {}, "",
-                      db->shape_path(layer, k), {}}});
+      out.push_back({k, 0});
   }
 
   /// Spacing records between shape k and every closer-than-min_space
@@ -209,14 +203,8 @@ struct Checker {
     db->index(layer).for_each_in(
         rects[k].expanded(min_space), [&](std::uint32_t j) {
           if (j == k || lab[j] == lab[k] || (j < k && rescanned(j))) return;
-          const Coord gap = geom::rect_gap(rects[k], rects[j]);
-          if (gap >= min_space) return;
-          const std::uint32_t lo = std::min(j, k), hi = std::max(j, k);
-          out.push_back({lo, hi,
-                         {RuleKind::MinSpace, layer, rects[lo], rects[hi],
-                          space_note(gap, min_space),
-                          db->shape_path(layer, lo),
-                          db->shape_path(layer, hi)}});
+          if (geom::rect_gap(rects[k], rects[j]) >= min_space) return;
+          out.push_back({std::min(j, k), std::max(j, k)});
         });
   }
 
@@ -228,27 +216,17 @@ struct Checker {
       if (enclosed_by_any(via.expanded(vr.encl_lower), db->index(lower),
                           db->rects(lower)))
         landed = true;
-    if (!landed)
-      out.push_back({i, 0,
-                     {RuleKind::ViaEnclosure, vr.via, via, {},
-                      "missing lower-layer enclosure",
-                      db->shape_path(vr.via, i), {}}});
+    if (!landed) out.push_back({i, 0});
     if (!enclosed_by_any(via.expanded(vr.encl_upper), db->index(vr.upper),
                          db->rects(vr.upper)))
-      out.push_back({i, 1,
-                     {RuleKind::ViaEnclosure, vr.via, via, {},
-                      "missing upper-layer enclosure",
-                      db->shape_path(vr.via, i), {}}});
+      out.push_back({i, 1});
   }
 
   void scan_well(std::uint32_t i, Recs& out) const {
     const Rect& pd = db->rects(Layer::PDiff)[i];
     if (!enclosed_by_any(pd.expanded(tech.well_encl_diff),
                          db->index(Layer::NWell), db->rects(Layer::NWell)))
-      out.push_back({i, 0,
-                     {RuleKind::WellCoverage, Layer::PDiff, pd, {},
-                      "pdiff not enclosed by nwell",
-                      db->shape_path(Layer::PDiff, i), {}}});
+      out.push_back({i, 0});
   }
 
   // --- full scan -------------------------------------------------------------
@@ -295,27 +273,28 @@ struct Checker {
   // --- incremental update ----------------------------------------------------
 
   /// Drops the phase's records whose emitter (and, when `remap_seq`,
-  /// partner) was removed or is in `affected` (sorted), renumbering the
-  /// survivors through the splice in place.
+  /// partner) was removed or is in `affected`, renumbering the survivors
+  /// through the splice in place. `affected` is flagged in `marked` for
+  /// the pass, so a record costs a lookup per id.
   void filter_phase(int phase, const ShapeSplice& sp,
                     const std::vector<std::uint32_t>& affected,
                     bool remap_seq) {
+    const std::size_t n = db->rects(rule_of(phase).second).size();
+    if (marked.size() < n) marked.resize(n, 0);
+    for (const std::uint32_t id : affected) marked[id] = 1;
     const auto hit = [&](std::uint32_t id) {
-      return id == ShapeSplice::kRemoved ||
-             std::binary_search(affected.begin(), affected.end(), id);
+      return id == ShapeSplice::kRemoved || marked[id] != 0;
     };
     Recs& rs = list(phase);
     std::size_t w = 0;
-    for (std::size_t r = 0; r < rs.size(); ++r) {
-      const std::uint32_t e = sp.remap(rs[r].emitter);
-      const std::uint32_t s = remap_seq ? sp.remap(rs[r].seq) : rs[r].seq;
+    for (const Rec& r : rs) {
+      const std::uint32_t e = sp.remap(r.emitter);
+      const std::uint32_t s = remap_seq ? sp.remap(r.seq) : r.seq;
       if (hit(e) || (remap_seq && hit(s))) continue;
-      rs[r].emitter = e;
-      rs[r].seq = s;
-      if (w != r) rs[w] = std::move(rs[r]);
-      ++w;
+      rs[w++] = {e, s};
     }
-    rs.erase(rs.begin() + static_cast<std::ptrdiff_t>(w), rs.end());
+    rs.resize(w);
+    for (const std::uint32_t id : affected) marked[id] = 0;
   }
 
   /// Carries `layer`'s component labels across the edit and returns the
@@ -542,19 +521,71 @@ struct Checker {
              [&](std::uint32_t q, Recs& out) { scan_well(affected[q], out); });
   }
 
-  std::vector<Violation> report() const {
-    std::vector<const Rec*> order;
-    std::vector<Violation> out;
-    for (const Recs& rs : recs) {
-      order.clear();
-      for (const Rec& r : rs) order.push_back(&r);
-      std::sort(order.begin(), order.end(), [](const Rec* x, const Rec* y) {
-        return std::tie(x->emitter, x->seq) < std::tie(y->emitter, y->seq);
-      });
-      for (const Rec* r : order) out.push_back(r->v);
+  /// The rule kind and layer of a phase's records.
+  std::pair<RuleKind, Layer> rule_of(int phase) const {
+    if (phase >= well_phase()) return {RuleKind::WellCoverage, Layer::PDiff};
+    if (phase >= via_phase(0))
+      return {RuleKind::ViaEnclosure,
+              via_rules[static_cast<std::size_t>(phase - via_phase(0))].via};
+    const auto layer = static_cast<Layer>(phase / 2);
+    return {phase % 2 == 0 ? RuleKind::MinWidth : RuleKind::MinSpace, layer};
+  }
+
+  /// The Violation a record stands for, built from the database.
+  Violation violation(int phase, const Rec& r) const {
+    const auto [kind, layer] = rule_of(phase);
+    const auto& rects = db->rects(layer);
+    Violation v{kind, layer, rects[r.emitter], {}, "",
+                db->shape_path(layer, r.emitter), {}};
+    switch (kind) {
+      case RuleKind::MinWidth: break;
+      case RuleKind::MinSpace:
+        v.b = rects[r.seq];
+        v.note = space_note(geom::rect_gap(v.a, v.b), tech.rule(layer).min_space);
+        v.path_b = db->shape_path(layer, r.seq);
+        break;
+      case RuleKind::ViaEnclosure:
+        v.note = r.seq == 0 ? "missing lower-layer enclosure"
+                            : "missing upper-layer enclosure";
+        break;
+      case RuleKind::WellCoverage: v.note = "pdiff not enclosed by nwell"; break;
     }
-    std::stable_sort(out.begin(), out.end(), canon_less);
-    if (out.size() > opt.max_violations) out.resize(opt.max_violations);
+    return v;
+  }
+
+  std::vector<Violation> report() const {
+    // Each record's canonical key: rule rank, layer and coordinates, then
+    // its (phase, emitter, seq) ids, which are unique.
+    struct Key {
+      int rank;
+      Layer layer;
+      Rect a, b;
+      int phase;
+      Rec rec;
+      auto tie() const {
+        return std::tie(rank, layer, a.lo.y, a.lo.x, a.hi.y, a.hi.x, b.lo.y,
+                        b.lo.x, b.hi.y, b.hi.x, phase, rec.emitter, rec.seq);
+      }
+    };
+    std::vector<Key> keys;
+    for (int phase = 0; phase <= well_phase(); ++phase) {
+      const auto [kind, layer] = rule_of(phase);
+      const auto& rects = db->rects(layer);
+      for (const Rec& r : recs[static_cast<std::size_t>(phase)])
+        keys.push_back({kind_rank(kind), layer, rects[r.emitter],
+                        kind == RuleKind::MinSpace ? rects[r.seq] : Rect{},
+                        phase, r});
+    }
+    const auto less = [](const Key& x, const Key& y) { return x.tie() < y.tie(); };
+    const std::size_t n = std::min(keys.size(), opt.max_violations);
+    if (n < keys.size())
+      std::nth_element(keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(n),
+                       keys.end(), less);
+    std::sort(keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(n), less);
+    std::vector<Violation> out;
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+      out.push_back(violation(keys[i].phase, keys[i].rec));
     return out;
   }
 };

@@ -9,11 +9,11 @@
 // index). Each rule is written once, as a per-shape scan; a full check
 // runs those scans on util/parallel's deterministic engine in fixed
 // chunks of shape ids, joined in chunk order, and IncrementalDrc reruns
-// them only for the shapes an edit can affect. Every finding is tagged
-// with (rule phase, emitting shape, sequence), which is unique, and the
-// report is sorted by that tag and then stably into canonical (rule
-// phase, layer, coordinates) order. The result is bit-identical for any
-// BISRAM_THREADS value and independent of the database's tile size.
+// them only for the shapes an edit can affect. Every finding is kept as
+// (rule phase, emitting shape, sequence), which is unique, and the
+// report orders the findings by canonical (rule phase, layer,
+// coordinates) key, ties by that tag. The result is bit-identical for
+// any BISRAM_THREADS value and independent of the database's tile size.
 //
 // Known approximation (inherited from the seed checker): same-layer
 // spacing merges touching rectangles into connected components first,
@@ -104,7 +104,11 @@ std::vector<Violation> check(const geom::Cell& top, const tech::Tech& tech,
 ///     by one indexed window query.
 ///
 /// Records are kept per rule phase, so an edit renumbers and filters
-/// only the phases of the layers it touched. The database must outlive
+/// only the phases of the layers it touched. A record is its two shape
+/// ids (the emitting shape and a sequence: the spacing partner, or which
+/// via enclosure failed); the phase gives the rule kind and layer, and
+/// the database the rects, note and instance paths, which report()
+/// reads only for the records it returns. The database must outlive
 /// the checker, and every apply() on it must be fed to update() before
 /// the next report(). The constructor's full scan and update()'s
 /// spacing, via and well re-checks run on the campaign pool in fixed
@@ -129,7 +133,8 @@ class IncrementalDrc {
 
   /// The full violation list for the database's current contents, in
   /// canonical order, truncated to DrcOptions::max_violations —
-  /// bit-identical to drc::check.
+  /// bit-identical to drc::check. Orders every record by its canonical
+  /// key and builds a Violation for the first max_violations alone.
   std::vector<Violation> report() const;
 
  private:

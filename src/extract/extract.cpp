@@ -79,10 +79,11 @@ bool Extracted::channel_between(int a, int b) const {
 // shape's split segments — NDiff shapes in shape order, then PDiff —
 // followed by the shapes of the plain layers {Poly, M1, M2, M3, Contact,
 // Via1, Via2}, in that order. A piece id is its position in this
-// sequence, so after an edit the surviving pieces renumber by prefix
-// arithmetic: per-shape segment lists for the diffusion blocks, the
-// LayoutDB's own shape ids for the plain blocks. The renumbering keeps
-// the survivors' order.
+// sequence. An edit replaces a few runs of ids (each layer's splice, and
+// the segments of each surviving diffusion shape it splits anew) and
+// keeps the survivors' order, so the survivors between two replaced runs
+// all move by one offset: an update renumbers them block by block, and
+// an edit that keeps every count moves none.
 //
 // Three phases: split every diffusion shape (one entry per shape),
 // discover the electrical adjacency edges (each chunk of pieces lists
@@ -97,10 +98,13 @@ bool Extracted::channel_between(int a, int b) const {
 // net's capacitance is summed in piece order, so the netlist is
 // bit-identical at any thread count.
 //
-// An update keeps every component that lost no piece: its pieces keep
-// their root through the renumbering and its net keeps its capacitance
-// sum. Only the survivors of the components that lost a piece and the
-// new pieces start as their own roots, are re-united and re-summed.
+// An update keeps its labels and its edge list in place. Every
+// component that lost no piece and that no new piece touches keeps its
+// members, its root and its net's capacitance sum, bit for bit; its
+// labels change only where its ids move. The survivors of the other
+// components and the new pieces start as their own roots, and only they
+// are re-united (from the stored edges and the new pieces' ones),
+// flattened, tagged and re-summed.
 
 namespace {
 
@@ -152,24 +156,24 @@ constexpr std::uint64_t kDeadEdge = ~std::uint64_t{0};
 
 // A label slot holds a piece id below kTag, or, in a component root's
 // slot, a tag in bits 31-30:
-//   kNet | id      the component's net, minted by the numbering;
-//   kCarried | id  during an update: a component the edit left alone,
-//                  and the net id it had before the edit;
-//   kAffected      during an update: a component that holds a new or a
-//                  reset piece;
-//   kLost          in the pre-edit labels: a component that lost a piece.
+//   net tag | id  the component's net. A numbering mints with one of two
+//                 net tags, and the next update's numbering with the
+//                 other, so while an update runs the roots still holding
+//                 the last one are the components it left alone, with
+//                 the net ids they had before the edit;
+//   kAffected     during an update: a component that holds a new or a
+//                 reset piece;
+//   kLost         in the pre-edit labels: a component that lost a piece,
+//                 whose reach the edit may have cut, or that a new piece
+//                 touches.
 // Every tag exceeds every piece id, and a member's slot holds its root,
 // which is smaller than the member, so a piece's root is
 // min(slot, piece).
 constexpr std::uint32_t kTag = 0x40000000u;
 constexpr std::uint32_t kIdMask = kTag - 1;
-constexpr std::uint32_t kNet = 0x80000000u;
-constexpr std::uint32_t kCarried = 0x40000000u;
+constexpr std::uint32_t kNetTags[2] = {0x80000000u, 0x40000000u};
 constexpr std::uint32_t kAffected = 0xc0000000u;
 constexpr std::uint32_t kLost = 0xffffffffu;
-
-bool minted(std::uint32_t slot) { return (slot >> 30) == 2; }
-bool carried(std::uint32_t slot) { return (slot >> 30) == 1; }
 
 /// Work per pool chunk. Fixed, so the chunk layout depends on the
 /// layout alone; a leaf cell, and the re-emission of most edits, fits in
@@ -177,6 +181,7 @@ bool carried(std::uint32_t slot) { return (slot >> 30) == 1; }
 constexpr std::int64_t kSplitChunk = 1024;    // diffusion shapes to visit
 constexpr std::int64_t kEdgeChunk = 8192;     // pieces whose edges to find
 constexpr std::int64_t kLinearChunk = 16384;  // items of a linear pass
+constexpr std::int64_t kListChunk = 1024;  // items an edit lists, to look up
 /// Pieces whose capacitance is computed before the serial sum takes it.
 constexpr std::uint32_t kCapWindow = 1u << 16;
 
@@ -250,13 +255,24 @@ struct Extractor {
     std::uint32_t total = 0;    // pieces
     std::uint32_t devices = 0;  // device records
   };
-  /// A piece an update starts as its own root (net == kNoPiece: a new
-  /// piece or a survivor of a component that lost one), or the root of a
-  /// component it keeps, with that component's pre-edit net.
-  struct Seed {
-    std::uint32_t piece;
-    std::uint32_t net;
+  /// An edit's renumbering of the piece ids, in id order: each cut
+  /// replaces the old ids [old_lo, old_hi) by the new ids [new_lo,
+  /// new_hi) (a splice of one layer's shapes, or a surviving diffusion
+  /// shape split anew); every other piece survives, in order. So the
+  /// survivors between two cuts all move by one offset, and a run lists
+  /// the survivors [old_from, old_to) from a cut that changes the offset
+  /// up to the next one, with their offset `delta` (modulo 2^32). An
+  /// edit that keeps every count has cuts but no run.
+  struct Cut {
+    std::uint32_t old_lo, old_hi, new_lo, new_hi;
   };
+  struct Run {
+    std::uint32_t old_from, old_to, delta;
+  };
+  static constexpr unsigned kPageBits = 10;
+  /// Marks a page a run starts in. No offset takes this value: every
+  /// one lies within (-2^30, 2^30).
+  static constexpr std::uint32_t kStraddle = 0x80000000u;
   /// A wired piece of an affected component and its capacitance.
   struct PieceCap {
     std::uint32_t piece;
@@ -300,21 +316,32 @@ struct Extractor {
   /// The least wired piece of each net minted after the ports, in net
   /// order.
   std::vector<std::uint32_t> loose;
+  /// The tag the numbering mints nets with (one of kNetTags).
+  std::uint32_t net_tag = kNetTags[0];
 
   // Working buffers, kept so an edit reuses them. The lists whose
   // size follows what an edit touches (a row move's run to hundreds of
   // thousands of pieces) are an update's locals instead, freed with it.
   Blocks old_b;  ///< the pre-edit layout during update()
-  /// The update's labels for the new layout; it trades places with
-  /// `label` once the pre-edit labels are read.
-  std::vector<std::uint32_t> next_label;
-  std::vector<std::uint32_t> pmap;           ///< old -> new diffusion piece
+  std::vector<Cut> cuts;  ///< the update's renumbering
+  std::vector<Run> runs;
+  /// Per page of 2^kPageBits pre-edit ids: the offset of the run that
+  /// covers the whole page (0 before the first run), or kStraddle for a
+  /// page where a run starts, which moved() looks up in `runs`.
+  std::vector<std::uint32_t> page_delta;
   std::array<std::vector<char>, 2> fresh;    ///< per entry: recomputed
   std::array<std::vector<std::uint32_t>, 2> redo;  ///< the fresh entries
   std::vector<double> cap_window;    ///< capacitance of kCapWindow pieces
   std::vector<double> old_cap;       ///< the pre-edit net_cap_f
   /// net_of_root() lists each net it mints in `loose`.
   bool minting_loose = false;
+
+  bool minted(std::uint32_t slot) const {
+    return (slot & ~kIdMask) == net_tag;
+  }
+  bool carried(std::uint32_t slot) const {
+    return (slot & ~kIdMask) == (net_tag ^ kNetTags[0] ^ kNetTags[1]);
+  }
 
   static Layer diff_layer(int dl_i) {
     return dl_i == 0 ? Layer::NDiff : Layer::PDiff;
@@ -452,6 +479,35 @@ struct Extractor {
     }
   }
 
+  /// fn(id, layer, rect) for every piece of ids[lo, hi), an ascending
+  /// list: a diffusion piece's entry is the last one's, the next one, or
+  /// else looked up.
+  template <typename Fn>
+  void for_each_listed(const std::vector<std::uint32_t>& ids, std::size_t lo,
+                       std::size_t hi, Fn&& fn) const {
+    int dl_i = -1;
+    std::size_t s = 0;  // the entry of the last diffusion piece
+    for (std::size_t q = lo; q < hi; ++q) {
+      const std::uint32_t g = ids[q];
+      if (g >= b.plain_start[0]) {
+        const std::size_t t = plain_block(b, g);
+        fn(g, kPlain[t], db->rects(kPlain[t])[g - b.plain_start[t]]);
+        continue;
+      }
+      const int dl = g < b.entry_start[0].back() ? 0 : 1;
+      const auto& start = b.entry_start[dl];
+      if (dl == dl_i && g >= start[s + 1] && g < start[s + 2]) {
+        ++s;
+      } else if (dl != dl_i || g >= start[s + 1]) {
+        const auto from = start.begin() + (dl == dl_i ? s + 1 : 0);
+        s = static_cast<std::size_t>(
+            std::upper_bound(from, start.end(), g) - start.begin() - 1);
+        dl_i = dl;
+      }
+      fn(g, diff_layer(dl), entries[dl][s].segs[g - start[s]]);
+    }
+  }
+
   /// fn(h) for every piece h that conducts to a piece on `from` covering
   /// `r` (r's own piece included), answered from the per-layer LayoutDB
   /// indexes and the splits. Diffusion segments lie inside their shape,
@@ -552,7 +608,7 @@ struct Extractor {
     if (!minted(slot)) {
       out.net_cap_f.push_back(carried(slot) ? old_cap[slot & kIdMask] : 0.0);
       if (minting_loose) loose.push_back(piece);
-      slot = kNet | static_cast<std::uint32_t>(out.net_count++);
+      slot = net_tag | static_cast<std::uint32_t>(out.net_count++);
     }
     return static_cast<int>(slot & kIdMask);
   }
@@ -566,8 +622,12 @@ struct Extractor {
   /// order) and then the ports, into the device records and port_net.
   /// A pool pass first writes each terminal's component root and the
   /// diffusion shape's path node into its record, so the serial mint
-  /// reads the records in order.
-  void mint_reached() {
+  /// reads the records in order. On its way it renumbers the gate ids
+  /// the carried entries cached through an update's Poly splice `poly`
+  /// (the fresh entries already hold post-edit ids); a splice that keeps
+  /// the Poly count renumbers none, since a gate inside it dirties every
+  /// diffusion it crosses.
+  void mint_reached(const geom::ShapeSplice& poly = {}) {
     out.net_count = 0;
     out.net_cap_f.clear();
     loose.clear();
@@ -583,7 +643,14 @@ struct Extractor {
       const std::uint32_t base = b.entry_start[dl_i][k];
       const std::uint32_t node = db->path_ids(diff_layer(dl_i))[k];
       Device* dev = out.devices.data() + b.dev_start[dl_i][k];
-      for (const LocalSite& site : entries[dl_i][k].sites) {
+      const bool renumber_gates = poly.delta() != 0 && !fresh[dl_i][k];
+      for (LocalSite& site : entries[dl_i][k].sites) {
+        if (renumber_gates) {
+          site.gate_pid = poly.remap(site.gate_pid);
+          ensure(site.gate_pid != geom::ShapeSplice::kRemoved,
+                 "IncrementalExtract: gate poly vanished without dirtying "
+                 "its diffusion");
+        }
         dev->path = node;
         dev->gate = root(poly_start + site.gate_pid);
         dev->source = root(base + site.left);
@@ -702,49 +769,163 @@ struct Extractor {
     double sum_ = 0.0;
   };
 
-  /// Drops the edges whose pieces the edit invalidated and renumbers the
-  /// rest through `remap`, in place: chunks remap their edges and count
-  /// the dead ones; then the live edges at or past the kept count fill
-  /// the holes below it, gathered and scattered chunk by chunk in index
-  /// order. Edge order is immaterial to the labels. Both ends of a kept
-  /// edge lie in one pre-edit component; the edges of the components
-  /// update() reset (whose larger end is its own root) are listed and
-  /// united once the splice is done.
-  template <typename Remap>
-  void splice_edges(Remap&& remap) {
+  // --- an update's renumbering ----------------------------------------------
+
+  /// Lays out `cuts` and `runs` for `edit`: per diffusion layer its
+  /// re-split survivors and its splice, in id order, then each plain
+  /// layer's splice. Adjacent cuts merge, so no survivor run is empty
+  /// but the one past the last cut.
+  void renumber(const geom::EditResult& edit) {
+    cuts.clear();
+    const auto cut = [&](std::uint32_t old_lo, std::uint32_t old_hi,
+                         std::uint32_t new_lo, std::uint32_t new_hi) {
+      if (old_lo == old_hi && new_lo == new_hi) return;
+      if (!cuts.empty() && cuts.back().old_hi == old_lo) {
+        cuts.back().old_hi = old_hi;
+        cuts.back().new_hi = new_hi;
+      } else {
+        cuts.push_back({old_lo, old_hi, new_lo, new_hi});
+      }
+    };
+    for (int dl_i = 0; dl_i < 2; ++dl_i) {
+      const auto& sp = edit.splice_of(diff_layer(dl_i));
+      const auto& was = old_b.entry_start[dl_i];
+      const auto& now = b.entry_start[dl_i];
+      std::vector<std::uint32_t> resplit;  // survivors split anew
+      for (const std::uint32_t k : redo[dl_i])
+        if (k < sp.begin || k >= sp.new_end) resplit.push_back(k);
+      std::sort(resplit.begin(), resplit.end());
+      auto k = resplit.begin();
+      for (; k != resplit.end() && *k < sp.begin; ++k)
+        cut(was[*k], was[*k + 1], now[*k], now[*k + 1]);
+      cut(was[sp.begin], was[sp.old_end], now[sp.begin], now[sp.new_end]);
+      for (; k != resplit.end(); ++k) {
+        const auto o = static_cast<std::uint32_t>(*k - sp.delta());
+        cut(was[o], was[o + 1], now[*k], now[*k + 1]);
+      }
+    }
+    for (std::size_t t = 0; t < kPlainCount; ++t) {
+      const auto& sp = edit.splice_of(kPlain[t]);
+      const std::uint32_t was = old_b.plain_start[t], now = b.plain_start[t];
+      cut(was + sp.begin, was + sp.old_end, now + sp.begin, now + sp.new_end);
+    }
+    runs.clear();
+    std::uint32_t delta = 0;
+    for (const Cut& c : cuts) {
+      const std::uint32_t d = c.new_hi - c.old_hi;
+      if (d == delta) continue;
+      if (!runs.empty()) runs.back().old_to = c.old_lo;
+      runs.push_back({c.old_hi, old_b.total, d});
+      delta = d;
+    }
+    page_delta.assign((old_b.total >> kPageBits) + 1, 0);
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      const std::size_t lo = runs[k].old_from >> kPageBits;
+      const std::size_t hi = k + 1 < runs.size()
+                                 ? runs[k + 1].old_from >> kPageBits
+                                 : page_delta.size();
+      page_delta[lo] = kStraddle;
+      for (std::size_t q = lo + 1; q < hi; ++q) page_delta[q] = runs[k].delta;
+    }
+  }
+
+  /// The post-edit id of pre-edit piece o, which survives the edit.
+  std::uint32_t moved(std::uint32_t o) const {
+    const std::uint32_t d = page_delta[o >> kPageBits];
+    if (d != kStraddle) return o + d;
+    const auto at = std::upper_bound(
+        runs.begin(), runs.end(), o,
+        [](std::uint32_t x, const Run& r) { return x < r.old_from; });
+    return at == runs.begin() ? o : o + std::prev(at)->delta;
+  }
+  /// The pre-edit id of post-edit piece n, which survived the edit.
+  std::uint32_t unmoved(std::uint32_t n) const {
+    const auto at = std::upper_bound(
+        runs.begin(), runs.end(), n, [](std::uint32_t x, const Run& r) {
+          return x < r.old_from + r.delta;
+        });
+    return at == runs.begin() ? n : n - std::prev(at)->delta;
+  }
+  /// True when the edit replaced pre-edit piece o.
+  bool removed(std::uint32_t o) const {
+    const auto at = std::upper_bound(
+        cuts.begin(), cuts.end(), o,
+        [](std::uint32_t x, const Cut& c) { return x < c.old_lo; });
+    return at != cuts.begin() && o < std::prev(at)->old_hi;
+  }
+  /// True when post-edit piece n is new.
+  bool is_new(std::uint32_t n) const {
+    const auto at = std::upper_bound(
+        cuts.begin(), cuts.end(), n,
+        [](std::uint32_t x, const Cut& c) { return x < c.new_lo; });
+    return at != cuts.begin() && n < std::prev(at)->new_hi;
+  }
+
+  /// In the pre-edit labels, with the kLost components marked: resets
+  /// every member of those components to its own root, in place, and
+  /// returns the survivors among their pieces (pre-edit ids, ascending).
+  /// The scan makes one check per piece and only reads the roots' slots;
+  /// the surviving lost roots become their own roots after it.
+  std::vector<std::uint32_t> reset_lost() {
+    std::uint32_t* const up = label.data();
+    std::vector<std::uint32_t> reset;
+    parallel_collect(
+        old_b.total, kLinearChunk, reset,
+        [&](std::int64_t lo, std::int64_t hi, auto& list) {
+          for (auto o = static_cast<std::uint32_t>(lo); o < hi; ++o) {
+            const std::uint32_t v = up[o];
+            if (v < o ? up[v] != kLost : v != kLost) continue;
+            if (v < o) up[o] = o;
+            if (!removed(o)) list.push_back(o);
+          }
+        },
+        1024);
+    parallel_for(static_cast<std::int64_t>(reset.size()), kLinearChunk,
+                 [&](std::int64_t i) {
+                   const std::uint32_t o = reset[static_cast<std::size_t>(i)];
+                   if (up[o] == kLost) up[o] = o;
+                 });
+    return reset;
+  }
+
+  /// Renumbers the stored edges in place and drops the dead ones. Both
+  /// ends of an edge lie in one pre-edit component. Where reset_lost()
+  /// reset it (the larger end is its own root), the edge is dead if the
+  /// edit replaced an end, and is listed in `reunite` otherwise; every
+  /// other edge moves with its runs, and one below the first run stays
+  /// as it is. Then the live edges at or past the kept count fill the
+  /// holes below it, gathered and scattered chunk by chunk in index
+  /// order. Edge order is immaterial to the labels.
+  void splice_edges(std::vector<std::uint64_t>& reunite) {
     const auto ne = static_cast<std::int64_t>(edges.size());
     const auto chunks =
         static_cast<std::size_t>((ne + kLinearChunk - 1) / kLinearChunk);
     std::vector<std::uint32_t> dead(chunks, 0), holes(chunks + 1, 0),
         movers(chunks + 1, 0);
     const std::uint32_t* const up = label.data();
-    std::vector<std::uint64_t> reunite;
+    const std::uint32_t first = runs.empty() ? kNoPiece : runs[0].old_from;
     parallel_collect(ne, kLinearChunk, reunite, [&](std::int64_t lo,
                                                     std::int64_t hi,
                                                     auto& list) {
       std::uint32_t d = 0;
       for (auto i = static_cast<std::size_t>(lo);
            i < static_cast<std::size_t>(hi); ++i) {
-        const std::uint32_t x = remap(static_cast<std::uint32_t>(edges[i] >> 32));
-        const std::uint32_t y = remap(static_cast<std::uint32_t>(edges[i]));
-        if (x == kNoPiece || y == kNoPiece) {
-          edges[i] = kDeadEdge;
-          ++d;
-          continue;
+        const auto x = static_cast<std::uint32_t>(edges[i] >> 32);
+        const auto y = static_cast<std::uint32_t>(edges[i]);
+        if (up[y] == y) {
+          if (removed(x) || removed(y)) {
+            edges[i] = kDeadEdge;
+            ++d;
+            continue;
+          }
+          edges[i] = pack(moved(x), moved(y));
+          list.push_back(edges[i]);
+        } else if (y >= first) {
+          edges[i] = pack(moved(x), moved(y));
         }
-        // Most edits leave most ids in place; skip the store then.
-        if (const std::uint64_t e = pack(x, y); e != edges[i]) edges[i] = e;
-        if (up[y] == y) list.push_back(edges[i]);
       }
       dead[static_cast<std::size_t>(lo / kLinearChunk)] = d;
     });
-    const UnionFind uf(label);
-    parallel_for(static_cast<std::int64_t>(reunite.size()), kLinearChunk,
-                 [&](std::int64_t i) {
-                   const std::uint64_t e = reunite[static_cast<std::size_t>(i)];
-                   uf.unite(static_cast<std::uint32_t>(e >> 32),
-                            static_cast<std::uint32_t>(e));
-                 });
     std::int64_t keep = ne;
     for (std::uint32_t d : dead) keep -= d;
     if (keep == ne) return;
@@ -768,13 +949,13 @@ struct Extractor {
       holes[c + 1] = holes[c] + h;
       movers[c + 1] = movers[c] + m;
     }
-    std::vector<std::uint64_t> moved(movers[chunks]);
+    std::vector<std::uint64_t> moved_edges(movers[chunks]);
     for_chunks(ne, kLinearChunk, [&](std::size_t c, std::int64_t lo,
                                      std::int64_t hi) {
       std::uint32_t j = movers[c];
       for (std::int64_t i = std::max(lo, keep); i < hi; ++i)
         if (edges[static_cast<std::size_t>(i)] != kDeadEdge)
-          moved[j++] = edges[static_cast<std::size_t>(i)];
+          moved_edges[j++] = edges[static_cast<std::size_t>(i)];
     });
     for_chunks(ne, kLinearChunk, [&](std::size_t c, std::int64_t lo,
                                      std::int64_t hi) {
@@ -782,9 +963,35 @@ struct Extractor {
       std::uint32_t j = holes[c];
       for (std::int64_t i = lo; i < std::min(hi, keep); ++i)
         if (edges[static_cast<std::size_t>(i)] == kDeadEdge)
-          edges[static_cast<std::size_t>(i)] = moved[j++];
+          edges[static_cast<std::size_t>(i)] = moved_edges[j++];
     });
     edges.resize(static_cast<std::size_t>(keep));
+  }
+
+  /// Re-lays the labels in the post-edit id layout, in place. Each run
+  /// moves as one block: those moving down in id order first, then those
+  /// moving up in reverse order, so no block lands on one still to move.
+  /// Then every slot past the first run that holds a piece id takes its
+  /// post-edit id. The new pieces' slots are left to the caller.
+  void relay_labels() {
+    if (runs.empty()) return;  // every survivor keeps its id
+    if (b.total > old_b.total) label.resize(b.total);
+    const auto at = [&](std::uint32_t id) {
+      return label.begin() + static_cast<std::ptrdiff_t>(id);
+    };
+    for (const Run& r : runs)
+      if (static_cast<std::int32_t>(r.delta) < 0)
+        std::copy(at(r.old_from), at(r.old_to), at(r.old_from + r.delta));
+    for (auto r = runs.rbegin(); r != runs.rend(); ++r)
+      if (static_cast<std::int32_t>(r->delta) > 0)
+        std::copy_backward(at(r->old_from), at(r->old_to),
+                           at(r->old_to + r->delta));
+    label.resize(b.total);
+    const std::uint32_t from = runs[0].old_from + runs[0].delta;
+    std::uint32_t* const up = label.data() + from;
+    parallel_for(b.total - from, kLinearChunk, [&](std::int64_t i) {
+      if (up[i] < kTag) up[i] = moved(up[i]);
+    });
   }
 
   /// Re-lays the device records in entry order. Up to the first entry
@@ -850,8 +1057,9 @@ struct Extractor {
     // Refresh the diffusion splits: inserted shapes get fresh entries;
     // surviving shapes whose rect intersects the dirty poly region are
     // recomputed (their gate set may have changed); everything else is
-    // carried, with cached gate poly ids renumbered through the poly
-    // splice. fresh[k] marks entries whose old pieces are invalid.
+    // carried, and the mint renumbers their cached gate poly ids through
+    // the poly splice. fresh[k] marks entries whose old pieces are
+    // invalid.
     // gone_gates collects the old gate ids of the devices that go.
     std::vector<std::uint32_t> gone_gates, new_gates;
     const auto note_gates = [](const Entry& e, std::vector<std::uint32_t>& v) {
@@ -886,167 +1094,56 @@ struct Extractor {
                      es[k] = compute_entry(rects[k]);
                    });
       for (const std::uint32_t k : todo) note_gates(es[k], new_gates);
-      // A splice that keeps the poly count renumbers no carried gate: a
-      // gate inside the splice dirties every diffusion it crosses.
-      if (sp_poly.delta() == 0) continue;
-      parallel_for(static_cast<std::int64_t>(es.size()), kLinearChunk,
-                   [&](std::int64_t k) {
-                     if (fr[static_cast<std::size_t>(k)]) return;
-                     for (LocalSite& site :
-                          es[static_cast<std::size_t>(k)].sites) {
-                       site.gate_pid = sp_poly.remap(site.gate_pid);
-                       ensure(site.gate_pid != geom::ShapeSplice::kRemoved,
-                              "IncrementalExtract: gate poly vanished "
-                              "without dirtying its diffusion");
-                     }
-                   });
     }
 
     lay_out();
     lay_out_devices(edit);
+    renumber(edit);
 
-    // Old-to-new piece ids: a table for the diffusion pieces (kNoPiece
-    // where the piece no longer exists), splice arithmetic for the rest.
-    const std::uint32_t old_diff = old_b.entry_start[1].back();
-    pmap.resize(old_diff);
-    const auto o0 = static_cast<std::int64_t>(old_b.entry_start[0].size() - 1);
-    const auto o1 = static_cast<std::int64_t>(old_b.entry_start[1].size() - 1);
-    parallel_for(o0 + o1, kLinearChunk, [&](std::int64_t i) {
-      const int dl_i = i < o0 ? 0 : 1;
-      const auto s = static_cast<std::uint32_t>(dl_i == 0 ? i : i - o0);
-      const std::uint32_t k = edit.splice_of(diff_layer(dl_i)).remap(s);
-      const bool kept = k != geom::ShapeSplice::kRemoved && !fresh[dl_i][k];
-      const std::uint32_t from = old_b.entry_start[dl_i][s];
-      const std::uint32_t len = old_b.entry_start[dl_i][s + 1] - from;
-      for (std::uint32_t t = 0; t < len; ++t)
-        pmap[from + t] = kept ? b.entry_start[dl_i][k] + t : kNoPiece;
-    });
-    // Per plain block: its first old piece, the old pieces the splice
-    // removes [cut, gone), and the (modular) offsets of the pieces before
-    // and after them.
-    struct Shift {
-      std::uint32_t lo, cut, gone, before, after;
-    };
-    std::array<Shift, kPlainCount> shift;
-    for (std::size_t t = 0; t < kPlainCount; ++t) {
-      const auto& sp = edit.splice_of(kPlain[t]);
-      const std::uint32_t lo = old_b.plain_start[t];
-      const std::uint32_t before = b.plain_start[t] - lo;
-      shift[t] = {lo, lo + sp.begin, lo + sp.old_end, before,
-                  before + static_cast<std::uint32_t>(sp.delta())};
-    }
-    const auto map_old = [&](std::uint32_t x) {
-      if (x < old_diff) return pmap[x];
-      std::size_t t = 0;  // the last block starting at or before x
-      for (std::size_t k = 1; k < kPlainCount; ++k) t += x >= shift[k].lo;
-      const Shift& s = shift[t];
-      return x < s.cut ? x + s.before : x < s.gone ? kNoPiece : x + s.after;
-    };
-
-    // Mark kLost the pre-edit components that lost a piece, and those
-    // whose net the devices and ports might no longer reach: the gate
-    // nets of the devices that go (unless a new device keeps the gate)
-    // and the nets of ports that now resolve to another piece. Every
+    // Mark kLost, in the pre-edit labels, the components that lost a
+    // piece and those whose net the devices and ports might no longer
+    // reach: the gate nets of the devices that go (unless a new device
+    // keeps the gate) and the nets of ports that now resolve to another
+    // piece. Discovery below adds those that a new piece touches. Every
     // other component keeps its pieces and its reach.
     std::uint32_t* const was = label.data();
-    const auto lose = [&](std::uint32_t o) { was[std::min(was[o], o)] = kLost; };
-    for (std::size_t t = 0; t < kPlainCount; ++t) {
-      const auto& sp = edit.splice_of(kPlain[t]);
-      for (std::uint32_t s = sp.begin; s < sp.old_end; ++s)
-        lose(old_b.plain_start[t] + s);
-    }
-    for (int dl_i = 0; dl_i < 2; ++dl_i) {
-      const auto& sp = edit.splice_of(diff_layer(dl_i));
-      const auto& start = old_b.entry_start[dl_i];
-      const auto lose_entry = [&](std::uint32_t o) {
-        for (std::uint32_t p = start[o]; p < start[o + 1]; ++p) lose(p);
-      };
-      for (std::uint32_t o = sp.begin; o < sp.old_end; ++o) lose_entry(o);
-      for (const std::uint32_t k : redo[dl_i])
-        if (k < sp.begin || k >= sp.new_end)
-          lose_entry(k < sp.begin ? k
-                                  : static_cast<std::uint32_t>(k - sp.delta()));
-    }
+    const auto lose = [was](std::uint32_t o) {
+      constexpr auto relaxed = std::memory_order_relaxed;
+      const std::uint32_t v = std::atomic_ref(was[o]).load(relaxed);
+      const std::atomic_ref root(was[std::min(v, o)]);
+      if (root.load(relaxed) != kLost) root.store(kLost, relaxed);
+    };
+    for (const Cut& c : cuts)
+      for (std::uint32_t o = c.old_lo; o < c.old_hi; ++o) lose(o);
     std::sort(new_gates.begin(), new_gates.end());
     for (const std::uint32_t g : gone_gates)
       if (!std::binary_search(new_gates.begin(), new_gates.end(),
                               sp_poly.remap(g)))
         lose(old_b.plain_start[0] + g);
     std::vector<std::uint32_t> ports_now = port_pieces();
-    for (std::size_t k = 0; k < ports_now.size(); ++k)
-      if (map_old(port_piece[k]) != ports_now[k]) lose(port_piece[k]);
-    port_piece.swap(ports_now);
-
-    // The new labels: a survivor of a kept component takes the
-    // component's renumbered root; the other survivors and the new
-    // pieces start as their own roots (seeds, kept in old piece order
-    // and then new-piece order), and so do the kept roots, whose seeds
-    // also carry their pre-edit net.
-    next_label.resize(b.total);
-    std::uint32_t* const up = next_label.data();
-    std::vector<Seed> seeds;
-    parallel_collect(
-        old_b.total, kLinearChunk, seeds,
-        [&](std::int64_t lo, std::int64_t hi, auto& list) {
-          for (auto o = static_cast<std::uint32_t>(lo); o < hi; ++o) {
-            const std::uint32_t p = map_old(o);
-            if (p == kNoPiece) continue;
-            const std::uint32_t v = was[o];
-            const std::uint32_t r = std::min(v, o);
-            if (was[r] == kLost) {
-              up[p] = p;
-              list.push_back({p, kNoPiece});
-            } else if (r != o) {
-              up[p] = map_old(r);
-            } else {
-              up[p] = p;
-              if (minted(v)) list.push_back({p, v & kIdMask});
-            }
-          }
-        },
-        1024);
-    for (int dl_i = 0; dl_i < 2; ++dl_i)
-      for (const std::uint32_t k : redo[dl_i])
-        for (std::uint32_t p = b.entry_start[dl_i][k];
-             p < b.entry_start[dl_i][k + 1]; ++p) {
-          up[p] = p;
-          seeds.push_back({p, kNoPiece});
-        }
-    for (std::size_t t = 0; t < kPlainCount; ++t) {
-      const auto& sp = edit.splice_of(kPlain[t]);
-      for (std::uint32_t s = sp.begin; s < sp.new_end; ++s) {
-        const std::uint32_t p = b.plain_start[t] + s;
-        up[p] = p;
-        seeds.push_back({p, kNoPiece});
-      }
+    for (std::size_t k = 0; k < ports_now.size(); ++k) {
+      const std::uint32_t o = port_piece[k];
+      if (removed(o) || moved(o) != ports_now[k]) lose(o);
     }
-    label.swap(next_label);
-
-    splice_edges(map_old);
+    port_piece.swap(ports_now);
 
     // Discover the new pieces' edges: the segments of the fresh entries,
     // then the inserted plain shapes. A pair of two new pieces is kept
-    // from its lower member's visit only.
-    const auto is_new = [&](std::uint32_t h) {
-      if (h >= b.plain_start[0]) {
-        const std::size_t t = plain_block(b, h);
-        const auto& sp = edit.splice_of(kPlain[t]);
-        const std::uint32_t s = h - b.plain_start[t];
-        return s >= sp.begin && s < sp.new_end;
-      }
-      const int dl_i = h < b.entry_start[0].back() ? 0 : 1;
-      const auto& start = b.entry_start[dl_i];
-      const auto k = static_cast<std::size_t>(
-          std::upper_bound(start.begin(), start.end(), h) - start.begin() - 1);
-      return fresh[dl_i][k] != 0;
-    };
-    const UnionFind uf(label);
+    // from its lower member's visit only. A surviving piece a new one
+    // touches loses its component, which is then re-united from its
+    // stored edges with the new pieces: a stored edge costs one unite,
+    // where walking the component through the index would cost a query
+    // per piece.
+    std::vector<std::uint64_t> found;
     const auto discover = [&](Layer from, const Rect& r, std::uint32_t g,
                               std::vector<std::uint64_t>& list) {
       for_each_neighbor(from, r, 0, [&](std::uint32_t h) {
-        if (h == g || (h < g && is_new(h))) return;
+        if (h == g) return;
+        if (!is_new(h))
+          lose(unmoved(h));
+        else if (h < g)
+          return;
         list.push_back(pack(std::min(g, h), std::max(g, h)));
-        uf.unite(g, h);
       });
     };
     const auto r0 = static_cast<std::int64_t>(redo[0].size());
@@ -1058,7 +1155,7 @@ struct Extractor {
       plain_at[t + 1] = plain_at[t] + (sp.new_end - sp.begin);
     }
     parallel_collect(
-        plain_at[kPlainCount], kEdgeChunk, edges,
+        plain_at[kPlainCount], kEdgeChunk, found,
         [&](std::int64_t lo, std::int64_t hi, auto& list) {
           for (std::int64_t i = lo; i < hi; ++i) {
             if (i < r0 + r1) {
@@ -1081,57 +1178,103 @@ struct Extractor {
           }
         },
         4 * kEdgeChunk);
-    uf.flatten();
 
-    // Tag the roots: kAffected where a component holds a seed that
-    // started as its own root, kCarried and the pre-edit net where a
-    // kept root still roots a component alone.
-    const auto seeds_n = static_cast<std::int64_t>(seeds.size());
-    parallel_for(seeds_n, kLinearChunk, [&](std::int64_t i) {
-      const Seed& s = seeds[static_cast<std::size_t>(i)];
-      if (s.net != kNoPiece) return;
-      const std::uint32_t v =
-          std::atomic_ref(label[s.piece]).load(std::memory_order_relaxed);
-      std::atomic_ref(label[std::min(v, s.piece)])
-          .store(kAffected, std::memory_order_relaxed);
-    });
-    parallel_for(seeds_n, kLinearChunk, [&](std::int64_t i) {
-      const Seed& s = seeds[static_cast<std::size_t>(i)];
-      if (s.net != kNoPiece && label[s.piece] == s.piece)
-        label[s.piece] = kCarried | s.net;
+    // Reset the lost components, splice the stored edges, then carry the
+    // labels into the post-edit layout; the new pieces start as their
+    // own roots.
+    std::vector<std::uint32_t> reset = reset_lost();
+    std::vector<std::uint64_t> reunite;
+    splice_edges(reunite);
+    parallel_for(static_cast<std::int64_t>(reset.size()), kListChunk,
+                 [&](std::int64_t i) {
+                   std::uint32_t& o = reset[static_cast<std::size_t>(i)];
+                   o = moved(o);
+                 });
+    relay_labels();
+    for (const Cut& c : cuts)
+      for (std::uint32_t p = c.new_lo; p < c.new_hi; ++p) label[p] = p;
+
+    // Unite the reset components' stored edges and the new ones. Every
+    // end is a reset or a new piece, so no kept component is reached.
+    const UnionFind uf(label);
+    const auto nr = static_cast<std::int64_t>(reunite.size());
+    parallel_for(nr + static_cast<std::int64_t>(found.size()), kListChunk,
+                 [&](std::int64_t i) {
+                   const std::uint64_t e =
+                       i < nr ? reunite[static_cast<std::size_t>(i)]
+                              : found[static_cast<std::size_t>(i - nr)];
+                   uf.unite(static_cast<std::uint32_t>(e >> 32),
+                            static_cast<std::uint32_t>(e));
+                 });
+    edges.insert(edges.end(), found.begin(), found.end());
+    std::vector<std::uint64_t>().swap(found);
+    std::vector<std::uint64_t>().swap(reunite);
+
+    // The affected components are exactly those of the reset and the new
+    // pieces, which together hold all their members: list them in piece
+    // order, flatten them and tag their roots kAffected.
+    std::vector<std::uint32_t> affected;
+    {
+      std::size_t n = reset.size();
+      for (const Cut& c : cuts) n += c.new_hi - c.new_lo;
+      affected.reserve(n);
+      auto q = reset.begin();
+      for (const Cut& c : cuts) {
+        for (; q != reset.end() && *q < c.new_lo; ++q) affected.push_back(*q);
+        for (std::uint32_t p = c.new_lo; p < c.new_hi; ++p)
+          affected.push_back(p);
+      }
+      affected.insert(affected.end(), q, reset.end());
+    }
+    std::vector<std::uint32_t>().swap(reset);
+    uf.flatten(affected);
+    const auto na = static_cast<std::int64_t>(affected.size());
+    parallel_for(na, kLinearChunk, [&](std::int64_t i) {
+      constexpr auto relaxed = std::memory_order_relaxed;
+      const std::uint32_t p = affected[static_cast<std::size_t>(i)];
+      const std::atomic_ref root(
+          label[std::min(std::atomic_ref(label[p]).load(relaxed), p)]);
+      if (root.load(relaxed) != kAffected) root.store(kAffected, relaxed);
     });
 
     // The affected components' wired pieces and their capacitance, in
     // piece order (contacts and vias, the last three blocks, carry none).
+    const std::size_t summed = static_cast<std::size_t>(
+        std::lower_bound(affected.begin(), affected.end(),
+                         b.plain_start[plain_slot(Layer::Contact)]) -
+        affected.begin());
     std::vector<PieceCap> resum;
     parallel_collect(
-        b.plain_start[plain_slot(Layer::Contact)], kLinearChunk, resum,
+        static_cast<std::int64_t>(summed), kListChunk, resum,
         [&](std::int64_t lo, std::int64_t hi, auto& list) {
-          for_each_piece(static_cast<std::uint32_t>(lo),
-                         static_cast<std::uint32_t>(hi),
-                         [&](std::uint32_t p, Layer l, const Rect& r) {
-                           if (wired[static_cast<std::size_t>(l)] &&
-                               label[std::min(label[p], p)] == kAffected)
-                             list.push_back({p, piece_cap(l, r)});
-                         });
+          for_each_listed(affected, static_cast<std::size_t>(lo),
+                          static_cast<std::size_t>(hi),
+                          [&](std::uint32_t p, Layer l, const Rect& r) {
+                            if (wired[static_cast<std::size_t>(l)])
+                              list.push_back({p, piece_cap(l, r)});
+                          });
         },
         1024);
+    std::vector<std::uint32_t>().swap(affected);
 
-    // Mint in extract()'s visit order. The components minted after the
-    // ports are the kept ones among the pre-edit `loose` list and the
-    // affected ones, taken by least wired piece; an affected net sums
-    // its pieces in piece order, a kept one starts from its carried sum.
+    // Mint in extract()'s visit order, with the other net tag, so the
+    // kept roots read as carried until minted. The components minted
+    // after the ports are the kept ones among the pre-edit `loose` list
+    // and the affected ones, taken by least wired piece; an affected net
+    // sums its pieces in piece order, a kept one starts from its carried
+    // sum.
     old_cap.swap(out.net_cap_f);
     std::vector<std::uint32_t> old_loose;
     old_loose.swap(loose);
-    mint_reached();
+    net_tag ^= kNetTags[0] ^ kNetTags[1];
+    mint_reached(sp_poly);
     // The kept components among the pre-edit loose ones, renumbered
     // (which keeps their order).
     std::size_t kept = 0;
     for (const std::uint32_t lw : old_loose) {
-      const std::uint32_t p = map_old(lw);
-      if (p != kNoPiece && label[std::min(label[p], p)] != kAffected)
-        old_loose[kept++] = p;
+      if (removed(lw)) continue;
+      const std::uint32_t p = moved(lw);
+      if (label[std::min(label[p], p)] != kAffected) old_loose[kept++] = p;
     }
     minting_loose = true;
     std::size_t next = 0;

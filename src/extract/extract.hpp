@@ -99,33 +99,38 @@ std::vector<geom::Rect> split_diffusion(const geom::Rect& diff,
 /// Device records stay in their slots up to the first entry whose record
 /// count changed and shift past it; only inserted or recomputed shapes
 /// rebuild their geometry, and the mint's pool pass rewrites every
-/// record's nets and path node, which the edit may renumber. The
-/// adjacency edges are kept globally and spliced across the piece-id
-/// renumbering, with fresh edges discovered only around inserted pieces
-/// by the same per-layer index queries.
+/// record's nets and path node, which the edit may renumber.
+///
+/// The labels and the edges stay in place. An edit replaces a few runs
+/// of piece ids (each layer's splice, and the segments of each surviving
+/// diffusion shape it splits anew), so the survivors between two
+/// replaced runs move by one offset: the labels move block by block and
+/// each stored id takes its block's offset, from a table with one entry
+/// per 1,024 ids. An edit that keeps every shape and segment count (a
+/// move, or a replace by a same-shaped master) renumbers nothing.
 ///
 /// The labels follow the edit component by component. A component that
-/// lost no piece keeps its members, their order and their rects, so its
-/// pieces take its renumbered root and its net keeps its capacitance
-/// sum, bit for bit. Only two sets start over as their own roots: the
-/// survivors of the components that lost a piece (removed, or re-split
-/// at a dirty gate) and the new pieces. The edge splice renumbers every
-/// kept edge but unites only the edges of those reset components, and
-/// the new pieces' edges are united as they are found. Components whose
-/// reach the edit may have cut (the gate net of a device that goes, the
-/// net of a port that now resolves elsewhere) are reset too. One pooled
-/// scan then lists, in piece order, the wired pieces of the components
-/// that hold a reset or new piece, and only those are re-summed. Net
-/// ids are minted in extract()'s visit order — devices, ports, then the
-/// remaining components by least wired piece, merging the kept ones of
-/// the last edit's list with the affected ones — since an edit can
-/// shift every id. Every per-edit pass runs on util/parallel in fixed
-/// chunks; the mint and the re-sums are serial. Beyond the one-shot
-/// extraction's state, an update keeps a second label array (one uint32
-/// per piece, the labels of the new layout while the old ones are
-/// read), the ports' pieces and the least wired piece of each net minted
-/// after the ports. The lists sized by what an edit touches are freed
-/// with the update; the other buffers are reused across edits.
+/// lost no piece (removed, or re-split at a dirty gate), whose reach the
+/// edit cannot have cut (the gate net of a device that goes, the net of a
+/// port that now resolves elsewhere) and that no new piece touches keeps
+/// its members, their order and their rects, so its pieces keep their
+/// root and its net keeps its capacitance sum, bit for bit. The other
+/// components are reset: one pooled scan over the labels, one check per
+/// piece, starts their survivors as their own roots and lists them, and
+/// one pooled scan over the edges, one check per edge, lists their
+/// stored edges (dropping those that lost an end) to be united again
+/// with the new pieces' edges. Only the listed pieces and the new ones
+/// are flattened, tagged and re-summed. Net ids are minted in
+/// extract()'s visit order — devices, ports, then the remaining
+/// components by least wired piece, merging the kept ones of the last
+/// edit's list with the affected ones — since an edit can shift every
+/// id; a net tag that alternates from one numbering to the next tells a
+/// kept root, still holding its pre-edit net, from one minted anew.
+/// Every per-edit pass runs on util/parallel in fixed chunks; the mint
+/// and the re-sums are serial. Beyond the one-shot extraction's state,
+/// an update keeps the ports' pieces, the least wired piece of each net
+/// minted after the ports and the renumbering table; the lists sized by
+/// what an edit touches are freed with the update.
 ///
 /// The database must outlive the extractor, and every apply() on it
 /// must be fed to update() (once, in order). Deterministic and

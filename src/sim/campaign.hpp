@@ -124,14 +124,14 @@ struct CampaignSpec {
   std::uint64_t seed = 0;    ///< campaign seed (trial i uses sub-stream i)
   int threads = 0;           ///< worker threads; 0 = BISRAM_THREADS/default
   SimKernel kernel = SimKernel::Packed;
-  SamplingSpec sampling;  ///< defect-count sampling for yield campaigns
+  SamplingSpec sampling{};  ///< defect-count sampling for yield campaigns
   /// Cooperative cancellation + deadline, polled at chunk boundaries
   /// (util/cancel.hpp). Null = never cancelled. A token that never fires
   /// perturbs nothing: the result stays bit-identical to a token-free
   /// run. When it fires, the campaign returns a *valid partial estimate*
   /// over the trials that completed, with its termination labelled.
   const CancelToken* cancel = nullptr;
-  CheckpointSpec checkpoint;  ///< crash-safe checkpoint/resume (see above)
+  CheckpointSpec checkpoint{};  ///< crash-safe checkpoint/resume (see above)
 };
 
 /// What actually ran — enough to reproduce and to audit the dispatch.

@@ -103,13 +103,22 @@ void UnionFind::flatten() const {
   // so a slot once set to its root stays there.
   parallel_for(static_cast<std::int64_t>(parent_->size()), kSlotChunk,
                [this](std::int64_t i) {
-                 auto x = static_cast<std::uint32_t>(i);
-                 for (std::uint32_t px;
-                      (px = slot(x).load(std::memory_order_relaxed)) != x;)
-                   x = px;
-                 slot(static_cast<std::uint32_t>(i))
-                     .store(x, std::memory_order_relaxed);
+                 settle(static_cast<std::uint32_t>(i));
                });
+}
+
+void UnionFind::flatten(const std::vector<std::uint32_t>& ids) const {
+  parallel_for(static_cast<std::int64_t>(ids.size()), kSlotChunk,
+               [&](std::int64_t i) {
+                 settle(ids[static_cast<std::size_t>(i)]);
+               });
+}
+
+void UnionFind::settle(std::uint32_t id) const {
+  std::uint32_t x = id;
+  for (std::uint32_t px; (px = slot(x).load(std::memory_order_relaxed)) != x;)
+    x = px;
+  slot(id).store(x, std::memory_order_relaxed);
 }
 
 namespace detail {

@@ -219,8 +219,14 @@ class UnionFind {
 
   /// Once every union is done: each slot holds its component's least id.
   void flatten() const;
+  /// flatten() for the listed ids alone: each listed slot holds its
+  /// component's least id, and no other slot is written. For a caller
+  /// that knows which slots its unions can have reached.
+  void flatten(const std::vector<std::uint32_t>& ids) const;
 
  private:
+  /// Stores id's root in its slot, writing no other slot.
+  void settle(std::uint32_t id) const;
   std::atomic_ref<std::uint32_t> slot(std::uint32_t x) const {
     return std::atomic_ref<std::uint32_t>((*parent_)[x]);
   }

@@ -727,6 +727,62 @@ TEST(LayoutIncremental, AddedRowIsWalkedOnThePool) {
   }
 }
 
+TEST(LayoutIncremental, CappedDrcReportMatchesFullCheckPastTheCap) {
+  // Bit cells and rows of a Fig. 6 slice nudged a few DBU crowd their
+  // neighbours: a bit move adds a few spacing records and a row move
+  // thousands, so the records climb past DrcOptions' default cap of
+  // 1,000. After every edit the capped incremental report (rects, notes
+  // and instance paths) must equal drc::check's at the defaults, which
+  // orders every record the checker holds and returns the first 1,000.
+  const Macro& m = fig6_slice();
+  const tech::Tech& t = m.tech;
+  const std::size_t cap = drc::DrcOptions{}.max_violations;
+  const geom::Cell* array = nullptr;
+  for (const geom::Instance& i : m.top->instances())
+    if (i.name == "RAMARRAY") array = i.cell.get();
+  ASSERT_NE(array, nullptr);
+  const auto& rows = array->instances();
+  const auto& bits = rows.front().cell->instances();
+  LayoutDB db(*m.top, drc::tile_size_for(t));
+  drc::IncrementalDrc inc(db, t);
+  Rng rng(3011);
+  const auto nudge = [&](const geom::Transform& at) {
+    const auto step = [&] {
+      return static_cast<geom::Coord>(rng.below(8)) * 2 - 8;  // -8..6
+    };
+    geom::Coord dx = step(), dy = step();
+    if (dx == 0 && dy == 0) dx = 8;
+    return geom::Transform::translate(dx, dy).compose(at);
+  };
+  int below_cap = 0, at_cap = 0;
+  for (int n = 0; at_cap < 3; ++n) {
+    ASSERT_LT(n, 12) << "the records never passed the cap";
+    // Four bit moves, then a row move every other edit.
+    const bool row_move = n >= 4 && n % 2 == 0;
+    const geom::Instance& row = rows[rng.below(rows.size())];
+    CellEdit e;
+    e.kind = CellEdit::Kind::Move;
+    if (row_move) {
+      e.path = "RAMARRAY/" + row.name;
+      e.transform = nudge(row.transform);
+    } else {
+      const geom::Instance& bit = bits[rng.below(bits.size())];
+      e.path = "RAMARRAY/" + row.name + "/" + bit.name;
+      e.transform = nudge(bit.transform);
+    }
+    inc.update(db.apply(e));
+    const std::vector<drc::Violation> want = drc::check(db, t);
+    expect_same_violations(inc.report(), want,
+                           "edit " + std::to_string(n) + " " + e.path);
+    if (::testing::Test::HasFailure()) return;
+    (want.size() < cap ? below_cap : at_cap) += 1;
+  }
+  EXPECT_GT(below_cap, 0);
+  drc::DrcOptions uncapped;
+  uncapped.max_violations = static_cast<std::size_t>(-1);
+  EXPECT_GT(drc::check(db, t, uncapped).size(), cap);
+}
+
 /// A hand-made layout whose nets the cases below split, merge and
 /// renumber. Piece order follows instance order:
 ///   pre         a floating Metal1 rect (a net no device or port reaches)
@@ -784,12 +840,14 @@ geom::CellPtr toy_layout() {
   return top;
 }
 
-/// Applies `edits` to the toy layout at pool widths 1, 2 and 8 and
-/// checks both incremental engines against full scans after every edit.
-/// Returns the pool-width-1 netlists, the initial one first.
-std::vector<extract::Extracted> replay_toy(const std::vector<CellEdit>& edits) {
+/// Applies `edits` to `top` (the toy layout unless given) at pool widths
+/// 1, 2 and 8 and checks both incremental engines against full scans
+/// after every edit. Returns the pool-width-1 netlists, the initial one
+/// first.
+std::vector<extract::Extracted> replay_toy(
+    const std::vector<CellEdit>& edits,
+    const geom::CellPtr& top = toy_layout()) {
   const tech::Tech& t = small_macro().tech;
-  const geom::CellPtr top = toy_layout();
   drc::DrcOptions uncapped;
   uncapped.max_violations = static_cast<std::size_t>(-1);
   std::vector<extract::Extracted> seen;
@@ -874,6 +932,120 @@ TEST(LayoutIncremental, MoveShiftsUntouchedNetIdsAndKeepsTheirCapacitance) {
   const auto& now = seen[1].net_cap_f;
   for (std::size_t k = 1; k <= 4; ++k)  // f2, f1, f0 and the chain
     EXPECT_EQ(now[now.size() - k], was[was.size() - k]);
+}
+
+/// A hand-made layout for the renumbering cases below, in piece order:
+///   dA, dB, dC  NDiff stripes 200 DBU apart, each with a contact and a
+///               Metal1 pad at either end
+///   gate        a poly gate across dA
+///   gateC       a poly gate across dC
+///   strap       Metal2 from over dC's right pad to the port OUT
+///   via         the Via1 joining dC's right pad to the strap
+///   far         a floating Metal1 rect far from the rest
+/// dB, which no gate crosses, and `far` are the nets minted after the
+/// port, in that order.
+geom::CellPtr stripes_layout() {
+  using geom::Layer;
+  using geom::Rect;
+  const auto leaf = [](const std::string& name, Layer layer, Rect r) {
+    auto c = std::make_shared<geom::Cell>(name);
+    c->add_shape(layer, r);
+    return c;
+  };
+  auto stripe = std::make_shared<geom::Cell>("stripe");
+  stripe->add_shape(Layer::NDiff, Rect::ltrb(0, 0, 100, 40));
+  stripe->add_shape(Layer::Contact, Rect::ltrb(10, 15, 20, 25));
+  stripe->add_shape(Layer::Contact, Rect::ltrb(80, 15, 90, 25));
+  stripe->add_shape(Layer::Metal1, Rect::ltrb(5, 10, 25, 30));
+  stripe->add_shape(Layer::Metal1, Rect::ltrb(75, 10, 95, 30));
+
+  auto top = std::make_shared<geom::Cell>("stripes");
+  for (int k = 0; k < 3; ++k)
+    top->add_instance(std::string("d") + "ABC"[k], stripe,
+                      geom::Transform::translate(200 * k, 0));
+  const geom::Transform here;
+  top->add_instance("gate", leaf("gate", Layer::Poly,
+                                 Rect::ltrb(40, -20, 60, 60)),
+                    here);
+  top->add_instance("gateC", leaf("gateC", Layer::Poly,
+                                  Rect::ltrb(440, -20, 460, 60)),
+                    here);
+  top->add_instance("strap", leaf("strap", Layer::Metal2,
+                                  Rect::ltrb(470, 10, 700, 30)),
+                    here);
+  top->add_instance("via", leaf("via", Layer::Via1,
+                                Rect::ltrb(480, 15, 490, 25)),
+                    here);
+  top->add_instance("far", leaf("far", Layer::Metal1,
+                                Rect::ltrb(-900, -900, -850, -890)),
+                    here);
+  top->add_port("OUT", Layer::Metal2, Rect::ltrb(680, 15, 690, 25));
+  return top;
+}
+
+CellEdit move_edit(const std::string& path, geom::Coord dx, geom::Coord dy) {
+  CellEdit e;
+  e.kind = CellEdit::Kind::Move;
+  e.path = path;
+  e.transform = geom::Transform::translate(dx, dy);
+  return e;
+}
+
+TEST(LayoutIncremental, CountKeepingMoveThatResplitsShiftsDiffusionPieces) {
+  // Moving the gate keeps every shape count, but each move re-splits a
+  // stripe. Off every stripe, dA loses its gate, so every piece past dA
+  // moves down one id; onto dB, every piece past dB moves up one id;
+  // back onto dA, dA and dB trade a segment and the rest keep their ids.
+  const auto seen = replay_toy({move_edit("gate", 0, 300),
+                                move_edit("gate", 200, 0),
+                                move_edit("gate", 0, 0)},
+                               stripes_layout());
+  ASSERT_EQ(seen.size(), 4u);
+  EXPECT_EQ(seen[0].devices.size(), 2u);  // dA and dC
+  EXPECT_EQ(seen[1].devices.size(), 1u);  // dC
+  EXPECT_EQ(seen[2].devices.size(), 2u);  // dB and dC
+  EXPECT_EQ(seen[3].devices.size(), 2u);
+  // Off every stripe, dA's two nets become one and the gate floats.
+  EXPECT_EQ(seen[1].net_count, seen[0].net_count - 1);
+  EXPECT_EQ(seen[2].net_count, seen[0].net_count);
+  EXPECT_EQ(seen[3].net_count, seen[0].net_count);
+  for (const auto& x : seen)  // `far` is the last net throughout
+    EXPECT_EQ(x.net_cap_f.back(), seen[0].net_cap_f.back());
+}
+
+TEST(LayoutIncremental, AddShiftsEveryLaterBlockAndKeepsADistantNet) {
+  // A stripe added at the top level lands at the end of the NDiff block,
+  // so every Poly, Metal1, Metal2, Contact and Via1 piece moves up. It is
+  // a net no device or port reaches, whose least wired piece precedes
+  // `far`'s: `far` stays the last net minted, with its capacitance bits.
+  // Removing the via next re-unites dC's drain from its moved edges.
+  CellEdit e;
+  e.kind = CellEdit::Kind::Add;
+  e.path = "";
+  e.name = "stripeD";
+  auto stripe = std::make_shared<geom::Cell>("stripeD");
+  stripe->add_shape(geom::Layer::NDiff, geom::Rect::ltrb(0, 0, 100, 40));
+  stripe->add_shape(geom::Layer::Contact, geom::Rect::ltrb(10, 15, 20, 25));
+  stripe->add_shape(geom::Layer::Metal1, geom::Rect::ltrb(5, 10, 25, 30));
+  e.cell = stripe;
+  e.transform = geom::Transform::translate(-600, 600);
+  const auto seen = replay_toy({e, remove_edit("via")}, stripes_layout());
+  ASSERT_EQ(seen[1].net_count, seen[0].net_count + 1);
+  EXPECT_EQ(seen[2].net_count, seen[1].net_count + 1);
+  EXPECT_EQ(seen[1].net_cap_f.back(), seen[0].net_cap_f.back());
+  for (int k = 0; k < seen[0].net_count - 1; ++k)
+    EXPECT_EQ(seen[1].net_cap_f[static_cast<std::size_t>(k)],
+              seen[0].net_cap_f[static_cast<std::size_t>(k)])
+        << "net " << k;
+}
+
+TEST(LayoutIncremental, RemovingTheOnlyViaSplitsANetAcrossLayers) {
+  // The via is the one link between dC's right pad (Metal1) and the
+  // strap (Metal2): without it the port's net is the strap alone.
+  const auto seen = replay_toy({remove_edit("via")}, stripes_layout());
+  EXPECT_EQ(seen[0].port_net.at("OUT"), seen[0].devices.back().drain);
+  EXPECT_EQ(seen[1].net_count, seen[0].net_count + 1);
+  EXPECT_NE(seen[1].port_net.at("OUT"), seen[1].devices.back().drain);
 }
 
 TEST(LayoutIncremental, AddOverAnExistingGateMatchesFullExtract) {
