@@ -7,9 +7,10 @@
 //               and the full extraction. The acceptance denominator is
 //               flatten + DRC + extract ("cold full flatten+scan");
 //               generation is reported separately.
-//   snapshot    write the flattened database with LayoutDB::save_snapshot
-//               and time LayoutDB::load_snapshot reading it back. This
-//               is the reopen step of an edit session (bisbench's
+//   snapshot    write the database's hierarchy with
+//               LayoutDB::save_snapshot and time LayoutDB::load_snapshot
+//               reading it back, which flattens it again. This is the
+//               reopen step of an edit session (bisbench's
 //               edit_resignoff); the loaded database must hash
 //               identically to the original.
 //
@@ -253,7 +254,7 @@ Numbers measure(std::uint32_t words, int bpw) {
   geom::LayoutDB& db = *kept;
   n.flatten_scan_s = n.flatten.median() + n.drc.median() + n.extract.median();
 
-  // --- snapshot: save the flatten, time the load back ----------------
+  // --- snapshot: save the hierarchy, time the load back --------------
   const std::string dir = fresh_temp_dir();
   const std::string snap = dir + "/fig6.snap";
   t0 = std::chrono::steady_clock::now();

@@ -158,8 +158,9 @@ struct Checker {
   /// pooled_walk()'s claim and UnionFind slots, one per shape of the
   /// largest layer walked so far (layers are walked one at a time).
   std::vector<std::uint32_t> claim;
-  /// filter_phase()'s flags, one per shape of the largest layer filtered
-  /// so far; all clear between calls.
+  /// filter_phase()'s flags, one per shape of the largest layer (sized
+  /// by IncrementalDrc, grown by the edits that outgrow it); all clear
+  /// between calls.
   std::vector<char> marked;
 
   Checker(const LayoutDB& layout, const tech::Tech& t, const DrcOptions& o)
@@ -625,7 +626,15 @@ std::vector<Violation> check(const geom::Cell& top, const tech::Tech& tech,
 // --- incremental checker -----------------------------------------------------
 
 struct IncrementalDrc::Impl : Checker {
-  using Checker::Checker;
+  // The flags are filled here, so the first update pays no layer-sized
+  // fill; the one-shot check() never filters and never fills them.
+  Impl(const LayoutDB& layout, const tech::Tech& t, const DrcOptions& o)
+      : Checker(layout, t, o) {
+    std::size_t n = 0;
+    for (Layer layer : geom::all_layers())
+      n = std::max(n, layout.rects(layer).size());
+    marked.assign(n, 0);
+  }
 };
 
 IncrementalDrc::IncrementalDrc(const geom::LayoutDB& db, const tech::Tech& tech,

@@ -48,13 +48,7 @@ Rect Cell::bbox() const {
 }
 
 std::size_t Cell::flat_shape_count() const {
-  MasterMemo<std::size_t> count(
-      [](const Cell& c, MasterMemo<std::size_t>& memo) {
-        std::size_t n = c.shapes().size();
-        for (const auto& inst : c.instances()) n += memo(*inst.cell);
-        return n;
-      });
-  return count(*this);
+  return static_cast<std::size_t>(LayoutDB::census(*this).total);
 }
 
 std::size_t Cell::transistor_census() const {

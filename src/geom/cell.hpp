@@ -83,8 +83,9 @@ class Cell {
   /// distinct master is boxed once per call).
   Rect bbox() const;
 
-  /// Total shape count in the fully flattened cell, counted once per
-  /// distinct master.
+  /// Total shape count in the fully flattened cell, from the flattener's
+  /// census (LayoutDB::census: each distinct master counted once, the
+  /// flatten guards applied).
   std::size_t flat_shape_count() const;
 
   /// Number of transistors implied by poly-over-diffusion crossings in the

@@ -1,6 +1,7 @@
 #include "geom/layout_db.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <string_view>
@@ -296,12 +297,15 @@ std::size_t path_lower_bound(const std::vector<std::uint32_t>& ids,
 /// Shapes per flatten task: a run of sibling instances.
 constexpr std::uint64_t kGroupShapes = std::uint64_t{1} << 14;
 
-/// What flattening one master writes below its own path node.
-struct Count {
-  std::array<std::uint64_t, kLayerCount> shapes{};  // per layer
-  std::uint64_t total = 0;                          // on every layer
-  std::uint64_t nodes = 0;   // path nodes: the instances of the subtree
-  int levels = 0;            // instance levels
+/// One master's census entry: its FlattenCount and, per instance, the
+/// entry and master-table id of the instance's cell, so the fill finds
+/// both without a lookup.
+struct Count : FlattenCount {
+  struct Kid {
+    const Count* count;
+    std::uint32_t master;
+  };
+  std::vector<Kid> kids;
 };
 
 /// Sums counts in 64 bits, saturating far above every flatten guard, so
@@ -318,12 +322,15 @@ std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
 /// every column exactly and places every pooled fill task.
 class Census {
  public:
+  /// Gives an instance's cell its master-table id (none: every id 0).
+  using Intern = std::function<std::uint32_t(const CellPtr&)>;
+
   /// Counts `root`'s subtree, its root `depth` levels below the top
   /// cell, for a database keeping `kept` path nodes besides the subtree.
   Census(const std::string& top, const Cell& root, int depth,
-         std::size_t kept)
-      : memo_([&top, level = depth](const Cell& cell,
-                                    MasterMemo<Count>& memo) mutable {
+         std::size_t kept, const Intern& intern = {})
+      : memo_([&top, &intern, level = depth](
+                  const Cell& cell, MasterMemo<Count>& memo) mutable {
           // `level` is the nesting of the master being counted: each
           // master is counted once, at its first placement.
           if (level > kMaxFlattenDepth)
@@ -344,6 +351,7 @@ class Census {
             n.total = sat_add(n.total, k.total);
             n.nodes = sat_add(n.nodes, sat_add(k.nodes, 1));
             n.levels = std::max(n.levels, k.levels + 1);
+            n.kids.push_back({&k, intern ? intern(inst.cell) : 0});
           }
           --level;
           return n;
@@ -361,7 +369,6 @@ class Census {
   }
 
   const Count& root() const { return *root_; }
-  const Count& of(const Cell& cell) { return memo_(cell); }
 
  private:
   MasterMemo<Count> memo_;
@@ -377,33 +384,36 @@ struct Cursor {
 /// The one flattener, for the constructor and apply() alike. It writes
 /// into columns and path-node arrays its caller sized from the Census:
 /// a cell's own shapes first, then each instance depth-first in
-/// instance order, one preorder path node per instance. The subtree is
-/// cut into tasks (a run of sibling instances of about kGroupShapes
-/// shapes, started at cursors prefix-summed from the census) that run on
-/// the pool, each writing its own slots; a subtree under kGroupShapes
-/// shapes is one task, which parallel_for runs on the calling thread.
-/// Every slot gets the same value at any thread count.
+/// instance order, one preorder path node (with its master's id) per
+/// instance. The subtree is cut into tasks (a run of sibling instances
+/// of about kGroupShapes shapes, started at cursors prefix-summed from
+/// the census) that run on the pool, each writing its own slots; a
+/// subtree under kGroupShapes shapes is one task, which parallel_for
+/// runs on the calling thread. Every slot gets the same value at any
+/// thread count.
 struct Flattener {
   std::vector<std::uint32_t>& parent;
   std::vector<std::string>& name;
   std::vector<Transform>& local;
+  std::vector<std::uint32_t>& master;
   std::vector<std::uint32_t>& sub_end;
   std::array<std::vector<Rect>, kLayerCount>& rects;
   std::array<std::vector<std::uint32_t>, kLayerCount>& paths;
 
-  /// Flattens `cell`, placed by `t`, as path node `node`, whose own
-  /// entry the caller writes, from cursor `c`.
-  void fill(const Cell& cell, const Transform& t, std::uint32_t node,
-            Cursor c, Census& census) const {
+  /// Flattens `cell` (census entry `count`), placed by `t`, as path node
+  /// `node`, whose own entry the caller writes, from cursor `c`.
+  void fill(const Cell& cell, const Count& count, const Transform& t,
+            std::uint32_t node, Cursor c) const {
     std::vector<Task> tasks;
-    plan(cell, t, node, c, census, tasks);
+    plan(cell, count, t, node, c, tasks);
     parallel_for(static_cast<std::int64_t>(tasks.size()), 1,
                  [&](std::int64_t i) {
                    const Task& k = tasks[static_cast<std::size_t>(i)];
                    Cursor at = k.at;
                    if (k.own) own(*k.cell, k.t, k.node, at);
                    for (std::size_t j = k.first; j < k.last; ++j)
-                     instance(k.cell->instances()[j], k.t, k.node, at);
+                     instance(k.cell->instances()[j], k.count->kids[j], k.t,
+                              k.node, at);
                  });
   }
 
@@ -412,6 +422,7 @@ struct Flattener {
   /// from cursor `at`, and the cell's own shapes first when `own`.
   struct Task {
     const Cell* cell;
+    const Count* count;
     Transform t;
     std::uint32_t node;
     bool own;
@@ -428,25 +439,27 @@ struct Flattener {
     }
   }
 
-  /// Writes the path node of instance `inst` of node `node` and returns
-  /// its id.
-  std::uint32_t enter(const Instance& inst, std::uint32_t node,
-                      Cursor& c) const {
+  /// Writes the path node of instance `inst` (census entry `kid`) of node
+  /// `node` and returns its id.
+  std::uint32_t enter(const Instance& inst, const Count::Kid& kid,
+                      std::uint32_t node, Cursor& c) const {
     const std::uint32_t child = c.node++;
     parent[child] = node;
     name[child] = inst.name;
     local[child] = inst.transform;
+    master[child] = kid.master;
     return child;
   }
-  /// Writes instance `inst` of node `node`, placed by `t`, and its whole
-  /// subtree.
-  void instance(const Instance& inst, const Transform& t, std::uint32_t node,
-                Cursor& c) const {
-    const std::uint32_t child = enter(inst, node, c);
+  /// Writes instance `inst` (census entry `kid`) of node `node`, placed
+  /// by `t`, and its whole subtree.
+  void instance(const Instance& inst, const Count::Kid& kid,
+                const Transform& t, std::uint32_t node, Cursor& c) const {
+    const std::uint32_t child = enter(inst, kid, node, c);
     const Transform ct = t.compose(inst.transform);
     own(*inst.cell, ct, child, c);
-    for (const Instance& sub : inst.cell->instances())
-      instance(sub, ct, child, c);
+    const auto& subs = inst.cell->instances();
+    for (std::size_t j = 0; j < subs.size(); ++j)
+      instance(subs[j], kid.count->kids[j], ct, child, c);
     sub_end[child] = c.node;
   }
 
@@ -454,25 +467,26 @@ struct Flattener {
   /// `c` past it: siblings gather into a task until it holds
   /// kGroupShapes shapes, and an instance larger than that is cut the
   /// same way one level down (its own path node written here).
-  void plan(const Cell& cell, const Transform& t, std::uint32_t node,
-            Cursor& c, Census& census, std::vector<Task>& tasks) const {
-    Task group{&cell, t, node, true, 0, 0, c};
+  void plan(const Cell& cell, const Count& count, const Transform& t,
+            std::uint32_t node, Cursor& c, std::vector<Task>& tasks) const {
+    Task group{&cell, &count, t, node, true, 0, 0, c};
     std::uint64_t size = cell.shapes().size();
     for (const Shape& s : cell.shapes())
       ++c.at[static_cast<std::size_t>(s.layer)];
     const auto close = [&](std::size_t last, std::size_t next) {
       group.last = last;
       if (size > 0 || group.first < last) tasks.push_back(group);
-      group = {&cell, t, node, false, next, next, c};
+      group = {&cell, &count, t, node, false, next, next, c};
       size = 0;
     };
     const auto& insts = cell.instances();
     for (std::size_t i = 0; i < insts.size(); ++i) {
-      const Count& k = census.of(*insts[i].cell);
+      const Count::Kid& kid = count.kids[i];
+      const Count& k = *kid.count;
       if (k.total > kGroupShapes) {
         close(i, i);
-        const std::uint32_t child = enter(insts[i], node, c);
-        plan(*insts[i].cell, t.compose(insts[i].transform), child, c, census,
+        const std::uint32_t child = enter(insts[i], kid, node, c);
+        plan(*insts[i].cell, k, t.compose(insts[i].transform), child, c,
              tasks);
         sub_end[child] = c.node;
         close(i, i + 1);
@@ -490,24 +504,39 @@ struct Flattener {
 }  // namespace
 
 LayoutDB::LayoutDB(const Cell& top, Coord tile_size)
-    : top_name_(top.name()),
-      ports_(top.ports()),
-      tile_(std::max<Coord>(tile_size, 1)) {
-  Census census(top_name_, top, 0, 0);
+    : tile_(std::max<Coord>(tile_size, 1)) {
+  // Master 0 is the database's own copy of the top, which shares the
+  // masters below it, so the database outlives the caller's cell.
+  intern(std::make_shared<const Cell>(top));
+  const Cell& root = *masters_[0];
+  const Census census(root.name(), root, 0, 0,
+                      [this](const CellPtr& c) { return intern(c); });
   const std::size_t nodes = census.root().nodes + 1;
   path_parent_.resize(nodes);  // node 0: the top cell, empty path
   path_name_.resize(nodes);
   path_local_.resize(nodes);
+  path_master_.resize(nodes);
   path_sub_end_.resize(nodes);
   path_sub_end_[0] = static_cast<std::uint32_t>(nodes);
   for (std::size_t l = 0; l < rects_.size(); ++l) {
     rects_[l].resize(census.root().shapes[l]);
     path_ids_[l].resize(census.root().shapes[l]);
   }
-  Flattener{path_parent_, path_name_, path_local_, path_sub_end_, rects_,
-            path_ids_}
-      .fill(top, Transform{}, 0, Cursor{{}, 1}, census);
+  Flattener{path_parent_, path_name_, path_local_, path_master_,
+            path_sub_end_, rects_, path_ids_}
+      .fill(root, census.root(), Transform{}, 0, Cursor{{}, 1});
   build_indexes();
+}
+
+FlattenCount LayoutDB::census(const Cell& top) {
+  return Census(top.name(), top, 0, 0).root();
+}
+
+std::uint32_t LayoutDB::intern(const CellPtr& cell) {
+  const auto [it, added] = master_id_.try_emplace(
+      cell.get(), static_cast<std::uint32_t>(masters_.size()));
+  if (added) masters_.push_back(cell);
+  return it->second;
 }
 
 void LayoutDB::build_indexes() {
@@ -529,21 +558,6 @@ Rect LayoutDB::bbox() const {
   for (const TileIndex& ix : index_)
     if (!ix.empty()) b = b.united(ix.bounds());
   return b;
-}
-
-void LayoutDB::rebuild_sub_ends() {
-  const std::size_t n = path_parent_.size();
-  path_sub_end_.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    path_sub_end_[i] = static_cast<std::uint32_t>(i + 1);
-  // Preorder numbering: node i extends the subtree of every ancestor.
-  for (std::size_t i = 1; i < n; ++i) {
-    for (std::uint32_t a = path_parent_[i];;) {
-      path_sub_end_[a] = static_cast<std::uint32_t>(i + 1);
-      if (a == 0) break;
-      a = path_parent_[a];
-    }
-  }
 }
 
 Transform LayoutDB::abs_transform(std::uint32_t node) const {
@@ -625,7 +639,7 @@ std::uint32_t LayoutDB::node_of(const std::string& path) const {
     }
     if (!found)
       throw Error("LayoutDB: no instance '" + std::string(seg) +
-                  "' on path '" + path + "' in " + top_name_);
+                  "' on path '" + path + "' in " + top_name());
     if (slash == std::string::npos) break;
     pos = slash + 1;
   }
@@ -688,6 +702,9 @@ EditResult LayoutDB::apply(const CellEdit& e) {
   std::string root_name;
   Transform root_local;
   std::optional<Census> census;
+  const Census::Intern intern_fn = [this](const CellPtr& c) {
+    return intern(c);
+  };
 
   switch (e.kind) {
     case CellEdit::Kind::Replace: {
@@ -699,8 +716,8 @@ EditResult LayoutDB::apply(const CellEdit& e) {
       anchor = path_parent_[n];
       root_name = path_name_[n];
       root_local = path_local_[n];
-      census.emplace(top_name_, *e.cell, depth_of(n),
-                     path_parent_.size() - (rm_end - rm_begin));
+      census.emplace(top_name(), *e.cell, depth_of(n),
+                     path_parent_.size() - (rm_end - rm_begin), intern_fn);
       break;
     }
     case CellEdit::Kind::Add: {
@@ -713,8 +730,8 @@ EditResult LayoutDB::apply(const CellEdit& e) {
       rm_begin = rm_end = path_sub_end_[anchor];
       root_name = e.name;
       root_local = e.transform;
-      census.emplace(top_name_, *e.cell, depth_of(anchor) + 1,
-                     path_parent_.size());
+      census.emplace(top_name(), *e.cell, depth_of(anchor) + 1,
+                     path_parent_.size(), intern_fn);
       break;
     }
     case CellEdit::Kind::Remove: {
@@ -781,16 +798,18 @@ EditResult LayoutDB::apply(const CellEdit& e) {
   nodes.resize_slots(path_parent_);
   nodes.resize_slots(path_name_);
   nodes.resize_slots(path_local_);
+  nodes.resize_slots(path_master_);
   nodes.resize_slots(path_sub_end_);
   if (census) {
     path_parent_[rm_begin] = anchor;
     path_name_[rm_begin] = std::move(root_name);
     path_local_[rm_begin] = root_local;
+    path_master_[rm_begin] = intern(e.cell);
     path_sub_end_[rm_begin] = nodes.new_end;
-    Flattener{path_parent_, path_name_, path_local_, path_sub_end_, rects_,
-              path_ids_}
-        .fill(*e.cell, abs_transform(anchor).compose(root_local), rm_begin, at,
-              *census);
+    Flattener{path_parent_, path_name_, path_local_, path_master_,
+              path_sub_end_, rects_, path_ids_}
+        .fill(*e.cell, census->root(),
+              abs_transform(anchor).compose(root_local), rm_begin, at);
   }
   for (std::uint32_t a = anchor;; a = path_parent_[a]) {
     path_sub_end_[a] = shifted(path_sub_end_[a]);
@@ -812,10 +831,10 @@ EditResult LayoutDB::apply(const CellEdit& e) {
 std::uint64_t LayoutDB::content_hash() const {
   Fingerprint fp;
   fp.mix_str("bisram-layoutdb-v1");
-  fp.mix_str(top_name_);
+  fp.mix_str(top_name());
   fp.mix_i64(tile_);
-  fp.mix(ports_.size());
-  for (const Port& p : ports_) {
+  fp.mix(ports().size());
+  for (const Port& p : ports()) {
     fp.mix_str(p.name);
     fp.mix(static_cast<std::uint64_t>(p.layer));
     fp.mix_i64(p.rect.lo.x).mix_i64(p.rect.lo.y);

@@ -23,10 +23,14 @@
 //     hierarchy; the returned EditResult carries the dirty region and
 //     the shape-id splice map that drive the incremental DRC /
 //     extraction re-verification.
-//   * save_snapshot()/load_snapshot() persist the flattened database as
-//     a compact, versioned, CRC-protected binary file (format in
-//     layout_snapshot.hpp), so an edit session reopens the flatten
-//     instead of rebuilding the hierarchy.
+//   * Every path node records its master, an index into a table of the
+//     distinct masters the database keeps alive (a copy of the top cell
+//     and every cell a Replace or Add brought), so the database still
+//     describes a hierarchy after any edit.
+//   * save_snapshot()/load_snapshot() persist that hierarchy, each
+//     master once, in a versioned, CRC-protected binary file (format in
+//     layout_snapshot.hpp); a reopen decodes it and flattens it with the
+//     one flattener, which reproduces the edited database exactly.
 //
 // Contracts:
 //   * Shape order. Per layer, shapes are stored in depth-first flatten
@@ -56,11 +60,11 @@
 //     buckets back to back in one id array beside an offsets array
 //     (TileIndex), filled by a two-pass counting sort; build_indexes()
 //     builds each layer on a pool worker of its own, at the end of the
-//     flatten and of load_snapshot(). An edit's splice re-lays only
-//     the tile rows its old and new rects touch, and in them only the
-//     columns they touch (the rest of the row moves by the change in
-//     size, if any); every other row only renumbers the ids past the
-//     splice, when the edit changes the layer's shape count.
+//     flatten. An edit's splice re-lays only the tile rows its old and
+//     new rects touch, and in them only the columns they touch (the
+//     rest of the row moves by the change in size, if any); every other
+//     row only renumbers the ids past the splice, when the edit changes
+//     the layer's shape count.
 //   * Determinism. for_each_in reports each shape id once, in tile
 //     order (a function of the rects and the grid, never of the thread
 //     count); ids_in reports them ascending. DRC and extraction use no
@@ -81,7 +85,8 @@
 //     instance counts (kMaxFlattenInstances, counted in 64 bits) with
 //     stable DiagError codes before anything is allocated, instead of a
 //     stack overflow (same bounded-recursion policy as the JSON parser's
-//     depth cap).
+//     depth cap). LayoutDB::census() runs it alone, so a caller can size
+//     a flatten without performing it.
 
 #include <algorithm>
 #include <array>
@@ -90,6 +95,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -279,6 +285,16 @@ void TileIndex::for_each_in(const Rect& window, Fn&& fn) const {
   }
 }
 
+/// What flattening a cell writes below its own path node: the census the
+/// flattener takes, each distinct master once, before anything is
+/// allocated. Counts are 64-bit and saturate far above every guard.
+struct FlattenCount {
+  std::array<std::uint64_t, kLayerCount> shapes{};  ///< per layer
+  std::uint64_t total = 0;  ///< shapes on every layer
+  std::uint64_t nodes = 0;  ///< path nodes: the instances of the subtree
+  int levels = 0;           ///< instance levels below the cell
+};
+
 /// One edit to a flattened hierarchy, addressed by instance path.
 struct CellEdit {
   enum class Kind {
@@ -343,11 +359,16 @@ class LayoutDB {
   static constexpr std::size_t kMaxFlattenInstances =
       geom::kMaxFlattenInstances;
 
-  const std::string& top_name() const { return top_name_; }
+  /// The flattener's census of `top`: LayoutDB(top) holds nodes + 1
+  /// path nodes and shapes[l] shapes of layer l. It applies the flatten
+  /// guards, throwing their DiagErrors, and allocates no column.
+  static FlattenCount census(const Cell& top);
+
+  const std::string& top_name() const { return masters_[0]->name(); }
   Coord tile_size() const { return tile_; }
-  /// The top cell's ports (copied; already in top coordinates). Lets
-  /// extraction and pin-aware checks run entirely off the database.
-  const std::vector<Port>& ports() const { return ports_; }
+  /// The top cell's ports (already in top coordinates). Lets extraction
+  /// and pin-aware checks run entirely off the database.
+  const std::vector<Port>& ports() const { return masters_[0]->ports(); }
 
   // --- shapes ---------------------------------------------------------------
   /// Absolute rects of `layer`'s flattened shapes in depth-first flatten
@@ -406,16 +427,25 @@ class LayoutDB {
   std::size_t path_count() const { return path_parent_.size(); }
   /// The path-node tree column by column, indexed by node id: each
   /// node's parent (node 0, the top cell, is its own), instance name,
-  /// placement in its parent, and the end of its preorder subtree, which
-  /// is the node interval [id, path_sub_ends()[id]).
+  /// placement in its parent, master (an index into masters()), and the
+  /// end of its preorder subtree, which is the node interval [id,
+  /// path_sub_ends()[id]).
   const std::vector<std::uint32_t>& path_parents() const {
     return path_parent_;
   }
   const std::vector<std::string>& path_names() const { return path_name_; }
   const std::vector<Transform>& path_locals() const { return path_local_; }
+  const std::vector<std::uint32_t>& path_masters() const {
+    return path_master_;
+  }
   const std::vector<std::uint32_t>& path_sub_ends() const {
     return path_sub_end_;
   }
+  /// The distinct masters the path nodes name; masters()[0] is the
+  /// database's copy of the top cell. A node's own shapes are its
+  /// master's; its children are its master's instances unless an edit
+  /// changed them. Masters an edit left unplaced stay in the table.
+  const std::vector<CellPtr>& masters() const { return masters_; }
   /// The path node of the instance at `path` ("A/b/c" syntax; "" = the
   /// top node, 0). Throws bisram::Error when no such instance exists.
   std::uint32_t node_of(const std::string& path) const;
@@ -435,56 +465,57 @@ class LayoutDB {
   /// extract::IncrementalExtract.
   EditResult apply(const CellEdit& edit);
 
-  /// Content fingerprint over everything the database stores (shapes,
-  /// provenance tree, ports, tile size). Equal databases hash equal;
-  /// the snapshot loader and the save/load round-trip tests key on this.
+  /// Content fingerprint over the flat database (shapes, provenance
+  /// tree, top name and ports, tile size; not the master table). Equal
+  /// databases hash equal; the snapshot loader and the save/load
+  /// round-trip tests key on this.
   std::uint64_t content_hash() const;
 
   // --- snapshots (format in layout_snapshot.{hpp,cpp}) ----------------------
-  /// Writes the versioned, CRC-protected binary snapshot atomically
+  /// Writes the hierarchy the database describes, each master once, as
+  /// a versioned, CRC-protected binary snapshot, atomically
   /// (util/checkpoint's publish_atomic). Throws bisram::Error on I/O
   /// failure.
   void save_snapshot(const std::string& path) const;
 
-  /// Loads a snapshot without re-flattening any hierarchy. Follows the
-  /// repo's parser convention (util/diag.hpp): with a DiagEngine it
-  /// never throws — corrupt, truncated or version-skewed files yield
-  /// stable "snapshot-*" diagnostics and a null result; without one it
-  /// throws bisram::DiagError carrying the same diagnostics.
+  /// Loads a snapshot: decodes its hierarchy and flattens it through
+  /// LayoutDB(const Cell&, Coord), so the result equals the saved
+  /// database, edits included. Follows the repo's parser convention
+  /// (util/diag.hpp): with a DiagEngine it never throws — corrupt,
+  /// truncated or version-skewed files yield stable "snapshot-*"
+  /// diagnostics and a null result; without one it throws
+  /// bisram::DiagError carrying the same diagnostics.
   static std::unique_ptr<LayoutDB> load_snapshot(const std::string& path,
                                                  DiagEngine* diag = nullptr);
 
  private:
-  LayoutDB() = default;  // snapshot loader fills the fields directly
-  friend class SnapshotCodec;
-
   /// Builds every layer's TileIndex over its rects, one layer per pool
-  /// worker (util/parallel), the largest layers first, once the database
-  /// is larger than a leaf cell; the constructor and the snapshot loader
-  /// end with it, apply() splices instead.
+  /// worker (util/parallel), the largest layers first; the constructor
+  /// ends with it, apply() splices instead.
   void build_indexes();
-  /// Recomputes path_sub_end_ from path_parent_ (preorder invariant);
-  /// the snapshot loader only (the flattener writes the subtree ends).
-  void rebuild_sub_ends();
+  /// The id of `cell` in the master table, appending it when new.
+  std::uint32_t intern(const CellPtr& cell);
   /// Absolute transform of a path node (composition of local transforms
   /// from the top down).
   Transform abs_transform(std::uint32_t node) const;
 
-  std::string top_name_;
-  std::vector<Port> ports_;
   Coord tile_ = kDefaultTile;
+  // The distinct masters, kept alive; masters_[0] is the top's copy.
+  std::vector<CellPtr> masters_;
+  std::unordered_map<const Cell*, std::uint32_t> master_id_;
   // The flat store: per layer, one rect and one path-node id per shape.
   std::array<std::vector<Rect>, kLayerCount> rects_;
   std::array<std::vector<std::uint32_t>, kLayerCount> path_ids_;
   std::array<TileIndex, kLayerCount> index_;
-  // Parent-pointer path tree; node 0 is the top cell. Names and local
-  // placements are stored by value (one node per flattened instance,
-  // not per shape); path_sub_end_[n] is one past the last node of n's
-  // subtree in the preorder numbering, so a subtree is always the id
-  // interval [n, path_sub_end_[n]).
+  // Parent-pointer path tree; node 0 is the top cell. Names, local
+  // placements and master ids are stored by value (one node per
+  // flattened instance, not per shape); path_sub_end_[n] is one past
+  // the last node of n's subtree in the preorder numbering, so a
+  // subtree is always the id interval [n, path_sub_end_[n]).
   std::vector<std::uint32_t> path_parent_;
   std::vector<std::string> path_name_;
   std::vector<Transform> path_local_;
+  std::vector<std::uint32_t> path_master_;
   std::vector<std::uint32_t> path_sub_end_;
 };
 

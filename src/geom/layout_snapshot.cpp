@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <unordered_map>
 
 #include "util/checkpoint.hpp"
 #include "util/diag.hpp"
@@ -15,6 +16,10 @@ namespace {
 
 constexpr char kMagic[8] = {'B', 'S', 'R', 'L', 'Y', 'D', 'B', '\0'};
 constexpr std::size_t kHeaderBytes = 32;
+/// Largest coordinate or offset magnitude a snapshot holds (DBU), the
+/// CIF reader's bound: composed through kMaxFlattenDepth levels, every
+/// absolute coordinate stays far inside int64.
+constexpr std::int64_t kCoordLimit = 2'000'000'000;
 
 void put_u32(std::string& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i)
@@ -72,6 +77,13 @@ void put_str(std::string& out, const std::string& s) {
   out += s;
 }
 
+void put_rect(std::string& out, const Rect& r) {
+  put_zigzag(out, r.lo.x);
+  put_zigzag(out, r.lo.y);
+  put_zigzag(out, r.hi.x);
+  put_zigzag(out, r.hi.y);
+}
+
 /// Bounds-checked payload reader. Every accessor reports at most one
 /// diagnostic (the first failure) and turns all later reads into no-ops,
 /// so the decode loop below can stay linear and still never touch a byte
@@ -82,7 +94,6 @@ class Decoder {
           DiagEngine& diag)
       : buf_(buf), pos_(begin), end_(end), diag_(diag) {}
 
-  bool failed() const { return failed_; }
   std::size_t remaining() const { return end_ - pos_; }
 
   bool fail(const char* code, std::string message) {
@@ -136,6 +147,43 @@ class Decoder {
     return true;
   }
 
+  /// A coordinate or offset within ±kCoordLimit.
+  bool coord(std::int64_t* v) {
+    if (!z(v)) return false;
+    if (*v < -kCoordLimit || *v > kCoordLimit)
+      return fail("snapshot-bad-value",
+                  strfmt("coordinate %lld lies beyond %lld DBU",
+                         static_cast<long long>(*v),
+                         static_cast<long long>(kCoordLimit)));
+    return true;
+  }
+
+  bool layer(Layer* l) {
+    std::uint64_t v = 0;
+    if (!u(&v)) return false;
+    if (v >= static_cast<std::uint64_t>(kLayerCount))
+      return fail("snapshot-bad-value",
+                  strfmt("layer %llu out of range",
+                         static_cast<unsigned long long>(v)));
+    *l = static_cast<Layer>(v);
+    return true;
+  }
+
+  /// A rect of positive width and height, as cells hold.
+  bool rect(Rect* r) {
+    std::int64_t x0 = 0, y0 = 0, x1 = 0, y1 = 0;
+    if (!coord(&x0) || !coord(&y0) || !coord(&x1) || !coord(&y1))
+      return false;
+    if (x0 >= x1 || y0 >= y1)
+      return fail("snapshot-bad-value",
+                  strfmt("empty rect (%lld, %lld)-(%lld, %lld)",
+                         static_cast<long long>(x0), static_cast<long long>(y0),
+                         static_cast<long long>(x1),
+                         static_cast<long long>(y1)));
+    *r = Rect{{x0, y0}, {x1, y1}};
+    return true;
+  }
+
  private:
   const std::string& buf_;
   std::size_t pos_;
@@ -144,179 +192,222 @@ class Decoder {
   bool failed_ = false;
 };
 
-}  // namespace
-
-/// Private-member access for the snapshot layer (friend of LayoutDB).
-class SnapshotCodec {
+/// Writes the hierarchy a database describes as the payload's cell list,
+/// children first, so the top comes last and each instance names an
+/// earlier cell. A node whose children are still its master's instances
+/// (same names, placements and masters, none of them rewritten) is its
+/// master, written once for all such nodes; any other node, the ones
+/// whose children an edit changed and their ancestors, gets a fresh cell:
+/// its master's shapes and ports, and its children as they are now.
+class HierarchyWriter {
  public:
-  static std::string encode(const LayoutDB& db) {
-    std::string p;
-    put_str(p, db.top_name_);
-    put_zigzag(p, db.tile_);
-    put_varint(p, db.ports_.size());
-    for (const Port& pt : db.ports_) {
-      put_str(p, pt.name);
-      put_varint(p, static_cast<std::uint64_t>(pt.layer));
-      put_zigzag(p, pt.rect.lo.x);
-      put_zigzag(p, pt.rect.lo.y);
-      put_zigzag(p, pt.rect.hi.x);
-      put_zigzag(p, pt.rect.hi.y);
-    }
-    put_varint(p, db.path_parent_.size());
-    for (std::size_t i = 0; i < db.path_parent_.size(); ++i) {
-      put_varint(p, db.path_parent_[i]);
-      put_str(p, db.path_name_[i]);
-      put_varint(p, static_cast<std::uint64_t>(db.path_local_[i].orient()));
-      put_zigzag(p, db.path_local_[i].offset().x);
-      put_zigzag(p, db.path_local_[i].offset().y);
-    }
-    for (std::size_t l = 0; l < db.rects_.size(); ++l) {
-      const auto& rv = db.rects_[l];
-      const auto& pv = db.path_ids_[l];
-      put_varint(p, rv.size());
-      Point prev{};
-      std::uint32_t prev_path = 0;
-      for (std::size_t i = 0; i < rv.size(); ++i) {
-        put_zigzag(p, rv[i].lo.x - prev.x);
-        put_zigzag(p, rv[i].lo.y - prev.y);
-        put_zigzag(p, rv[i].width());
-        put_zigzag(p, rv[i].height());
-        put_varint(p, pv[i] - prev_path);  // non-decreasing in flatten order
-        prev = rv[i].lo;
-        prev_path = pv[i];
-      }
-    }
-    return p;
+  HierarchyWriter(const LayoutDB& db, std::string& out)
+      : db_(db), out_(out), rewritten_(db.path_count(), 0) {
+    // A child's id exceeds its parent's: one pass from the last node
+    // settles every node after its children.
+    for (std::size_t n = rewritten_.size(); n-- > 0;)
+      rewritten_[n] = !as_master(static_cast<std::uint32_t>(n));
   }
 
-  static std::unique_ptr<LayoutDB> decode(const std::string& doc,
-                                          std::size_t begin, std::size_t end,
-                                          DiagEngine& diag) {
-    Decoder d(doc, begin, end, diag);
-    std::unique_ptr<LayoutDB> db(new LayoutDB());
+  /// Appends the top's cell and every cell below it; returns the count.
+  std::uint64_t write() {
+    node(0);
+    return cells_;
+  }
 
-    if (!d.str(&db->top_name_, "top-name")) return nullptr;
-    std::int64_t tile = 0;
-    if (!d.z(&tile)) return nullptr;
-    if (tile < 1) {
-      d.fail("snapshot-bad-value",
-             strfmt("tile size %lld is not positive",
-                    static_cast<long long>(tile)));
-      return nullptr;
+ private:
+  const Cell& master(std::uint32_t n) const {
+    return *db_.masters()[db_.path_masters()[n]];
+  }
+
+  bool as_master(std::uint32_t n) const {
+    const auto& ends = db_.path_sub_ends();
+    const auto& insts = master(n).instances();
+    std::size_t j = 0;
+    for (std::uint32_t c = n + 1; c < ends[n]; c = ends[c], ++j)
+      if (j == insts.size() || rewritten_[c] ||
+          db_.path_names()[c] != insts[j].name ||
+          !(db_.path_locals()[c] == insts[j].transform) ||
+          &master(c) != insts[j].cell.get())
+        return false;
+    return j == insts.size();
+  }
+
+  /// Writes node `n`'s cell unless its master is written already;
+  /// returns the cell's index.
+  std::uint64_t node(std::uint32_t n) {
+    const Cell& m = master(n);
+    if (!rewritten_[n])
+      if (const auto it = index_.find(&m); it != index_.end())
+        return it->second;
+    std::vector<std::uint64_t> kids;
+    const auto& ends = db_.path_sub_ends();
+    for (std::uint32_t c = n + 1; c < ends[n]; c = ends[c])
+      kids.push_back(node(c));
+    std::string& p = out_;
+    put_str(p, m.name());
+    put_varint(p, m.shapes().size());
+    for (const Shape& s : m.shapes()) {
+      put_varint(p, static_cast<std::uint64_t>(s.layer));
+      put_rect(p, s.rect);
     }
-    db->tile_ = tile;
+    put_varint(p, m.ports().size());
+    for (const Port& pt : m.ports()) {
+      put_str(p, pt.name);
+      put_varint(p, static_cast<std::uint64_t>(pt.layer));
+      put_rect(p, pt.rect);
+    }
+    put_varint(p, kids.size());
+    std::size_t k = 0;
+    for (std::uint32_t c = n + 1; c < ends[n]; c = ends[c]) {
+      const Transform& t = db_.path_locals()[c];
+      put_varint(p, kids[k++]);
+      put_str(p, db_.path_names()[c]);
+      put_varint(p, static_cast<std::uint64_t>(t.orient()));
+      put_zigzag(p, t.offset().x);
+      put_zigzag(p, t.offset().y);
+    }
+    if (!rewritten_[n]) index_.emplace(&m, cells_);
+    return cells_++;
+  }
 
-    std::uint64_t nports = 0;
-    if (!d.count(&nports, "port")) return nullptr;
-    db->ports_.resize(static_cast<std::size_t>(nports));
-    for (auto& pt : db->ports_) {
-      std::uint64_t layer = 0;
-      std::int64_t x0 = 0, y0 = 0, x1 = 0, y1 = 0;
-      if (!d.str(&pt.name, "port-name") || !d.u(&layer) || !d.z(&x0) ||
-          !d.z(&y0) || !d.z(&x1) || !d.z(&y1))
+  const LayoutDB& db_;
+  std::string& out_;
+  std::vector<char> rewritten_;  // per node: written as a fresh cell
+  std::unordered_map<const Cell*, std::uint64_t> index_;  // masters written
+  std::uint64_t cells_ = 0;
+};
+
+std::string encode(const LayoutDB& db) {
+  std::string cells;
+  const std::uint64_t count = HierarchyWriter(db, cells).write();
+  std::string p;
+  put_zigzag(p, db.tile_size());
+  put_varint(p, db.shape_count());
+  put_varint(p, db.path_count());
+  put_varint(p, count);
+  return p + cells;
+}
+
+/// Decoded cells, released last first: each names only earlier ones, so
+/// a cell is freed while the list still holds its children and no
+/// release recurses, however long a chain a refused file describes.
+struct CellList {
+  std::vector<CellPtr> cells;
+  ~CellList() {
+    while (!cells.empty()) cells.pop_back();
+  }
+};
+
+/// Decodes the cell list and flattens its last cell, once the declared
+/// counts match the flattener's census.
+std::unique_ptr<LayoutDB> decode(const std::string& doc, std::size_t begin,
+                                 std::size_t end, DiagEngine& diag) {
+  Decoder d(doc, begin, end, diag);
+  std::int64_t tile = 0;
+  std::uint64_t shapes = 0, nodes = 0, ncells = 0;
+  if (!d.z(&tile) || !d.u(&shapes) || !d.u(&nodes) ||
+      !d.count(&ncells, "cell"))
+    return nullptr;
+  if (tile < 1) {
+    d.fail("snapshot-bad-value", strfmt("tile size %lld is not positive",
+                                        static_cast<long long>(tile)));
+    return nullptr;
+  }
+  if (ncells == 0) {
+    d.fail("snapshot-bad-count", "the payload holds no cell");
+    return nullptr;
+  }
+
+  CellList list;
+  std::vector<CellPtr>& cells = list.cells;
+  for (std::uint64_t k = 0; k < ncells; ++k) {
+    std::string name;
+    std::uint64_t n = 0;
+    if (!d.str(&name, "cell-name") || !d.count(&n, "shape")) return nullptr;
+    auto cell = std::make_shared<Cell>(std::move(name));
+    for (std::uint64_t i = 0; i < n; ++i) {
+      Layer layer{};
+      Rect r;
+      if (!d.layer(&layer) || !d.rect(&r)) return nullptr;
+      cell->add_shape(layer, r);
+    }
+    if (!d.count(&n, "port")) return nullptr;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      std::string port;
+      Layer layer{};
+      Rect r;
+      if (!d.str(&port, "port-name") || !d.layer(&layer) || !d.rect(&r))
         return nullptr;
-      if (layer >= static_cast<std::uint64_t>(kLayerCount)) {
-        d.fail("snapshot-bad-value",
-               strfmt("port layer %llu out of range",
-                      static_cast<unsigned long long>(layer)));
-        return nullptr;
-      }
-      pt.layer = static_cast<Layer>(layer);
-      pt.rect = Rect{{x0, y0}, {x1, y1}};
+      cell->add_port(std::move(port), layer, r);
     }
-
-    std::uint64_t nnodes = 0;
-    if (!d.count(&nnodes, "path-node")) return nullptr;
-    if (nnodes == 0 || nnodes > kMaxFlattenInstances) {
-      d.fail("snapshot-bad-count",
-             strfmt("path-node count %llu out of range",
-                    static_cast<unsigned long long>(nnodes)));
-      return nullptr;
-    }
-    const auto n = static_cast<std::size_t>(nnodes);
-    db->path_parent_.resize(n);
-    db->path_name_.resize(n);
-    db->path_local_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t parent = 0, orient = 0;
+    if (!d.count(&n, "instance")) return nullptr;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      std::uint64_t of = 0, orient = 0;
+      std::string inst;
       std::int64_t dx = 0, dy = 0;
-      if (!d.u(&parent) || !d.str(&db->path_name_[i], "path-node-name") ||
-          !d.u(&orient) || !d.z(&dx) || !d.z(&dy))
+      if (!d.u(&of) || !d.str(&inst, "instance-name") || !d.u(&orient) ||
+          !d.coord(&dx) || !d.coord(&dy))
         return nullptr;
-      // Preorder invariant: a node's parent precedes it (node 0 is its
-      // own parent). Everything downstream — path materialization,
-      // subtree intervals, apply()'s splices — relies on this.
-      if ((i == 0 && parent != 0) || (i > 0 && parent >= i)) {
+      // Naming only earlier cells keeps the hierarchy acyclic.
+      if (of >= k) {
         d.fail("snapshot-bad-value",
-               strfmt("path node %zu has non-preorder parent %llu", i,
-                      static_cast<unsigned long long>(parent)));
+               strfmt("instance '%s' of cell %llu names cell %llu, not an "
+                      "earlier one",
+                      inst.c_str(), static_cast<unsigned long long>(k),
+                      static_cast<unsigned long long>(of)));
         return nullptr;
       }
       if (orient >= 8) {
         d.fail("snapshot-bad-value",
-               strfmt("path node %zu has orientation %llu out of range", i,
-                      static_cast<unsigned long long>(orient)));
+               strfmt("instance '%s' has orientation %llu out of range",
+                      inst.c_str(), static_cast<unsigned long long>(orient)));
         return nullptr;
       }
-      db->path_parent_[i] = static_cast<std::uint32_t>(parent);
-      db->path_local_[i] =
-          Transform(static_cast<Orient>(orient), Point{dx, dy});
+      cell->add_instance(std::move(inst), cells[static_cast<std::size_t>(of)],
+                         Transform(static_cast<Orient>(orient), {dx, dy}));
     }
-
-    for (int l = 0; l < kLayerCount; ++l) {
-      std::uint64_t nshapes = 0;
-      if (!d.count(&nshapes, "shape")) return nullptr;
-      auto& rv = db->rects_[static_cast<std::size_t>(l)];
-      auto& pv = db->path_ids_[static_cast<std::size_t>(l)];
-      rv.resize(static_cast<std::size_t>(nshapes));
-      pv.resize(static_cast<std::size_t>(nshapes));
-      Point prev{};
-      std::uint64_t prev_path = 0;
-      for (std::size_t i = 0; i < rv.size(); ++i) {
-        std::int64_t dx = 0, dy = 0, w = 0, h = 0;
-        std::uint64_t dpath = 0;
-        if (!d.z(&dx) || !d.z(&dy) || !d.z(&w) || !d.z(&h) || !d.u(&dpath))
-          return nullptr;
-        if (w < 0 || h < 0) {
-          d.fail("snapshot-bad-value",
-                 strfmt("%s shape has negative size %lld x %lld",
-                        std::string(layer_name(static_cast<Layer>(l))).c_str(),
-                        static_cast<long long>(w),
-                        static_cast<long long>(h)));
-          return nullptr;
-        }
-        prev = Point{prev.x + dx, prev.y + dy};
-        prev_path += dpath;
-        if (prev_path >= nnodes) {
-          d.fail("snapshot-bad-value",
-                 strfmt("%s shape path id %llu out of range",
-                        std::string(layer_name(static_cast<Layer>(l))).c_str(),
-                        static_cast<unsigned long long>(prev_path)));
-          return nullptr;
-        }
-        rv[i] = Rect{prev, {prev.x + w, prev.y + h}};
-        pv[i] = static_cast<std::uint32_t>(prev_path);
-      }
-    }
-
-    if (d.remaining() != 0) {
-      d.fail("snapshot-bad-length",
-             strfmt("%zu trailing payload bytes after the last layer",
-                    d.remaining()));
-      return nullptr;
-    }
-
-    // Derived state: indexes and subtree intervals are pure functions of
-    // the serialized fields and are rebuilt, not stored.
-    db->rebuild_sub_ends();
-    db->build_indexes();
-    return db;
+    cells.push_back(std::move(cell));
   }
-};
+  if (d.remaining() != 0) {
+    d.fail("snapshot-bad-length",
+           strfmt("%zu trailing payload bytes after the last cell",
+                  d.remaining()));
+    return nullptr;
+  }
+
+  // The flat counts are not bounded by the payload's size (a hierarchy
+  // is a compressed description), so they are checked against the
+  // census, whose guards also refuse a hierarchy too deep or too large
+  // to flatten, before any column is allocated.
+  const Cell& top = *cells.back();
+  FlattenCount census;
+  try {
+    census = LayoutDB::census(top);
+  } catch (const DiagError& e) {
+    const bool deep = e.diagnostics()[0].code == "layout-flatten-too-deep";
+    d.fail(deep ? "snapshot-too-deep" : "snapshot-too-many-instances",
+           e.diagnostics()[0].message);
+    return nullptr;
+  }
+  if (census.total != shapes || census.nodes + 1 != nodes) {
+    d.fail("snapshot-count-mismatch",
+           strfmt("the payload declares %llu shapes and %llu path nodes; "
+                  "its hierarchy flattens to %llu and %llu",
+                  static_cast<unsigned long long>(shapes),
+                  static_cast<unsigned long long>(nodes),
+                  static_cast<unsigned long long>(census.total),
+                  static_cast<unsigned long long>(census.nodes + 1)));
+    return nullptr;
+  }
+  return std::make_unique<LayoutDB>(top, tile);
+}
+
+}  // namespace
 
 void LayoutDB::save_snapshot(const std::string& path) const {
   require(!path.empty(), "layout snapshot: empty path");
-  const std::string payload = SnapshotCodec::encode(*this);
+  const std::string payload = encode(*this);
   std::string doc;
   doc.reserve(kHeaderBytes + payload.size() + 4);
   doc.append(kMagic, sizeof kMagic);
@@ -381,7 +472,7 @@ std::unique_ptr<LayoutDB> load_snapshot_impl(const std::string& path,
                       path.c_str(), stored_crc, actual_crc));
     return nullptr;
   }
-  auto db = SnapshotCodec::decode(doc, kHeaderBytes, doc.size() - 4, diag);
+  auto db = decode(doc, kHeaderBytes, doc.size() - 4, diag);
   if (!db) return nullptr;
   const std::uint64_t stored_hash = get_u64(doc, 16);
   const std::uint64_t actual_hash = db->content_hash();

@@ -83,22 +83,6 @@ double mttf_hours(const sim::RamGeometry& geo, double lambda_per_hour) {
   return integrate(r, 0.0, horizon, 1e-6 * horizon);
 }
 
-std::vector<ReliabilityPoint> reliability_curve(sim::RamGeometry geo,
-                                                int spare_rows,
-                                                double lambda_per_hour,
-                                                double max_hours, int points) {
-  require(points >= 2, "reliability_curve: needs >= 2 points");
-  geo.spare_rows = spare_rows;
-  geo.validate();
-  std::vector<ReliabilityPoint> out;
-  out.reserve(static_cast<std::size_t>(points));
-  for (int i = 0; i < points; ++i) {
-    const double t = max_hours * i / (points - 1);
-    out.push_back({t, reliability(geo, lambda_per_hour, t)});
-  }
-  return out;
-}
-
 double reliability_crossover_hours(sim::RamGeometry geo, int s1, int s2,
                                    double lambda_per_hour, double max_hours) {
   require(s2 > s1, "reliability_crossover_hours: s2 must exceed s1");

@@ -15,7 +15,6 @@
 // spares exceeds R with 8 until the crossover.
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/campaign.hpp"
 #include "sim/ram_model.hpp"
@@ -44,16 +43,6 @@ sim::CampaignResult<double> reliability_mc(const sim::RamGeometry& geo,
 
 /// Mean time to failure in hours (numeric integration of R).
 double mttf_hours(const sim::RamGeometry& geo, double lambda_per_hour);
-
-/// One Fig. 5 curve: R(t) sampled at `points` times up to max_hours.
-struct ReliabilityPoint {
-  double t_hours;
-  double reliability;
-};
-std::vector<ReliabilityPoint> reliability_curve(sim::RamGeometry geo,
-                                                int spare_rows,
-                                                double lambda_per_hour,
-                                                double max_hours, int points);
 
 /// Device age at which the s2-spare module first becomes more reliable
 /// than the s1-spare module (s2 > s1), or a negative value when no

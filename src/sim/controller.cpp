@@ -140,7 +140,7 @@ bool PlaBistMachine::step() {
   return finished_;
 }
 
-BistResult PlaBistMachine::run(std::uint64_t max_cycles, bool strict_runaway) {
+BistResult PlaBistMachine::run(std::uint64_t max_cycles) {
   while (!finished_ && controller_cycles_ < max_cycles) step();
 
   BistResult r;
@@ -151,10 +151,9 @@ BistResult PlaBistMachine::run(std::uint64_t max_cycles, bool strict_runaway) {
   r.passes_run = passes_started_;
   r.cycles = ram_ops_;
   if (!finished_) {
-    // Watchdog trip: the controller is running away. Historically this
-    // threw; campaigns need a classified result instead, with BISR left
-    // disabled — a hung engine must not be trusted to divert addresses.
-    ensure(!strict_runaway, "PlaBistMachine: controller did not terminate");
+    // Watchdog trip: the controller is running away. Campaigns need a
+    // classified result, with BISR left disabled — a hung engine must
+    // not be trusted to divert addresses.
     r.hung = true;
     ram_.set_repair_enabled(false);
     return r;

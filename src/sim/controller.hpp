@@ -44,10 +44,8 @@ class PlaBistMachine {
   /// Runs to completion, bounded by the `max_cycles` watchdog. A healthy
   /// controller always terminates well inside any sane budget; a
   /// defective one may not, in which case the result comes back with
-  /// `hung` set and BISR disabled (safe degradation). Pass
-  /// `strict_runaway` to restore the historical InternalError throw.
-  BistResult run(std::uint64_t max_cycles = 1ull << 34,
-                 bool strict_runaway = false);
+  /// `hung` set and BISR disabled (safe degradation).
+  BistResult run(std::uint64_t max_cycles = 1ull << 34);
 
   int state() const { return state_; }
   std::uint64_t controller_cycles() const { return controller_cycles_; }

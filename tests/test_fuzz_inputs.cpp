@@ -9,7 +9,8 @@
 //     asan-ubsan and fuzz-smoke CI legs run this suite sanitized.
 //   2. A deterministic mutation fuzzer: valid inputs are mangled by a
 //      fixed-seed Rng (byte flips, truncations, splices, insertions)
-//      for a few hundred rounds per front-end.
+//      for a few hundred rounds per front-end; snapshot payloads are
+//      also mangled behind a re-sealed CRC, so the decoder sees them.
 //
 // The contract under test: with a DiagEngine attached a parser NEVER
 // throws — any garbage in, structured diagnostics out, bounded by the
@@ -21,8 +22,11 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,6 +35,7 @@
 #include "geom/layout_db.hpp"
 #include "microcode/pla.hpp"
 #include "tech/tech_file.hpp"
+#include "util/checkpoint.hpp"
 #include "util/diag.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -170,6 +175,40 @@ TEST(FuzzCorpus, SnapshotFilesNeverCrash) {
   }
 }
 
+/// The first diagnostic code of loading `path` with a DiagEngine; ""
+/// when it loads.
+std::string snapshot_code(const std::string& path) {
+  DiagEngine eng(path);
+  if (geom::LayoutDB::load_snapshot(path, &eng) != nullptr) return "";
+  return eng.diagnostics().empty() ? "<none>" : eng.diagnostics()[0].code;
+}
+
+TEST(FuzzCorpus, SnapshotExemplarsKeepTheirClass) {
+  // One exemplar per rejection class; the ones past the CRC reach the
+  // decoder or the census.
+  const std::map<std::string, std::string> want = {
+      {"snap_valid.bin", ""},
+      {"snap_trunc_header.bin", "snapshot-truncated"},
+      {"snap_bad_magic.bin", "snapshot-bad-magic"},
+      {"snap_version_skew.bin", "snapshot-version-skew"},  // a v1 file
+      {"snap_bad_length.bin", "snapshot-bad-length"},
+      {"snap_flip_crc.bin", "snapshot-crc-mismatch"},
+      {"snap_trunc_payload.bin", "snapshot-truncated"},
+      {"snap_oversized_count.bin", "snapshot-bad-count"},
+      {"snap_empty_rect.bin", "snapshot-bad-value"},
+      {"snap_later_cell.bin", "snapshot-bad-value"},
+      {"snap_own_cell.bin", "snapshot-bad-value"},
+      {"snap_count_mismatch.bin", "snapshot-count-mismatch"},
+      {"snap_too_deep.bin", "snapshot-too-deep"},
+      {"snap_too_many_instances.bin", "snapshot-too-many-instances"},
+      {"snap_hash_mismatch.bin", "snapshot-content-hash-mismatch"},
+  };
+  std::map<std::string, std::string> got;
+  for (const fs::path& p : corpus_files("snap_"))
+    got[p.filename().string()] = snapshot_code(p.string());
+  EXPECT_EQ(got, want);
+}
+
 // --- deterministic mutation fuzzing ----------------------------------
 
 /// Applies one seeded mutation: byte flip, truncation, slice
@@ -243,6 +282,48 @@ TEST(FuzzMutation, SnapshotLoaderSurvivesSeededMangling) {
     if (input.size() > (std::size_t{1} << 16) || rng.chance(0.1))
       input = seed_input;
   }
+}
+
+TEST(FuzzMutation, SnapshotDecoderSurvivesPayloadMangling) {
+  // Mangles only the payload, then re-seals the length field and the
+  // CRC, so every round passes the framing and reaches the decoder; the
+  // stored content hash stays as written.
+  const std::string seed = slurp(corpus_dir() / "snap_valid.bin");
+  constexpr std::size_t kHeader = 32;
+  ASSERT_GT(seed.size(), kHeader + 4);
+  const std::string seed_payload =
+      seed.substr(kHeader, seed.size() - kHeader - 4);
+  const auto seal = [&](const std::string& payload) {
+    std::string doc = seed.substr(0, 24);
+    for (int i = 0; i < 8; ++i)
+      doc.push_back(static_cast<char>(
+          (static_cast<std::uint64_t>(payload.size()) >> (8 * i)) & 0xff));
+    doc += payload;
+    const std::uint32_t crc = crc32(doc.data(), doc.size());
+    for (int i = 0; i < 4; ++i)
+      doc.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+    return doc;
+  };
+  const std::string path = ::testing::TempDir() + "bisram_fuzz_payload.bin";
+  Rng rng(0xDEC);
+  std::string payload = seed_payload;
+  std::map<std::string, int> codes;
+  for (int i = 0; i < kRounds; ++i) {
+    payload = mutate(payload, rng);
+    const std::string doc = seal(payload);
+    drive_snapshot_bytes(doc, "payload mutation round " + std::to_string(i));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << doc;
+    const std::string code = snapshot_code(path);
+    ++codes[code.empty() ? "loaded" : code];
+    if (payload.size() > (std::size_t{1} << 16) || rng.chance(0.1))
+      payload = seed_payload;
+  }
+  fs::remove(path);
+  std::cout << "payload mangling, " << kRounds << " rounds:";
+  for (const auto& [code, n] : codes) std::cout << " " << code << " " << n;
+  std::cout << "\n";
+  EXPECT_EQ(codes.count("snapshot-crc-mismatch"), 0u);
+  EXPECT_GT(codes.size(), 3u);  // the decoder's classes, not one gate
 }
 
 TEST(FuzzMutation, TechParserSurvivesSeededMangling) {

@@ -78,14 +78,6 @@ TEST(InfraWatchdog, AddgenStuckLowBitHangsAndDegradesGracefully) {
   EXPECT_FALSE(ram.repair_enabled());
 }
 
-TEST(InfraWatchdog, StrictModeKeepsTheHistoricalThrow) {
-  const auto geo = small_geo();
-  sim::RamModel ram(geo);
-  sim::PlaBistMachine machine(ram, trpla());
-  machine.inject({InfraFaultKind::AddgenBitStuck, 0, 0, false, true});
-  EXPECT_THROW(machine.run(50000, /*strict_runaway=*/true), InternalError);
-}
-
 TEST(InfraWatchdog, AutoBudgetClearsAFaultFreeRun) {
   const auto geo = small_geo();
   sim::InfraTrialConfig cfg;

@@ -20,9 +20,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,6 +37,7 @@
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "temp_dir.hpp"
 
 namespace bisram {
 namespace {
@@ -1117,6 +1121,136 @@ TEST(SplitDiffusion, SegmentsStayInsideTheDiffusion) {
   std::vector<geom::Rect> none;
   EXPECT_EQ(extract::split_diffusion(diff, none),
             std::vector<geom::Rect>{diff});
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  EXPECT_TRUE(f.good()) << path;
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
+/// Saves `db`, reloads it and saves the reload: the reload must equal
+/// `db` (shapes, ids, provenance, content hash) and the two files must
+/// be byte-identical.
+void expect_snapshot_round_trip(const LayoutDB& db, const std::string& dir,
+                                const std::string& tag) {
+  const std::string a = dir + "/a.snap", b = dir + "/b.snap";
+  db.save_snapshot(a);
+  const auto loaded = LayoutDB::load_snapshot(a);
+  ASSERT_NE(loaded, nullptr) << tag;
+  EXPECT_EQ(loaded->content_hash(), db.content_hash()) << tag;
+  expect_same_db(*loaded, db, tag);
+  loaded->save_snapshot(b);
+  EXPECT_EQ(slurp(a), slurp(b)) << tag;
+}
+
+TEST(LayoutIncremental, SnapshotsOfEditedDatabasesRoundTrip) {
+  // Every edit kind at two depths at least, saved and reloaded after each:
+  // the snapshot writes a fresh cell for each node whose children an
+  // edit changed and for its ancestors, and the reopen's flatten must
+  // reproduce the edited database.
+  const Macro& m = small_macro();
+  LayoutDB db(*m.top, drc::tile_size_for(m.tech));
+  char tmpl[] = "/tmp/bisram_edit_snap.XXXXXX";
+  const char* made = mkdtemp(tmpl);
+  ASSERT_NE(made, nullptr);
+  const TempDir dir(made);
+
+  const auto child = [](const geom::Cell& c, const std::string& name) {
+    for (const geom::Instance& i : c.instances())
+      if (i.name == name) return i;
+    throw Error("no instance " + name + " in " + c.name());
+  };
+  const geom::Instance array = child(*m.top, "RAMARRAY");
+  const geom::Instance row2 = child(*array.cell, "row2");
+  const geom::Instance bit = child(*row2.cell, "b1");
+  const geom::Instance rowdec = child(*m.top, "ROWDEC");
+  const geom::Instance dec = child(*rowdec.cell, "dec3");
+  geom::Library lib;
+  const geom::CellPtr fresh_bit = cells::sram_cell_6t(lib, m.tech);
+  const geom::CellPtr pre = cells::precharge_cell(lib, m.tech, 2.0);
+
+  const auto edit = [](CellEdit::Kind kind, std::string path) {
+    CellEdit e;
+    e.kind = kind;
+    e.path = std::move(path);
+    return e;
+  };
+  const auto moved = [&](std::string path, const geom::Transform& t) {
+    CellEdit e = edit(CellEdit::Kind::Move, std::move(path));
+    e.transform = geom::Transform::translate(6, -4).compose(t);
+    return e;
+  };
+  const auto placed = [&](CellEdit::Kind kind, std::string path,
+                          std::string name, geom::CellPtr cell,
+                          const geom::Transform& t) {
+    CellEdit e = edit(kind, std::move(path));
+    e.name = std::move(name);
+    e.cell = std::move(cell);
+    e.transform = t;
+    return e;
+  };
+  const geom::Rect box = m.top->bbox();
+  const std::vector<std::pair<std::string, CellEdit>> edits = {
+      {"move bit", moved("RAMARRAY/row2/b1", bit.transform)},
+      {"move row", moved("RAMARRAY/row5", child(*array.cell, "row5").transform)},
+      {"move decoder", moved("ROWDEC/dec3", dec.transform)},
+      {"replace bit", placed(CellEdit::Kind::Replace, "RAMARRAY/row1/b0", "",
+                             pre, {})},
+      {"replace decoder",
+       placed(CellEdit::Kind::Replace, "ROWDEC/dec1", "", fresh_bit, {})},
+      {"add at top", placed(CellEdit::Kind::Add, "", "extra", pre,
+                            geom::Transform::translate(box.hi.x + 400,
+                                                       box.lo.y))},
+      {"add under a row",
+       placed(CellEdit::Kind::Add, "RAMARRAY/row2", "extra", fresh_bit,
+              geom::Transform(geom::Orient::MX, {0, 900}))},
+      {"remove decoder", edit(CellEdit::Kind::Remove, "ROWDEC/dec3")},
+      {"restore decoder", placed(CellEdit::Kind::Add, "ROWDEC", "dec3",
+                                 dec.cell, dec.transform)},
+      {"remove bit", edit(CellEdit::Kind::Remove, "RAMARRAY/row2/b1")},
+      {"restore bit", placed(CellEdit::Kind::Add, "RAMARRAY/row2", "b1",
+                             bit.cell, bit.transform)},
+  };
+  geom::CellPtr cur = m.top;
+  expect_snapshot_round_trip(db, dir.path(), "fresh");
+  for (const auto& [tag, e] : edits) {
+    db.apply(e);
+    cur = edited_cell(*cur, e);
+    expect_same_db(db, LayoutDB(*cur, db.tile_size()), tag);
+    expect_snapshot_round_trip(db, dir.path(), tag);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(LayoutIncremental, SnapshotOutlivesALocalTopCell) {
+  // The database keeps its own copy of the top cell, so it can be edited
+  // and saved after the caller's top is gone (ASan checks the reads).
+  const Macro& m = small_macro();
+  std::unique_ptr<LayoutDB> db;
+  {
+    geom::Cell top("local_top");
+    top.add_shape(geom::Layer::Metal1, geom::Rect::xywh(-200, -200, 40, 40));
+    top.add_port("p", geom::Layer::Metal1,
+                 geom::Rect::xywh(-200, -200, 10, 10));
+    for (const geom::Instance& i : m.top->instances())
+      top.add_instance(i.name, i.cell, i.transform);
+    db = std::make_unique<LayoutDB>(top, drc::tile_size_for(m.tech));
+  }
+  CellEdit e;
+  e.kind = CellEdit::Kind::Move;
+  e.path = "RAMARRAY/row3";
+  e.transform = geom::Transform::translate(40, -20);
+  db->apply(e);
+  char tmpl[] = "/tmp/bisram_local_top.XXXXXX";
+  const char* made = mkdtemp(tmpl);
+  ASSERT_NE(made, nullptr);
+  const TempDir dir(made);
+  EXPECT_EQ(db->top_name(), "local_top");
+  ASSERT_EQ(db->ports().size(), 1u);
+  expect_snapshot_round_trip(*db, dir.path(), "local top");
 }
 
 TEST(LayoutIncremental, ApplyRejectsBadEdits) {

@@ -128,8 +128,12 @@ TEST(LayoutSnapshot, FormatAndHashArePinned) {
   const std::string path = dir.path() + "/pinned.snap";
   db.save_snapshot(path);
   const std::string bytes = slurp(path);
-  EXPECT_EQ(bytes.size(), 5496582u);
-  EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x2144df1cu);
+  EXPECT_EQ(bytes.size(), 87408u);
+  // The CRC over the whole file is the CRC-32 residue, 0x2144df1c, for
+  // any well-framed file; the stored CRC, over the header and payload,
+  // pins the encoding.
+  ASSERT_GT(bytes.size(), 4u);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size() - 4), 0xf81a5b6fu);
 
   EXPECT_EQ(geom::LayoutDB(*a.top, drc::tile_size_for(t)).content_hash(),
             0xc5d56eece5a8622dull);
@@ -198,6 +202,43 @@ TEST(LayoutSnapshot, CorruptFilesAreRejectedWithStableCodes) {
     b[good.size() - 2] ^= 0x40;  // trailing CRC
     expect_rejected(b, "snapshot-crc-mismatch");
   }
+}
+
+void put_varint(std::string& out, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7)
+    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+  out.push_back(static_cast<char>(v));
+}
+
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i)
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+}
+
+TEST(LayoutSnapshot, RefusedLongChainIsReleasedWithoutRecursion) {
+  // A few megabytes of well-framed payload: a leaf and 300,000 cells,
+  // each placing the one before. The census refuses the depth; freeing
+  // the chain must not recurse once per level (a stack overflow).
+  constexpr std::uint64_t kCells = 300000;
+  std::string p;
+  put_varint(p, 32);  // tile 16, zigzag-coded
+  put_varint(p, 1);   // declared shapes
+  put_varint(p, kCells);
+  put_varint(p, kCells);
+  p += std::string("\0\x01\x06\0\0\x02\x02\0\0", 9);  // leaf: 1 shape
+  for (std::uint64_t k = 1; k < kCells; ++k) {
+    p += std::string("\0\0\0\x01", 4);  // no name, shape or port; 1 instance
+    put_varint(p, k - 1);
+    p += std::string("\0\0\0\0", 4);  // no name, R0, offset (0, 0)
+  }
+  std::string doc("BSRLYDB\0", 8);
+  put_le(doc, geom::kSnapshotVersion, 4);
+  put_le(doc, 0, 4);
+  put_le(doc, 0, 8);  // content hash, never reached
+  put_le(doc, p.size(), 8);
+  doc += p;
+  put_le(doc, crc32(doc.data(), doc.size()), 4);
+  expect_rejected(doc, "snapshot-too-deep");
 }
 
 TEST(LayoutSnapshot, MissingFileIsOpenFailed) {
